@@ -13,10 +13,9 @@
 package crowd
 
 import (
-	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"nl2cm/internal/oassisql"
@@ -70,15 +69,52 @@ func FactKey(triples []rdf.Triple) string {
 	return strings.Join(parts, " & ")
 }
 
-// hash01 maps arbitrary strings to [0,1) deterministically.
-func hash01(seed int64, parts ...string) float64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|", seed)
-	for _, p := range parts {
-		h.Write([]byte(p))
-		h.Write([]byte{0})
+// fnv64a is an FNV-1a 64-bit hash state folded by value: its sums are
+// those of hash/fnv's New64a over the same bytes, with no allocation.
+// Every simulated draw hashes "<seed>|<tag>\0<key>\0<member>\0" (key or
+// member absent for some tags), so a state folded through the key
+// serves every member of one support.
+type fnv64a uint64
+
+const (
+	fnvOffset fnv64a = 14695981039346656037
+	fnvPrime  fnv64a = 1099511628211
+)
+
+// hash returns the state after "<seed>|<tag>\0".
+func (c *Crowd) hash(tag string) fnv64a {
+	return fnvOffset.int(c.Seed).byte('|').field(tag)
+}
+
+func (h fnv64a) byte(b byte) fnv64a {
+	return (h ^ fnv64a(b)) * fnvPrime
+}
+
+// int folds n in decimal, as fmt prints it.
+func (h fnv64a) int(n int64) fnv64a {
+	var buf [20]byte
+	for _, b := range strconv.AppendInt(buf[:0], n, 10) {
+		h = h.byte(b)
 	}
-	return float64(h.Sum64()%1_000_000) / 1_000_000
+	return h
+}
+
+// field folds s and its \0 terminator.
+func (h fnv64a) field(s string) fnv64a {
+	for i := 0; i < len(s); i++ {
+		h = h.byte(s[i])
+	}
+	return h.byte(0)
+}
+
+// member folds member i's decimal index and its \0 terminator.
+func (h fnv64a) member(i int) fnv64a {
+	return h.int(int64(i)).byte(0)
+}
+
+// unit maps the sum to [0,1).
+func (h fnv64a) unit() float64 {
+	return float64(uint64(h)%1_000_000) / 1_000_000
 }
 
 // Mean returns the latent population mean support for a fact-set key.
@@ -88,7 +124,7 @@ func (c *Crowd) Mean(key string) float64 {
 	}
 	// Default latent truth: most patterns are niche (low support), some
 	// are popular.
-	return 0.05 + 0.6*hash01(c.Seed, "mean", key)
+	return 0.05 + 0.6*c.hash("mean").field(key).unit()
 }
 
 // IsSpammer reports whether member i is a spam worker (answers
@@ -97,23 +133,51 @@ func (c *Crowd) IsSpammer(i int) bool {
 	if c.SpamFraction <= 0 {
 		return false
 	}
-	return hash01(c.Seed, "spam", fmt.Sprint(i)) < c.SpamFraction
+	return c.hash("spam").member(i).unit() < c.SpamFraction
+}
+
+// keyAnswers is what every member's answer to one fact-set key shares:
+// the latent mean and the hash states folded through the key, so each
+// member then costs only its index.
+type keyAnswers struct {
+	c                         *Crowd
+	mean                      float64
+	noise, noise2, spamAnswer fnv64a
+}
+
+func (c *Crowd) keyAnswers(key string) keyAnswers {
+	a := keyAnswers{
+		c:      c,
+		mean:   c.Mean(key),
+		noise:  c.hash("noise").field(key),
+		noise2: c.hash("noise2").field(key),
+	}
+	if c.SpamFraction > 0 {
+		a.spamAnswer = c.hash("spam-answer").field(key)
+	}
+	return a
+}
+
+// answer is member i's answer (see MemberAnswer).
+func (a *keyAnswers) answer(i int) float64 {
+	c := a.c
+	if i < 0 || i >= c.Size {
+		return 0
+	}
+	if c.IsSpammer(i) {
+		return a.spamAnswer.member(i).unit()
+	}
+	// Symmetric triangular-ish noise from two hashes.
+	n := a.noise.member(i).unit() - a.noise2.member(i).unit()
+	return clamp01(a.mean + n*c.noise()*2)
 }
 
 // MemberAnswer returns member i's answer for the fact-set key: the
 // frequency with which they engage in the habit, or their agreement with
 // the statement, in [0,1]. Spam workers answer uniformly at random.
 func (c *Crowd) MemberAnswer(i int, key string) float64 {
-	if i < 0 || i >= c.Size {
-		return 0
-	}
-	if c.IsSpammer(i) {
-		return hash01(c.Seed, "spam-answer", key, fmt.Sprint(i))
-	}
-	mean := c.Mean(key)
-	// Symmetric triangular-ish noise from two hashes.
-	n := hash01(c.Seed, "noise", key, fmt.Sprint(i)) - hash01(c.Seed, "noise2", key, fmt.Sprint(i))
-	return clamp01(mean + n*c.noise()*2)
+	a := c.keyAnswers(key)
+	return a.answer(i)
 }
 
 // Support aggregates answers of a sample of members (the first `sample`
@@ -126,23 +190,28 @@ func (c *Crowd) Support(key string, sample int) float64 {
 	if sample == 0 {
 		return 0
 	}
-	answers := make([]float64, sample)
-	for i := 0; i < sample; i++ {
-		answers[i] = c.MemberAnswer(i, key)
-	}
-	if c.TrimFraction > 0 && sample > 2 {
-		sort.Float64s(answers)
-		k := int(float64(sample) * c.TrimFraction)
-		if 2*k >= sample {
-			k = (sample - 1) / 2
+	a := c.keyAnswers(key)
+	if c.TrimFraction <= 0 || sample <= 2 {
+		sum := 0.0
+		for i := 0; i < sample; i++ {
+			sum += a.answer(i)
 		}
-		answers = answers[k : sample-k]
+		return sum / float64(sample)
+	}
+	answers := make([]float64, sample)
+	for i := range answers {
+		answers[i] = a.answer(i)
+	}
+	sort.Float64s(answers)
+	k := int(float64(sample) * c.TrimFraction)
+	if 2*k >= sample {
+		k = (sample - 1) / 2
 	}
 	sum := 0.0
-	for _, a := range answers {
-		sum += a
+	for _, v := range answers[k : sample-k] {
+		sum += v
 	}
-	return sum / float64(len(answers))
+	return sum / float64(sample-2*k)
 }
 
 func clamp01(v float64) float64 {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -733,12 +734,25 @@ func (e *Engine) Verbalize(ground []rdf.Triple) string {
 			rest = append(rest, ground[i])
 		}
 	}
-	if opinion != nil {
-		q := fmt.Sprintf("Do you agree that %s is %s", label(opinion.S), label(opinion.O))
-		for _, t := range rest {
-			q += fmt.Sprintf(" %s %s", t.P.Local(), label(t.O))
+	var q strings.Builder
+	// finish appends " <predicate> <object>" per modifier triple and the
+	// question mark.
+	finish := func(ts []rdf.Triple) string {
+		for _, t := range ts {
+			q.WriteByte(' ')
+			q.WriteString(t.P.Local())
+			q.WriteByte(' ')
+			q.WriteString(label(t.O))
 		}
-		return q + "?"
+		q.WriteByte('?')
+		return q.String()
+	}
+	if opinion != nil {
+		q.WriteString("Do you agree that ")
+		q.WriteString(label(opinion.S))
+		q.WriteString(" is ")
+		q.WriteString(label(opinion.O))
+		return finish(rest)
 	}
 	// Habit pattern: {[] verb X} (+ modifiers {[] prep Y}).
 	var main *rdf.Triple
@@ -756,11 +770,11 @@ func (e *Engine) Verbalize(ground []rdf.Triple) string {
 	if main == nil {
 		return "How often does this hold: " + FactKey(ground) + "?"
 	}
-	q := fmt.Sprintf("How often do you %s %s", main.P.Local(), label(main.O))
-	for _, m := range mods {
-		q += fmt.Sprintf(" %s %s", m.P.Local(), label(m.O))
-	}
-	return q + "?"
+	q.WriteString("How often do you ")
+	q.WriteString(main.P.Local())
+	q.WriteByte(' ')
+	q.WriteString(label(main.O))
+	return finish(mods)
 }
 
 func isPrepLike(p string) bool {

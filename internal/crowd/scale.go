@@ -13,17 +13,18 @@ import (
 // counters (crowdscale.Stats deltas).
 type ScaleMetrics = crowdscale.Stats
 
-// crowdSource adapts a Crowd to crowdscale.Source: answers delegate to
-// MemberAnswer in member order, so sequential sampling over the adapter
-// consumes exactly the member sequence Crowd.Support aggregates — the
-// property the differential tests rely on.
+// crowdSource adapts a Crowd to crowdscale.Source: answers are
+// MemberAnswer's, in member order, so sequential sampling over the
+// adapter consumes exactly the member sequence Crowd.Support aggregates
+// — the property the differential tests rely on.
 type crowdSource struct{ c *Crowd }
 
 func (s crowdSource) Size() int { return s.c.Size }
 
 func (s crowdSource) Batch(key string, from int, out []float64) {
+	a := s.c.keyAnswers(key)
 	for i := range out {
-		out[i] = s.c.MemberAnswer(from+i, key)
+		out[i] = a.answer(from + i)
 	}
 }
 
