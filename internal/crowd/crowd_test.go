@@ -211,6 +211,10 @@ WITH SUPPORT THRESHOLD = 0.3`)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The empty WHERE is one empty row, which the subclause expands.
+	if res.WhereBindings != 1 {
+		t.Errorf("WHERE bindings = %d, want the one empty row", res.WhereBindings)
+	}
 	if len(res.Subclauses[0].Tasks) == 0 {
 		t.Fatal("no tasks for open variable")
 	}
@@ -221,6 +225,59 @@ WITH SUPPORT THRESHOLD = 0.3`)
 	}
 	if !pass["Delaware_Park"] {
 		t.Errorf("bindings = %v, want Delaware_Park", pass)
+	}
+}
+
+// Rows that do not exist get no crowd tasks: a WHERE that matches
+// nothing, or a subclause that keeps nothing, leaves nothing for the
+// crowd to ground, so open variables are not filled with arbitrary
+// entities that violate WHERE.
+func TestExecuteNoRowsNoTasks(t *testing.T) {
+	cases := []struct {
+		name  string
+		query string
+		tasks []int // per subclause
+		where int
+	}{
+		{"where-matches-nothing", `SELECT VARIABLES
+WHERE
+{$x instanceOf Show.
+$x locatedIn Bellagio}
+SATISFYING
+{$x hasLabel "overrated"}
+WITH SUPPORT THRESHOLD = 0.1`, []int{0}, 0},
+		{"first-subclause-keeps-nothing", `SELECT VARIABLES
+WHERE
+{$x instanceOf Place.
+$x near Forest_Hotel,_Buffalo,_NY}
+SATISFYING
+{$x hasLabel "interesting"}
+WITH SUPPORT THRESHOLD = 1.1
+AND
+{[] visit $x.
+[] in Fall}
+WITH SUPPORT THRESHOLD = 0.1`, []int{5, 0}, 5},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			q := oassisql.MustParse(c.query)
+			rebase(q)
+			res, err := demoEngine().Execute(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.WhereBindings != c.where {
+				t.Errorf("WHERE bindings = %d, want %d", res.WhereBindings, c.where)
+			}
+			for i, want := range c.tasks {
+				if got := len(res.Subclauses[i].Tasks); got != want {
+					t.Errorf("subclause %d issued %d tasks, want %d", i+1, got, want)
+				}
+			}
+			if len(res.Bindings) != 0 {
+				t.Errorf("bindings = %v, want none", res.Bindings)
+			}
+		})
 	}
 }
 

@@ -570,12 +570,12 @@ var verbDomains = map[string]string{
 // visit?") over the ontology's entities — restricted to the domain of
 // the pattern's habit verb when one is known — capped at OpenVarLimit.
 // Boundness is decided per binding: after OPTIONAL/UNION upstream, some
-// rows may bind a pattern variable while others leave it open.
+// rows may bind a pattern variable while others leave it open. Only
+// incoming rows expand: no rows (a WHERE that matched nothing, or an
+// earlier subclause that kept nothing) yield no rows, while a WHERE-less
+// query arrives as one empty row and expands fully.
 func (e *Engine) expandOpenVars(sc oassisql.Subclause, bindings []sparql.Binding, snap *rdf.Snapshot) ([]sparql.Binding, error) {
 	pvars := sc.Pattern.Vars()
-	if len(bindings) == 0 {
-		bindings = []sparql.Binding{{}}
-	}
 	anyOpen := false
 	for _, b := range bindings {
 		for _, v := range pvars {
