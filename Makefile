@@ -1,15 +1,16 @@
 GO ?= go
 
-.PHONY: all check vet staticcheck build test race session-stress session-smoke crowd-stress store-stress loadgen-smoke bench bench-smoke bench-record fuzz-smoke emit-golden emit-golden-update agg-golden fmt
+.PHONY: all check vet staticcheck build test race session-stress session-smoke crowd-stress store-stress perfbench-test loadgen-smoke bench bench-smoke bench-record fuzz-smoke emit-golden emit-golden-update agg-golden fmt
 
 all: check
 
 # check is the CI gate: vet + staticcheck, build everything, run the
 # tests with the race detector (the concurrency stress tests depend on
 # it), verify the per-backend golden emissions and the analytic path,
-# hammer the dialogue-session subsystem a few extra rounds, then smoke
-# the serving layer with a short load-generator run.
-check: vet staticcheck build race emit-golden agg-golden session-stress crowd-stress store-stress loadgen-smoke
+# hammer the dialogue-session subsystem a few extra rounds, vet and test
+# the benchmark module, then smoke the serving layer with a short
+# load-generator run.
+check: vet staticcheck build race emit-golden agg-golden session-stress crowd-stress store-stress perfbench-test loadgen-smoke
 
 vet:
 	$(GO) vet ./...
@@ -55,6 +56,13 @@ crowd-stress:
 store-stress:
 	$(GO) test -race -count=3 -run 'TestShardedSnapshotStableUnderConcurrentPublish|TestShardedOldSnapshotSurvivesDeleteAll|TestShardedDifferentialFlat' ./internal/rdf/
 	$(GO) test -race -run 'TestDataEpochInvalidatesCachedPlans|TestDeletedEntityNeverResurrectedFromCache' ./internal/core/
+
+# perfbench-test vets and tests the benchmark in perfbench/, its own Go
+# module that the root `go test ./...` never builds, so a library change
+# that breaks the benchmark fails the gate.
+perfbench-test:
+	cd perfbench && GOWORK=off GOFLAGS= $(GO) vet ./...
+	cd perfbench && GOWORK=off GOFLAGS= $(GO) test ./...
 
 # session-smoke curls a live daemon through one scripted dialogue
 # (requires curl and jq).
