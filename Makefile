@@ -51,10 +51,11 @@ crowd-stress:
 
 # store-stress hammers the epoch-snapshot store under the race
 # detector: concurrent writers publishing epochs while readers hold and
-# render old snapshots, the randomized sharded-vs-flat differential,
-# and the cache-invalidation epoch tests on top of it.
+# render old snapshots, the randomized differential of 1-8 shards
+# against a naive oracle, and the cache-invalidation epoch tests on top
+# of it.
 store-stress:
-	$(GO) test -race -count=3 -run 'TestShardedSnapshotStableUnderConcurrentPublish|TestShardedOldSnapshotSurvivesDeleteAll|TestShardedDifferentialFlat' ./internal/rdf/
+	$(GO) test -race -count=3 -run 'TestShardedSnapshotStableUnderConcurrentPublish|TestShardedOldSnapshotSurvivesDeleteAll|TestShardedDifferentialOracle' ./internal/rdf/
 	$(GO) test -race -run 'TestDataEpochInvalidatesCachedPlans|TestDeletedEntityNeverResurrectedFromCache' ./internal/core/
 
 # perfbench-test vets and tests the benchmark in perfbench/, its own Go
@@ -93,7 +94,7 @@ bench-smoke:
 # SQL-vs-RDF differential; emit-golden-update regenerates the files
 # after an intentional emitter change.
 emit-golden:
-	$(GO) test -run 'TestBackendGolden|TestGoldenQueriesByteIdentical|TestCorpusSQLDifferential' .
+	$(GO) test -run 'TestBackendGolden|TestCorpusSQLDifferential' .
 
 emit-golden-update:
 	$(GO) test -run TestBackendGolden -update .
@@ -107,10 +108,11 @@ agg-golden:
 
 # fuzz-smoke runs each native fuzz target briefly: enough to catch
 # panics and invariant regressions without slowing the gate. Go allows
-# one -fuzz pattern per package invocation, hence two runs.
+# one -fuzz pattern per package invocation, hence one run per target.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParse -fuzztime=20s ./internal/nlp/
 	$(GO) test -fuzz=FuzzParse -fuzztime=20s ./internal/sparql/
+	$(GO) test -fuzz=FuzzNTriplesRoundTrip -fuzztime=20s ./internal/rdf/
 
 fmt:
 	gofmt -l -w .

@@ -298,7 +298,7 @@ func BenchmarkP3_CrowdEngine(b *testing.B) {
 func BenchmarkP4_SPARQLStore(b *testing.B) {
 	for _, size := range []int{100, 1000, 10000} {
 		b.Run(fmt.Sprintf("triples=%d", size), func(b *testing.B) {
-			s := rdf.NewStore()
+			s := rdf.NewShardedStore(0)
 			for i := 0; i < size; i++ {
 				s.AddTriple(
 					rdf.NewIRI(fmt.Sprintf("e%d", i)),
@@ -419,11 +419,12 @@ func BenchmarkE9_EndToEndExecutionParallel(b *testing.B) {
 	})
 }
 
-// BenchmarkP7_CrowdEngineWorkers compares sequential and pooled crowd
-// task evaluation on a support-heavy workload: an open-variable query
-// fanning out over the ontology's places, each task polling a large
-// crowd. The cache is reset every iteration so each measures cold
-// executions.
+// BenchmarkP7_CrowdEngineWorkers measures crowd task evaluation on a
+// support-heavy workload: an open-variable query fanning out over the
+// ontology's places, each task polling a large crowd. The engine's
+// worker pool has GOMAXPROCS workers, so `-cpu 1,2` compares sequential
+// with pooled evaluation. The cache is reset every iteration so each
+// measures cold executions.
 func BenchmarkP7_CrowdEngineWorkers(b *testing.B) {
 	thr := 0.3
 	q := &oassisql.Query{
@@ -435,27 +436,16 @@ func BenchmarkP7_CrowdEngineWorkers(b *testing.B) {
 			Threshold: &thr,
 		}},
 	}
-	for _, cfg := range []struct {
-		name    string
-		workers int
-	}{
-		{"workers=1", 1},
-		{"workers=all", 0},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			onto := ontology.NewDemoOntology()
-			c := crowd.NewCrowd(4000, 7)
-			c.Truth = crowd.DemoTruth()
-			eng := crowd.NewEngine(onto, c)
-			eng.Workers = cfg.workers
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng.ResetCache()
-				out, err := eng.Execute(context.Background(), q)
-				if err != nil || out.TasksIssued == 0 {
-					b.Fatalf("execution failed: %v (tasks=%d)", err, out.TasksIssued)
-				}
-			}
-		})
+	onto := ontology.NewDemoOntology()
+	c := crowd.NewCrowd(4000, 7)
+	c.Truth = crowd.DemoTruth()
+	eng := crowd.NewEngine(onto, c)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.ResetCache()
+		out, err := eng.Execute(context.Background(), q)
+		if err != nil || out.TasksIssued == 0 {
+			b.Fatalf("execution failed: %v (tasks=%d)", err, out.TasksIssued)
+		}
 	}
 }

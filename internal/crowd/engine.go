@@ -34,11 +34,6 @@ type Engine struct {
 	// OpenVarLimit caps instantiations of variables that the WHERE
 	// clause leaves unbound (open crowd mining); 0 means 50.
 	OpenVarLimit int
-	// Workers caps how many crowd tasks of one subclause are evaluated
-	// concurrently; 0 means runtime.GOMAXPROCS(0), 1 restores fully
-	// sequential evaluation. Task and binding order is deterministic
-	// either way.
-	Workers int
 	// Observer, when non-nil, receives core.StageCrowd start/end
 	// callbacks around the whole execution and one "SATISFYING n" stage
 	// per subclause. An Observer shared across concurrent executions
@@ -52,10 +47,6 @@ type Engine struct {
 	// any Source (e.g. a million-member crowdscale.Population). The
 	// engine does not own the executor: callers Close it.
 	Scale *crowdscale.Executor
-	// ScaleExhaustive, with Scale set, disables early termination: every
-	// task is fully sampled through the queue (the fixed-sample baseline
-	// for differential tests and benchmarks).
-	ScaleExhaustive bool
 
 	// The support cache memoizes Crowd.Support per (fact key, effective
 	// sample size): repeated keys across subclauses and requests would
@@ -390,25 +381,18 @@ func (e *Engine) evalSubclause(ctx context.Context, idx int, sc oassisql.Subclau
 		g.bindings = append(g.bindings, b)
 	}
 
-	// Three support paths: the streaming sequential sampler (decides
-	// significance itself, on estimates), the streaming exhaustive
-	// baseline, and the synchronous memoized fan-out. groups are in
-	// first-appearance order here — the tie-break order both
-	// applySignificance and the sequential sampler guarantee.
-	sequential := e.Scale != nil && !e.ScaleExhaustive
-	switch {
-	case sequential:
+	// Two support paths: the streaming sequential sampler (decides
+	// significance itself, on estimates) and the synchronous memoized
+	// fan-out. groups are in first-appearance order here — the
+	// tie-break order both applySignificance and the sequential sampler
+	// guarantee.
+	sequential := e.Scale != nil
+	if sequential {
 		if err := e.evalScale(ctx, idx, sc, groups); err != nil {
 			return nil, nil, err
 		}
-	case e.Scale != nil:
-		if err := e.scaleSupports(ctx, groups); err != nil {
-			return nil, nil, err
-		}
-	default:
-		if err := e.askCrowd(ctx, groups, cnt); err != nil {
-			return nil, nil, err
-		}
+	} else if err := e.askCrowd(ctx, groups, cnt); err != nil {
+		return nil, nil, err
 	}
 	sort.SliceStable(groups, func(i, j int) bool { return groups[i].task.Support > groups[j].task.Support })
 
@@ -437,14 +421,12 @@ func (e *Engine) evalSubclause(ctx context.Context, idx int, sc oassisql.Subclau
 }
 
 // askCrowd fills in each group's support, fanning the tasks out over a
-// bounded worker pool. Results are written by index, so output order is
-// deterministic regardless of scheduling; cancellation stops feeding
-// new tasks and returns once in-flight ones finish.
+// pool of GOMAXPROCS workers (sequential with one). Results are written
+// by index, so output order is deterministic regardless of scheduling;
+// cancellation stops feeding new tasks and returns once in-flight ones
+// finish.
 func (e *Engine) askCrowd(ctx context.Context, groups []*taskGroup, cnt *execCounters) error {
-	workers := e.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 	if workers > len(groups) {
 		workers = len(groups)
 	}

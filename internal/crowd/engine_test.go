@@ -3,6 +3,7 @@ package crowd
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -143,7 +144,6 @@ func TestExecutePreCancelled(t *testing.T) {
 // starts aborts before its crowd tasks are evaluated.
 func TestExecuteCancelledMidSubclause(t *testing.T) {
 	eng := demoEngine()
-	eng.Workers = 1
 	ctx, cancel := context.WithCancel(context.Background())
 	eng.Observer = &cancelObserver{cancel: cancel, onStart: "SATISFYING 1"}
 	_, err := eng.Execute(ctx, runningExampleQuery(t))
@@ -193,22 +193,19 @@ func (o *cancelObserver) StageEnd(stage string, d time.Duration, err error) {
 	}
 }
 
-// The parallel worker pool must not change results: a Workers=1 engine
-// and a Workers=8 engine agree task by task.
+// The parallel worker pool must not change results: an engine with one
+// worker (GOMAXPROCS 1) and one with eight agree task by task.
 func TestExecuteParallelMatchesSequential(t *testing.T) {
 	q := runningExampleQuery(t)
-	seq := demoEngine()
-	seq.Workers = 1
-	par := demoEngine()
-	par.Workers = 8
-	rs, err := seq.Execute(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
+	execute := func(procs int) *Result {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		res, err := demoEngine().Execute(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	rp, err := par.Execute(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs, rp := execute(1), execute(8)
 	if len(rs.Subclauses) != len(rp.Subclauses) {
 		t.Fatalf("subclause counts differ: %d vs %d", len(rs.Subclauses), len(rp.Subclauses))
 	}

@@ -73,32 +73,40 @@ func TestScaleMatchesExhaustive(t *testing.T) {
 	}
 }
 
-// ScaleExhaustive routes full sampling through the queue and must agree
-// with the synchronous path support-for-support.
+// The scale executor's exhaustive supports are the crowd's: for every
+// task key of the running example and every DemoTruth key, over the
+// whole crowd and a sample, NewScaleExecutor(c).Supports equals
+// c.Support key for key.
 func TestScaleExhaustiveOracle(t *testing.T) {
-	q := runningExampleQuery(t)
-	base := demoEngine()
-	want, err := base.Execute(context.Background(), q)
+	eng := demoEngine()
+	res, err := eng.Execute(context.Background(), runningExampleQuery(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := scaleEngine(t, crowdscale.Config{})
-	eng.ScaleExhaustive = true
-	got, err := eng.Execute(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want.Subclauses {
-		a, b := want.Subclauses[i].Tasks, got.Subclauses[i].Tasks
-		if len(a) != len(b) {
-			t.Fatalf("subclause %d task counts differ", i)
+	var keys []string
+	for _, sc := range res.Subclauses {
+		for _, task := range sc.Tasks {
+			keys = append(keys, task.Key)
 		}
-		for j := range a {
-			if a[j].Key != b[j].Key || a[j].Significant != b[j].Significant {
-				t.Fatalf("subclause %d task %d: %+v vs %+v", i, j, a[j], b[j])
-			}
-			if diff := a[j].Support - b[j].Support; diff > 1e-9 || diff < -1e-9 {
-				t.Fatalf("subclause %d task %d support %v vs %v", i, j, a[j].Support, b[j].Support)
+	}
+	for k := range DemoTruth() {
+		keys = append(keys, k)
+	}
+	c := eng.Crowd
+	x, err := NewScaleExecutor(c, crowdscale.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	for _, sample := range []int{c.Size, 40} {
+		got, err := x.Supports(context.Background(), keys, sample)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, k := range keys {
+			want := c.Support(k, sample)
+			if got[i] != want {
+				t.Fatalf("sample %d key %q: Supports = %v, Crowd.Support = %v", sample, k, got[i], want)
 			}
 		}
 	}

@@ -17,10 +17,10 @@ type ExternalSource interface {
 	Each(fn func(s, p, o rdf.Term) bool)
 }
 
-// Adapter lifts an ExternalSource into a sparql.Source (and
-// sparql.Counter, so the cardinality-driven join planner works), letting
-// the streaming evaluator run a plan's general part against any
-// row-shaped store.
+// Adapter lifts an ExternalSource into a sparql.Source, counting
+// included, so the cardinality-driven join planner works; it lets the
+// streaming evaluator run a plan's general part against any row-shaped
+// store.
 type Adapter struct {
 	Ext ExternalSource
 }
@@ -45,7 +45,7 @@ func (a *Adapter) MatchFunc(pattern rdf.Triple, fn func(rdf.Triple) bool) {
 	})
 }
 
-// CountMatch implements sparql.Counter with an exact full-scan count.
+// CountMatch implements sparql.Source with an exact full-scan count.
 func (a *Adapter) CountMatch(pattern rdf.Triple) int {
 	n := 0
 	a.MatchFunc(pattern, func(rdf.Triple) bool { n++; return true })
@@ -77,7 +77,7 @@ func (m *MemTable) Each(fn func(s, p, o rdf.Term) bool) {
 }
 
 // LoadMemTable copies every triple of a sparql.Source (for example an
-// *rdf.Store) into a fresh MemTable — the bulk-export path that stands
+// *rdf.Snapshot) into a fresh MemTable — the bulk-export path that stands
 // in for an ETL into an external store.
 func LoadMemTable(src sparql.Source) *MemTable {
 	m := &MemTable{}

@@ -8,8 +8,8 @@ import (
 )
 
 // WriteNTriples serializes the triples to w in N-Triples syntax, one
-// statement per line. Variables are rejected because N-Triples is a data
-// format.
+// statement per line, in a form ParseNTriples reads back to the same
+// triples. Variables are rejected because N-Triples is a data format.
 func WriteNTriples(w io.Writer, triples []Triple) error {
 	bw := bufio.NewWriter(w)
 	for _, t := range triples {
@@ -47,26 +47,6 @@ func ParseNTriples(r io.Reader) ([]Triple, error) {
 		return nil, fmt.Errorf("rdf: reading n-triples: %w", err)
 	}
 	return out, nil
-}
-
-// LoadNTriples parses N-Triples from r and adds every statement to the
-// store, returning the number of newly added triples.
-func LoadNTriples(s *Store, r io.Reader) (int, error) {
-	triples, err := ParseNTriples(r)
-	if err != nil {
-		return 0, err
-	}
-	added := 0
-	for _, t := range triples {
-		ok, err := s.Add(t)
-		if err != nil {
-			return added, err
-		}
-		if ok {
-			added++
-		}
-	}
-	return added, nil
 }
 
 func parseNTLine(line string) (Triple, error) {
@@ -121,6 +101,11 @@ func (p *ntParser) term() (Term, error) {
 			return Term{}, fmt.Errorf("unterminated IRI")
 		}
 		iri := p.in[p.pos+1 : p.pos+end]
+		if iri == "" {
+			// NewIRI("") is the zero Term, which callers use to mean
+			// "no term"; it is never data.
+			return Term{}, fmt.Errorf("empty IRI")
+		}
 		p.pos += end + 1
 		return NewIRI(iri), nil
 	case '"':
@@ -205,6 +190,11 @@ func (p *ntParser) literal() (Term, error) {
 		}
 		dt := rest[:end]
 		p.pos += 3 + end + 1
+		if dt == XSDString {
+			// The same RDF term as the plain literal, which is how
+			// Term.String writes it back.
+			return NewLiteral(lex), nil
+		}
 		return NewTypedLiteral(lex, dt), nil
 	}
 	return NewLiteral(lex), nil

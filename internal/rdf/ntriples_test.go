@@ -16,13 +16,14 @@ func TestParseNTriplesBasic(t *testing.T) {
 <http://ex.org/park> <http://ex.org/name> "parc"@fr .
 <http://ex.org/park> <http://ex.org/size> "42"^^<` + XSDInteger + `> .
 _:b0 <http://ex.org/p> _:b1 .
+<http://ex.org/park> <http://ex.org/label> "Delaware Park"^^<` + XSDString + `> .
 `
 	ts, err := ParseNTriples(strings.NewReader(in))
 	if err != nil {
 		t.Fatalf("ParseNTriples: %v", err)
 	}
-	if len(ts) != 5 {
-		t.Fatalf("parsed %d triples, want 5", len(ts))
+	if len(ts) != 6 {
+		t.Fatalf("parsed %d triples, want 6", len(ts))
 	}
 	if ts[0].S != NewIRI("http://ex.org/park") {
 		t.Errorf("triple 0 subject = %v", ts[0].S)
@@ -38,6 +39,10 @@ _:b0 <http://ex.org/p> _:b1 .
 	}
 	if ts[4].S != NewBlank("b0") || ts[4].O != NewBlank("b1") {
 		t.Errorf("triple 4 = %v", ts[4])
+	}
+	// An xsd:string literal is the plain literal, not a second term.
+	if ts[5] != ts[1] {
+		t.Errorf("triple 5 = %#v, want the plain-literal triple %#v", ts[5], ts[1])
 	}
 }
 
@@ -64,6 +69,7 @@ func TestParseNTriplesErrors(t *testing.T) {
 		`<http://e/s> %bogus <http://e/o> .`,         // bad predicate
 		`_: <http://e/p> <http://e/o> .`,             // empty blank label
 		`<http://e/s> <http://e/p> .`,                // missing object
+		`<http://e/s> <http://e/p> <> .`,             // empty IRI: the zero Term
 	}
 	for _, in := range bad {
 		if _, err := ParseNTriples(strings.NewReader(in)); err == nil {
@@ -79,14 +85,20 @@ func TestWriteNTriplesRejectsVariables(t *testing.T) {
 	}
 }
 
+// TestLoadNTriples loads parsed N-Triples into a store the way the
+// daemon's store endpoint does: one batch, duplicates counted once.
 func TestLoadNTriples(t *testing.T) {
 	in := `<http://e/a> <http://e/p> <http://e/b> .
 <http://e/a> <http://e/p> <http://e/b> .
 <http://e/c> <http://e/p> <http://e/d> .`
-	s := NewStore()
-	n, err := LoadNTriples(s, strings.NewReader(in))
+	ts, err := ParseNTriples(strings.NewReader(in))
 	if err != nil {
-		t.Fatalf("LoadNTriples: %v", err)
+		t.Fatalf("ParseNTriples: %v", err)
+	}
+	s := NewShardedStore(0)
+	n, _, _, err := s.Apply(Batch{Insert: ts})
+	if err != nil {
+		t.Fatalf("Apply: %v", err)
 	}
 	if n != 2 {
 		t.Fatalf("added %d, want 2 (one duplicate)", n)
@@ -96,10 +108,19 @@ func TestLoadNTriples(t *testing.T) {
 	}
 }
 
-// Property: serialize → parse round-trips any set of ground triples whose
-// literals use the escapes we support.
+// randomLexeme draws a lexical form of arbitrary bytes, so quotes,
+// backslashes, control bytes, invalid UTF-8 and non-ASCII all occur.
+func randomLexeme(r *rand.Rand) string {
+	b := make([]byte, r.Intn(12))
+	for i := range b {
+		b[i] = byte(r.Intn(256))
+	}
+	return string(b)
+}
+
+// Property: serialize → parse round-trips any set of ground triples,
+// whatever bytes their literals hold.
 func TestNTriplesRoundTrip(t *testing.T) {
-	lexemes := []string{"a", "hello world", "with \"quotes\"", "tab\tand\nnewline", "Ünïcøde 東京"}
 	f := func(seed int64, n uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		var ts []Triple
@@ -109,11 +130,11 @@ func TestNTriplesRoundTrip(t *testing.T) {
 			case 0:
 				o = NewIRI("http://e/o" + string(rune('a'+r.Intn(5))))
 			case 1:
-				o = NewLiteral(lexemes[r.Intn(len(lexemes))])
+				o = NewLiteral(randomLexeme(r))
 			case 2:
-				o = NewLangLiteral(lexemes[r.Intn(len(lexemes)-2)], "en")
+				o = NewLangLiteral(randomLexeme(r), "en")
 			default:
-				o = NewTypedLiteral("7", XSDInteger)
+				o = NewTypedLiteral(randomLexeme(r), XSDInteger)
 			}
 			ts = append(ts, T(NewIRI("http://e/s"), NewIRI("http://e/p"), o))
 		}
@@ -138,4 +159,42 @@ func TestNTriplesRoundTrip(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzNTriplesRoundTrip: any input that parses must write and re-parse
+// to the same triples, so an exported ontology always re-imports.
+func FuzzNTriplesRoundTrip(f *testing.F) {
+	for _, seed := range []string{
+		"<http://e/s> <http://e/p> \"nb\u00a0sp\" .",
+		"<http://e/s> <http://e/p> \"ctl\x01byte\" .",
+		"<http://e/s> <http://e/p> \"x\"^^<" + XSDString + "> .",
+		"<http://e/s> <http://e/p> <> .",
+		`<http://e/s> <http://e/p> "line\nbreak \"q\" back\\slash tab\tdone"@en .`,
+		"_:b0 <http://e/p> \"42\"^^<" + XSDInteger + "> .\n# comment\n\n_:b0 <http://e/p> \"raw\rcr\" .",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		ts, err := ParseNTriples(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteNTriples(&buf, ts); err != nil {
+			t.Fatalf("WriteNTriples(%v): %v", ts, err)
+		}
+		out := buf.String()
+		got, err := ParseNTriples(&buf)
+		if err != nil {
+			t.Fatalf("re-parse of %q: %v", out, err)
+		}
+		if len(got) != len(ts) {
+			t.Fatalf("re-parse of %q: %d triples, want %d", out, len(got), len(ts))
+		}
+		for i := range ts {
+			if got[i] != ts[i] {
+				t.Fatalf("re-parse of %q: triple %d = %#v, want %#v", out, i, got[i], ts[i])
+			}
+		}
+	})
 }

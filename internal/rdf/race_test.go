@@ -49,12 +49,12 @@ func TestConcurrentInternAndRead(t *testing.T) {
 	}
 }
 
-// TestConcurrentStoreWritesAndMatches interleaves store mutation with
-// pattern matching and counting from many goroutines. The store promises
-// full thread safety (mutating calls exclude readers), so under -race
-// this must be clean.
+// TestConcurrentStoreWritesAndMatches interleaves single Add/Remove
+// calls with the store's own read methods from many goroutines: every
+// read may publish the pending writes while other writers buffer more,
+// so under -race this must be clean.
 func TestConcurrentStoreWritesAndMatches(t *testing.T) {
-	s := NewStore()
+	s := NewShardedStore(0)
 	pred := NewIRI("p")
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {

@@ -27,9 +27,8 @@ const DefaultShards = 16
 // read-your-writes still holds. Apply publishes eagerly so callers
 // learn the epoch their batch landed in.
 //
-// The per-shard index layout is identical to Store's flat posting
-// lists; see that type for the rationale. The zero value is not usable
-// — create one with NewShardedStore.
+// Each shard's index layout is described on shardData. The zero value
+// is not usable — create one with NewShardedStore.
 type ShardedStore struct {
 	mu       sync.Mutex // serializes mutators and publication
 	dict     *Dict
@@ -41,10 +40,10 @@ type ShardedStore struct {
 }
 
 // Snapshot is an immutable point-in-time view of a ShardedStore. It
-// implements the same read API as Store (Match, MatchFunc, CountMatch,
+// implements the store's read API (Match, MatchFunc, CountMatch,
 // Subjects, Objects, Contains, Len, All) and therefore satisfies the
-// sparql Source and Counter interfaces; a consumer that holds a
-// Snapshot across an entire query is isolated from concurrent writes.
+// sparql Source interface; a consumer that holds a Snapshot across an
+// entire query is isolated from concurrent writes.
 type Snapshot struct {
 	epoch  uint64
 	dict   *Dict
@@ -53,19 +52,41 @@ type Snapshot struct {
 	total  int
 }
 
-// shardData is one shard's immutable index set, laid out exactly like
-// the flat Store. Posting slices may be shared with older and newer
-// snapshots; they are copied before the first mutation in each epoch.
+// shardData is one shard's immutable index set. Terms are interned to
+// dense uint32 IDs through the store's Dict, and the six access paths
+// (S, P, O, SP, PO, OS) are flat posting lists of packed integer keys
+// rather than nested maps of Term structs: one hash over a machine word
+// replaces three hashes over four-field structs, and enumeration walks
+// a contiguous slice instead of chasing map buckets. Lookups with any
+// combination of bound positions run against the most selective index,
+// and CountMatch answers from posting-list lengths. Posting slices may
+// be shared with older and newer snapshots; they are copied before the
+// first mutation in each epoch.
 type shardData struct {
-	pos    map[ids3]int
-	trips  []ids3
+	// pos maps a triple to its position in trips, for O(1) membership
+	// and swap-delete removal.
+	pos   map[ids3]int
+	trips []ids3
+	// Single-position indexes: subject -> packed (p,o), predicate ->
+	// packed (o,s), object -> packed (s,p).
 	bySubj map[uint32][]uint64
 	byPred map[uint32][]uint64
 	byObj  map[uint32][]uint64
-	bySP   map[uint64][]uint32
-	byPO   map[uint64][]uint32
-	byOS   map[uint64][]uint32
+	// Pair indexes: packed (s,p) -> o, packed (p,o) -> s, packed (o,s)
+	// -> p.
+	bySP map[uint64][]uint32
+	byPO map[uint64][]uint32
+	byOS map[uint64][]uint32
 }
+
+// ids3 is a triple of interned term IDs.
+type ids3 struct{ s, p, o uint32 }
+
+// pack combines two interned IDs into one 64-bit index key.
+func pack(a, b uint32) uint64 { return uint64(a)<<32 | uint64(b) }
+
+func unpackHi(k uint64) uint32 { return uint32(k >> 32) }
+func unpackLo(k uint64) uint32 { return uint32(k) }
 
 var emptyShard = &shardData{}
 
@@ -127,10 +148,22 @@ func (st *ShardedStore) builder(shard uint32) *shardBuilder {
 	return b
 }
 
+// storable rejects a triple the store cannot hold: one with a
+// variable, or with the zero Term, which callers use to mean "no term".
+func storable(t Triple) error {
+	if !t.IsGround() {
+		return fmt.Errorf("rdf: cannot store non-ground triple %v", t)
+	}
+	if t.S == (Term{}) || t.P == (Term{}) || t.O == (Term{}) {
+		return fmt.Errorf("rdf: cannot store triple with a zero term %v", t)
+	}
+	return nil
+}
+
 // add buffers one insert; callers hold mu.
 func (st *ShardedStore) add(t Triple) (bool, error) {
-	if !t.IsGround() {
-		return false, fmt.Errorf("rdf: cannot store non-ground triple %v", t)
+	if err := storable(t); err != nil {
+		return false, err
 	}
 	k := ids3{st.dict.Intern(t.S), st.dict.Intern(t.P), st.dict.Intern(t.O)}
 	return st.builder(st.shardOf(k.s)).add(k), nil
@@ -154,7 +187,8 @@ func (st *ShardedStore) remove(t Triple) bool {
 }
 
 // Add buffers a ground triple for the next epoch and reports whether
-// it was absent. The triple becomes visible to the next Snapshot call
+// it was absent. A non-ground triple, or one holding the zero Term, is
+// an error. The triple becomes visible to the next Snapshot call
 // (including the store's own read methods), not to snapshots already
 // held by readers.
 func (st *ShardedStore) Add(t Triple) (bool, error) {
@@ -177,9 +211,11 @@ func (st *ShardedStore) AddTriple(sub, pred, obj Term) {
 }
 
 // Remove buffers a delete for the next epoch and reports whether the
-// triple was present. As in Store, interned term IDs are retained
-// forever by design: IDs are dense array indexes shared by every live
-// snapshot, so reclaiming them would require a global rewrite.
+// triple was present. Interned term IDs are retained forever by
+// design: IDs are dense array indexes shared by every live snapshot and
+// may still be referenced by concurrent readers' dict snapshots, so
+// reclaiming them would require a global rewrite; a store that churns
+// the same vocabulary re-uses the retained IDs at zero cost.
 func (st *ShardedStore) Remove(t Triple) bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -189,12 +225,12 @@ func (st *ShardedStore) Remove(t Triple) bool {
 // Apply applies a batch (deletes first, then inserts) and publishes
 // the resulting epoch immediately. It returns the number of triples
 // actually inserted and deleted and the epoch now serving them. A
-// batch containing a non-ground insert is rejected whole: nothing is
-// buffered and the current epoch is returned.
+// batch containing an insert Add would reject is rejected whole:
+// nothing is buffered and the current epoch is returned.
 func (st *ShardedStore) Apply(b Batch) (added, removed int, epoch uint64, err error) {
 	for _, t := range b.Insert {
-		if !t.IsGround() {
-			return 0, 0, st.Epoch(), fmt.Errorf("rdf: cannot store non-ground triple %v", t)
+		if err := storable(t); err != nil {
+			return 0, 0, st.Epoch(), err
 		}
 	}
 	st.mu.Lock()

@@ -91,20 +91,26 @@ func TestShardedApplyReportsCountsAndEpoch(t *testing.T) {
 	}
 }
 
+// TestShardedApplyRejectsNonGroundBatchWhole: a batch with one insert
+// Add would reject, a variable or the zero Term, changes nothing.
 func TestShardedApplyRejectsNonGroundBatchWhole(t *testing.T) {
 	st := NewShardedStore(2)
 	good := T(iri("a"), iri("p"), iri("b"))
-	bad := T(iri("a"), iri("p"), NewVar("x"))
-	before := st.Epoch()
-	added, removed, epoch, err := st.Apply(Batch{Insert: []Triple{good, bad}})
-	if err == nil {
-		t.Fatal("Apply with non-ground insert: err = nil")
-	}
-	if added != 0 || removed != 0 || epoch != before {
-		t.Fatalf("rejected batch leaked state: added=%d removed=%d epoch=%d (before %d)", added, removed, epoch, before)
-	}
-	if st.Contains(good) {
-		t.Fatal("rejected batch inserted a triple")
+	for _, bad := range []Triple{
+		T(iri("a"), iri("p"), NewVar("x")),
+		T(iri("a"), iri("p"), Term{}),
+	} {
+		before := st.Epoch()
+		added, removed, epoch, err := st.Apply(Batch{Insert: []Triple{good, bad}})
+		if err == nil {
+			t.Fatalf("Apply with insert %v: err = nil", bad)
+		}
+		if added != 0 || removed != 0 || epoch != before {
+			t.Fatalf("rejected batch leaked state: added=%d removed=%d epoch=%d (before %d)", added, removed, epoch, before)
+		}
+		if st.Contains(good) {
+			t.Fatal("rejected batch inserted a triple")
+		}
 	}
 }
 

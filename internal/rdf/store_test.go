@@ -10,62 +10,69 @@ import (
 
 func iri(s string) Term { return NewIRI("http://ex.org/" + s) }
 
+// storeShardCounts are the shard counts the store tests run against:
+// one shard, where every pattern shape reads a single index set, and
+// the default, where subject-unbound shapes fan out across shards.
+var storeShardCounts = []int{1, DefaultShards}
+
 func TestStoreAddContainsRemove(t *testing.T) {
-	s := NewStore()
-	tr := T(iri("delaware_park"), iri("instanceOf"), iri("Place"))
-	added, err := s.Add(tr)
-	if err != nil || !added {
-		t.Fatalf("Add = %v, %v; want true, nil", added, err)
-	}
-	if !s.Contains(tr) {
-		t.Fatal("Contains after Add = false")
-	}
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", s.Len())
-	}
-	// Duplicate insert is a no-op.
-	added, err = s.Add(tr)
-	if err != nil || added {
-		t.Fatalf("duplicate Add = %v, %v; want false, nil", added, err)
-	}
-	if s.Len() != 1 {
-		t.Fatalf("Len after dup = %d, want 1", s.Len())
-	}
-	if !s.Remove(tr) {
-		t.Fatal("Remove = false, want true")
-	}
-	if s.Contains(tr) || s.Len() != 0 {
-		t.Fatal("triple still present after Remove")
-	}
-	if s.Remove(tr) {
-		t.Fatal("second Remove = true, want false")
+	for _, shards := range storeShardCounts {
+		s := NewShardedStore(shards)
+		tr := T(iri("delaware_park"), iri("instanceOf"), iri("Place"))
+		added, err := s.Add(tr)
+		if err != nil || !added {
+			t.Fatalf("shards=%d: Add = %v, %v; want true, nil", shards, added, err)
+		}
+		if !s.Contains(tr) {
+			t.Fatalf("shards=%d: Contains after Add = false", shards)
+		}
+		if s.Len() != 1 {
+			t.Fatalf("shards=%d: Len = %d, want 1", shards, s.Len())
+		}
+		// Duplicate insert is a no-op.
+		added, err = s.Add(tr)
+		if err != nil || added {
+			t.Fatalf("shards=%d: duplicate Add = %v, %v; want false, nil", shards, added, err)
+		}
+		if s.Len() != 1 {
+			t.Fatalf("shards=%d: Len after dup = %d, want 1", shards, s.Len())
+		}
+		if !s.Remove(tr) {
+			t.Fatalf("shards=%d: Remove = false, want true", shards)
+		}
+		if s.Contains(tr) || s.Len() != 0 {
+			t.Fatalf("shards=%d: triple still present after Remove", shards)
+		}
+		if s.Remove(tr) {
+			t.Fatalf("shards=%d: second Remove = true, want false", shards)
+		}
 	}
 }
 
+// TestStoreRejectsNonGround: Add refuses a triple with a variable or
+// with the zero Term (which callers use to mean "no term") in any
+// position, and buffers nothing.
 func TestStoreRejectsNonGround(t *testing.T) {
-	s := NewStore()
-	if _, err := s.Add(T(NewVar("x"), iri("p"), iri("o"))); err == nil {
-		t.Fatal("Add of non-ground triple succeeded, want error")
+	s := NewShardedStore(0)
+	for _, tr := range []Triple{
+		T(NewVar("x"), iri("p"), iri("o")),
+		T(iri("s"), iri("p"), NewVar("x")),
+		T(Term{}, iri("p"), iri("o")),
+		T(iri("s"), Term{}, iri("o")),
+		T(iri("s"), iri("p"), Term{}),
+	} {
+		if _, err := s.Add(tr); err == nil {
+			t.Errorf("Add(%v) succeeded, want error", tr)
+		}
 	}
-}
-
-func TestStoreZeroValueUsable(t *testing.T) {
-	var s Store
-	if s.Len() != 0 || s.Contains(T(iri("a"), iri("b"), iri("c"))) {
-		t.Fatal("zero-value store not empty")
-	}
-	if got := s.Match(T(NewVar("s"), NewVar("p"), NewVar("o"))); got != nil {
-		t.Fatalf("zero-value Match = %v, want nil", got)
-	}
-	s.AddTriple(iri("a"), iri("b"), iri("c"))
-	if s.Len() != 1 {
-		t.Fatal("zero-value store Add failed")
+	if s.Len() != 0 || s.Epoch() != 0 {
+		t.Fatalf("rejected adds leaked state: Len=%d Epoch=%d", s.Len(), s.Epoch())
 	}
 }
 
 // buildTestStore populates a store with a small mixed dataset.
-func buildTestStore() *Store {
-	s := NewStore()
+func buildTestStore(shards int) *ShardedStore {
+	s := NewShardedStore(shards)
 	s.AddTriple(iri("park"), iri("instanceOf"), iri("Place"))
 	s.AddTriple(iri("zoo"), iri("instanceOf"), iri("Place"))
 	s.AddTriple(iri("hotel"), iri("instanceOf"), iri("Hotel"))
@@ -76,7 +83,6 @@ func buildTestStore() *Store {
 }
 
 func TestStoreMatchPatterns(t *testing.T) {
-	s := buildTestStore()
 	v := NewVar
 	cases := []struct {
 		name    string
@@ -94,50 +100,61 @@ func TestStoreMatchPatterns(t *testing.T) {
 		{"ground miss", T(iri("zoo"), iri("near"), iri("park")), 0},
 		{"no match", T(iri("nothing"), v("p"), v("o")), 0},
 	}
+	stores := map[int]*ShardedStore{}
+	for _, shards := range storeShardCounts {
+		stores[shards] = buildTestStore(shards)
+	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			got := s.Match(c.pattern)
-			if len(got) != c.want {
-				t.Errorf("Match(%v) returned %d triples, want %d", c.pattern, len(got), c.want)
-			}
-			for _, tr := range got {
-				if !s.Contains(tr) {
-					t.Errorf("Match returned triple not in store: %v", tr)
+			for _, shards := range storeShardCounts {
+				s := stores[shards]
+				got := s.Match(c.pattern)
+				if len(got) != c.want {
+					t.Errorf("shards=%d: Match(%v) returned %d triples, want %d", shards, c.pattern, len(got), c.want)
 				}
-			}
-			if n := s.CountMatch(c.pattern); n != c.want {
-				t.Errorf("CountMatch = %d, want %d", n, c.want)
+				for _, tr := range got {
+					if !s.Contains(tr) {
+						t.Errorf("shards=%d: Match returned triple not in store: %v", shards, tr)
+					}
+				}
+				if n := s.CountMatch(c.pattern); n != c.want {
+					t.Errorf("shards=%d: CountMatch = %d, want %d", shards, n, c.want)
+				}
 			}
 		})
 	}
 }
 
 func TestStoreMatchFuncEarlyStop(t *testing.T) {
-	s := buildTestStore()
-	n := 0
-	s.MatchFunc(T(NewVar("s"), NewVar("p"), NewVar("o")), func(Triple) bool {
-		n++
-		return n < 2
-	})
-	if n != 2 {
-		t.Fatalf("early stop visited %d triples, want 2", n)
+	for _, shards := range storeShardCounts {
+		s := buildTestStore(shards)
+		n := 0
+		s.MatchFunc(T(NewVar("s"), NewVar("p"), NewVar("o")), func(Triple) bool {
+			n++
+			return n < 2
+		})
+		if n != 2 {
+			t.Fatalf("shards=%d: early stop visited %d triples, want 2", shards, n)
+		}
 	}
 }
 
 func TestStoreSubjectsObjects(t *testing.T) {
-	s := buildTestStore()
-	subs := s.Subjects(iri("instanceOf"), iri("Place"))
-	if len(subs) != 2 {
-		t.Fatalf("Subjects = %v, want 2 results", subs)
-	}
-	objs := s.Objects(iri("park"), iri("near"))
-	if len(objs) != 1 || objs[0] != iri("hotel") {
-		t.Fatalf("Objects = %v, want [hotel]", objs)
+	for _, shards := range storeShardCounts {
+		s := buildTestStore(shards)
+		subs := s.Subjects(iri("instanceOf"), iri("Place"))
+		if len(subs) != 2 {
+			t.Fatalf("shards=%d: Subjects = %v, want 2 results", shards, subs)
+		}
+		objs := s.Objects(iri("park"), iri("near"))
+		if len(objs) != 1 || objs[0] != iri("hotel") {
+			t.Fatalf("shards=%d: Objects = %v, want [hotel]", shards, objs)
+		}
 	}
 }
 
 func TestStoreConcurrentAccess(t *testing.T) {
-	s := NewStore()
+	s := NewShardedStore(0)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -160,7 +177,7 @@ func TestStoreConcurrentAccess(t *testing.T) {
 func TestStoreMatchAllEqualsInserted(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		r := rand.New(rand.NewSource(seed))
-		s := NewStore()
+		s := NewShardedStore(1 << r.Intn(5))
 		want := map[Triple]bool{}
 		for i := 0; i < int(n%40); i++ {
 			tr := T(
@@ -191,7 +208,7 @@ func TestStoreMatchAllEqualsInserted(t *testing.T) {
 func TestStoreRemovePreservesOthers(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		s := NewStore()
+		s := NewShardedStore(1 << r.Intn(5))
 		var all []Triple
 		for i := 0; i < 20; i++ {
 			tr := T(iri(fmt.Sprintf("s%d", r.Intn(6))), iri("p"), iri(fmt.Sprintf("o%d", r.Intn(6))))
@@ -220,12 +237,13 @@ func TestStoreRemovePreservesOthers(t *testing.T) {
 }
 
 // TestStoreRemoveHeavyLenAndDictRetention drives the store through a
-// remove-heavy churn cycle: Len must track exactly through interleaved
-// adds/removes, every index must agree after draining to empty, and
-// the dictionary must retain all interned IDs (intentional: IDs are
-// dense array indexes and are never reused).
+// remove-heavy churn cycle of single Remove calls, each published by
+// the Len read that follows it: Len must track exactly through
+// interleaved adds/removes, every index must agree after draining to
+// empty, and the dictionary must retain all interned IDs (intentional:
+// IDs are dense array indexes and are never reused).
 func TestStoreRemoveHeavyLenAndDictRetention(t *testing.T) {
-	s := NewStore()
+	s := NewShardedStore(0)
 	var all []Triple
 	for i := 0; i < 250; i++ {
 		all = append(all, T(iri(fmt.Sprintf("s%d", i%50)), iri(fmt.Sprintf("p%d", i%5)), iri(fmt.Sprintf("o%d", i))))

@@ -200,20 +200,37 @@ func (t Term) Compare(o Term) int {
 
 // String renders the term in N-Triples-like syntax: IRIs in angle
 // brackets, literals quoted, blank nodes with a "_:" prefix and variables
-// with a "$" sigil (OASSIS-QL style).
+// with a "$" sigil (OASSIS-QL style). A literal escapes only '"', '\',
+// LF and CR, the escapes ParseNTriples reads, and writes every other
+// byte raw, so WriteNTriples output re-parses to the same terms.
 func (t Term) String() string {
 	switch t.kind {
 	case KindIRI:
 		return "<" + t.value + ">"
 	case KindLiteral:
-		s := strconv.Quote(t.value)
+		var b strings.Builder
+		b.Grow(len(t.value) + 2)
+		b.WriteByte('"')
+		for i := 0; i < len(t.value); i++ {
+			switch c := t.value[i]; c {
+			case '"', '\\':
+				b.WriteByte('\\')
+				b.WriteByte(c)
+			case '\n':
+				b.WriteString(`\n`)
+			case '\r':
+				b.WriteString(`\r`)
+			default:
+				b.WriteByte(c)
+			}
+		}
+		b.WriteByte('"')
 		if t.lang != "" {
-			return s + "@" + t.lang
+			b.WriteString("@" + t.lang)
+		} else if t.datatype != "" && t.datatype != XSDString {
+			b.WriteString("^^<" + t.datatype + ">")
 		}
-		if t.datatype != "" && t.datatype != XSDString {
-			return s + "^^<" + t.datatype + ">"
-		}
-		return s
+		return b.String()
 	case KindBlank:
 		return "_:" + t.value
 	case KindVariable:

@@ -7,8 +7,8 @@ import (
 )
 
 // Triple is a single RDF statement. Any position may hold a variable when
-// the triple is used as a query pattern; triples stored in a Store must be
-// ground.
+// the triple is used as a query pattern; triples stored in a
+// ShardedStore must be ground.
 type Triple struct {
 	S, P, O Term
 }
@@ -72,9 +72,10 @@ func SortTriples(ts []Triple) {
 	sort.Slice(ts, func(i, j int) bool { return ts[i].Compare(ts[j]) < 0 })
 }
 
-// Graph is an ordered collection of triples with set-like helpers. Unlike
-// Store it preserves insertion order and permits non-ground triples, which
-// makes it suitable for carrying query patterns between pipeline modules.
+// Graph is an ordered collection of triples with set-like helpers.
+// Unlike ShardedStore it preserves insertion order and permits
+// non-ground triples, which makes it suitable for carrying query
+// patterns between pipeline modules.
 type Graph struct {
 	triples []Triple
 	index   map[Triple]bool

@@ -2,17 +2,16 @@ package sparql
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
 	"nl2cm/internal/rdf"
 )
 
-// This file holds the grouping/aggregation step shared by both
-// evaluators: the normalized aggregation spec (HAVING aggregate calls
-// hoisted into hidden Aggregate entries), the per-group accumulator, and
-// the semantics both implementations must agree on:
+// This file holds the grouping/aggregation step of Eval and
+// AggregateBindings: the normalized aggregation spec (HAVING aggregate
+// calls hoisted into hidden Aggregate entries), the per-group
+// accumulator, and its semantics:
 //
 //   - Grouping keys are the GROUP BY variables; an unbound group
 //     variable is its own key component, distinct from every bound value.
@@ -303,21 +302,29 @@ func (a *aggArena) take() []aggState {
 }
 
 // termArena is the same chunked allocator for per-group slot-row term
-// slices (the streaming evaluator's group representatives).
+// slices (the group representatives). Its blocks hold at most block
+// rows, sized by the input so a query with few rows allocates few
+// terms.
 type termArena struct {
-	w    int // row width
-	buf  []rdf.Term
-	used int
+	w     int // row width
+	block int // rows per block
+	buf   []rdf.Term
+	used  int
 }
 
-func newTermArena(w int) *termArena { return &termArena{w: w} }
+// newTermArena returns an arena of width-w rows for grouping the given
+// number of input rows, which form at most rows groups (one, the
+// global group, when there are none).
+func newTermArena(w, rows int) *termArena {
+	return &termArena{w: w, block: min(256, rows+1)}
+}
 
 func (a *termArena) take() []rdf.Term {
 	if a.w == 0 {
 		return nil
 	}
 	if len(a.buf)-a.used < a.w {
-		a.buf = make([]rdf.Term, 256*a.w)
+		a.buf = make([]rdf.Term, a.block*a.w)
 		a.used = 0
 	}
 	s := a.buf[a.used : a.used+a.w : a.used+a.w]
@@ -336,141 +343,38 @@ func groupSizeHint(rows int) int {
 	return hint
 }
 
-// refAggregate is the reference evaluator's grouping step over map-form
-// bindings. Groups emit in first-appearance order of their keys.
-//
-// The group key is assembled in a reused byte buffer and looked up via
-// groups[string(key)] — the compiler elides that conversion's
-// allocation — so only the first row of each group materializes a key
-// string. At 100k rows this removes one allocation per row.
-func refAggregate(spec *aggSpec, rows []Binding, env *Env) []Binding {
-	type group struct {
-		rep    Binding
-		states []aggState
-	}
-	hint := groupSizeHint(len(rows))
-	// Groups live in a slice in first-appearance order; the map holds
-	// indexes into it, so no per-group pointer allocation and no separate
-	// emission-order slice are needed.
-	arr := make([]group, 0, hint)
-	groups := make(map[string]int32, hint)
-	states := newAggArena(len(spec.aggs))
-	var keyBuf []byte
-	for _, b := range rows {
-		keyBuf = keyBuf[:0]
-		for _, v := range spec.groupBy {
-			t, ok := b[v]
-			keyBuf = appendGroupKeyPart(keyBuf, t, ok)
-		}
-		idx, ok := groups[string(keyBuf)]
-		if !ok {
-			rep := make(Binding, len(spec.groupBy)+len(spec.aggs))
-			for _, v := range spec.groupBy {
-				if t, ok := b[v]; ok {
-					rep[v] = t
-				}
-			}
-			idx = int32(len(arr))
-			arr = append(arr, group{rep: rep, states: states.take()})
-			groups[string(keyBuf)] = idx
-		}
-		g := &arr[idx]
-		for i, a := range spec.aggs {
-			t, ok := b[a.Var]
-			g.states[i].add(a, t, ok)
-		}
-	}
-	if len(arr) == 0 && len(spec.groupBy) == 0 {
-		// A global aggregate over zero rows still produces one group.
-		arr = append(arr, group{rep: Binding{}, states: states.take()})
-	}
-	out := make([]Binding, 0, len(arr))
-	for gi := range arr {
-		g := &arr[gi]
-		b := g.rep
-		for i, a := range spec.aggs {
-			if t, ok := g.states[i].result(a); ok {
-				b[a.As] = t
-			}
-		}
-		if havingPass(spec.having, b, env) {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
-// SortBindings orders map-form solution rows in place under the SPARQL
-// ordering semantics both evaluators share: an unbound sort variable
-// sorts before any bound value (so under DESC it sorts last), two
-// unbound values compare equal and fall through to the next key, and
-// bound terms compare under the typed rdf.Term.Compare ordering.
-func SortBindings(rows []Binding, keys []OrderKey) {
-	if len(keys) == 0 {
-		return
-	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		for _, k := range keys {
-			ti, iok := rows[i][k.Var]
-			tj, jok := rows[j][k.Var]
-			if !iok || !jok {
-				if iok == jok {
-					continue
-				}
-				less := !iok // unbound before bound
-				if k.Desc {
-					return !less
-				}
-				return less
-			}
-			c := ti.Compare(tj)
-			if c == 0 {
-				continue
-			}
-			if k.Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
-}
-
-// AggregateBindings applies a query's analytic step — grouping,
-// aggregates, HAVING, ORDER BY and the OFFSET/LIMIT window — to
-// already-computed solution rows. It is the post-hoc counterpart of the
-// grouping step inside the evaluators, for callers (the crowd engine)
-// that interleave their own filtering between pattern matching and
-// aggregation. Only the query's analytic fields are consulted; Where is
-// read solely to resolve HAVING aggregate aliases against pattern
-// variables. Rows are not modified; a fresh slice is returned whenever
-// any step applies.
+// AggregateBindings applies a query's solution modifiers — grouping,
+// aggregates, HAVING, ORDER BY, projection, DISTINCT and the
+// OFFSET/LIMIT window — to already-computed solution rows, through the
+// same step Eval ends with. It serves callers (the crowd engine) that
+// interleave their own filtering between pattern matching and
+// aggregation. Where is read solely to resolve HAVING aggregate aliases
+// against pattern variables. Rows are not modified; the result is
+// freshly allocated.
 func AggregateBindings(q *Query, rows []Binding, env *Env) ([]Binding, error) {
 	spec, err := aggregationSpec(q)
 	if err != nil {
 		return nil, err
 	}
-	if spec != nil {
-		rows = refAggregate(spec, rows, env)
-	} else if len(q.OrderBy) > 0 || q.Offset > 0 || q.Limit >= 0 {
-		// Sorting and windowing reorder/retain in place below; keep the
-		// caller's slice intact.
-		rows = append([]Binding(nil), rows...)
-	}
-	SortBindings(rows, q.OrderBy)
-	if q.Offset > 0 || (q.Limit >= 0 && q.Limit < len(rows)) {
-		if q.Offset >= len(rows) {
-			return nil, nil
+	c := compileQuery(q, spec)
+	for _, b := range rows {
+		for v := range b {
+			c.slot(v)
 		}
-		w := rows[q.Offset:]
-		if q.Limit >= 0 && q.Limit < len(w) {
-			w = w[:q.Limit]
-		}
-		out := make([]Binding, len(w))
-		copy(out, w)
-		rows = out
 	}
-	return rows, nil
+	// One buffer holds every converted row.
+	w := len(c.names)
+	buf := make([]rdf.Term, len(rows)*w)
+	slotted := make([][]rdf.Term, len(rows))
+	for i, b := range rows {
+		r := buf[i*w : (i+1)*w : (i+1)*w]
+		for v, t := range b {
+			r[c.slots[v]] = t
+		}
+		slotted[i] = r
+	}
+	e := &exec{c: c, env: env, view: rowView{c: c}}
+	return e.finish(q, spec, slotted), nil
 }
 
 func havingPass(having []Expr, b Vars, env *Env) bool {
@@ -508,20 +412,20 @@ func appendTermKey(buf []byte, t rdf.Term) []byte {
 	return buf
 }
 
-// aggregateRows is the streaming evaluator's grouping step over
-// slot-indexed rows. Aggregate aliases occupy slots registered by
-// compileQuery; output rows bind exactly the group slots and the alias
-// slots. Groups emit in first-appearance order, like refAggregate.
-func (e *exec) aggregateRows(spec *aggSpec, rows []row) []row {
+// aggregateRows is the grouping step over slot rows. Aggregate aliases
+// occupy slots registered by compileQuery; output rows bind exactly the
+// group slots and the alias slots. Groups emit in first-appearance
+// order.
+func (e *exec) aggregateRows(spec *aggSpec, rows [][]rdf.Term) [][]rdf.Term {
 	type group struct {
-		rep    row
+		rep    []rdf.Term
 		states []aggState
 	}
 	groupSlots := make([]int, len(spec.groupBy))
 	for i, v := range spec.groupBy {
 		slot, ok := e.c.slots[v]
 		if !ok {
-			slot = -1 // variable no pattern binds: always unbound
+			slot = -1 // variable no row binds: always unbound
 		}
 		groupSlots[i] = slot
 	}
@@ -539,31 +443,31 @@ func (e *exec) aggregateRows(spec *aggSpec, rows []row) []row {
 	// from chunked arenas — with many small groups (the superlative-plan
 	// shape) the per-row and per-group allocations dominate the analytic
 	// path, so each is amortized over a chunk.
+	//
+	// The group key is assembled in a reused byte buffer and looked up
+	// via groups[string(key)] — the compiler elides that conversion's
+	// allocation — so only the first row of each group materializes a
+	// key string.
 	arr := make([]group, 0, hint)
 	groups := make(map[string]int32, hint)
 	states := newAggArena(len(spec.aggs))
-	terms := newTermArena(len(e.c.names))
+	terms := newTermArena(len(e.c.names), len(rows))
 	var keyBuf []byte
 	for _, r := range rows {
 		keyBuf = keyBuf[:0]
 		for _, slot := range groupSlots {
-			var t rdf.Term
-			ok := false
+			t := unbound
 			if slot >= 0 {
-				t, ok = r.get(slot)
+				t = r[slot]
 			}
-			keyBuf = appendGroupKeyPart(keyBuf, t, ok)
+			keyBuf = appendGroupKeyPart(keyBuf, t, t != unbound)
 		}
 		idx, ok := groups[string(keyBuf)]
 		if !ok {
-			rep := row{vals: terms.take()}
+			rep := terms.take()
 			for _, slot := range groupSlots {
-				if slot < 0 {
-					continue
-				}
-				if t, ok := r.get(slot); ok {
-					rep.vals[slot] = t
-					rep.mask |= 1 << slot
+				if slot >= 0 {
+					rep[slot] = r[slot]
 				}
 			}
 			idx = int32(len(arr))
@@ -572,30 +476,28 @@ func (e *exec) aggregateRows(spec *aggSpec, rows []row) []row {
 		}
 		g := &arr[idx]
 		for i, a := range spec.aggs {
-			var t rdf.Term
-			ok := false
+			t := unbound
 			if argSlots[i] >= 0 {
-				t, ok = r.get(argSlots[i])
+				t = r[argSlots[i]]
 			}
-			g.states[i].add(a, t, ok)
+			g.states[i].add(a, t, t != unbound)
 		}
 	}
 	if len(arr) == 0 && len(spec.groupBy) == 0 {
-		arr = append(arr, group{rep: row{vals: terms.take()}, states: states.take()})
+		// A global aggregate over zero rows still produces one group.
+		arr = append(arr, group{rep: terms.take(), states: states.take()})
 	}
-	out := make([]row, 0, len(arr))
+	out := make([][]rdf.Term, 0, len(arr))
 	for gi := range arr {
 		g := &arr[gi]
 		for i, a := range spec.aggs {
 			if t, ok := g.states[i].result(a); ok {
-				slot := e.c.slots[a.As]
-				g.rep.vals[slot] = t
-				g.rep.mask |= 1 << slot
+				g.rep[e.c.slots[a.As]] = t
 			}
 		}
 		if len(spec.having) > 0 {
 			e.view.r = g.rep
-			if !havingPass(spec.having, e.view, e.env) {
+			if !havingPass(spec.having, &e.view, e.env) {
 				continue
 			}
 		}

@@ -27,8 +27,8 @@ func bothEvals(t *testing.T, q *Query, src Source) map[string][]Binding {
 // aggStore holds cities with attractions and sizes: buffalo has 3
 // attractions, vegas 12, nyc 1 — counts with 1 and 2 digits so that
 // numeric ordering over COUNT results is observable.
-func aggStore() *rdf.Store {
-	s := rdf.NewStore()
+func aggStore() *rdf.ShardedStore {
+	s := rdf.NewShardedStore(0)
 	addAttraction := func(city string, n int) {
 		for i := 0; i < n; i++ {
 			a := rdf.NewIRI(city + "_sight_" + string(rune('a'+i)))
@@ -44,7 +44,7 @@ func aggStore() *rdf.Store {
 
 func TestEvalOrderNumeric(t *testing.T) {
 	// ["9", "10", "2"]: lexicographic ordering would yield 10 < 2 < 9.
-	s := rdf.NewStore()
+	s := rdf.NewShardedStore(0)
 	for _, e := range []struct {
 		name string
 		size int64
@@ -210,7 +210,7 @@ func TestEvalSuperlativeShape(t *testing.T) {
 // COUNT with 1-, 2- and 3-digit group sizes must compare numerically —
 // a string comparison would call "100" < "9".
 func TestEvalHavingNumericCounts(t *testing.T) {
-	s := rdf.NewStore()
+	s := rdf.NewShardedStore(0)
 	for city, n := range map[string]int{"small": 8, "mid": 40, "big": 100} {
 		for i := 0; i < n; i++ {
 			a := rdf.NewIRI(city + "_a" + string(rune('0'+i/10)) + string(rune('0'+i%10)))
@@ -250,7 +250,7 @@ func TestEvalHavingNumericCounts(t *testing.T) {
 }
 
 func TestEvalAggregateFunctions(t *testing.T) {
-	s := rdf.NewStore()
+	s := rdf.NewShardedStore(0)
 	add := func(x string, v rdf.Term) { s.MustAdd(rdf.T(iri(x), iri("size"), v)) }
 	add("a", rdf.NewIntLiteral(10))
 	add("b", rdf.NewIntLiteral(2))
@@ -294,7 +294,7 @@ func TestEvalAggregateFunctions(t *testing.T) {
 }
 
 func TestEvalAggregateEmptyInput(t *testing.T) {
-	s := rdf.NewStore()
+	s := rdf.NewShardedStore(0)
 	s.MustAdd(rdf.T(iri("a"), iri("other"), iri("b")))
 	// Global group over zero matching rows: COUNT is 0, MIN unbound.
 	q, err := Parse(`SELECT COUNT(*) AS $n MIN($s) AS $min WHERE { $x size $s }`)

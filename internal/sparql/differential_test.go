@@ -9,11 +9,12 @@ import (
 	"nl2cm/internal/rdf"
 )
 
-// The differential property test pins the optimized evaluator's
-// semantics to the retained naive evaluator: for randomized stores and
-// randomized queries mixing BGPs, OPTIONAL, UNION, FILTER, DISTINCT,
-// ORDER BY, projection and OFFSET/LIMIT, Eval and EvalReference must
-// produce the same solution multiset.
+// The differential property test pins the evaluator's semantics to the
+// naive reference evaluator: for randomized stores and randomized
+// queries mixing BGPs, OPTIONAL, UNION, FILTER, DISTINCT, ORDER BY,
+// projection, grouping and OFFSET/LIMIT, Eval and EvalReference must
+// produce the same solution multiset, and so must AggregateBindings
+// applied to the reference evaluator's unmodified rows.
 
 var diffVarPool = []string{"a", "b", "c", "d", "e"}
 
@@ -40,8 +41,8 @@ func diffNumLiteral(r *rand.Rand) rdf.Term {
 	return rdf.NewIntLiteral(int64(r.Intn(150))) // 1-3 digit widths
 }
 
-func randomStore(r *rand.Rand) *rdf.Store {
-	st := rdf.NewStore()
+func randomStore(r *rand.Rand) *rdf.ShardedStore {
+	st := rdf.NewShardedStore(0)
 	n := 20 + r.Intn(30)
 	for i := 0; i < n; i++ {
 		st.MustAdd(rdf.T(
@@ -222,7 +223,46 @@ func multiset(bs []Binding) []string {
 	return keys
 }
 
+// totalOrder reports whether the query's ORDER BY keys order its output
+// rows totally: every variable of a plain query, or every group
+// variable and alias of an aggregate one (rows are one per group).
+func totalOrder(q *Query) bool {
+	if q.Aggregated() {
+		return len(q.OrderBy) > 0 && len(q.OrderBy) == len(q.GroupBy)+len(q.Aggs)
+	}
+	return len(q.OrderBy) == len(diffVarPool)
+}
+
+// sameSolutions fails the test unless got equals want as a multiset and,
+// under a total order, as a sequence.
+func sameSolutions(t *testing.T, label string, q *Query, got, want []Binding) {
+	t.Helper()
+	gm, wm := multiset(got), multiset(want)
+	if len(gm) != len(wm) {
+		t.Fatalf("%s: row count mismatch: got %d, reference %d\nquery: %+v", label, len(gm), len(wm), q)
+	}
+	for i := range gm {
+		if gm[i] != wm[i] {
+			t.Fatalf("%s: multiset mismatch at %d:\n  got: %s\n  ref: %s\nquery: %+v", label, i, gm[i], wm[i], q)
+		}
+	}
+	if totalOrder(q) {
+		for i := range got {
+			if BindingKey(got[i]) != BindingKey(want[i]) {
+				t.Fatalf("%s: ordered row %d differs:\n  got: %v\n  ref: %v", label, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// unmodified strips the query's solution modifiers, keeping the graph
+// pattern and filters.
+func unmodified(q *Query) *Query {
+	return &Query{Where: q.Where, Unions: q.Unions, Optionals: q.Optionals, Filters: q.Filters, Limit: -1}
+}
+
 func TestDifferentialEvalMatchesReference(t *testing.T) {
+	ordered := 0
 	for seed := int64(0); seed < 400; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		st := randomStore(r)
@@ -235,47 +275,55 @@ func TestDifferentialEvalMatchesReference(t *testing.T) {
 		if gerr != nil {
 			continue
 		}
-		gm, wm := multiset(got), multiset(want)
-		if len(gm) != len(wm) {
-			t.Fatalf("seed %d: row count mismatch: Eval=%d EvalReference=%d\nquery: %+v", seed, len(gm), len(wm), q)
+		sameSolutions(t, fmt.Sprintf("seed %d Eval", seed), q, got, want)
+
+		// The modifier step alone: AggregateBindings over the reference
+		// evaluator's rows before any modifier must reproduce them all.
+		rows, err := EvalReference(unmodified(q), st, nil)
+		if err != nil {
+			t.Fatalf("seed %d: unmodified EvalReference: %v", seed, err)
 		}
-		for i := range gm {
-			if gm[i] != wm[i] {
-				t.Fatalf("seed %d: multiset mismatch at %d:\n  eval: %s\n  ref:  %s\nquery: %+v", seed, i, gm[i], wm[i], q)
-			}
+		agg, err := AggregateBindings(q, rows, nil)
+		if err != nil {
+			t.Fatalf("seed %d: AggregateBindings: %v", seed, err)
 		}
-		// Under a total order (every variable a sort key) the sequences
-		// must agree exactly, not just as multisets.
-		if len(q.OrderBy) == len(diffVarPool) {
-			for i := range got {
-				if BindingKey(got[i]) != BindingKey(want[i]) {
-					t.Fatalf("seed %d: ordered row %d differs:\n  eval: %v\n  ref:  %v", seed, i, got[i], want[i])
-				}
-			}
+		sameSolutions(t, fmt.Sprintf("seed %d AggregateBindings", seed), q, agg, want)
+		if len(q.OrderBy) > 0 {
+			ordered++
 		}
 	}
+	t.Logf("%d of 400 queries have ORDER BY", ordered)
 }
 
-// TestDifferentialFallbackWideQuery forces the >64-variable fallback
-// path and checks it degrades to the reference evaluator, not an error.
-func TestDifferentialFallbackWideQuery(t *testing.T) {
-	st := rdf.NewStore()
-	st.MustAdd(rdf.T(diffEntity(0), diffPred(0), diffEntity(1)))
-	q := &Query{Limit: -1}
-	for i := 0; i < maxSlots+2; i++ {
-		q.Where = append(q.Where, rdf.T(
-			rdf.NewVar(fmt.Sprintf("v%d", i)), diffPred(0), diffEntity(1)))
+// TestEvalWideQueryMatchesReference: a row is as wide as the query's
+// variable count, with no bound on it. A 65-step path query binds 66
+// variables and evaluates like the reference evaluator.
+func TestEvalWideQueryMatchesReference(t *testing.T) {
+	const width = 66
+	st := rdf.NewShardedStore(0)
+	for i := 0; i < width; i++ {
+		st.MustAdd(rdf.T(diffEntity(i), diffPred(0), diffEntity(i+1)))
 	}
-	if _, ok := compileQuery(q); ok {
-		t.Fatalf("expected compileQuery to report too many slots")
+	q := &Query{Limit: -1}
+	for i := 0; i+1 < width; i++ {
+		q.Where = append(q.Where, rdf.T(
+			rdf.NewVar(fmt.Sprintf("v%d", i)), diffPred(0), rdf.NewVar(fmt.Sprintf("v%d", i+1))))
+	}
+	if n := len(compileQuery(q, nil).names); n != width {
+		t.Fatalf("query has %d slots, want %d", n, width)
 	}
 	got, err := Eval(q, st, nil)
 	if err != nil {
 		t.Fatalf("Eval: %v", err)
 	}
-	if len(got) != 1 {
-		t.Fatalf("want 1 row from wide query, got %d", len(got))
+	want, err := EvalReference(q, st, nil)
+	if err != nil {
+		t.Fatalf("EvalReference: %v", err)
 	}
+	if len(want) != 2 {
+		t.Fatalf("reference found %d paths, want 2", len(want))
+	}
+	sameSolutions(t, "wide query", q, got, want)
 }
 
 func TestBindingKeyCollisionFree(t *testing.T) {
@@ -303,7 +351,7 @@ func TestBindingKeyCollisionFree(t *testing.T) {
 // the returned window must not retain capacity into (and thereby pin or
 // expose) the full pre-OFFSET result.
 func TestOffsetLimitWindowIsCopied(t *testing.T) {
-	st := rdf.NewStore()
+	st := rdf.NewShardedStore(0)
 	for i := 0; i < 6; i++ {
 		st.MustAdd(rdf.T(diffEntity(i), diffPred(0), diffEntity(0)))
 	}

@@ -9,19 +9,22 @@ import (
 	"nl2cm/internal/rdf"
 )
 
-// Source is any triple collection that can enumerate matches for a
-// pattern. *rdf.Store implements it; the IX detector provides an adapter
-// that exposes a dependency graph as triples. Sources that additionally
-// implement Counter get cardinality-driven join planning.
+// Source is any triple collection that can enumerate and count the
+// matches of a pattern (variables act as wildcards). *rdf.ShardedStore
+// and its Snapshots implement it; the IX detector provides an adapter
+// that exposes a dependency graph as triples. CountMatch is the join
+// planner's cardinality estimate: the store answers it from posting-list
+// lengths, the graph adapter counts exactly.
 type Source interface {
 	MatchFunc(pattern rdf.Triple, fn func(rdf.Triple) bool)
+	CountMatch(pattern rdf.Triple) int
 }
 
 // pin resolves a mutable source to an immutable point-in-time view when
-// the source supports it (*rdf.ShardedStore does). Both evaluators pin
-// once at query start, so planning and every join step of one query see
-// a single epoch even while write batches publish concurrently;
-// mid-query reads never mix epochs.
+// the source supports it (*rdf.ShardedStore does). Eval pins once at
+// query start, so planning and every join step of one query see a
+// single epoch even while write batches publish concurrently; mid-query
+// reads never mix epochs.
 func pin(src Source) Source {
 	if s, ok := src.(interface{ Snapshot() *rdf.Snapshot }); ok {
 		return s.Snapshot()
@@ -38,9 +41,8 @@ func pin(src Source) Source {
 // patterns stream depth-first through the planned join order without
 // materializing per-pattern intermediate row sets, and filters whose
 // variables are all bound by the main pattern run inside the join,
-// pruning rows before they fan out. The result multiset is identical to
-// EvalReference's (assuming pure Env functions and sets); row order
-// before ORDER BY is unspecified in both.
+// pruning rows before they fan out. Row order before ORDER BY is
+// unspecified.
 func Eval(q *Query, src Source, env *Env) ([]Binding, error) {
 	if src == nil {
 		return nil, fmt.Errorf("sparql: nil source")
@@ -50,31 +52,17 @@ func Eval(q *Query, src Source, env *Env) ([]Binding, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, ok := compileQuery(q)
-	if ok && spec != nil {
-		// Aggregate aliases occupy slots of their own so that HAVING,
-		// ORDER BY and projection address them like pattern variables.
-		for _, a := range spec.aggs {
-			if _, exists := c.slots[a.As]; !exists {
-				c.slots[a.As] = len(c.names)
-				c.names = append(c.names, a.As)
-			}
-		}
-		ok = len(c.names) <= maxSlots
-	}
-	if !ok {
-		// Wider than the slotted row's 64-variable bound mask.
-		return EvalReference(q, src, env)
-	}
-	e := &exec{c: c, src: src, env: env, view: &rowView{c: c}}
+	c := compileQuery(q, spec)
+	e := &exec{c: c, src: src, env: env, view: rowView{c: c}}
 
 	// Main basic graph pattern: plan once, attach every filter whose
-	// variables are certainly bound by it, stream the join.
+	// variables are certainly bound by it, stream the join from the nil
+	// row, which binds nothing; a row is allocated on its first binding.
 	plan := planBGP(q.Where, nil, src)
 	steps, postFilters := attachFilters(plan, q.Filters, c)
-	rows := e.extendAll(nil, steps)
+	rows := e.extend(nil, steps, 0, nil)
 	if len(q.Where) == 0 {
-		rows = []row{{}} // one empty row, as the empty BGP's solution
+		rows = [][]rdf.Term{make([]rdf.Term, len(c.names))} // the empty BGP's one solution
 	}
 
 	// Union blocks: each block extends the rows through any of its
@@ -93,7 +81,7 @@ func Eval(q *Query, src Source, env *Env) ([]Binding, error) {
 		markVars(q.Where)
 	}
 	for _, block := range q.Unions {
-		var merged []row
+		var merged [][]rdf.Term
 		for _, alt := range block {
 			altSteps := toSteps(planBGP(alt, mayBind, src))
 			for _, r := range rows {
@@ -113,7 +101,7 @@ func Eval(q *Query, src Source, env *Env) ([]Binding, error) {
 	// unchanged. Each group is planned once, not once per row.
 	for _, opt := range q.Optionals {
 		optSteps := toSteps(planBGP(opt, mayBind, src))
-		joined := make([]row, 0, len(rows))
+		joined := make([][]rdf.Term, 0, len(rows))
 		for _, r := range rows {
 			n := len(joined)
 			joined = e.extend(r, optSteps, 0, joined)
@@ -136,7 +124,16 @@ func Eval(q *Query, src Source, env *Env) ([]Binding, error) {
 		}
 		rows = kept
 	}
+	return e.finish(q, spec, rows), nil
+}
 
+// finish applies the query's solution modifiers to the rows, in SPARQL
+// order: grouping, aggregates and HAVING; ORDER BY; projection;
+// DISTINCT; OFFSET/LIMIT. It materializes the surviving rows as
+// Bindings. It rewrites rows in place, so the caller must not reuse
+// them.
+func (e *exec) finish(q *Query, spec *aggSpec, rows [][]rdf.Term) []Binding {
+	c := e.c
 	// Grouping and aggregation: collapse rows into per-group rows binding
 	// the GROUP BY variables and aggregate aliases, then apply HAVING.
 	if spec != nil {
@@ -159,10 +156,10 @@ func Eval(q *Query, src Source, env *Env) ([]Binding, error) {
 		sort.SliceStable(rows, func(i, j int) bool {
 			for _, k := range keys {
 				if !k.has {
-					continue // variable no pattern can bind: all equal
+					continue // variable no row can bind: all equal
 				}
-				ti, iok := rows[i].get(k.slot)
-				tj, jok := rows[j].get(k.slot)
+				ti, tj := rows[i][k.slot], rows[j][k.slot]
+				iok, jok := ti != unbound, tj != unbound
 				if !iok || !jok {
 					if iok == jok {
 						continue
@@ -186,17 +183,22 @@ func Eval(q *Query, src Source, env *Env) ([]Binding, error) {
 		})
 	}
 
-	// Projection: narrowing the bound mask is enough — dropped slots are
-	// invisible to DISTINCT and to materialization.
+	// Projection clears the dropped slots, which hides them from
+	// DISTINCT and from materialization. Clearing in place is safe
+	// because rows that share storage hold identical terms.
 	if len(q.Vars) > 0 {
-		var projMask uint64
+		keep := make([]bool, len(c.names))
 		for _, v := range q.Vars {
 			if slot, ok := c.slots[v]; ok {
-				projMask |= 1 << slot
+				keep[slot] = true
 			}
 		}
-		for i := range rows {
-			rows[i].mask &= projMask
+		for _, r := range rows {
+			for slot, k := range keep {
+				if !k {
+					r[slot] = unbound
+				}
+			}
 		}
 	}
 
@@ -207,7 +209,7 @@ func Eval(q *Query, src Source, env *Env) ([]Binding, error) {
 		var sb strings.Builder
 		for _, r := range rows {
 			sb.Reset()
-			writeRowKey(&sb, r, c)
+			writeRowKey(&sb, r)
 			key := sb.String()
 			if !seen[key] {
 				seen[key] = true
@@ -236,13 +238,13 @@ func Eval(q *Query, src Source, env *Env) ([]Binding, error) {
 	for i, r := range rows {
 		b := make(Binding)
 		for slot, name := range c.names {
-			if r.mask&(1<<slot) != 0 {
-				b[name] = r.vals[slot]
+			if r[slot] != unbound {
+				b[name] = r[slot]
 			}
 		}
 		out[i] = b
 	}
-	return out, nil
+	return out
 }
 
 // EvalPattern evaluates a bare graph pattern (triples + filters) and
@@ -252,37 +254,29 @@ func EvalPattern(where []rdf.Triple, filters []Expr, src Source, env *Env) ([]Bi
 	return Eval(q, src, env)
 }
 
-// row is one solution during evaluation: terms indexed by compiled slot,
-// with a bitmask of bound slots. Extending a row copies the term slice
-// once (copy-on-write); rows that bind nothing new share their parent's
+// A row is one solution during evaluation: terms indexed by compiled
+// slot, where unbound, the zero Term, marks an unbound slot. No source
+// yields the zero Term (rdf.ShardedStore refuses to store it), so it
+// never stands for data. Extending a row copies the slice once
+// (copy-on-write); rows that bind nothing new share their parent's
 // storage.
-type row struct {
-	vals []rdf.Term
-	mask uint64
-}
-
-func (r row) get(slot int) (rdf.Term, bool) {
-	if r.mask&(1<<slot) == 0 {
-		return rdf.Term{}, false
-	}
-	return r.vals[slot], true
-}
+var unbound rdf.Term
 
 // rowView adapts a row to the Vars interface for filter evaluation; one
 // view per execution is re-pointed between rows to avoid allocating an
 // adapter per filter call.
 type rowView struct {
 	c *compiled
-	r row
+	r []rdf.Term
 }
 
 // Get implements Vars.
 func (v *rowView) Get(name string) (rdf.Term, bool) {
 	slot, ok := v.c.slots[name]
-	if !ok {
+	if !ok || v.r[slot] == unbound {
 		return rdf.Term{}, false
 	}
-	return v.r.get(slot)
+	return v.r[slot], true
 }
 
 // planStep is one joined pattern plus the filters that become decidable
@@ -346,26 +340,13 @@ type exec struct {
 	c    *compiled
 	src  Source
 	env  *Env
-	view *rowView
-}
-
-// extendAll runs every seed row (nil means the single empty row) through
-// the join steps and returns the produced rows.
-func (e *exec) extendAll(seed []row, steps []planStep) []row {
-	var out []row
-	if seed == nil {
-		return e.extend(row{}, steps, 0, out)
-	}
-	for _, r := range seed {
-		out = e.extend(r, steps, 0, out)
-	}
-	return out
+	view rowView
 }
 
 // extend streams r depth-first through steps[depth:], appending every
 // complete solution to out. Pattern matches flow straight into the next
 // join level; no per-level row set is materialized.
-func (e *exec) extend(r row, steps []planStep, depth int, out []row) []row {
+func (e *exec) extend(r []rdf.Term, steps []planStep, depth int, out [][]rdf.Term) [][]rdf.Term {
 	if depth == len(steps) {
 		return append(out, r)
 	}
@@ -386,10 +367,13 @@ func (e *exec) extend(r row, steps []planStep, depth int, out []row) []row {
 }
 
 // substituteRow replaces variables the row binds with their terms.
-func (e *exec) substituteRow(p rdf.Triple, r row) rdf.Triple {
+func (e *exec) substituteRow(p rdf.Triple, r []rdf.Term) rdf.Triple {
+	if r == nil {
+		return p
+	}
 	sub := func(t rdf.Term) rdf.Term {
 		if t.IsVar() {
-			if bt, ok := r.get(e.c.slots[t.Value()]); ok {
+			if bt := r[e.c.slots[t.Value()]]; bt != unbound {
 				return bt
 			}
 		}
@@ -400,41 +384,42 @@ func (e *exec) substituteRow(p rdf.Triple, r row) rdf.Triple {
 
 // unifyRow extends r with the variable assignments implied by matching
 // pattern p against ground triple t. The term slice is copied at most
-// once, on the first new binding; a repeated variable must take the same
-// value in all positions.
-func (e *exec) unifyRow(p rdf.Triple, t rdf.Triple, r row) (row, bool) {
+// once, on the first new binding (the nil row gets a fresh one); a
+// repeated variable must take the same value in all positions.
+func (e *exec) unifyRow(p rdf.Triple, t rdf.Triple, r []rdf.Term) ([]rdf.Term, bool) {
 	nr := r
 	copied := false
+	if nr == nil {
+		nr, copied = make([]rdf.Term, len(e.c.names)), true
+	}
 	bind := func(pt, gt rdf.Term) bool {
 		if !pt.IsVar() {
 			return pt.Equal(gt)
 		}
 		slot := e.c.slots[pt.Value()]
-		if prev, ok := nr.get(slot); ok {
+		if prev := nr[slot]; prev != unbound {
 			return prev.Equal(gt)
 		}
 		if !copied {
-			nv := make([]rdf.Term, len(e.c.names))
-			copy(nv, nr.vals)
-			nr.vals = nv
+			nr = make([]rdf.Term, len(r))
+			copy(nr, r)
 			copied = true
 		}
-		nr.vals[slot] = gt
-		nr.mask |= 1 << slot
+		nr[slot] = gt
 		return true
 	}
 	if !bind(p.S, t.S) || !bind(p.P, t.P) || !bind(p.O, t.O) {
-		return row{}, false
+		return nil, false
 	}
 	return nr, true
 }
 
 // filtersPass reports whether the row satisfies every filter; an
 // erroring filter removes the row, per SPARQL semantics for type errors.
-func (e *exec) filtersPass(filters []Expr, r row) bool {
+func (e *exec) filtersPass(filters []Expr, r []rdf.Term) bool {
 	e.view.r = r
 	for _, f := range filters {
-		v, err := f.Eval(e.view, e.env)
+		v, err := f.Eval(&e.view, e.env)
 		if err != nil || !v.Truthy() {
 			return false
 		}
@@ -465,13 +450,13 @@ func BindingKey(b Binding) string {
 // writeRowKey writes the collision-free key of a row's bound slots. The
 // slot table is fixed for the whole query, so the slot index substitutes
 // for the variable name.
-func writeRowKey(sb *strings.Builder, r row, c *compiled) {
-	for slot := range c.names {
-		if r.mask&(1<<slot) == 0 {
+func writeRowKey(sb *strings.Builder, r []rdf.Term) {
+	for slot, t := range r {
+		if t == unbound {
 			continue
 		}
 		sb.WriteString(strconv.Itoa(slot))
-		writeTermKey(sb, r.vals[slot])
+		writeTermKey(sb, t)
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 )
 
 // optStore: places with optional labels, two relation kinds.
-func optStore() *rdf.Store {
-	s := rdf.NewStore()
+func optStore() *rdf.ShardedStore {
+	s := rdf.NewShardedStore(0)
 	add := func(sub, p, o string) { s.AddTriple(iri(sub), iri(p), iri(o)) }
 	add("park", "instanceOf", "Place")
 	add("zoo", "instanceOf", "Place")

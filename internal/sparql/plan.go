@@ -6,38 +6,23 @@ import (
 	"nl2cm/internal/rdf"
 )
 
-// Counter is an optional Source capability: a cheap cardinality estimate
-// for a pattern (variables act as wildcards). *rdf.Store answers every
-// bound-position combination from a posting-list length in O(1); the IX
-// detector's GraphSource counts exactly over its per-relation edge
-// index. Sources that implement it get cardinality-driven join planning;
-// others fall back to the unbound-variable heuristic.
-type Counter interface {
-	CountMatch(pattern rdf.Triple) int
-}
-
 // planBGP orders the triple patterns of one basic graph pattern for a
 // left-deep streaming join. bound names the variables the seed rows may
 // already bind (the planner treats them as selective join keys, not as
 // wildcards). The input slice is not modified.
 //
-// With a Counter source the plan is greedy by estimated result size:
-// at each step the cheapest remaining pattern is picked, where a
-// pattern's base estimate is the index count with only its concrete
-// positions bound, discounted for every already-bound variable position
-// (a bound variable turns an enumeration into a per-row lookup).
-// Patterns disconnected from the bound set are penalized so cartesian
-// products run last. Ties resolve by input position, keeping plans
+// The plan is greedy by estimated result size: at each step the
+// cheapest remaining pattern is picked, where a pattern's base estimate
+// is the source's count with only its concrete positions bound,
+// discounted for every already-bound variable position (a bound
+// variable turns an enumeration into a per-row lookup). Patterns
+// disconnected from the bound set are penalized so cartesian products
+// run last. Ties resolve by input position, keeping plans
 // deterministic.
-//
-// Without a Counter the order is the previous evaluator's heuristic —
-// fewest unbound variables first, ties by input position — so sources
-// like scripted test doubles see identical behavior.
 func planBGP(patterns []rdf.Triple, bound map[string]bool, src Source) []rdf.Triple {
 	if len(patterns) <= 1 {
 		return patterns
 	}
-	counter, _ := src.(Counter)
 	isBound := map[string]bool{}
 	for v := range bound {
 		isBound[v] = true
@@ -48,19 +33,7 @@ func planBGP(patterns []rdf.Triple, bound map[string]bool, src Source) []rdf.Tri
 	for len(remaining) > 0 {
 		best, bestCost := 0, math.Inf(1)
 		for i, p := range remaining {
-			var cost float64
-			if counter != nil {
-				cost = estimateCost(p, isBound, counter)
-			} else {
-				unbound := 0
-				p.EachVar(func(v string) {
-					if !isBound[v] {
-						unbound++
-					}
-				})
-				cost = float64(unbound)
-			}
-			if cost < bestCost {
+			if cost := estimateCost(p, isBound, src); cost < bestCost {
 				best, bestCost = i, cost
 			}
 		}
@@ -78,14 +51,14 @@ func planBGP(patterns []rdf.Triple, bound map[string]bool, src Source) []rdf.Tri
 // far smaller than the whole posting list), and a pattern sharing no
 // bound variable at all is pushed behind connected ones by a large
 // cartesian-product penalty.
-func estimateCost(p rdf.Triple, bound map[string]bool, counter Counter) float64 {
+func estimateCost(p rdf.Triple, bound map[string]bool, src Source) float64 {
 	wildcard := func(t rdf.Term, name string) rdf.Term {
 		if t.IsVar() {
 			return rdf.NewVar(name)
 		}
 		return t
 	}
-	base := float64(counter.CountMatch(rdf.T(
+	base := float64(src.CountMatch(rdf.T(
 		wildcard(p.S, "s"), wildcard(p.P, "p"), wildcard(p.O, "o"))))
 	boundVars, unboundVars := 0, 0
 	p.EachVar(func(v string) {
@@ -111,30 +84,35 @@ func estimateCost(p rdf.Triple, bound map[string]bool, counter Counter) float64 
 	return cost
 }
 
-// compiled is the per-Eval query compilation: a dense slot table over
-// every variable that a triple pattern anywhere in the query can bind.
+// compiled is the per-query slot table: a dense slot for every variable
+// that a triple pattern anywhere in the query can bind, then for every
+// aggregate alias (and, in AggregateBindings, for every variable the
+// input rows bind).
 type compiled struct {
 	slots map[string]int
 	names []string
 }
 
-// maxSlots is the widest query the slotted row representation handles;
-// wider queries fall back to EvalReference (the row's bound-mask is one
-// 64-bit word).
-const maxSlots = 64
+// slot returns the variable's slot, assigning the next one on first
+// sight.
+func (c *compiled) slot(name string) int {
+	s, ok := c.slots[name]
+	if !ok {
+		s = len(c.names)
+		c.slots[name] = s
+		c.names = append(c.names, name)
+	}
+	return s
+}
 
-// compileQuery assigns slots in first-appearance order, or reports
-// ok=false when the query has too many distinct pattern variables.
-func compileQuery(q *Query) (*compiled, bool) {
+// compileQuery assigns slots in first-appearance order. Aggregate
+// aliases get slots of their own so that HAVING, ORDER BY and
+// projection address them like pattern variables.
+func compileQuery(q *Query, spec *aggSpec) *compiled {
 	c := &compiled{slots: map[string]int{}}
 	add := func(patterns []rdf.Triple) {
 		for _, p := range patterns {
-			p.EachVar(func(v string) {
-				if _, ok := c.slots[v]; !ok {
-					c.slots[v] = len(c.names)
-					c.names = append(c.names, v)
-				}
-			})
+			p.EachVar(func(v string) { c.slot(v) })
 		}
 	}
 	add(q.Where)
@@ -146,7 +124,12 @@ func compileQuery(q *Query) (*compiled, bool) {
 	for _, opt := range q.Optionals {
 		add(opt)
 	}
-	return c, len(c.names) <= maxSlots
+	if spec != nil {
+		for _, a := range spec.aggs {
+			c.slot(a.As)
+		}
+	}
+	return c
 }
 
 // exprVars collects the variable names referenced by a filter
