@@ -36,9 +36,10 @@ race:
 
 # session-stress repeats the dialogue-session concurrency and
 # goroutine-leak tests under the race detector: interleaved answers,
-# expiry, eviction and 100 abandoned sessions.
+# expiry, eviction, 100 abandoned sessions, and 500 sessions whose
+# completion must be counted by the time Done closes.
 session-stress:
-	$(GO) test -race -count=3 -run 'TestSessionStress|TestAbandonedSessionsLeakNoGoroutines|TestConcurrentAnswersOneSession' ./internal/session/
+	$(GO) test -race -count=3 -run 'TestSessionStress|TestAbandonedSessionsLeakNoGoroutines|TestConcurrentAnswersOneSession|TestCompletionCountedBeforeDone' ./internal/session/
 
 # crowd-stress exercises the crowd-scale subsystem under the race
 # detector: the streaming queue and sequential sampler (including the
@@ -107,12 +108,16 @@ agg-golden:
 	$(GO) test -run 'TestPublicAggregateEndToEnd|TestCorpusSQLDifferential' .
 
 # fuzz-smoke runs each native fuzz target briefly: enough to catch
-# panics and invariant regressions without slowing the gate. Go allows
-# one -fuzz pattern per package invocation, hence one run per target.
+# panics and invariant regressions without slowing the gate. Go fuzzes
+# one target per invocation, so each line names one, anchored so that
+# it matches no other target of its package.
 fuzz-smoke:
-	$(GO) test -fuzz=FuzzParse -fuzztime=20s ./internal/nlp/
-	$(GO) test -fuzz=FuzzParse -fuzztime=20s ./internal/sparql/
-	$(GO) test -fuzz=FuzzNTriplesRoundTrip -fuzztime=20s ./internal/rdf/
+	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=20s ./internal/nlp/
+	$(GO) test -fuzz='^FuzzTokenize$$' -fuzztime=20s ./internal/nlp/
+	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=20s ./internal/sparql/
+	$(GO) test -fuzz='^FuzzNTriplesRoundTrip$$' -fuzztime=20s ./internal/rdf/
+	$(GO) test -fuzz='^FuzzNormalize$$' -fuzztime=20s ./internal/ontology/
+	$(GO) test -fuzz='^FuzzCanonicalize$$' -fuzztime=20s ./internal/qcache/
 
 fmt:
 	gofmt -l -w .

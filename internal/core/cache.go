@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"nl2cm/internal/emit"
@@ -160,8 +161,9 @@ func (t *Translator) serveHit(question string, shape qcache.Shape, entry *cacheE
 	}
 
 	// Re-binding is only sound when every entity mention resolved
-	// unambiguously (guaranteed by shape equality) and no filter could
-	// mention a substituted term.
+	// unambiguously (guaranteed by shape equality), no filter could
+	// mention a substituted term, and the question parses as the cached
+	// one did (sameParse, below).
 	if old.Plan == nil || !old.Verdict.Supported {
 		return nil, false
 	}
@@ -177,7 +179,7 @@ func (t *Translator) serveHit(question string, shape qcache.Shape, entry *cacheE
 		return nil, false
 	}
 	g, err := nlp.Parse(question)
-	if err != nil {
+	if err != nil || !sameParse(old.Graph, g) {
 		return nil, false
 	}
 
@@ -229,6 +231,25 @@ func (t *Translator) serveHit(question string, shape qcache.Shape, entry *cacheE
 	}
 	t.Cache.NoteRebind()
 	return res, true
+}
+
+// sameParse reports whether two dependency graphs have the same
+// structure: equal tags, heads and relations node for node, and equal
+// extra edges. A same-shape question can still parse differently ("Is
+// grilled chicken good for kids?" against "Is chocolate milk good for
+// kids?"), and a plan rebound across different parses would differ
+// from the question's cold translation.
+func sameParse(a, b *nlp.DepGraph) bool {
+	if a == nil || len(a.Nodes) != len(b.Nodes) {
+		return false
+	}
+	for i := range a.Nodes {
+		x, y := &a.Nodes[i], &b.Nodes[i]
+		if x.POS != y.POS || x.Head != y.Head || x.Rel != y.Rel {
+			return false
+		}
+	}
+	return slices.Equal(a.Extra, b.Extra)
 }
 
 // rebindSources recomputes every pattern's source excerpt against the

@@ -3,6 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -10,8 +13,10 @@ import (
 	"nl2cm/internal/corpus"
 	"nl2cm/internal/emit"
 	"nl2cm/internal/interact"
+	"nl2cm/internal/nlp"
 	"nl2cm/internal/ontology"
 	"nl2cm/internal/qcache"
+	"nl2cm/internal/rdf"
 )
 
 // allBackends is every registered dialect, checked for byte-identity in
@@ -89,60 +94,177 @@ func compareResults(t *testing.T, label string, want, got *Result) {
 }
 
 // TestCacheRebindDifferential: a same-shape question with different
-// entities must be served by re-binding the cached plan — and the
-// re-bound translation must be byte-identical to a cold translation of
-// that question, provenance excerpts included.
+// entities is served by re-binding the cached plan, and the re-bound
+// translation must be byte-identical to a cold translation of that
+// question: the OASSIS-QL query, every backend, and the provenance
+// excerpts. Pairs are three hand-written ones plus every corpus-derived
+// variant (corpusVariants). A variant whose parse differs from its base
+// question's must be refused by the rebind and translated cold.
 func TestCacheRebindDifferential(t *testing.T) {
+	onto := ontology.NewDemoOntology()
 	pairs := [][2]string{
 		{"Where do families eat near Delaware Park?", "Where do families eat near Central Park?"},
 		{"Which restaurants near Woodlawn Beach do locals recommend?", "Which restaurants near Niagara Falls do locals recommend?"},
 		{"What should we visit near Anchor Bar?", "What should we visit near Buffalo Zoo?"},
 	}
-	onto := ontology.NewDemoOntology()
+	hand := len(pairs)
+	pairs = append(pairs, corpusVariants(onto)...)
+	// lexical are variants that share their base's shape and parse but
+	// not its meaning: "kids" and "children" are participant words to
+	// the IX detector and "adults" is not, so the rebound plan keeps the
+	// base's participant triple. They are served rebound and differ from
+	// cold until the shape key keeps such vocabulary words literal.
+	lexical := map[string]bool{
+		"Which foods do adults like?":                            true,
+		"Should my adults swim at Woodlawn Beach in the summer?": true,
+		"What do adults drink for breakfast?":                    true,
+	}
 	ctx := context.Background()
 	opt := Options{Backends: allBackends()}
-
+	cold := New(onto)
+	rebound, refused := 0, 0
 	for i, pair := range pairs {
+		label := fmt.Sprintf("pair %d (%q from %q)", i, pair[1], pair[0])
 		cached := New(onto)
 		cached.Cache = qcache.New(64)
-		cold := New(onto)
 
 		// Verify the pair actually shares a shape; otherwise the test
 		// exercises nothing.
 		sa := qcache.Canonicalize(pair[0], onto)
 		sb := qcache.Canonicalize(pair[1], onto)
 		if sa.Key != sb.Key {
-			t.Fatalf("pair %d: shapes differ:\n  %q\n  %q", i, sa.Key, sb.Key)
+			t.Fatalf("%s: shapes differ:\n  %q\n  %q", label, sa.Key, sb.Key)
 		}
 
 		if _, err := cached.Translate(ctx, pair[0], opt); err != nil {
-			t.Fatalf("pair %d: warm-up: %v", i, err)
+			t.Fatalf("%s: warm-up: %v", label, err)
 		}
 		got, err := cached.Translate(ctx, pair[1], opt)
 		if err != nil {
-			t.Fatalf("pair %d: rebind translate: %v", i, err)
+			t.Fatalf("%s: rebind translate: %v", label, err)
 		}
 		want, err := cold.Translate(ctx, pair[1], opt)
 		if err != nil {
-			t.Fatalf("pair %d: cold translate: %v", i, err)
+			t.Fatalf("%s: cold translate: %v", label, err)
 		}
-		compareResults(t, fmt.Sprintf("pair-%d", i), want, got)
+		if got.CacheOutcome == "rebound" {
+			rebound++
+		} else {
+			refused++
+		}
+		if lexical[pair[1]] {
+			if got.CacheOutcome != "rebound" || got.Query.String() == want.Query.String() {
+				t.Errorf("%s: lexical variant now %s and equal to cold: drop it from the list", label, got.CacheOutcome)
+			}
+			continue
+		}
+		if i < hand && got.CacheOutcome != "rebound" {
+			t.Errorf("%s: served %q, want a rebind", label, got.CacheOutcome)
+		}
+		compareResults(t, label, want, got)
 
 		// Provenance excerpts must re-derive from the *new* question.
+		if len(got.Provenance) != len(want.Provenance) {
+			t.Errorf("%s: %d provenance records, cold has %d", label, len(got.Provenance), len(want.Provenance))
+		}
 		for key, rec := range want.Provenance {
 			gotRec, ok := got.Provenance[key]
 			if !ok {
-				t.Errorf("pair %d: rebind lost provenance for %s", i, key)
+				t.Errorf("%s: rebind lost provenance for %s", label, key)
 				continue
 			}
 			if rec.Text != gotRec.Text {
-				t.Errorf("pair %d: provenance text for %s: cold %q, rebound %q", i, key, rec.Text, gotRec.Text)
+				t.Errorf("%s: provenance text for %s: cold %q, rebound %q", label, key, rec.Text, gotRec.Text)
 			}
 		}
-		if st := cached.Cache.Stats(); st.Rebinds == 0 && want.Verdict.Supported && len(want.Plan.Filters) == 0 {
-			t.Errorf("pair %d: expected a rebind, stats %+v", i, st)
+	}
+	// 197 corpus variants: 184 share their base's parse and rebind (181
+	// sound plus the 3 lexical ones); 13 parse differently and are
+	// translated cold.
+	if n := len(pairs) - hand; n != 197 || rebound != hand+184 || refused != 13 {
+		t.Errorf("%d corpus variants, %d rebound, %d refused; want 197, %d and 13", n, rebound, refused, hand+184)
+	}
+}
+
+// TestSameParse: the rebind guard compares node count, every node's tag,
+// head and relation, and the extra edges; a difference in any one of
+// them refuses the rebind.
+func TestSameParse(t *testing.T) {
+	base, err := nlp.Parse("Where do families eat near Delaware Park?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	same, err := nlp.Parse("Where do families eat near Central Park?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameParse(base, same) {
+		t.Fatal("same-structure parses compared unequal")
+	}
+	mutations := map[string]func(g *nlp.DepGraph){
+		"node count": func(g *nlp.DepGraph) { g.Nodes = g.Nodes[:len(g.Nodes)-1] },
+		"tag":        func(g *nlp.DepGraph) { g.Nodes[2].POS = "VB" },
+		"head":       func(g *nlp.DepGraph) { g.Nodes[2].Head = 0 },
+		"relation":   func(g *nlp.DepGraph) { g.Nodes[2].Rel = nlp.RelDep },
+		"extra edge": func(g *nlp.DepGraph) { g.Extra = append(g.Extra, nlp.Edge{Head: 3, Dep: 2, Rel: nlp.RelDObj}) },
+	}
+	for name, mutate := range mutations {
+		g := *same
+		g.Nodes = slices.Clone(same.Nodes)
+		g.Extra = slices.Clone(same.Extra)
+		mutate(&g)
+		if sameParse(base, &g) {
+			t.Errorf("parses differing in %s compared equal", name)
 		}
 	}
+}
+
+// corpusVariants derives same-shape variants of the supported corpus
+// questions by the benchmark's serve-hot rule: one slot at a time, each
+// entity mention is swapped for every other entity sharing one of its
+// classes whose label resolves to that entity alone, keeping the swaps
+// that leave the shape key unchanged. Each pair is (base, variant).
+func corpusVariants(onto *ontology.Ontology) [][2]string {
+	snap := onto.Snapshot()
+	byClass := map[rdf.Term][]rdf.Term{}
+	snap.MatchFunc(rdf.T(rdf.NewVar("s"), ontology.PredInstanceOf, rdf.NewVar("c")), func(t rdf.Triple) bool {
+		byClass[t.O] = append(byClass[t.O], t.S)
+		return true
+	})
+	for _, ts := range byClass {
+		sort.Slice(ts, func(i, j int) bool { return ts[i].Compare(ts[j]) < 0 })
+	}
+	var out [][2]string
+	for _, q := range corpus.Supported() {
+		shape := qcache.Canonicalize(q.Text, onto)
+		pos := 0
+		for _, slot := range shape.Entities {
+			at := strings.Index(q.Text[pos:], slot.Phrase)
+			if at < 0 {
+				break
+			}
+			at += pos
+			pos = at + len(slot.Phrase)
+			seen := map[rdf.Term]bool{slot.Term: true}
+			for _, class := range snap.Objects(slot.Term, ontology.PredInstanceOf) {
+				for _, cand := range byClass[class] {
+					if seen[cand] {
+						continue
+					}
+					seen[cand] = true
+					label := onto.Label(cand)
+					if t, ok := onto.ResolveEntity(label); !ok || t != cand {
+						continue
+					}
+					text := q.Text[:at] + label + q.Text[at+len(slot.Phrase):]
+					if qcache.Canonicalize(text, onto).Key == shape.Key {
+						out = append(out, [2]string{q.Text, text})
+					}
+				}
+			}
+		}
+	}
+	return out
 }
 
 // TestCacheBypassesInteractiveRequests: a request with an interactor or

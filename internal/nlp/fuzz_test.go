@@ -1,6 +1,7 @@
 package nlp
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -50,6 +51,39 @@ func FuzzParse(f *testing.F) {
 					i, tok.Text, tok.Start, tok.End, len(input))
 			}
 			lastStart = tok.Start
+		}
+	})
+}
+
+// FuzzTokenize checks the one-pass Tokenize against the reference
+// tokenizer in tokenref_test.go: the token slices must be deeply equal,
+// nil for no tokens included.
+func FuzzTokenize(f *testing.F) {
+	seeds := []string{
+		"Hello world",
+		"Hello, world!",
+		"What are the most interesting places?",
+		"Forest Hotel, Buffalo, NY",
+		"(in the fall)",
+		"",
+		"   ",
+		"don't", "Don't", "can't", "won't", "I'm", "we're", "they've",
+		"she'll", "he'd", "let's", "cannot", "the hotel's pool",
+		"Buffalo, N.Y. is cold.",
+		"What type of digital camera should I buy?",
+		"When can I reach the falls from Forest Hills?",
+		"  Don't we visit the hotel's pool?",
+		"I CAN'T",
+		"İ's",
+		"“quote” …",
+	}
+	for _, s := range seeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, input string) {
+		got, want := Tokenize(input), refTokenize(input)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Tokenize(%q):\n got %+v\nwant %+v", input, got, want)
 		}
 	})
 }

@@ -73,14 +73,18 @@ type DepGraph struct {
 	Source string
 }
 
-// Spans returns the byte spans of the given tokens in Source. Indices out
-// of range are skipped.
+// Spans returns the byte spans of the given tokens in Source, nil when
+// there are none. Indices out of range are skipped.
 func (g *DepGraph) Spans(ids prov.TokenSet) []prov.Span {
 	var out []prov.Span
 	for _, id := range ids {
-		if id >= 0 && id < len(g.Nodes) {
-			out = append(out, g.Nodes[id].Span())
+		if id < 0 || id >= len(g.Nodes) {
+			continue
 		}
+		if out == nil {
+			out = make([]prov.Span, 0, len(ids))
+		}
+		out = append(out, g.Nodes[id].Span())
 	}
 	return out
 }

@@ -44,12 +44,6 @@ type Token struct {
 // Span returns the token's byte span in the original input.
 func (t Token) Span() prov.Span { return prov.Span{Start: t.Start, End: t.End} }
 
-// frag is a piece of the input under tokenization, with its byte span.
-type frag struct {
-	text       string
-	start, end int
-}
-
 // contractionSplits maps contracted surface forms to their token splits,
 // mirroring Penn Treebank tokenization.
 var contractionSplits = map[string][]string{
@@ -74,156 +68,121 @@ var clitics = []string{"n't", "'re", "'ve", "'ll", "'m", "'d", "'s"}
 // is separated, standard contractions are split ("don't" -> "do", "n't"),
 // and whitespace is collapsed. Lemma and POS fields are left empty; each
 // token records its byte span in text.
+//
+// It works in one pass over the Unicode-whitespace fields of text,
+// appending into a slice sized by sizeTokens; token texts are substrings
+// of text except for canonical contraction pieces.
 func Tokenize(text string) []Token {
-	var raw []frag
-	for _, field := range fields(text) {
-		raw = append(raw, splitPunct(field)...)
-	}
-	var out []Token
-	for _, w := range raw {
-		for _, piece := range splitContraction(w) {
-			out = append(out, Token{
-				Index: len(out),
-				Text:  piece.text,
-				Lower: strings.ToLower(piece.text),
-				Start: piece.start,
-				End:   piece.end,
-			})
-		}
-	}
-	return out
-}
-
-// fields splits on Unicode whitespace like strings.Fields, keeping byte
-// offsets.
-func fields(text string) []frag {
-	var out []frag
+	out := make([]Token, 0, sizeTokens(text))
 	start := -1
 	for i, r := range text {
-		if unicode.IsSpace(r) {
-			if start >= 0 {
-				out = append(out, frag{text: text[start:i], start: start, end: i})
-				start = -1
+		if !unicode.IsSpace(r) {
+			if start < 0 {
+				start = i
 			}
 			continue
 		}
-		if start < 0 {
-			start = i
+		if start >= 0 {
+			out = appendField(out, text, start, i)
+			start = -1
 		}
 	}
 	if start >= 0 {
-		out = append(out, frag{text: text[start:], start: start, end: len(text)})
+		out = appendField(out, text, start, len(text))
+	}
+	if len(out) == 0 {
+		return nil
 	}
 	return out
 }
 
-// splitPunct separates leading/trailing punctuation from a whitespace
-// field, keeping internal hyphens, apostrophes, and periods in
-// abbreviations.
-func splitPunct(f frag) []frag {
-	w, off := f.text, f.start
-	var lead, trail []frag
-	// Peel leading punctuation.
-	for len(w) > 0 {
-		r := rune(w[0])
-		if isSplitPunct(r) {
-			lead = append(lead, frag{text: string(r), start: off, end: off + 1})
-			w = w[1:]
-			off++
-			continue
+// sizeTokens estimates the token count of text: one token per field,
+// plus one per punctuation byte or apostrophe, which may split a field.
+func sizeTokens(text string) int {
+	n := 1
+	for i := 0; i < len(text); i++ {
+		if c := text[i]; c == ' ' || c == '\'' || isSplitPunct(c) {
+			n++
 		}
-		break
 	}
-	// Peel trailing punctuation. Keep a period that is part of an
-	// abbreviation like "N.Y." (token still contains another period).
-	end := off + len(w)
-	for len(w) > 0 {
-		r := rune(w[len(w)-1])
-		if !isSplitPunct(r) {
+	return n
+}
+
+// appendField appends the tokens of the whitespace field text[start:end]:
+// leading and trailing punctuation become one-byte tokens, keeping a
+// trailing period of an abbreviation such as "N.Y." (the rest of the
+// word still contains a period), and the word between them has its
+// contraction split off.
+func appendField(out []Token, text string, start, end int) []Token {
+	for start < end && isSplitPunct(text[start]) {
+		out = appendToken(out, text[start:start+1], start, start+1)
+		start++
+	}
+	wend := end
+	for wend > start && isSplitPunct(text[wend-1]) {
+		if text[wend-1] == '.' && strings.Count(text[start:wend], ".") > 1 {
 			break
 		}
-		if r == '.' && strings.Count(w, ".") > 1 {
-			break // abbreviation such as U.S. or N.Y.
-		}
-		trail = append([]frag{{text: string(r), start: end - 1, end: end}}, trail...)
-		w = w[:len(w)-1]
-		end--
+		wend--
 	}
-	var out []frag
-	out = append(out, lead...)
-	if w != "" {
-		out = append(out, frag{text: w, start: off, end: end})
+	if wend > start {
+		out = appendWord(out, text[start:wend], start, wend)
 	}
-	out = append(out, trail...)
+	for i := wend; i < end; i++ {
+		out = appendToken(out, text[i:i+1], i, i+1)
+	}
 	return out
 }
 
-func isSplitPunct(r rune) bool {
-	switch r {
-	case '.', ',', '?', '!', ';', ':', '(', ')', '[', ']', '{', '}', '"', '“', '”', '…':
-		return true
-	}
-	return false
-}
-
-// splitContraction splits clitic contractions from a word, carving the
-// word's byte span into per-piece spans when the pieces partition it
-// (pieces of a case-restoration fallback share the whole word's span).
-func splitContraction(f frag) []frag {
-	w := f.text
+// appendWord appends a word's tokens, splitting a contraction or clitic
+// off it. A listed contraction's pieces carve the word's byte span when
+// their lengths add up to the word's, keeping its casing; otherwise the
+// canonical lower-case pieces share the word's span.
+func appendWord(out []Token, w string, start, end int) []Token {
 	lw := strings.ToLower(w)
 	if parts, ok := contractionSplits[lw]; ok {
-		return restoreCase(f, parts)
-	}
-	for _, cl := range clitics {
-		if strings.HasSuffix(lw, cl) && len(lw) > len(cl) {
-			stem := w[:len(w)-len(cl)]
-			suffix := w[len(w)-len(cl):]
-			// "n't" needs the n restored to the suffix.
-			if cl == "n't" {
-				if len(stem) == 0 {
-					break
-				}
-			}
-			if stem == "" {
-				break
-			}
-			cut := f.start + len(stem)
-			return []frag{
-				{text: stem, start: f.start, end: cut},
-				{text: suffix, start: cut, end: f.end},
-			}
+		total := 0
+		for _, p := range parts {
+			total += len(p)
 		}
-	}
-	return []frag{f}
-}
-
-// restoreCase maps the canonical lower-case split back onto the original
-// casing (and byte spans) where lengths allow; it falls back to the
-// canonical pieces, which then share the source word's span.
-func restoreCase(f frag, parts []string) []frag {
-	orig := f.text
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make([]frag, len(parts))
-	if total != len(orig) {
-		for i, p := range parts {
-			out[i] = frag{text: p, start: f.start, end: f.end}
+		if total != len(w) {
+			for _, p := range parts {
+				out = appendToken(out, p, start, end)
+			}
+			return out
+		}
+		for _, p := range parts {
+			out = appendToken(out, w[:len(p)], start, start+len(p))
+			w, start = w[len(p):], start+len(p)
 		}
 		return out
 	}
-	off := 0
-	for i, p := range parts {
-		out[i] = frag{
-			text:  orig[off : off+len(p)],
-			start: f.start + off,
-			end:   f.start + off + len(p),
+	for _, cl := range clitics {
+		if strings.HasSuffix(lw, cl) && len(lw) > len(cl) {
+			cut := len(w) - len(cl)
+			if cut == 0 {
+				break
+			}
+			out = appendToken(out, w[:cut], start, start+cut)
+			return appendToken(out, w[cut:], start+cut, end)
 		}
-		off += len(p)
 	}
-	return out
+	return append(out, Token{Index: len(out), Text: w, Lower: lw, Start: start, End: end})
+}
+
+// appendToken appends one token with the next index.
+func appendToken(out []Token, text string, start, end int) []Token {
+	return append(out, Token{Index: len(out), Text: text, Lower: strings.ToLower(text), Start: start, End: end})
+}
+
+// isSplitPunct reports whether a byte is punctuation that Tokenize
+// separates from a word.
+func isSplitPunct(c byte) bool {
+	switch c {
+	case '.', ',', '?', '!', ';', ':', '(', ')', '[', ']', '{', '}', '"':
+		return true
+	}
+	return false
 }
 
 // IsWord reports whether the token is alphabetic (contains at least one

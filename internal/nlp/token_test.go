@@ -220,3 +220,12 @@ func TestTokenizeIndexInvariant(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Tokenize of an all-lower-case question allocates only its token
+// slice: token texts and lower-case forms are substrings of the input.
+func TestTokenizeAllocs(t *testing.T) {
+	q := "where do families eat near delaware park?"
+	if n := testing.AllocsPerRun(100, func() { Tokenize(q) }); n != 1 {
+		t.Errorf("Tokenize(%q) made %v allocations, want 1", q, n)
+	}
+}

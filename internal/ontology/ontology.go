@@ -8,10 +8,13 @@
 package ontology
 
 import (
+	"math"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unicode"
+	"unicode/utf8"
 
 	"nl2cm/internal/rdf"
 )
@@ -104,6 +107,9 @@ type derivedIndex struct {
 	regVersion uint64
 	// labels maps normalized full labels to entities (exact matches).
 	labels map[string][]rdf.Term
+	// maxKey is the byte length of the longest labels key: a phrase whose
+	// key is longer cannot match, so ResolveEntity stops normalizing it.
+	maxKey int
 	// words maps individual label words to entities (partial matches).
 	words map[string][]rdf.Term
 	// primary caches each labeled term's primary label (the
@@ -216,6 +222,7 @@ func (o *Ontology) rebuild() *derivedIndex {
 func (d *derivedIndex) index(label string, term rdf.Term) {
 	key := normalize(label)
 	d.labels[key] = appendUnique(d.labels[key], term)
+	d.maxKey = max(d.maxKey, len(key))
 	// Index individual words separately (weaker matches), so "Buffalo"
 	// finds "Buffalo, NY" without full-label matches being diluted.
 	words := strings.Fields(key)
@@ -278,10 +285,55 @@ func appendUnique(ts []rdf.Term, t rdf.Term) []rdf.Term {
 	return append(ts, t)
 }
 
+// normalize returns the lookup key of a label or phrase.
 func normalize(s string) string {
-	s = strings.ToLower(strings.TrimSpace(s))
-	s = strings.ReplaceAll(s, ",", " ")
-	return strings.Join(strings.Fields(s), " ")
+	var buf [64]byte
+	key, _ := appendNormalized(buf[:0], s, math.MaxInt)
+	return string(key)
+}
+
+// appendNormalized appends the lookup key of s to dst: s lower-cased and
+// split into fields at white space and commas, the fields joined by
+// single spaces. ASCII bytes are handled bytewise; other bytes are
+// decoded rune by rune, and an invalid byte becomes U+FFFD, as
+// strings.ToLower writes it. Once the key would exceed limit bytes it
+// stops and reports false.
+func appendNormalized(dst []byte, s string, limit int) ([]byte, bool) {
+	base := len(dst)
+	sep := false // a field has ended and another may follow
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			i++
+			if c == ' ' || c == ',' || '\t' <= c && c <= '\r' {
+				sep = len(dst) > base
+				continue
+			}
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			if sep {
+				dst, sep = append(dst, ' '), false
+			}
+			dst = append(dst, c)
+		} else {
+			r, size := utf8.DecodeRuneInString(s[i:])
+			i += size
+			r = unicode.ToLower(r)
+			if unicode.IsSpace(r) {
+				sep = len(dst) > base
+				continue
+			}
+			if sep {
+				dst, sep = append(dst, ' '), false
+			}
+			dst = utf8.AppendRune(dst, r)
+		}
+		if len(dst)-base > limit {
+			return dst, false
+		}
+	}
+	return dst, true
 }
 
 // Description returns the disambiguation string for an entity.
@@ -364,9 +416,18 @@ func (o *Ontology) Lookup(phrase string) []Candidate {
 // and stay literal in a question's shape key. Resolution runs against
 // the current epoch's index, so a freshly inserted entity resolves on
 // the next call.
+//
+// It is the plan cache's per-n-gram probe, so it allocates nothing: the
+// key is built in a stack buffer, and a phrase whose key outgrows the
+// longest label key is rejected before it is fully normalized.
 func (o *Ontology) ResolveEntity(phrase string) (rdf.Term, bool) {
 	d := o.idx()
-	ts := d.labels[normalize(phrase)]
+	var buf [64]byte
+	key, ok := appendNormalized(buf[:0], phrase, d.maxKey)
+	if !ok {
+		return rdf.Term{}, false
+	}
+	ts := d.labels[string(key)]
 	if len(ts) != 1 || d.classes[ts[0]] {
 		return rdf.Term{}, false
 	}

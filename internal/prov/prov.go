@@ -11,6 +11,8 @@
 package prov
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -46,15 +48,20 @@ type TokenSet []int
 
 // NewTokenSet builds a set from the given IDs, dropping duplicates and
 // negatives (negative IDs mark "no source token", e.g. anonymous
-// variables).
+// variables). The set is a new slice, nil when no ID is kept.
 func NewTokenSet(ids ...int) TokenSet {
 	var out TokenSet
 	for _, id := range ids {
-		if id >= 0 {
-			out = out.Add(id)
+		if id < 0 {
+			continue
 		}
+		if out == nil {
+			out = make(TokenSet, 0, len(ids))
+		}
+		out = append(out, id)
 	}
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Add returns the set with id included (negatives are ignored).
@@ -76,13 +83,30 @@ func (s TokenSet) Contains(id int) bool {
 // Empty reports whether the set has no members.
 func (s TokenSet) Empty() bool { return len(s) == 0 }
 
-// Union returns the merged set.
+// Union returns the merged set in a new slice, nil when both sets are
+// empty.
 func (s TokenSet) Union(o TokenSet) TokenSet {
-	out := append(TokenSet(nil), s...)
-	for _, id := range o {
-		out = out.Add(id)
+	if len(s)+len(o) == 0 {
+		return nil
 	}
-	return out
+	out := make(TokenSet, 0, len(s)+len(o))
+	i, j := 0, 0
+	for i < len(s) && j < len(o) {
+		switch {
+		case s[i] < o[j]:
+			out = append(out, s[i])
+			i++
+		case s[i] > o[j]:
+			out = append(out, o[j])
+			j++
+		default:
+			out = append(out, s[i])
+			i++
+			j++
+		}
+	}
+	out = append(out, s[i:]...)
+	return append(out, o[j:]...)
 }
 
 // Intersect returns the members present in both sets.
@@ -137,34 +161,36 @@ type TokenInfo struct {
 // MergeSpans sorts the spans and merges ranges separated only by
 // whitespace in the source, so per-token spans collapse into phrase
 // spans ("Forest" + "Hills" → "Forest Hills").
+//
+// The result is a new slice, nil when no span is non-empty: the
+// non-empty spans are copied into it, sorted, and merged in place.
 func MergeSpans(source string, spans []Span) []Span {
-	var in []Span
+	out := make([]Span, 0, len(spans))
 	for _, s := range spans {
 		if !s.Empty() {
-			in = append(in, s)
+			out = append(out, s)
 		}
 	}
-	if len(in) == 0 {
+	if len(out) == 0 {
 		return nil
 	}
-	sort.Slice(in, func(i, j int) bool {
-		if in[i].Start != in[j].Start {
-			return in[i].Start < in[j].Start
+	slices.SortFunc(out, func(a, b Span) int {
+		if c := cmp.Compare(a.Start, b.Start); c != 0 {
+			return c
 		}
-		return in[i].End < in[j].End
+		return cmp.Compare(a.End, b.End)
 	})
-	out := []Span{in[0]}
-	for _, s := range in[1:] {
-		last := &out[len(out)-1]
+	n := 1
+	for _, s := range out[1:] {
+		last := &out[n-1]
 		if s.Start <= last.End || strings.TrimSpace(gap(source, last.End, s.Start)) == "" {
-			if s.End > last.End {
-				last.End = s.End
-			}
+			last.End = max(last.End, s.End)
 			continue
 		}
-		out = append(out, s)
+		out[n] = s
+		n++
 	}
-	return out
+	return out[:n]
 }
 
 // gap returns the source bytes between two offsets, clamped.
@@ -184,13 +210,29 @@ func gap(source string, from, to int) string {
 // Excerpt renders merged spans as a source quotation, eliding gaps with
 // "..." — the annotated printer's `# from: "reach ... from Forest
 // Hills"` form.
+//
+// A single merged span is returned as a substring of source; several are
+// written through one strings.Builder, sized up front.
 func Excerpt(source string, spans []Span) string {
 	merged := MergeSpans(source, spans)
-	parts := make([]string, 0, len(merged))
-	for _, s := range merged {
-		if t := s.Text(source); t != "" {
-			parts = append(parts, t)
-		}
+	if len(merged) == 1 {
+		return merged[0].Text(source)
 	}
-	return strings.Join(parts, " ... ")
+	size := 0
+	for _, s := range merged {
+		size += len(s.Text(source)) + len(" ... ")
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for _, s := range merged {
+		t := s.Text(source)
+		if t == "" {
+			continue
+		}
+		if b.Len() > 0 {
+			b.WriteString(" ... ")
+		}
+		b.WriteString(t)
+	}
+	return b.String()
 }

@@ -31,6 +31,7 @@ import (
 	"container/list"
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -81,6 +82,9 @@ const maxMentionTokens = 8
 func Canonicalize(question string, res EntityResolver) Shape {
 	toks := nlp.Tokenize(question)
 	var b strings.Builder
+	// The key is about the question's length, plus the spaces that
+	// separate its punctuation tokens.
+	b.Grow(len(question) + len(toks))
 	var ents []Binding
 	for i := 0; i < len(toks); {
 		n := matchMention(question, toks, i, res, &ents)
@@ -88,7 +92,9 @@ func Canonicalize(question string, res EntityResolver) Shape {
 			b.WriteByte(' ')
 		}
 		if n > 0 {
-			fmt.Fprintf(&b, "⟨e%d⟩", n)
+			b.WriteString("⟨e")
+			b.WriteString(strconv.Itoa(n))
+			b.WriteString("⟩")
 			i += n
 			continue
 		}

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"nl2cm/internal/nlp"
 	"nl2cm/internal/ontology"
 )
 
@@ -286,4 +287,46 @@ func TestSingleFlightWaiterCancellation(t *testing.T) {
 	if v, _, o := c.Lookup(key); o != Hit || v.(string) != "done" {
 		t.Fatalf("after fulfill: %v %v, want hit done", v, o)
 	}
+}
+
+// FuzzCanonicalize checks shape canonicalization over arbitrary input:
+// it never panics, the key holds one ⟨eN⟩ marker per binding (beyond
+// any the question's own tokens spell), each binding's phrase occurs in
+// the question after the previous one, and each phrase resolves to the
+// binding's term.
+func FuzzCanonicalize(f *testing.F) {
+	onto := ontology.NewDemoOntology()
+	for _, s := range []string{
+		"Where do families eat near Delaware Park?",
+		"What is near Forest Hotel, Buffalo?",
+		"What should we visit in Buffalo?",
+		"Which restaurants near Woodlawn Beach do locals recommend?",
+		"delaware park delaware park, CENTRAL PARK",
+		"near ⟨e1⟩ Canalside",
+		"",
+		"\xff Delaware Park",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, q string) {
+		s := Canonicalize(q, onto)
+		want := len(s.Entities)
+		for _, tok := range nlp.Tokenize(q) {
+			want += strings.Count(tok.Lower, "⟨e")
+		}
+		if got := strings.Count(s.Key, "⟨e"); got != want {
+			t.Fatalf("Canonicalize(%q) key %q has %d markers, want %d", q, s.Key, got, want)
+		}
+		pos := 0
+		for _, b := range s.Entities {
+			at := strings.Index(q[pos:], b.Phrase)
+			if at < 0 {
+				t.Fatalf("Canonicalize(%q): phrase %q not found after byte %d", q, b.Phrase, pos)
+			}
+			pos += at + len(b.Phrase)
+			if term, ok := onto.ResolveEntity(b.Phrase); !ok || term != b.Term {
+				t.Fatalf("Canonicalize(%q): phrase %q resolves to %v, %v; binding says %v", q, b.Phrase, term, ok, b.Term)
+			}
+		}
+	})
 }

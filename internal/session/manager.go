@@ -182,36 +182,32 @@ func (m *Manager) run(ctx context.Context, s *Session, question string) {
 		Observer:   m.cfg.Observer,
 	})
 
+	// The terminal state is counted before it is published, so Metrics
+	// read by anyone who saw the state or Done already includes it. Lock
+	// order is m.mu then s.mu, as in evictLocked.
+	m.mu.Lock()
 	s.mu.Lock()
 	s.pending, s.answerCh = nil, nil
 	switch {
 	case err == nil:
 		s.state = StateDone
 		s.result = res
+		m.stats.Completed++
 	case ctx.Err() != nil:
 		// TTL expiry, eviction or deletion: the session's own context
 		// ended the translation.
 		s.state = StateExpired
 		s.err = err
+		m.stats.Expired++
 	default:
 		s.state = StateFailed
 		s.err = err
+		m.stats.Failed++
 	}
-	state := s.state
 	s.notifyLocked()
 	s.mu.Unlock()
-	close(s.done)
-
-	m.mu.Lock()
-	switch state {
-	case StateDone:
-		m.stats.Completed++
-	case StateFailed:
-		m.stats.Failed++
-	default:
-		m.stats.Expired++
-	}
 	m.mu.Unlock()
+	close(s.done)
 
 	if m.cfg.OnDone != nil {
 		m.cfg.OnDone(s)

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"nl2cm/internal/interact"
 )
 
 // TestSessionStress drives many concurrent sessions with interleaved
@@ -174,6 +176,24 @@ func TestConcurrentAnswersOneSession(t *testing.T) {
 		}
 		if landed != 1 {
 			t.Fatalf("%d answers landed for one question", landed)
+		}
+	}
+}
+
+// TestCompletionCountedBeforeDone: a session's terminal state is counted
+// before it is published, so Metrics read right after Done already
+// includes it. 500 sessions with no interaction points run one after
+// another; each must be counted the moment its Done channel closes.
+func TestCompletionCountedBeforeDone(t *testing.T) {
+	m := newManager(t, Config{Policy: interact.Policy{Ask: map[interact.Point]bool{}}})
+	for i := uint64(1); i <= 500; i++ {
+		s, err := m.Start(buffaloQ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-s.Done()
+		if got := m.Metrics().Completed; got != i {
+			t.Fatalf("session %d: Metrics().Completed = %d right after Done, want %d (state %s)", i, got, i, s.Snapshot().State)
 		}
 	}
 }
