@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check vet staticcheck build test race session-stress session-smoke crowd-stress store-stress perfbench-test loadgen-smoke bench bench-smoke bench-record fuzz-smoke emit-golden emit-golden-update agg-golden fmt
+.PHONY: all check vet staticcheck build test race session-stress session-smoke crowd-stress store-stress perfbench-test loadgen-smoke bench bench-smoke fuzz-smoke emit-golden emit-golden-update agg-golden fmt
 
 all: check
 
@@ -41,13 +41,13 @@ race:
 session-stress:
 	$(GO) test -race -count=3 -run 'TestSessionStress|TestAbandonedSessionsLeakNoGoroutines|TestConcurrentAnswersOneSession|TestCompletionCountedBeforeDone' ./internal/session/
 
-# crowd-stress exercises the crowd-scale subsystem under the race
-# detector: the streaming queue and sequential sampler (including the
-# cancellation/goroutine-leak and backpressure tests), the engine
-# wiring, and the corpus-wide differential against the exhaustive
-# engine.
+# crowd-stress repeats the crowd executor and engine tests under the
+# race detector: the call-scoped fan-out and its goroutine-return tests
+# (normal and cancelled calls), the write-back of sampling states under
+# concurrent calls and Reset, the sequential sampler, the engine wiring,
+# and the corpus-wide differential against the exhaustive engine.
 crowd-stress:
-	$(GO) test -race ./internal/crowdscale/ ./internal/crowd/
+	$(GO) test -race -count=3 ./internal/crowdscale/ ./internal/crowd/
 	$(GO) test -race -run TestCrowdScaleDifferentialCorpus .
 
 # store-stress hammers the epoch-snapshot store under the race
@@ -76,11 +76,6 @@ session-smoke:
 # throughput, zero errors and a warm plan cache (requires jq).
 loadgen-smoke:
 	./scripts/loadgen_smoke.sh
-
-# bench-record runs the P-series benches plus a full loadgen run and
-# writes today's BENCH_<date>.json perf record (requires jq).
-bench-record:
-	./scripts/bench_record.sh
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -2,7 +2,7 @@ package nl2cm
 
 // Crowd-mining scale benchmarks (P11): significance decisions over
 // synthetic populations of 10k / 100k / 1M members, fixed full sampling
-// (through the same streaming queue) versus sequential-sampling early
+// (through the same executor) versus sequential-sampling early
 // termination. EXPERIMENTS.md E14 records the numbers; the answers/op
 // metric shows the sequential path's sublinear member-answer cost.
 
@@ -34,7 +34,6 @@ func BenchmarkP11_CrowdScale(b *testing.B) {
 		for _, mode := range []string{"fixed", "sequential"} {
 			b.Run(fmt.Sprintf("members=%d/%s", members, mode), func(b *testing.B) {
 				x := NewScaleExecutorFrom(pop, ScaleConfig{})
-				defer x.Close()
 				ctx := context.Background()
 				b.ReportAllocs()
 				b.ResetTimer()

@@ -349,23 +349,20 @@ func BenchmarkA3_FeedbackLearning(b *testing.B) {
 	}
 }
 
-// BenchmarkP6_SpamRobustness measures support aggregation under spam
-// workers, with and without trimmed-mean aggregation.
+// BenchmarkP6_SpamRobustness measures support aggregation with and
+// without spam workers.
 func BenchmarkP6_SpamRobustness(b *testing.B) {
 	for _, cfg := range []struct {
 		name string
 		spam float64
-		trim float64
 	}{
-		{"clean", 0, 0},
-		{"spam30", 0.3, 0},
-		{"spam30-trimmed", 0.3, 0.2},
+		{"clean", 0},
+		{"spam30", 0.3},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			c := crowd.NewCrowd(400, 9)
 			c.Truth = map[string]float64{"k": 0.9}
 			c.SpamFraction = cfg.spam
-			c.TrimFraction = cfg.trim
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				c.Support("k", 0)
@@ -422,9 +419,9 @@ func BenchmarkE9_EndToEndExecutionParallel(b *testing.B) {
 // BenchmarkP7_CrowdEngineWorkers measures crowd task evaluation on a
 // support-heavy workload: an open-variable query fanning out over the
 // ontology's places, each task polling a large crowd. The engine's
-// worker pool has GOMAXPROCS workers, so `-cpu 1,2` compares sequential
-// with pooled evaluation. The cache is reset every iteration so each
-// measures cold executions.
+// executor samples a call's tasks on up to GOMAXPROCS goroutines, so
+// `-cpu 1,2` compares sequential with parallel evaluation. The memo is
+// reset every iteration so each measures cold executions.
 func BenchmarkP7_CrowdEngineWorkers(b *testing.B) {
 	thr := 0.3
 	q := &oassisql.Query{

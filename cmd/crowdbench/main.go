@@ -2,9 +2,8 @@
 // scale: significance decisions over a synthetic crowd, fixed full
 // sampling versus sequential-sampling early termination (both stopping
 // rules), cross-checking that all three modes agree task for task. It
-// prints one JSON record; scripts/bench_record.sh merges it into the
-// dated BENCH_<date>.json alongside the translation and loadgen
-// records.
+// prints one JSON record. perfbench has no crowd-scale workload yet;
+// until it has, this command is how that path is measured.
 //
 // Usage:
 //
@@ -19,6 +18,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"runtime"
 	"time"
 
 	"nl2cm"
@@ -33,7 +33,6 @@ type modeResult struct {
 	EarlyDecided  uint64  `json:"early_decided"`
 	FullySampled  uint64  `json:"fully_sampled"`
 	Batches       uint64  `json:"batches"`
-	QueueHighWtr  int64   `json:"queue_high_water"`
 	Significant   int     `json:"significant"`
 }
 
@@ -73,6 +72,7 @@ func main() {
 	rec := record{
 		Members: *members, Tasks: *tasks, Threshold: *threshold,
 		Seed: *seed, Skew: *skew, Spam: *spam,
+		Workers: runtime.GOMAXPROCS(0),
 	}
 	ctx := context.Background()
 	sig := make(map[string][]bool)
@@ -104,7 +104,6 @@ func main() {
 		}
 		elapsed := time.Since(t0)
 		st := x.Stats()
-		x.Close()
 		sig[mode] = decided
 		n := 0
 		for _, s := range decided {
@@ -112,7 +111,6 @@ func main() {
 				n++
 			}
 		}
-		rec.Workers = st.Workers
 		rec.Modes = append(rec.Modes, modeResult{
 			Mode:          mode,
 			ElapsedMS:     float64(elapsed.Microseconds()) / 1000,
@@ -121,7 +119,6 @@ func main() {
 			EarlyDecided:  st.EarlyDecided,
 			FullySampled:  st.FullySampled,
 			Batches:       st.BatchesDispatched,
-			QueueHighWtr:  st.QueueHighWater,
 			Significant:   n,
 		})
 	}

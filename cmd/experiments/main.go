@@ -308,9 +308,9 @@ func runE12(e *env) string {
 }
 
 func runE14(e *env) string {
-	// Corpus-wide: the streaming sequential-sampling executor (both
-	// stopping rules) against the exhaustive engine over identical
-	// crowds, then a million-member synthetic population.
+	// Corpus-wide: the sequential-sampling executor (both stopping
+	// rules) against the fixed-sample engine over identical crowds,
+	// then a million-member synthetic population.
 	const crowdSize = 1200
 	ctx := context.Background()
 	mk := func() *crowd.Engine {
@@ -366,7 +366,6 @@ func runE14(e *env) string {
 			}
 		}
 		st := x.Stats()
-		x.Close()
 		fixed := st.TasksDecided * crowdSize
 		fmt.Fprintf(&b, "| %s | %d | %d | %.1f%% | %d | %v |\n",
 			rule.name, st.TasksDecided, st.MemberAnswers,
@@ -394,7 +393,6 @@ func runE14(e *env) string {
 			return "ERROR: " + err.Error()
 		}
 		st := x.Stats()
-		x.Close()
 		fmt.Fprintf(&b, "| %s | %d | %d |\n", mode, st.MemberAnswers, st.EarlyDecided)
 	}
 	b.WriteString("\nBoth rules reproduce the exhaustive engine's significant-fact sets; the\n" +

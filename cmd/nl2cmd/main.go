@@ -72,10 +72,6 @@ type server struct {
 	eng     *nl2cm.Engine
 	timeout time.Duration
 
-	// scale is the streaming crowd executor when -crowd-scale is on; the
-	// server owns it and closes it on shutdown.
-	scale *nl2cm.ScaleExecutor
-
 	// adm is the admission limiter in front of every translation-serving
 	// endpoint (see admission.go).
 	adm *admission
@@ -124,8 +120,8 @@ type serverConfig struct {
 	queueDepth  int
 
 	// crowdSize / crowdSeed configure the simulated crowd (defaults: the
-	// demo crowd, 100 members, seed 7); crowdScale routes crowd tasks
-	// through the streaming sequential-sampling executor.
+	// demo crowd, 100 members, seed 7); crowdScale decides crowd tasks by
+	// sequential sampling (Engine.Scale).
 	crowdSize  int
 	crowdSeed  int64
 	crowdScale bool
@@ -158,19 +154,16 @@ func newServer(cfg serverConfig) (*server, error) {
 	c := nl2cm.NewCrowd(cfg.crowdSize, cfg.crowdSeed)
 	c.Truth = nl2cm.DemoTruth()
 	eng := nl2cm.NewEngine(onto, c)
-	var scale *nl2cm.ScaleExecutor
 	if cfg.crowdScale {
 		x, err := nl2cm.NewScaleExecutor(c, nl2cm.ScaleConfig{})
 		if err != nil {
 			return nil, err
 		}
-		scale = x
 		eng.Scale = x
 	}
 	s := &server{
 		tr:           tr,
 		eng:          eng,
-		scale:        scale,
 		timeout:      cfg.timeout,
 		adm:          newAdmission(cfg.maxInflight, cfg.queueDepth),
 		answerWait:   cfg.answerWait,
@@ -200,13 +193,9 @@ func (s *server) sessionDone(sess *session.Session) {
 	}
 }
 
-// close releases server-owned resources: the dialogue sessions and,
-// when -crowd-scale is on, the streaming executor's worker pool.
+// close releases server-owned resources: the dialogue sessions.
 func (s *server) close() {
 	s.sess.Close()
-	if s.scale != nil {
-		s.scale.Close()
-	}
 }
 
 // saveFeedback persists the learned disambiguation feedback; Save is an
@@ -707,7 +696,7 @@ pre{background:#f4f4f4;padding:1em;overflow-x:auto}
 <h2>Crowd Execution <small>({{.Exec.Elapsed}})</small></h2>
 <p>Last executed: <b>{{.Exec.Question}}</b></p>
 <p>{{.Exec.Tasks}} crowd tasks; support cache: {{.Exec.CacheHits}} hits,
-{{.Exec.CacheMisses}} misses this run ({{.CacheHits}} / {{.CacheMisses}} engine lifetime).</p>
+{{.Exec.CacheMisses}} misses this run ({{.Engine.SupportCacheHits}} / {{.Engine.SupportCacheMisses}} engine lifetime).</p>
 <table><tr><th>subclause</th><th>tasks</th><th>wall-clock</th></tr>
 {{range .Exec.Subclauses}}<tr><td>SATISFYING {{.Index}}</td><td>{{.Tasks}}</td><td>{{.Duration}}</td></tr>{{end}}
 </table>
@@ -718,10 +707,10 @@ pre{background:#f4f4f4;padding:1em;overflow-x:auto}
 support cache {{.SupportCacheHits}} hits / {{.SupportCacheMisses}} misses ·
 {{.CrowdSize}}-member crowd{{if .SampleSize}} (sample {{.SampleSize}}){{end}}.</p>
 {{with .Scale}}
-<p>Streaming executor: {{.Workers}} workers over {{.Population}} members ·
+<p>Streaming executor over {{.Population}} members ·
 {{.TasksDecided}} tasks decided ({{.EarlyDecided}} early, {{.FullySampled}} fully sampled) ·
 {{.MemberAnswers}} member answers asked, {{.AnswersSaved}} saved by early termination ·
-{{.BatchesDispatched}} batches, queue high water {{.QueueHighWater}} ·
+{{.BatchesDispatched}} batches ·
 sampling states: {{.States}} cached, {{.StateHits}} hits / {{.StateMisses}} misses.</p>
 {{end}}
 {{end}}
@@ -749,20 +738,17 @@ request's fill · {{.Evictions}} evictions.</p>
 </body></html>`))
 
 // adminData feeds the admin template: the last translation trace, the
-// last execution's engine metrics, and the engine-lifetime cache
-// counters.
+// last execution's engine metrics, and the engine-lifetime counters.
 type adminData struct {
-	Last        *nl2cm.Result
-	Annotated   string
-	Exec        *engineStats
-	Engine      nl2cm.EngineStats
-	CacheHits   uint64
-	CacheMisses uint64
-	Sessions    session.Metrics
-	IXCounts    []ix.PatternCount
-	IXRecent    []ix.TranslationMatches
-	PlanCache   *nl2cm.PlanCacheStats
-	Admission   admissionStats
+	Last      *nl2cm.Result
+	Annotated string
+	Exec      *engineStats
+	Engine    nl2cm.EngineStats
+	Sessions  session.Metrics
+	IXCounts  []ix.PatternCount
+	IXRecent  []ix.TranslationMatches
+	PlanCache *nl2cm.PlanCacheStats
+	Admission admissionStats
 }
 
 func (s *server) admin(w http.ResponseWriter, r *http.Request) {
@@ -772,7 +758,6 @@ func (s *server) admin(w http.ResponseWriter, r *http.Request) {
 	if d.Last != nil {
 		d.Annotated = d.Last.AnnotatedQuery()
 	}
-	d.CacheHits, d.CacheMisses = s.eng.CacheStats()
 	d.Engine = s.eng.Stats()
 	if s.tr.Cache != nil {
 		st := s.tr.Cache.Stats()
@@ -876,7 +861,7 @@ type statsResponse struct {
 	Sessions  nl2cm.SessionMetrics  `json:"sessions"`
 	// Crowd is the execution engine's lifetime counters: executions,
 	// tasks asked, support-cache hits/misses, and — with -crowd-scale —
-	// the streaming executor's queue and early-termination metrics.
+	// the Scale executor's early-termination metrics.
 	Crowd nl2cm.EngineStats `json:"crowd"`
 	// Store describes the knowledge store's current published snapshot.
 	Store storeStats `json:"store"`

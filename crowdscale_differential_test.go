@@ -34,7 +34,6 @@ func diffEngines(t *testing.T) (oracle, exact, conf *Engine) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(x.Close)
 		eng.Scale = x
 	}
 	return oracle, exact, conf

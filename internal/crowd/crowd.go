@@ -39,10 +39,6 @@ type Crowd struct {
 	// random regardless of the question — the low-quality workers real
 	// crowdsourcing platforms must cope with.
 	SpamFraction float64
-	// TrimFraction, when positive, makes Support use a trimmed mean:
-	// that share of the highest and lowest answers is discarded before
-	// averaging, bounding the influence of spam workers.
-	TrimFraction float64
 }
 
 // NewCrowd returns a crowd of the given size and seed with no curated
@@ -180,9 +176,9 @@ func (c *Crowd) MemberAnswer(i int, key string) float64 {
 	return a.answer(i)
 }
 
-// Support aggregates answers of a sample of members (the first `sample`
-// member indices; the whole population when sample <= 0 or exceeds
-// Size). With TrimFraction set, a trimmed mean bounds spam influence.
+// Support aggregates answers of a sample of members: the mean answer of
+// the first `sample` member indices (the whole population when
+// sample <= 0 or exceeds Size).
 func (c *Crowd) Support(key string, sample int) float64 {
 	if sample <= 0 || sample > c.Size {
 		sample = c.Size
@@ -190,28 +186,18 @@ func (c *Crowd) Support(key string, sample int) float64 {
 	if sample == 0 {
 		return 0
 	}
+	return c.sum(key, 0, sample) / float64(sample)
+}
+
+// sum adds the answers of members [from, to) for the key in member
+// order; members outside the population answer 0.
+func (c *Crowd) sum(key string, from, to int) float64 {
 	a := c.keyAnswers(key)
-	if c.TrimFraction <= 0 || sample <= 2 {
-		sum := 0.0
-		for i := 0; i < sample; i++ {
-			sum += a.answer(i)
-		}
-		return sum / float64(sample)
-	}
-	answers := make([]float64, sample)
-	for i := range answers {
-		answers[i] = a.answer(i)
-	}
-	sort.Float64s(answers)
-	k := int(float64(sample) * c.TrimFraction)
-	if 2*k >= sample {
-		k = (sample - 1) / 2
-	}
 	sum := 0.0
-	for _, v := range answers[k : sample-k] {
-		sum += v
+	for i := from; i < to; i++ {
+		sum += a.answer(i)
 	}
-	return sum / float64(sample-2*k)
+	return sum
 }
 
 func clamp01(v float64) float64 {

@@ -3,7 +3,6 @@ package crowd
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -21,10 +20,16 @@ import (
 // Engine is the OASSIS query engine substitute: it evaluates OASSIS-QL
 // queries against an ontology (WHERE) and a simulated crowd (SATISFYING).
 //
+// Every crowd support goes through one crowdscale.Executor, whose
+// sampling states are the engine's support memo: Scale when set, else
+// the engine's own executor over Crowd, which samples every task in full
+// (fixed full sampling). An executor owns no goroutines between calls,
+// so an engine needs no Close.
+//
 // Execute is safe for concurrent use once the engine is configured;
 // reconfiguration (Crowd, SampleSize, Truth, …) must happen before
 // serving traffic, and must be followed by ResetCache, since memoized
-// supports are keyed only on (fact key, sample size).
+// sampling states are keyed only on (fact key, sample size).
 type Engine struct {
 	Onto  *ontology.Ontology
 	Crowd *Crowd
@@ -39,35 +44,23 @@ type Engine struct {
 	// per subclause. An Observer shared across concurrent executions
 	// must be safe for concurrent use.
 	Observer core.Observer
-	// Scale, when non-nil, routes crowd tasks through the streaming
-	// crowdscale pipeline instead of the synchronous fan-out: answers
-	// stream in batches over a bounded queue and each task stops as soon
-	// as sequential sampling decides its significance. Build one with
-	// NewScaleExecutor (answers from the Crowd) or crowdscale.New over
-	// any Source (e.g. a million-member crowdscale.Population). The
-	// engine does not own the executor: callers Close it.
+	// Scale, when non-nil, answers the engine's supports instead of its
+	// own executor and decides significance by sequential sampling:
+	// answers arrive in batches and each task stops as soon as its
+	// stopping rule (RuleExact or RuleConfidence) decides it. Build one
+	// with NewScaleExecutor (answers from the Crowd) or crowdscale.New
+	// over any Source (e.g. a million-member crowdscale.Population).
 	Scale *crowdscale.Executor
 
-	// The support cache memoizes Crowd.Support per (fact key, effective
-	// sample size): repeated keys across subclauses and requests would
-	// otherwise pay the full O(population) aggregation each time. The
-	// scale path bypasses it — the executor keeps its own resumable
-	// sampling states.
-	cacheMu sync.Mutex
-	cache   map[supportKey]float64
+	// own is the engine's fixed-sample executor over Crowd, built on
+	// first use.
+	ownOnce sync.Once
+	own     *crowdscale.Executor
 
 	// Engine-lifetime counters: monotonic for the life of the process
 	// (ResetCache never rewinds them — see its contract).
-	hits   atomic.Uint64
-	misses atomic.Uint64
-	execs  atomic.Uint64
-	tasks  atomic.Uint64
-}
-
-// supportKey keys one memoized support value.
-type supportKey struct {
-	key    string
-	sample int
+	execs atomic.Uint64
+	tasks atomic.Uint64
 }
 
 // NewEngine builds an engine over the ontology with the given crowd.
@@ -75,11 +68,18 @@ func NewEngine(onto *ontology.Ontology, c *Crowd) *Engine {
 	return &Engine{Onto: onto, Crowd: c}
 }
 
-// CacheStats returns the engine-lifetime support-cache hit and miss
-// counts. Counters are monotonic: they accumulate across every
-// execution since construction and survive ResetCache.
-func (e *Engine) CacheStats() (hits, misses uint64) {
-	return e.hits.Load(), e.misses.Load()
+// fixed returns the engine's own executor over Crowd.
+func (e *Engine) fixed() *crowdscale.Executor {
+	e.ownOnce.Do(func() { e.own = crowdscale.New(engineCrowd{e}, crowdscale.Config{}) })
+	return e.own
+}
+
+// executor returns the executor that answers the engine's supports.
+func (e *Engine) executor() *crowdscale.Executor {
+	if e.Scale != nil {
+		return e.Scale
+	}
+	return e.fixed()
 }
 
 // EngineStats is a snapshot of the engine-lifetime counters, shaped for
@@ -91,51 +91,49 @@ type EngineStats struct {
 	Executions uint64 `json:"executions"`
 	// TasksIssued counts crowd tasks generated across all executions.
 	TasksIssued uint64 `json:"tasks_issued"`
-	// SupportCacheHits / SupportCacheMisses count support-cache outcomes
-	// on the synchronous path (the scale path keeps its own states).
+	// SupportCacheHits / SupportCacheMisses count the support memo's
+	// outcomes, one per task: the sampling-state hits and misses of the
+	// executor that answers the engine's supports.
 	SupportCacheHits   uint64 `json:"support_cache_hits"`
 	SupportCacheMisses uint64 `json:"support_cache_misses"`
 	// CrowdSize and SampleSize describe the configured crowd.
 	CrowdSize  int `json:"crowd_size"`
 	SampleSize int `json:"sample_size,omitempty"`
-	// Scale carries the streaming executor's counters when the engine
-	// runs with one (queue depth, early-termination savings, …).
+	// Scale carries the Scale executor's counters when the engine runs
+	// with one (early-termination savings, sampling states, …).
 	Scale *crowdscale.Stats `json:"scale,omitempty"`
 }
 
 // Stats snapshots the engine-lifetime counters. Safe for concurrent use
 // with Execute and ResetCache.
 func (e *Engine) Stats() EngineStats {
+	xs := e.executor().Stats()
 	st := EngineStats{
 		Executions:         e.execs.Load(),
 		TasksIssued:        e.tasks.Load(),
-		SupportCacheHits:   e.hits.Load(),
-		SupportCacheMisses: e.misses.Load(),
+		SupportCacheHits:   xs.StateHits,
+		SupportCacheMisses: xs.StateMisses,
 		SampleSize:         e.SampleSize,
 	}
 	if e.Crowd != nil {
 		st.CrowdSize = e.Crowd.Size
 	}
 	if e.Scale != nil {
-		s := e.Scale.Stats()
-		st.Scale = &s
+		st.Scale = &xs
 	}
 	return st
 }
 
-// ResetCache drops all memoized supports — and, when a scale executor
-// is attached, its resumable sampling states. Call it after changing
-// the crowd, its Truth, or SampleSize.
+// ResetCache drops the memoized sampling states of the engine's own
+// executor and, when attached, of Scale. Call it after changing the
+// crowd, its Truth, or SampleSize.
 //
-// Contract: counters (CacheStats, Stats) are engine-lifetime and
-// monotonic; ResetCache never rewinds them, so stats readers observe
-// monotone values across resets. Safe to call concurrently with
-// Execute — in-flight executions may still record hits against the old
-// cache they already read.
+// Contract: counters (Stats) are engine-lifetime and monotonic;
+// ResetCache never rewinds them, so stats readers observe monotone
+// values across resets. Safe to call concurrently with Execute —
+// executions in flight write no states back into the emptied memo.
 func (e *Engine) ResetCache() {
-	e.cacheMu.Lock()
-	e.cache = nil
-	e.cacheMu.Unlock()
+	e.fixed().Reset()
 	if e.Scale != nil {
 		e.Scale.Reset()
 	}
@@ -193,26 +191,19 @@ type Result struct {
 	WhereBindings int
 	// TasksIssued counts the crowd tasks generated.
 	TasksIssued int
-	// CacheHits and CacheMisses count support-cache outcomes during
-	// this execution (on the synchronous path, TasksIssued ==
-	// CacheHits + CacheMisses; the scale path bypasses the cache).
+	// CacheHits and CacheMisses count support-memo outcomes during this
+	// execution, one per task (TasksIssued == CacheHits + CacheMisses):
+	// the executor's sampling-state hits and misses. Approximate when
+	// concurrent executions share the executor.
 	CacheHits   int
 	CacheMisses int
-	// Scale, when the engine ran with a streaming executor, holds the
+	// Scale, when the engine ran with a Scale executor, holds the
 	// executor counter deltas attributable to this execution: member
-	// answers asked, answers early termination saved, batches, queue
-	// high water. Approximate when concurrent executions share the
-	// executor.
+	// answers asked, answers early termination saved, batches. Approximate
+	// when concurrent executions share the executor.
 	Scale *ScaleMetrics
 	// Elapsed is the execution's wall-clock time.
 	Elapsed time.Duration
-}
-
-// execCounters collects per-execution cache metrics; workers increment
-// them concurrently.
-type execCounters struct {
-	hits   atomic.Uint64
-	misses atomic.Uint64
 }
 
 // Execute evaluates the query. The context bounds the whole execution:
@@ -228,20 +219,19 @@ func (e *Engine) Execute(ctx context.Context, q *oassisql.Query) (*Result, error
 	}
 	start := time.Now()
 	e.execs.Add(1)
-	var scaleBefore crowdscale.Stats
-	if e.Scale != nil {
-		scaleBefore = e.Scale.Stats()
-	}
+	x := e.executor()
+	before := x.Stats()
 	if e.Observer != nil {
 		e.Observer.StageStart(core.StageCrowd)
 	}
-	res, err := e.execute(ctx, q)
+	res, err := e.execute(ctx, q, x)
 	if e.Observer != nil {
 		e.Observer.StageEnd(core.StageCrowd, time.Since(start), err)
 	}
 	if res != nil {
+		d := x.Stats().Delta(before)
+		res.CacheHits, res.CacheMisses = int(d.StateHits), int(d.StateMisses)
 		if e.Scale != nil {
-			d := e.Scale.Stats().Delta(scaleBefore)
 			res.Scale = &d
 		}
 		res.Elapsed = time.Since(start)
@@ -249,7 +239,7 @@ func (e *Engine) Execute(ctx context.Context, q *oassisql.Query) (*Result, error
 	return res, err
 }
 
-func (e *Engine) execute(ctx context.Context, q *oassisql.Query) (*Result, error) {
+func (e *Engine) execute(ctx context.Context, q *oassisql.Query, x *crowdscale.Executor) (*Result, error) {
 	// Pin one store snapshot for the whole execution: the WHERE
 	// evaluation and the open-variable expansion below must agree on
 	// one epoch even while the daemon applies write batches.
@@ -273,7 +263,6 @@ func (e *Engine) execute(ctx context.Context, q *oassisql.Query) (*Result, error
 	}
 
 	// 2. Each subclause filters the bindings by crowd support.
-	cnt := &execCounters{}
 	surviving := bindings
 	for i, sc := range q.Satisfying {
 		if err := ctx.Err(); err != nil {
@@ -284,7 +273,7 @@ func (e *Engine) execute(ctx context.Context, q *oassisql.Query) (*Result, error
 			e.Observer.StageStart(stage)
 		}
 		scStart := time.Now()
-		scRes, kept, err := e.evalSubclause(ctx, i, sc, surviving, cnt, snap)
+		scRes, kept, err := e.evalSubclause(ctx, i, sc, surviving, x, snap)
 		d := time.Since(scStart)
 		if e.Observer != nil {
 			e.Observer.StageEnd(stage, d, err)
@@ -298,8 +287,6 @@ func (e *Engine) execute(ctx context.Context, q *oassisql.Query) (*Result, error
 		e.tasks.Add(uint64(len(scRes.Tasks)))
 		surviving = kept
 	}
-	res.CacheHits = int(cnt.hits.Load())
-	res.CacheMisses = int(cnt.misses.Load())
 
 	// 3. Analytic extension: the grouping step runs over the rows the
 	// crowd let through, so a counting query over crowd-filtered data
@@ -348,10 +335,10 @@ type taskGroup struct {
 }
 
 // evalSubclause grounds the subclause pattern under each binding, asks
-// the crowd (one task per distinct ground fact-set, evaluated on the
-// worker pool), applies the significance criterion and returns the
+// the crowd (one task per distinct ground fact-set, answered by the
+// executor x), applies the significance criterion and returns the
 // surviving bindings.
-func (e *Engine) evalSubclause(ctx context.Context, idx int, sc oassisql.Subclause, bindings []sparql.Binding, cnt *execCounters, snap *rdf.Snapshot) (*SubclauseResult, []sparql.Binding, error) {
+func (e *Engine) evalSubclause(ctx context.Context, idx int, sc oassisql.Subclause, bindings []sparql.Binding, x *crowdscale.Executor, snap *rdf.Snapshot) (*SubclauseResult, []sparql.Binding, error) {
 	expanded, err := e.expandOpenVars(sc, bindings, snap)
 	if err != nil {
 		return nil, nil, err
@@ -380,19 +367,30 @@ func (e *Engine) evalSubclause(ctx context.Context, idx int, sc oassisql.Subclau
 		}
 		g.bindings = append(g.bindings, b)
 	}
+	keys := make([]string, len(groups))
+	for i, g := range groups {
+		keys[i] = g.task.Key
+	}
 
-	// Two support paths: the streaming sequential sampler (decides
-	// significance itself, on estimates) and the synchronous memoized
-	// fan-out. groups are in first-appearance order here — the
-	// tie-break order both applySignificance and the sequential sampler
-	// guarantee.
+	// The branch picks a decision rule, not a support path: Scale
+	// decides significance itself by sequential sampling, on
+	// estimates; the engine's own executor samples every task in full
+	// and the criterion applies to the exact supports. groups are in
+	// first-appearance order here — the tie-break order both
+	// applySignificance and the sequential sampler guarantee.
 	sequential := e.Scale != nil
 	if sequential {
-		if err := e.evalScale(ctx, idx, sc, groups); err != nil {
+		if err := e.evalScale(ctx, idx, sc, x, keys, groups); err != nil {
 			return nil, nil, err
 		}
-	} else if err := e.askCrowd(ctx, groups, cnt); err != nil {
-		return nil, nil, err
+	} else {
+		supports, err := x.Supports(ctx, keys, e.SampleSize)
+		if err != nil {
+			return nil, nil, &core.StageError{Stage: core.StageCrowd, Err: err}
+		}
+		for i, g := range groups {
+			g.task.Support = supports[i]
+		}
 	}
 	sort.SliceStable(groups, func(i, j int) bool { return groups[i].task.Support > groups[j].task.Support })
 
@@ -418,86 +416,6 @@ func (e *Engine) evalSubclause(ctx context.Context, idx int, sc oassisql.Subclau
 		}
 	}
 	return scRes, kept, nil
-}
-
-// askCrowd fills in each group's support, fanning the tasks out over a
-// pool of GOMAXPROCS workers (sequential with one). Results are written
-// by index, so output order is deterministic regardless of scheduling;
-// cancellation stops feeding new tasks and returns once in-flight ones
-// finish.
-func (e *Engine) askCrowd(ctx context.Context, groups []*taskGroup, cnt *execCounters) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(groups) {
-		workers = len(groups)
-	}
-	if workers <= 1 {
-		for _, g := range groups {
-			if err := ctx.Err(); err != nil {
-				return &core.StageError{Stage: core.StageCrowd, Err: err}
-			}
-			g.task.Support = e.support(g.task.Key, cnt)
-		}
-		return nil
-	}
-	idxCh := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idxCh {
-				groups[i].task.Support = e.support(groups[i].task.Key, cnt)
-			}
-		}()
-	}
-feed:
-	for i := range groups {
-		select {
-		case idxCh <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(idxCh)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return &core.StageError{Stage: core.StageCrowd, Err: err}
-	}
-	return nil
-}
-
-// support returns the (memoized) aggregated crowd support for a fact
-// key under the engine's sample size. Concurrent misses for the same
-// key may compute it twice; the value is deterministic, so the cache
-// stays consistent.
-func (e *Engine) support(key string, cnt *execCounters) float64 {
-	sample := e.SampleSize
-	if sample <= 0 || sample > e.Crowd.Size {
-		sample = e.Crowd.Size
-	}
-	ck := supportKey{key: key, sample: sample}
-	e.cacheMu.Lock()
-	v, ok := e.cache[ck]
-	e.cacheMu.Unlock()
-	if ok {
-		e.hits.Add(1)
-		if cnt != nil {
-			cnt.hits.Add(1)
-		}
-		return v
-	}
-	v = e.Crowd.Support(key, sample)
-	e.cacheMu.Lock()
-	if e.cache == nil {
-		e.cache = map[supportKey]float64{}
-	}
-	e.cache[ck] = v
-	e.cacheMu.Unlock()
-	e.misses.Add(1)
-	if cnt != nil {
-		cnt.misses.Add(1)
-	}
-	return v
 }
 
 // applySignificance marks which of the support values (sorted
@@ -578,6 +496,7 @@ func (e *Engine) expandOpenVars(sc oassisql.Subclause, bindings []sparql.Binding
 		limit = 50
 	}
 	entities := e.candidateEntities(sc, limit, snap)
+	maxRows := limit * limit
 	var out []sparql.Binding
 	for _, b := range bindings {
 		var open []string
@@ -589,6 +508,20 @@ func (e *Engine) expandOpenVars(sc oassisql.Subclause, bindings []sparql.Binding
 		if len(open) == 0 {
 			out = append(out, b)
 			continue
+		}
+		// The row expands to len(entities)^len(open) rows: check the cap
+		// before building any of them. size saturates just past the cap
+		// before a product could exceed it, so it cannot overflow.
+		size := 1
+		for range open {
+			if len(entities) > 0 && size > maxRows/len(entities) {
+				size = maxRows + 1
+				break
+			}
+			size *= len(entities)
+		}
+		if len(out)+size > maxRows {
+			return nil, fmt.Errorf("crowd: open-variable expansion too large (%d)", len(out)+size)
 		}
 		rows := []sparql.Binding{b}
 		for _, v := range open {
@@ -603,9 +536,6 @@ func (e *Engine) expandOpenVars(sc oassisql.Subclause, bindings []sparql.Binding
 			rows = next
 		}
 		out = append(out, rows...)
-		if len(out) > limit*limit {
-			return nil, fmt.Errorf("crowd: open-variable expansion too large (%d)", len(out))
-		}
 	}
 	return out, nil
 }

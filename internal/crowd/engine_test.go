@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -127,6 +128,45 @@ func TestExpandOpenVarsHeterogeneousBindings(t *testing.T) {
 	}
 }
 
+// Open-variable expansion checks its cap (OpenVarLimit squared rows)
+// before it builds a row's cross product. Four open variables over the
+// demo ontology's 19 places would be 130,321 rows: the query must fail
+// with the cap error having allocated almost nothing. At the cap itself
+// (19 entities, two variables, 361 rows) the expansion still runs.
+func TestExpandOpenVarsChecksCapFirst(t *testing.T) {
+	const prefix = "crowd: open-variable expansion too large"
+	parse := func(pattern string) *oassisql.Query {
+		q := oassisql.MustParse(`SELECT VARIABLES WHERE {} SATISFYING {` + pattern + `} WITH SUPPORT THRESHOLD = 0.1`)
+		rebase(q)
+		return q
+	}
+	eng := demoEngine()
+	q := parse(`[] visit $a . [] near $b . [] in $c . [] at $d`)
+	var err error
+	var before, after runtime.MemStats
+	for run := 0; run < 2; run++ { // the first run warms the ontology's indexes
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		_, err = eng.Execute(context.Background(), q)
+		runtime.ReadMemStats(&after)
+	}
+	if err == nil || !strings.HasPrefix(err.Error(), prefix) {
+		t.Fatalf("four open variables: err = %v, want prefix %q", err, prefix)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Errorf("the refused expansion allocated %d bytes, want under 1 MB", n)
+	}
+
+	eng.OpenVarLimit = 19
+	res, err := eng.Execute(context.Background(), parse(`[] visit $a . [] near $b`))
+	if err != nil || res.TasksIssued != 361 {
+		t.Fatalf("expansion at the cap: err = %v, want 361 tasks", err)
+	}
+	if _, err := eng.Execute(context.Background(), parse(`[] visit $a . [] near $b . [] in $c`)); err == nil || !strings.HasPrefix(err.Error(), prefix) {
+		t.Fatalf("expansion past the cap: err = %v, want prefix %q", err, prefix)
+	}
+}
+
 func TestExecutePreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -193,8 +233,8 @@ func (o *cancelObserver) StageEnd(stage string, d time.Duration, err error) {
 	}
 }
 
-// The parallel worker pool must not change results: an engine with one
-// worker (GOMAXPROCS 1) and one with eight agree task by task.
+// The executor's fan-out must not change results: an engine sampling on
+// one goroutine (GOMAXPROCS 1) and one on eight agree task by task.
 func TestExecuteParallelMatchesSequential(t *testing.T) {
 	q := runningExampleQuery(t)
 	execute := func(procs int) *Result {
@@ -279,9 +319,8 @@ func TestSupportCache(t *testing.T) {
 	if r1.Subclauses[0].Tasks[0].Support != r2.Subclauses[0].Tasks[0].Support {
 		t.Error("cached support differs from computed support")
 	}
-	hits, misses := eng.CacheStats()
-	if int(hits) != r2.CacheHits || int(misses) != r1.CacheMisses {
-		t.Errorf("CacheStats = (%d, %d), want (%d, %d)", hits, misses, r2.CacheHits, r1.CacheMisses)
+	if st := eng.Stats(); int(st.SupportCacheHits) != r2.CacheHits || int(st.SupportCacheMisses) != r1.CacheMisses {
+		t.Errorf("Stats support cache = (%d, %d), want (%d, %d)", st.SupportCacheHits, st.SupportCacheMisses, r2.CacheHits, r1.CacheMisses)
 	}
 
 	// The cache keys on the effective sample size: changing it misses.
@@ -296,10 +335,11 @@ func TestSupportCache(t *testing.T) {
 
 	// ResetCache drops memoized supports but never rewinds the
 	// engine-lifetime counters (the monotonic-stats contract).
-	hBefore, mBefore := eng.CacheStats()
+	before := eng.Stats()
 	eng.ResetCache()
-	if h, m := eng.CacheStats(); h != hBefore || m != mBefore {
-		t.Errorf("ResetCache rewound counters: (%d, %d) -> (%d, %d)", hBefore, mBefore, h, m)
+	if st := eng.Stats(); st.SupportCacheHits != before.SupportCacheHits || st.SupportCacheMisses != before.SupportCacheMisses {
+		t.Errorf("ResetCache rewound counters: (%d, %d) -> (%d, %d)",
+			before.SupportCacheHits, before.SupportCacheMisses, st.SupportCacheHits, st.SupportCacheMisses)
 	}
 	r4, err := eng.Execute(context.Background(), q)
 	if err != nil {
@@ -308,8 +348,8 @@ func TestSupportCache(t *testing.T) {
 	if r4.CacheMisses != r4.TasksIssued {
 		t.Errorf("post-reset run: misses=%d tasks=%d, want all misses (cache dropped)", r4.CacheMisses, r4.TasksIssued)
 	}
-	if _, m := eng.CacheStats(); m != mBefore+uint64(r4.CacheMisses) {
-		t.Errorf("post-reset misses %d, want %d", m, mBefore+uint64(r4.CacheMisses))
+	if m := eng.Stats().SupportCacheMisses; m != before.SupportCacheMisses+uint64(r4.CacheMisses) {
+		t.Errorf("post-reset misses %d, want %d", m, before.SupportCacheMisses+uint64(r4.CacheMisses))
 	}
 }
 

@@ -53,30 +53,17 @@ func refSupport(c *Crowd, key string, sample int) float64 {
 	if sample == 0 {
 		return 0
 	}
-	answers := make([]float64, sample)
-	for i := 0; i < sample; i++ {
-		answers[i] = refMemberAnswer(c, i, key)
-	}
-	if c.TrimFraction > 0 && sample > 2 {
-		sort.Float64s(answers)
-		k := int(float64(sample) * c.TrimFraction)
-		if 2*k >= sample {
-			k = (sample - 1) / 2
-		}
-		answers = answers[k : sample-k]
-	}
 	sum := 0.0
-	for _, a := range answers {
-		sum += a
+	for i := 0; i < sample; i++ {
+		sum += refMemberAnswer(c, i, key)
 	}
-	return sum / float64(len(answers))
+	return sum / float64(sample)
 }
 
 // The kernel reproduces the reference formulation exactly (==, no
 // epsilon) for every answer method and the scale adapter: seeds of
 // either sign up to math.MinInt64's width, with and without spam
-// workers, curated truth and trimming, and out-of-range members, which
-// answer 0.
+// workers and curated truth, and out-of-range members, which answer 0.
 func TestAnswerKernelMatchesReference(t *testing.T) {
 	keys := []string{"", "Café «Zürich» 東京", "some pattern", `[] eat Pho & [] in "Hà Nội"`}
 	for k := range DemoTruth() {
@@ -96,7 +83,6 @@ func TestAnswerKernelMatchesReference(t *testing.T) {
 						t.Fatalf("%s: IsSpammer(%d) = %v, want %v", name, i, got, want)
 					}
 				}
-				out := make([]float64, size+2)
 				for _, key := range keys {
 					if got, want := c.Mean(key), refMean(c, key); got != want {
 						t.Fatalf("%s: Mean(%q) = %v, want %v", name, key, got, want)
@@ -106,21 +92,20 @@ func TestAnswerKernelMatchesReference(t *testing.T) {
 							t.Fatalf("%s: MemberAnswer(%d, %q) = %v, want %v", name, i, key, got, want)
 						}
 					}
-					crowdSource{c}.Batch(key, -1, out)
-					for j, got := range out {
-						if want := refMemberAnswer(c, j-1, key); got != want {
-							t.Fatalf("%s: Batch(%q) member %d = %v, want %v", name, key, j-1, got, want)
+					for _, r := range [][2]int{{-1, size + 1}, {0, 1}, {5, 20}, {size - 1, size + 3}} {
+						want := 0.0
+						for i := r[0]; i < r[1]; i++ {
+							want += refMemberAnswer(c, i, key)
+						}
+						if got := (crowdSource{c}).Sum(key, r[0], r[1]); got != want {
+							t.Fatalf("%s: Sum(%q, %d, %d) = %v, want %v", name, key, r[0], r[1], got, want)
 						}
 					}
-					for _, trim := range []float64{0, 0.2} {
-						c.TrimFraction = trim
-						for _, sample := range []int{0, 1, 2, 10, size, size + 5} {
-							if got, want := c.Support(key, sample), refSupport(c, key, sample); got != want {
-								t.Fatalf("%s/trim=%v: Support(%q, %d) = %v, want %v", name, trim, key, sample, got, want)
-							}
+					for _, sample := range []int{0, 1, 2, 10, size, size + 5} {
+						if got, want := c.Support(key, sample), refSupport(c, key, sample); got != want {
+							t.Fatalf("%s: Support(%q, %d) = %v, want %v", name, key, sample, got, want)
 						}
 					}
-					c.TrimFraction = 0
 				}
 			}
 		}
@@ -128,16 +113,15 @@ func TestAnswerKernelMatchesReference(t *testing.T) {
 }
 
 // The answer path allocates nothing: not per support, per member
-// answer, or per streamed batch.
+// answer, or per sampled batch.
 func TestAnswerKernelAllocs(t *testing.T) {
 	c := NewCrowd(100, 7)
 	c.Truth = DemoTruth()
-	out := make([]float64, 64)
 	for _, key := range []string{`[] in Fall & [] visit Delaware_Park`, "Café «Zürich» 東京"} {
 		checks := map[string]func(){
 			"Support":      func() { c.Support(key, 100) },
 			"MemberAnswer": func() { c.MemberAnswer(42, key) },
-			"Batch":        func() { crowdSource{c}.Batch(key, 10, out) },
+			"Sum":          func() { crowdSource{c}.Sum(key, 10, 74) },
 		}
 		for name, f := range checks {
 			if n := testing.AllocsPerRun(50, f); n != 0 {

@@ -1,11 +1,13 @@
 // Package crowdscale scales the simulated-crowd execution layer to
-// populations of millions of members. It replaces the exhaustive
-// ask-everyone support computation of the crowd package with a streaming
-// task pipeline:
+// populations of millions of members. It decides crowd tasks by
+// sampling member answers batch by batch:
 //
-//   - an Executor owns a bounded task queue with a fixed worker pool;
-//     crowd tasks are dispatched as member-range batches and the bounded
-//     queue applies backpressure to producers,
+//   - an Executor memoizes each task's sampling state (answer sum,
+//     members sampled, next batch size) across calls, so a repeated
+//     task resumes instead of restarting; it owns no goroutines between
+//     calls — each call fans its batches out over up to GOMAXPROCS
+//     goroutines, the caller among them, and joins them before it
+//     returns,
 //   - incremental support aggregation early-terminates each task with
 //     sequential sampling: answers arrive batch by batch and a task
 //     stops as soon as its confidence interval decides the significance
@@ -23,7 +25,7 @@
 // mean excludes the decision boundary: sample cost is near-constant in
 // the population size when the true support is away from the boundary,
 // and falls back to full sampling when it is not, so decisions are
-// wrong only with probability <= Delta per check. RuleExact uses only
+// wrong only with probability <= 1e-9 per check. RuleExact uses only
 // worst-case bounds (every unseen answer could be 0 or 1), which decides
 // later but is provably identical to exhaustive evaluation — the
 // differential-testing mode.
@@ -34,14 +36,7 @@
 // to (RuleConfidence).
 package crowdscale
 
-import (
-	"errors"
-	"math"
-	"runtime"
-)
-
-// ErrClosed is returned by Decide/Supports calls on a closed Executor.
-var ErrClosed = errors.New("crowdscale: executor closed")
+import "math"
 
 // Source is a crowd population addressed lazily by member index: answers
 // are derived on demand, never stored. Implementations must be safe for
@@ -54,17 +49,19 @@ var ErrClosed = errors.New("crowdscale: executor closed")
 // index order and treats it as a without-replacement draw from the
 // population, so a source whose answers trend with member index (e.g.
 // members sorted by enthusiasm) makes confidence decisions
-// systematically wrong, not Delta-wrong. Derive member behaviour by
+// systematically wrong, not 1e-9-wrong. Derive member behaviour by
 // hashing the index, as Population does, or pre-shuffle the index
 // order. RuleExact uses only worst-case bounds and is correct for any
 // deterministic source.
 type Source interface {
 	// Size is the population size.
 	Size() int
-	// Batch fills out[i] with the answer of member from+i for the fact
-	// key, each in [0, 1]. Batching lets implementations amortize
-	// per-key work (hashing the key once per dispatch, not per member).
-	Batch(key string, from int, out []float64)
+	// Sum returns the sum of the answers of members [from, to) for the
+	// fact key, each answer in [0, 1], added in member order. One call
+	// per batch lets implementations hash the key once, not per member;
+	// a fixed-sample support is one Sum over the whole sample, so it
+	// equals a straight loop over the members bit for bit.
+	Sum(key string, from, to int) float64
 }
 
 // Rule selects the sequential-sampling stopping rule.
@@ -74,7 +71,7 @@ const (
 	// RuleConfidence stops when a Hoeffding confidence interval (with
 	// Serfling's finite-population correction) around the running mean
 	// decides the criterion. Sublinear in the population size; wrong
-	// with probability <= Delta per boundary check.
+	// with probability <= delta per boundary check.
 	RuleConfidence Rule = iota
 	// RuleExact stops only when the unseen remainder of the population
 	// cannot change the decision (worst-case bounds). Decisions are
@@ -82,85 +79,23 @@ const (
 	RuleExact
 )
 
-// Config tunes an Executor. The zero value is usable: every field has a
-// documented default.
+// Config tunes an Executor. The zero value is usable.
 type Config struct {
-	// Workers is the size of the worker pool; 0 means
-	// runtime.GOMAXPROCS(0).
-	Workers int
-	// QueueDepth bounds the task queue; producers sending beyond it
-	// block (backpressure). 0 means 4*Workers, minimum 16.
-	QueueDepth int
-	// InitialBatch is the first batch size per task; 0 means 64.
-	InitialBatch int
-	// GrowthFactor multiplies a task's batch size each round; values
-	// <= 1 mean 2.
-	GrowthFactor float64
-	// MaxBatch caps one dispatched batch; 0 means 8192.
-	MaxBatch int
 	// Rule is the stopping rule (default RuleConfidence).
 	Rule Rule
-	// Delta is the per-check error probability of RuleConfidence;
-	// 0 means 1e-9.
-	Delta float64
-	// MaxStates caps the sampling-state cache (per distinct fact key and
-	// effective population); beyond it states are ephemeral. 0 means
-	// 65536.
-	MaxStates int
 }
 
-func (c Config) workers() int {
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
+// The sampling schedule: a task's first batch asks initialBatch
+// members, and each later batch twice as many as the one before, up to
+// maxBatch. delta is RuleConfidence's per-check error probability.
+const (
+	initialBatch = 64
+	maxBatch     = 8192
+	delta        = 1e-9
+)
 
-func (c Config) queueDepth() int {
-	if c.QueueDepth > 0 {
-		return c.QueueDepth
-	}
-	d := 4 * c.workers()
-	if d < 16 {
-		d = 16
-	}
-	return d
-}
-
-func (c Config) initialBatch() int {
-	if c.InitialBatch > 0 {
-		return c.InitialBatch
-	}
-	return 64
-}
-
-func (c Config) growth() float64 {
-	if c.GrowthFactor > 1 {
-		return c.GrowthFactor
-	}
-	return 2
-}
-
-func (c Config) maxBatch() int {
-	if c.MaxBatch > 0 {
-		return c.MaxBatch
-	}
-	return 8192
-}
-
-func (c Config) delta() float64 {
-	if c.Delta > 0 {
-		return c.Delta
-	}
-	return 1e-9
-}
-
-func (c Config) maxStates() int {
-	if c.MaxStates > 0 {
-		return c.MaxStates
-	}
-	return 65536
-}
+// defaultMaxStates caps the sampling states an Executor memoizes.
+const defaultMaxStates = 65536
 
 // Decision is the outcome of one task's sequential sampling.
 type Decision struct {
@@ -187,7 +122,7 @@ type Decision struct {
 type Stats struct {
 	// TasksDecided counts significance decisions made.
 	TasksDecided uint64 `json:"tasks_decided"`
-	// BatchesDispatched counts non-empty batches run by workers.
+	// BatchesDispatched counts non-empty batches sampled.
 	BatchesDispatched uint64 `json:"batches_dispatched"`
 	// MemberAnswers counts individual member answers computed.
 	MemberAnswers uint64 `json:"member_answers"`
@@ -210,16 +145,12 @@ type Stats struct {
 	StateMisses uint64 `json:"state_misses"`
 	// States is the number of cached sampling states.
 	States int `json:"states"`
-	// QueueHighWater is the deepest observed task-queue backlog.
-	QueueHighWater int64 `json:"queue_high_water"`
-	// Workers and Population describe the executor's configuration.
-	Workers    int `json:"workers"`
+	// Population is the source's population size.
 	Population int `json:"population"`
 }
 
-// Delta returns the counter difference s - prev, keeping the
-// configuration and gauge fields (States, QueueHighWater, Workers,
-// Population) at their current values.
+// Delta returns the counter difference s - prev, keeping the gauge
+// fields (States, Population) at their current values.
 func (s Stats) Delta(prev Stats) Stats {
 	d := s
 	d.TasksDecided -= prev.TasksDecided

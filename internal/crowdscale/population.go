@@ -23,7 +23,7 @@ import (
 //     i.i.d. noise.
 //
 // All behaviour is a pure function of the fields, so experiments are
-// reproducible; hashing is allocation-free on the Batch path.
+// reproducible; hashing is allocation-free on the Sum path.
 type Population struct {
 	// N is the population size.
 	N int
@@ -122,11 +122,11 @@ func (p *Population) Segment(member int) int {
 	return int((p.memberStream(member) >> 17) % uint64(p.Segments))
 }
 
-// Batch implements Source: answers of members [from, from+len(out)) for
-// the key. The key is hashed once per call; the per-member work is a
-// handful of integer mixes, so sampling a million members is cheap and
-// allocation-free.
-func (p *Population) Batch(key string, from int, out []float64) {
+// Sum implements Source: the answers of members [from, to) for the
+// key, added in member order. The key is hashed once per call; the
+// per-member work is a handful of integer mixes, so sampling a million
+// members is cheap and allocation-free. Members outside [0, N) answer 0.
+func (p *Population) Sum(key string, from, to int) float64 {
 	kh := p.keyHash(key)
 	mean := 0.0
 	if v, ok := p.Truth[key]; ok {
@@ -135,15 +135,11 @@ func (p *Population) Batch(key string, from int, out []float64) {
 		mean = p.defaultMean(kh)
 	}
 	noise := p.noise()
-	for i := range out {
-		m := from + i
-		if m < 0 || m >= p.N {
-			out[i] = 0
-			continue
-		}
+	sum := 0.0
+	for m := max(from, 0); m < min(to, p.N); m++ {
 		ms := p.memberStream(m)
 		if p.SpamFraction > 0 && u01(ms) < p.SpamFraction {
-			out[i] = u01(splitmix64(kh ^ ms))
+			sum += u01(splitmix64(kh ^ ms))
 			continue
 		}
 		bias := 0.0
@@ -153,14 +149,12 @@ func (p *Population) Batch(key string, from int, out []float64) {
 		}
 		r := splitmix64(kh ^ (uint64(m)+1)*0x9E3779B97F4A7C15)
 		n := (u01(r) - u01(splitmix64(r))) * 2 * noise
-		out[i] = clamp01(mean + bias + n)
+		sum += clamp01(mean + bias + n)
 	}
+	return sum
 }
 
-// Answer returns one member's answer for the key (a single-element
-// Batch; tests and spot checks).
+// Answer returns one member's answer for the key: a one-member Sum.
 func (p *Population) Answer(member int, key string) float64 {
-	var one [1]float64
-	p.Batch(key, member, one[:])
-	return one[0]
+	return p.Sum(key, member, member+1)
 }

@@ -8,30 +8,22 @@ import (
 func TestPopulationDeterministic(t *testing.T) {
 	p := &Population{N: 1000, Seed: 42, Skew: 1.5, SpamFraction: 0.1, Segments: 4, SegmentBias: 0.1}
 	q := &Population{N: 1000, Seed: 42, Skew: 1.5, SpamFraction: 0.1, Segments: 4, SegmentBias: 0.1}
-	a := make([]float64, 1000)
-	b := make([]float64, 1000)
 	for _, key := range []string{"likes(child,gymboree)", "visit(park)", "x"} {
-		p.Batch(key, 0, a)
-		q.Batch(key, 0, b)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("key %q member %d: %v != %v", key, i, a[i], b[i])
+		for i := 0; i < p.N; i++ {
+			a, b := p.Answer(i, key), q.Answer(i, key)
+			if a != b {
+				t.Fatalf("key %q member %d: %v != %v", key, i, a, b)
 			}
-			if a[i] < 0 || a[i] > 1 {
-				t.Fatalf("key %q member %d: answer %v out of [0,1]", key, i, a[i])
-			}
-			if got := p.Answer(i, key); got != a[i] {
-				t.Fatalf("Answer(%d) = %v, Batch gave %v", i, got, a[i])
+			if a < 0 || a > 1 {
+				t.Fatalf("key %q member %d: answer %v out of [0,1]", key, i, a)
 			}
 		}
 	}
 	r := &Population{N: 1000, Seed: 43}
-	r.Batch("x", 0, b)
 	p2 := &Population{N: 1000, Seed: 42}
-	p2.Batch("x", 0, a)
 	same := 0
-	for i := range a {
-		if a[i] == b[i] {
+	for i := 0; i < p2.N; i++ {
+		if p2.Answer(i, "x") == r.Answer(i, "x") {
 			same++
 		}
 	}
@@ -40,36 +32,36 @@ func TestPopulationDeterministic(t *testing.T) {
 	}
 }
 
+// A batch's Sum is the straight member-order loop over the same
+// members' answers, wherever the batch starts; members outside [0, N)
+// answer 0.
 func TestPopulationBatchOffsets(t *testing.T) {
-	p := &Population{N: 500, Seed: 7, SpamFraction: 0.2}
-	whole := make([]float64, 500)
-	p.Batch("k", 0, whole)
-	part := make([]float64, 100)
-	p.Batch("k", 250, part)
-	for i := range part {
-		if part[i] != whole[250+i] {
-			t.Fatalf("offset batch diverges at member %d", 250+i)
+	p := &Population{N: 500, Seed: 7, SpamFraction: 0.2, Segments: 3, SegmentBias: 0.1}
+	loop := func(from, to int) float64 {
+		sum := 0.0
+		for m := from; m < to; m++ {
+			sum += p.Answer(m, "k")
+		}
+		return sum
+	}
+	for _, r := range [][2]int{{0, 500}, {250, 350}, {499, 500}, {7, 7}} {
+		if got, want := p.Sum("k", r[0], r[1]), loop(r[0], r[1]); got != want {
+			t.Fatalf("Sum over [%d, %d) = %v, member loop %v", r[0], r[1], got, want)
 		}
 	}
-	// Out-of-range members answer 0.
-	edge := make([]float64, 10)
-	p.Batch("k", 495, edge)
-	for i := 5; i < 10; i++ {
-		if edge[i] != 0 {
-			t.Fatalf("member %d beyond N answered %v", 495+i, edge[i])
+	for _, m := range []int{-1, 500, 505} {
+		if a := p.Answer(m, "k"); a != 0 {
+			t.Fatalf("member %d outside the population answered %v", m, a)
 		}
+	}
+	if got, want := p.Sum("k", -3, 505), p.Sum("k", 0, 500); got != want {
+		t.Fatalf("Sum over a range past both ends = %v, want the whole population's %v", got, want)
 	}
 }
 
 func TestPopulationTruthMean(t *testing.T) {
 	p := &Population{N: 50000, Seed: 11, Truth: map[string]float64{"t": 0.5}}
-	buf := make([]float64, p.N)
-	p.Batch("t", 0, buf)
-	sum := 0.0
-	for _, v := range buf {
-		sum += v
-	}
-	if mean := sum / float64(p.N); math.Abs(mean-0.5) > 0.01 {
+	if mean := p.Sum("t", 0, p.N) / float64(p.N); math.Abs(mean-0.5) > 0.01 {
 		t.Fatalf("empirical mean %v far from truth 0.5", mean)
 	}
 	if got := p.Mean("t"); got != 0.5 {
@@ -128,12 +120,10 @@ func TestPopulationSegments(t *testing.T) {
 		}
 	}
 	// Per-segment empirical means differ when bias is on.
-	buf := make([]float64, p.N)
 	p.Truth = map[string]float64{"k": 0.5}
-	p.Batch("k", 0, buf)
 	segSum := make([]float64, 4)
-	for i, v := range buf {
-		segSum[p.Segment(i)] += v
+	for i := 0; i < p.N; i++ {
+		segSum[p.Segment(i)] += p.Answer(i, "k")
 	}
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for s := range segSum {

@@ -8,9 +8,9 @@ import (
 
 // bounds returns the interval [lo, hi] certainly (RuleExact) or with
 // high probability (RuleConfidence) containing the task's exhaustive
-// support over effN members, given the sampling state. Caller holds
-// x.mu. At full sampling the interval collapses to the exact value.
-func (x *Executor) bounds(st *taskState, effN int) (lo, hi float64) {
+// support over effN members, given the sampling state. At full sampling
+// the interval collapses to the exact value.
+func (x *Executor) bounds(st taskState, effN int) (lo, hi float64) {
 	n := st.sampled
 	if n >= effN {
 		v := st.sum / float64(effN)
@@ -22,7 +22,7 @@ func (x *Executor) bounds(st *taskState, effN int) (lo, hi float64) {
 	// Worst-case envelope: every unseen answer could be 0 or 1.
 	lo = st.sum / float64(effN)
 	hi = (st.sum + float64(effN-n)) / float64(effN)
-	if x.cfg.Rule == RuleConfidence {
+	if x.rule == RuleConfidence {
 		// Hoeffding around the running mean with Serfling's correction
 		// for sampling without replacement: rho = 1 - (n-1)/N. The
 		// confidence interval can only tighten the worst-case envelope.
@@ -31,7 +31,7 @@ func (x *Executor) bounds(st *taskState, effN int) (lo, hi float64) {
 		// without-replacement draw.
 		mean := st.sum / float64(n)
 		rho := 1 - float64(n-1)/float64(effN)
-		eps := math.Sqrt(rho * math.Log(2/x.cfg.delta()) / (2 * float64(n)))
+		eps := math.Sqrt(rho * math.Log(2/delta) / (2 * float64(n)))
 		if l := mean - eps; l > lo {
 			lo = l
 		}
@@ -42,12 +42,12 @@ func (x *Executor) bounds(st *taskState, effN int) (lo, hi float64) {
 	return lo, hi
 }
 
-// finish records one decision into dec and the counters. entry is the
-// state's sampled count when the deciding call started: early/saved are
-// only accumulated when the call sampled beyond it, so cache-hit
-// decisions that dispatched nothing never inflate the savings. Caller
-// holds x.mu.
-func (x *Executor) finish(dec *Decision, st *taskState, effN, entry int, sig bool) {
+// finish records task i's decision into dec and the counters. entry is
+// the task's sampled count when the call began: early/saved are only
+// accumulated when the call sampled beyond it, so cache-hit decisions
+// that sampled nothing never inflate the savings.
+func (c *call) finish(dec *Decision, i, entry int, sig bool) {
+	x, st, effN := c.x, c.sts[i], c.effN
 	dec.Significant = sig
 	dec.Sampled = st.sampled
 	if effN == 0 || st.sampled >= effN {
@@ -68,28 +68,30 @@ func (x *Executor) finish(dec *Decision, st *taskState, effN, entry int, sig boo
 	x.tasks.Add(1)
 }
 
-// DecideThreshold decides, for each fact key, whether its support over
-// the first effN members is >= thr — the exhaustive criterion — by
-// sequential sampling: batches stream through the task queue and each
-// key stops as soon as its interval excludes thr (or it is fully
-// sampled). Keys are decided independently; the returned decisions are
-// index-aligned with keys.
-func (x *Executor) DecideThreshold(ctx context.Context, keys []string, thr float64, effN int) ([]Decision, error) {
-	effN = x.effPop(effN)
-	decs := make([]Decision, len(keys))
-	sts := make([]*taskState, len(keys))
-	for i, k := range keys {
-		decs[i].Key = k
-		sts[i] = x.state(k, effN)
-	}
-	entry := make([]int, len(keys))
-	x.mu.Lock()
-	for i, st := range sts {
+// entries returns each task's sampled count at the start of the call.
+func (c *call) entries() []int {
+	entry := make([]int, len(c.sts))
+	for i, st := range c.sts {
 		entry[i] = st.sampled
 	}
-	x.mu.Unlock()
+	return entry
+}
+
+// DecideThreshold decides, for each fact key, whether its support over
+// the first effN members is >= thr — the exhaustive criterion — by
+// sequential sampling: each round samples one batch of every undecided
+// key, and a key stops as soon as its interval excludes thr (or it is
+// fully sampled). Keys are decided independently; the returned
+// decisions are index-aligned with keys.
+func (x *Executor) DecideThreshold(ctx context.Context, keys []string, thr float64, effN int) ([]Decision, error) {
+	c := x.begin(keys, effN)
+	defer c.end()
+	effN = c.effN
+	entry := c.entries()
+	decs := make([]Decision, len(keys))
 	active := make([]int, 0, len(keys))
-	for i := range keys {
+	for i, k := range keys {
+		decs[i].Key = k
 		active = append(active, i)
 	}
 	for {
@@ -98,28 +100,25 @@ func (x *Executor) DecideThreshold(ctx context.Context, keys []string, thr float
 		}
 		// Decide what the current states already settle (a cached state
 		// may decide a key with no sampling at all).
-		x.mu.Lock()
 		undecided := active[:0]
 		for _, i := range active {
-			st := sts[i]
-			lo, hi := x.bounds(st, effN)
+			lo, hi := x.bounds(c.sts[i], effN)
 			switch {
 			case effN == 0:
-				x.finish(&decs[i], st, effN, entry[i], 0 >= thr)
+				c.finish(&decs[i], i, entry[i], 0 >= thr)
 			case lo >= thr:
-				x.finish(&decs[i], st, effN, entry[i], true)
+				c.finish(&decs[i], i, entry[i], true)
 			case hi < thr:
-				x.finish(&decs[i], st, effN, entry[i], false)
+				c.finish(&decs[i], i, entry[i], false)
 			default:
 				undecided = append(undecided, i)
 			}
 		}
 		active = undecided
-		x.mu.Unlock()
 		if len(active) == 0 {
 			return decs, nil
 		}
-		if err := x.round(ctx, keys, sts, active, effN); err != nil {
+		if err := c.sample(ctx, active, false); err != nil {
 			return nil, err
 		}
 	}
@@ -145,26 +144,21 @@ func beforeSurely(lo, hi []float64, j, i int, desc bool) bool {
 
 // DecideTopK decides which keys rank in the top k by support over the
 // first effN members (bottom k when !desc), under the exhaustive
-// tie-breaking rule (first-appearance order). It races the tasks:
-// batches stream in rounds and a task is settled once at most k-1
-// others can possibly precede it (in) or at least k surely do (out);
-// only tasks whose uncertainty still blocks a decision keep sampling.
-// Keys must be in first-appearance order and are assumed distinct.
+// tie-breaking rule (first-appearance order). It races the tasks: each
+// round samples one batch of every task whose uncertainty still blocks a
+// decision, and a task is settled once at most k-1 others can possibly
+// precede it (in) or at least k surely do (out). Keys must be in
+// first-appearance order and are assumed distinct.
 func (x *Executor) DecideTopK(ctx context.Context, keys []string, k int, desc bool, effN int) ([]Decision, error) {
-	effN = x.effPop(effN)
+	c := x.begin(keys, effN)
+	defer c.end()
+	effN = c.effN
+	entry := c.entries()
 	m := len(keys)
 	decs := make([]Decision, m)
-	sts := make([]*taskState, m)
 	for i, key := range keys {
 		decs[i].Key = key
-		sts[i] = x.state(key, effN)
 	}
-	entry := make([]int, m)
-	x.mu.Lock()
-	for i, st := range sts {
-		entry[i] = st.sampled
-	}
-	x.mu.Unlock()
 	decided := make([]bool, m)
 	lo := make([]float64, m)
 	hi := make([]float64, m)
@@ -172,9 +166,8 @@ func (x *Executor) DecideTopK(ctx context.Context, keys []string, k int, desc bo
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		x.mu.Lock()
 		for i := range keys {
-			lo[i], hi[i] = x.bounds(sts[i], effN)
+			lo[i], hi[i] = x.bounds(c.sts[i], effN)
 		}
 		// Settle every task the current bounds decide.
 		remaining := 0
@@ -196,17 +189,16 @@ func (x *Executor) DecideTopK(ctx context.Context, keys []string, k int, desc bo
 			}
 			switch {
 			case k <= 0 || sure >= k:
-				x.finish(&decs[i], sts[i], effN, entry[i], false)
+				c.finish(&decs[i], i, entry[i], false)
 				decided[i] = true
 			case possible <= k-1:
-				x.finish(&decs[i], sts[i], effN, entry[i], true)
+				c.finish(&decs[i], i, entry[i], true)
 				decided[i] = true
 			default:
 				remaining++
 			}
 		}
 		if remaining == 0 {
-			x.mu.Unlock()
 			return decs, nil
 		}
 		// Sample every unfinished task that is undecided or whose
@@ -216,7 +208,7 @@ func (x *Executor) DecideTopK(ctx context.Context, keys []string, k int, desc bo
 		// remain undecided.
 		var sample []int
 		for i := range keys {
-			if sts[i].sampled >= effN || effN == 0 {
+			if c.sts[i].sampled >= effN || effN == 0 {
 				continue
 			}
 			relevant := !decided[i]
@@ -232,13 +224,12 @@ func (x *Executor) DecideTopK(ctx context.Context, keys []string, k int, desc bo
 				sample = append(sample, i)
 			}
 		}
-		x.mu.Unlock()
 		if len(sample) == 0 {
 			// Cannot happen: undecided tasks with fully-sampled bounds
 			// are settled exactly above. Guard against looping forever.
 			return nil, fmt.Errorf("crowdscale: top-%d race stalled with %d undecided tasks", k, remaining)
 		}
-		if err := x.round(ctx, keys, sts, sample, effN); err != nil {
+		if err := c.sample(ctx, sample, false); err != nil {
 			return nil, err
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"testing"
 )
@@ -14,13 +15,7 @@ func exhaustiveSupport(src Source, key string, effN int) float64 {
 	if effN <= 0 {
 		return 0
 	}
-	buf := make([]float64, effN)
-	src.Batch(key, 0, buf)
-	sum := 0.0
-	for _, v := range buf {
-		sum += v
-	}
-	return sum / float64(effN)
+	return src.Sum(key, 0, effN) / float64(effN)
 }
 
 // topKOracle replicates the exhaustive significance order: stable sort
@@ -56,7 +51,7 @@ func TestDecideThresholdMatchesOracle(t *testing.T) {
 	for _, rule := range []Rule{RuleExact, RuleConfidence} {
 		for _, seed := range []int64{1, 2, 3, 4} {
 			p := &Population{N: 3000, Seed: seed, Skew: 1, SpamFraction: 0.05}
-			x := New(p, Config{Workers: 4, Rule: rule})
+			x := New(p, Config{Rule: rule})
 			keys := testKeys(40)
 			for _, thr := range []float64{0.1, 0.35, 0.5, 0.9} {
 				decs, err := x.DecideThreshold(context.Background(), keys, thr, 0)
@@ -71,15 +66,13 @@ func TestDecideThresholdMatchesOracle(t *testing.T) {
 					}
 				}
 			}
-			x.Close()
 		}
 	}
 }
 
 func TestDecideThresholdEffN(t *testing.T) {
 	p := &Population{N: 5000, Seed: 9}
-	x := New(p, Config{Workers: 2, Rule: RuleExact})
-	defer x.Close()
+	x := New(p, Config{Rule: RuleExact})
 	keys := testKeys(10)
 	effN := 321
 	decs, err := x.DecideThreshold(context.Background(), keys, 0.4, effN)
@@ -99,8 +92,7 @@ func TestDecideThresholdEffN(t *testing.T) {
 
 func TestDecideThresholdEmptyPopulation(t *testing.T) {
 	p := &Population{N: 0, Seed: 1}
-	x := New(p, Config{Workers: 1})
-	defer x.Close()
+	x := New(p, Config{})
 	decs, err := x.DecideThreshold(context.Background(), []string{"a", "b"}, 0.5, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +116,7 @@ func TestDecideTopKMatchesOracle(t *testing.T) {
 	for _, rule := range []Rule{RuleExact, RuleConfidence} {
 		for _, desc := range []bool{true, false} {
 			p := &Population{N: 2000, Seed: 12, Skew: 0.5}
-			x := New(p, Config{Workers: 4, Rule: rule})
+			x := New(p, Config{Rule: rule})
 			keys := testKeys(12)
 			supports := make([]float64, len(keys))
 			for i, k := range keys {
@@ -144,7 +136,6 @@ func TestDecideTopKMatchesOracle(t *testing.T) {
 					}
 				}
 			}
-			x.Close()
 		}
 	}
 }
@@ -153,8 +144,7 @@ func TestDecideTopKZeroSampleSupportFinite(t *testing.T) {
 	// k >= number of tasks settles membership structurally before any
 	// sampling; the support estimate must be a finite 0, not 0/0.
 	p := &Population{N: 1000, Seed: 17}
-	x := New(p, Config{Workers: 1})
-	defer x.Close()
+	x := New(p, Config{})
 	decs, err := x.DecideTopK(context.Background(), []string{"a", "b"}, 5, true, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -184,11 +174,12 @@ type constSource struct {
 }
 
 func (c *constSource) Size() int { return c.n }
-func (c *constSource) Batch(key string, from int, out []float64) {
-	v := c.vals[key]
-	for i := range out {
-		out[i] = v
+func (c *constSource) Sum(key string, from, to int) float64 {
+	sum := 0.0
+	for m := from; m < to; m++ {
+		sum += c.vals[key]
 	}
+	return sum
 }
 
 func TestDecideTopKStableTieBreak(t *testing.T) {
@@ -196,7 +187,7 @@ func TestDecideTopKStableTieBreak(t *testing.T) {
 		"first": 0.5, "second": 0.5, "top": 0.9, "bottom": 0.1,
 	}}
 	for _, rule := range []Rule{RuleExact, RuleConfidence} {
-		x := New(src, Config{Workers: 2, Rule: rule})
+		x := New(src, Config{Rule: rule})
 		keys := []string{"first", "second", "top", "bottom"}
 		decs, err := x.DecideTopK(context.Background(), keys, 2, true, 0)
 		if err != nil {
@@ -225,7 +216,6 @@ func TestDecideTopKStableTieBreak(t *testing.T) {
 				t.Errorf("rule=%v asc key %s significant=%v, want %v", rule, d.Key, d.Significant, want)
 			}
 		}
-		x.Close()
 	}
 }
 
@@ -233,8 +223,7 @@ func TestConfidenceRuleSublinear(t *testing.T) {
 	p := &Population{N: 1_000_000, Seed: 21, Truth: map[string]float64{
 		"popular": 0.9, "niche": 0.1,
 	}}
-	x := New(p, Config{Workers: 4, Rule: RuleConfidence})
-	defer x.Close()
+	x := New(p, Config{Rule: RuleConfidence})
 	decs, err := x.DecideThreshold(context.Background(), []string{"popular", "niche"}, 0.5, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -263,8 +252,7 @@ func TestExactRuleStopsEarlyOnWideMargin(t *testing.T) {
 	// With truth 0.95 vs threshold 0.1, worst-case bounds decide before
 	// full sampling even without a confidence interval.
 	p := &Population{N: 100000, Seed: 30, Truth: map[string]float64{"k": 0.95}}
-	x := New(p, Config{Workers: 2, Rule: RuleExact})
-	defer x.Close()
+	x := New(p, Config{Rule: RuleExact})
 	decs, err := x.DecideThreshold(context.Background(), []string{"k"}, 0.1, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -277,19 +265,25 @@ func TestExactRuleStopsEarlyOnWideMargin(t *testing.T) {
 	}
 }
 
+// Supports is one member-order pass per key: it equals a straight loop
+// over the members' answers bit for bit, whatever the population size
+// and however the keys are spread over goroutines.
 func TestSupportsMatchesStraightSum(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	p := &Population{N: 30000, Seed: 14, SpamFraction: 0.1}
-	x := New(p, Config{Workers: 4, MaxBatch: 1024})
-	defer x.Close()
+	x := New(p, Config{})
 	keys := testKeys(5)
 	got, err := x.Supports(context.Background(), keys, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, k := range keys {
-		want := exhaustiveSupport(p, k, p.N)
-		if math.Abs(got[i]-want) > 1e-9 {
-			t.Errorf("key %s: Supports %v, straight sum %v", k, got[i], want)
+		sum := 0.0
+		for m := 0; m < p.N; m++ {
+			sum += p.Answer(m, k)
+		}
+		if want := sum / float64(p.N); got[i] != want {
+			t.Errorf("key %s: Supports %v, straight loop %v", k, got[i], want)
 		}
 	}
 }

@@ -9,6 +9,7 @@ package ontology
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -205,34 +206,80 @@ func (o *Ontology) rebuild() *derivedIndex {
 		}
 		return lbls[i].term.Compare(lbls[j].term) < 0
 	})
+	b := indexBuilder{d: d, labels: postings{lists: d.labels}, words: postings{lists: d.words}}
 	for _, l := range lbls {
-		d.index(l.label, l.term)
+		b.index(l.label, l.term)
 		if prev, ok := d.primary[l.term]; !ok || l.label < prev {
 			d.primary[l.term] = l.label
 		}
 	}
 	// Aliases are lookup-only: they never set a primary label.
 	for _, a := range o.aliases {
-		d.index(a.label, a.term)
+		b.index(a.label, a.term)
 	}
 	o.derived.Store(d)
 	return d
 }
 
-func (d *derivedIndex) index(label string, term rdf.Term) {
+// indexBuilder fills a derived index's label and word postings during
+// one rebuild.
+type indexBuilder struct {
+	d             *derivedIndex
+	labels, words postings
+}
+
+func (b *indexBuilder) index(label string, term rdf.Term) {
 	key := normalize(label)
-	d.labels[key] = appendUnique(d.labels[key], term)
-	d.maxKey = max(d.maxKey, len(key))
+	b.labels.add(key, term)
+	b.d.maxKey = max(b.d.maxKey, len(key))
 	// Index individual words separately (weaker matches), so "Buffalo"
 	// finds "Buffalo, NY" without full-label matches being diluted.
 	words := strings.Fields(key)
 	if len(words) > 1 {
 		for _, w := range words {
 			if len(w) > 2 {
-				d.words[w] = appendUnique(d.words[w], term)
+				b.words.add(w, term)
 			}
 		}
 	}
+}
+
+// postings builds posting lists without duplicates, in first-occurrence
+// order. A repeat need not be adjacent to the first occurrence: aliases
+// are indexed after labels, and different raw labels normalize to one
+// key. A short list is checked by a scan; a list that grows to scanMax
+// terms gets a set, so a key that n labels share costs O(n), not O(n²).
+type postings struct {
+	lists map[string][]rdf.Term
+	sets  map[string]map[rdf.Term]struct{}
+}
+
+const scanMax = 16
+
+func (p *postings) add(key string, t rdf.Term) {
+	ts := p.lists[key]
+	if len(ts) < scanMax {
+		if slices.Contains(ts, t) {
+			return
+		}
+	} else {
+		set := p.sets[key]
+		if set == nil {
+			set = make(map[rdf.Term]struct{}, 2*len(ts))
+			for _, x := range ts {
+				set[x] = struct{}{}
+			}
+			if p.sets == nil {
+				p.sets = map[string]map[rdf.Term]struct{}{}
+			}
+			p.sets[key] = set
+		}
+		if _, ok := set[t]; ok {
+			return
+		}
+		set[t] = struct{}{}
+	}
+	p.lists[key] = append(ts, t)
 }
 
 // AddEntity registers an entity with its label, description and class.
@@ -274,15 +321,6 @@ func (o *Ontology) Add(s, p, oTerm rdf.Term) { o.Store.AddTriple(s, p, oTerm) }
 func (o *Ontology) Alias(term rdf.Term, label string) {
 	o.aliases = append(o.aliases, aliasEntry{label, term})
 	o.regVersion.Add(1)
-}
-
-func appendUnique(ts []rdf.Term, t rdf.Term) []rdf.Term {
-	for _, x := range ts {
-		if x.Equal(t) {
-			return ts
-		}
-	}
-	return append(ts, t)
 }
 
 // normalize returns the lookup key of a label or phrase.

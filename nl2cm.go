@@ -217,9 +217,12 @@ func ParseTriples(r io.Reader) ([]StoreTriple, error) { return rdf.ParseNTriples
 
 // Engine executes OASSIS-QL queries against an ontology and a simulated
 // crowd. Execute takes a context (cancellation between subclauses and
-// task batches), fans crowd tasks out over a bounded worker pool, and
-// memoizes per-(fact key, sample size) supports in a concurrency-safe
-// cache — see Engine.CacheStats and ExecResult's metric fields.
+// task batches). Every crowd support goes through one ScaleExecutor,
+// whose sampling states memoize supports per (fact key, sample size):
+// by default the engine's own, which samples every task in full, or
+// Engine.Scale for sequential sampling. An executor owns no goroutines
+// between calls, so an engine needs no Close — see Engine.Stats and
+// ExecResult's metric fields.
 type Engine = crowd.Engine
 
 // Crowd is a simulated population of web users.
@@ -255,14 +258,17 @@ func DemoTruth() map[string]float64 { return crowd.DemoTruth() }
 
 // ---- Crowd mining at scale ----
 
-// ScaleExecutor is the streaming crowd-task pipeline: a bounded task
-// queue with a worker pool, incremental support aggregation, and
-// sequential-sampling early termination. Attach one to Engine.Scale to
-// replace the synchronous fan-out; Close it when done.
+// ScaleExecutor decides crowd tasks by sampling member answers in
+// batches, with incremental support aggregation and sequential-sampling
+// early termination, and memoizes each task's sampling state across
+// calls. Each call fans its batches out over up to GOMAXPROCS
+// goroutines and joins them before it returns, so an executor needs no
+// Close. Attach one to Engine.Scale to decide significance by
+// sequential sampling.
 type ScaleExecutor = crowdscale.Executor
 
-// ScaleConfig tunes a ScaleExecutor (workers, queue depth, batch
-// growth, stopping rule); the zero value uses documented defaults.
+// ScaleConfig tunes a ScaleExecutor: its stopping rule. The zero value
+// is RuleConfidence.
 type ScaleConfig = crowdscale.Config
 
 // ScaleRule selects the sequential-sampling stopping rule.
@@ -281,7 +287,8 @@ const (
 type ScaleSource = crowdscale.Source
 
 // ScaleStats snapshots a ScaleExecutor's monotonic counters (tasks,
-// batches, member answers, early-termination savings, queue depth).
+// batches, member answers, early-termination savings, sampling-state
+// hits and misses).
 type ScaleStats = crowdscale.Stats
 
 // ScaleMetrics is the per-execution counter delta attached to
@@ -297,15 +304,14 @@ type EngineStats = crowd.EngineStats
 // member, key), so a million-member population occupies no memory.
 type Population = crowdscale.Population
 
-// NewScaleExecutor builds a streaming executor whose answers come from
-// the crowd (its members, truth, noise and spammers). The crowd must
-// not use TrimFraction — sequential bounds hold for plain means only.
+// NewScaleExecutor builds an executor whose answers come from the crowd
+// (its members, truth, noise and spammers).
 func NewScaleExecutor(c *Crowd, cfg ScaleConfig) (*ScaleExecutor, error) {
 	return crowd.NewScaleExecutor(c, cfg)
 }
 
-// NewScaleExecutorFrom builds a streaming executor over any lazy
-// population source (e.g. a *Population).
+// NewScaleExecutorFrom builds an executor over any lazy population
+// source (e.g. a *Population).
 func NewScaleExecutorFrom(src ScaleSource, cfg ScaleConfig) *ScaleExecutor {
 	return crowdscale.New(src, cfg)
 }
