@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check vet staticcheck build test race session-stress session-smoke crowd-stress store-stress perfbench-test loadgen-smoke bench bench-smoke fuzz-smoke emit-golden emit-golden-update agg-golden fmt
+.PHONY: all check vet staticcheck build test race session-stress session-smoke crowd-stress store-stress perfbench-test loadgen-smoke bench bench-smoke bench-ab bench-ab-smoke fuzz-smoke emit-golden emit-golden-update agg-golden fmt
 
 all: check
 
@@ -85,6 +85,29 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x .
 
+# bench-ab compares the benchmark at a parent revision with the working
+# tree (scripts/bench_ab.sh): PAIRS alternating pairs of RUN_SECONDS-second
+# runs per workload on fresh seeds, then per end-to-end metric each
+# side's median and quartiles, the change's wins and the verdict against
+# the metric's bound in BENCHMARK.json. WORKLOADS defaults to all.
+PAIRS ?= 10
+RUN_SECONDS ?= 20
+WORKLOADS ?=
+bench-ab:
+	@test -n "$(PARENT)" || { echo "usage: make bench-ab PARENT=<rev> [PAIRS=10] [RUN_SECONDS=20] [WORKLOADS=translate-cold]"; exit 2; }
+	bash scripts/bench_ab.sh $(PARENT) $(PAIRS) $(RUN_SECONDS) $(WORKLOADS)
+
+# bench-ab-smoke runs scripts/bench_ab.sh once, HEAD against HEAD (one pair of
+# 1-second translate-cold runs), and checks that it prints one verdict
+# row per end-to-end metric; it measures nothing.
+bench-ab-smoke:
+	mkdir -p .bench_build/ab
+	bash scripts/bench_ab.sh HEAD 1 1 translate-cold >.bench_build/ab/smoke.txt || { cat .bench_build/ab/smoke.txt; exit 1; }
+	cat .bench_build/ab/smoke.txt
+	@want=$$(awk '/"end_to_end"/ { on = 1; next } on && /^[[:space:]]*\]/ { exit } on && /"name"/ { n++ } END { print n }' BENCHMARK.json); \
+	got=$$(grep -cE '^verdict translate-cold .* (ok|WORSE) \(' .bench_build/ab/smoke.txt || true); \
+	if [ "$$got" != "$$want" ]; then echo "bench-ab-smoke: $$got verdict rows, want $$want"; exit 1; fi
+
 # emit-golden checks every supported corpus question against the
 # per-backend golden emission files (testdata/golden_*.txt) and runs the
 # SQL-vs-RDF differential; emit-golden-update regenerates the files
@@ -113,6 +136,8 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzNTriplesRoundTrip$$' -fuzztime=20s ./internal/rdf/
 	$(GO) test -fuzz='^FuzzNormalize$$' -fuzztime=20s ./internal/ontology/
 	$(GO) test -fuzz='^FuzzCanonicalize$$' -fuzztime=20s ./internal/qcache/
+	$(GO) test -fuzz='^FuzzFind$$' -fuzztime=20s ./internal/ix/
+	$(GO) test -fuzz='^FuzzParsePatterns$$' -fuzztime=20s ./internal/ix/
 
 fmt:
 	gofmt -l -w .

@@ -23,6 +23,11 @@
 // shared feedback store, which -feedback persists across restarts
 // (periodic flush plus an atomic write on shutdown).
 //
+// Inputs are bounded: every POST body is capped (64 KiB, or 4 MiB for an
+// /api/store batch) and answered with 413 past the cap, and a question
+// longer than 1 KiB is refused with 400 before it reaches the translator
+// or the session manager.
+//
 // Endpoints:
 //
 //	GET    /                      the question form
@@ -101,6 +106,18 @@ const (
 	defaultMaxInflight = 64
 	defaultQueueDepth  = 256
 	defaultPlanCache   = 1024
+)
+
+// Input limits. A question is one sentence (the longest corpus question
+// is under 100 bytes), and translation cost grows about quadratically
+// with its length, so longer ones are refused with 400 before they reach
+// the translator or the session manager. Request bodies are capped, with
+// 413 past the cap: a small cap for questions, answers and forms, a
+// larger one for N-Triples batches.
+const (
+	maxQuestionBytes  = 1 << 10
+	maxBodyBytes      = 64 << 10
+	maxStoreBodyBytes = 4 << 20
 )
 
 // serverConfig collects the daemon's tunables (one field per flag).
@@ -302,24 +319,70 @@ func main() {
 func (s *server) routes() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /", s.home)
-	mux.HandleFunc("POST /translate", s.admit(s.translate))
-	mux.HandleFunc("POST /execute", s.admit(s.execute))
+	mux.HandleFunc("POST /translate", limitBody(maxBodyBytes, s.admit(s.translate)))
+	mux.HandleFunc("POST /execute", limitBody(maxBodyBytes, s.admit(s.execute)))
 	mux.HandleFunc("GET /admin", s.admin)
 	mux.HandleFunc("GET /corpus", s.corpus)
-	mux.HandleFunc("POST /api/translate", s.admit(s.apiTranslate))
-	mux.HandleFunc("POST /api/store", s.apiStore)
+	mux.HandleFunc("POST /api/translate", limitBody(maxBodyBytes, s.admit(s.apiTranslate)))
+	mux.HandleFunc("POST /api/store", limitBody(maxStoreBodyBytes, s.apiStore))
 	mux.HandleFunc("GET /api/backends", s.apiBackends)
 	mux.HandleFunc("GET /api/stats", s.apiStats)
-	mux.HandleFunc("POST /api/session", s.apiSessionStart)
+	mux.HandleFunc("POST /api/session", limitBody(maxBodyBytes, s.apiSessionStart))
 	mux.HandleFunc("GET /api/session/{id}", s.apiSessionGet)
-	mux.HandleFunc("POST /api/session/{id}/answer", s.apiSessionAnswer)
+	mux.HandleFunc("POST /api/session/{id}/answer", limitBody(maxBodyBytes, s.apiSessionAnswer))
 	mux.HandleFunc("GET /api/session/{id}/explain", s.apiSessionExplain)
 	mux.HandleFunc("DELETE /api/session/{id}", s.apiSessionDelete)
 	mux.HandleFunc("GET /dialogue", s.dialoguePage)
-	mux.HandleFunc("POST /dialogue", s.dialogueStart)
-	mux.HandleFunc("POST /dialogue/answer", s.dialogueAnswer)
-	mux.HandleFunc("POST /dialogue/delete", s.dialogueDelete)
+	mux.HandleFunc("POST /dialogue", limitBody(maxBodyBytes, s.dialogueStart))
+	mux.HandleFunc("POST /dialogue/answer", limitBody(maxBodyBytes, s.dialogueAnswer))
+	mux.HandleFunc("POST /dialogue/delete", limitBody(maxBodyBytes, s.dialogueDelete))
 	return mux
+}
+
+// limitBody caps the request body at n bytes: reading past the cap fails
+// with *http.MaxBytesError, which badBody answers with 413.
+func limitBody(n int64, h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		r.Body = http.MaxBytesReader(w, r.Body, n)
+		h(w, r)
+	}
+}
+
+// badBody answers a request body that could not be read or decoded: 413
+// when it exceeded its cap, else 400.
+func badBody(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		http.Error(w, fmt.Sprintf("request body too large (limit %d bytes)", tooLarge.Limit), http.StatusRequestEntityTooLarge)
+		return
+	}
+	http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+}
+
+// parseForm reads a URL-encoded or multipart form body; FormValue alone
+// would hide a body that failed to read as an empty form. It answers the
+// request and returns false on failure.
+func parseForm(w http.ResponseWriter, r *http.Request) bool {
+	err := r.ParseForm()
+	if err == nil {
+		if err = r.ParseMultipartForm(maxBodyBytes); errors.Is(err, http.ErrNotMultipart) {
+			err = nil
+		}
+	}
+	if err != nil {
+		badBody(w, err)
+		return false
+	}
+	return true
+}
+
+// questionFits refuses a question longer than maxQuestionBytes with 400.
+func questionFits(w http.ResponseWriter, q string) bool {
+	if len(q) > maxQuestionBytes {
+		http.Error(w, fmt.Sprintf("question too long: %d bytes (limit %d)", len(q), maxQuestionBytes), http.StatusBadRequest)
+		return false
+	}
+	return true
 }
 
 var pageTmpl = template.Must(template.New("page").Parse(`<!doctype html>
@@ -554,7 +617,13 @@ func highlight(res *nl2cm.Result) template.HTML {
 }
 
 func (s *server) translate(w http.ResponseWriter, r *http.Request) {
+	if !parseForm(w, r) {
+		return
+	}
 	q := strings.TrimSpace(r.FormValue("q"))
+	if !questionFits(w, q) {
+		return
+	}
 	backend := strings.TrimSpace(r.FormValue("backend"))
 	if backend != "" {
 		if _, ok := nl2cm.LookupBackend(backend); !ok {
@@ -592,7 +661,13 @@ func (s *server) translate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) execute(w http.ResponseWriter, r *http.Request) {
+	if !parseForm(w, r) {
+		return
+	}
 	q := strings.TrimSpace(r.FormValue("q"))
+	if !questionFits(w, q) {
+		return
+	}
 	ctx, cancel := s.reqCtx(r)
 	defer cancel()
 	t0 := time.Now()
@@ -793,7 +868,10 @@ type apiResponse struct {
 func (s *server) apiTranslate(w http.ResponseWriter, r *http.Request) {
 	var req apiRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+		badBody(w, err)
+		return
+	}
+	if !questionFits(w, req.Question) {
 		return
 	}
 	backend := strings.TrimSpace(req.Backend)
@@ -922,7 +1000,7 @@ type storeResponse struct {
 func (s *server) apiStore(w http.ResponseWriter, r *http.Request) {
 	var req storeRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+		badBody(w, err)
 		return
 	}
 	var batch nl2cm.StoreBatch

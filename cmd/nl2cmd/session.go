@@ -61,11 +61,14 @@ func sessionError(w http.ResponseWriter, err error) {
 func (s *server) apiSessionStart(w http.ResponseWriter, r *http.Request) {
 	var req sessionStartRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+		badBody(w, err)
 		return
 	}
 	if strings.TrimSpace(req.Question) == "" {
 		http.Error(w, "bad request: empty question", http.StatusBadRequest)
+		return
+	}
+	if !questionFits(w, req.Question) {
 		return
 	}
 	sess, err := s.sess.Start(req.Question)
@@ -98,7 +101,7 @@ func (s *server) apiSessionAnswer(w http.ResponseWriter, r *http.Request) {
 	}
 	var req sessionAnswerRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+		badBody(w, err)
 		return
 	}
 	if err := sess.Answer(req.Question, req.Answer); err != nil {
@@ -325,9 +328,15 @@ func (s *server) dialoguePage(w http.ResponseWriter, r *http.Request) {
 // dialogueStart starts a session from the HTML form and redirects to its
 // page.
 func (s *server) dialogueStart(w http.ResponseWriter, r *http.Request) {
+	if !parseForm(w, r) {
+		return
+	}
 	q := strings.TrimSpace(r.FormValue("q"))
 	if q == "" {
 		http.Error(w, "empty question", http.StatusBadRequest)
+		return
+	}
+	if !questionFits(w, q) {
 		return
 	}
 	sess, err := s.sess.Start(q)
@@ -341,6 +350,9 @@ func (s *server) dialogueStart(w http.ResponseWriter, r *http.Request) {
 
 // dialogueAnswer translates the HTML form fields into a typed Answer.
 func (s *server) dialogueAnswer(w http.ResponseWriter, r *http.Request) {
+	if !parseForm(w, r) {
+		return
+	}
 	sess, ok := s.sess.Get(r.FormValue("id"))
 	if !ok {
 		http.NotFound(w, r)
@@ -391,6 +403,9 @@ func (s *server) dialogueAnswer(w http.ResponseWriter, r *http.Request) {
 
 // dialogueDelete aborts a session from the HTML page.
 func (s *server) dialogueDelete(w http.ResponseWriter, r *http.Request) {
+	if !parseForm(w, r) {
+		return
+	}
 	s.sess.Delete(r.FormValue("id"))
 	http.Redirect(w, r, "/dialogue", http.StatusSeeOther)
 }

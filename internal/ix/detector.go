@@ -1,13 +1,14 @@
 package ix
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"nl2cm/internal/nlp"
-	"nl2cm/internal/sparql"
 )
 
 // Match is one detection-pattern match: a binding of pattern variables to
@@ -100,50 +101,23 @@ func NewDetector() *Detector {
 // Find runs the IXFinder: every detection pattern is matched against the
 // dependency graph, yielding partial IXs (paper: "uses vocabularies and a
 // set of predefined patterns in order to find IXs within the dependency
-// graph").
+// graph"). Each pattern yields at most one match per anchor, from the
+// first row that binds it; the matches come out ordered by anchor, and
+// by pattern order within one anchor.
 func (d *Detector) Find(ctx context.Context, g *nlp.DepGraph) ([]Match, error) {
-	src := NewGraphSource(g)
-	env := src.Env(d.Vocabs)
-	var out []Match
+	f := newFrame(g, d.Vocabs, len(d.Patterns))
 	for _, p := range d.Patterns {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		rows, err := sparql.EvalPattern(p.Triples, p.Filters, src, env)
-		if err != nil {
-			return nil, fmt.Errorf("ix: matching pattern %s: %w", p.Name, err)
+		if p.m == nil {
+			return nil, fmt.Errorf("ix: pattern %s was not built by ParsePatterns", p.Name)
 		}
-		seen := map[int]bool{}
-		for _, b := range rows {
-			at, ok := b[p.Anchor]
-			if !ok {
-				continue
-			}
-			anchor, ok := NodeIndex(at)
-			if !ok {
-				continue
-			}
-			if seen[anchor] {
-				continue // one match per anchor per pattern
-			}
-			seen[anchor] = true
-			m := Match{Pattern: p, Anchor: anchor}
-			nodeSet := map[int]bool{}
-			for _, t := range b {
-				if i, ok := NodeIndex(t); ok {
-					nodeSet[i] = true
-				}
-			}
-			for i := range nodeSet {
-				m.Nodes = append(m.Nodes, i)
-			}
-			sort.Ints(m.Nodes)
-			out = append(out, m)
-		}
+		p.m.run(f, p)
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Anchor < out[j].Anchor })
-	d.Stats.Record(g, out)
-	return out, nil
+	slices.SortStableFunc(f.out, func(a, b Match) int { return cmp.Compare(a.Anchor, b.Anchor) })
+	d.Stats.Record(g, f.out)
+	return f.out, nil
 }
 
 // Create runs the IXCreator: matches sharing an anchor merge into one IX,

@@ -2,12 +2,11 @@ package ix
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
 	"nl2cm/internal/nlp"
-	"nl2cm/internal/rdf"
-	"nl2cm/internal/sparql"
 )
 
 func parse(t *testing.T, sentence string) *nlp.DepGraph {
@@ -126,7 +125,18 @@ func TestParsePatternsErrors(t *testing.T) {
 		`PATTERN p TYPE lexical ANCHOR $x {}`,              // empty
 		`TYPE lexical ANCHOR $x {$x subject $y}`,           // missing keyword
 		`PATTERN p TYPE lexical ANCHOR $x {$x subject $y`,  // unterminated
+		// Typos that used to parse and then match nothing.
+		`PATTERN p TYPE lexical ANCHOR $x {$x subject $y FILTER(PSO($x) = "verb")}`,
+		`PATTERN p TYPE lexical ANCHOR $x {$x subject $y FILTER(POS($x, $y) = "verb")}`,
+		`PATTERN p TYPE lexical ANCHOR $x {$x subject $y FILTER(POS($z) = "verb")}`,
 	}
+	// More variables than the matcher's 64 slots.
+	var many strings.Builder
+	many.WriteString(`PATTERN p TYPE lexical ANCHOR $v0 {`)
+	for i := 0; i < 33; i++ {
+		fmt.Fprintf(&many, "$v%d subject $v%d . ", 2*i, 2*i+1)
+	}
+	bad = append(bad, many.String()+"}")
 	for _, in := range bad {
 		if _, err := ParsePatterns(in); err == nil {
 			t.Errorf("ParsePatterns(%q) succeeded, want error", in)
@@ -160,18 +170,6 @@ func TestPatternStringRoundTrip(t *testing.T) {
 		if ps[0].String() != rendered {
 			t.Errorf("round trip mismatch for %s:\n%s\nvs\n%s", p.Name, rendered, ps[0].String())
 		}
-	}
-}
-
-func TestNodeTermRoundTrip(t *testing.T) {
-	for _, i := range []int{0, 1, 42, 1000} {
-		j, ok := NodeIndex(NodeTerm(i))
-		if !ok || j != i {
-			t.Errorf("NodeIndex(NodeTerm(%d)) = %d, %v", i, j, ok)
-		}
-	}
-	if _, ok := NodeIndex(NodeTerm(3)); !ok {
-		t.Error("round trip failed")
 	}
 }
 
@@ -330,64 +328,6 @@ FILTER(WORD($m) IN V_wish)}`)
 	_, err = d.Detect(context.Background(), g)
 	if err != nil {
 		t.Fatalf("Detect with custom pattern: %v", err)
-	}
-}
-
-func TestGraphSourceMatch(t *testing.T) {
-	g := parse(t, "We visit parks.")
-	src := NewGraphSource(g)
-	count := 0
-	src.MatchFunc(rdf.T(rdf.NewVar("h"), rdf.NewIRI("nsubj"), rdf.NewVar("d")),
-		func(tr rdf.Triple) bool { count++; return true })
-	if count != 1 {
-		t.Errorf("nsubj edges = %d, want 1", count)
-	}
-	// Early stop.
-	count = 0
-	src.MatchFunc(rdf.T(rdf.NewVar("h"), rdf.NewVar("r"), rdf.NewVar("d")),
-		func(tr rdf.Triple) bool { count++; return false })
-	if count != 1 {
-		t.Errorf("early stop visited %d edges", count)
-	}
-}
-
-func TestGraphSourceEnvFunctions(t *testing.T) {
-	g := parse(t, "We visit parks.")
-	src := NewGraphSource(g)
-	env := src.Env(DefaultVocabularies())
-	visitIdx := -1
-	for i := range g.Nodes {
-		if g.Nodes[i].Text == "visit" {
-			visitIdx = i
-		}
-	}
-	val := sparql.TermVal(NodeTerm(visitIdx))
-	cases := []struct{ fn, want string }{
-		{"POS", "verb"},
-		{"TAG", "VBP"},
-		{"LEMMA", "visit"},
-		{"WORD", "visit"},
-	}
-	for _, c := range cases {
-		got, err := env.Funcs[c.fn]([]sparql.Value{val})
-		if err != nil {
-			t.Fatalf("%s: %v", c.fn, err)
-		}
-		if got.Str != c.want {
-			t.Errorf("%s(visit) = %q, want %q", c.fn, got.Str, c.want)
-		}
-	}
-	// INDEX returns the position.
-	idx, err := env.Funcs["INDEX"]([]sparql.Value{val})
-	if err != nil || idx.Num != float64(visitIdx) {
-		t.Errorf("INDEX = %v, %v", idx, err)
-	}
-	// Errors: wrong arity and non-node argument.
-	if _, err := env.Funcs["POS"](nil); err == nil {
-		t.Error("POS() with no args succeeded")
-	}
-	if _, err := env.Funcs["POS"]([]sparql.Value{sparql.StrVal("x")}); err == nil {
-		t.Error("POS(non-node) succeeded")
 	}
 }
 

@@ -1,13 +1,67 @@
 package ix
 
+// The oracle for the compiled matcher: the dependency graph exposed as
+// RDF triples (blank node "n<i>" per token, one IRI per relation) and
+// every pattern evaluated as a SPARQL basic graph pattern by sparql.Eval,
+// which is how Find matched patterns before they were compiled.
+
 import (
+	"context"
 	"fmt"
+	"sort"
 	"strconv"
+	"testing"
 
 	"nl2cm/internal/nlp"
 	"nl2cm/internal/rdf"
 	"nl2cm/internal/sparql"
 )
+
+// findOracle is Find evaluated through sparql.Eval over a GraphSource.
+func (d *Detector) findOracle(ctx context.Context, g *nlp.DepGraph) ([]Match, error) {
+	src := NewGraphSource(g)
+	env := src.Env(d.Vocabs)
+	var out []Match
+	for _, p := range d.Patterns {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		q := &sparql.Query{Where: p.Triples, Filters: p.Filters, Limit: -1}
+		rows, err := sparql.Eval(q, src, env)
+		if err != nil {
+			return nil, fmt.Errorf("ix: matching pattern %s: %w", p.Name, err)
+		}
+		seen := map[int]bool{}
+		for _, b := range rows {
+			at, ok := b[p.Anchor]
+			if !ok {
+				continue
+			}
+			anchor, ok := NodeIndex(at)
+			if !ok {
+				continue
+			}
+			if seen[anchor] {
+				continue // one match per anchor per pattern
+			}
+			seen[anchor] = true
+			m := Match{Pattern: p, Anchor: anchor}
+			nodeSet := map[int]bool{}
+			for _, t := range b {
+				if i, ok := NodeIndex(t); ok {
+					nodeSet[i] = true
+				}
+			}
+			for i := range nodeSet {
+				m.Nodes = append(m.Nodes, i)
+			}
+			sort.Ints(m.Nodes)
+			out = append(out, m)
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Anchor < out[j].Anchor })
+	return out, nil
+}
 
 // NodeTerm encodes dependency-graph node i as an RDF term so that
 // detection patterns can bind variables to nodes.
@@ -90,37 +144,6 @@ func (s *GraphSource) CountMatch(pattern rdf.Triple) int {
 	return n
 }
 
-// coarsePOS maps a Penn tag to the coarse category names the paper's
-// patterns use (POS($x) = "verb").
-func coarsePOS(tag string) string {
-	switch {
-	case len(tag) >= 2 && tag[:2] == "VB":
-		return "verb"
-	case len(tag) >= 2 && tag[:2] == "NN":
-		return "noun"
-	case len(tag) >= 2 && tag[:2] == "JJ":
-		return "adjective"
-	case len(tag) >= 2 && tag[:2] == "RB":
-		return "adverb"
-	case tag == "PRP" || tag == "PRP$":
-		return "pronoun"
-	case tag == "MD":
-		return "modal"
-	case len(tag) >= 1 && tag[0] == 'W':
-		return "wh"
-	case tag == "DT" || tag == "PDT":
-		return "determiner"
-	case tag == "IN" || tag == "TO":
-		return "preposition"
-	case tag == "CD":
-		return "number"
-	case tag == "CC":
-		return "conjunction"
-	default:
-		return "other"
-	}
-}
-
 // Env builds the sparql evaluation environment for IX patterns over the
 // graph: node functions and vocabulary membership sets.
 //
@@ -196,5 +219,75 @@ func valText(v sparql.Value) string {
 		return v.Term.Value()
 	default:
 		return ""
+	}
+}
+
+func TestNodeTermRoundTrip(t *testing.T) {
+	for _, i := range []int{0, 1, 42, 1000} {
+		j, ok := NodeIndex(NodeTerm(i))
+		if !ok || j != i {
+			t.Errorf("NodeIndex(NodeTerm(%d)) = %d, %v", i, j, ok)
+		}
+	}
+	if _, ok := NodeIndex(NodeTerm(3)); !ok {
+		t.Error("round trip failed")
+	}
+}
+
+func TestGraphSourceMatch(t *testing.T) {
+	g := parse(t, "We visit parks.")
+	src := NewGraphSource(g)
+	count := 0
+	src.MatchFunc(rdf.T(rdf.NewVar("h"), rdf.NewIRI("nsubj"), rdf.NewVar("d")),
+		func(tr rdf.Triple) bool { count++; return true })
+	if count != 1 {
+		t.Errorf("nsubj edges = %d, want 1", count)
+	}
+	// Early stop.
+	count = 0
+	src.MatchFunc(rdf.T(rdf.NewVar("h"), rdf.NewVar("r"), rdf.NewVar("d")),
+		func(tr rdf.Triple) bool { count++; return false })
+	if count != 1 {
+		t.Errorf("early stop visited %d edges", count)
+	}
+}
+
+func TestGraphSourceEnvFunctions(t *testing.T) {
+	g := parse(t, "We visit parks.")
+	src := NewGraphSource(g)
+	env := src.Env(DefaultVocabularies())
+	visitIdx := -1
+	for i := range g.Nodes {
+		if g.Nodes[i].Text == "visit" {
+			visitIdx = i
+		}
+	}
+	val := sparql.TermVal(NodeTerm(visitIdx))
+	cases := []struct{ fn, want string }{
+		{"POS", "verb"},
+		{"TAG", "VBP"},
+		{"LEMMA", "visit"},
+		{"WORD", "visit"},
+	}
+	for _, c := range cases {
+		got, err := env.Funcs[c.fn]([]sparql.Value{val})
+		if err != nil {
+			t.Fatalf("%s: %v", c.fn, err)
+		}
+		if got.Str != c.want {
+			t.Errorf("%s(visit) = %q, want %q", c.fn, got.Str, c.want)
+		}
+	}
+	// INDEX returns the position.
+	idx, err := env.Funcs["INDEX"]([]sparql.Value{val})
+	if err != nil || idx.Num != float64(visitIdx) {
+		t.Errorf("INDEX = %v, %v", idx, err)
+	}
+	// Errors: wrong arity and non-node argument.
+	if _, err := env.Funcs["POS"](nil); err == nil {
+		t.Error("POS() with no args succeeded")
+	}
+	if _, err := env.Funcs["POS"]([]sparql.Value{sparql.StrVal("x")}); err == nil {
+		t.Error("POS(non-node) succeeded")
 	}
 }

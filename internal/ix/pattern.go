@@ -18,7 +18,9 @@ const (
 // Pattern is one declarative IX detection pattern: a SPARQL-like
 // selection over the dependency graph. Variables bind to graph nodes;
 // triples constrain dependency edges ($head rel $dependent); filters use
-// the node functions (POS, TAG, LEMMA, WORD) and vocabulary membership.
+// the node functions (POS, TAG, LEMMA, WORD, INDEX) and vocabulary
+// membership. ParsePatterns compiles each pattern once into the matcher
+// Find runs, so a Pattern's fields are read-only after parsing.
 type Pattern struct {
 	// Name identifies the pattern in admin tooling and IX provenance.
 	Name string
@@ -33,6 +35,8 @@ type Pattern struct {
 	// Triples are the edge constraints; Filters the boolean constraints.
 	Triples []rdf.Triple
 	Filters []sparql.Expr
+
+	m *matcher
 }
 
 // String renders the pattern in its declaration syntax.
@@ -71,6 +75,12 @@ func patTerm(t rdf.Term) string {
 // Dependency relations may be written with their Stanford names (nsubj,
 // dobj, amod, aux, ...) or with the paper's friendlier aliases (subject,
 // object, modifier, auxiliary).
+//
+// Mistakes that would silently disable a pattern are load errors: an
+// anchor or filter variable that no triple binds, an unknown function
+// (the node functions are POS, TAG, LEMMA, WORD and INDEX, in any case)
+// and a call with other than one argument. Vocabulary names are resolved
+// when patterns match, so vocabularies may be loaded after the patterns.
 func ParsePatterns(input string) ([]*Pattern, error) {
 	lx, err := sparql.NewLexer(input)
 	if err != nil {
@@ -160,17 +170,8 @@ func parseOne(lx *sparql.Lexer, pp *sparql.PatternParser) (*Pattern, error) {
 	if len(p.Triples) == 0 && len(p.Filters) == 0 {
 		return nil, fmt.Errorf("pattern %s is empty", p.Name)
 	}
-	// The anchor must appear in the pattern.
-	found := false
-	for _, t := range p.Triples {
-		for _, v := range t.Vars() {
-			if v == p.Anchor {
-				found = true
-			}
-		}
-	}
-	if !found {
-		return nil, fmt.Errorf("pattern %s: anchor $%s not used in pattern", p.Name, p.Anchor)
+	if p.m, err = compilePattern(p); err != nil {
+		return nil, err
 	}
 	return p, nil
 }

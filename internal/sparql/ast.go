@@ -2,12 +2,12 @@
 // parser and evaluator for SELECT queries with basic graph patterns,
 // FILTER expressions, DISTINCT, ORDER BY, LIMIT and OFFSET.
 //
-// The engine serves two roles in the system. First, it evaluates the
-// WHERE clause of OASSIS-QL queries against the general-knowledge
-// ontology. Second, it is the execution core of the IX detection pattern
-// language (paper §2.3): detection patterns are SPARQL-like selections
-// over the dependency graph, with dedicated functions (POS, LEMMA, ...)
-// and vocabulary membership tests provided through an Env.
+// The engine evaluates the WHERE clause of OASSIS-QL queries against the
+// general-knowledge ontology. Its parser and filter expressions also
+// serve the IX detection pattern language (paper §2.3): package ix
+// compiles the parsed patterns into a matcher over the dependency graph
+// that keeps the semantics of Expr.Eval, with functions and vocabulary
+// membership tests like those an Env provides.
 package sparql
 
 import (

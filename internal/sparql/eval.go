@@ -11,10 +11,9 @@ import (
 
 // Source is any triple collection that can enumerate and count the
 // matches of a pattern (variables act as wildcards). *rdf.ShardedStore
-// and its Snapshots implement it; the IX detector provides an adapter
-// that exposes a dependency graph as triples. CountMatch is the join
-// planner's cardinality estimate: the store answers it from posting-list
-// lengths, the graph adapter counts exactly.
+// and its Snapshots implement it. CountMatch is the join planner's
+// cardinality estimate, which the store answers from posting-list
+// lengths.
 type Source interface {
 	MatchFunc(pattern rdf.Triple, fn func(rdf.Triple) bool)
 	CountMatch(pattern rdf.Triple) int
@@ -245,13 +244,6 @@ func (e *exec) finish(q *Query, spec *aggSpec, rows [][]rdf.Term) []Binding {
 		out[i] = b
 	}
 	return out
-}
-
-// EvalPattern evaluates a bare graph pattern (triples + filters) and
-// returns all satisfying bindings.
-func EvalPattern(where []rdf.Triple, filters []Expr, src Source, env *Env) ([]Binding, error) {
-	q := &Query{Where: where, Filters: filters, Limit: -1}
-	return Eval(q, src, env)
 }
 
 // A row is one solution during evaluation: terms indexed by compiled

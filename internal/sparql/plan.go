@@ -18,7 +18,9 @@ import (
 // variable turns an enumeration into a per-row lookup). Patterns
 // disconnected from the bound set are penalized so cartesian products
 // run last. Ties resolve by input position, keeping plans
-// deterministic.
+// deterministic. The IX matcher (internal/ix) orders a detection
+// pattern's triples the same way, so that each anchor keeps the same
+// first row; its oracle tests compare the two.
 func planBGP(patterns []rdf.Triple, bound map[string]bool, src Source) []rdf.Triple {
 	if len(patterns) <= 1 {
 		return patterns

@@ -246,7 +246,7 @@ func TestEvalRepeatedVariable(t *testing.T) {
 }
 
 func TestEvalEmptyPatternYieldsOneEmptyRow(t *testing.T) {
-	rows, err := EvalPattern(nil, nil, testStore(), nil)
+	rows, err := Eval(&Query{Limit: -1}, testStore(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
