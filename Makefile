@@ -138,6 +138,8 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzCanonicalize$$' -fuzztime=20s ./internal/qcache/
 	$(GO) test -fuzz='^FuzzFind$$' -fuzztime=20s ./internal/ix/
 	$(GO) test -fuzz='^FuzzParsePatterns$$' -fuzztime=20s ./internal/ix/
+	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=20s ./internal/oassisql/
+	$(GO) test -fuzz='^FuzzCheck$$' -fuzztime=20s ./internal/interact/
 
 fmt:
 	gofmt -l -w .

@@ -316,7 +316,7 @@ func (s *server) dialoguePage(w http.ResponseWriter, r *http.Request) {
 		Snap:    &snap,
 		Refresh: snap.Question == nil && !snap.State.Terminal(),
 	}
-	if q := snap.Question; q != nil && q.Kind == session.KindIXVerify {
+	if q := snap.Question; q != nil && q.Kind == interact.KindIXVerify {
 		d.Highlight = highlightSpans(q.Subject, q.Spans)
 	}
 	if snap.Result != nil && snap.Result.Verdict.Supported {
@@ -364,8 +364,8 @@ func (s *server) dialogueAnswer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var ans session.Answer
-	switch session.Kind(r.FormValue("kind")) {
-	case session.KindIXVerify, session.KindProjection:
+	switch interact.Kind(r.FormValue("kind")) {
+	case interact.KindIXVerify, interact.KindProjection:
 		count, err := strconv.Atoi(r.FormValue("count"))
 		if err != nil || count < 0 || count > 1000 {
 			http.Error(w, "bad flag count", http.StatusBadRequest)
@@ -375,14 +375,14 @@ func (s *server) dialogueAnswer(w http.ResponseWriter, r *http.Request) {
 		for i := range ans.Accept {
 			ans.Accept[i] = r.FormValue("accept"+strconv.Itoa(i)) != "no"
 		}
-	case session.KindChoice:
+	case interact.KindChoice:
 		c, err := strconv.Atoi(r.FormValue("choice"))
 		if err != nil {
 			http.Error(w, "bad choice", http.StatusBadRequest)
 			return
 		}
 		ans.Choice = &c
-	case session.KindNumber:
+	case interact.KindNumber:
 		n, err := strconv.ParseFloat(strings.TrimSpace(r.FormValue("number")), 64)
 		if err != nil {
 			http.Error(w, "bad number", http.StatusBadRequest)

@@ -5,12 +5,15 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"nl2cm/internal/interact"
 	"nl2cm/internal/session"
 )
 
@@ -71,17 +74,17 @@ func decodeSnapshot(t *testing.T, data []byte) session.Snapshot {
 func wireAnswer(q *session.Question, pick string) session.Answer {
 	var a session.Answer
 	switch q.Kind {
-	case session.KindIXVerify:
+	case interact.KindIXVerify:
 		a.Accept = make([]bool, len(q.Spans))
 		for i := range a.Accept {
 			a.Accept[i] = true
 		}
-	case session.KindProjection:
+	case interact.KindProjection:
 		a.Accept = make([]bool, len(q.Vars))
 		for i := range a.Accept {
 			a.Accept[i] = true
 		}
-	case session.KindChoice:
+	case interact.KindChoice:
 		c := 0
 		if pick != "" {
 			for i, opt := range q.Choices {
@@ -92,7 +95,7 @@ func wireAnswer(q *session.Question, pick string) session.Answer {
 			}
 		}
 		a.Choice = &c
-	case session.KindNumber:
+	case interact.KindNumber:
 		n := q.Default
 		a.Number = &n
 	}
@@ -255,6 +258,59 @@ func TestSessionEndpointErrors(t *testing.T) {
 	resp, _ = doJSON(t, "GET", ts.URL+"/api/session/"+snap.ID, nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("deleted session still answers: status %d", resp.StatusCode)
+	}
+}
+
+// TestDialogueFormRejectsNonFiniteNumbers posts "NaN" and "+Inf" as the
+// dialogue form's number answer: each must be refused with 400 and leave
+// the question pending, not reach the query as an unparsable
+// "THRESHOLD = NaN". A valid answer then still lands.
+func TestDialogueFormRejectsNonFiniteNumbers(t *testing.T) {
+	_, ts := sessionServer(t, serverConfig{})
+	resp, body := doJSON(t, "POST", ts.URL+"/api/session", sessionStartRequest{Question: buffaloQ})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("start: status %d: %s", resp.StatusCode, body)
+	}
+	snap := decodeSnapshot(t, body)
+	for snap.Question == nil || snap.Question.Kind != "number" {
+		switch {
+		case snap.State.Terminal():
+			t.Fatalf("dialogue ended before a number question: %+v", snap)
+		case snap.Question == nil:
+			resp, body = doJSON(t, "GET", ts.URL+"/api/session/"+snap.ID, nil)
+		default:
+			resp, body = doJSON(t, "POST", ts.URL+"/api/session/"+snap.ID+"/answer",
+				sessionAnswerRequest{Question: snap.Question.ID, Answer: wireAnswer(snap.Question, "")})
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		snap = decodeSnapshot(t, body)
+	}
+	client := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
+		return http.ErrUseLastResponse
+	}}
+	post := func(number string) int {
+		t.Helper()
+		resp, err := client.PostForm(ts.URL+"/dialogue/answer", url.Values{
+			"id":     {snap.ID},
+			"qid":    {strconv.Itoa(snap.Question.ID)},
+			"kind":   {"number"},
+			"number": {number},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, bad := range []string{"NaN", "+Inf"} {
+		if status := post(bad); status != http.StatusBadRequest {
+			t.Errorf("number=%s: status %d, want 400", bad, status)
+		}
+	}
+	if status := post("0.2"); status != http.StatusSeeOther {
+		t.Errorf("number=0.2: status %d, want 303", status)
 	}
 }
 

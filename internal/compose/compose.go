@@ -78,12 +78,6 @@ type Output struct {
 	// Query is the plan rendered structurally into OASSIS-QL via the one
 	// OASSIS emitter (emit.OassisQuery).
 	Query *oassisql.Query
-	// WhereOrigins is parallel to Query.Where.Triples: the source-token
-	// set of each kept general triple.
-	WhereOrigins []prov.TokenSet
-	// SatisfyingOrigins[i] is parallel to
-	// Query.Satisfying[i].Pattern.Triples.
-	SatisfyingOrigins [][]prov.TokenSet
 	// Decisions holds one entry per general triple the Query Generator
 	// produced, kept or not, in generation order.
 	Decisions []Decision
@@ -119,13 +113,6 @@ type Input struct {
 	Policy     interact.Policy
 }
 
-func (in *Input) interactor() interact.Interactor {
-	if in.Interactor == nil {
-		return interact.Auto{}
-	}
-	return in.Interactor
-}
-
 // Compose assembles the final OASSIS-QL query, honoring cancellation
 // between subclauses (each may open a significance dialogue). A request
 // with no individual parts yields a query with an empty SATISFYING
@@ -139,10 +126,10 @@ func (c *Composer) Compose(ctx context.Context, in Input) (*oassisql.Query, erro
 	return out.Query, nil
 }
 
-// ComposeTraced is Compose plus provenance: the returned Output carries
-// the source-token set of every kept triple and a Decision for every
-// general triple explaining, in exact token terms, why it was kept or
-// dropped.
+// ComposeTraced is Compose plus provenance: every pattern of the
+// returned plan carries its triple's source-token set, and the Output
+// holds a Decision for every general triple explaining, in exact token
+// terms, why it was kept or dropped.
 func (c *Composer) ComposeTraced(ctx context.Context, in Input) (*Output, error) {
 	plan := &emit.Plan{Question: in.Graph.Source, Select: emit.Select{All: true}}
 	out := &Output{Plan: plan}
@@ -159,7 +146,6 @@ func (c *Composer) ComposeTraced(ctx context.Context, in Input) (*Output, error)
 			Tokens: tokens,
 			Source: in.Graph.Excerpt(tokens),
 		})
-		out.WhereOrigins = append(out.WhereOrigins, tokens)
 	}
 	out.Decisions = decisions
 
@@ -173,20 +159,19 @@ func (c *Composer) ComposeTraced(ctx context.Context, in Input) (*Output, error)
 		if err != nil {
 			return nil, err
 		}
-		origins := append([]prov.TokenSet(nil), part.Origins...)
-		for len(origins) < len(part.Triples) {
-			origins = append(origins, nil) // defensive: keep slices parallel
-		}
 		cc := emit.CrowdClause{Significance: sig}
 		for i, t := range part.Triples {
+			var tokens prov.TokenSet
+			if i < len(part.Origins) { // defensive: Origins may run short
+				tokens = part.Origins[i]
+			}
 			cc.Patterns = append(cc.Patterns, emit.Pattern{
 				Triple: t,
-				Tokens: origins[i],
-				Source: in.Graph.Excerpt(origins[i]),
+				Tokens: tokens,
+				Source: in.Graph.Excerpt(tokens),
 			})
 		}
 		plan.Crowd = append(plan.Crowd, cc)
-		out.SatisfyingOrigins = append(out.SatisfyingOrigins, origins)
 	}
 
 	// (iii) Variable alignment is guaranteed by construction: both the
@@ -319,20 +304,22 @@ func (c *Composer) pruneDangling(kept []keptTriple, in Input, decisions []Decisi
 
 // significance picks the crowd clause's criterion: a top-k for
 // superlative opinions, a support threshold otherwise; values come from
-// defaults or the Figure-5 dialogue.
+// defaults or the Figure-5 dialogue, which checks the user's answer.
+// The administrator's defaults are configuration, not answers, so they
+// are checked here.
 func (c *Composer) significance(ctx context.Context, in Input, part individual.Part) (emit.Significance, error) {
 	ask := in.Policy.Asks(interact.PointSignificance)
 	if part.Superlative {
 		k := c.Defaults.TopK
+		if k <= 0 {
+			return emit.Significance{}, fmt.Errorf("compose: non-positive top-k %d", k)
+		}
 		if ask {
 			var err error
-			k, err = in.interactor().SelectTopK(ctx, part.Description, k)
+			k, err = interact.SelectTopK(ctx, in.Interactor, part.Description, k)
 			if err != nil {
 				return emit.Significance{}, fmt.Errorf("compose: selecting top-k: %w", err)
 			}
-		}
-		if k <= 0 {
-			return emit.Significance{}, fmt.Errorf("compose: non-positive top-k %d", k)
 		}
 		return emit.Significance{TopK: k, Desc: true}, nil
 	}
@@ -343,15 +330,15 @@ func (c *Composer) significance(ctx context.Context, in Input, part individual.P
 		// the administrator's default.
 		th = 0.5
 	}
+	if !(th >= 0 && th <= 1) { // also rejects NaN
+		return emit.Significance{}, fmt.Errorf("compose: threshold %g outside [0,1]", th)
+	}
 	if ask {
 		var err error
-		th, err = in.interactor().SelectThreshold(ctx, part.Description, th)
+		th, err = interact.SelectThreshold(ctx, in.Interactor, part.Description, th)
 		if err != nil {
 			return emit.Significance{}, fmt.Errorf("compose: selecting threshold: %w", err)
 		}
-	}
-	if th < 0 || th > 1 {
-		return emit.Significance{}, fmt.Errorf("compose: threshold %g outside [0,1]", th)
 	}
 	return emit.Significance{Threshold: th}, nil
 }
@@ -435,7 +422,7 @@ func (c *Composer) selectClause(ctx context.Context, p *emit.Plan, in Input) err
 	for i, v := range vars {
 		choices[i] = interact.VarChoice{Var: v, Phrase: c.phraseFor(v, in)}
 	}
-	keep, err := in.interactor().SelectProjection(ctx, choices)
+	keep, err := interact.SelectProjection(ctx, in.Interactor, choices)
 	if err != nil {
 		return fmt.Errorf("compose: selecting projection: %w", err)
 	}

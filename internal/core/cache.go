@@ -8,8 +8,6 @@ import (
 
 	"nl2cm/internal/emit"
 	"nl2cm/internal/nlp"
-	"nl2cm/internal/oassisql"
-	"nl2cm/internal/prov"
 	"nl2cm/internal/qcache"
 	"nl2cm/internal/rdf"
 )
@@ -219,7 +217,7 @@ func (t *Translator) serveHit(question string, shape qcache.Shape, entry *cacheE
 			res.Renderings[name] = rend
 		}
 	}
-	res.buildProvenanceFromPlan()
+	res.buildProvenance()
 	res.CacheOutcome = "rebound"
 	if opt.Trace {
 		res.Trace = []Stage{{
@@ -266,35 +264,4 @@ func rebindSources(p *emit.Plan, g *nlp.DepGraph) {
 	for i := range p.Crowd {
 		fix(p.Crowd[i].Patterns)
 	}
-}
-
-// buildProvenanceFromPlan rebuilds the Result's provenance views from
-// the plan's own pattern token sets — the rebind-path counterpart of
-// buildProvenance, which works from the traced composition output.
-func (r *Result) buildProvenanceFromPlan() {
-	r.Provenance = map[string]prov.Record{}
-	covered := prov.TokenSet{}
-	add := func(clause string, sub int, pat emit.Pattern) {
-		covered = covered.Union(pat.Tokens)
-		key := oassisql.TripleString(pat.Triple)
-		rec, seen := r.Provenance[key]
-		if seen {
-			rec.Tokens = rec.Tokens.Union(pat.Tokens)
-		} else {
-			rec = prov.Record{Triple: key, Clause: clause, Subclause: sub, Tokens: pat.Tokens}
-		}
-		spans := r.Graph.Spans(rec.Tokens)
-		rec.Spans = prov.MergeSpans(r.Question, spans)
-		rec.Text = prov.Excerpt(r.Question, spans)
-		r.Provenance[key] = rec
-	}
-	for _, pat := range r.Plan.Where {
-		add(oassisql.ClauseWhere, -1, pat)
-	}
-	for si, cc := range r.Plan.Crowd {
-		for _, pat := range cc.Patterns {
-			add(oassisql.ClauseSatisfying, si, pat)
-		}
-	}
-	r.finishUncovered(covered)
 }

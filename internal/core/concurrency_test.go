@@ -146,32 +146,3 @@ func equalStrings(a, b []string) bool {
 	}
 	return true
 }
-
-// shortAnswers is a faulty Interactor that confirms only the first IX
-// span no matter how many were asked about.
-type shortAnswers struct{ interact.Auto }
-
-func (shortAnswers) VerifyIXs(ctx context.Context, q string, spans []interact.IXSpan) ([]bool, error) {
-	return []bool{true}, nil
-}
-
-// TestVerifyIXsShortAnswer is the regression test for the latent panic:
-// a custom Interactor returning fewer answers than spans used to index
-// out of range; now it is a stage-attributed error.
-func TestVerifyIXsShortAnswer(t *testing.T) {
-	opt := Options{
-		Interactor: shortAnswers{},
-		Policy:     interact.Policy{Ask: map[interact.Point]bool{interact.PointIXVerification: true}},
-	}
-	_, err := newTranslator().Translate(context.Background(), runningExample, opt)
-	if err == nil {
-		t.Fatal("short answer slice accepted")
-	}
-	var se *StageError
-	if !errors.As(err, &se) {
-		t.Fatalf("err = %T (%v), want *StageError", err, err)
-	}
-	if se.Stage != StageIXVerify {
-		t.Errorf("error attributed to %q, want %q", se.Stage, StageIXVerify)
-	}
-}

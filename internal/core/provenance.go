@@ -5,51 +5,45 @@ import (
 	"sort"
 	"strings"
 
-	"nl2cm/internal/compose"
+	"nl2cm/internal/emit"
 	"nl2cm/internal/oassisql"
 	"nl2cm/internal/prov"
 	"nl2cm/internal/rdf"
 	"nl2cm/internal/verify"
 )
 
-// buildProvenance fills the Result's provenance views from the traced
-// composition output: the triple→spans→text map, the uncovered-token
-// report, and its rephrasing tips.
-func (r *Result) buildProvenance(out *compose.Output) {
+// buildProvenance fills the Result's provenance views from the plan's
+// own pattern token sets: the triple→spans→text map, the
+// uncovered-token report, and its rephrasing tips. Cold and rebound
+// results alike derive them from the plan they return.
+func (r *Result) buildProvenance() {
 	r.Provenance = map[string]prov.Record{}
 	covered := prov.TokenSet{}
-	add := func(clause string, sub int, t rdf.Triple, tokens prov.TokenSet) {
-		covered = covered.Union(tokens)
-		key := oassisql.TripleString(t)
+	add := func(clause string, sub int, pat emit.Pattern) {
+		covered = covered.Union(pat.Tokens)
+		key := oassisql.TripleString(pat.Triple)
 		rec, seen := r.Provenance[key]
 		if seen {
 			// The same rendered triple in several places (e.g. two
 			// subclauses): merge the token sets, keep the first location.
-			rec.Tokens = rec.Tokens.Union(tokens)
+			rec.Tokens = rec.Tokens.Union(pat.Tokens)
 		} else {
-			rec = prov.Record{Triple: key, Clause: clause, Subclause: sub, Tokens: tokens}
+			rec = prov.Record{Triple: key, Clause: clause, Subclause: sub, Tokens: pat.Tokens}
 		}
 		spans := r.Graph.Spans(rec.Tokens)
 		rec.Spans = prov.MergeSpans(r.Question, spans)
 		rec.Text = prov.Excerpt(r.Question, spans)
 		r.Provenance[key] = rec
 	}
-	for i, t := range out.Query.Where.Triples {
-		add(oassisql.ClauseWhere, -1, t, out.WhereOrigins[i])
+	for _, pat := range r.Plan.Where {
+		add(oassisql.ClauseWhere, -1, pat)
 	}
-	for si, sc := range out.Query.Satisfying {
-		for i, t := range sc.Pattern.Triples {
-			add(oassisql.ClauseSatisfying, si, t, out.SatisfyingOrigins[si][i])
+	for si, cc := range r.Plan.Crowd {
+		for _, pat := range cc.Patterns {
+			add(oassisql.ClauseSatisfying, si, pat)
 		}
 	}
 
-	r.finishUncovered(covered)
-}
-
-// finishUncovered derives the uncovered-word report and its rephrasing
-// tips from the set of tokens the emitted triples cover. It is shared by
-// both provenance builders (traced composition and plan rebind).
-func (r *Result) finishUncovered(covered prov.TokenSet) {
 	// Tokens inside an accepted IX were understood even when no single
 	// triple lists them (auxiliaries, particles).
 	understood := covered
@@ -58,7 +52,7 @@ func (r *Result) finishUncovered(covered prov.TokenSet) {
 	}
 	// A detected counting quantifier ("how many", "the most") was
 	// understood — it became the plan's analytic step, not a triple.
-	if r.General != nil && r.General.Aggregate != nil && r.Plan != nil && r.Plan.Agg != nil {
+	if r.General != nil && r.General.Aggregate != nil && r.Plan.Agg != nil {
 		understood = understood.Union(prov.NewTokenSet(r.General.Aggregate.Origin...))
 	}
 	for id := range r.Graph.Nodes {

@@ -349,7 +349,7 @@ func (t *Translator) translate(ctx context.Context, question string, opt Options
 		res.Plan = out.Plan
 		res.Query = out.Query
 		res.ComposeDecisions = out.Decisions
-		res.buildProvenance(out)
+		res.buildProvenance()
 		res.PureGeneral = len(res.Query.Satisfying) == 0
 		return res.Query.String(), nil
 	}); err != nil {
@@ -401,9 +401,7 @@ func (r *Result) Render(backend string) (*emit.Rendering, error) {
 
 // verifyIXs runs the Figure-4 dialogue: detected IXs are shown for
 // confirmation. Depending on the policy, all IXs or only uncertain ones
-// are asked about; with interaction disabled, all are accepted. An
-// Interactor returning the wrong number of answers is an error, not a
-// panic.
+// are asked about; with interaction disabled, all are accepted.
 func (t *Translator) verifyIXs(ctx context.Context, question string, g *nlp.DepGraph, ixs []*ix.IX,
 	interactor interact.Interactor, policy interact.Policy) (accepted, rejected []*ix.IX, err error) {
 	if !policy.Asks(interact.PointIXVerification) || len(ixs) == 0 {
@@ -436,12 +434,9 @@ func (t *Translator) verifyIXs(ctx context.Context, question string, g *nlp.DepG
 			Uncertain: x.Uncertain,
 		}
 	}
-	answers, err := interactor.VerifyIXs(ctx, question, spans)
+	answers, err := interact.VerifyIXs(ctx, interactor, question, spans)
 	if err != nil {
 		return nil, nil, fmt.Errorf("verifying IXs: %w", err)
-	}
-	if len(answers) != len(toAsk) {
-		return nil, nil, fmt.Errorf("verifying IXs: interactor returned %d answers for %d spans", len(answers), len(toAsk))
 	}
 	for i, x := range toAsk {
 		if answers[i] {

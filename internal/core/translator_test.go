@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -282,6 +284,68 @@ func TestTranslateErrorsPropagate(t *testing.T) {
 	}
 	if _, err := newTranslator().Translate(context.Background(), runningExample, opt); err == nil {
 		t.Error("shape-mismatched script accepted")
+	}
+}
+
+// answerFunc is an Interactor built from a function, for faulty
+// custom Interactors.
+type answerFunc func(q *interact.Question) interact.Answer
+
+func (f answerFunc) Ask(_ context.Context, q *interact.Question) (interact.Answer, error) {
+	return f(q), nil
+}
+
+// TestMalformedAnswers gives a custom Interactor one malformed answer
+// per kind of question. Each must fail the translation with a
+// *StageError wrapping interact.ErrBadAnswer, attributed to the stage
+// that asked — with the admin trace (which records the dialogue) on or
+// off, and never with a panic.
+func TestMalformedAnswers(t *testing.T) {
+	const buffalo = "Where do you visit in Buffalo?"
+	number := func(n float64) *float64 { return &n }
+	choice := func(c int) *int { return &c }
+	for _, tc := range []struct {
+		name, question string
+		point          interact.Point
+		bad            interact.Kind // the question kind answered badly
+		answer         interact.Answer
+		stage          string
+	}{
+		{"short-ix-flags", runningExample, interact.PointIXVerification, interact.KindIXVerify,
+			interact.Answer{Accept: []bool{true}}, StageIXVerify},
+		{"choice-out-of-range", buffalo, interact.PointDisambiguation, interact.KindChoice,
+			interact.Answer{Choice: choice(7)}, StageGenerator}, // of five candidates
+		{"nan-number", runningExample, interact.PointSignificance, interact.KindNumber,
+			interact.Answer{Number: number(math.NaN())}, StageComposer},
+		{"infinite-number", runningExample, interact.PointSignificance, interact.KindNumber,
+			interact.Answer{Number: number(math.Inf(1))}, StageComposer},
+		{"missing-number", runningExample, interact.PointSignificance, interact.KindNumber,
+			interact.Answer{}, StageComposer},
+		{"short-projection-flags", runningExample, interact.PointProjection, interact.KindProjection,
+			interact.Answer{Accept: []bool{}}, StageComposer},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			in := answerFunc(func(q *interact.Question) interact.Answer {
+				if q.Kind == tc.bad {
+					return tc.answer
+				}
+				return q.DefaultAnswer()
+			})
+			for _, trace := range []bool{false, true} {
+				_, err := newTranslator().Translate(context.Background(), tc.question, Options{
+					Interactor: in,
+					Policy:     interact.Policy{Ask: map[interact.Point]bool{tc.point: true}},
+					Trace:      trace,
+				})
+				var se *StageError
+				if !errors.As(err, &se) {
+					t.Fatalf("trace=%v: err = %T (%v), want *StageError", trace, err, err)
+				}
+				if se.Stage != tc.stage || !errors.Is(err, interact.ErrBadAnswer) {
+					t.Errorf("trace=%v: err = %v, want ErrBadAnswer in stage %q", trace, err, tc.stage)
+				}
+			}
+		})
 	}
 }
 

@@ -17,8 +17,8 @@
 //     no member profile is ever materialized, so a million-member crowd
 //     costs memory proportional to the sampling state, not the
 //     population,
-//   - Population is a synthetic million-profile generator with skew,
-//     spammer and taste-segment controls for scale experiments.
+//   - Population is a synthetic million-profile generator with skew
+//     and spammer controls for scale experiments.
 //
 // Two stopping rules are available. RuleConfidence (the default) stops a
 // task once a Serfling-corrected Hoeffding interval around the running

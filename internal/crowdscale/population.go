@@ -16,11 +16,7 @@ import (
 //     patterns are niche and a few are popular (the long tail a real
 //     crowd exhibits),
 //   - SpamFraction marks a deterministic share of members as spam
-//     workers who answer uniformly at random,
-//   - Segments/SegmentBias split the population into taste segments
-//     whose members shift each key's mean by a per-(segment, key)
-//     offset, modelling correlated subpopulations rather than pure
-//     i.i.d. noise.
+//     workers who answer uniformly at random.
 //
 // All behaviour is a pure function of the fields, so experiments are
 // reproducible; hashing is allocation-free on the Sum path.
@@ -41,12 +37,6 @@ type Population struct {
 	// SpamFraction is the share of members who answer uniformly at
 	// random regardless of the question.
 	SpamFraction float64
-	// Segments is the number of taste segments (values < 2 disable
-	// segmentation); a member's segment is fixed across keys.
-	Segments int
-	// SegmentBias scales the per-(segment, key) mean shift, drawn
-	// uniformly from [-SegmentBias, +SegmentBias].
-	SegmentBias float64
 }
 
 // Size implements Source.
@@ -98,7 +88,7 @@ func (p *Population) defaultMean(kh uint64) float64 {
 	return 0.05 + 0.6*u
 }
 
-// memberStream derives the member-only stream (spammer flag, segment):
+// memberStream derives the member-only stream (the spammer flag):
 // independent of the key, so a member's identity is consistent across
 // questions.
 func (p *Population) memberStream(member int) uint64 {
@@ -111,15 +101,6 @@ func (p *Population) IsSpammer(member int) bool {
 		return false
 	}
 	return u01(p.memberStream(member)) < p.SpamFraction
-}
-
-// Segment returns the member's taste segment (0 when segmentation is
-// disabled).
-func (p *Population) Segment(member int) int {
-	if p.Segments < 2 {
-		return 0
-	}
-	return int((p.memberStream(member) >> 17) % uint64(p.Segments))
 }
 
 // Sum implements Source: the answers of members [from, to) for the
@@ -142,14 +123,9 @@ func (p *Population) Sum(key string, from, to int) float64 {
 			sum += u01(splitmix64(kh ^ ms))
 			continue
 		}
-		bias := 0.0
-		if p.Segments > 1 && p.SegmentBias != 0 {
-			seg := (ms >> 17) % uint64(p.Segments)
-			bias = p.SegmentBias * (2*u01(splitmix64(kh^(seg+1)*0xBF58476D1CE4E5B9)) - 1)
-		}
 		r := splitmix64(kh ^ (uint64(m)+1)*0x9E3779B97F4A7C15)
 		n := (u01(r) - u01(splitmix64(r))) * 2 * noise
-		sum += clamp01(mean + bias + n)
+		sum += clamp01(mean + n)
 	}
 	return sum
 }

@@ -6,8 +6,8 @@ import (
 )
 
 func TestPopulationDeterministic(t *testing.T) {
-	p := &Population{N: 1000, Seed: 42, Skew: 1.5, SpamFraction: 0.1, Segments: 4, SegmentBias: 0.1}
-	q := &Population{N: 1000, Seed: 42, Skew: 1.5, SpamFraction: 0.1, Segments: 4, SegmentBias: 0.1}
+	p := &Population{N: 1000, Seed: 42, Skew: 1.5, SpamFraction: 0.1}
+	q := &Population{N: 1000, Seed: 42, Skew: 1.5, SpamFraction: 0.1}
 	for _, key := range []string{"likes(child,gymboree)", "visit(park)", "x"} {
 		for i := 0; i < p.N; i++ {
 			a, b := p.Answer(i, key), q.Answer(i, key)
@@ -36,7 +36,7 @@ func TestPopulationDeterministic(t *testing.T) {
 // members' answers, wherever the batch starts; members outside [0, N)
 // answer 0.
 func TestPopulationBatchOffsets(t *testing.T) {
-	p := &Population{N: 500, Seed: 7, SpamFraction: 0.2, Segments: 3, SegmentBias: 0.1}
+	p := &Population{N: 500, Seed: 7, SpamFraction: 0.2}
 	loop := func(from, to int) float64 {
 		sum := 0.0
 		for m := from; m < to; m++ {
@@ -101,37 +101,5 @@ func TestPopulationSkewLowersMeans(t *testing.T) {
 	}
 	if mf < 0.30 || mf > 0.40 {
 		t.Fatalf("flat mean-of-means %v outside expected [0.30, 0.40] around 0.35", mf)
-	}
-}
-
-func TestPopulationSegments(t *testing.T) {
-	p := &Population{N: 10000, Seed: 9, Segments: 4, SegmentBias: 0.2}
-	counts := make([]int, 4)
-	for i := 0; i < p.N; i++ {
-		s := p.Segment(i)
-		if s < 0 || s >= 4 {
-			t.Fatalf("segment %d out of range", s)
-		}
-		counts[s]++
-	}
-	for s, c := range counts {
-		if c < p.N/8 {
-			t.Fatalf("segment %d holds only %d/%d members", s, c, p.N)
-		}
-	}
-	// Per-segment empirical means differ when bias is on.
-	p.Truth = map[string]float64{"k": 0.5}
-	segSum := make([]float64, 4)
-	for i := 0; i < p.N; i++ {
-		segSum[p.Segment(i)] += p.Answer(i, "k")
-	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for s := range segSum {
-		m := segSum[s] / float64(counts[s])
-		lo = math.Min(lo, m)
-		hi = math.Max(hi, m)
-	}
-	if hi-lo < 0.02 {
-		t.Fatalf("segment means span only %v with bias 0.2", hi-lo)
 	}
 }

@@ -411,43 +411,27 @@ func FeedbackLearningCurve(onto *ontology.Ontology, question, phrase string,
 }
 
 // intendedPicker is an Interactor that always chooses the option whose
-// label+description matches the intended entity.
+// description matches the intended entity's, and gives every other
+// question its default.
 type intendedPicker struct {
 	intended rdf.Term
 	onto     *ontology.Ontology
 	asked    bool
 }
 
-// VerifyIXs implements interact.Interactor.
-func (p *intendedPicker) VerifyIXs(ctx context.Context, q string, spans []interact.IXSpan) ([]bool, error) {
-	return interact.Auto{}.VerifyIXs(ctx, q, spans)
-}
-
-// Disambiguate implements interact.Interactor.
-func (p *intendedPicker) Disambiguate(ctx context.Context, phrase string, options []interact.Choice) (int, error) {
+// Ask implements interact.Interactor.
+func (p *intendedPicker) Ask(_ context.Context, q *interact.Question) (interact.Answer, error) {
+	if q.Kind != interact.KindChoice {
+		return q.DefaultAnswer(), nil
+	}
 	p.asked = true
 	want := p.onto.Description(p.intended)
-	for i, o := range options {
+	for i, o := range q.Choices {
 		if o.Description == want {
-			return i, nil
+			return interact.Answer{Choice: &i}, nil
 		}
 	}
-	return 0, nil
-}
-
-// SelectTopK implements interact.Interactor.
-func (p *intendedPicker) SelectTopK(ctx context.Context, d string, def int) (int, error) {
-	return def, nil
-}
-
-// SelectThreshold implements interact.Interactor.
-func (p *intendedPicker) SelectThreshold(ctx context.Context, d string, def float64) (float64, error) {
-	return def, nil
-}
-
-// SelectProjection implements interact.Interactor.
-func (p *intendedPicker) SelectProjection(ctx context.Context, cs []interact.VarChoice) ([]bool, error) {
-	return interact.Auto{}.SelectProjection(ctx, cs)
+	return q.DefaultAnswer(), nil
 }
 
 // ExecutionStats summarizes an end-to-end translate-and-execute run

@@ -7,15 +7,18 @@
 // to always skip certain interaction points, or skip them when there is
 // no uncertainty"); disabled or unanswered points fall back to defaults.
 //
-// Every Interactor method receives the translation's context.Context and
-// must return promptly (with ctx.Err()) once the context is cancelled, so
-// a slow or abandoned dialogue cannot hold a pipeline stage forever.
+// The pipeline asks every question through one protocol: the five
+// asking functions (VerifyIXs, Disambiguate, SelectTopK, SelectThreshold,
+// SelectProjection) each build their point's typed Question once, pose it
+// through Interactor.Ask and check the reply with Question.Check. Ask
+// receives the translation's context.Context and must return promptly
+// (with ctx.Err()) once the context is cancelled, so a slow or abandoned
+// dialogue cannot hold a pipeline stage forever.
 package interact
 
 import (
 	"bufio"
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -113,25 +116,15 @@ type VarChoice struct {
 	Phrase string
 }
 
-// Interactor answers the system's questions. Implementations must be
-// safe for sequential use during one translation; an Interactor with
-// mutable answer state (e.g. Scripted) must not be shared between
-// concurrent translations. Each method receives the translation's
-// context and should abort with ctx.Err() when it is cancelled.
+// Interactor answers the system's questions. The pipeline never calls
+// Ask directly: it asks through VerifyIXs, Disambiguate, SelectTopK,
+// SelectThreshold and SelectProjection, which build the question and
+// check the answer (Question.Check), so an implementation need not
+// validate its own replies. Ask must return promptly with ctx.Err() once
+// ctx is cancelled. An Interactor with per-dialogue state (Scripted,
+// Console) must not be shared between concurrent translations.
 type Interactor interface {
-	// VerifyIXs asks which detected IXs really are individual; it
-	// returns one accept flag per span.
-	VerifyIXs(ctx context.Context, question string, spans []IXSpan) ([]bool, error)
-	// Disambiguate picks one of the candidate meanings for a phrase; it
-	// returns the chosen index.
-	Disambiguate(ctx context.Context, phrase string, options []Choice) (int, error)
-	// SelectTopK asks for the k of a top-k significance selection.
-	SelectTopK(ctx context.Context, description string, def int) (int, error)
-	// SelectThreshold asks for a minimal support threshold in [0,1].
-	SelectThreshold(ctx context.Context, description string, def float64) (float64, error)
-	// SelectProjection asks which variables to return bindings for; it
-	// returns one keep flag per choice.
-	SelectProjection(ctx context.Context, choices []VarChoice) ([]bool, error)
+	Ask(ctx context.Context, q *Question) (Answer, error)
 }
 
 // ---------------------------------------------------------------------
@@ -143,190 +136,84 @@ type Interactor interface {
 // use.
 type Auto struct{}
 
-// VerifyIXs implements Interactor.
-func (Auto) VerifyIXs(ctx context.Context, _ string, spans []IXSpan) ([]bool, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	out := make([]bool, len(spans))
-	for i := range out {
-		out[i] = true
-	}
-	return out, nil
-}
-
-// Disambiguate implements Interactor.
-func (Auto) Disambiguate(ctx context.Context, _ string, options []Choice) (int, error) {
-	if err := ctx.Err(); err != nil {
-		return -1, err
-	}
-	if len(options) == 0 {
-		return -1, fmt.Errorf("interact: no options to disambiguate")
-	}
-	return 0, nil
-}
-
-// SelectTopK implements Interactor.
-func (Auto) SelectTopK(ctx context.Context, _ string, def int) (int, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return def, nil
-}
-
-// SelectThreshold implements Interactor.
-func (Auto) SelectThreshold(ctx context.Context, _ string, def float64) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return def, nil
-}
-
-// SelectProjection implements Interactor.
-func (Auto) SelectProjection(ctx context.Context, choices []VarChoice) ([]bool, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	out := make([]bool, len(choices))
-	for i := range out {
-		out[i] = true
-	}
-	return out, nil
-}
+// Ask implements Interactor.
+func (Auto) Ask(_ context.Context, q *Question) (Answer, error) { return q.DefaultAnswer(), nil }
 
 // ---------------------------------------------------------------------
 // Scripted: canned answers for tests and demo scripts.
 
-// ErrScriptExhausted reports that a Scripted interactor in Strict mode
-// was asked more questions than its script answers. Tests match it with
-// errors.Is.
-var ErrScriptExhausted = errors.New("interact: script exhausted")
-
-// Scripted replays pre-recorded answers; when a queue is exhausted it
-// falls back to the Auto defaults, unless Strict is set, in which case
-// the exhausted call fails with ErrScriptExhausted. It implements the
-// volunteer-user scripts of the demonstration scenario. A Scripted
-// interactor carries per-dialogue cursors and therefore serves exactly
-// one translation at a time; build a fresh one per request under
-// concurrency.
+// Scripted replays pre-recorded answers, one queue per kind of
+// question; when a queue runs out it answers with the question's
+// default. It implements the volunteer-user scripts of the
+// demonstration scenario. A Scripted interactor carries per-dialogue
+// cursors and therefore serves exactly one translation at a time; build
+// a fresh one per request under concurrency.
 type Scripted struct {
-	// IXAnswers holds one []bool per VerifyIXs call.
+	// IXAnswers holds one []bool per IX verification.
 	IXAnswers [][]bool
-	// DisambiguationAnswers holds chosen indices per Disambiguate call.
+	// DisambiguationAnswers holds the chosen index per disambiguation.
 	DisambiguationAnswers []int
-	// TopKAnswers and ThresholdAnswers per corresponding call.
+	// TopKAnswers answer integer number questions (top-k) and
+	// ThresholdAnswers the others (support thresholds), in order.
 	TopKAnswers      []int
 	ThresholdAnswers []float64
-	// ProjectionAnswers holds one []bool per SelectProjection call.
+	// ProjectionAnswers holds one []bool per projection question.
 	ProjectionAnswers [][]bool
-	// Strict turns silent fallback-to-default on an exhausted answer
-	// queue into an ErrScriptExhausted failure, so a test whose dialogue
-	// asks more questions than scripted fails loudly instead of passing
-	// on defaults.
-	Strict bool
 
 	ixi, disi, ki, thi, pri int
 }
 
-// VerifyIXs implements Interactor.
-func (s *Scripted) VerifyIXs(ctx context.Context, q string, spans []IXSpan) ([]bool, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if s.ixi < len(s.IXAnswers) {
-		ans := s.IXAnswers[s.ixi]
-		s.ixi++
-		if len(ans) != len(spans) {
-			return nil, fmt.Errorf("interact: scripted IX answer has %d flags for %d spans", len(ans), len(spans))
+// Ask implements Interactor.
+func (s *Scripted) Ask(_ context.Context, q *Question) (Answer, error) {
+	switch q.Kind {
+	case KindIXVerify:
+		if flags, ok := pop(s.IXAnswers, &s.ixi); ok {
+			return Answer{Accept: flags}, nil
 		}
-		return ans, nil
-	}
-	if s.Strict {
-		return nil, fmt.Errorf("%w: no IX answer for call %d", ErrScriptExhausted, s.ixi+1)
-	}
-	return Auto{}.VerifyIXs(ctx, q, spans)
-}
-
-// Disambiguate implements Interactor.
-func (s *Scripted) Disambiguate(ctx context.Context, phrase string, options []Choice) (int, error) {
-	if err := ctx.Err(); err != nil {
-		return -1, err
-	}
-	if s.disi < len(s.DisambiguationAnswers) {
-		i := s.DisambiguationAnswers[s.disi]
-		s.disi++
-		if i < 0 || i >= len(options) {
-			return -1, fmt.Errorf("interact: scripted choice %d out of range (%d options for %q)", i, len(options), phrase)
+	case KindProjection:
+		if flags, ok := pop(s.ProjectionAnswers, &s.pri); ok {
+			return Answer{Accept: flags}, nil
 		}
-		return i, nil
-	}
-	if s.Strict {
-		return -1, fmt.Errorf("%w: no disambiguation answer for %q (call %d)", ErrScriptExhausted, phrase, s.disi+1)
-	}
-	return Auto{}.Disambiguate(ctx, phrase, options)
-}
-
-// SelectTopK implements Interactor.
-func (s *Scripted) SelectTopK(ctx context.Context, desc string, def int) (int, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	if s.ki < len(s.TopKAnswers) {
-		k := s.TopKAnswers[s.ki]
-		s.ki++
-		return k, nil
-	}
-	if s.Strict {
-		return 0, fmt.Errorf("%w: no top-k answer for call %d", ErrScriptExhausted, s.ki+1)
-	}
-	return def, nil
-}
-
-// SelectThreshold implements Interactor.
-func (s *Scripted) SelectThreshold(ctx context.Context, desc string, def float64) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	if s.thi < len(s.ThresholdAnswers) {
-		t := s.ThresholdAnswers[s.thi]
-		s.thi++
-		return t, nil
-	}
-	if s.Strict {
-		return 0, fmt.Errorf("%w: no threshold answer for call %d", ErrScriptExhausted, s.thi+1)
-	}
-	return def, nil
-}
-
-// SelectProjection implements Interactor.
-func (s *Scripted) SelectProjection(ctx context.Context, choices []VarChoice) ([]bool, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if s.pri < len(s.ProjectionAnswers) {
-		ans := s.ProjectionAnswers[s.pri]
-		s.pri++
-		if len(ans) != len(choices) {
-			return nil, fmt.Errorf("interact: scripted projection answer has %d flags for %d vars", len(ans), len(choices))
+	case KindChoice:
+		if c, ok := pop(s.DisambiguationAnswers, &s.disi); ok {
+			return Answer{Choice: &c}, nil
 		}
-		return ans, nil
+	case KindNumber:
+		if q.Integer {
+			if k, ok := pop(s.TopKAnswers, &s.ki); ok {
+				n := float64(k)
+				return Answer{Number: &n}, nil
+			}
+		} else if th, ok := pop(s.ThresholdAnswers, &s.thi); ok {
+			return Answer{Number: &th}, nil
+		}
 	}
-	if s.Strict {
-		return nil, fmt.Errorf("%w: no projection answer for call %d", ErrScriptExhausted, s.pri+1)
+	return q.DefaultAnswer(), nil
+}
+
+// pop returns the queue's next entry and advances its cursor; ok is
+// false once the queue is exhausted.
+func pop[T any](queue []T, i *int) (v T, ok bool) {
+	if *i >= len(queue) {
+		return v, false
 	}
-	return Auto{}.SelectProjection(ctx, choices)
+	v = queue[*i]
+	*i++
+	return v, true
 }
 
 // ---------------------------------------------------------------------
 // Console: interactive prompts over an io stream (the CLI front end).
 
 // Console prompts the user on W and reads answers from R, mirroring the
-// web UI dialogues of Figures 3–6 in plain text. Reads run on a
-// dedicated goroutine so every prompt honors its context: cancelling
-// (Ctrl-C, timeout) unblocks the dialogue immediately with ctx.Err().
-// The underlying read itself is not interruptible — an abandoned read
-// keeps running until the next line or EOF arrives on R, and its line is
-// discarded; for stdin this is moot because the process is exiting.
+// web UI dialogues of Figures 3–6 in plain text: it prints the
+// question's Prompt and parses the reply by the question's kind, an
+// empty line taking the default. Reads run on a dedicated goroutine so
+// every prompt honors its context: cancelling (Ctrl-C, timeout)
+// unblocks the dialogue immediately with ctx.Err(). The underlying read
+// itself is not interruptible — an abandoned read keeps running until
+// the next line or EOF arrives on R, and its line is discarded; for
+// stdin this is moot because the process is exiting.
 type Console struct {
 	R io.Reader
 	W io.Writer
@@ -363,117 +250,75 @@ func (c *Console) start() {
 	})
 }
 
-func (c *Console) readLine(ctx context.Context) (string, error) {
+// prompt prints the prompt text and reads one reply line.
+func (c *Console) prompt(ctx context.Context, text string) (string, error) {
+	fmt.Fprint(c.W, text)
 	c.start()
 	select {
 	case r := <-c.lines:
-		return r.line, r.err
+		if r.err != nil {
+			return "", fmt.Errorf("interact: reading answer: %w", r.err)
+		}
+		return r.line, nil
 	case <-ctx.Done():
 		return "", ctx.Err()
 	}
 }
 
-// VerifyIXs implements Interactor.
-func (c *Console) VerifyIXs(ctx context.Context, question string, spans []IXSpan) ([]bool, error) {
-	fmt.Fprintf(c.W, "Please verify: which parts of your question should be asked to the crowd?\n")
-	out := make([]bool, len(spans))
-	for i, sp := range spans {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+// Ask implements Interactor.
+func (c *Console) Ask(ctx context.Context, q *Question) (Answer, error) {
+	switch q.Kind {
+	case KindIXVerify, KindProjection:
+		fmt.Fprintln(c.W, q.Prompt)
+		var items []string
+		for i, sp := range q.Spans {
+			items = append(items, fmt.Sprintf("  [%d] %q (%s individuality) — ask the crowd? [Y/n] ", i+1, sp.Text, sp.Type))
 		}
-		fmt.Fprintf(c.W, "  [%d] %q (%s individuality) — ask the crowd? [Y/n] ", i+1, sp.Text, sp.Type)
-		line, err := c.readLine(ctx)
+		for _, v := range q.Vars {
+			items = append(items, fmt.Sprintf("  $%s (%q) — include? [Y/n] ", v.Var, v.Phrase))
+		}
+		flags := make([]bool, len(items))
+		for i, item := range items {
+			line, err := c.prompt(ctx, item)
+			if err != nil {
+				return Answer{}, err
+			}
+			flags[i] = line == "" || strings.EqualFold(line, "y") || strings.EqualFold(line, "yes")
+		}
+		return Answer{Accept: flags}, nil
+	case KindChoice:
+		fmt.Fprintln(c.W, q.Prompt)
+		for i, o := range q.Choices {
+			fmt.Fprintf(c.W, "  [%d] %s — %s\n", i+1, o.Label, o.Description)
+		}
+		line, err := c.prompt(ctx, "Enter choice [1]: ")
 		if err != nil {
-			return nil, fmt.Errorf("interact: reading IX answer: %w", err)
+			return Answer{}, err
 		}
-		out[i] = line == "" || strings.EqualFold(line, "y") || strings.EqualFold(line, "yes")
-	}
-	return out, nil
-}
-
-// Disambiguate implements Interactor.
-func (c *Console) Disambiguate(ctx context.Context, phrase string, options []Choice) (int, error) {
-	if err := ctx.Err(); err != nil {
-		return -1, err
-	}
-	if len(options) == 0 {
-		return -1, fmt.Errorf("interact: no options to disambiguate")
-	}
-	fmt.Fprintf(c.W, "Which %q did you mean?\n", phrase)
-	for i, o := range options {
-		fmt.Fprintf(c.W, "  [%d] %s — %s\n", i+1, o.Label, o.Description)
-	}
-	fmt.Fprintf(c.W, "Enter choice [1]: ")
-	line, err := c.readLine(ctx)
-	if err != nil {
-		return -1, fmt.Errorf("interact: reading choice: %w", err)
-	}
-	if line == "" {
-		return 0, nil
-	}
-	n, err := strconv.Atoi(line)
-	if err != nil || n < 1 || n > len(options) {
-		return -1, fmt.Errorf("interact: invalid choice %q", line)
-	}
-	return n - 1, nil
-}
-
-// SelectTopK implements Interactor.
-func (c *Console) SelectTopK(ctx context.Context, desc string, def int) (int, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	fmt.Fprintf(c.W, "How many results for %s? [%d]: ", desc, def)
-	line, err := c.readLine(ctx)
-	if err != nil {
-		return 0, fmt.Errorf("interact: reading k: %w", err)
-	}
-	if line == "" {
-		return def, nil
-	}
-	n, err := strconv.Atoi(line)
-	if err != nil || n <= 0 {
-		return 0, fmt.Errorf("interact: invalid k %q", line)
-	}
-	return n, nil
-}
-
-// SelectThreshold implements Interactor.
-func (c *Console) SelectThreshold(ctx context.Context, desc string, def float64) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	fmt.Fprintf(c.W, "Minimal frequency for %s, between 0 and 1? [%g]: ", desc, def)
-	line, err := c.readLine(ctx)
-	if err != nil {
-		return 0, fmt.Errorf("interact: reading threshold: %w", err)
-	}
-	if line == "" {
-		return def, nil
-	}
-	f, err := strconv.ParseFloat(line, 64)
-	if err != nil || f < 0 || f > 1 {
-		return 0, fmt.Errorf("interact: invalid threshold %q", line)
-	}
-	return f, nil
-}
-
-// SelectProjection implements Interactor.
-func (c *Console) SelectProjection(ctx context.Context, choices []VarChoice) ([]bool, error) {
-	out := make([]bool, len(choices))
-	fmt.Fprintf(c.W, "For which terms do you want to receive instances?\n")
-	for i, ch := range choices {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		if line == "" {
+			return q.DefaultAnswer(), nil
 		}
-		fmt.Fprintf(c.W, "  $%s (%q) — include? [Y/n] ", ch.Var, ch.Phrase)
-		line, err := c.readLine(ctx)
+		n, err := strconv.Atoi(line)
 		if err != nil {
-			return nil, fmt.Errorf("interact: reading projection answer: %w", err)
+			return Answer{}, fmt.Errorf("%w: choice %q is not a number", ErrBadAnswer, line)
 		}
-		out[i] = line == "" || strings.EqualFold(line, "y") || strings.EqualFold(line, "yes")
+		n-- // the console numbers options from 1
+		return Answer{Choice: &n}, nil
+	case KindNumber:
+		line, err := c.prompt(ctx, q.Prompt+" ["+q.formatNumber(q.Default)+"]: ")
+		if err != nil {
+			return Answer{}, err
+		}
+		if line == "" {
+			return q.DefaultAnswer(), nil
+		}
+		n, err := strconv.ParseFloat(line, 64)
+		if err != nil {
+			return Answer{}, fmt.Errorf("%w: %q is not a number", ErrBadAnswer, line)
+		}
+		return Answer{Number: &n}, nil
 	}
-	return out, nil
+	return Answer{}, fmt.Errorf("%w: unknown question kind %q", ErrBadAnswer, q.Kind)
 }
 
 // ---------------------------------------------------------------------
@@ -487,13 +332,14 @@ type Exchange struct {
 }
 
 // Recorder wraps an Interactor and records a transcript of every
-// exchange; the admin-mode monitor displays it. Recording is
-// mutex-guarded, so one Recorder may be shared by concurrent
-// translations (provided Inner itself is concurrency-safe): exchanges
-// from different dialogues interleave in arrival order, each appended
-// atomically. Read the transcript with Transcript, which copies under
-// the same lock; the exported Log field may only be accessed directly
-// once every translation using the Recorder has returned.
+// exchange whose answer passes the question's check; the admin-mode
+// monitor displays it. Recording is mutex-guarded, so one Recorder may
+// be shared by concurrent translations (provided Inner itself is
+// concurrency-safe): exchanges from different dialogues interleave in
+// arrival order, each appended atomically. Read the transcript with
+// Transcript, which copies under the same lock; the exported Log field
+// may only be accessed directly once every translation using the
+// Recorder has returned.
 type Recorder struct {
 	Inner Interactor
 	Log   []Exchange
@@ -501,10 +347,20 @@ type Recorder struct {
 	mu sync.Mutex
 }
 
-func (r *Recorder) record(p Point, q, a string) {
+// Ask implements Interactor.
+func (r *Recorder) Ask(ctx context.Context, q *Question) (Answer, error) {
+	a, err := r.Inner.Ask(ctx, q)
+	if err == nil {
+		err = q.Check(a)
+	}
+	if err != nil {
+		return Answer{}, err
+	}
+	ex := q.Exchange(a)
 	r.mu.Lock()
-	r.Log = append(r.Log, Exchange{Point: p, Question: q, Answer: a})
+	r.Log = append(r.Log, ex)
 	r.mu.Unlock()
+	return a, nil
 }
 
 // Transcript returns a copy of the exchanges recorded so far. It is safe
@@ -515,77 +371,6 @@ func (r *Recorder) Transcript() []Exchange {
 	out := make([]Exchange, len(r.Log))
 	copy(out, r.Log)
 	return out
-}
-
-// VerifyIXs implements Interactor.
-func (r *Recorder) VerifyIXs(ctx context.Context, question string, spans []IXSpan) ([]bool, error) {
-	ans, err := r.Inner.VerifyIXs(ctx, question, spans)
-	if err != nil {
-		return nil, err
-	}
-	var qs, as []string
-	for i, sp := range spans {
-		qs = append(qs, fmt.Sprintf("%q(%s)", sp.Text, sp.Type))
-		if i < len(ans) {
-			as = append(as, fmt.Sprintf("%v", ans[i]))
-		}
-	}
-	r.record(PointIXVerification, "verify IXs: "+strings.Join(qs, ", "), strings.Join(as, ", "))
-	return ans, nil
-}
-
-// Disambiguate implements Interactor.
-func (r *Recorder) Disambiguate(ctx context.Context, phrase string, options []Choice) (int, error) {
-	i, err := r.Inner.Disambiguate(ctx, phrase, options)
-	if err != nil {
-		return i, err
-	}
-	var labels []string
-	for _, o := range options {
-		labels = append(labels, o.Label+" ("+o.Description+")")
-	}
-	r.record(PointDisambiguation,
-		fmt.Sprintf("disambiguate %q among [%s]", phrase, strings.Join(labels, "; ")),
-		options[i].Label+" ("+options[i].Description+")")
-	return i, nil
-}
-
-// SelectTopK implements Interactor.
-func (r *Recorder) SelectTopK(ctx context.Context, desc string, def int) (int, error) {
-	k, err := r.Inner.SelectTopK(ctx, desc, def)
-	if err != nil {
-		return k, err
-	}
-	r.record(PointSignificance, fmt.Sprintf("top-k for %s (default %d)", desc, def), strconv.Itoa(k))
-	return k, nil
-}
-
-// SelectThreshold implements Interactor.
-func (r *Recorder) SelectThreshold(ctx context.Context, desc string, def float64) (float64, error) {
-	t, err := r.Inner.SelectThreshold(ctx, desc, def)
-	if err != nil {
-		return t, err
-	}
-	r.record(PointSignificance, fmt.Sprintf("threshold for %s (default %g)", desc, def),
-		strconv.FormatFloat(t, 'g', -1, 64))
-	return t, nil
-}
-
-// SelectProjection implements Interactor.
-func (r *Recorder) SelectProjection(ctx context.Context, choices []VarChoice) ([]bool, error) {
-	ans, err := r.Inner.SelectProjection(ctx, choices)
-	if err != nil {
-		return nil, err
-	}
-	var qs, as []string
-	for i, ch := range choices {
-		qs = append(qs, "$"+ch.Var)
-		if i < len(ans) {
-			as = append(as, fmt.Sprintf("%v", ans[i]))
-		}
-	}
-	r.record(PointProjection, "project "+strings.Join(qs, ", "), strings.Join(as, ", "))
-	return ans, nil
 }
 
 // Interface checks.

@@ -257,13 +257,6 @@ type Options struct {
 	Policy interact.Policy
 }
 
-func (o Options) interactor() interact.Interactor {
-	if o.Interactor == nil {
-		return interact.Auto{}
-	}
-	return o.Interactor
-}
-
 // transparentNouns delegate their denotation to their "of" complement:
 // "what type of camera" denotes a camera.
 var transparentNouns = map[string]bool{
@@ -531,12 +524,9 @@ func (r *run) resolveEntity(n int) error {
 			options[i] = interact.Choice{Label: c.Label, Description: c.Description}
 		}
 		var err error
-		choice, err = r.opt.interactor().Disambiguate(r.ctx, phrase, options)
+		choice, err = interact.Disambiguate(r.ctx, r.opt.Interactor, phrase, options)
 		if err != nil {
 			return fmt.Errorf("qgen: disambiguating %q: %w", phrase, err)
-		}
-		if choice < 0 || choice >= len(cands) {
-			return fmt.Errorf("qgen: disambiguation choice %d out of range for %q", choice, phrase)
 		}
 		r.g.Feedback.Record(phrase, cands[choice].Term)
 	}

@@ -31,8 +31,9 @@ type Config struct {
 	// session's context carries the deadline, so expiry needs no
 	// janitor: the parked pipeline unwinds by itself.
 	TTL time.Duration
-	// QuestionTimeout bounds each question's wait; past it, the Auto
-	// answer is substituted and the translation continues.
+	// QuestionTimeout bounds each question's wait; past it, the
+	// question's default answer is substituted and the translation
+	// continues.
 	QuestionTimeout time.Duration
 	// Trace collects the admin-mode module trace in each session result.
 	Trace bool
@@ -85,7 +86,7 @@ type PointMetrics struct {
 	// Point is the interaction point's name.
 	Point string
 	// Asked counts questions surfaced to clients; Answered those a user
-	// resolved, TimedOut those that fell back to the Auto answer, and
+	// resolved, TimedOut those that fell back to the default answer, and
 	// Aborted those cancelled with their session.
 	Asked, Answered, TimedOut, Aborted uint64
 	// TotalWait accumulates the pipeline's parked time across answered
@@ -169,14 +170,14 @@ func (m *Manager) Start(question string) (*Session, error) {
 }
 
 // run is the session's translation goroutine: it drives the pipeline
-// through the channel bridge and records the terminal state.
+// with the session as its Interactor and records the terminal state.
 func (m *Manager) run(ctx context.Context, s *Session, question string) {
 	defer m.wg.Done()
 	defer m.running.Add(-1)
 	defer s.cancel()
 
 	res, err := m.cfg.Translator.Translate(ctx, question, core.Options{
-		Interactor: bridge{s},
+		Interactor: s,
 		Policy:     m.cfg.Policy,
 		Trace:      m.cfg.Trace,
 		Observer:   m.cfg.Observer,

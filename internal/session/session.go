@@ -4,15 +4,16 @@
 // selection, projection) drivable by a remote client that can only poll
 // and post.
 //
-// Each translation runs in its own goroutine behind a channel-bridged
+// Each translation runs in its own goroutine with its Session as the
 // interact.Interactor: when the pipeline reaches an interaction point,
-// the goroutine parks and the question becomes visible as the session's
-// pending Question; a client answer (Session.Answer) resumes it. A
-// question left unanswered past its deadline falls back to the Auto
-// answer, so an abandoned dialogue degrades to the §4.1 automatic mode
-// instead of leaking a parked goroutine; a session past its TTL (or
-// evicted, or deleted) has its context cancelled, which unwinds the
-// pipeline with a *core.StageError wrapping ctx.Err().
+// Session.Ask parks the goroutine and the question becomes visible as
+// the session's pending Question; a client answer (Session.Answer)
+// resumes it. A question left unanswered past its deadline is answered
+// with its default (interact.Question.DefaultAnswer), so an abandoned
+// dialogue degrades to the §4.1 automatic mode instead of leaking a
+// parked goroutine; a session past its TTL (or evicted, or deleted) has
+// its context cancelled, which unwinds the pipeline with a
+// *core.StageError wrapping ctx.Err().
 //
 // The Manager owns the lifecycle: bounded capacity with oldest-idle
 // eviction, per-session TTL, per-question deadlines, and per-point
@@ -24,9 +25,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -36,9 +34,9 @@ import (
 
 // State is a session's lifecycle state. Transitions:
 //
-//	running → waiting   the pipeline asked a question (bridge parked)
+//	running → waiting   the pipeline asked a question (Ask parked)
 //	waiting → running   the client answered, or the question deadline
-//	                    passed and the Auto answer was substituted
+//	                    passed and the default answer was substituted
 //	running → done      translation finished; Result is available
 //	running → failed    the pipeline returned a non-cancellation error
 //	any     → expired   TTL expiry, eviction or deletion cancelled the
@@ -59,81 +57,31 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateExpired
 }
 
-// Kind is the shape of a pending question, which determines the Answer
-// fields that apply.
-type Kind string
-
-// Question kinds.
-const (
-	// KindIXVerify asks one accept flag per Question.Spans entry
-	// (Answer.Accept), the Figure-4 verification.
-	KindIXVerify Kind = "ix-verify"
-	// KindChoice asks for the index of one of Question.Choices
-	// (Answer.Choice), the "Buffalo, NY vs Buffalo, IL" disambiguation.
-	KindChoice Kind = "choice"
-	// KindNumber asks for a numeric value (Answer.Number) with a default
-	// and bounds: LIMIT/SUPPORT selection, Figure 5.
-	KindNumber Kind = "number"
-	// KindProjection asks one keep flag per Question.Vars entry
-	// (Answer.Accept), the Figure-6 projection dialogue.
-	KindProjection Kind = "projection"
-)
-
-// Question is one pending dialogue question, typed by Kind. It is
-// JSON-serializable for the REST protocol.
+// Question is one pending dialogue question: the pipeline's typed
+// interact.Question inside the envelope a remote client needs to answer
+// it. It is JSON-serializable for the REST protocol.
 type Question struct {
 	// ID identifies the question within its session; an Answer must name
 	// it, so a stale client cannot answer the wrong question.
 	ID int `json:"id"`
-	// Point is the interaction point that asked.
-	Point interact.Point `json:"-"`
 	// PointName is Point.String(), for clients.
 	PointName string `json:"point"`
-	// Kind selects which answer fields apply.
-	Kind Kind `json:"kind"`
-	// Prompt is the human-readable question text.
-	Prompt string `json:"prompt"`
-	// Subject is what is being asked about: the NL question for
-	// ix-verify, the ambiguous phrase for choice, the subclause
-	// description for number.
-	Subject string `json:"subject,omitempty"`
-	// Spans are the detected IXs to verify (KindIXVerify).
-	Spans []interact.IXSpan `json:"spans,omitempty"`
-	// Choices are the candidate meanings (KindChoice).
-	Choices []interact.Choice `json:"choices,omitempty"`
-	// Vars are the projectable variables (KindProjection).
-	Vars []interact.VarChoice `json:"vars,omitempty"`
-	// Default, Min, Max and Integer describe a KindNumber question. The
-	// Default is also the value substituted when the question times out.
-	// Max 0 means unbounded.
-	Default float64 `json:"default,omitempty"`
-	Min     float64 `json:"min,omitempty"`
-	Max     float64 `json:"max,omitempty"`
-	Integer bool    `json:"integer,omitempty"`
+	interact.Question
 	// Asked and Deadline bound the question: unanswered past Deadline,
-	// it is withdrawn and answered with the Auto default.
+	// it is withdrawn and answered with its default.
 	Asked    time.Time `json:"asked"`
 	Deadline time.Time `json:"deadline"`
 }
 
-// Answer is a client's reply to a pending question. Exactly the fields
-// matching the question's Kind must be set; pointer fields distinguish
-// "absent" from zero values so a malformed answer fails loudly instead
-// of silently picking index 0.
-type Answer struct {
-	// Accept holds one flag per span (ix-verify) or per var (projection).
-	Accept []bool `json:"accept,omitempty"`
-	// Choice is the chosen option index (choice).
-	Choice *int `json:"choice,omitempty"`
-	// Number is the selected value (number).
-	Number *float64 `json:"number,omitempty"`
-}
+// Answer is a client's reply to a pending question (see
+// interact.Answer).
+type Answer = interact.Answer
 
 // Turn is one completed exchange of a session's dialogue, kept for the
 // transcript (admin page, dialogue UI).
 type Turn struct {
 	Question Question `json:"question"`
-	// Answer is the rendered answer.
+	// Answer is the rendered answer (interact.Question.Exchange).
 	Answer string `json:"answer"`
 	// Source records who answered: "user", or "auto" when the question
 	// deadline passed and the default was substituted.
@@ -148,7 +96,7 @@ var (
 	ErrNotFound      = errors.New("session: not found")
 	ErrNoPending     = errors.New("session: no pending question")
 	ErrWrongQuestion = errors.New("session: answer names a different question")
-	ErrBadAnswer     = errors.New("session: invalid answer")
+	ErrBadAnswer     = interact.ErrBadAnswer
 	ErrClosed        = errors.New("session: manager closed")
 )
 
@@ -289,10 +237,10 @@ func (s *Session) Answer(qid int, a Answer) error {
 	if s.pending.ID != qid {
 		return fmt.Errorf("%w: pending is #%d, answer names #%d", ErrWrongQuestion, s.pending.ID, qid)
 	}
-	if err := validateAnswer(s.pending, a); err != nil {
+	if err := s.pending.Check(a); err != nil {
 		return err
 	}
-	s.answerCh <- a // buffered(1): never blocks while the bridge waits
+	s.answerCh <- a // buffered(1): never blocks while Ask waits
 	s.pending, s.answerCh = nil, nil
 	s.state = StateRunning
 	s.lastActive = time.Now()
@@ -300,56 +248,17 @@ func (s *Session) Answer(qid int, a Answer) error {
 	return nil
 }
 
-// validateAnswer checks an answer's shape against its question so the
-// pipeline only ever sees well-formed replies.
-func validateAnswer(q *Question, a Answer) error {
-	switch q.Kind {
-	case KindIXVerify:
-		if len(a.Accept) != len(q.Spans) {
-			return fmt.Errorf("%w: %d accept flags for %d spans", ErrBadAnswer, len(a.Accept), len(q.Spans))
-		}
-	case KindProjection:
-		if len(a.Accept) != len(q.Vars) {
-			return fmt.Errorf("%w: %d accept flags for %d variables", ErrBadAnswer, len(a.Accept), len(q.Vars))
-		}
-	case KindChoice:
-		if a.Choice == nil {
-			return fmt.Errorf("%w: missing \"choice\"", ErrBadAnswer)
-		}
-		if *a.Choice < 0 || *a.Choice >= len(q.Choices) {
-			return fmt.Errorf("%w: choice %d out of range (%d options)", ErrBadAnswer, *a.Choice, len(q.Choices))
-		}
-	case KindNumber:
-		if a.Number == nil {
-			return fmt.Errorf("%w: missing \"number\"", ErrBadAnswer)
-		}
-		n := *a.Number
-		if q.Integer && n != math.Trunc(n) {
-			return fmt.Errorf("%w: %g is not an integer", ErrBadAnswer, n)
-		}
-		if n < q.Min || (q.Max > 0 && n > q.Max) {
-			return fmt.Errorf("%w: %g outside [%g, %g]", ErrBadAnswer, n, q.Min, q.Max)
-		}
-	default:
-		return fmt.Errorf("%w: unknown question kind %q", ErrBadAnswer, q.Kind)
-	}
-	return nil
-}
-
 // ---------------------------------------------------------------------
-// The channel bridge: pipeline side.
+// The pipeline side.
 
-// ask parks the calling (pipeline) goroutine until the question is
-// answered, its deadline passes, or ctx is cancelled. It returns the
-// answer and whether a user provided it; !answered with a nil error
-// means the deadline passed and the caller must substitute the Auto
-// default.
-func (s *Session) ask(ctx context.Context, q *Question) (ans Answer, answered bool, err error) {
+// Ask implements interact.Interactor: it publishes the question as the
+// session's pending Question and parks the calling (pipeline) goroutine
+// until a client answers it, its deadline passes — the question is then
+// withdrawn and answered with its default — or ctx is cancelled.
+func (s *Session) Ask(ctx context.Context, iq *interact.Question) (ans Answer, err error) {
 	timeout := s.mgr.cfg.QuestionTimeout
 	now := time.Now()
-	q.Asked = now
-	q.Deadline = now.Add(timeout)
-	q.PointName = q.Point.String()
+	q := &Question{PointName: iq.Point.String(), Question: *iq, Asked: now, Deadline: now.Add(timeout)}
 
 	ch := make(chan Answer, 1)
 	s.mu.Lock()
@@ -367,12 +276,19 @@ func (s *Session) ask(ctx context.Context, q *Question) (ans Answer, answered bo
 	}
 	s.mgr.pointAsked(q.Point)
 
+	source := "user"
 	defer func() {
 		wait := time.Since(q.Asked)
 		if obs := s.mgr.cfg.Observer; obs != nil {
 			obs.StageEnd(stage, wait, err)
 		}
-		s.recordTurn(q, ans, answered, err, wait)
+		// Aborted questions are not turns: the dialogue ended.
+		if err == nil {
+			turn := Turn{Question: *q, Answer: q.Exchange(ans).Answer, Source: source, Wait: wait}
+			s.mu.Lock()
+			s.turns = append(s.turns, turn)
+			s.mu.Unlock()
+		}
 	}()
 
 	timer := time.NewTimer(timeout)
@@ -380,7 +296,7 @@ func (s *Session) ask(ctx context.Context, q *Question) (ans Answer, answered bo
 	select {
 	case a := <-ch:
 		s.mgr.pointAnswered(q.Point, time.Since(q.Asked))
-		return a, true, nil
+		return a, nil
 	case <-timer.C:
 		// Withdraw the question; a concurrent Answer may win the race,
 		// in which case it already cleared pending and sent on ch.
@@ -391,12 +307,16 @@ func (s *Session) ask(ctx context.Context, q *Question) (ans Answer, answered bo
 			s.notifyLocked()
 			s.mu.Unlock()
 			s.mgr.pointTimedOut(q.Point)
-			return Answer{}, false, nil
+			source = "auto"
+			// A question with no valid answer (a choice among no
+			// options) fails here, before its transcript renders it.
+			def := q.DefaultAnswer()
+			return def, q.Check(def)
 		}
 		s.mu.Unlock()
 		a := <-ch
 		s.mgr.pointAnswered(q.Point, time.Since(q.Asked))
-		return a, true, nil
+		return a, nil
 	case <-ctx.Done():
 		s.mu.Lock()
 		if s.pending == q {
@@ -405,71 +325,8 @@ func (s *Session) ask(ctx context.Context, q *Question) (ans Answer, answered bo
 		}
 		s.mu.Unlock()
 		s.mgr.pointAborted(q.Point)
-		return Answer{}, false, ctx.Err()
+		return Answer{}, ctx.Err()
 	}
-}
-
-// recordTurn appends the exchange to the transcript (aborted questions
-// are not turns: the dialogue ended).
-func (s *Session) recordTurn(q *Question, a Answer, answered bool, err error, wait time.Duration) {
-	if err != nil {
-		return
-	}
-	turn := Turn{Question: *q, Source: "auto", Wait: wait}
-	if answered {
-		turn.Source = "user"
-		turn.Answer = renderAnswer(q, a)
-	} else {
-		turn.Answer = renderDefault(q)
-	}
-	s.mu.Lock()
-	s.turns = append(s.turns, turn)
-	s.mu.Unlock()
-}
-
-// renderAnswer formats a user answer for the transcript.
-func renderAnswer(q *Question, a Answer) string {
-	switch q.Kind {
-	case KindIXVerify:
-		return renderFlags(a.Accept, func(i int) string { return q.Spans[i].Text })
-	case KindProjection:
-		return renderFlags(a.Accept, func(i int) string { return "$" + q.Vars[i].Var })
-	case KindChoice:
-		c := q.Choices[*a.Choice]
-		return c.Label + " (" + c.Description + ")"
-	case KindNumber:
-		return strconv.FormatFloat(*a.Number, 'g', -1, 64)
-	}
-	return ""
-}
-
-// renderDefault formats the substituted Auto answer of a timed-out
-// question.
-func renderDefault(q *Question) string {
-	switch q.Kind {
-	case KindIXVerify:
-		return "accept all (timeout)"
-	case KindProjection:
-		return "keep all (timeout)"
-	case KindChoice:
-		c := q.Choices[0]
-		return c.Label + " (" + c.Description + ") (timeout)"
-	case KindNumber:
-		return strconv.FormatFloat(q.Default, 'g', -1, 64) + " (timeout)"
-	}
-	return ""
-}
-
-func renderFlags(flags []bool, name func(int) string) string {
-	parts := make([]string, len(flags))
-	for i, f := range flags {
-		v := "no"
-		if f {
-			v = "yes"
-		}
-		parts[i] = name(i) + "=" + v
-	}
-	return strings.Join(parts, ", ")
 }
 
 // StageName is the Observer stage label for one interaction point's
@@ -479,107 +336,4 @@ func StageName(p interact.Point) string {
 	return "User Dialogue (" + p.String() + ")"
 }
 
-// bridge adapts a Session to interact.Interactor: each method builds the
-// typed question, parks on ask, and converts the answer (or the Auto
-// fallback) back to the pipeline's types.
-type bridge struct{ s *Session }
-
-// VerifyIXs implements interact.Interactor.
-func (b bridge) VerifyIXs(ctx context.Context, question string, spans []interact.IXSpan) ([]bool, error) {
-	q := &Question{
-		Point:   interact.PointIXVerification,
-		Kind:    KindIXVerify,
-		Prompt:  "Please verify: which parts of your question should be asked to the crowd?",
-		Subject: question,
-		Spans:   spans,
-	}
-	a, answered, err := b.s.ask(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	if !answered {
-		return interact.Auto{}.VerifyIXs(ctx, question, spans)
-	}
-	return a.Accept, nil
-}
-
-// Disambiguate implements interact.Interactor.
-func (b bridge) Disambiguate(ctx context.Context, phrase string, options []interact.Choice) (int, error) {
-	q := &Question{
-		Point:   interact.PointDisambiguation,
-		Kind:    KindChoice,
-		Prompt:  fmt.Sprintf("Which %q did you mean?", phrase),
-		Subject: phrase,
-		Choices: options,
-	}
-	a, answered, err := b.s.ask(ctx, q)
-	if err != nil {
-		return -1, err
-	}
-	if !answered {
-		return interact.Auto{}.Disambiguate(ctx, phrase, options)
-	}
-	return *a.Choice, nil
-}
-
-// SelectTopK implements interact.Interactor.
-func (b bridge) SelectTopK(ctx context.Context, desc string, def int) (int, error) {
-	q := &Question{
-		Point:   interact.PointSignificance,
-		Kind:    KindNumber,
-		Prompt:  fmt.Sprintf("How many results for %s?", desc),
-		Subject: desc,
-		Default: float64(def),
-		Min:     1,
-		Integer: true,
-	}
-	a, answered, err := b.s.ask(ctx, q)
-	if err != nil {
-		return 0, err
-	}
-	if !answered {
-		return def, nil
-	}
-	return int(*a.Number), nil
-}
-
-// SelectThreshold implements interact.Interactor.
-func (b bridge) SelectThreshold(ctx context.Context, desc string, def float64) (float64, error) {
-	q := &Question{
-		Point:   interact.PointSignificance,
-		Kind:    KindNumber,
-		Prompt:  fmt.Sprintf("Minimal frequency for %s, between 0 and 1?", desc),
-		Subject: desc,
-		Default: def,
-		Min:     0,
-		Max:     1,
-	}
-	a, answered, err := b.s.ask(ctx, q)
-	if err != nil {
-		return 0, err
-	}
-	if !answered {
-		return def, nil
-	}
-	return *a.Number, nil
-}
-
-// SelectProjection implements interact.Interactor.
-func (b bridge) SelectProjection(ctx context.Context, choices []interact.VarChoice) ([]bool, error) {
-	q := &Question{
-		Point:  interact.PointProjection,
-		Kind:   KindProjection,
-		Prompt: "For which terms do you want to receive instances?",
-		Vars:   choices,
-	}
-	a, answered, err := b.s.ask(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	if !answered {
-		return interact.Auto{}.SelectProjection(ctx, choices)
-	}
-	return a.Accept, nil
-}
-
-var _ interact.Interactor = bridge{}
+var _ interact.Interactor = (*Session)(nil)

@@ -3,6 +3,7 @@ package session
 import (
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -38,19 +39,19 @@ const buffaloQ = "Where do you visit in Buffalo?"
 // if empty), defaults for numbers.
 func answerFor(q *Question, wantChoice string) Answer {
 	switch q.Kind {
-	case KindIXVerify:
+	case interact.KindIXVerify:
 		a := make([]bool, len(q.Spans))
 		for i := range a {
 			a[i] = true
 		}
 		return Answer{Accept: a}
-	case KindProjection:
+	case interact.KindProjection:
 		a := make([]bool, len(q.Vars))
 		for i := range a {
 			a[i] = true
 		}
 		return Answer{Accept: a}
-	case KindChoice:
+	case interact.KindChoice:
 		c := 0
 		for i, opt := range q.Choices {
 			if wantChoice != "" && strings.Contains(opt.Description, wantChoice) {
@@ -59,7 +60,7 @@ func answerFor(q *Question, wantChoice string) Answer {
 			}
 		}
 		return Answer{Choice: &c}
-	case KindNumber:
+	case interact.KindNumber:
 		n := q.Default
 		return Answer{Number: &n}
 	}
@@ -105,7 +106,7 @@ func TestFullDialogue(t *testing.T) {
 	if snap.State != StateWaiting || snap.Question == nil {
 		t.Fatalf("state = %s, question = %+v", snap.State, snap.Question)
 	}
-	if snap.Question.Kind != KindIXVerify || len(snap.Question.Spans) == 0 {
+	if snap.Question.Kind != interact.KindIXVerify || len(snap.Question.Spans) == 0 {
 		t.Fatalf("first question = %+v, want ix-verify with spans", snap.Question)
 	}
 
@@ -122,6 +123,15 @@ func TestFullDialogue(t *testing.T) {
 	for _, turn := range final.Turns {
 		if turn.Source != "user" {
 			t.Errorf("turn %+v not answered by user", turn.Question.Prompt)
+		}
+		// Turns render answers as the admin-mode Recorder does.
+		if turn.Question.Kind == interact.KindChoice && !strings.Contains(turn.Answer, "Illinois") {
+			t.Errorf("disambiguation turn answer = %q, want the Illinois reading", turn.Answer)
+		}
+		if turn.Question.Kind == interact.KindIXVerify { // drive accepts every span
+			if want := turn.Question.Exchange(turn.Question.DefaultAnswer()).Answer; turn.Answer != want {
+				t.Errorf("IX turn answer = %q, want %q", turn.Answer, want)
+			}
 		}
 	}
 	// The disambiguation trained the shared feedback store.
@@ -182,6 +192,9 @@ func TestQuestionTimeoutFallsBackToAuto(t *testing.T) {
 		if turn.Source != "auto" {
 			t.Errorf("turn %q source = %s, want auto", turn.Question.Prompt, turn.Source)
 		}
+		if want := turn.Question.Exchange(turn.Question.DefaultAnswer()).Answer; turn.Answer != want {
+			t.Errorf("turn %q answer = %q, want the default %q", turn.Question.Prompt, turn.Answer, want)
+		}
 	}
 }
 
@@ -221,28 +234,45 @@ func TestAnswerValidation(t *testing.T) {
 	}
 }
 
-// TestNumberValidation checks numeric bounds for significance questions.
+// TestNumberValidation checks that Session.Answer runs the question's
+// check: numeric bounds for significance questions, and non-finite
+// numbers rejected.
 func TestNumberValidation(t *testing.T) {
-	q := &Question{Kind: KindNumber, Min: 0, Max: 1}
-	bad := 1.5
-	if err := validateAnswer(q, Answer{Number: &bad}); !errors.Is(err, ErrBadAnswer) {
-		t.Errorf("out-of-range threshold err = %v", err)
+	m := newManager(t, Config{Policy: interact.Policy{Ask: map[interact.Point]bool{interact.PointSignificance: true}}})
+	s, err := m.Start("What are the most interesting places near Forest Hotel, Buffalo, we should visit in the fall?")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := validateAnswer(q, Answer{}); !errors.Is(err, ErrBadAnswer) {
-		t.Errorf("missing number err = %v", err)
+	snap := s.WaitQuestion(context.Background(), 10*time.Second)
+	q := snap.Question
+	if q == nil || q.Kind != interact.KindNumber || !q.Integer {
+		t.Fatalf("first question = %+v, want the top-k number question", q)
 	}
-	qi := &Question{Kind: KindNumber, Min: 1, Integer: true}
-	frac := 2.5
-	if err := validateAnswer(qi, Answer{Number: &frac}); !errors.Is(err, ErrBadAnswer) {
-		t.Errorf("fractional top-k err = %v", err)
+	for _, bad := range []float64{0, 2.5, math.NaN(), math.Inf(1), math.Inf(-1), 1e300} {
+		if err := s.Answer(q.ID, Answer{Number: &bad}); !errors.Is(err, ErrBadAnswer) {
+			t.Errorf("top-k %g err = %v, want ErrBadAnswer", bad, err)
+		}
 	}
-	ok := 3.0
-	if err := validateAnswer(qi, Answer{Number: &ok}); err != nil {
-		t.Errorf("valid top-k rejected: %v", err)
+	if err := s.Answer(q.ID, Answer{}); !errors.Is(err, ErrBadAnswer) {
+		t.Errorf("missing number err = %v, want ErrBadAnswer", err)
 	}
-	qc := &Question{Kind: KindChoice, Choices: []interact.Choice{{Label: "a"}}}
-	if err := validateAnswer(qc, Answer{}); !errors.Is(err, ErrBadAnswer) {
-		t.Errorf("missing choice err = %v", err)
+	k := 3.0
+	if err := s.Answer(q.ID, Answer{Number: &k}); err != nil {
+		t.Fatalf("valid top-k rejected: %v", err)
+	}
+	snap = s.WaitQuestion(context.Background(), 10*time.Second)
+	q = snap.Question
+	if q == nil || q.Kind != interact.KindNumber || q.Integer {
+		t.Fatalf("second question = %+v, want the threshold number question", q)
+	}
+	for _, bad := range []float64{1.5, -0.1, math.NaN(), math.Inf(1)} {
+		if err := s.Answer(q.ID, Answer{Number: &bad}); !errors.Is(err, ErrBadAnswer) {
+			t.Errorf("threshold %g err = %v, want ErrBadAnswer", bad, err)
+		}
+	}
+	final := drive(t, s, "")
+	if final.State != StateDone || !strings.Contains(final.Query, "LIMIT 3") {
+		t.Fatalf("final state %s, query:\n%s", final.State, final.Query)
 	}
 }
 

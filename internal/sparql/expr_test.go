@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -167,6 +168,16 @@ func TestLexStringEscapes(t *testing.T) {
 	tok := lx.Next()
 	if tok.Kind != TokString || tok.Text != "a\nb\tc\\d\"e" {
 		t.Errorf("lexed %q", tok.Text)
+	}
+	// Every literal strconv.Quote prints (the printers' quoting) lexes
+	// back to its value, invalid UTF-8 and control bytes included.
+	for _, v := range []string{"\xae", "\r\a\x00", "\u0080é", "plain"} {
+		lx, err := NewLexer(strconv.Quote(v))
+		if err != nil {
+			t.Errorf("NewLexer(%s): %v", strconv.Quote(v), err)
+		} else if got := lx.Next().Text; got != v {
+			t.Errorf("NewLexer(%s) lexed %q", strconv.Quote(v), got)
+		}
 	}
 	// Bad escapes and unterminated strings error.
 	for _, bad := range []string{`"dangling\`, `"bad\q"`, `"unterminated`} {

@@ -210,28 +210,24 @@ func isIdentByte(c byte) bool {
 
 // lexString lexes a double-quoted string with backslash escapes,
 // returning the unescaped value and the number of input bytes consumed.
+// The escapes are Go's (strconv.UnquoteChar), the ones strconv.Quote
+// writes, so every printed literal lexes back to its value.
 func lexString(in string) (string, int, error) {
 	var b strings.Builder
 	i := 1
 	for i < len(in) {
 		c := in[i]
 		if c == '\\' {
-			if i+1 >= len(in) {
-				return "", 0, fmt.Errorf("dangling escape in string")
+			v, multibyte, tail, err := strconv.UnquoteChar(in[i:], '"')
+			if err != nil {
+				return "", 0, fmt.Errorf("bad escape in string at %q", in[i:min(i+4, len(in))])
 			}
-			switch in[i+1] {
-			case 'n':
-				b.WriteByte('\n')
-			case 't':
-				b.WriteByte('\t')
-			case '"':
-				b.WriteByte('"')
-			case '\\':
-				b.WriteByte('\\')
-			default:
-				return "", 0, fmt.Errorf("unsupported escape \\%c", in[i+1])
+			if multibyte {
+				b.WriteRune(v)
+			} else {
+				b.WriteByte(byte(v))
 			}
-			i += 2
+			i = len(in) - len(tail)
 			continue
 		}
 		if c == '"' {

@@ -299,9 +299,9 @@ type ScaleMetrics = crowd.ScaleMetrics
 // tasks, support cache, optional scale section) served by /api/stats.
 type EngineStats = crowd.EngineStats
 
-// Population is a synthetic crowd of arbitrary size with skew, spammer
-// and taste-segment controls; members are derived lazily from (Seed,
-// member, key), so a million-member population occupies no memory.
+// Population is a synthetic crowd of arbitrary size with skew and
+// spammer controls; members are derived lazily from (Seed, member,
+// key), so a million-member population occupies no memory.
 type Population = crowdscale.Population
 
 // NewScaleExecutor builds an executor whose answers come from the crowd
@@ -318,8 +318,43 @@ func NewScaleExecutorFrom(src ScaleSource, cfg ScaleConfig) *ScaleExecutor {
 
 // ---- Interaction ----
 
-// Interactor answers the system's dialogue questions.
+// Interactor answers the system's dialogue questions: its one method,
+// Ask, receives every question the pipeline poses, and the pipeline
+// checks each answer (DialogueQuestion.Check) before using it.
 type Interactor = interact.Interactor
+
+// DialogueQuestion is one typed question put to an Interactor: its
+// Kind says which DialogueAnswer field applies, and DefaultAnswer gives
+// the automatic mode's reply.
+type DialogueQuestion = interact.Question
+
+// DialogueAnswer is an Interactor's reply to a DialogueQuestion.
+type DialogueAnswer = interact.Answer
+
+// DialogueKind is the shape of a DialogueQuestion.
+type DialogueKind = interact.Kind
+
+// The four question kinds: one flag per IXSpan, one DialogueChoice
+// index, one number, one flag per DialogueVar.
+const (
+	KindIXVerify   = interact.KindIXVerify
+	KindChoice     = interact.KindChoice
+	KindNumber     = interact.KindNumber
+	KindProjection = interact.KindProjection
+)
+
+// IXSpan is a detected individual expression shown for verification.
+type IXSpan = interact.IXSpan
+
+// DialogueChoice is one candidate meaning in a disambiguation question.
+type DialogueChoice = interact.Choice
+
+// DialogueVar is one projectable variable in a projection question.
+type DialogueVar = interact.VarChoice
+
+// ErrBadAnswer reports an answer that does not fit its question; a
+// translation fails with a *StageError wrapping it.
+var ErrBadAnswer = interact.ErrBadAnswer
 
 // Policy selects active interaction points.
 type Policy = interact.Policy

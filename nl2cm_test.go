@@ -5,6 +5,8 @@ package nl2cm
 
 import (
 	"context"
+	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -169,5 +171,38 @@ func TestPublicScriptedInteraction(t *testing.T) {
 	}
 	if !strings.Contains(res.Query.String(), "LIMIT 2") {
 		t.Errorf("interaction not honored:\n%s", res.Query)
+	}
+}
+
+// thresholdAnswerer is a custom Interactor written against the facade
+// alone: it answers every threshold question with one number and gives
+// every other question its default.
+type thresholdAnswerer float64
+
+func (th thresholdAnswerer) Ask(_ context.Context, q *DialogueQuestion) (DialogueAnswer, error) {
+	if q.Kind == KindNumber && !q.Integer {
+		n := float64(th)
+		return DialogueAnswer{Number: &n}, nil
+	}
+	return q.DefaultAnswer(), nil
+}
+
+// TestPublicCustomInteractor: a custom Interactor's valid answer lands
+// in the query, and a NaN threshold, which would print an unparsable
+// "THRESHOLD = NaN", fails the translation with a *StageError.
+func TestPublicCustomInteractor(t *testing.T) {
+	tr := NewTranslator(DemoOntology())
+	policy := Policy{Ask: map[InteractionPoint]bool{PointSignificance: true}}
+	res, err := tr.Translate(context.Background(), runningExample, Options{Interactor: thresholdAnswerer(0.3), Policy: policy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(res.Query.String(), "THRESHOLD = 0.3") {
+		t.Errorf("custom answer not honored:\n%s", res.Query)
+	}
+	_, err = tr.Translate(context.Background(), runningExample, Options{Interactor: thresholdAnswerer(math.NaN()), Policy: policy})
+	var se *StageError
+	if !errors.As(err, &se) || !errors.Is(err, ErrBadAnswer) {
+		t.Errorf("NaN threshold err = %v, want a *StageError wrapping ErrBadAnswer", err)
 	}
 }
