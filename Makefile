@@ -118,11 +118,15 @@ emit-golden:
 emit-golden-update:
 	$(GO) test -run TestBackendGolden -update .
 
-# agg-golden pins the aggregate/analytic path: the SPARQL parser and
-# evaluator unit tests (GROUP BY, COUNT/SUM/AVG/MIN/MAX, typed HAVING,
-# numeric ORDER BY) plus the public end-to-end superlative question.
+# agg-golden pins the aggregate/analytic path: the evaluator's grouping
+# tests (GROUP BY, COUNT/SUM/AVG/MIN/MAX, typed HAVING, numeric ORDER BY)
+# and the pattern grammar's aggregate calls, the OASSIS-QL analytic
+# grammar (rejections with line positions, derived aliases, the print
+# and parse round trip, Validate), plus the public end-to-end
+# superlative question.
 agg-golden:
-	$(GO) test -run 'TestParseAggregate|TestEvalOrderNumeric|TestEvalGroupBy|TestEvalSuperlative|TestEvalHaving|TestEvalAggregate|TestAggregateValidate|TestProgrammaticHaving' ./internal/sparql/
+	$(GO) test -run 'TestParseAggregate|TestEvalOrderNumeric|TestEvalGroupBy|TestEvalSuperlative|TestEvalHaving|TestEvalAggregate|TestProgrammaticHaving' ./internal/sparql/
+	$(GO) test -run 'TestParseAggregate|TestAggregateRoundTrip|TestAggregateValidate' ./internal/oassisql/
 	$(GO) test -run 'TestPublicAggregateEndToEnd|TestCorpusSQLDifferential' .
 
 # fuzz-smoke runs each native fuzz target briefly: enough to catch

@@ -6,6 +6,7 @@ package nl2cm
 // before/after numbers for the interned-store and planner rewrite.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -21,6 +22,15 @@ func synthFor(triples int) *ontology.Ontology {
 	return ontology.NewSynthetic(triples / 4)
 }
 
+// class7NearQuery is the two-pattern join of P9 and P12: the members of
+// one synthetic class and everything near them.
+func class7NearQuery() *sparql.Query {
+	return &sparql.Query{Where: []rdf.Triple{
+		rdf.T(rdf.NewVar("x"), ontology.PredInstanceOf, ontology.E("class7")),
+		rdf.T(rdf.NewVar("x"), ontology.PredNear, rdf.NewVar("y")),
+	}, Limit: -1}
+}
+
 // BenchmarkP8_JoinPlan measures a three-pattern BGP join where the
 // selective pattern (richIn appears on 1% of entities) is written last:
 // a cardinality-driven planner starts from it, while the unbound-variable
@@ -29,18 +39,16 @@ func BenchmarkP8_JoinPlan(b *testing.B) {
 	for _, triples := range []int{10_000, 100_000} {
 		b.Run(fmt.Sprintf("triples=%d", triples), func(b *testing.B) {
 			onto := synthFor(triples)
-			q, err := sparql.Parse(fmt.Sprintf(`SELECT $x $y $z WHERE {
-				$x <%snear> $y .
-				$y <%sinstanceOf> <%sclass3> .
-				$x <%srichIn> $z
-			}`, ontology.NS, ontology.NS, ontology.NS, ontology.NS))
-			if err != nil {
-				b.Fatal(err)
-			}
+			q := &sparql.Query{Where: []rdf.Triple{
+				rdf.T(rdf.NewVar("x"), ontology.PredNear, rdf.NewVar("y")),
+				rdf.T(rdf.NewVar("y"), ontology.PredInstanceOf, ontology.E("class3")),
+				rdf.T(rdf.NewVar("x"), ontology.PredRichIn, rdf.NewVar("z")),
+			}, Limit: -1}
+			ctx := context.Background()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rows, err := sparql.Eval(q, onto.Store, nil)
+				rows, err := sparql.Eval(ctx, q, onto.Store, nil)
 				if err != nil || len(rows) == 0 {
 					b.Fatalf("join failed: %v (%d rows)", err, len(rows))
 				}
@@ -57,13 +65,8 @@ func BenchmarkP9_ScaleLookup(b *testing.B) {
 		b.Run(fmt.Sprintf("triples=%d", triples), func(b *testing.B) {
 			onto := synthFor(triples)
 			gen := qgen.New(onto)
-			q, err := sparql.Parse(fmt.Sprintf(`SELECT $x $y WHERE {
-				$x <%sinstanceOf> <%sclass7> .
-				$x <%snear> $y
-			}`, ontology.NS, ontology.NS, ontology.NS))
-			if err != nil {
-				b.Fatal(err)
-			}
+			q := class7NearQuery()
+			ctx := context.Background()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -71,7 +74,7 @@ func BenchmarkP9_ScaleLookup(b *testing.B) {
 				if len(cands) == 0 {
 					b.Fatal("lookup found nothing")
 				}
-				rows, err := sparql.Eval(q, onto.Store, nil)
+				rows, err := sparql.Eval(ctx, q, onto.Store, nil)
 				if err != nil || len(rows) == 0 {
 					b.Fatalf("eval failed: %v (%d rows)", err, len(rows))
 				}
@@ -94,13 +97,8 @@ func BenchmarkP12_SnapshotRead(b *testing.B) {
 		if _, _, _, err := one.Apply(rdf.Batch{Insert: snap.All()}); err != nil {
 			b.Fatal(err)
 		}
-		q, err := sparql.Parse(fmt.Sprintf(`SELECT $x $y WHERE {
-			$x <%sinstanceOf> <%sclass7> .
-			$x <%snear> $y
-		}`, ontology.NS, ontology.NS, ontology.NS))
-		if err != nil {
-			b.Fatal(err)
-		}
+		q := class7NearQuery()
+		ctx := context.Background()
 		for _, src := range []struct {
 			name string
 			s    sparql.Source
@@ -108,7 +106,7 @@ func BenchmarkP12_SnapshotRead(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/triples=%d", src.name, triples), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					rows, err := sparql.Eval(q, src.s, nil)
+					rows, err := sparql.Eval(ctx, q, src.s, nil)
 					if err != nil || len(rows) == 0 {
 						b.Fatalf("eval failed: %v (%d rows)", err, len(rows))
 					}
@@ -126,16 +124,18 @@ func BenchmarkP10_GroupBy(b *testing.B) {
 	for _, triples := range []int{10_000, 100_000} {
 		b.Run(fmt.Sprintf("triples=%d", triples), func(b *testing.B) {
 			onto := synthFor(triples)
-			q, err := sparql.Parse(fmt.Sprintf(`SELECT $y COUNT($x) AS $n WHERE {
-				$x <%snear> $y
-			} GROUP BY $y ORDER BY DESC($n) LIMIT 1`, ontology.NS))
-			if err != nil {
-				b.Fatal(err)
+			q := &sparql.Query{
+				Where:   []rdf.Triple{rdf.T(rdf.NewVar("x"), ontology.PredNear, rdf.NewVar("y"))},
+				GroupBy: []string{"y"},
+				Aggs:    []sparql.Aggregate{{Func: "COUNT", Var: "x", As: "n"}},
+				OrderBy: []sparql.OrderKey{{Var: "n", Desc: true}},
+				Limit:   1,
 			}
+			ctx := context.Background()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rows, err := sparql.Eval(q, onto.Store, nil)
+				rows, err := sparql.Eval(ctx, q, onto.Store, nil)
 				if err != nil || len(rows) != 1 {
 					b.Fatalf("group-by failed: %v (%d rows)", err, len(rows))
 				}

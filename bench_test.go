@@ -306,14 +306,15 @@ func BenchmarkP4_SPARQLStore(b *testing.B) {
 					rdf.NewIRI(fmt.Sprintf("e%d", (i*13)%size)),
 				)
 			}
-			q, err := sparql.Parse(`SELECT $x $y WHERE { $x p0 $y . $y p1 $z }`)
-			if err != nil {
-				b.Fatal(err)
-			}
+			q := &sparql.Query{Where: []rdf.Triple{
+				rdf.T(rdf.NewVar("x"), rdf.NewIRI("p0"), rdf.NewVar("y")),
+				rdf.T(rdf.NewVar("y"), rdf.NewIRI("p1"), rdf.NewVar("z")),
+			}, Limit: -1}
+			ctx := context.Background()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := sparql.Eval(q, s, nil); err != nil {
+				if _, err := sparql.Eval(ctx, q, s, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

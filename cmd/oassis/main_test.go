@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nl2cm"
+	"nl2cm/internal/corpus"
 	"nl2cm/internal/ontology"
 )
 
@@ -62,5 +63,39 @@ func TestRebasedQueryExecutes(t *testing.T) {
 	}
 	if out.WhereBindings != 5 || len(out.Bindings) == 0 {
 		t.Errorf("where=%d final=%d", out.WhereBindings, len(out.Bindings))
+	}
+}
+
+// oassis executes the printed query of every supported corpus question,
+// plain ontology queries included, and reads from the ontology what the
+// translator's own query reads.
+func TestCorpusQueriesExecute(t *testing.T) {
+	onto := nl2cm.DemoOntology()
+	tr := nl2cm.NewTranslator(onto)
+	ctx := context.Background()
+	for _, cq := range corpus.Supported() {
+		res, err := tr.Translate(ctx, cq.Text, nl2cm.Options{})
+		if err != nil {
+			t.Fatalf("%s: Translate: %v", cq.ID, err)
+		}
+		q, err := nl2cm.ParseQuery(res.Query.String())
+		if err != nil {
+			t.Errorf("%s: printed query does not parse: %v\n%s", cq.ID, err, res.Query)
+			continue
+		}
+		rebase(q)
+		got, err := nl2cm.NewDemoEngine(onto).Execute(ctx, q)
+		if err != nil {
+			t.Errorf("%s: Execute: %v\n%s", cq.ID, err, res.Query)
+			continue
+		}
+		want, err := nl2cm.NewDemoEngine(onto).Execute(ctx, res.Query)
+		if err != nil {
+			t.Fatalf("%s: Execute of the translated query: %v", cq.ID, err)
+		}
+		if got.WhereBindings != want.WhereBindings || len(got.Bindings) != len(want.Bindings) {
+			t.Errorf("%s: printed query read %d WHERE rows and returned %d, translated query %d and %d\n%s",
+				cq.ID, got.WhereBindings, len(got.Bindings), want.WhereBindings, len(want.Bindings), res.Query)
+		}
 	}
 }

@@ -51,14 +51,43 @@ func TestProvenanceCoversEveryTriple(t *testing.T) {
 		}
 		// The annotated rendering must re-parse to an equivalent query.
 		annotated := res.AnnotatedQuery()
-		if len(res.Query.Satisfying) > 0 {
-			re, err := ParseQuery(annotated)
-			if err != nil {
-				t.Errorf("%s: annotated query does not re-parse: %v\n%s", q.ID, err, annotated)
-			} else if re.String() != res.Query.String() {
-				t.Errorf("%s: annotated query re-parses to a different query\n%s", q.ID, annotated)
-			}
+		re, err := ParseQuery(annotated)
+		if err != nil {
+			t.Errorf("%s: annotated query does not re-parse: %v\n%s", q.ID, err, annotated)
+		} else if re.String() != res.Query.String() {
+			t.Errorf("%s: annotated query re-parses to a different query\n%s", q.ID, annotated)
 		}
+	}
+}
+
+// OASSIS-QL reads back every query the pipeline prints, the plain
+// ontology queries of questions with no individual part included: the
+// text parses and prints again byte for byte.
+func TestCorpusQueriesReadBack(t *testing.T) {
+	tr := NewTranslator(DemoOntology())
+	ctx := context.Background()
+	plain := 0
+	for _, q := range corpus.Supported() {
+		res, err := tr.Translate(ctx, q.Text, Options{})
+		if err != nil {
+			t.Errorf("%s: Translate: %v", q.ID, err)
+			continue
+		}
+		printed := res.Query.String()
+		re, err := ParseQuery(printed)
+		if err != nil {
+			t.Errorf("%s: printed query does not parse: %v\n%s", q.ID, err, printed)
+			continue
+		}
+		if again := re.String(); again != printed {
+			t.Errorf("%s: printed query reads back as a different query:\n%s\nvs\n%s", q.ID, printed, again)
+		}
+		if len(res.Query.Satisfying) == 0 {
+			plain++
+		}
+	}
+	if plain == 0 {
+		t.Error("no supported question composes a plain ontology query")
 	}
 }
 

@@ -113,24 +113,14 @@ type Input struct {
 	Policy     interact.Policy
 }
 
-// Compose assembles the final OASSIS-QL query, honoring cancellation
-// between subclauses (each may open a significance dialogue). A request
-// with no individual parts yields a query with an empty SATISFYING
-// clause; the caller decides whether to treat it as a plain ontology
-// query.
-func (c *Composer) Compose(ctx context.Context, in Input) (*oassisql.Query, error) {
-	out, err := c.ComposeTraced(ctx, in)
-	if err != nil {
-		return nil, err
-	}
-	return out.Query, nil
-}
-
-// ComposeTraced is Compose plus provenance: every pattern of the
-// returned plan carries its triple's source-token set, and the Output
-// holds a Decision for every general triple explaining, in exact token
-// terms, why it was kept or dropped.
-func (c *Composer) ComposeTraced(ctx context.Context, in Input) (*Output, error) {
+// Compose assembles the final OASSIS-QL query and its logical plan,
+// honoring cancellation between subclauses (each may open a
+// significance dialogue). Every pattern of the plan carries its triple's
+// source-token set, and the Output holds a Decision for every general
+// triple explaining, in exact token terms, why it was kept or dropped. A
+// request with no individual parts yields a plain ontology query, with
+// an empty SATISFYING clause.
+func (c *Composer) Compose(ctx context.Context, in Input) (*Output, error) {
 	plan := &emit.Plan{Question: in.Graph.Source, Select: emit.Select{All: true}}
 	out := &Output{Plan: plan}
 
@@ -193,12 +183,9 @@ func (c *Composer) ComposeTraced(ctx context.Context, in Input) (*Output, error)
 
 	// Derive the OASSIS-QL query structurally from the plan — the one
 	// OASSIS emitter — and validate the result.
-	q := emit.OassisQuery(plan)
-	out.Query = q
-	if len(q.Satisfying) > 0 {
-		if err := q.Validate(); err != nil {
-			return nil, fmt.Errorf("compose: produced invalid query: %w", err)
-		}
+	out.Query = emit.OassisQuery(plan)
+	if err := out.Query.Validate(); err != nil {
+		return nil, fmt.Errorf("compose: produced invalid query: %w", err)
 	}
 	return out, nil
 }

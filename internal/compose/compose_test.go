@@ -41,10 +41,11 @@ func build(t *testing.T, sentence string) Input {
 const runningExample = "What are the most interesting places near Forest Hotel, Buffalo, we should visit in the fall?"
 
 func TestComposeFigure1(t *testing.T) {
-	q, err := New().Compose(context.Background(), build(t, runningExample))
+	out, err := New().Compose(context.Background(), build(t, runningExample))
 	if err != nil {
 		t.Fatalf("Compose: %v", err)
 	}
+	q := out.Query
 	want := `SELECT VARIABLES
 WHERE
 {$x instanceOf Place.
@@ -63,10 +64,11 @@ WITH SUPPORT THRESHOLD = 0.1`
 }
 
 func TestComposeValidates(t *testing.T) {
-	q, err := New().Compose(context.Background(), build(t, runningExample))
+	out, err := New().Compose(context.Background(), build(t, runningExample))
 	if err != nil {
 		t.Fatal(err)
 	}
+	q := out.Query
 	if err := q.Validate(); err != nil {
 		t.Errorf("Validate: %v", err)
 	}
@@ -87,10 +89,11 @@ func TestComposeDeletesIXOverlappingGeneralTriples(t *testing.T) {
 	if !spurious {
 		t.Fatal("precondition failed: no goodFor triple generated")
 	}
-	q, err := New().Compose(context.Background(), in)
+	out, err := New().Compose(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
+	q := out.Query
 	for _, tr := range q.Where.Triples {
 		if tr.P == ontology.PredGoodFor {
 			t.Errorf("IX-overlapping triple survived in WHERE:\n%s", q)
@@ -101,10 +104,11 @@ func TestComposeDeletesIXOverlappingGeneralTriples(t *testing.T) {
 // Shared nouns between WHERE and SATISFYING must NOT trigger deletion:
 // {$x instanceOf Place} stays although "places" is inside the visit IX.
 func TestComposeKeepsSharedNounTriples(t *testing.T) {
-	q, err := New().Compose(context.Background(), build(t, runningExample))
+	out, err := New().Compose(context.Background(), build(t, runningExample))
 	if err != nil {
 		t.Fatal(err)
 	}
+	q := out.Query
 	found := false
 	for _, tr := range q.Where.Triples {
 		if tr.P == ontology.PredInstanceOf {
@@ -117,10 +121,11 @@ func TestComposeKeepsSharedNounTriples(t *testing.T) {
 }
 
 func TestComposeSignificanceDefaults(t *testing.T) {
-	q, err := New().Compose(context.Background(), build(t, runningExample))
+	out, err := New().Compose(context.Background(), build(t, runningExample))
 	if err != nil {
 		t.Fatal(err)
 	}
+	q := out.Query
 	if q.Satisfying[0].TopK == nil || q.Satisfying[0].TopK.K != 5 {
 		t.Errorf("superlative subclause criterion = %+v", q.Satisfying[0])
 	}
@@ -133,10 +138,11 @@ func TestComposeSignificanceInteraction(t *testing.T) {
 	in := build(t, runningExample)
 	in.Interactor = &interact.Scripted{TopKAnswers: []int{7}, ThresholdAnswers: []float64{0.3}}
 	in.Policy = interact.Policy{Ask: map[interact.Point]bool{interact.PointSignificance: true}}
-	q, err := New().Compose(context.Background(), in)
+	out, err := New().Compose(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
 	}
+	q := out.Query
 	if q.Satisfying[0].TopK.K != 7 {
 		t.Errorf("k = %d, want 7 (Figure 5 dialogue)", q.Satisfying[0].TopK.K)
 	}
@@ -161,10 +167,11 @@ func TestComposeBadSignificanceRejected(t *testing.T) {
 }
 
 func TestComposeProjectionDefaultKeepsAll(t *testing.T) {
-	q, err := New().Compose(context.Background(), build(t, runningExample))
+	out, err := New().Compose(context.Background(), build(t, runningExample))
 	if err != nil {
 		t.Fatal(err)
 	}
+	q := out.Query
 	if !q.Select.All {
 		t.Errorf("Select = %+v, want VARIABLES", q.Select)
 	}
@@ -179,7 +186,7 @@ func TestComposeProjectionInteraction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vars := probe.Vars()
+	vars := probe.Query.Vars()
 	if len(vars) < 2 {
 		t.Skipf("need >= 2 vars for projection test, got %v", vars)
 	}
@@ -189,20 +196,22 @@ func TestComposeProjectionInteraction(t *testing.T) {
 	in2 := build(t, "What are the most interesting places in Buffalo we should visit with a tour guide?")
 	in2.Interactor = &interact.Scripted{ProjectionAnswers: [][]bool{keep}}
 	in2.Policy = interact.Policy{Ask: map[interact.Point]bool{interact.PointProjection: true}}
-	q, err := New().Compose(context.Background(), in2)
+	out, err := New().Compose(context.Background(), in2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	q := out.Query
 	if q.Select.All || len(q.Select.Vars) != 1 {
 		t.Errorf("Select = %+v, want single projected variable", q.Select)
 	}
 }
 
 func TestComposePureGeneralQuery(t *testing.T) {
-	q, err := New().Compose(context.Background(), build(t, "Which parks are in Buffalo?"))
+	out, err := New().Compose(context.Background(), build(t, "Which parks are in Buffalo?"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	q := out.Query
 	if len(q.Satisfying) != 0 {
 		t.Errorf("pure general question got SATISFYING subclauses:\n%s", q)
 	}
@@ -215,10 +224,11 @@ func TestComposePureGeneralQuery(t *testing.T) {
 }
 
 func TestComposedQueryReparses(t *testing.T) {
-	q, err := New().Compose(context.Background(), build(t, runningExample))
+	out, err := New().Compose(context.Background(), build(t, runningExample))
 	if err != nil {
 		t.Fatal(err)
 	}
+	q := out.Query
 	q2, err := oassisql.Parse(q.String())
 	if err != nil {
 		t.Fatalf("reparse: %v", err)
@@ -246,11 +256,12 @@ func TestComposeInvariantsOverSentences(t *testing.T) {
 	}
 	for _, s := range sentences {
 		in := build(t, s)
-		q, err := New().Compose(context.Background(), in)
+		out, err := New().Compose(context.Background(), in)
 		if err != nil {
 			t.Errorf("Compose(%q): %v", s, err)
 			continue
 		}
+		q := out.Query
 		for i, sc := range q.Satisfying {
 			oneOf := (sc.TopK != nil) != (sc.Threshold != nil)
 			if !oneOf {
@@ -260,10 +271,8 @@ func TestComposeInvariantsOverSentences(t *testing.T) {
 				t.Errorf("%q subclause %d empty", s, i)
 			}
 		}
-		if len(q.Satisfying) > 0 {
-			if err := q.Validate(); err != nil {
-				t.Errorf("%q: invalid query: %v", s, err)
-			}
+		if err := q.Validate(); err != nil {
+			t.Errorf("%q: invalid query: %v", s, err)
 		}
 	}
 }

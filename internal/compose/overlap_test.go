@@ -79,7 +79,7 @@ func TestOverlapConjunctionSharedVerb(t *testing.T) {
 		Triples: []rdf.Triple{rdf.T(rdf.NewVar("_anon1"), rdf.NewIRI("visit"), vCake)},
 		Origins: []prov.TokenSet{prov.NewTokenSet(visit, cake)},
 	}}
-	out, err := New().ComposeTraced(context.Background(), Input{Graph: g, IXs: []*ix.IX{ix1, ix2}, General: gen, Parts: parts})
+	out, err := New().Compose(context.Background(), Input{Graph: g, IXs: []*ix.IX{ix1, ix2}, General: gen, Parts: parts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestOverlapIXInsideRelativeClause(t *testing.T) {
 		Triples: []rdf.Triple{rdf.T(rdf.NewVar("_anon1"), rdf.NewIRI("recommend"), vH)},
 		Origins: []prov.TokenSet{prov.NewTokenSet(recommend, hotels)},
 	}}
-	out, err := New().ComposeTraced(context.Background(), Input{Graph: g, IXs: []*ix.IX{x}, General: gen, Parts: parts})
+	out, err := New().Compose(context.Background(), Input{Graph: g, IXs: []*ix.IX{x}, General: gen, Parts: parts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestOverlapPartialSpan(t *testing.T) {
 		Triples: []rdf.Triple{rdf.T(rdf.NewVar("_anon1"), rdf.NewIRI("visit"), vX)},
 		Origins: []prov.TokenSet{prov.NewTokenSet(visit, places)},
 	}}
-	out, err := New().ComposeTraced(context.Background(), Input{Graph: g, IXs: []*ix.IX{x}, General: gen, Parts: parts})
+	out, err := New().Compose(context.Background(), Input{Graph: g, IXs: []*ix.IX{x}, General: gen, Parts: parts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestOverlapMatchesLegacyHeuristic(t *testing.T) {
 		"What type of digital camera should I buy?",
 	} {
 		in := build(t, sentence)
-		out, err := New().ComposeTraced(context.Background(), in)
+		out, err := New().Compose(context.Background(), in)
 		if err != nil {
 			t.Fatalf("%q: %v", sentence, err)
 		}

@@ -335,7 +335,7 @@ func (t *Translator) translate(ctx context.Context, question string, opt Options
 	// 6. Query Composition (traced: decisions and per-triple origins
 	// become the Result's provenance views).
 	if err := st.run(StageComposer, func() (string, error) {
-		out, err := t.Composer.ComposeTraced(ctx, compose.Input{
+		out, err := t.Composer.Compose(ctx, compose.Input{
 			Graph:      g,
 			IXs:        res.IXs,
 			General:    res.General,

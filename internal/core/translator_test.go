@@ -440,15 +440,11 @@ func TestTranslateFuzzRobustness(t *testing.T) {
 		if !res.Verdict.Supported || res.Query == nil {
 			continue
 		}
-		if len(res.Query.Satisfying) > 0 {
-			if err := res.Query.Validate(); err != nil {
-				t.Fatalf("invalid query for %q: %v\n%s", q, err, res.Query)
-			}
+		if err := res.Query.Validate(); err != nil {
+			t.Fatalf("invalid query for %q: %v\n%s", q, err, res.Query)
 		}
-		reparsed, err := oassisql.Parse(res.Query.String())
-		if err != nil && len(res.Query.Satisfying) > 0 {
+		if _, err := oassisql.Parse(res.Query.String()); err != nil {
 			t.Fatalf("unparseable query for %q: %v\n%s", q, err, res.Query)
 		}
-		_ = reparsed
 	}
 }

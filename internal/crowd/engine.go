@@ -207,9 +207,10 @@ type Result struct {
 }
 
 // Execute evaluates the query. The context bounds the whole execution:
-// cancellation or deadline expiry aborts between subclauses and between
-// crowd-task batches, returning a *core.StageError (stage
-// core.StageCrowd) that wraps ctx.Err().
+// cancellation or deadline expiry aborts the WHERE evaluation (which
+// looks at ctx at a fixed stride of candidate matches), and aborts
+// between subclauses and between crowd-task batches, returning a
+// *core.StageError (stage core.StageCrowd) that wraps ctx.Err().
 func (e *Engine) Execute(ctx context.Context, q *oassisql.Query) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -246,8 +247,11 @@ func (e *Engine) execute(ctx context.Context, q *oassisql.Query, x *crowdscale.E
 	snap := e.Onto.Snapshot()
 	// 1. WHERE against the ontology.
 	whereQ := &sparql.Query{Where: q.Where.Triples, Filters: q.Where.Filters, Limit: -1}
-	bindings, err := sparql.Eval(whereQ, snap, nil)
+	bindings, err := sparql.Eval(ctx, whereQ, snap, nil)
 	if err != nil {
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			return nil, &core.StageError{Stage: core.StageCrowd, Err: ctxErr}
+		}
 		return nil, fmt.Errorf("crowd: evaluating WHERE: %w", err)
 	}
 	res := &Result{WhereBindings: len(bindings)}
@@ -469,8 +473,8 @@ var verbDomains = map[string]string{
 // bindings leave unbound (open crowd mining: "which places do you
 // visit?") over the ontology's entities — restricted to the domain of
 // the pattern's habit verb when one is known — capped at OpenVarLimit.
-// Boundness is decided per binding: after OPTIONAL/UNION upstream, some
-// rows may bind a pattern variable while others leave it open. Only
+// Boundness is decided per binding: a row that binds every pattern
+// variable passes through unchanged even when other rows expand. Only
 // incoming rows expand: no rows (a WHERE that matched nothing, or an
 // earlier subclause that kept nothing) yield no rows, while a WHERE-less
 // query arrives as one empty row and expands fully.

@@ -180,6 +180,41 @@ func TestExecutePreCancelled(t *testing.T) {
 	}
 }
 
+// The WHERE phase honours the deadline too. This WHERE is a cartesian
+// product of near-edges that keeps only the pairs closing a 2-cycle: over
+// 3,000 synthetic entities (about 10k triples) its join walks 9 M
+// candidate pairs and runs for seconds, far past the 50 ms deadline.
+func TestExecuteWhereHonoursDeadline(t *testing.T) {
+	eng := NewEngine(ontology.NewSynthetic(3000), NewCrowd(10, 1))
+	v := rdf.NewVar
+	same := func(x, y string) sparql.Expr {
+		return &sparql.BinExpr{Op: "=", L: &sparql.VarExpr{Name: x}, R: &sparql.VarExpr{Name: y}}
+	}
+	q := &oassisql.Query{Select: oassisql.SelectClause{All: true}, Where: oassisql.Pattern{
+		Triples: []rdf.Triple{
+			rdf.T(v("a"), ontology.PredNear, v("b")),
+			rdf.T(v("c"), ontology.PredNear, v("d")),
+		},
+		Filters: []sparql.Expr{&sparql.BinExpr{Op: "&&", L: same("b", "c"), R: same("a", "d")}},
+	}}
+	const deadline = 50 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	start := time.Now()
+	_, err := eng.Execute(ctx, q)
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Execute returned %v after %v, want context.DeadlineExceeded", err, elapsed)
+	}
+	var se *core.StageError
+	if !errors.As(err, &se) || se.Stage != core.StageCrowd {
+		t.Fatalf("err = %v, want StageError with stage %q", err, core.StageCrowd)
+	}
+	if limit := deadline + 2*time.Second; elapsed > limit {
+		t.Errorf("Execute returned after %v, want within %v", elapsed, limit)
+	}
+}
+
 // Cancellation mid-subclause: cancelling when the first subclause
 // starts aborts before its crowd tasks are evaluated.
 func TestExecuteCancelledMidSubclause(t *testing.T) {

@@ -1,6 +1,7 @@
 package emit
 
 import (
+	"context"
 	"fmt"
 
 	"nl2cm/internal/rdf"
@@ -107,5 +108,5 @@ func ExecuteWhere(p *Plan, src sparql.Source) ([]sparql.Binding, error) {
 			q.Limit = p.Agg.Limit
 		}
 	}
-	return sparql.Eval(q, src, nil)
+	return sparql.Eval(context.TODO(), q, src, nil)
 }

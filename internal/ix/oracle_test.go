@@ -27,7 +27,7 @@ func (d *Detector) findOracle(ctx context.Context, g *nlp.DepGraph) ([]Match, er
 			return nil, err
 		}
 		q := &sparql.Query{Where: p.Triples, Filters: p.Filters, Limit: -1}
-		rows, err := sparql.Eval(q, src, env)
+		rows, err := sparql.Eval(ctx, q, src, env)
 		if err != nil {
 			return nil, fmt.Errorf("ix: matching pattern %s: %w", p.Name, err)
 		}

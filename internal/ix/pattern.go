@@ -86,7 +86,7 @@ func ParsePatterns(input string) ([]*Pattern, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ix: %w", err)
 	}
-	pp := sparql.NewPatternParser(lx, &sparql.ParseOptions{Resolve: resolveRel})
+	pp := sparql.NewPatternParser(lx, resolveRel)
 	var out []*Pattern
 	for lx.Peek().Kind != sparql.TokEOF {
 		p, err := parseOne(lx, pp)

@@ -1,0 +1,197 @@
+package oassisql
+
+import (
+	"strings"
+	"testing"
+
+	"nl2cm/internal/rdf"
+	"nl2cm/internal/sparql"
+)
+
+// TestParseAggregateErrors pins the analytic extension's rejections
+// through Parse, each at the line where the parser stands when it finds
+// the fault: right at the token for a grammar error, after the analytic
+// modifiers for a rule that needs the whole clause.
+func TestParseAggregateErrors(t *testing.T) {
+	bad := []struct {
+		name, in, want string
+	}{
+		{"aggregate inside FILTER", `SELECT VARIABLES
+WHERE
+{$x size $s.
+FILTER(COUNT($s) > 1)}`, "line 4: aggregate COUNT() is only allowed in SELECT or HAVING"},
+		{"GROUP BY of an unbound variable", `SELECT COUNT(*) AS $n
+WHERE
+{$x size $s}
+GROUP BY $nope
+LIMIT 1`, "line 5: GROUP BY of undefined variable $nope"},
+		{"empty GROUP BY", `SELECT COUNT(*) AS $n
+WHERE
+{$x size $s}
+GROUP BY
+LIMIT 1`, "line 5: expected variables after GROUP BY"},
+		{"SUM(*)", `SELECT SUM(*) AS $n
+WHERE
+{$x size $s}`, "line 1: SUM(*) is not valid; only COUNT takes *"},
+		{"HAVING without grouping", `SELECT VARIABLES
+WHERE
+{$x size $s}
+HAVING($s > 1)
+SATISFYING
+{[] visit $x}
+WITH SUPPORT THRESHOLD = 0.1`, "line 5: HAVING requires GROUP BY or an aggregate"},
+		{"alias colliding with a pattern variable", `SELECT COUNT($s) AS $x
+WHERE
+{$x size $s}`, "line 3: aggregate alias $x collides with a query variable"},
+		{"duplicate alias", `SELECT COUNT($s) AS $n SUM($s) AS $n
+WHERE
+{$x size $s}
+GROUP BY $x`, "line 4: duplicate aggregate alias $n"},
+	}
+	for _, c := range bad {
+		_, err := Parse(c.in)
+		if err == nil {
+			t.Errorf("%s: Parse succeeded, want error %q", c.name, c.want)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error = %v, want containing %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestParseAggregateAliases covers the aliases Parse derives for
+// aggregate calls without AS: the lower-case function name, then the
+// argument, then a _2, _3 … suffix until the alias is fresh.
+func TestParseAggregateAliases(t *testing.T) {
+	q, err := Parse(`SELECT COUNT(*) SUM($s) SUM($s) COUNT($x) AS $count_2 COUNT(*)
+WHERE
+{$x size $s}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []sparql.Aggregate{
+		{Func: "COUNT", As: "count"},
+		{Func: "SUM", Var: "s", As: "sum_s"},
+		{Func: "SUM", Var: "s", As: "sum_s_2"},
+		{Func: "COUNT", Var: "x", As: "count_2"},
+		{Func: "COUNT", As: "count_3"},
+	}
+	if len(q.Agg.Aggs) != len(want) {
+		t.Fatalf("aggregates = %+v, want %+v", q.Agg.Aggs, want)
+	}
+	for i, w := range want {
+		if q.Agg.Aggs[i] != w {
+			t.Errorf("aggregate %d = %+v, want %+v", i, q.Agg.Aggs[i], w)
+		}
+	}
+	if got := strings.Join(q.Select.Vars, " "); got != "count sum_s sum_s_2 count_2 count_3" {
+		t.Errorf("projection = %s", got)
+	}
+	// SELECT VARIABLES keeps its aggregates out of the variable list.
+	q, err = Parse(`SELECT VARIABLES COUNT($x)
+WHERE
+{$x size $s}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !q.Select.All || len(q.Select.Vars) != 0 || q.Agg.Aggs[0].As != "count_x" {
+		t.Errorf("SELECT VARIABLES COUNT($x) = %+v, %+v", q.Select, q.Agg.Aggs)
+	}
+}
+
+// TestAggregateRoundTrip prints an aggregated query with HAVING, ORDER BY
+// and LIMIT, and a plain ontology query with no SATISFYING clause; both
+// read back and print identically.
+func TestAggregateRoundTrip(t *testing.T) {
+	for _, text := range []string{`SELECT $city COUNT($a) AS $n
+WHERE
+{$a instanceOf Place.
+$a locatedIn $city}
+GROUP BY $city
+HAVING((COUNT($a) > 2))
+ORDER BY DESC($n) ASC($city)
+LIMIT 3
+SATISFYING
+{[] visit $a}
+WITH SUPPORT THRESHOLD = 0.1`, `SELECT VARIABLES COUNT($y) AS $count
+WHERE
+{$y instanceOf Park.
+$y locatedIn Buffalo,_NY}`, `SELECT VARIABLES
+WHERE
+{$x instanceOf Place}
+ORDER BY ASC($x)
+LIMIT 2`} {
+		q, err := Parse(text)
+		if err != nil {
+			t.Fatalf("Parse:\n%s\n%v", text, err)
+		}
+		if err := q.Validate(); err != nil {
+			t.Errorf("Validate:\n%s\n%v", text, err)
+		}
+		printed := q.String()
+		if printed != text {
+			t.Errorf("printed form differs:\n%s\nwant:\n%s", printed, text)
+		}
+		again, err := Parse(printed)
+		if err != nil {
+			t.Fatalf("reparse:\n%s\n%v", printed, err)
+		}
+		if again.String() != printed {
+			t.Errorf("round trip drifted:\n%s\nvs\n%s", printed, again.String())
+		}
+	}
+}
+
+// TestAggregateValidate covers the analytic rules on queries built in
+// code, which Parse cannot produce.
+func TestAggregateValidate(t *testing.T) {
+	base := func() *Query {
+		return &Query{
+			Select: SelectClause{Vars: []string{"city", "n"}},
+			Where: Pattern{Triples: []rdf.Triple{
+				rdf.T(rdf.NewVar("a"), rdf.NewIRI("locatedIn"), rdf.NewVar("city")),
+			}},
+			Agg: &Aggregation{
+				GroupBy: []string{"city"},
+				Aggs:    []sparql.Aggregate{{Func: "COUNT", Var: "a", As: "n"}},
+			},
+		}
+	}
+	if err := base().Validate(); err != nil {
+		t.Fatalf("valid aggregate query rejected: %v", err)
+	}
+	cases := []struct {
+		name string
+		mut  func(*Query)
+		want string
+	}{
+		{"unknown func", func(q *Query) { q.Agg.Aggs[0].Func = "MEDIAN" }, "unknown aggregate function"},
+		{"missing alias", func(q *Query) { q.Agg.Aggs[0].As = "" }, "no output alias"},
+		{"star non-count", func(q *Query) { q.Agg.Aggs[0].Func, q.Agg.Aggs[0].Var = "SUM", "" }, "only COUNT takes *"},
+		{"undefined argument", func(q *Query) { q.Agg.Aggs[0].Var = "ghost" }, "aggregate over undefined variable"},
+		{"alias collision", func(q *Query) { q.Agg.Aggs[0].As = "city" }, "collides with a query variable"},
+		{"dup alias", func(q *Query) {
+			q.Agg.Aggs = append(q.Agg.Aggs, sparql.Aggregate{Func: "SUM", Var: "a", As: "n"})
+		}, "duplicate aggregate alias"},
+		{"undefined group var", func(q *Query) { q.Agg.GroupBy = []string{"ghost"} }, "GROUP BY of undefined variable"},
+		{"having without grouping", func(q *Query) {
+			q.Agg.GroupBy, q.Agg.Aggs = nil, nil
+			q.Agg.Having = []sparql.Expr{&sparql.LitExpr{Val: sparql.BoolVal(true)}}
+			q.Select = SelectClause{All: true}
+		}, "HAVING requires GROUP BY"},
+		{"undefined sort key", func(q *Query) { q.Agg.OrderBy = []sparql.OrderKey{{Var: "ghost"}} }, "ORDER BY of undefined variable"},
+		{"negative limit", func(q *Query) { q.Agg.Limit = -1 }, "negative LIMIT"},
+		{"empty extension", func(q *Query) {
+			q.Agg = &Aggregation{}
+			q.Select = SelectClause{All: true}
+		}, "empty aggregation extension"},
+	}
+	for _, c := range cases {
+		q := base()
+		c.mut(q)
+		if err := q.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Validate = %v, want containing %q", c.name, err, c.want)
+		}
+	}
+}

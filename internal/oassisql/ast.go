@@ -9,7 +9,8 @@
 //   - WHERE: a SPARQL-like selection over the general-knowledge ontology;
 //   - SATISFYING: data patterns to be mined from the crowd, split into
 //     subclauses, each holding one semantic event/property and carrying
-//     either a support threshold or a top/bottom-k selection.
+//     either a support threshold or a top/bottom-k selection. A query
+//     without it is a plain ontology query.
 package oassisql
 
 import (
@@ -130,14 +131,12 @@ func (q *Query) Vars() []string {
 	return out
 }
 
-// Validate checks structural well-formedness: a non-empty SATISFYING
-// clause in which every subclause has exactly one significance criterion,
-// thresholds within [0,1], positive k, and projected variables that occur
-// in the query.
+// Validate checks structural well-formedness: every SATISFYING
+// subclause has triples and exactly one significance criterion,
+// thresholds lie within [0,1], k is positive, and projected variables
+// occur in the query. An empty SATISFYING clause is valid: the query is
+// a plain ontology query.
 func (q *Query) Validate() error {
-	if len(q.Satisfying) == 0 {
-		return fmt.Errorf("oassisql: query has no SATISFYING clause")
-	}
 	for i, sc := range q.Satisfying {
 		switch {
 		case sc.TopK == nil && sc.Threshold == nil:

@@ -148,7 +148,7 @@ func TestParseErrors(t *testing.T) {
 		``,
 		`WHERE {} SATISFYING {} LIMIT 3`,
 		`SELECT WHERE {$x a b} SATISFYING {[] a $x} LIMIT 1`,
-		`SELECT VARIABLES WHERE {$x a b}`,                              // no SATISFYING
+		`SELECT VARIABLES WHERE {$x a b} SATISFYING`,                   // SATISFYING with no subclause
 		`SELECT VARIABLES WHERE {$x a b} SATISFYING {[] v $x}`,         // no criterion
 		`SELECT VARIABLES WHERE {$x a b} SATISFYING {[] v $x} LIMIT 5`, // LIMIT without ORDER BY
 		`SELECT VARIABLES WHERE {$x a b} SATISFYING {[] v $x} ORDER BY SUPPORT LIMIT 5`,
@@ -175,11 +175,14 @@ func TestValidate(t *testing.T) {
 	if err := mk(nil).Validate(); err != nil {
 		t.Errorf("Figure 1 query invalid: %v", err)
 	}
+	// Without its SATISFYING clause the query is a plain ontology query.
+	if err := mk(func(q *Query) { q.Satisfying = nil }).Validate(); err != nil {
+		t.Errorf("plain ontology query invalid: %v", err)
+	}
 	cases := []struct {
 		name string
 		mod  func(*Query)
 	}{
-		{"no satisfying", func(q *Query) { q.Satisfying = nil }},
 		{"both criteria", func(q *Query) { q.Satisfying[0].Threshold = th(0.5) }},
 		{"no criterion", func(q *Query) { q.Satisfying[0].TopK = nil }},
 		{"bad threshold", func(q *Query) { q.Satisfying[1].Threshold = th(1.5) }},

@@ -7,7 +7,10 @@ import (
 	"nl2cm/internal/sparql"
 )
 
-// Parse parses an OASSIS-QL query in the paper's concrete syntax.
+// Parse parses an OASSIS-QL query in the paper's concrete syntax. A
+// query may end after its WHERE clause and analytic modifiers: with no
+// SATISFYING clause it is a plain ontology query, as the pipeline prints
+// for a question with no individual part.
 func Parse(input string) (*Query, error) {
 	lx, err := sparql.NewLexer(input)
 	if err != nil {
@@ -88,6 +91,9 @@ func (p *parser) query() (*Query, error) {
 	q.Where = Pattern{Triples: triples, Filters: filters}
 	if err := p.aggregation(q); err != nil {
 		return nil, err
+	}
+	if p.lx.Peek().Kind == sparql.TokEOF {
+		return q, nil // a plain ontology query: no crowd part
 	}
 	if err := p.expectKeyword("SATISFYING"); err != nil {
 		return nil, err

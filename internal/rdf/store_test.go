@@ -303,60 +303,6 @@ func TestStoreRemoveHeavyLenAndDictRetention(t *testing.T) {
 	}
 }
 
-func TestGraphAddRemoveOrder(t *testing.T) {
-	g := NewGraph()
-	t1 := T(iri("a"), iri("p"), iri("b"))
-	t2 := T(iri("c"), iri("p"), iri("d"))
-	if !g.Add(t1) || !g.Add(t2) {
-		t.Fatal("Add returned false for new triples")
-	}
-	if g.Add(t1) {
-		t.Fatal("duplicate Add returned true")
-	}
-	if g.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", g.Len())
-	}
-	ts := g.Triples()
-	if ts[0] != t1 || ts[1] != t2 {
-		t.Fatalf("insertion order not preserved: %v", ts)
-	}
-	if !g.Remove(t1) || g.Contains(t1) || g.Len() != 1 {
-		t.Fatal("Remove failed")
-	}
-	if g.Remove(t1) {
-		t.Fatal("double Remove returned true")
-	}
-}
-
-func TestGraphVarsFirstAppearanceOrder(t *testing.T) {
-	g := NewGraph()
-	g.AddAll(
-		T(NewVar("x"), iri("near"), NewVar("y")),
-		T(NewVar("y"), iri("instanceOf"), NewVar("z")),
-		T(NewVar("x"), iri("label"), NewLiteral("l")),
-	)
-	vars := g.Vars()
-	want := []string{"x", "y", "z"}
-	if len(vars) != len(want) {
-		t.Fatalf("Vars = %v, want %v", vars, want)
-	}
-	for i := range want {
-		if vars[i] != want[i] {
-			t.Fatalf("Vars = %v, want %v", vars, want)
-		}
-	}
-}
-
-func TestGraphCloneIsDeep(t *testing.T) {
-	g := NewGraph()
-	g.Add(T(iri("a"), iri("p"), iri("b")))
-	c := g.Clone()
-	c.Add(T(iri("x"), iri("p"), iri("y")))
-	if g.Len() != 1 || c.Len() != 2 {
-		t.Fatalf("clone not independent: g=%d c=%d", g.Len(), c.Len())
-	}
-}
-
 func TestTripleVars(t *testing.T) {
 	tr := T(NewVar("x"), iri("p"), NewVar("x"))
 	vars := tr.Vars()

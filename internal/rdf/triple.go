@@ -3,7 +3,6 @@ package rdf
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // Triple is a single RDF statement. Any position may hold a variable when
@@ -70,99 +69,4 @@ func (t Triple) String() string {
 // SortTriples sorts a slice of triples in place in S, P, O order.
 func SortTriples(ts []Triple) {
 	sort.Slice(ts, func(i, j int) bool { return ts[i].Compare(ts[j]) < 0 })
-}
-
-// Graph is an ordered collection of triples with set-like helpers.
-// Unlike ShardedStore it preserves insertion order and permits
-// non-ground triples, which makes it suitable for carrying query
-// patterns between pipeline modules.
-type Graph struct {
-	triples []Triple
-	index   map[Triple]bool
-}
-
-// NewGraph returns an empty graph.
-func NewGraph() *Graph {
-	return &Graph{index: map[Triple]bool{}}
-}
-
-// Add appends the triple if it is not already present and reports whether
-// it was inserted.
-func (g *Graph) Add(t Triple) bool {
-	if g.index == nil {
-		g.index = map[Triple]bool{}
-	}
-	if g.index[t] {
-		return false
-	}
-	g.index[t] = true
-	g.triples = append(g.triples, t)
-	return true
-}
-
-// AddAll adds every triple in ts.
-func (g *Graph) AddAll(ts ...Triple) {
-	for _, t := range ts {
-		g.Add(t)
-	}
-}
-
-// Remove deletes the triple if present and reports whether it was removed.
-func (g *Graph) Remove(t Triple) bool {
-	if g.index == nil || !g.index[t] {
-		return false
-	}
-	delete(g.index, t)
-	for i, x := range g.triples {
-		if x == t {
-			g.triples = append(g.triples[:i], g.triples[i+1:]...)
-			break
-		}
-	}
-	return true
-}
-
-// Contains reports whether the triple is present.
-func (g *Graph) Contains(t Triple) bool { return g.index != nil && g.index[t] }
-
-// Len returns the number of triples.
-func (g *Graph) Len() int { return len(g.triples) }
-
-// Triples returns a copy of the triples in insertion order.
-func (g *Graph) Triples() []Triple {
-	out := make([]Triple, len(g.triples))
-	copy(out, g.triples)
-	return out
-}
-
-// Vars returns the variable names appearing anywhere in the graph, in
-// first-appearance order.
-func (g *Graph) Vars() []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, t := range g.triples {
-		for _, v := range t.Vars() {
-			if !seen[v] {
-				seen[v] = true
-				out = append(out, v)
-			}
-		}
-	}
-	return out
-}
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := NewGraph()
-	c.AddAll(g.triples...)
-	return c
-}
-
-func (g *Graph) String() string {
-	var b strings.Builder
-	for _, t := range g.triples {
-		b.WriteString(t.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

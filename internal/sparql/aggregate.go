@@ -31,11 +31,12 @@ import (
 //     group, like FILTER.
 //
 // Output rows carry exactly the group variables and aggregate aliases;
-// ORDER BY, projection, DISTINCT and OFFSET/LIMIT then apply unchanged.
+// ORDER BY and LIMIT then apply unchanged.
 
 // AggRefExpr references an aggregate's per-group result inside a HAVING
 // expression. It evaluates to the term bound to the aggregate's alias,
-// and prints as the original call, so Query.String round-trips.
+// and prints as the original call, so a printed HAVING condition reads
+// back as the same call.
 type AggRefExpr struct{ Agg Aggregate }
 
 // Eval implements Expr.
@@ -190,15 +191,18 @@ type aggSpec struct {
 }
 
 // aggregationSpec resolves a query's grouping step without modifying the
-// query. It returns nil when the query has none. Parsed queries arrive
-// pre-normalized (no aggregate calls left in HAVING), so the rewrite is
-// a no-op for them; programmatically built queries may still carry raw
-// calls and get them hoisted here.
+// query. It returns nil when the query has none. Aggregate calls in
+// HAVING (as HavingExpr parses them, or as code builds them) are hoisted
+// here into Aggregate entries.
 func aggregationSpec(q *Query) (*aggSpec, error) {
 	if !q.Aggregated() && len(q.Having) == 0 {
 		return nil, nil
 	}
-	having, aggs, err := resolveHavingAggs(q.Having, q.Aggs, q.patternVars())
+	patternVars := map[string]bool{}
+	for _, t := range q.Where {
+		t.EachVar(func(v string) { patternVars[v] = true })
+	}
+	having, aggs, err := resolveHavingAggs(q.Having, q.Aggs, patternVars)
 	if err != nil {
 		return nil, fmt.Errorf("sparql: %w", err)
 	}
@@ -344,9 +348,8 @@ func groupSizeHint(rows int) int {
 }
 
 // AggregateBindings applies a query's solution modifiers — grouping,
-// aggregates, HAVING, ORDER BY, projection, DISTINCT and the
-// OFFSET/LIMIT window — to already-computed solution rows, through the
-// same step Eval ends with. It serves callers (the crowd engine) that
+// aggregates, HAVING, ORDER BY and LIMIT — to already-computed solution
+// rows, through the same step Eval ends with. It serves callers (the crowd engine) that
 // interleave their own filtering between pattern matching and
 // aggregation. Where is read solely to resolve HAVING aggregate aliases
 // against pattern variables. Rows are not modified; the result is

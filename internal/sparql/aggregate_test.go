@@ -1,20 +1,27 @@
 package sparql
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"nl2cm/internal/rdf"
 )
 
+// evalFuncs are the streaming evaluator and the reference oracle.
+var evalFuncs = map[string]func(*Query, Source, *Env) ([]Binding, error){
+	"Eval": func(q *Query, src Source, env *Env) ([]Binding, error) {
+		return Eval(context.Background(), q, src, env)
+	},
+	"EvalReference": EvalReference,
+}
+
 // bothEvals runs a query through the streaming and reference evaluators,
 // failing unless both succeed; the caller checks the rows of each.
 func bothEvals(t *testing.T, q *Query, src Source) map[string][]Binding {
 	t.Helper()
 	out := map[string][]Binding{}
-	for name, eval := range map[string]func(*Query, Source, *Env) ([]Binding, error){
-		"Eval": Eval, "EvalReference": EvalReference,
-	} {
+	for name, eval := range evalFuncs {
 		rows, err := eval(q, src, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -22,6 +29,17 @@ func bothEvals(t *testing.T, q *Query, src Source) map[string][]Binding {
 		out[name] = rows
 	}
 	return out
+}
+
+// havingExpr parses one parenthesised HAVING condition.
+func havingExpr(t *testing.T, text string) Expr {
+	t.Helper()
+	pp, _ := newPatternParser(t, text)
+	e, err := pp.HavingExpr()
+	if err != nil {
+		t.Fatalf("HavingExpr(%s): %v", text, err)
+	}
+	return e
 }
 
 // aggStore holds cities with attractions and sizes: buffalo has 3
@@ -51,10 +69,8 @@ func TestEvalOrderNumeric(t *testing.T) {
 	}{{"a", 9}, {"b", 10}, {"c", 2}} {
 		s.MustAdd(rdf.T(iri(e.name), iri("size"), rdf.NewIntLiteral(e.size)))
 	}
-	q, err := Parse(`SELECT $x $s WHERE { $x size $s } ORDER BY ASC($s)`)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := patternQuery(t, `{ $x size $s }`)
+	q.OrderBy = []OrderKey{{Var: "s"}}
 	for name, rows := range bothEvals(t, q, s) {
 		got := make([]string, len(rows))
 		for i, b := range rows {
@@ -76,101 +92,129 @@ func TestEvalOrderNumeric(t *testing.T) {
 }
 
 func TestParseAggregates(t *testing.T) {
-	q, err := Parse(`SELECT $city COUNT($a) AS $n WHERE { $a locatedIn $city } GROUP BY $city HAVING(COUNT($a) > 2) ORDER BY DESC($n) LIMIT 1`)
+	pp, _ := newPatternParser(t, `COUNT($a) AS $n (COUNT($a) > 2)`)
+	a, ok, err := pp.AggregateCall(func(string) bool { return false })
+	if err != nil || !ok {
+		t.Fatalf("AggregateCall = %v, %v", ok, err)
+	}
+	if a != (Aggregate{Func: "COUNT", Var: "a", As: "n"}) {
+		t.Fatalf("aggregate = %+v", a)
+	}
+	having, err := pp.HavingExpr()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(q.Aggs) != 1 || q.Aggs[0] != (Aggregate{Func: "COUNT", Var: "a", As: "n"}) {
-		t.Fatalf("Aggs = %+v", q.Aggs)
+	q := &Query{
+		Where:   []rdf.Triple{rdf.T(rdf.NewVar("a"), iri("locatedIn"), rdf.NewVar("city"))},
+		GroupBy: []string{"city"},
+		Aggs:    []Aggregate{a},
+		Having:  []Expr{having},
+		Limit:   -1,
 	}
-	if len(q.GroupBy) != 1 || q.GroupBy[0] != "city" {
-		t.Fatalf("GroupBy = %v", q.GroupBy)
-	}
-	if len(q.Having) != 1 {
-		t.Fatalf("Having = %v", q.Having)
-	}
-	if len(q.Vars) != 2 || q.Vars[0] != "city" || q.Vars[1] != "n" {
-		t.Fatalf("Vars = %v", q.Vars)
-	}
-	if err := q.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
+	spec, err := aggregationSpec(q)
+	if err != nil {
+		t.Fatal(err)
 	}
 	// The HAVING call references the SELECT aggregate rather than adding
 	// a hidden duplicate.
-	if len(q.Aggs) != 1 {
-		t.Fatalf("HAVING duplicated the aggregate: %+v", q.Aggs)
+	if len(spec.aggs) != 1 {
+		t.Fatalf("HAVING duplicated the aggregate: %+v", spec.aggs)
 	}
-	// String() round-trips through the parser.
-	q2, err := Parse(q.String())
-	if err != nil {
-		t.Fatalf("reparse %q: %v", q.String(), err)
-	}
-	if q2.String() != q.String() {
-		t.Fatalf("round trip drifted:\n%s\nvs\n%s", q.String(), q2.String())
+	// The hoisted condition prints as the call it was parsed from.
+	if got := spec.having[0].String(); got != having.String() || got != "(COUNT($a) > 2)" {
+		t.Fatalf("hoisted HAVING prints %q, parsed %q", got, having)
 	}
 }
 
 func TestParseAggregateAutoAliasAndCountStar(t *testing.T) {
-	q, err := Parse(`SELECT COUNT(*) SUM($s) WHERE { $x size $s }`)
+	pp, _ := newPatternParser(t, `COUNT(*) SUM($s) SUM($s)`)
+	var aggs []Aggregate
+	taken := func(name string) bool {
+		for _, a := range aggs {
+			if a.As == name {
+				return true
+			}
+		}
+		return false
+	}
+	for {
+		a, ok, err := pp.AggregateCall(taken)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		aggs = append(aggs, a)
+	}
+	if len(aggs) != 3 || aggs[0].As != "count" || aggs[1].As != "sum_s" || aggs[2].As != "sum_s_2" {
+		t.Fatalf("auto aliases = %+v", aggs)
+	}
+	if aggs[0].Var != "" {
+		t.Fatalf("COUNT(*) Var = %q, want empty", aggs[0].Var)
+	}
+	// An aggregate only HAVING names is hoisted into a hidden one.
+	q := &Query{
+		Where:  []rdf.Triple{rdf.T(rdf.NewVar("x"), iri("size"), rdf.NewVar("s"))},
+		Aggs:   aggs[:1],
+		Having: []Expr{havingExpr(t, `(MIN($s) > 1)`)},
+		Limit:  -1,
+	}
+	spec, err := aggregationSpec(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(q.Aggs) != 2 || q.Aggs[0].As != "count" || q.Aggs[1].As != "sum_s" {
-		t.Fatalf("auto aliases = %+v", q.Aggs)
-	}
-	if q.Aggs[0].Var != "" {
-		t.Fatalf("COUNT(*) Var = %q, want empty", q.Aggs[0].Var)
-	}
-	// HAVING-only aggregation (global group).
-	q2, err := Parse(`SELECT COUNT(*) AS $n WHERE { $x size $s } HAVING(MIN($s) > 1)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(q2.Aggs) != 2 {
-		t.Fatalf("hidden HAVING aggregate not hoisted: %+v", q2.Aggs)
-	}
-	if err := q2.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
+	if len(spec.aggs) != 2 || spec.aggs[1] != (Aggregate{Func: "MIN", Var: "s", As: "min_s"}) {
+		t.Fatalf("hidden HAVING aggregate not hoisted: %+v", spec.aggs)
 	}
 }
 
+// TestParseAggregateErrors covers the rejections the pattern grammar
+// makes itself; the host's analytic rules (GROUP BY, aliases, HAVING
+// without grouping) are oassisql's.
 func TestParseAggregateErrors(t *testing.T) {
-	bad := map[string]string{
-		// Aggregates outside SELECT/HAVING are rejected where they stand.
-		`SELECT $x WHERE { $x size $s . FILTER(COUNT($s) > 1) }`: "only allowed in SELECT or HAVING",
-		// GROUP BY of a variable no pattern binds.
-		`SELECT COUNT(*) AS $n WHERE { $x size $s } GROUP BY $nope`: "GROUP BY of undefined variable $nope",
-		// Projected variables must be grouped or aggregated.
-		`SELECT $x COUNT($s) AS $n WHERE { $x size $s } GROUP BY $s`: "neither grouped nor an aggregate alias",
-		// * only belongs to COUNT.
-		`SELECT SUM(*) AS $n WHERE { $x size $s }`: "only COUNT takes *",
-		// HAVING without any grouping step.
-		`SELECT $x WHERE { $x size $s } HAVING($s > 1)`: "HAVING requires GROUP BY",
-		// Aggregate alias colliding with a pattern variable.
-		`SELECT COUNT($s) AS $x WHERE { $x size $s }`: "collides with a pattern variable",
-		// Empty GROUP BY list.
-		`SELECT COUNT(*) AS $n WHERE { $x size $s } GROUP BY LIMIT 1`: "expected variables after GROUP BY",
+	type parse func(*PatternParser) error
+	pattern := func(pp *PatternParser) error { _, _, err := pp.GroupPattern(); return err }
+	having := func(pp *PatternParser) error { _, err := pp.HavingExpr(); return err }
+	call := func(pp *PatternParser) error {
+		_, _, err := pp.AggregateCall(func(string) bool { return false })
+		return err
 	}
-	for in, want := range bad {
-		_, err := Parse(in)
+	bad := []struct {
+		in    string
+		parse parse
+		want  string
+	}{
+		// Aggregates outside SELECT/HAVING are rejected where they stand.
+		{"{ $x size $s .\nFILTER(COUNT($s) > 1) }", pattern, "only allowed in SELECT or HAVING"},
+		// * only belongs to COUNT.
+		{`SUM(*) AS $n`, call, "only COUNT takes *"},
+		{`(AVG(*) > 1)`, having, "only COUNT takes *"},
+		{`COUNT($x AS $n`, call, `expected ")"`},
+		{`COUNT($x) AS n`, call, "expected variable after AS"},
+		{`(MAX("x") > 1)`, having, "expected variable or * in MAX()"},
+	}
+	for _, c := range bad {
+		pp, _ := newPatternParser(t, c.in)
+		err := c.parse(pp)
 		if err == nil {
-			t.Errorf("Parse(%q) succeeded, want error containing %q", in, want)
+			t.Errorf("%q parsed, want error containing %q", c.in, c.want)
 			continue
 		}
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("Parse(%q) error = %v, want containing %q", in, err, want)
+		if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%q: error = %v, want containing %q", c.in, err, c.want)
 		}
 		if !strings.Contains(err.Error(), "line") {
-			t.Errorf("Parse(%q) error %v carries no position", in, err)
+			t.Errorf("%q: error %v carries no position", c.in, err)
 		}
 	}
 }
 
 func TestEvalGroupByCount(t *testing.T) {
-	q, err := Parse(`SELECT $city COUNT($a) AS $n WHERE { $a locatedIn $city } GROUP BY $city ORDER BY DESC($n) $city`)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := patternQuery(t, `{ $a locatedIn $city }`)
+	q.GroupBy = []string{"city"}
+	q.Aggs = []Aggregate{{Func: "COUNT", Var: "a", As: "n"}}
+	q.OrderBy = []OrderKey{{Var: "n", Desc: true}, {Var: "city"}}
 	for name, rows := range bothEvals(t, q, aggStore()) {
 		if len(rows) != 3 {
 			t.Fatalf("%s: got %d groups, want 3", name, len(rows))
@@ -195,10 +239,11 @@ func TestEvalGroupByCount(t *testing.T) {
 // TestEvalSuperlativeShape pins the "which city has the most
 // attractions?" query shape end-to-end at the SPARQL layer.
 func TestEvalSuperlativeShape(t *testing.T) {
-	q, err := Parse(`SELECT $city COUNT($a) AS $n WHERE { $a locatedIn $city . $a instanceOf Place } GROUP BY $city ORDER BY DESC($n) LIMIT 1`)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := patternQuery(t, `{ $a locatedIn $city . $a instanceOf Place }`)
+	q.GroupBy = []string{"city"}
+	q.Aggs = []Aggregate{{Func: "COUNT", Var: "a", As: "n"}}
+	q.OrderBy = []OrderKey{{Var: "n", Desc: true}}
+	q.Limit = 1
 	for name, rows := range bothEvals(t, q, aggStore()) {
 		if len(rows) != 1 || rows[0]["city"].Value() != "Vegas" {
 			t.Errorf("%s: superlative = %v, want Vegas", name, rows)
@@ -221,16 +266,15 @@ func TestEvalHavingNumericCounts(t *testing.T) {
 		having string
 		want   map[string]bool
 	}{
-		{`HAVING(COUNT($a) > 9)`, map[string]bool{"mid": true, "big": true}},
-		{`HAVING(COUNT($a) > 99)`, map[string]bool{"big": true}},
-		{`HAVING(COUNT($a) <= 40)`, map[string]bool{"small": true, "mid": true}},
-		{`HAVING(COUNT($a) > 100)`, map[string]bool{}},
+		{`(COUNT($a) > 9)`, map[string]bool{"mid": true, "big": true}},
+		{`(COUNT($a) > 99)`, map[string]bool{"big": true}},
+		{`(COUNT($a) <= 40)`, map[string]bool{"small": true, "mid": true}},
+		{`(COUNT($a) > 100)`, map[string]bool{}},
 	}
 	for _, c := range cases {
-		q, err := Parse(`SELECT $city WHERE { $a locatedIn $city } GROUP BY $city ` + c.having)
-		if err != nil {
-			t.Fatalf("%s: %v", c.having, err)
-		}
+		q := patternQuery(t, `{ $a locatedIn $city }`)
+		q.GroupBy = []string{"city"}
+		q.Having = []Expr{havingExpr(t, c.having)}
 		for name, rows := range bothEvals(t, q, s) {
 			got := map[string]bool{}
 			for _, b := range rows {
@@ -255,9 +299,10 @@ func TestEvalAggregateFunctions(t *testing.T) {
 	add("a", rdf.NewIntLiteral(10))
 	add("b", rdf.NewIntLiteral(2))
 	add("c", rdf.NewIntLiteral(9))
-	q, err := Parse(`SELECT COUNT(*) AS $n SUM($s) AS $sum AVG($s) AS $avg MIN($s) AS $min MAX($s) AS $max WHERE { $x size $s }`)
-	if err != nil {
-		t.Fatal(err)
+	q := patternQuery(t, `{ $x size $s }`)
+	q.Aggs = []Aggregate{
+		{Func: "COUNT", As: "n"}, {Func: "SUM", Var: "s", As: "sum"}, {Func: "AVG", Var: "s", As: "avg"},
+		{Func: "MIN", Var: "s", As: "min"}, {Func: "MAX", Var: "s", As: "max"},
 	}
 	for name, rows := range bothEvals(t, q, s) {
 		if len(rows) != 1 {
@@ -279,10 +324,8 @@ func TestEvalAggregateFunctions(t *testing.T) {
 	}
 	// Mixed int/float input makes SUM a double.
 	add("d", rdf.NewFloatLiteral(0.5))
-	q2, err := Parse(`SELECT SUM($s) AS $sum WHERE { $x size $s }`)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q2 := patternQuery(t, `{ $x size $s }`)
+	q2.Aggs = []Aggregate{{Func: "SUM", Var: "s", As: "sum"}}
 	for name, rows := range bothEvals(t, q2, s) {
 		if v, ok := rows[0]["sum"].Float(); !ok || v != 21.5 {
 			t.Errorf("%s: mixed sum = %v, want 21.5", name, rows[0]["sum"])
@@ -297,10 +340,8 @@ func TestEvalAggregateEmptyInput(t *testing.T) {
 	s := rdf.NewShardedStore(0)
 	s.MustAdd(rdf.T(iri("a"), iri("other"), iri("b")))
 	// Global group over zero matching rows: COUNT is 0, MIN unbound.
-	q, err := Parse(`SELECT COUNT(*) AS $n MIN($s) AS $min WHERE { $x size $s }`)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := patternQuery(t, `{ $x size $s }`)
+	q.Aggs = []Aggregate{{Func: "COUNT", As: "n"}, {Func: "MIN", Var: "s", As: "min"}}
 	for name, rows := range bothEvals(t, q, s) {
 		if len(rows) != 1 {
 			t.Fatalf("%s: got %d rows, want 1", name, len(rows))
@@ -313,55 +354,12 @@ func TestEvalAggregateEmptyInput(t *testing.T) {
 		}
 	}
 	// With GROUP BY, zero rows means zero groups.
-	q2, err := Parse(`SELECT $x COUNT(*) AS $n WHERE { $x size $s } GROUP BY $x`)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q2 := patternQuery(t, `{ $x size $s }`)
+	q2.GroupBy = []string{"x"}
+	q2.Aggs = []Aggregate{{Func: "COUNT", As: "n"}}
 	for name, rows := range bothEvals(t, q2, s) {
 		if len(rows) != 0 {
 			t.Errorf("%s: grouped empty input gave %d rows, want 0", name, len(rows))
-		}
-	}
-}
-
-// TestAggregateValidate covers the programmatic construction paths the
-// parser cannot reach.
-func TestAggregateValidate(t *testing.T) {
-	base := func() *Query {
-		return &Query{
-			Limit:   -1,
-			Where:   []rdf.Triple{rdf.T(rdf.NewVar("a"), iri("locatedIn"), rdf.NewVar("city"))},
-			GroupBy: []string{"city"},
-			Aggs:    []Aggregate{{Func: "COUNT", Var: "a", As: "n"}},
-		}
-	}
-	if err := base().Validate(); err != nil {
-		t.Fatalf("valid aggregate query rejected: %v", err)
-	}
-	cases := []struct {
-		name string
-		mut  func(*Query)
-		want string
-	}{
-		{"unknown func", func(q *Query) { q.Aggs[0].Func = "MEDIAN" }, "unknown aggregate function"},
-		{"missing alias", func(q *Query) { q.Aggs[0].As = "" }, "no output alias"},
-		{"star non-count", func(q *Query) { q.Aggs[0].Func, q.Aggs[0].Var = "SUM", "" }, "only COUNT takes *"},
-		{"alias collision", func(q *Query) { q.Aggs[0].As = "city" }, "collides with a pattern variable"},
-		{"dup alias", func(q *Query) { q.Aggs = append(q.Aggs, Aggregate{Func: "SUM", Var: "a", As: "n"}) }, "duplicate aggregate alias"},
-		{"undefined group var", func(q *Query) { q.GroupBy = []string{"ghost"} }, "GROUP BY of undefined variable"},
-		{"ungrouped projection", func(q *Query) { q.Vars = []string{"a"} }, "neither grouped nor an aggregate alias"},
-		{"nil having", func(q *Query) { q.Having = []Expr{nil} }, "nil HAVING"},
-		{"having without grouping", func(q *Query) {
-			q.GroupBy, q.Aggs = nil, nil
-			q.Having = []Expr{&LitExpr{Val: BoolVal(true)}}
-		}, "HAVING without GROUP BY"},
-	}
-	for _, c := range cases {
-		q := base()
-		c.mut(q)
-		err := q.Validate()
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: Validate = %v, want containing %q", c.name, err, c.want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -11,10 +12,10 @@ import (
 
 // The differential property test pins the evaluator's semantics to the
 // naive reference evaluator: for randomized stores and randomized
-// queries mixing BGPs, OPTIONAL, UNION, FILTER, DISTINCT, ORDER BY,
-// projection, grouping and OFFSET/LIMIT, Eval and EvalReference must
-// produce the same solution multiset, and so must AggregateBindings
-// applied to the reference evaluator's unmodified rows.
+// queries mixing BGPs, FILTER, grouping, aggregates, HAVING, ORDER BY
+// and LIMIT, Eval and EvalReference must produce the same solution
+// multiset, and so must AggregateBindings applied to the reference
+// evaluator's unmodified rows.
 
 var diffVarPool = []string{"a", "b", "c", "d", "e"}
 
@@ -109,34 +110,19 @@ func randomQuery(r *rand.Rand) *Query {
 			rdf.NewVar(diffVarPool[r.Intn(len(diffVarPool))]),
 		))
 	}
-	if r.Intn(10) < 3 {
-		q.Unions = [][][]rdf.Triple{{randomPatterns(r, 1), randomPatterns(r, 1)}}
-	}
-	for i := r.Intn(3); i > 0; i-- {
-		q.Optionals = append(q.Optionals, randomPatterns(r, 1+r.Intn(2)))
-	}
 	for i := r.Intn(3); i > 0; i-- {
 		q.Filters = append(q.Filters, randomFilter(r))
 	}
 	if r.Intn(10) < 3 {
 		return finishAggregateQuery(r, q)
 	}
-	if r.Intn(2) == 0 {
-		for _, v := range diffVarPool {
-			if r.Intn(2) == 0 {
-				q.Vars = append(q.Vars, v)
-			}
-		}
-	}
-	q.Distinct = r.Intn(10) < 3
 	if r.Intn(10) < 3 {
-		// OFFSET/LIMIT cut rows by position, which is only comparable
-		// across evaluators under a total order: sort by every variable,
-		// so tied rows are identical and any cut yields the same multiset.
+		// LIMIT cuts rows by position, which is only comparable across
+		// evaluators under a total order: sort by every variable, so tied
+		// rows are identical and any cut yields the same multiset.
 		for _, v := range diffVarPool {
 			q.OrderBy = append(q.OrderBy, OrderKey{Var: v, Desc: r.Intn(2) == 0})
 		}
-		q.Offset = r.Intn(4)
 		if r.Intn(2) == 0 {
 			q.Limit = r.Intn(6)
 		}
@@ -149,11 +135,11 @@ func randomQuery(r *rand.Rand) *Query {
 // finishAggregateQuery turns a random pattern skeleton into a GROUP BY /
 // aggregate query. Output rows carry exactly the group variables plus
 // the aggregate aliases, so sorting by all of them is a total order and
-// OFFSET/LIMIT windows stay comparable across evaluators.
+// LIMIT windows stay comparable across evaluators.
 func finishAggregateQuery(r *rand.Rand, q *Query) *Query {
 	var used []string
 	seen := map[string]bool{}
-	for _, tr := range q.patternVarTriples() {
+	for _, tr := range q.Where {
 		tr.EachVar(func(v string) {
 			if !seen[v] {
 				seen[v] = true
@@ -193,20 +179,12 @@ func finishAggregateQuery(r *rand.Rand, q *Query) *Query {
 		})
 	}
 	if r.Intn(2) == 0 {
-		q.Vars = append(q.Vars, groupBy...)
-		for _, a := range aggs {
-			q.Vars = append(q.Vars, a.As)
-		}
-	}
-	q.Distinct = r.Intn(10) < 2
-	if r.Intn(2) == 0 {
 		for _, v := range groupBy {
 			q.OrderBy = append(q.OrderBy, OrderKey{Var: v, Desc: r.Intn(2) == 0})
 		}
 		for _, a := range aggs {
 			q.OrderBy = append(q.OrderBy, OrderKey{Var: a.As, Desc: r.Intn(2) == 0})
 		}
-		q.Offset = r.Intn(3)
 		if r.Intn(2) == 0 {
 			q.Limit = r.Intn(4)
 		}
@@ -258,7 +236,7 @@ func sameSolutions(t *testing.T, label string, q *Query, got, want []Binding) {
 // unmodified strips the query's solution modifiers, keeping the graph
 // pattern and filters.
 func unmodified(q *Query) *Query {
-	return &Query{Where: q.Where, Unions: q.Unions, Optionals: q.Optionals, Filters: q.Filters, Limit: -1}
+	return &Query{Where: q.Where, Filters: q.Filters, Limit: -1}
 }
 
 func TestDifferentialEvalMatchesReference(t *testing.T) {
@@ -267,7 +245,7 @@ func TestDifferentialEvalMatchesReference(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		st := randomStore(r)
 		q := randomQuery(r)
-		got, gerr := Eval(q, st, nil)
+		got, gerr := Eval(context.Background(), q, st, nil)
 		want, werr := EvalReference(q, st, nil)
 		if (gerr == nil) != (werr == nil) {
 			t.Fatalf("seed %d: error mismatch: Eval=%v EvalReference=%v\nquery: %+v", seed, gerr, werr, q)
@@ -312,10 +290,7 @@ func TestEvalWideQueryMatchesReference(t *testing.T) {
 	if n := len(compileQuery(q, nil).names); n != width {
 		t.Fatalf("query has %d slots, want %d", n, width)
 	}
-	got, err := Eval(q, st, nil)
-	if err != nil {
-		t.Fatalf("Eval: %v", err)
-	}
+	got := eval(t, q, st, nil)
 	want, err := EvalReference(q, st, nil)
 	if err != nil {
 		t.Fatalf("EvalReference: %v", err)
@@ -347,10 +322,10 @@ func TestBindingKeyCollisionFree(t *testing.T) {
 	}
 }
 
-// TestOffsetLimitWindowIsCopied pins the fix for the slice-aliasing bug:
-// the returned window must not retain capacity into (and thereby pin or
-// expose) the full pre-OFFSET result.
-func TestOffsetLimitWindowIsCopied(t *testing.T) {
+// TestLimitWindowIsCopied pins the fix for the slice-aliasing bug: the
+// returned LIMIT window must not retain capacity into (and thereby pin
+// or expose) the full result.
+func TestLimitWindowIsCopied(t *testing.T) {
 	st := rdf.NewShardedStore(0)
 	for i := 0; i < 6; i++ {
 		st.MustAdd(rdf.T(diffEntity(i), diffPred(0), diffEntity(0)))
@@ -358,12 +333,9 @@ func TestOffsetLimitWindowIsCopied(t *testing.T) {
 	q := &Query{
 		Where:   []rdf.Triple{rdf.T(rdf.NewVar("x"), diffPred(0), diffEntity(0))},
 		OrderBy: []OrderKey{{Var: "x"}},
-		Offset:  1,
 		Limit:   2,
 	}
-	for name, eval := range map[string]func(*Query, Source, *Env) ([]Binding, error){
-		"Eval": Eval, "EvalReference": EvalReference,
-	} {
+	for name, eval := range evalFuncs {
 		rows, err := eval(q, st, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -1,6 +1,7 @@
 package sparql
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strconv"
@@ -32,19 +33,24 @@ func pin(src Source) Source {
 }
 
 // Eval evaluates the query against the source and returns the solution
-// bindings, projected, filtered, ordered and limited per the query.
+// bindings, filtered, grouped, ordered and limited per the query.
 //
 // Internally rows are slot-indexed term slices that share storage with
 // their parent row until a join step binds a new variable; the map-form
-// Binding is only materialized at this API boundary. Basic graph
-// patterns stream depth-first through the planned join order without
+// Binding is only materialized at this API boundary. The basic graph
+// pattern streams depth-first through the planned join order without
 // materializing per-pattern intermediate row sets, and filters whose
-// variables are all bound by the main pattern run inside the join,
-// pruning rows before they fan out. Row order before ORDER BY is
-// unspecified.
-func Eval(q *Query, src Source, env *Env) ([]Binding, error) {
+// variables are all bound by the pattern run inside the join, pruning
+// rows before they fan out. Row order before ORDER BY is unspecified.
+//
+// The join looks at ctx once every cancelStride candidate matches; once
+// ctx is done, Eval stops and returns ctx.Err().
+func Eval(ctx context.Context, q *Query, src Source, env *Env) ([]Binding, error) {
 	if src == nil {
 		return nil, fmt.Errorf("sparql: nil source")
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	src = pin(src)
 	spec, err := aggregationSpec(q)
@@ -52,68 +58,22 @@ func Eval(q *Query, src Source, env *Env) ([]Binding, error) {
 		return nil, err
 	}
 	c := compileQuery(q, spec)
-	e := &exec{c: c, src: src, env: env, view: rowView{c: c}}
+	e := &exec{c: c, src: src, env: env, view: rowView{c: c}, ctx: ctx}
 
-	// Main basic graph pattern: plan once, attach every filter whose
-	// variables are certainly bound by it, stream the join from the nil
-	// row, which binds nothing; a row is allocated on its first binding.
-	plan := planBGP(q.Where, nil, src)
-	steps, postFilters := attachFilters(plan, q.Filters, c)
+	// Plan once, attach every filter whose variables the pattern binds,
+	// and stream the join from the nil row, which binds nothing; a row is
+	// allocated on its first binding.
+	steps, postFilters := attachFilters(planBGP(q.Where, src), q.Filters, c)
 	rows := e.extend(nil, steps, 0, nil)
+	if e.err != nil {
+		return nil, e.err
+	}
 	if len(q.Where) == 0 {
 		rows = [][]rdf.Term{make([]rdf.Term, len(c.names))} // the empty BGP's one solution
 	}
 
-	// Union blocks: each block extends the rows through any of its
-	// alternative patterns (bag semantics: a row reached through two
-	// alternatives appears twice). mayBind tracks which variables earlier
-	// parts may have bound, informing the planner; it is only needed when
-	// there is anything beyond the main pattern to plan.
-	var mayBind map[string]bool
-	markVars := func(patterns []rdf.Triple) {
-		for _, p := range patterns {
-			p.EachVar(func(v string) { mayBind[v] = true })
-		}
-	}
-	if len(q.Unions) > 0 || len(q.Optionals) > 0 {
-		mayBind = map[string]bool{}
-		markVars(q.Where)
-	}
-	for _, block := range q.Unions {
-		var merged [][]rdf.Term
-		for _, alt := range block {
-			altSteps := toSteps(planBGP(alt, mayBind, src))
-			for _, r := range rows {
-				merged = e.extend(r, altSteps, 0, merged)
-			}
-		}
-		for _, alt := range block {
-			markVars(alt)
-		}
-		rows = merged
-		if len(rows) == 0 {
-			break
-		}
-	}
-
-	// Optional groups: left join — a row without a match survives
-	// unchanged. Each group is planned once, not once per row.
-	for _, opt := range q.Optionals {
-		optSteps := toSteps(planBGP(opt, mayBind, src))
-		joined := make([][]rdf.Term, 0, len(rows))
-		for _, r := range rows {
-			n := len(joined)
-			joined = e.extend(r, optSteps, 0, joined)
-			if len(joined) == n {
-				joined = append(joined, r)
-			}
-		}
-		markVars(opt)
-		rows = joined
-	}
-
-	// Filters that could not run inside the main join (variables bound
-	// only by OPTIONAL/UNION parts, or not at all).
+	// Filters that could not run inside the join: variables the pattern
+	// never binds, or no pattern at all.
 	if len(postFilters) > 0 {
 		kept := rows[:0]
 		for _, r := range rows {
@@ -127,10 +87,9 @@ func Eval(q *Query, src Source, env *Env) ([]Binding, error) {
 }
 
 // finish applies the query's solution modifiers to the rows, in SPARQL
-// order: grouping, aggregates and HAVING; ORDER BY; projection;
-// DISTINCT; OFFSET/LIMIT. It materializes the surviving rows as
-// Bindings. It rewrites rows in place, so the caller must not reuse
-// them.
+// order: grouping, aggregates and HAVING; ORDER BY; LIMIT. It
+// materializes the surviving rows as Bindings. It rewrites rows in
+// place, so the caller must not reuse them.
 func (e *exec) finish(q *Query, spec *aggSpec, rows [][]rdf.Term) []Binding {
 	c := e.c
 	// Grouping and aggregation: collapse rows into per-group rows binding
@@ -182,57 +141,13 @@ func (e *exec) finish(q *Query, spec *aggSpec, rows [][]rdf.Term) []Binding {
 		})
 	}
 
-	// Projection clears the dropped slots, which hides them from
-	// DISTINCT and from materialization. Clearing in place is safe
-	// because rows that share storage hold identical terms.
-	if len(q.Vars) > 0 {
-		keep := make([]bool, len(c.names))
-		for _, v := range q.Vars {
-			if slot, ok := c.slots[v]; ok {
-				keep[slot] = true
-			}
-		}
-		for _, r := range rows {
-			for slot, k := range keep {
-				if !k {
-					r[slot] = unbound
-				}
-			}
-		}
-	}
-
-	// Distinct.
-	if q.Distinct {
-		seen := map[string]bool{}
-		kept := rows[:0]
-		var sb strings.Builder
-		for _, r := range rows {
-			sb.Reset()
-			writeRowKey(&sb, r)
-			key := sb.String()
-			if !seen[key] {
-				seen[key] = true
-				kept = append(kept, r)
-			}
-		}
-		rows = kept
-	}
-
-	// Offset / limit.
-	if q.Offset > 0 {
-		if q.Offset >= len(rows) {
-			rows = nil
-		} else {
-			rows = rows[q.Offset:]
-		}
-	}
 	if q.Limit >= 0 && q.Limit < len(rows) {
 		rows = rows[:q.Limit]
 	}
 
 	// Materialize map-form bindings at the API boundary. The output is
-	// freshly allocated, so OFFSET/LIMIT windows never pin a larger
-	// backing array.
+	// freshly allocated, so a LIMIT window never pins a larger backing
+	// array.
 	out := make([]Binding, len(rows))
 	for i, r := range rows {
 		b := make(Binding)
@@ -278,23 +193,17 @@ type planStep struct {
 	filters []Expr
 }
 
-func toSteps(plan []rdf.Triple) []planStep {
+// attachFilters assigns each filter to the earliest step of the plan at
+// which all its variables are bound. Filters referencing variables
+// outside the plan (or expression types the variable walker does not
+// know) are returned for post-join evaluation. Pushing a filter into the
+// join is sound because variables bind exactly once and Env functions
+// and sets are assumed pure.
+func attachFilters(plan []rdf.Triple, filters []Expr, c *compiled) ([]planStep, []Expr) {
 	steps := make([]planStep, len(plan))
 	for i, p := range plan {
 		steps[i].pat = p
 	}
-	return steps
-}
-
-// attachFilters assigns each filter to the earliest step of the main
-// plan at which all its variables are bound. Filters referencing
-// variables outside the plan (or expression types the variable walker
-// does not know) are returned for post-join evaluation. Pushing a filter
-// into the join is sound because variables bind exactly once — later
-// OPTIONAL/UNION extensions cannot change a slot the main pattern bound
-// — and Env functions and sets are assumed pure.
-func attachFilters(plan []rdf.Triple, filters []Expr, c *compiled) ([]planStep, []Expr) {
-	steps := toSteps(plan)
 	var post []Expr
 	for _, f := range filters {
 		vars := map[string]bool{}
@@ -327,17 +236,29 @@ func attachFilters(plan []rdf.Triple, filters []Expr, c *compiled) ([]planStep, 
 	return steps, post
 }
 
+// cancelStride is the number of candidate matches the join takes
+// between two looks at its context. A look costs a lock and no
+// allocation; a stride is about a millisecond of join work even when
+// every candidate runs a filter.
+const cancelStride = 1024
+
 // exec carries the per-Eval state shared by the join recursion.
 type exec struct {
 	c    *compiled
 	src  Source
 	env  *Env
 	view rowView
+	// ctx is looked at once every cancelStride candidate matches, which
+	// candidates counts; err is ctx's error once the join stopped for it.
+	ctx        context.Context
+	candidates int
+	err        error
 }
 
 // extend streams r depth-first through steps[depth:], appending every
 // complete solution to out. Pattern matches flow straight into the next
-// join level; no per-level row set is materialized.
+// join level; no per-level row set is materialized. Once the context is
+// done, every level stops matching and e.err is set.
 func (e *exec) extend(r []rdf.Term, steps []planStep, depth int, out [][]rdf.Term) [][]rdf.Term {
 	if depth == len(steps) {
 		return append(out, r)
@@ -345,6 +266,12 @@ func (e *exec) extend(r []rdf.Term, steps []planStep, depth int, out [][]rdf.Ter
 	st := steps[depth]
 	concrete := e.substituteRow(st.pat, r)
 	e.src.MatchFunc(concrete, func(t rdf.Triple) bool {
+		if e.candidates++; e.candidates%cancelStride == 0 {
+			e.err = e.ctx.Err()
+		}
+		if e.err != nil {
+			return false
+		}
 		nr, ok := e.unifyRow(concrete, t, r)
 		if !ok {
 			return true
@@ -353,7 +280,7 @@ func (e *exec) extend(r []rdf.Term, steps []planStep, depth int, out [][]rdf.Ter
 			return true
 		}
 		out = e.extend(nr, steps, depth+1, out)
-		return true
+		return e.err == nil
 	})
 	return out
 }
@@ -437,19 +364,6 @@ func BindingKey(b Binding) string {
 		writeTermKey(&sb, b[k])
 	}
 	return sb.String()
-}
-
-// writeRowKey writes the collision-free key of a row's bound slots. The
-// slot table is fixed for the whole query, so the slot index substitutes
-// for the variable name.
-func writeRowKey(sb *strings.Builder, r []rdf.Term) {
-	for slot, t := range r {
-		if t == unbound {
-			continue
-		}
-		sb.WriteString(strconv.Itoa(slot))
-		writeTermKey(sb, t)
-	}
 }
 
 // writeTermKey writes a length-prefixed encoding of every term field.

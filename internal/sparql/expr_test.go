@@ -8,13 +8,19 @@ import (
 	"nl2cm/internal/rdf"
 )
 
+// filterExpr parses src as the one FILTER of a group pattern.
+func filterExpr(t *testing.T, src string) Expr {
+	t.Helper()
+	_, filters, err := parsePattern(`{ $x p $y . FILTER(` + src + `) }`)
+	if err != nil {
+		t.Fatalf("parsePattern(%s): %v", src, err)
+	}
+	return filters[0]
+}
+
 func evalExpr(t *testing.T, src string, b Binding, env *Env) Value {
 	t.Helper()
-	q, err := Parse(`SELECT * WHERE { $x p $y . FILTER(` + src + `) }`)
-	if err != nil {
-		t.Fatalf("Parse(%s): %v", src, err)
-	}
-	v, err := q.Filters[0].Eval(b, env)
+	v, err := filterExpr(t, src).Eval(b, env)
 	if err != nil {
 		t.Fatalf("Eval(%s): %v", src, err)
 	}
@@ -35,11 +41,7 @@ func TestExprArithmetic(t *testing.T) {
 }
 
 func TestExprArithmeticTypeError(t *testing.T) {
-	q, err := Parse(`SELECT * WHERE { $x p $y . FILTER("abc" + 1 = 2) }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := q.Filters[0].Eval(Binding{}, nil); err == nil {
+	if _, err := filterExpr(t, `"abc" + 1 = 2`).Eval(Binding{}, nil); err == nil {
 		t.Error("string arithmetic succeeded")
 	}
 }
@@ -56,30 +58,18 @@ func TestExprNot(t *testing.T) {
 func TestExprBooleanShortCircuit(t *testing.T) {
 	// The right operand of && is not evaluated when the left is false:
 	// an unbound variable there must not error.
-	q, err := Parse(`SELECT * WHERE { $x p $y . FILTER(false && $nope = 1) }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := q.Filters[0].Eval(Binding{}, nil)
+	v, err := filterExpr(t, `false && $nope = 1`).Eval(Binding{}, nil)
 	if err != nil || v.Bool {
 		t.Errorf("short circuit failed: %v %v", v, err)
 	}
-	q2, err := Parse(`SELECT * WHERE { $x p $y . FILTER(true || $nope = 1) }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := q2.Filters[0].Eval(Binding{}, nil)
+	v2, err := filterExpr(t, `true || $nope = 1`).Eval(Binding{}, nil)
 	if err != nil || !v2.Bool {
 		t.Errorf("or short circuit failed: %v %v", v2, err)
 	}
 }
 
 func TestExprUnboundVariableErrors(t *testing.T) {
-	q, err := Parse(`SELECT * WHERE { $x p $y . FILTER($zzz = 1) }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := q.Filters[0].Eval(Binding{}, nil); err == nil {
+	if _, err := filterExpr(t, `$zzz = 1`).Eval(Binding{}, nil); err == nil {
 		t.Error("unbound variable evaluated")
 	}
 }
@@ -105,26 +95,15 @@ func TestExprTermEquality(t *testing.T) {
 }
 
 func TestExprStrings(t *testing.T) {
-	q, err := Parse(`SELECT * WHERE {
-		$x p $y .
-		FILTER(!($x = 1) && POS($x) IN ("VB", "NN") || $y NOT IN V_set && true)
-	}`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := q.Filters[0].String()
+	s := filterExpr(t, `!($x = 1) && POS($x) IN ("VB", "NN") || $y NOT IN V_set && true`).String()
 	for _, want := range []string{"!", "POS(", "IN (", "NOT IN V_set", "&&", "||", "true"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("expression string %q missing %q", s, want)
 		}
 	}
 	// Literal string rendering quotes properly.
-	q2, err := Parse(`SELECT * WHERE { $x p $y . FILTER($x = "a\"b") }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(q2.Filters[0].String(), `"a\"b"`) {
-		t.Errorf("string literal rendering: %s", q2.Filters[0])
+	if lit := filterExpr(t, `$x = "a\"b"`); !strings.Contains(lit.String(), `"a\"b"`) {
+		t.Errorf("string literal rendering: %s", lit)
 	}
 }
 
@@ -204,32 +183,37 @@ func TestLexerPeekAheadAndErrf(t *testing.T) {
 }
 
 func TestParsePatternStandalone(t *testing.T) {
-	triples, filters, err := ParsePattern(`{$x nsubj $y . FILTER($x != $y)}`, nil)
+	triples, filters, err := parsePattern(`{$x nsubj $y . FILTER($x != $y)}`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(triples) != 1 || len(filters) != 1 {
 		t.Errorf("triples=%d filters=%d", len(triples), len(filters))
 	}
-	if _, _, err := ParsePattern(`{$x nsubj $y} extra`, nil); err == nil {
+	if _, _, err := parsePattern(`{$x nsubj $y} extra`); err == nil {
 		t.Error("trailing input accepted")
 	}
-	if _, _, err := ParsePattern(`{$x`, nil); err == nil {
+	if _, _, err := parsePattern(`{$x`); err == nil {
 		t.Error("unterminated pattern accepted")
 	}
 }
 
 func TestParseTermErrors(t *testing.T) {
-	// numbers in subject position
-	if _, err := Parse(`SELECT $x WHERE { 5 p $y }`); err == nil {
-		t.Error("number subject accepted")
+	// numbers and literals in subject or predicate position
+	for _, in := range []string{`{ 5 p $y }`, `{ $x 5 $y }`, `{ $x "p" $y }`} {
+		if _, _, err := parsePattern(in); err == nil {
+			t.Errorf("parsePattern(%q) accepted a literal subject or predicate", in)
+		}
 	}
-	// comparison chain rendering
-	q, err := Parse(`SELECT $x WHERE { $x p $y . FILTER($x = 1) } ORDER BY $x`)
-	if err != nil {
-		t.Fatal(err)
+	// a bare sort key ascends; a key must be a variable
+	pp, _ := newPatternParser(t, `$x`)
+	if keys, err := pp.OrderKeys(); err != nil || len(keys) != 1 || keys[0].Desc {
+		t.Errorf("bare order key = %+v, %v", keys, err)
 	}
-	if len(q.OrderBy) != 1 || q.OrderBy[0].Desc {
-		t.Errorf("bare order key = %+v", q.OrderBy)
+	for _, in := range []string{``, `DESC(x)`, `ASC($x`} {
+		pp, _ := newPatternParser(t, in)
+		if keys, err := pp.OrderKeys(); err == nil {
+			t.Errorf("OrderKeys(%q) = %+v, want error", in, keys)
+		}
 	}
 }

@@ -2,38 +2,72 @@ package sparql
 
 import (
 	"testing"
+
+	"nl2cm/internal/rdf"
 )
 
-// FuzzParse asserts the parser never panics and that every accepted
-// query satisfies Validate. (A print/re-parse round trip is NOT asserted:
-// typed literals print with a ^^datatype suffix the lexer does not read.)
+// FuzzParse fuzzes what the host languages parse with this package: a
+// group pattern through PatternParser.GroupPattern, and a HAVING
+// condition through PatternParser.HavingExpr, each over the whole input.
+// Neither may panic, and every accepted pattern keeps the structural
+// invariants the evaluator relies on: an IRI or variable as subject and
+// predicate (literals only bind in object position), named variables,
+// and non-nil filters.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
-		"SELECT * WHERE { $x <near> $y . }",
-		"SELECT DISTINCT $x WHERE { $x <instanceOf> <Place> . FILTER($x != <Forest>) } ORDER BY DESC($x) LIMIT 5 OFFSET 2",
-		"SELECT $a $b WHERE { { $a <p> $b . } UNION { $b <p> $a . } OPTIONAL { $a <q> \"lit\" . } }",
-		"SELECT * WHERE { [] <visit> $x . $x <in> \"Fall\" }",
-		"SELECT * WHERE { ?s ?p 42 . FILTER(?s = ?p || !(?p < 3)) }",
-		"SELECT * WHERE { $x <p> $y . } # trailing comment",
-		"SELECT",
+		"{ $x <near> $y . }",
+		"{ $x <instanceOf> <Place> . FILTER($x != <Forest>) }",
+		"{ $a <p> $b . OPTIONAL { $a <q> \"lit\" . } }",
+		"{ [] <visit> $x . $x <in> \"Fall\" }",
+		"{ ?s ?p 42 . FILTER(?s = ?p || !(?p < 3)) }",
+		"{ $x <p> $y . } # trailing comment",
+		"{ $x nsubj $y . FILTER(POS($y) IN (\"NN\", \"NNS\") && $y IN V_participant) }",
+		"(COUNT($x) > 2 && SUM($y) <= 10.5)",
+		"(COUNT(*) >= 1)",
 		"",
-		"SELECT * WHERE { $x",
-		"SELECT * WHERE { \"subject\" <p> $y }",
+		"{ $x",
+		"{ \"subject\" <p> $y }",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, input string) {
-		q, err := Parse(input)
+		lx, err := NewLexer(input)
 		if err != nil {
 			return // rejection is fine; panics are not
 		}
-		if q == nil {
-			t.Fatal("Parse returned nil query with nil error")
+		if triples, filters, err := NewPatternParser(lx, nil).GroupPattern(); err == nil {
+			checkPattern(t, input, triples, filters)
 		}
-		if err := q.Validate(); err != nil {
-			t.Fatalf("accepted query fails Validate: %v\ninput: %q", err, input)
+		lx, _ = NewLexer(input)
+		if e, err := NewPatternParser(lx, nil).HavingExpr(); err == nil {
+			if e == nil {
+				t.Fatalf("HavingExpr returned nil with nil error\ninput: %q", input)
+			}
+			_ = e.String() // printing must not panic either
 		}
-		_ = q.String() // printing must not panic either
 	})
+}
+
+func checkPattern(t *testing.T, input string, triples []rdf.Triple, filters []Expr) {
+	t.Helper()
+	for _, tr := range triples {
+		if k := tr.S.Kind(); k != rdf.KindIRI && k != rdf.KindVariable && k != rdf.KindBlank {
+			t.Fatalf("subject of %s is a %s\ninput: %q", tr, k, input)
+		}
+		if k := tr.P.Kind(); k != rdf.KindIRI && k != rdf.KindVariable {
+			t.Fatalf("predicate of %s is a %s\ninput: %q", tr, k, input)
+		}
+		for _, term := range []rdf.Term{tr.S, tr.P, tr.O} {
+			if term.Kind() == rdf.KindVariable && term.Value() == "" {
+				t.Fatalf("unnamed variable in %s\ninput: %q", tr, input)
+			}
+		}
+	}
+	for _, f := range filters {
+		if f == nil {
+			t.Fatalf("nil filter expression\ninput: %q", input)
+		}
+		_ = f.String()
+	}
 }

@@ -31,9 +31,8 @@ type Tok struct {
 	Pos  int // byte offset in the input
 }
 
-// Lexer tokenizes SPARQL-like and OASSIS-QL query text. It is shared by
-// this package's parser, the OASSIS-QL parser and the IX detection
-// pattern parser.
+// Lexer tokenizes OASSIS-QL and IX detection pattern text. The host
+// parsers and the PatternParser they embed share one Lexer per input.
 type Lexer struct {
 	in   string
 	pos  int

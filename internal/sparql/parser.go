@@ -7,78 +7,37 @@ import (
 	"nl2cm/internal/rdf"
 )
 
-// ParseOptions configures identifier resolution during parsing.
-type ParseOptions struct {
-	// Base is the namespace prefix prepended to bare identifiers to form
-	// IRIs (e.g. "http://nl2cm.org/onto/"). When empty, bare identifiers
-	// become IRIs with the identifier as the full value, which keeps
-	// queries readable in tests and matches the OASSIS-QL surface syntax.
-	Base string
-	// Resolve, when non-nil, overrides Base for bare identifiers.
-	Resolve func(ident string) rdf.Term
-}
-
-func (o *ParseOptions) ident(name string) rdf.Term {
-	if o != nil && o.Resolve != nil {
-		return o.Resolve(name)
-	}
-	base := ""
-	if o != nil {
-		base = o.Base
-	}
-	return rdf.NewIRI(base + name)
-}
-
-// Parse parses a SELECT query.
-func Parse(input string) (*Query, error) { return ParseWith(input, nil) }
-
-// ParseWith parses a SELECT query with explicit options.
-func ParseWith(input string, opts *ParseOptions) (*Query, error) {
-	lx, err := NewLexer(input)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{lx: lx, opts: opts}
-	q, err := p.query()
-	if err != nil {
-		return nil, fmt.Errorf("sparql: %w", err)
-	}
-	if t := lx.Peek(); t.Kind != TokEOF {
-		return nil, fmt.Errorf("sparql: %v", lx.Errf("trailing input %q", t.Text))
-	}
-	return q, nil
-}
-
-type parser struct {
-	lx   *Lexer
-	opts *ParseOptions
-	anon int
+// PatternParser reads the pattern grammar over a lexer it shares with a
+// host language (OASSIS-QL, the IX detection pattern language), so that
+// the host can interleave its own keywords with pattern parsing: group
+// patterns of triples and FILTERs, aggregate calls, HAVING conditions
+// and ORDER BY keys.
+type PatternParser struct {
+	lx *Lexer
+	// resolve maps a bare identifier to its term; nil makes it an IRI
+	// whose value is the identifier, the OASSIS-QL surface syntax.
+	resolve func(ident string) rdf.Term
+	anon    int
 	// inHaving is set while parsing a HAVING expression, the only
 	// expression position where aggregate calls are legal.
 	inHaving bool
-	// optionals and unions collect OPTIONAL groups and UNION blocks
-	// parsed inside the most recent top-level group pattern. Only the
-	// SELECT grammar consumes them; embedded-pattern hosts (OASSIS-QL,
-	// IX patterns) reject them.
-	optionals [][]rdf.Triple
-	unions    [][][]rdf.Triple
 }
 
-func (p *parser) keyword(words ...string) bool {
-	t := p.lx.Peek()
-	if t.Kind != TokIdent {
-		return false
-	}
-	for _, w := range words {
-		if strings.EqualFold(t.Text, w) {
-			p.lx.Next()
-			return true
-		}
-	}
-	return false
+// NewPatternParser wraps a lexer for embedded pattern parsing. resolve
+// maps bare identifiers to terms; when nil, an identifier becomes an IRI
+// whose value is the identifier.
+func NewPatternParser(lx *Lexer, resolve func(ident string) rdf.Term) *PatternParser {
+	return &PatternParser{lx: lx, resolve: resolve}
 }
 
-func (p *parser) expectPunct(s string) error {
+func (p *PatternParser) ident(name string) rdf.Term {
+	if p.resolve != nil {
+		return p.resolve(name)
+	}
+	return rdf.NewIRI(name)
+}
+
+func (p *PatternParser) expectPunct(s string) error {
 	t := p.lx.Peek()
 	if t.Kind == TokPunct && t.Text == s {
 		p.lx.Next()
@@ -87,151 +46,84 @@ func (p *parser) expectPunct(s string) error {
 	return p.lx.Errf("expected %q, found %q", s, t.Text)
 }
 
-func (p *parser) query() (*Query, error) {
-	q := &Query{Limit: -1}
-	if !p.keyword("SELECT") {
-		return nil, p.lx.Errf("expected SELECT")
+// GroupPattern parses "{ triples and FILTERs }" at the current lexer
+// position. A dot after a triple or FILTER is optional.
+func (p *PatternParser) GroupPattern() ([]rdf.Triple, []Expr, error) {
+	if err := p.expectPunct("{"); err != nil {
+		return nil, nil, err
 	}
-	if p.keyword("DISTINCT") {
-		q.Distinct = true
-	}
-	// projection: * or a list of variables and aggregate expressions
-	t := p.lx.Peek()
-	if t.Kind == TokOp && t.Text == "*" {
-		p.lx.Next()
-	} else {
-		for {
-			t := p.lx.Peek()
-			if t.Kind == TokVar {
-				p.lx.Next()
-				q.Vars = append(q.Vars, t.Text)
-				continue
-			}
-			if t.Kind == TokIdent && AggFuncs[strings.ToUpper(t.Text)] {
-				if n := p.lx.PeekAhead(1); n.Kind == TokPunct && n.Text == "(" {
-					if err := p.selectAggregate(q); err != nil {
-						return nil, err
-					}
-					continue
-				}
-			}
-			break
-		}
-		if len(q.Vars) == 0 {
-			return nil, p.lx.Errf("expected * or variables after SELECT")
-		}
-	}
-	if !p.keyword("WHERE") {
-		return nil, p.lx.Errf("expected WHERE")
-	}
-	where, filters, err := p.GroupPattern()
-	if err != nil {
-		return nil, err
-	}
-	q.Where, q.Filters = where, filters
-	q.Optionals, q.Unions = p.optionals, p.unions
-	// modifiers
+	var triples []rdf.Triple
+	var filters []Expr
 	for {
-		switch {
-		case p.keyword("GROUP"):
-			if !p.keyword("BY") {
-				return nil, p.lx.Errf("expected BY after GROUP")
-			}
-			defined := q.patternVars()
-			for p.lx.Peek().Kind == TokVar {
-				v := p.lx.Next()
-				if !defined[v.Text] {
-					return nil, p.lx.Errf("GROUP BY of undefined variable $%s", v.Text)
-				}
-				q.GroupBy = append(q.GroupBy, v.Text)
-			}
-			if len(q.GroupBy) == 0 {
-				return nil, p.lx.Errf("expected variables after GROUP BY")
-			}
-		case p.keyword("HAVING"):
+		switch t := p.lx.Peek(); {
+		case t.Kind == TokPunct && t.Text == "}":
+			p.lx.Next()
+			return triples, filters, nil
+		case t.Kind == TokEOF:
+			return nil, nil, p.lx.Errf("unterminated group pattern")
+		case t.Kind == TokIdent && strings.EqualFold(t.Text, "FILTER"):
+			p.lx.Next()
 			if err := p.expectPunct("("); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			p.inHaving = true
 			e, err := p.expr()
-			p.inHaving = false
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			if err := p.expectPunct(")"); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			q.Having = append(q.Having, e)
-		case p.keyword("ORDER"):
-			if !p.keyword("BY") {
-				return nil, p.lx.Errf("expected BY after ORDER")
-			}
-			keys, err := p.orderKeys()
-			if err != nil {
-				return nil, err
-			}
-			q.OrderBy = append(q.OrderBy, keys...)
-		case p.keyword("LIMIT"):
-			n := p.lx.Next()
-			if n.Kind != TokNumber {
-				return nil, p.lx.Errf("expected number after LIMIT")
-			}
-			q.Limit = int(n.Num)
-		case p.keyword("OFFSET"):
-			n := p.lx.Next()
-			if n.Kind != TokNumber {
-				return nil, p.lx.Errf("expected number after OFFSET")
-			}
-			q.Offset = int(n.Num)
+			filters = append(filters, e)
 		default:
-			if err := p.finishAggregates(q); err != nil {
-				return nil, err
+			tr, err := p.triple()
+			if err != nil {
+				return nil, nil, err
 			}
-			return q, nil
+			triples = append(triples, tr)
+		}
+		if t := p.lx.Peek(); t.Kind == TokPunct && t.Text == "." {
+			p.lx.Next()
 		}
 	}
 }
 
-// selectAggregate parses one aggregate projection: FUNC($v) or COUNT(*),
-// optionally followed by AS $alias. The alias (explicit or derived from
-// the function and argument) joins the projected variable list.
-func (p *parser) selectAggregate(q *Query) error {
+// AggregateCall parses one aggregate call — FUNC($v) or COUNT(*),
+// optionally followed by AS $alias — when the lexer sits on an aggregate
+// function name followed by "(". It reports ok=false without consuming
+// input otherwise. taken reports alias names already in use, so a
+// derived alias (no explicit AS) stays fresh. Host languages (OASSIS-QL)
+// embed this to accept aggregate outputs in their SELECT clauses.
+func (p *PatternParser) AggregateCall(taken func(string) bool) (Aggregate, bool, error) {
+	t := p.lx.Peek()
+	if t.Kind != TokIdent || !AggFuncs[strings.ToUpper(t.Text)] {
+		return Aggregate{}, false, nil
+	}
+	if n := p.lx.PeekAhead(1); n.Kind != TokPunct || n.Text != "(" {
+		return Aggregate{}, false, nil
+	}
 	fn := strings.ToUpper(p.lx.Next().Text)
-	p.lx.Next() // "(" (checked by the caller)
+	p.lx.Next() // "("
 	varName, err := p.aggArg(fn)
 	if err != nil {
-		return err
+		return Aggregate{}, true, err
 	}
-	alias := ""
-	if p.keyword("AS") {
+	var alias string
+	if n := p.lx.Peek(); n.Kind == TokIdent && strings.EqualFold(n.Text, "AS") {
+		p.lx.Next()
 		v := p.lx.Next()
 		if v.Kind != TokVar {
-			return p.lx.Errf("expected variable after AS")
+			return Aggregate{}, true, p.lx.Errf("expected variable after AS")
 		}
 		alias = v.Text
 	} else {
-		alias = freshAlias(fn, varName, func(name string) bool {
-			for _, a := range q.Aggs {
-				if a.As == name {
-					return true
-				}
-			}
-			for _, v := range q.Vars {
-				if v == name {
-					return true
-				}
-			}
-			return false
-		})
+		alias = freshAlias(fn, varName, taken)
 	}
-	q.Aggs = append(q.Aggs, Aggregate{Func: fn, Var: varName, As: alias})
-	q.Vars = append(q.Vars, alias)
-	return nil
+	return Aggregate{Func: fn, Var: varName, As: alias}, true, nil
 }
 
 // aggArg parses the argument of an aggregate call after its opening
 // parenthesis: a variable, or * (COUNT only), consuming the closing ")".
-func (p *parser) aggArg(fn string) (string, error) {
+func (p *PatternParser) aggArg(fn string) (string, error) {
 	varName := ""
 	switch a := p.lx.Peek(); {
 	case a.Kind == TokOp && a.Text == "*":
@@ -251,56 +143,27 @@ func (p *parser) aggArg(fn string) (string, error) {
 	return varName, nil
 }
 
-// finishAggregates runs after all modifiers: aggregate calls inside
-// HAVING are hoisted into hidden Aggs entries, and the grouping
-// invariants Validate enforces are checked here so that a successfully
-// parsed query always validates (the fuzz target relies on this).
-func (p *parser) finishAggregates(q *Query) error {
-	if len(q.Having) > 0 {
-		having, aggs, err := resolveHavingAggs(q.Having, q.Aggs, q.patternVars())
-		if err != nil {
-			return p.lx.Errf("%v", err)
-		}
-		q.Having, q.Aggs = having, aggs
+// HavingExpr parses a parenthesised HAVING condition "( expr )" at the
+// current position, with aggregate calls allowed inside the expression.
+func (p *PatternParser) HavingExpr() (Expr, error) {
+	if err := p.expectPunct("("); err != nil {
+		return nil, err
 	}
-	if !q.Aggregated() {
-		if len(q.Having) > 0 {
-			return p.lx.Errf("HAVING requires GROUP BY or an aggregate")
-		}
-		return nil
+	p.inHaving = true
+	e, err := p.expr()
+	p.inHaving = false
+	if err != nil {
+		return nil, err
 	}
-	if err := q.validateAggregation([][]rdf.Triple{q.patternVarTriples()}); err != nil {
-		return p.lx.Errf("%v", strings.TrimPrefix(err.Error(), "sparql: "))
+	if err := p.expectPunct(")"); err != nil {
+		return nil, err
 	}
-	return nil
+	return e, nil
 }
 
-// patternVars collects every variable bound by a triple pattern anywhere
-// in the query (WHERE, UNION alternatives, OPTIONAL groups).
-func (q *Query) patternVars() map[string]bool {
-	out := map[string]bool{}
-	for _, t := range q.patternVarTriples() {
-		t.EachVar(func(v string) { out[v] = true })
-	}
-	return out
-}
-
-// patternVarTriples flattens every pattern group into one slice.
-func (q *Query) patternVarTriples() []rdf.Triple {
-	var all []rdf.Triple
-	all = append(all, q.Where...)
-	for _, block := range q.Unions {
-		for _, alt := range block {
-			all = append(all, alt...)
-		}
-	}
-	for _, opt := range q.Optionals {
-		all = append(all, opt...)
-	}
-	return all
-}
-
-func (p *parser) orderKeys() ([]OrderKey, error) {
+// OrderKeys parses ORDER BY sort keys — "$v", "ASC($v)", "DESC($v)" — at
+// the current position (after the ORDER BY keywords themselves).
+func (p *PatternParser) OrderKeys() ([]OrderKey, error) {
 	var keys []OrderKey
 	for {
 		t := p.lx.Peek()
@@ -331,94 +194,7 @@ func (p *parser) orderKeys() ([]OrderKey, error) {
 	}
 }
 
-// GroupPattern parses "{ triples and FILTERs }". It is exported for reuse
-// by the OASSIS-QL parser, which embeds the same pattern syntax in its
-// WHERE and SATISFYING clauses.
-func (p *parser) GroupPattern() ([]rdf.Triple, []Expr, error) {
-	if err := p.expectPunct("{"); err != nil {
-		return nil, nil, err
-	}
-	var triples []rdf.Triple
-	var filters []Expr
-	for {
-		t := p.lx.Peek()
-		if t.Kind == TokPunct && t.Text == "}" {
-			p.lx.Next()
-			return triples, filters, nil
-		}
-		if t.Kind == TokEOF {
-			return nil, nil, p.lx.Errf("unterminated group pattern")
-		}
-		if t.Kind == TokIdent && strings.EqualFold(t.Text, "OPTIONAL") {
-			p.lx.Next()
-			optTriples, optFilters, err := p.subGroup()
-			if err != nil {
-				return nil, nil, err
-			}
-			if len(optFilters) > 0 {
-				return nil, nil, p.lx.Errf("FILTER inside OPTIONAL is not supported")
-			}
-			p.optionals = append(p.optionals, optTriples)
-			p.optDot()
-			continue
-		}
-		if t.Kind == TokPunct && t.Text == "{" {
-			// union block: { alt1 } UNION { alt2 } [UNION { alt3 } ...]
-			var block [][]rdf.Triple
-			for {
-				altTriples, altFilters, err := p.subGroup()
-				if err != nil {
-					return nil, nil, err
-				}
-				if len(altFilters) > 0 {
-					return nil, nil, p.lx.Errf("FILTER inside UNION alternatives is not supported")
-				}
-				block = append(block, altTriples)
-				if n := p.lx.Peek(); n.Kind == TokIdent && strings.EqualFold(n.Text, "UNION") {
-					p.lx.Next()
-					continue
-				}
-				break
-			}
-			if len(block) < 2 {
-				return nil, nil, p.lx.Errf("a braced group must be part of a UNION")
-			}
-			p.unions = append(p.unions, block)
-			p.optDot()
-			continue
-		}
-		if t.Kind == TokIdent && strings.EqualFold(t.Text, "FILTER") {
-			p.lx.Next()
-			if err := p.expectPunct("("); err != nil {
-				return nil, nil, err
-			}
-			e, err := p.expr()
-			if err != nil {
-				return nil, nil, err
-			}
-			if err := p.expectPunct(")"); err != nil {
-				return nil, nil, err
-			}
-			filters = append(filters, e)
-			p.optDot()
-			continue
-		}
-		tr, err := p.triple()
-		if err != nil {
-			return nil, nil, err
-		}
-		triples = append(triples, tr)
-		p.optDot()
-	}
-}
-
-func (p *parser) optDot() {
-	if t := p.lx.Peek(); t.Kind == TokPunct && t.Text == "." {
-		p.lx.Next()
-	}
-}
-
-func (p *parser) triple() (rdf.Triple, error) {
+func (p *PatternParser) triple() (rdf.Triple, error) {
 	s, err := p.term(false)
 	if err != nil {
 		return rdf.Triple{}, err
@@ -436,7 +212,7 @@ func (p *parser) triple() (rdf.Triple, error) {
 
 // term parses one triple component. Literals are only allowed in object
 // position.
-func (p *parser) term(object bool) (rdf.Term, error) {
+func (p *PatternParser) term(object bool) (rdf.Term, error) {
 	t := p.lx.Peek()
 	switch t.Kind {
 	case TokVar:
@@ -447,7 +223,7 @@ func (p *parser) term(object bool) (rdf.Term, error) {
 		return rdf.NewIRI(t.Text), nil
 	case TokIdent:
 		p.lx.Next()
-		return p.opts.ident(t.Text), nil
+		return p.ident(t.Text), nil
 	case TokAnon:
 		p.lx.Next()
 		p.anon++
@@ -474,9 +250,9 @@ func (p *parser) term(object bool) (rdf.Term, error) {
 
 // ---- filter expression parsing (precedence climbing) ----
 
-func (p *parser) expr() (Expr, error) { return p.orExpr() }
+func (p *PatternParser) expr() (Expr, error) { return p.orExpr() }
 
-func (p *parser) orExpr() (Expr, error) {
+func (p *PatternParser) orExpr() (Expr, error) {
 	l, err := p.andExpr()
 	if err != nil {
 		return nil, err
@@ -496,7 +272,7 @@ func (p *parser) orExpr() (Expr, error) {
 	}
 }
 
-func (p *parser) andExpr() (Expr, error) {
+func (p *PatternParser) andExpr() (Expr, error) {
 	l, err := p.cmpExpr()
 	if err != nil {
 		return nil, err
@@ -516,7 +292,7 @@ func (p *parser) andExpr() (Expr, error) {
 	}
 }
 
-func (p *parser) cmpExpr() (Expr, error) {
+func (p *PatternParser) cmpExpr() (Expr, error) {
 	l, err := p.addExpr()
 	if err != nil {
 		return nil, err
@@ -575,7 +351,7 @@ func (p *parser) cmpExpr() (Expr, error) {
 	return l, nil
 }
 
-func (p *parser) addExpr() (Expr, error) {
+func (p *PatternParser) addExpr() (Expr, error) {
 	l, err := p.unary()
 	if err != nil {
 		return nil, err
@@ -595,7 +371,7 @@ func (p *parser) addExpr() (Expr, error) {
 	}
 }
 
-func (p *parser) unary() (Expr, error) {
+func (p *PatternParser) unary() (Expr, error) {
 	t := p.lx.Peek()
 	if t.Kind == TokOp && t.Text == "!" {
 		p.lx.Next()
@@ -608,7 +384,7 @@ func (p *parser) unary() (Expr, error) {
 	return p.primary()
 }
 
-func (p *parser) primary() (Expr, error) {
+func (p *PatternParser) primary() (Expr, error) {
 	t := p.lx.Peek()
 	switch t.Kind {
 	case TokVar:
@@ -690,128 +466,7 @@ func (p *parser) primary() (Expr, error) {
 		}
 		// bare identifier: a constant term
 		p.lx.Next()
-		return &LitExpr{Val: TermVal(p.opts.ident(t.Text))}, nil
+		return &LitExpr{Val: TermVal(p.ident(t.Text))}, nil
 	}
 	return nil, p.lx.Errf("expected expression, found %q", t.Text)
-}
-
-// PatternParser exposes the group-pattern grammar over a shared lexer so
-// that host languages embedding SPARQL patterns (OASSIS-QL, the IX
-// detection pattern language) can interleave their own keywords with
-// pattern parsing.
-type PatternParser struct{ p *parser }
-
-// NewPatternParser wraps a lexer for embedded pattern parsing.
-func NewPatternParser(lx *Lexer, opts *ParseOptions) *PatternParser {
-	return &PatternParser{p: &parser{lx: lx, opts: opts}}
-}
-
-// AggregateCall parses one aggregate call — FUNC($v) or COUNT(*),
-// optionally followed by AS $alias — when the lexer sits on an aggregate
-// function name followed by "(". It reports ok=false without consuming
-// input otherwise. taken reports alias names already in use, so a
-// derived alias (no explicit AS) stays fresh. Host languages (OASSIS-QL)
-// embed this to accept aggregate outputs in their SELECT clauses.
-func (pp *PatternParser) AggregateCall(taken func(string) bool) (Aggregate, bool, error) {
-	p := pp.p
-	t := p.lx.Peek()
-	if t.Kind != TokIdent || !AggFuncs[strings.ToUpper(t.Text)] {
-		return Aggregate{}, false, nil
-	}
-	if n := p.lx.PeekAhead(1); n.Kind != TokPunct || n.Text != "(" {
-		return Aggregate{}, false, nil
-	}
-	fn := strings.ToUpper(p.lx.Next().Text)
-	p.lx.Next() // "("
-	varName, err := p.aggArg(fn)
-	if err != nil {
-		return Aggregate{}, true, err
-	}
-	alias := ""
-	if p.keyword("AS") {
-		v := p.lx.Next()
-		if v.Kind != TokVar {
-			return Aggregate{}, true, p.lx.Errf("expected variable after AS")
-		}
-		alias = v.Text
-	} else {
-		alias = freshAlias(fn, varName, taken)
-	}
-	return Aggregate{Func: fn, Var: varName, As: alias}, true, nil
-}
-
-// HavingExpr parses a parenthesised HAVING condition "( expr )" at the
-// current position, with aggregate calls allowed inside the expression.
-func (pp *PatternParser) HavingExpr() (Expr, error) {
-	p := pp.p
-	if err := p.expectPunct("("); err != nil {
-		return nil, err
-	}
-	p.inHaving = true
-	e, err := p.expr()
-	p.inHaving = false
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectPunct(")"); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
-// OrderKeys parses ORDER BY sort keys — "$v", "ASC($v)", "DESC($v)" — at
-// the current position (after the ORDER BY keywords themselves).
-func (pp *PatternParser) OrderKeys() ([]OrderKey, error) { return pp.p.orderKeys() }
-
-// GroupPattern parses "{ triples and FILTERs }" at the current lexer
-// position. Host languages embedding the pattern grammar do not support
-// OPTIONAL or UNION; their presence is an error here.
-func (pp *PatternParser) GroupPattern() ([]rdf.Triple, []Expr, error) {
-	pp.p.optionals, pp.p.unions = nil, nil
-	triples, filters, err := pp.p.GroupPattern()
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(pp.p.optionals) > 0 || len(pp.p.unions) > 0 {
-		return nil, nil, fmt.Errorf("sparql: OPTIONAL/UNION not supported in embedded patterns")
-	}
-	return triples, filters, nil
-}
-
-// subGroup parses a nested "{ triples }" group without touching the
-// parser's optional/union collections.
-func (p *parser) subGroup() ([]rdf.Triple, []Expr, error) {
-	savedOpt, savedUni := p.optionals, p.unions
-	p.optionals, p.unions = nil, nil
-	triples, filters, err := p.GroupPattern()
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(p.optionals) > 0 || len(p.unions) > 0 {
-		return nil, nil, p.lx.Errf("nested OPTIONAL/UNION groups are not supported")
-	}
-	p.optionals, p.unions = savedOpt, savedUni
-	return triples, filters, nil
-}
-
-// ParsePattern parses a bare group pattern "{ ... }" (triples plus
-// filters) without the SELECT wrapper. The OASSIS-QL parser and the IX
-// pattern language build on this.
-func ParsePattern(input string, opts *ParseOptions) ([]rdf.Triple, []Expr, error) {
-	lx, err := NewLexer(input)
-	if err != nil {
-		return nil, nil, err
-	}
-	p := &parser{lx: lx, opts: opts}
-	triples, filters, err := p.GroupPattern()
-	if err != nil {
-		return nil, nil, fmt.Errorf("sparql: %w", err)
-	}
-	if len(p.optionals) > 0 || len(p.unions) > 0 {
-		return nil, nil, fmt.Errorf("sparql: OPTIONAL/UNION not supported in embedded patterns")
-	}
-	if t := lx.Peek(); t.Kind != TokEOF {
-		return nil, nil, fmt.Errorf("sparql: %v", lx.Errf("trailing input %q", t.Text))
-	}
-	return triples, filters, nil
 }

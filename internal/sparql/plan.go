@@ -6,10 +6,8 @@ import (
 	"nl2cm/internal/rdf"
 )
 
-// planBGP orders the triple patterns of one basic graph pattern for a
-// left-deep streaming join. bound names the variables the seed rows may
-// already bind (the planner treats them as selective join keys, not as
-// wildcards). The input slice is not modified.
+// planBGP orders the triple patterns of a basic graph pattern for a
+// left-deep streaming join. The input slice is not modified.
 //
 // The plan is greedy by estimated result size: at each step the
 // cheapest remaining pattern is picked, where a pattern's base estimate
@@ -21,14 +19,11 @@ import (
 // deterministic. The IX matcher (internal/ix) orders a detection
 // pattern's triples the same way, so that each anchor keeps the same
 // first row; its oracle tests compare the two.
-func planBGP(patterns []rdf.Triple, bound map[string]bool, src Source) []rdf.Triple {
+func planBGP(patterns []rdf.Triple, src Source) []rdf.Triple {
 	if len(patterns) <= 1 {
 		return patterns
 	}
 	isBound := map[string]bool{}
-	for v := range bound {
-		isBound[v] = true
-	}
 	remaining := make([]rdf.Triple, len(patterns))
 	copy(remaining, patterns)
 	plan := make([]rdf.Triple, 0, len(patterns))
@@ -87,8 +82,8 @@ func estimateCost(p rdf.Triple, bound map[string]bool, src Source) float64 {
 }
 
 // compiled is the per-query slot table: a dense slot for every variable
-// that a triple pattern anywhere in the query can bind, then for every
-// aggregate alias (and, in AggregateBindings, for every variable the
+// that the query's triple patterns can bind, then for every aggregate
+// alias (and, in AggregateBindings, for every variable the
 // input rows bind).
 type compiled struct {
 	slots map[string]int
@@ -108,23 +103,12 @@ func (c *compiled) slot(name string) int {
 }
 
 // compileQuery assigns slots in first-appearance order. Aggregate
-// aliases get slots of their own so that HAVING, ORDER BY and
-// projection address them like pattern variables.
+// aliases get slots of their own so that HAVING and ORDER BY address
+// them like pattern variables.
 func compileQuery(q *Query, spec *aggSpec) *compiled {
 	c := &compiled{slots: map[string]int{}}
-	add := func(patterns []rdf.Triple) {
-		for _, p := range patterns {
-			p.EachVar(func(v string) { c.slot(v) })
-		}
-	}
-	add(q.Where)
-	for _, block := range q.Unions {
-		for _, alt := range block {
-			add(alt)
-		}
-	}
-	for _, opt := range q.Optionals {
-		add(opt)
+	for _, p := range q.Where {
+		p.EachVar(func(v string) { c.slot(v) })
 	}
 	if spec != nil {
 		for _, a := range spec.aggs {

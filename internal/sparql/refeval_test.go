@@ -9,7 +9,7 @@ import (
 
 // EvalReference is the naive reference evaluator: map-backed bindings
 // cloned on every unification, join order chosen by counting unbound
-// variables, OPTIONAL groups re-planned per row, and its own grouping
+// variables, filters applied after the whole join, and its own grouping
 // (refAggregate) and ordering (SortBindings) over map rows. It computes
 // the same solution multiset as Eval and is the oracle of the
 // differential property tests that pin Eval's and AggregateBindings'
@@ -23,39 +23,6 @@ func EvalReference(q *Query, src Source, env *Env) ([]Binding, error) {
 	rows, err := refEvalBGP(q.Where, src)
 	if err != nil {
 		return nil, err
-	}
-	// Union blocks: each block extends the rows through any of its
-	// alternative patterns.
-	for _, block := range q.Unions {
-		var merged []Binding
-		for _, alt := range block {
-			ext, err := refExtendBGP(rows, alt, src)
-			if err != nil {
-				return nil, err
-			}
-			merged = append(merged, ext...)
-		}
-		rows = merged
-		if len(rows) == 0 {
-			break
-		}
-	}
-	// Optional groups: left join — a row without a match survives
-	// unchanged.
-	for _, opt := range q.Optionals {
-		var joined []Binding
-		for _, b := range rows {
-			ext, err := refExtendBGP([]Binding{b}, opt, src)
-			if err != nil {
-				return nil, err
-			}
-			if len(ext) == 0 {
-				joined = append(joined, b)
-			} else {
-				joined = append(joined, ext...)
-			}
-		}
-		rows = joined
 	}
 	// Filters.
 	if len(q.Filters) > 0 {
@@ -89,45 +56,11 @@ func EvalReference(q *Query, src Source, env *Env) ([]Binding, error) {
 	// sorts before any bound value (so under DESC it sorts last); two
 	// unbound values compare equal and fall through to the next key.
 	SortBindings(rows, q.OrderBy)
-	// Projection.
-	if len(q.Vars) > 0 {
-		proj := make([]Binding, len(rows))
-		for i, b := range rows {
-			nb := make(Binding, len(q.Vars))
-			for _, v := range q.Vars {
-				if t, ok := b[v]; ok {
-					nb[v] = t
-				}
-			}
-			proj[i] = nb
-		}
-		rows = proj
-	}
-	// Distinct.
-	if q.Distinct {
-		seen := map[string]bool{}
-		var kept []Binding
-		for _, b := range rows {
-			key := BindingKey(b)
-			if !seen[key] {
-				seen[key] = true
-				kept = append(kept, b)
-			}
-		}
-		rows = kept
-	}
-	// Offset / limit. The retained window is copied so the full result's
-	// backing array does not outlive the slice handed to the caller.
-	if q.Offset > 0 || (q.Limit >= 0 && q.Limit < len(rows)) {
-		if q.Offset >= len(rows) {
-			return nil, nil
-		}
-		w := rows[q.Offset:]
-		if q.Limit >= 0 && q.Limit < len(w) {
-			w = w[:q.Limit]
-		}
-		out := make([]Binding, len(w))
-		copy(out, w)
+	// Limit. The retained window is copied so the full result's backing
+	// array does not outlive the slice handed to the caller.
+	if q.Limit >= 0 && q.Limit < len(rows) {
+		out := make([]Binding, q.Limit)
+		copy(out, rows)
 		rows = out
 	}
 	return rows, nil
@@ -137,27 +70,13 @@ func EvalReference(q *Query, src Source, env *Env) ([]Binding, error) {
 // choosing the most selective remaining pattern (fewest unbound
 // variables).
 func refEvalBGP(patterns []rdf.Triple, src Source) ([]Binding, error) {
-	return refExtendBGP([]Binding{{}}, patterns, src)
-}
-
-// refExtendBGP extends existing solution rows with the triple patterns,
-// joining on shared variables.
-func refExtendBGP(seed []Binding, patterns []rdf.Triple, src Source) ([]Binding, error) {
 	if src == nil {
 		return nil, fmt.Errorf("sparql: nil source")
 	}
-	if len(patterns) == 0 {
-		return seed, nil
-	}
 	remaining := make([]rdf.Triple, len(patterns))
 	copy(remaining, patterns)
-	rows := seed
+	rows := []Binding{{}}
 	bound := map[string]bool{}
-	for _, b := range seed {
-		for v := range b {
-			bound[v] = true
-		}
-	}
 	for len(remaining) > 0 {
 		// Pick the pattern with the fewest unbound variables.
 		best, bestScore := 0, -1

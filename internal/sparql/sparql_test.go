@@ -1,6 +1,8 @@
 package sparql
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -11,6 +13,55 @@ import (
 )
 
 func iri(s string) rdf.Term { return rdf.NewIRI(s) }
+
+// parsePattern reads a whole input as one group pattern through the
+// PatternParser the host languages embed.
+func parsePattern(text string) ([]rdf.Triple, []Expr, error) {
+	lx, err := NewLexer(text)
+	if err != nil {
+		return nil, nil, err
+	}
+	triples, filters, err := NewPatternParser(lx, nil).GroupPattern()
+	if err != nil {
+		return nil, nil, err
+	}
+	if t := lx.Peek(); t.Kind != TokEOF {
+		return nil, nil, lx.Errf("trailing input %q", t.Text)
+	}
+	return triples, filters, nil
+}
+
+// newPatternParser lexes text for a PatternParser, failing the test on a
+// lexer error.
+func newPatternParser(t *testing.T, text string) (*PatternParser, *Lexer) {
+	t.Helper()
+	lx, err := NewLexer(text)
+	if err != nil {
+		t.Fatalf("NewLexer(%s): %v", text, err)
+	}
+	return NewPatternParser(lx, nil), lx
+}
+
+// patternQuery is the unmodified query over a group pattern written in
+// the pattern syntax.
+func patternQuery(t *testing.T, text string) *Query {
+	t.Helper()
+	triples, filters, err := parsePattern(text)
+	if err != nil {
+		t.Fatalf("parsePattern(%s): %v", text, err)
+	}
+	return &Query{Where: triples, Filters: filters, Limit: -1}
+}
+
+// eval runs Eval under a background context, failing the test on error.
+func eval(t *testing.T, q *Query, src Source, env *Env) []Binding {
+	t.Helper()
+	rows, err := Eval(context.Background(), q, src, env)
+	if err != nil {
+		t.Fatalf("Eval: %v", err)
+	}
+	return rows
+}
 
 // testStore builds a small geo ontology in the spirit of the paper's
 // LinkedGeoData excerpt.
@@ -30,62 +81,51 @@ func testStore() *rdf.ShardedStore {
 	return s
 }
 
-func TestParseSimpleQuery(t *testing.T) {
-	q, err := Parse(`SELECT $x WHERE { $x instanceOf Place . $x near Forest_Hotel }`)
-	if err != nil {
-		t.Fatalf("Parse: %v", err)
-	}
-	if len(q.Vars) != 1 || q.Vars[0] != "x" {
-		t.Errorf("Vars = %v", q.Vars)
-	}
-	if len(q.Where) != 2 {
-		t.Errorf("Where has %d triples, want 2", len(q.Where))
-	}
-	if q.Limit != -1 {
-		t.Errorf("Limit = %d, want -1", q.Limit)
-	}
-}
-
 func TestParseModifiers(t *testing.T) {
-	q, err := Parse(`SELECT DISTINCT $x $y WHERE { $x near $y } ORDER BY DESC($x) $y LIMIT 5 OFFSET 2`)
+	// ORDER BY keys are the one solution modifier the pattern grammar
+	// reads; hosts parse their own LIMIT.
+	pp, lx := newPatternParser(t, `DESC($x) $y ASC($z) LIMIT 5`)
+	keys, err := pp.OrderKeys()
 	if err != nil {
-		t.Fatalf("Parse: %v", err)
+		t.Fatalf("OrderKeys: %v", err)
 	}
-	if !q.Distinct {
-		t.Error("Distinct = false")
+	want := []OrderKey{{Var: "x", Desc: true}, {Var: "y"}, {Var: "z"}}
+	if len(keys) != len(want) {
+		t.Fatalf("OrderBy = %+v, want %+v", keys, want)
 	}
-	if len(q.OrderBy) != 2 || !q.OrderBy[0].Desc || q.OrderBy[0].Var != "x" ||
-		q.OrderBy[1].Desc || q.OrderBy[1].Var != "y" {
-		t.Errorf("OrderBy = %+v", q.OrderBy)
+	for i := range want {
+		if keys[i] != want[i] {
+			t.Errorf("OrderBy[%d] = %+v, want %+v", i, keys[i], want[i])
+		}
 	}
-	if q.Limit != 5 || q.Offset != 2 {
-		t.Errorf("Limit/Offset = %d/%d", q.Limit, q.Offset)
+	if next := lx.Peek(); next.Text != "LIMIT" {
+		t.Errorf("OrderKeys consumed the host's LIMIT, next token %q", next.Text)
 	}
 }
 
 func TestParseFilterExpressions(t *testing.T) {
-	q, err := Parse(`SELECT * WHERE {
+	_, filters, err := parsePattern(`{
 		$x size $s .
 		FILTER($s > 100 && $s <= 400)
 		FILTER(POS($x) = "NN" || $x IN V_thing)
 		FILTER(!($s = 350))
 	}`)
 	if err != nil {
-		t.Fatalf("Parse: %v", err)
+		t.Fatalf("parsePattern: %v", err)
 	}
-	if len(q.Filters) != 3 {
-		t.Fatalf("got %d filters, want 3", len(q.Filters))
+	if len(filters) != 3 {
+		t.Fatalf("got %d filters, want 3", len(filters))
 	}
 }
 
 func TestParseAnonTerm(t *testing.T) {
-	q, err := Parse(`SELECT * WHERE { [] visit $x . [] in Fall }`)
+	triples, _, err := parsePattern(`{ [] visit $x . [] in Fall }`)
 	if err != nil {
-		t.Fatalf("Parse: %v", err)
+		t.Fatalf("parsePattern: %v", err)
 	}
 	// Each [] becomes a distinct fresh variable.
-	s0 := q.Where[0].S
-	s1 := q.Where[1].S
+	s0 := triples[0].S
+	s1 := triples[1].S
 	if !s0.IsVar() || !s1.IsVar() || s0.Equal(s1) {
 		t.Errorf("anonymous terms = %v, %v; want distinct variables", s0, s1)
 	}
@@ -93,58 +133,73 @@ func TestParseAnonTerm(t *testing.T) {
 
 func TestParseCommaEntityNames(t *testing.T) {
 	// OASSIS-QL embeds commas in entity identifiers (Figure 1, line 4).
-	q, err := Parse(`SELECT $x WHERE { $x near Forest_Hotel,_Buffalo,_NY }`)
+	triples, _, err := parsePattern(`{ $x near Forest_Hotel,_Buffalo,_NY }`)
 	if err != nil {
-		t.Fatalf("Parse: %v", err)
+		t.Fatalf("parsePattern: %v", err)
 	}
-	if got := q.Where[0].O.Value(); got != "Forest_Hotel,_Buffalo,_NY" {
+	if got := triples[0].O.Value(); got != "Forest_Hotel,_Buffalo,_NY" {
 		t.Errorf("entity = %q", got)
-	}
-}
-
-func TestParseWithBase(t *testing.T) {
-	q, err := ParseWith(`SELECT $x WHERE { $x instanceOf Place }`,
-		&ParseOptions{Base: "http://onto/"})
-	if err != nil {
-		t.Fatalf("Parse: %v", err)
-	}
-	if got := q.Where[0].P.Value(); got != "http://onto/instanceOf" {
-		t.Errorf("predicate = %q", got)
 	}
 }
 
 func TestParseErrors(t *testing.T) {
 	bad := []string{
 		``,
-		`WHERE { $x a b }`,
-		`SELECT WHERE { }`,
-		`SELECT $x { $x a b }`,
-		`SELECT $x WHERE { $x a }`,
-		`SELECT $x WHERE { $x a b`,
-		`SELECT $x WHERE { $x a b } LIMIT x`,
-		`SELECT $x WHERE { "lit" a b }`,
-		`SELECT $x WHERE { $x a b } trailing`,
-		`SELECT $x WHERE { FILTER() }`,
-		`SELECT $x WHERE { FILTER($x IN ) }`,
+		`$x a b`,
+		`{ $x a }`,
+		`{ $x a b`,
+		`{ "lit" a b }`,
+		`{ $x a b } trailing`,
+		`{ FILTER() }`,
+		`{ FILTER($x IN ) }`,
+		`{ FILTER($x = 1 }`,
 	}
 	for _, in := range bad {
-		if _, err := Parse(in); err == nil {
-			t.Errorf("Parse(%q) succeeded, want error", in)
+		if _, _, err := parsePattern(in); err == nil {
+			t.Errorf("parsePattern(%q) succeeded, want error", in)
+		}
+	}
+}
+
+// OPTIONAL and UNION are not part of the grammar: a braced group or the
+// word OPTIONAL followed by one is no triple.
+func TestOptionalAndUnionRejectedInEmbeddedPatterns(t *testing.T) {
+	bad := []string{
+		`{ $x a b . OPTIONAL { $x c $d } }`,
+		`{ { $x a b } UNION { $x c d } }`,
+		`{ OPTIONAL { FILTER($x = 1) } }`,
+		`{ { $x a b } }`,
+		`{ OPTIONAL { OPTIONAL { $x a b } } }`,
+	}
+	for _, in := range bad {
+		if _, _, err := parsePattern(in); err == nil {
+			t.Errorf("parsePattern(%q) succeeded, want error", in)
+		}
+	}
+}
+
+// The WHERE groups the OPTIONAL/UNION grammar once refused as malformed
+// (a filter-only OPTIONAL, a lone braced group, a filter in a UNION arm,
+// nesting) stay refused by the pattern grammar.
+func TestParseOptionalErrors(t *testing.T) {
+	bad := []string{
+		`{ OPTIONAL { FILTER($x = 1) } }`,
+		`{ { $x a b } }`,
+		`{ { $x a b } UNION { FILTER($x = 1) } }`,
+		`{ OPTIONAL { OPTIONAL { $x a b } } }`,
+		`{ OPTIONAL { { $x a b } UNION { $x c d } } }`,
+	}
+	for _, in := range bad {
+		if _, _, err := parsePattern(in); err == nil {
+			t.Errorf("parsePattern(%q) succeeded, want error", in)
 		}
 	}
 }
 
 func TestEvalBasicJoin(t *testing.T) {
-	q, err := Parse(`SELECT $x WHERE { $x instanceOf Place . $x near Forest_Hotel }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := Eval(q, testStore(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := patternQuery(t, `{ $x instanceOf Place . $x near Forest_Hotel }`)
 	got := map[string]bool{}
-	for _, b := range rows {
+	for _, b := range eval(t, q, testStore(), nil) {
 		got[b["x"].Value()] = true
 	}
 	if len(got) != 2 || !got["Delaware_Park"] || !got["Buffalo_Zoo"] {
@@ -153,28 +208,17 @@ func TestEvalBasicJoin(t *testing.T) {
 }
 
 func TestEvalFilterNumeric(t *testing.T) {
-	q, err := Parse(`SELECT $x WHERE { $x size $s . FILTER($s > 100) }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := Eval(q, testStore(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
+	q := patternQuery(t, `{ $x size $s . FILTER($s > 100) }`)
+	if rows := eval(t, q, testStore(), nil); len(rows) != 2 {
 		t.Fatalf("got %d rows, want 2", len(rows))
 	}
 }
 
 func TestEvalOrderLimit(t *testing.T) {
-	q, err := Parse(`SELECT $x $s WHERE { $x size $s } ORDER BY DESC($s) LIMIT 2`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := Eval(q, testStore(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := patternQuery(t, `{ $x size $s }`)
+	q.OrderBy = []OrderKey{{Var: "s", Desc: true}}
+	q.Limit = 2
+	rows := eval(t, q, testStore(), nil)
 	if len(rows) != 2 {
 		t.Fatalf("got %d rows, want 2", len(rows))
 	}
@@ -189,82 +233,25 @@ func TestEvalOrderLimit(t *testing.T) {
 	}
 }
 
-func TestEvalDistinctAndProjection(t *testing.T) {
-	q, err := Parse(`SELECT DISTINCT $y WHERE { $x near $y }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := Eval(q, testStore(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 || rows[0]["y"].Value() != "Forest_Hotel" {
-		t.Errorf("rows = %v", rows)
-	}
-	if _, ok := rows[0]["x"]; ok {
-		t.Error("projection kept variable x")
-	}
-}
-
-func TestEvalOffset(t *testing.T) {
-	q, err := Parse(`SELECT $x WHERE { $x size $s } ORDER BY ASC($s) OFFSET 1`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := Eval(q, testStore(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("got %d rows, want 2", len(rows))
-	}
-	q.Offset = 10
-	rows, err = Eval(q, testStore(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 0 {
-		t.Fatalf("offset beyond data: got %d rows", len(rows))
-	}
-}
-
 func TestEvalRepeatedVariable(t *testing.T) {
 	s := rdf.NewShardedStore(0)
 	s.AddTriple(iri("a"), iri("knows"), iri("a"))
 	s.AddTriple(iri("a"), iri("knows"), iri("b"))
-	q, err := Parse(`SELECT $x WHERE { $x knows $x }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := Eval(q, s, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := eval(t, patternQuery(t, `{ $x knows $x }`), s, nil)
 	if len(rows) != 1 || rows[0]["x"].Value() != "a" {
 		t.Errorf("rows = %v, want just a", rows)
 	}
 }
 
 func TestEvalEmptyPatternYieldsOneEmptyRow(t *testing.T) {
-	rows, err := Eval(&Query{Limit: -1}, testStore(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := eval(t, &Query{Limit: -1}, testStore(), nil)
 	if len(rows) != 1 || len(rows[0]) != 0 {
 		t.Errorf("rows = %v, want one empty binding", rows)
 	}
 }
 
 func TestEvalNoMatch(t *testing.T) {
-	q, err := Parse(`SELECT $x WHERE { $x instanceOf Unicorn }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := Eval(q, testStore(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 0 {
+	if rows := eval(t, patternQuery(t, `{ $x instanceOf Unicorn }`), testStore(), nil); len(rows) != 0 {
 		t.Errorf("rows = %v, want none", rows)
 	}
 }
@@ -283,29 +270,16 @@ func TestEvalFunctionsAndSets(t *testing.T) {
 			"V_parks": func(v Value) bool { return strings.Contains(v.text(), "Park") },
 		},
 	}
-	q, err := Parse(`SELECT $x WHERE { $x instanceOf Place . FILTER(LOCAL($x) != "Buffalo_Zoo" && $x IN V_parks) }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := Eval(q, testStore(), env)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := patternQuery(t, `{ $x instanceOf Place . FILTER(LOCAL($x) != "Buffalo_Zoo" && $x IN V_parks) }`)
+	rows := eval(t, q, testStore(), env)
 	if len(rows) != 1 || rows[0]["x"].Value() != "Delaware_Park" {
 		t.Errorf("rows = %v", rows)
 	}
 }
 
 func TestEvalUnknownFunctionDropsRow(t *testing.T) {
-	q, err := Parse(`SELECT $x WHERE { $x instanceOf Place . FILTER(NOPE($x)) }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := Eval(q, testStore(), &Env{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 0 {
+	q := patternQuery(t, `{ $x instanceOf Place . FILTER(NOPE($x)) }`)
+	if rows := eval(t, q, testStore(), &Env{}); len(rows) != 0 {
 		t.Errorf("rows = %v, want none (erroring filter)", rows)
 	}
 }
@@ -314,45 +288,16 @@ func TestEvalNotIn(t *testing.T) {
 	env := &Env{Sets: map[string]func(Value) bool{
 		"V_hotels": func(v Value) bool { return strings.Contains(v.text(), "Hotel") },
 	}}
-	q, err := Parse(`SELECT $y WHERE { $x near $y . FILTER($y NOT IN V_hotels) }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := Eval(q, testStore(), env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 0 {
+	q := patternQuery(t, `{ $x near $y . FILTER($y NOT IN V_hotels) }`)
+	if rows := eval(t, q, testStore(), env); len(rows) != 0 {
 		t.Errorf("rows = %v, want none", rows)
 	}
 }
 
 func TestEvalInList(t *testing.T) {
-	q, err := Parse(`SELECT $x WHERE { $x size $s . FILTER($s IN (23, 400)) }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := Eval(q, testStore(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
+	q := patternQuery(t, `{ $x size $s . FILTER($s IN (23, 400)) }`)
+	if rows := eval(t, q, testStore(), nil); len(rows) != 2 {
 		t.Errorf("got %d rows, want 2", len(rows))
-	}
-}
-
-func TestQueryStringRoundTrip(t *testing.T) {
-	in := `SELECT DISTINCT $x WHERE { $x <instanceOf> <Place> . FILTER(($x = "q")) } ORDER BY DESC($x) LIMIT 3`
-	q, err := Parse(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q2, err := Parse(q.String())
-	if err != nil {
-		t.Fatalf("reparse of %q: %v", q.String(), err)
-	}
-	if q2.String() != q.String() {
-		t.Errorf("round trip mismatch:\n%s\nvs\n%s", q.String(), q2.String())
 	}
 }
 
@@ -394,11 +339,11 @@ func TestEvalMatchesBruteForce(t *testing.T) {
 				iri(ents[r.Intn(len(ents))]),
 			)
 		}
-		q, err := Parse(`SELECT $x $y $z WHERE { $x p $y . $y q $z }`)
+		triples, _, err := parsePattern(`{ $x p $y . $y q $z }`)
 		if err != nil {
 			return false
 		}
-		rows, err := Eval(q, s, nil)
+		rows, err := Eval(context.Background(), &Query{Where: triples, Limit: -1}, s, nil)
 		if err != nil {
 			return false
 		}
@@ -435,17 +380,18 @@ func TestEvalMatchesBruteForce(t *testing.T) {
 func TestEvalLimitPrefix(t *testing.T) {
 	f := func(limit uint8) bool {
 		s := testStore()
-		unlimited, err := Parse(`SELECT $x $s WHERE { $x size $s } ORDER BY ASC($s)`)
+		triples, _, err := parsePattern(`{ $x size $s }`)
 		if err != nil {
 			return false
 		}
-		all, err := Eval(unlimited, s, nil)
+		unlimited := &Query{Where: triples, OrderBy: []OrderKey{{Var: "s"}}, Limit: -1}
+		all, err := Eval(context.Background(), unlimited, s, nil)
 		if err != nil {
 			return false
 		}
 		lim := int(limit % 6)
 		unlimited.Limit = lim
-		some, err := Eval(unlimited, s, nil)
+		some, err := Eval(context.Background(), unlimited, s, nil)
 		if err != nil {
 			return false
 		}
@@ -467,43 +413,96 @@ func TestEvalLimitPrefix(t *testing.T) {
 // SPARQL ordering semantics: an unbound sort variable sorts before any
 // bound value (and therefore after every bound value under DESC).
 // Previously unbound compared equal to everything, leaving such rows
-// wherever the join happened to produce them.
+// wherever the join happened to produce them. Rows that leave a sort
+// variable unbound reach the ordering step through AggregateBindings.
 func TestOrderByUnboundSortsFirst(t *testing.T) {
-	s := rdf.NewShardedStore(0)
-	add := func(sub, p, o string) { s.AddTriple(iri(sub), iri(p), iri(o)) }
-	add("a1", "p", "b1")
-	add("a2", "p", "b2")
-	add("a3", "p", "b3")
-	add("b2", "q", "c2")
-	q := &Query{
-		Where:     []rdf.Triple{rdf.T(rdf.NewVar("x"), iri("p"), rdf.NewVar("y"))},
-		Optionals: [][]rdf.Triple{{rdf.T(rdf.NewVar("y"), iri("q"), rdf.NewVar("z"))}},
-		OrderBy:   []OrderKey{{Var: "z"}},
-		Limit:     -1,
+	rows := []Binding{
+		{"x": iri("a1")},
+		{"x": iri("a2"), "z": iri("c2")},
+		{"x": iri("a3")},
 	}
-	rows, err := Eval(q, s, nil)
+	q := &Query{OrderBy: []OrderKey{{Var: "z"}}, Limit: -1}
+	got, err := AggregateBindings(q, rows, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(rows))
+	if len(got) != 3 {
+		t.Fatalf("rows = %d, want 3", len(got))
 	}
 	// Ascending: the single bound row (x=a2, z=c2) must come last.
-	if _, ok := rows[2]["z"]; !ok || !rows[2]["x"].Equal(iri("a2")) {
-		t.Errorf("ascending: bound row not last: %v", rows)
+	if _, ok := got[2]["z"]; !ok || !got[2]["x"].Equal(iri("a2")) {
+		t.Errorf("ascending: bound row not last: %v", got)
 	}
-	for _, r := range rows[:2] {
+	for _, r := range got[:2] {
 		if _, ok := r["z"]; ok {
-			t.Errorf("ascending: bound row among leading unbound rows: %v", rows)
+			t.Errorf("ascending: bound row among leading unbound rows: %v", got)
 		}
 	}
 	// Descending: the bound row must come first.
 	q.OrderBy = []OrderKey{{Var: "z", Desc: true}}
-	rows, err = Eval(q, s, nil)
-	if err != nil {
+	if got, err = AggregateBindings(q, rows, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := rows[0]["z"]; !ok || !rows[0]["x"].Equal(iri("a2")) {
-		t.Errorf("descending: bound row not first: %v", rows)
+	if _, ok := got[0]["z"]; !ok || !got[0]["x"].Equal(iri("a2")) {
+		t.Errorf("descending: bound row not first: %v", got)
+	}
+}
+
+// countingSource counts the candidate matches it yields and calls after
+// once the count reaches at.
+type countingSource struct {
+	Source
+	yielded, at int
+	after       func()
+}
+
+func (c *countingSource) MatchFunc(p rdf.Triple, fn func(rdf.Triple) bool) {
+	c.Source.MatchFunc(p, func(t rdf.Triple) bool {
+		if c.yielded++; c.yielded == c.at {
+			c.after()
+		}
+		return fn(t)
+	})
+}
+
+// A cartesian product of near-edges: every candidate pair is joined, and
+// the filter keeps almost none, so the join runs long while it finds
+// little.
+func cancelStore() *rdf.ShardedStore {
+	s := rdf.NewShardedStore(0)
+	for i := 0; i < 200; i++ {
+		s.MustAdd(rdf.T(iri(fmt.Sprintf("a%d", i)), iri("near"), iri(fmt.Sprintf("b%d", i))))
+	}
+	return s
+}
+
+func TestEvalStopsWithinOneStrideOfCancel(t *testing.T) {
+	q := patternQuery(t, `{ $a near $b . $c near $d . FILTER($b = $c && $a = $d) }`)
+
+	// Already cancelled: no candidate is looked at.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	src := &countingSource{Source: cancelStore()}
+	if _, err := Eval(ctx, q, src, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Eval under a cancelled context = %v, want context.Canceled", err)
+	}
+	if src.yielded != 0 {
+		t.Errorf("cancelled Eval looked at %d candidates, want 0", src.yielded)
+	}
+
+	// Cancelled mid-join: the join stops within one stride.
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	const at = 3 * cancelStride / 2
+	src = &countingSource{Source: cancelStore(), at: at, after: cancel}
+	rows, err := Eval(ctx, q, src, nil)
+	if !errors.Is(err, context.Canceled) || rows != nil {
+		t.Fatalf("Eval cancelled mid-join = %d rows, %v; want context.Canceled", len(rows), err)
+	}
+	if over := src.yielded - at; over > cancelStride {
+		t.Errorf("join took %d candidates after the cancel, want at most %d", over, cancelStride)
+	}
+	if full := 200 + 200*200; src.yielded >= full {
+		t.Errorf("join ran to completion (%d candidates)", src.yielded)
 	}
 }
