@@ -53,11 +53,13 @@ crowd-stress:
 # store-stress hammers the epoch-snapshot store under the race
 # detector: concurrent writers publishing epochs while readers hold and
 # render old snapshots, the randomized differential of 1-8 shards
-# against a naive oracle, and the cache-invalidation epoch tests on top
-# of it.
+# against a naive oracle, and on top of it the plan cache across writes:
+# the randomized cached-vs-cold differential, concurrent readers against
+# a writer flipping the Buffalo ranking, a write landing mid-translation,
+# and the epoch tests.
 store-stress:
 	$(GO) test -race -count=3 -run 'TestShardedSnapshotStableUnderConcurrentPublish|TestShardedOldSnapshotSurvivesDeleteAll|TestShardedDifferentialOracle' ./internal/rdf/
-	$(GO) test -race -run 'TestDataEpochInvalidatesCachedPlans|TestDeletedEntityNeverResurrectedFromCache' ./internal/core/
+	$(GO) test -race -run 'TestDataEpochInvalidatesCachedPlans|TestDeletedEntityNeverResurrectedFromCache|TestAliasInvalidatesCachedPlans|TestTranslationReadsOneEpoch|TestCacheServesColdAcrossWrites|TestCacheConcurrentWritesServeTheirEpoch' ./internal/core/
 
 # perfbench-test vets and tests the benchmark in perfbench/, its own Go
 # module that the root `go test ./...` never builds, so a library change

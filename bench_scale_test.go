@@ -70,7 +70,7 @@ func BenchmarkP9_ScaleLookup(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				cands := gen.RankCandidates("entity 42")
+				cands := gen.RankCandidates(onto.View(), "entity 42")
 				if len(cands) == 0 {
 					b.Fatal("lookup found nothing")
 				}

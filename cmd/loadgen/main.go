@@ -16,9 +16,11 @@
 //
 // With -mutate-rate > 0, workers interleave POST /api/store write
 // batches with the translation traffic. Every batch publishes a new
-// store epoch, which invalidates all cached plans, so this mode
-// measures the hit-rate degradation and epoch churn a mutating data
-// plane inflicts on the serving path.
+// store epoch; a cached plan survives it unless the batch changed one
+// of the ontology reads the plan rests on, so this mode measures the
+// epoch churn and the hit rate of the serving path under a mutating
+// data plane. Its batches touch only Churn_* triples, which no question
+// reads.
 package main
 
 import (
@@ -165,7 +167,7 @@ type runResult struct {
 // shared counter and replay the question list round-robin, so every
 // shape goes cold exactly once and repeats afterwards. With mutateRate
 // > 0, every k-th request (k ≈ 1/rate) is preceded by a store write
-// batch, so plan-cache epochs churn while translations are in flight.
+// batch, so store epochs churn while translations are in flight.
 func drive(client *http.Client, addr string, questions []string, backend string, sessions, requests int, mutateRate float64) *runResult {
 	var next atomic.Int64
 	every := 0

@@ -793,7 +793,8 @@ sampling states: {{.States}} cached, {{.StateHits}} hits / {{.StateMisses}} miss
 {{with .PlanCache}}
 <p>{{.Entries}} cached shapes · {{.Hits}} hits ({{.Rebinds}} by entity
 re-binding) · {{.Misses}} misses · {{.Waits}} coalesced onto another
-request's fill · {{.Evictions}} evictions.</p>
+request's fill · {{.Evictions}} evictions · {{.Stale}} dropped as stale
+after a write changed an ontology read they rest on.</p>
 {{else}}<p>Plan cache disabled (-plan-cache 0).</p>{{end}}
 <h2>Admission control</h2>
 {{with .Admission}}
@@ -994,9 +995,10 @@ type storeResponse struct {
 }
 
 // apiStore applies an insert/delete batch to the shared knowledge
-// store. The new epoch is visible to every subsequent request: cached
-// plans from older epochs become unreachable and the ontology's label
-// index re-derives, so an inserted entity resolves on the next query.
+// store. The new epoch is visible to every subsequent request: the
+// ontology's label index re-derives, so an inserted entity resolves on
+// the next query, and a cached plan is served again only if the
+// ontology reads its translation made still return the same candidates.
 func (s *server) apiStore(w http.ResponseWriter, r *http.Request) {
 	var req storeRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {

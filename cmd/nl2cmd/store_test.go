@@ -135,3 +135,37 @@ func TestAPIStatsStoreSection(t *testing.T) {
 		t.Fatalf("triples = %d, want %d", after.Store.Triples, before.Store.Triples+1)
 	}
 }
+
+// TestStaleDropInStatsAndAdmin: a batch that changes an ontology read of
+// a cached plan (a label sharing the word "Park" changes the lookup of
+// "Delaware Park") makes the next translation drop the plan, and the
+// drop shows in /api/stats and on the admin page's plan-cache line.
+func TestStaleDropInStatsAndAdmin(t *testing.T) {
+	s, err := newServer(serverConfig{planCache: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.timeout = 0
+	t.Cleanup(s.sess.Close)
+	const q = "Where do families eat near Delaware Park?"
+	postForm(t, s, s.translate, q)
+	if _, rec := postStore(t, s, `{"insert": "<http://nl2cm.org/onto/Stale_Park> <http://nl2cm.org/onto/label> \"Stale Park\" ."}`); rec.Code != http.StatusOK {
+		t.Fatalf("store status = %d: %s", rec.Code, rec.Body)
+	}
+	postForm(t, s, s.translate, q)
+
+	rec := httptest.NewRecorder()
+	s.apiStats(rec, httptest.NewRequest("GET", "/api/stats", nil))
+	var resp statsResponse
+	if err := json.NewDecoder(rec.Body).Decode(&resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.PlanCache == nil || resp.PlanCache.Stale != 1 || resp.PlanCache.Misses != 2 {
+		t.Fatalf("plan cache stats = %+v, want 1 stale drop and 2 misses", resp.PlanCache)
+	}
+	rec = httptest.NewRecorder()
+	s.admin(rec, httptest.NewRequest("GET", "/admin", nil))
+	if !strings.Contains(rec.Body.String(), "1 dropped as stale") {
+		t.Errorf("admin page lacks the stale count:\n%s", rec.Body)
+	}
+}

@@ -27,7 +27,7 @@ func build(t *testing.T, sentence string) Input {
 		t.Fatalf("Detect: %v", err)
 	}
 	gen := qgen.New(ontology.NewDemoOntology())
-	res, err := gen.Generate(context.Background(), g, qgen.Options{})
+	res, err := gen.Generate(context.Background(), gen.Onto.View(), g, qgen.Options{})
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}

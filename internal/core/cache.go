@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"nl2cm/internal/emit"
 	"nl2cm/internal/nlp"
+	"nl2cm/internal/ontology"
 	"nl2cm/internal/qcache"
 	"nl2cm/internal/rdf"
 )
@@ -19,6 +21,10 @@ import (
 type cacheEntry struct {
 	res      *Result
 	entities []qcache.Binding
+	// confirmed is the version of the latest ontology view at which the
+	// generator's reads (res.General.Reads) were made or replayed and
+	// returned what they return in res.
+	confirmed atomic.Uint64
 }
 
 // cacheable reports whether this request may be served from (and fill)
@@ -40,24 +46,38 @@ func (t *Translator) epoch() uint64 {
 	return t.Generator.Feedback.Version()
 }
 
-// dataEpoch returns the knowledge-base epoch: the store snapshot's
-// publication counter. Every write batch publishes a new epoch, so
-// cached plans are invalidated by data changes exactly as by feedback
-// changes — a rebind-served hit can never resurrect an entity deleted
-// in a newer epoch.
-func (t *Translator) dataEpoch() uint64 {
-	if t.Onto == nil {
-		return 0
+// holds reports whether the entry is what a translation of its question
+// would produce at the view v. The General Query Generator is the only
+// stage that reads the ontology. Its label lookups and ranked candidates
+// are logged; its relation lemmas are construction-time state outside
+// the view version (see ontology.Ontology), fixed before serving. So the
+// entry holds when it was confirmed at v, or when every logged read
+// replays on v to the candidates it returned. A replay that holds
+// records v's version, so later requests at v skip it.
+func (t *Translator) holds(e *cacheEntry, v *ontology.View) bool {
+	ver := v.Version()
+	if e.confirmed.Load() == ver {
+		return true
 	}
-	return t.Onto.Epoch()
+	if g := e.res.General; g != nil && !t.Generator.Replay(v, g.Reads) {
+		return false
+	}
+	for {
+		c := e.confirmed.Load()
+		if c >= ver || e.confirmed.CompareAndSwap(c, ver) {
+			return true
+		}
+	}
 }
 
-// translateCached serves one translation through the plan cache:
-// canonicalize the question to its shape, probe the cache (single-flight
-// on misses), and on a hit either reuse the cached result (exact
-// question) or rehydrate it by re-binding entity slots. Cold paths run
-// the full pipeline and leave their result behind for the next
-// same-shape question.
+// translateCached serves one translation through the plan cache. It
+// pins one ontology view, canonicalizes the question to its shape on it,
+// and probes the cache (single-flight on misses). An entry found by a
+// hit or a completed flight is served only if it holds at the view;
+// otherwise it is dropped and refilled through the single flight, once.
+// A served entry is either reused (exact question) or rehydrated by
+// re-binding entity slots. Cold paths run the full pipeline on the view
+// and leave their result behind for the next same-shape question.
 func (t *Translator) translateCached(ctx context.Context, question string, opt Options) (*Result, error) {
 	start := time.Now()
 	if opt.Observer != nil {
@@ -69,87 +89,103 @@ func (t *Translator) translateCached(ctx context.Context, question string, opt O
 		}
 	}
 
-	shape := qcache.Canonicalize(question, t.Onto)
+	view := t.Onto.View()
+	shape := qcache.Canonicalize(question, view)
 	key := qcache.Key{
-		Shape:     shape.Key,
-		Backends:  qcache.BackendKey(opt.Backends),
-		Epoch:     t.epoch(),
-		DataEpoch: t.dataEpoch(),
+		Shape:    shape.Key,
+		Backends: qcache.BackendKey(opt.Backends),
+		Epoch:    t.epoch(),
 	}
-	v, flight, outcome := t.Cache.Lookup(key)
+	for dropped := false; ; dropped = true {
+		v, flight, outcome := t.Cache.Lookup(key)
+		switch outcome {
+		case qcache.Wait:
+			// Someone else is translating this shape right now; share
+			// their work. Their failure is not ours (it may be their
+			// request's cancellation), so on error fall back to a cold
+			// translation — unless our own context is done too.
+			wv, err := flight.Wait(ctx)
+			if err == nil {
+				v = wv
+				break
+			}
+			if ctx.Err() != nil {
+				endObs(ctx.Err())
+				return nil, &StageError{Stage: StagePlanCache, Err: ctx.Err()}
+			}
+			endObs(nil)
+			return t.translate(ctx, view, question, opt)
 
-	switch outcome {
-	case qcache.Wait:
-		// Someone else is translating this shape right now; share their
-		// work. Their failure is not ours (it may be their request's
-		// cancellation), so on error fall back to a cold translation —
-		// unless our own context is done too.
-		wv, err := flight.Wait(ctx)
-		if err == nil {
-			v = wv
-			break
+		case qcache.Miss:
+			// We own the fill. Close the cache stage first so the
+			// pipeline's stage timings are attributed to the pipeline,
+			// then run cold and publish the result for waiters and future
+			// requests.
+			endObs(nil)
+			probe := time.Since(start)
+			res, err := t.translate(ctx, view, question, opt)
+			if err != nil {
+				flight.Fail(err)
+				return nil, err
+			}
+			// Mutations must land before Fulfill publishes res to waiters.
+			res.CacheOutcome = "miss"
+			if opt.Trace {
+				res.Trace = append(res.Trace, Stage{
+					Module:   StagePlanCache,
+					Output:   fmt.Sprintf("miss — cached under shape %q, data epoch %d", shape.Key, res.DataEpoch),
+					Duration: probe,
+				})
+			}
+			entry := &cacheEntry{res: res, entities: shape.Entities}
+			entry.confirmed.Store(view.Version())
+			flight.Fulfill(entry)
+			return res, nil
 		}
-		if ctx.Err() != nil {
-			endObs(ctx.Err())
-			return nil, &StageError{Stage: StagePlanCache, Err: ctx.Err()}
-		}
-		endObs(nil)
-		return t.translate(ctx, question, opt)
 
-	case qcache.Miss:
-		// We own the fill. Close the cache stage first so the pipeline's
-		// stage timings are attributed to the pipeline, then run cold and
-		// publish the result for waiters and future requests.
-		endObs(nil)
-		probe := time.Since(start)
-		res, err := t.translate(ctx, question, opt)
-		if err != nil {
-			flight.Fail(err)
-			return nil, err
+		// Hit (direct, or via a completed flight).
+		entry, ok := v.(*cacheEntry)
+		if !ok {
+			endObs(nil)
+			return t.translate(ctx, view, question, opt)
 		}
-		// Mutations must land before Fulfill publishes res to waiters.
-		res.CacheOutcome = "miss"
-		if opt.Trace {
-			res.Trace = append(res.Trace, Stage{
-				Module:   StagePlanCache,
-				Output:   fmt.Sprintf("miss — cached under shape %q, data epoch %d", shape.Key, key.DataEpoch),
-				Duration: probe,
-			})
+		if t.holds(entry, view) {
+			if res, served := t.serveHit(question, shape, entry, view, opt, start); served {
+				endObs(nil)
+				return res, nil
+			}
+			// Same shape but not rebindable (filtered plan, unsupported
+			// verdict, parse hiccup): translate cold. The shape entry
+			// stays — exact repeats of either question still hit.
+			endObs(nil)
+			return t.translate(ctx, view, question, opt)
 		}
-		flight.Fulfill(&cacheEntry{res: res, entities: shape.Entities})
-		return res, nil
+		// A read changed since the entry was made: drop it and refill
+		// through the single flight. A refill that does not hold either
+		// (it was made at another view) is not retried: this request
+		// translates cold and leaves the cache alone.
+		if dropped {
+			endObs(nil)
+			return t.translate(ctx, view, question, opt)
+		}
+		t.Cache.DropStale(key, entry)
 	}
-
-	// Hit (direct, or via a completed flight).
-	entry, ok := v.(*cacheEntry)
-	if !ok {
-		endObs(nil)
-		return t.translate(ctx, question, opt)
-	}
-	if res, served := t.serveHit(question, shape, entry, opt, start); served {
-		endObs(nil)
-		return res, nil
-	}
-	// Same shape but not rebindable (filtered plan, unsupported verdict,
-	// parse hiccup): translate cold. The shape entry stays — exact
-	// repeats of either question still hit.
-	endObs(nil)
-	return t.translate(ctx, question, opt)
 }
 
 // serveHit builds a Result for the question from a cached entry. An
 // exact question repeat reuses the cached result wholesale; a same-shape
 // question with different entities gets a cloned, re-bound plan with
 // re-derived renderings and provenance.
-func (t *Translator) serveHit(question string, shape qcache.Shape, entry *cacheEntry, opt Options, start time.Time) (*Result, bool) {
+func (t *Translator) serveHit(question string, shape qcache.Shape, entry *cacheEntry, view *ontology.View, opt Options, start time.Time) (*Result, bool) {
 	old := entry.res
 	if old.Question == question {
 		res := *old
 		res.CacheOutcome = "hit"
+		res.DataEpoch = view.Epoch()
 		if opt.Trace {
 			res.Trace = []Stage{{
 				Module:   StagePlanCache,
-				Output:   fmt.Sprintf("hit (exact) — shape %q, data epoch %d", shape.Key, old.DataEpoch),
+				Output:   fmt.Sprintf("hit (exact) — shape %q, data epoch %d", shape.Key, res.DataEpoch),
 				Duration: time.Since(start),
 			}}
 		} else {
@@ -195,7 +231,7 @@ func (t *Translator) serveHit(question string, shape qcache.Shape, entry *cacheE
 
 	res := &Result{
 		Question:         question,
-		DataEpoch:        old.DataEpoch,
+		DataEpoch:        view.Epoch(),
 		Verdict:          old.Verdict,
 		Graph:            g,
 		IXs:              old.IXs,
@@ -223,7 +259,7 @@ func (t *Translator) serveHit(question string, shape qcache.Shape, entry *cacheE
 		res.Trace = []Stage{{
 			Module: StagePlanCache,
 			Output: fmt.Sprintf("hit (rebound %d entity slot(s)) — shape %q, data epoch %d, from %q",
-				len(sub), shape.Key, old.DataEpoch, old.Question),
+				len(sub), shape.Key, res.DataEpoch, old.Question),
 			Duration: time.Since(start),
 		}}
 	}

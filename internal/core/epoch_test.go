@@ -2,7 +2,10 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"sync"
 	"testing"
+	"time"
 
 	"nl2cm/internal/ontology"
 	"nl2cm/internal/qcache"
@@ -11,14 +14,17 @@ import (
 
 // TestDataEpochInvalidatesCachedPlans asserts the serving-epoch half of
 // the cache contract: a store write batch publishes a new data epoch,
-// after which a question whose shape is cached must be re-translated
-// cold instead of served from the pre-write plan.
+// and a cached plan is served at it only while the plan's ontology
+// reads return what they returned. A batch that changes none of them
+// leaves a hit carrying the new epoch; a batch that changes one makes
+// the next request drop the entry and translate cold.
 func TestDataEpochInvalidatesCachedPlans(t *testing.T) {
 	onto := ontology.NewDemoOntology()
 	tr := New(onto)
 	tr.Cache = qcache.New(64)
 	ctx := context.Background()
 	const q = "Where do families eat near Delaware Park?"
+	shape := qcache.Canonicalize(q, onto).Key
 
 	res1, err := tr.Translate(ctx, q, Options{})
 	if err != nil {
@@ -38,22 +44,148 @@ func TestDataEpochInvalidatesCachedPlans(t *testing.T) {
 		t.Fatalf("hit served under epoch %d, cached at %d", res2.DataEpoch, res1.DataEpoch)
 	}
 
-	// Any write batch moves the data epoch; the cached plan for this
-	// shape must become unreachable even though feedback never changed.
-	if _, _, _, err := onto.Store.Apply(rdf.Batch{Insert: []rdf.Triple{
+	// A label no read of the question touches: the data epoch moves,
+	// the cached plan stays servable and is served at the new epoch.
+	apply(t, onto, rdf.Batch{Insert: []rdf.Triple{
 		rdf.T(ontology.E("Epoch_Test_Entity"), ontology.PredLabel, rdf.NewLiteral("Epoch Test Entity")),
-	}}); err != nil {
-		t.Fatal(err)
-	}
+	}})
 	res3, err := tr.Translate(ctx, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res3.CacheOutcome != "miss" {
-		t.Fatalf("post-write outcome = %q, want miss (data epoch must invalidate)", res3.CacheOutcome)
+	if res3.CacheOutcome != "hit" {
+		t.Fatalf("after an unrelated write: outcome = %q, want hit", res3.CacheOutcome)
 	}
-	if res3.DataEpoch <= res2.DataEpoch {
-		t.Fatalf("data epoch did not advance: %d then %d", res2.DataEpoch, res3.DataEpoch)
+	if res3.DataEpoch <= res2.DataEpoch || res3.DataEpoch != onto.Epoch() {
+		t.Fatalf("hit after the write carries epoch %d; before it %d, store at %d", res3.DataEpoch, res2.DataEpoch, onto.Epoch())
+	}
+
+	// A label sharing the word "Park" adds a word match to the
+	// generator's lookup of "Delaware Park" but leaves the shape alone:
+	// the entry is stale, so the next request misses.
+	apply(t, onto, rdf.Batch{Insert: []rdf.Triple{
+		rdf.T(ontology.E("Epoch_Park"), ontology.PredLabel, rdf.NewLiteral("Epoch Park")),
+	}})
+	if got := qcache.Canonicalize(q, onto).Key; got != shape {
+		t.Fatalf("fixture: the write changed the shape %q to %q", shape, got)
+	}
+	res4, err := tr.Translate(ctx, q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res4.CacheOutcome != "miss" {
+		t.Fatalf("after a write that changes a read: outcome = %q, want miss", res4.CacheOutcome)
+	}
+	if res4.DataEpoch != onto.Epoch() {
+		t.Fatalf("refill carries epoch %d, store at %d", res4.DataEpoch, onto.Epoch())
+	}
+	if st := tr.Cache.Stats(); st.Stale != 1 {
+		t.Errorf("stats %+v, want 1 stale drop", st)
+	}
+}
+
+// TestAliasInvalidatesCachedPlans: an Alias registration publishes no
+// store epoch, yet it can change what a lookup returns. The cached plan
+// must be checked against the view the alias produced, not trusted for
+// having been confirmed at the same data epoch.
+func TestAliasInvalidatesCachedPlans(t *testing.T) {
+	onto := ontology.NewDemoOntology()
+	tr := New(onto)
+	tr.Cache = qcache.New(16)
+	ctx := context.Background()
+	const q = "Where do families eat near Delaware Park?"
+	for _, want := range []string{"miss", "hit"} {
+		res, err := tr.Translate(ctx, q, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CacheOutcome != want {
+			t.Fatalf("outcome = %q, want %q", res.CacheOutcome, want)
+		}
+	}
+	epoch := onto.Epoch()
+	onto.Alias(ontology.E("Alias_Park"), "Alias Park")
+	res, err := tr.Translate(ctx, q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CacheOutcome != "miss" || res.DataEpoch != epoch {
+		t.Fatalf("after the alias: %s at epoch %d, want a miss at epoch %d", res.CacheOutcome, res.DataEpoch, epoch)
+	}
+}
+
+// TestTranslationReadsOneEpoch lands a batch while a translation runs,
+// at the start of its generator stage. The batch makes Buffalo,_WY the
+// best-connected Buffalo. The translation must equal the cold
+// translation at the epoch it reports, and the next request must drop
+// its cache entry and equal the cold translation after the batch.
+func TestTranslationReadsOneEpoch(t *testing.T) {
+	ctx := context.Background()
+	const q = "Where should we eat in Buffalo?"
+	batch := rdf.Batch{}
+	for i := 0; i < 200; i++ {
+		batch.Insert = append(batch.Insert, rdf.T(ontology.E("Buffalo,_WY"), ontology.PredNear,
+			ontology.E(fmt.Sprintf("WY_Place_%d", i))))
+	}
+	cold := func(write bool) *Result {
+		onto := ontology.NewDemoOntology()
+		onto.Snapshot() // publish the construction epoch first
+		if write {
+			apply(t, onto, batch)
+		}
+		res, err := New(onto).Translate(ctx, q, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	before, after := cold(false), cold(true)
+	if before.Query.String() == after.Query.String() {
+		t.Fatal("fixture: the batch does not change the translation")
+	}
+
+	onto := ontology.NewDemoOntology()
+	tr := New(onto)
+	tr.Cache = qcache.New(16)
+	var once sync.Once
+	obs := stageStarts(func(stage string) {
+		if stage == StageGenerator {
+			once.Do(func() { apply(t, onto, batch) })
+		}
+	})
+	got, err := tr.Translate(ctx, q, Options{Observer: obs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.DataEpoch != before.DataEpoch || got.Query.String() != before.Query.String() {
+		t.Errorf("mid-translation write: epoch %d, query\n%s\nwant epoch %d, query\n%s",
+			got.DataEpoch, got.Query, before.DataEpoch, before.Query)
+	}
+	next, err := tr.Translate(ctx, q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.CacheOutcome != "miss" || next.DataEpoch != after.DataEpoch || next.Query.String() != after.Query.String() {
+		t.Errorf("next request: %s at epoch %d, query\n%s\nwant a miss at epoch %d, query\n%s",
+			next.CacheOutcome, next.DataEpoch, next.Query, after.DataEpoch, after.Query)
+	}
+	if st := tr.Cache.Stats(); st.Stale != 1 {
+		t.Errorf("stats %+v, want 1 stale drop", st)
+	}
+}
+
+// stageStarts adapts a start-of-stage callback to the Observer
+// interface.
+type stageStarts func(stage string)
+
+func (f stageStarts) StageStart(stage string)             { f(stage) }
+func (stageStarts) StageEnd(string, time.Duration, error) {}
+
+// apply lands one store batch or fails the test.
+func apply(t *testing.T, onto *ontology.Ontology, b rdf.Batch) {
+	t.Helper()
+	if _, _, _, err := onto.Store.Apply(b); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -104,9 +104,9 @@ type Result struct {
 	// the cache (no cache installed, or an interactive request).
 	CacheOutcome string
 	// DataEpoch is the knowledge-base epoch this translation was served
-	// against (the store snapshot's publication counter). Cache-served
-	// results carry the epoch they were computed under, which the cache
-	// key guarantees equals the serving epoch.
+	// against: the store epoch of the one ontology view the translation
+	// read. A cache-served result carries the serving epoch, at which
+	// the cache replayed the cached plan's ontology reads unchanged.
 	DataEpoch uint64
 	// Trace holds the admin-mode intermediate outputs.
 	Trace []Stage
@@ -128,9 +128,11 @@ type Translator struct {
 	// the shape-keyed plan cache (see the qcache package): questions
 	// sharing a canonical shape reuse one cold translation, re-binding
 	// entity slots where they differ. Interactive requests (a non-nil
-	// Options.Interactor or an asking Policy) always bypass it, and
-	// entries are keyed on the feedback store's version so learned
-	// disambiguation feedback invalidates stale plans. Set it before
+	// Options.Interactor or an asking Policy) always bypass it. Entries
+	// are keyed on the feedback store's version, so learned
+	// disambiguation feedback invalidates stale plans; store writes do
+	// not, because an entry is served at a newer ontology view only after
+	// the generator's logged reads replay there unchanged. Set it before
 	// serving traffic; nil keeps the classic always-cold behavior.
 	Cache *qcache.Cache
 }
@@ -221,13 +223,14 @@ func (t *Translator) Translate(ctx context.Context, question string, opt Options
 	if t.cacheable(opt) {
 		return t.translateCached(ctx, question, opt)
 	}
-	return t.translate(ctx, question, opt)
+	return t.translate(ctx, t.Onto.View(), question, opt)
 }
 
 // translate is the always-cold pipeline: the seven Figure-2 stages plus
-// the optional backend emitter.
-func (t *Translator) translate(ctx context.Context, question string, opt Options) (*Result, error) {
-	res := &Result{Question: question, DataEpoch: t.dataEpoch()}
+// the optional backend emitter. Every ontology read of the translation
+// goes through the view v.
+func (t *Translator) translate(ctx context.Context, v *ontology.View, question string, opt Options) (*Result, error) {
+	res := &Result{Question: question, DataEpoch: v.Epoch()}
 	st := &stageRunner{ctx: ctx, opt: opt, res: res}
 
 	// Record the dialogue when tracing.
@@ -306,7 +309,7 @@ func (t *Translator) translate(ctx context.Context, question string, opt Options
 	// 4. General Query Generator (FREyA role) on the full request.
 	if err := st.run(StageGenerator, func() (string, error) {
 		var err error
-		res.General, err = t.Generator.Generate(ctx, g, qgen.Options{
+		res.General, err = t.Generator.Generate(ctx, v, g, qgen.Options{
 			Interactor: interactor,
 			Policy:     opt.Policy,
 		})

@@ -368,7 +368,7 @@ func FeedbackLearningCurve(onto *ontology.Ontology, question, phrase string,
 	intended rdf.Term, rounds int) ([]LearningPoint, error) {
 	gen := qgen.New(onto)
 	rank := func() (int, bool, error) {
-		cands := gen.RankCandidates(phrase)
+		cands := gen.RankCandidates(onto.View(), phrase)
 		for i, c := range cands {
 			if c.Term.Equal(intended) {
 				return i + 1, i == 0, nil
@@ -393,7 +393,7 @@ func FeedbackLearningCurve(onto *ontology.Ontology, question, phrase string,
 			return nil, err
 		}
 		pick := &intendedPicker{intended: intended, onto: onto}
-		_, err = gen.Generate(context.Background(), dg, qgen.Options{
+		_, err = gen.Generate(context.Background(), onto.View(), dg, qgen.Options{
 			Interactor: pick,
 			Policy:     interact.Policy{Ask: map[interact.Point]bool{interact.PointDisambiguation: true}},
 		})

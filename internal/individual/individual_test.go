@@ -26,7 +26,7 @@ func pipeline(t *testing.T, sentence string) (*nlp.DepGraph, []Part) {
 		t.Fatalf("Detect: %v", err)
 	}
 	gen := qgen.New(ontology.NewDemoOntology())
-	res, err := gen.Generate(context.Background(), g, qgen.Options{})
+	res, err := gen.Generate(context.Background(), gen.Onto.View(), g, qgen.Options{})
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
@@ -216,7 +216,7 @@ func TestVariableAlignmentWithGeneralPart(t *testing.T) {
 	det := ix.NewDetector()
 	ixs, _ := det.Detect(context.Background(), g)
 	gen := qgen.New(ontology.NewDemoOntology())
-	res, _ := gen.Generate(context.Background(), g, qgen.Options{})
+	res, _ := gen.Generate(context.Background(), gen.Onto.View(), g, qgen.Options{})
 	parts, err := (&Creator{}).Create(context.Background(), g, ixs, res)
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +240,7 @@ func TestEmptyIXListYieldsNoParts(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen := qgen.New(ontology.NewDemoOntology())
-	res, _ := gen.Generate(context.Background(), g, qgen.Options{})
+	res, _ := gen.Generate(context.Background(), gen.Onto.View(), g, qgen.Options{})
 	parts, err := (&Creator{}).Create(context.Background(), g, nil, res)
 	if err != nil {
 		t.Fatal(err)
@@ -309,7 +309,7 @@ func TestWhObjectBecomesTarget(t *testing.T) {
 	det := ix.NewDetector()
 	ixs, _ := det.Detect(context.Background(), g)
 	gen := qgen.New(ontology.NewDemoOntology())
-	res, _ := gen.Generate(context.Background(), g, qgen.Options{})
+	res, _ := gen.Generate(context.Background(), gen.Onto.View(), g, qgen.Options{})
 	if _, err := (&Creator{}).Create(context.Background(), g, ixs, res); err != nil {
 		t.Fatal(err)
 	}

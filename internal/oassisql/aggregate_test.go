@@ -143,6 +143,48 @@ LIMIT 2`} {
 	}
 }
 
+// TestParseAggregateAfterWholeQuery: the analytic extension is checked,
+// and aliases without AS derived, after the whole query is read. An
+// aggregate may count a variable only a SATISFYING subclause binds, and
+// a derived alias avoids a pattern variable that comes after it. Each
+// query parses, validates, prints as given, and reads back.
+func TestParseAggregateAfterWholeQuery(t *testing.T) {
+	for _, c := range []struct{ in, printed string }{
+		{`SELECT VARIABLES COUNT($y) AS $n WHERE {$x instanceOf Place} GROUP BY $x SATISFYING {[] visit $y} WITH SUPPORT THRESHOLD = 0.1`,
+			`SELECT VARIABLES COUNT($y) AS $n
+WHERE
+{$x instanceOf Place}
+GROUP BY $x
+SATISFYING
+{[] visit $y}
+WITH SUPPORT THRESHOLD = 0.1`},
+		{`SELECT VARIABLES COUNT(*) WHERE {$count instanceOf Place}`,
+			`SELECT VARIABLES COUNT(*) AS $count_2
+WHERE
+{$count instanceOf Place}`},
+	} {
+		q, err := Parse(c.in)
+		if err != nil {
+			t.Errorf("Parse(%q): %v", c.in, err)
+			continue
+		}
+		if err := q.Validate(); err != nil {
+			t.Errorf("Validate(%q): %v", c.in, err)
+		}
+		if got := q.String(); got != c.printed {
+			t.Errorf("Parse(%q) prints\n%s\nwant\n%s", c.in, got, c.printed)
+		}
+		again, err := Parse(c.printed)
+		if err != nil {
+			t.Errorf("reparse:\n%s\n%v", c.printed, err)
+			continue
+		}
+		if again.String() != c.printed {
+			t.Errorf("round trip drifted:\n%s\nvs\n%s", c.printed, again.String())
+		}
+	}
+}
+
 // TestAggregateValidate covers the analytic rules on queries built in
 // code, which Parse cannot produce.
 func TestAggregateValidate(t *testing.T) {
@@ -171,6 +213,7 @@ func TestAggregateValidate(t *testing.T) {
 		{"star non-count", func(q *Query) { q.Agg.Aggs[0].Func, q.Agg.Aggs[0].Var = "SUM", "" }, "only COUNT takes *"},
 		{"undefined argument", func(q *Query) { q.Agg.Aggs[0].Var = "ghost" }, "aggregate over undefined variable"},
 		{"alias collision", func(q *Query) { q.Agg.Aggs[0].As = "city" }, "collides with a query variable"},
+		{"alias projected twice", func(q *Query) { q.Select.Vars = []string{"n", "n"} }, "collides with a projected variable"},
 		{"dup alias", func(q *Query) {
 			q.Agg.Aggs = append(q.Agg.Aggs, sparql.Aggregate{Func: "SUM", Var: "a", As: "n"})
 		}, "duplicate aggregate alias"},

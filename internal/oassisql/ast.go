@@ -217,6 +217,15 @@ func (q *Query) validateAggregation() error {
 		}
 		aliases[a.As] = true
 	}
+	// A projected name is a variable or an alias, not both: SELECT $n
+	// COUNT($x) AS $n would print as two aggregate calls.
+	projected := map[string]bool{}
+	for _, v := range q.Select.Vars {
+		if aliases[v] && projected[v] {
+			return fmt.Errorf("oassisql: aggregate alias $%s collides with a projected variable", v)
+		}
+		projected[v] = true
+	}
 	if len(q.Agg.Having) > 0 && len(q.Agg.GroupBy) == 0 && len(q.Agg.Aggs) == 0 {
 		return fmt.Errorf("oassisql: HAVING requires GROUP BY or an aggregate")
 	}

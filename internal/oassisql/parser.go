@@ -92,23 +92,65 @@ func (p *parser) query() (*Query, error) {
 	if err := p.aggregation(q); err != nil {
 		return nil, err
 	}
-	if p.lx.Peek().Kind == sparql.TokEOF {
-		return q, nil // a plain ontology query: no crowd part
-	}
-	if err := p.expectKeyword("SATISFYING"); err != nil {
-		return nil, err
-	}
-	for {
-		sc, err := p.subclause()
-		if err != nil {
+	// The analytic rules need the whole query: an aggregate, GROUP BY or
+	// ORDER BY may name a variable only a SATISFYING subclause binds, and
+	// a derived alias must avoid every query variable. They are checked
+	// once it is read, and a violation is reported where the analytic
+	// modifiers end.
+	aggEnd := p.lx.Peek()
+	if aggEnd.Kind != sparql.TokEOF {
+		if err := p.expectKeyword("SATISFYING"); err != nil {
 			return nil, err
 		}
-		q.Satisfying = append(q.Satisfying, sc)
-		if !p.keyword("AND") {
-			break
+		for {
+			sc, err := p.subclause()
+			if err != nil {
+				return nil, err
+			}
+			q.Satisfying = append(q.Satisfying, sc)
+			if !p.keyword("AND") {
+				break
+			}
+		}
+	}
+	if q.Agg != nil {
+		deriveAliases(q)
+		if err := q.validateAggregation(); err != nil {
+			return nil, p.lx.ErrAt(aggEnd, "%s", strings.TrimPrefix(err.Error(), "oassisql: "))
 		}
 	}
 	return q, nil
+}
+
+// deriveAliases names, in order, the aggregate calls written without
+// AS: each takes the first name FreshAlias derives that no query
+// variable, projected variable or other alias uses. A projected call's
+// empty SELECT slot gets its alias.
+func deriveAliases(q *Query) {
+	taken := map[string]bool{}
+	for _, v := range q.Vars() {
+		taken[v] = true
+	}
+	for _, v := range q.Select.Vars {
+		taken[v] = true
+	}
+	for _, a := range q.Agg.Aggs {
+		taken[a.As] = true
+	}
+	var derived []string
+	for i := range q.Agg.Aggs {
+		a := &q.Agg.Aggs[i]
+		if a.As == "" {
+			a.As = sparql.FreshAlias(a.Func, a.Var, func(name string) bool { return taken[name] })
+			taken[a.As] = true
+			derived = append(derived, a.As)
+		}
+	}
+	for i, v := range q.Select.Vars {
+		if v == "" {
+			q.Select.Vars[i], derived = derived[0], derived[1:]
+		}
+	}
 }
 
 // ensureAgg lazily allocates the query's aggregation extension.
@@ -121,29 +163,16 @@ func (p *parser) ensureAgg(q *Query) *Aggregation {
 
 // selectAggregates consumes the SELECT list: aggregate calls (which join
 // both the projection and the aggregation extension), and — when vars is
-// set — plain projected variables interleaved with them.
+// set — plain projected variables interleaved with them. A call without
+// AS keeps an empty alias, and an empty projection slot, until
+// deriveAliases names it.
 func (p *parser) selectAggregates(q *Query, vars bool) error {
-	taken := func(name string) bool {
-		if q.Agg != nil {
-			for _, a := range q.Agg.Aggs {
-				if a.As == name {
-					return true
-				}
-			}
-		}
-		for _, v := range q.Select.Vars {
-			if v == name {
-				return true
-			}
-		}
-		return false
-	}
 	for {
 		if vars && p.lx.Peek().Kind == sparql.TokVar {
 			q.Select.Vars = append(q.Select.Vars, p.lx.Next().Text)
 			continue
 		}
-		a, ok, err := p.pat.AggregateCall(taken)
+		a, ok, err := p.pat.AggregateCall()
 		if err != nil {
 			return err
 		}
@@ -159,6 +188,7 @@ func (p *parser) selectAggregates(q *Query, vars bool) error {
 
 // aggregation consumes the analytic modifiers between the WHERE pattern
 // and SATISFYING: GROUP BY, HAVING(expr), query-level ORDER BY and LIMIT.
+// Their rules are checked once the whole query is read (query).
 func (p *parser) aggregation(q *Query) error {
 	for {
 		switch {
@@ -195,11 +225,6 @@ func (p *parser) aggregation(q *Query) error {
 			}
 			p.ensureAgg(q).Limit = int(n.Num)
 		default:
-			if q.Agg != nil {
-				if err := q.validateAggregation(); err != nil {
-					return p.lx.Errf("%s", strings.TrimPrefix(err.Error(), "oassisql: "))
-				}
-			}
 			return nil
 		}
 	}

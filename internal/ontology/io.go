@@ -67,8 +67,8 @@ type Stats struct {
 
 // Summary computes ontology statistics over one pinned epoch.
 func (o *Ontology) Summary() Stats {
-	snap := o.Snapshot()
-	d := o.idx()
+	d := o.View()
+	snap := d.snap
 	entities := map[rdf.Term]bool{}
 	snap.MatchFunc(rdf.T(rdf.NewVar("s"), PredInstanceOf, rdf.NewVar("c")), func(t rdf.Triple) bool {
 		if !d.classes[t.S] {
@@ -88,8 +88,8 @@ func (o *Ontology) Summary() Stats {
 // Entities returns all non-class subjects with an instanceOf fact,
 // sorted.
 func (o *Ontology) Entities() []rdf.Term {
-	snap := o.Snapshot()
-	d := o.idx()
+	d := o.View()
+	snap := d.snap
 	seen := map[rdf.Term]bool{}
 	var out []rdf.Term
 	snap.MatchFunc(rdf.T(rdf.NewVar("s"), PredInstanceOf, rdf.NewVar("c")), func(t rdf.Triple) bool {

@@ -44,7 +44,7 @@ func FuzzNormalize(f *testing.F) {
 // exactly as long as the longest label key must still resolve.
 func TestResolveEntityAllocs(t *testing.T) {
 	o := NewDemoOntology()
-	if d := o.idx(); len(normalize("Forest Hotel, Buffalo, NY")) != d.maxKey {
+	if d := o.View(); len(normalize("Forest Hotel, Buffalo, NY")) != d.maxKey {
 		t.Fatalf("the longest label key has %d bytes; update the test's longest label", d.maxKey)
 	}
 	cases := []struct {

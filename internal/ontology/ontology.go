@@ -8,6 +8,7 @@
 package ontology
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -64,7 +65,8 @@ type Candidate struct {
 // word, primary-label and class indexes are derived from the store per
 // epoch, so a triple batch landed through the daemon is resolvable by
 // Lookup/ResolveEntity on the very next call — nothing answers from a
-// construction-time cache anymore.
+// construction-time cache anymore. Every read goes through a View: one
+// derived index together with the snapshot it was built from.
 type Ontology struct {
 	// Name identifies the ontology in admin-mode traces ("GeoOntology").
 	Name  string
@@ -72,7 +74,12 @@ type Ontology struct {
 
 	// Registration-time state below is structural knowledge that plain
 	// triples cannot carry; it augments (never replaces) the per-epoch
-	// derived index.
+	// derived index. Registration is not safe concurrently with reads.
+	// AddClass and Alias bump regVersion, so the next view sees them.
+	// Descriptions and relations are construction-time state outside
+	// the view version: views share them, and no cached-plan replay
+	// covers them, so they are registered before the ontology serves
+	// translations.
 
 	// descriptions holds per-entity disambiguation strings.
 	descriptions map[rdf.Term]string
@@ -89,10 +96,10 @@ type Ontology struct {
 	// store epoch change.
 	regVersion atomic.Uint64
 
-	// derived is the index for one (store epoch, regVersion) pair;
+	// view is the View for one (store epoch, regVersion) pair;
 	// rebuildMu serializes rebuilds without blocking readers of the
-	// current index.
-	derived   atomic.Pointer[derivedIndex]
+	// current view.
+	view      atomic.Pointer[View]
 	rebuildMu sync.Mutex
 }
 
@@ -101,11 +108,18 @@ type aliasEntry struct {
 	term  rdf.Term
 }
 
-// derivedIndex is an immutable lookup index computed from one store
-// snapshot plus the registration state at one version.
-type derivedIndex struct {
-	epoch      uint64
+// View is one pinned read of the ontology: the lookup index derived
+// from one store snapshot plus the registration state at one version,
+// together with that snapshot. A translation reads through one View, so
+// a batch that lands mid-translation cannot mix epochs into it. A View
+// is immutable and safe for concurrent use.
+type View struct {
+	snap       *rdf.Snapshot
 	regVersion uint64
+	// version numbers the views of one ontology in build order: it
+	// moves with every store epoch and every registration change, so
+	// two views with one version answer every read identically.
+	version uint64
 	// labels maps normalized full labels to entities (exact matches).
 	labels map[string][]rdf.Term
 	// maxKey is the byte length of the longest labels key: a phrase whose
@@ -121,6 +135,8 @@ type derivedIndex struct {
 	// term participating in subClassOf or appearing as an instanceOf
 	// object.
 	classes map[rdf.Term]bool
+	// descriptions is the ontology's registration-time map.
+	descriptions map[rdf.Term]string
 }
 
 // New returns an empty ontology with the given name.
@@ -135,45 +151,51 @@ func New(name string) *Ontology {
 }
 
 // Snapshot pins the current store epoch. Consumers that issue several
-// reads per query (the crowd engine, qgen's degree probes, the sparql
-// evaluator) hold one Snapshot so concurrent batches cannot shift the
-// data mid-query.
+// reads per query (the crowd engine, the sparql evaluator) hold one
+// Snapshot so concurrent batches cannot shift the data mid-query.
 func (o *Ontology) Snapshot() *rdf.Snapshot { return o.Store.Snapshot() }
 
 // Epoch returns the store's current published epoch.
 func (o *Ontology) Epoch() uint64 { return o.Store.Epoch() }
 
-// idx returns the derived index for the current (epoch, regVersion),
-// rebuilding it if either moved since the last rebuild.
-func (o *Ontology) idx() *derivedIndex {
+// View returns the view of the current (store epoch, registration
+// version), rebuilding the derived index if either moved since the last
+// rebuild.
+func (o *Ontology) View() *View {
 	snap := o.Store.Snapshot()
 	rv := o.regVersion.Load()
-	if d := o.derived.Load(); d != nil && d.epoch == snap.Epoch() && d.regVersion == rv {
-		return d
+	if v := o.view.Load(); v != nil && v.snap.Epoch() == snap.Epoch() && v.regVersion == rv {
+		return v
 	}
 	return o.rebuild()
 }
 
-// rebuild recomputes the derived index from the latest snapshot and
-// registration state. Concurrent callers rebuild once; readers keep
-// using the previous index until the new one is published.
-func (o *Ontology) rebuild() *derivedIndex {
+// rebuild derives a view from the latest snapshot and registration
+// state. Concurrent callers rebuild once; readers keep using the
+// previous view until the new one is published.
+func (o *Ontology) rebuild() *View {
 	o.rebuildMu.Lock()
 	defer o.rebuildMu.Unlock()
 	// Re-fetch inside the lock: another goroutine may have rebuilt, and
 	// the snapshot may have advanced while we waited.
 	snap := o.Store.Snapshot()
 	rv := o.regVersion.Load()
-	if d := o.derived.Load(); d != nil && d.epoch == snap.Epoch() && d.regVersion == rv {
-		return d
+	prev := o.view.Load()
+	if prev != nil && prev.snap.Epoch() == snap.Epoch() && prev.regVersion == rv {
+		return prev
 	}
-	d := &derivedIndex{
-		epoch:      snap.Epoch(),
-		regVersion: rv,
-		labels:     map[string][]rdf.Term{},
-		words:      map[string][]rdf.Term{},
-		primary:    map[rdf.Term]string{},
-		classes:    make(map[rdf.Term]bool, len(o.regClasses)),
+	d := &View{
+		snap:         snap,
+		regVersion:   rv,
+		version:      1,
+		labels:       map[string][]rdf.Term{},
+		words:        map[string][]rdf.Term{},
+		primary:      map[rdf.Term]string{},
+		classes:      make(map[rdf.Term]bool, len(o.regClasses)),
+		descriptions: o.descriptions,
+	}
+	if prev != nil {
+		d.version = prev.version + 1
 	}
 	for c := range o.regClasses {
 		d.classes[c] = true
@@ -217,14 +239,26 @@ func (o *Ontology) rebuild() *derivedIndex {
 	for _, a := range o.aliases {
 		b.index(a.label, a.term)
 	}
-	o.derived.Store(d)
+	o.view.Store(d)
 	return d
 }
 
-// indexBuilder fills a derived index's label and word postings during
-// one rebuild.
+// Snapshot returns the store snapshot the view was derived from.
+func (v *View) Snapshot() *rdf.Snapshot { return v.snap }
+
+// Epoch returns the store epoch the view was derived from.
+func (v *View) Epoch() uint64 { return v.snap.Epoch() }
+
+// Version numbers the ontology's views in build order. It moves with
+// every store epoch and with every Alias or AddClass registration, so
+// two views of one ontology with equal versions answer every read
+// identically.
+func (v *View) Version() uint64 { return v.version }
+
+// indexBuilder fills a view's label and word postings during one
+// rebuild.
 type indexBuilder struct {
-	d             *derivedIndex
+	d             *View
 	labels, words postings
 }
 
@@ -377,29 +411,47 @@ func appendNormalized(dst []byte, s string, limit int) ([]byte, bool) {
 // Description returns the disambiguation string for an entity.
 func (o *Ontology) Description(t rdf.Term) string { return o.descriptions[t] }
 
+// Label returns the primary label of a term in the current view.
+func (o *Ontology) Label(t rdf.Term) string { return o.View().Label(t) }
+
+// IsClass reports whether the term is a class in the current view.
+func (o *Ontology) IsClass(t rdf.Term) bool { return o.View().IsClass(t) }
+
+// Lookup aligns an NL phrase with ontology terms in the current view
+// (see View.Lookup).
+func (o *Ontology) Lookup(phrase string) []Candidate { return o.View().Lookup(phrase) }
+
+// ResolveEntity resolves a phrase in the current view (see
+// View.ResolveEntity).
+func (o *Ontology) ResolveEntity(phrase string) (rdf.Term, bool) {
+	return o.View().ResolveEntity(phrase)
+}
+
+// Classes returns all classes of the current view, sorted.
+func (o *Ontology) Classes() []rdf.Term { return o.View().Classes() }
+
 // Label returns the primary label of a term, falling back to the IRI
 // local name. Labels added by any means — registration or a store
-// batch — answer from the current epoch's derived index.
-func (o *Ontology) Label(t rdf.Term) string {
-	if l, ok := o.idx().primary[t]; ok {
+// batch — answer from the view's derived index.
+func (v *View) Label(t rdf.Term) string {
+	if l, ok := v.primary[t]; ok {
 		return l
 	}
 	return t.Local()
 }
 
-// IsClass reports whether the term is a class in the current epoch.
-func (o *Ontology) IsClass(t rdf.Term) bool { return o.idx().classes[t] }
+// IsClass reports whether the term is a class in the view.
+func (v *View) IsClass(t rdf.Term) bool { return v.classes[t] }
 
 // Lookup aligns an NL phrase with ontology terms, returning candidates
 // ranked by match quality: exact normalized label match scores 1.0,
 // full-phrase prefix matches 0.8, head-word matches 0.6. Deterministic
 // order: score desc, then term order.
-func (o *Ontology) Lookup(phrase string) []Candidate {
+func (v *View) Lookup(phrase string) []Candidate {
 	key := normalize(phrase)
 	if key == "" {
 		return nil
 	}
-	d := o.idx()
 	scored := map[rdf.Term]float64{}
 	consider := func(ts []rdf.Term, score float64) {
 		for _, t := range ts {
@@ -408,40 +460,40 @@ func (o *Ontology) Lookup(phrase string) []Candidate {
 			}
 		}
 	}
-	consider(d.labels[key], 1.0)
+	consider(v.labels[key], 1.0)
 	// singular fallback: "places" -> "place"
 	if strings.HasSuffix(key, "s") {
-		consider(d.labels[strings.TrimSuffix(key, "s")], 0.9)
+		consider(v.labels[strings.TrimSuffix(key, "s")], 0.9)
 	}
 	// word-index fallback: the phrase is one word of a longer label
-	consider(d.words[key], 0.6)
+	consider(v.words[key], 0.6)
 	// word-by-word fallback: some word of the phrase is a known label
 	for _, w := range strings.Fields(key) {
 		if w == key {
 			continue
 		}
-		consider(d.labels[w], 0.6)
-		consider(d.words[w], 0.4)
+		consider(v.labels[w], 0.6)
+		consider(v.words[w], 0.4)
 	}
 	out := make([]Candidate, 0, len(scored))
 	for t, s := range scored {
-		label := d.primary[t]
+		label := v.primary[t]
 		if label == "" {
 			label = t.Local()
 		}
 		out = append(out, Candidate{
 			Term:        t,
 			Label:       label,
-			Description: o.descriptions[t],
+			Description: v.descriptions[t],
 			Score:       s,
-			IsClass:     d.classes[t],
+			IsClass:     v.classes[t],
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
+	slices.SortFunc(out, func(a, b Candidate) int {
+		if a.Score != b.Score {
+			return cmp.Compare(b.Score, a.Score)
 		}
-		return out[i].Term.Compare(out[j].Term) < 0
+		return a.Term.Compare(b.Term)
 	})
 	return out
 }
@@ -451,25 +503,33 @@ func (o *Ontology) Lookup(phrase string) []Candidate {
 // phrase is an unambiguous, feedback-independent entity mention. It is
 // the shape-canonicalization hook of the plan cache (qcache): ambiguous
 // labels like "Buffalo" and class words like "restaurant" return false
-// and stay literal in a question's shape key. Resolution runs against
-// the current epoch's index, so a freshly inserted entity resolves on
-// the next call.
+// and stay literal in a question's shape key. A freshly inserted entity
+// resolves in the first view built after its batch.
 //
 // It is the plan cache's per-n-gram probe, so it allocates nothing: the
 // key is built in a stack buffer, and a phrase whose key outgrows the
 // longest label key is rejected before it is fully normalized.
-func (o *Ontology) ResolveEntity(phrase string) (rdf.Term, bool) {
-	d := o.idx()
+func (v *View) ResolveEntity(phrase string) (rdf.Term, bool) {
 	var buf [64]byte
-	key, ok := appendNormalized(buf[:0], phrase, d.maxKey)
+	key, ok := appendNormalized(buf[:0], phrase, v.maxKey)
 	if !ok {
 		return rdf.Term{}, false
 	}
-	ts := d.labels[string(key)]
-	if len(ts) != 1 || d.classes[ts[0]] {
+	ts := v.labels[string(key)]
+	if len(ts) != 1 || v.classes[ts[0]] {
 		return rdf.Term{}, false
 	}
 	return ts[0], true
+}
+
+// Classes returns all classes of the view, sorted.
+func (v *View) Classes() []rdf.Term {
+	out := make([]rdf.Term, 0, len(v.classes))
+	for c := range v.classes {
+		out = append(out, c)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	return out
 }
 
 // LookupRelation aligns a relation lemma ("near", "in", "visit") with a
@@ -477,17 +537,6 @@ func (o *Ontology) ResolveEntity(phrase string) (rdf.Term, bool) {
 func (o *Ontology) LookupRelation(lemma string) (rdf.Term, bool) {
 	p, ok := o.relations[strings.ToLower(lemma)]
 	return p, ok
-}
-
-// Classes returns all classes of the current epoch, sorted.
-func (o *Ontology) Classes() []rdf.Term {
-	d := o.idx()
-	out := make([]rdf.Term, 0, len(d.classes))
-	for c := range d.classes {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out
 }
 
 // InstancesOf returns the instances of a class, including instances of

@@ -13,9 +13,9 @@ import (
 
 // refIndex is the derived-index builder in its original quadratic form,
 // kept as the oracle: every insert scans its whole posting list.
-func refIndex(o *Ontology) *derivedIndex {
+func refIndex(o *Ontology) *View {
 	snap := o.Store.Snapshot()
-	d := &derivedIndex{
+	d := &View{
 		labels:  map[string][]rdf.Term{},
 		words:   map[string][]rdf.Term{},
 		primary: map[rdf.Term]string{},
@@ -82,7 +82,7 @@ func TestRebuildMatchesQuadraticOracle(t *testing.T) {
 	synth := NewSynthetic(2000)
 	synth.Alias(E("entity3"), "entity zero")
 	for name, o := range map[string]*Ontology{"demo": demo, "synthetic": synth} {
-		got, want := o.idx(), refIndex(o)
+		got, want := o.View(), refIndex(o)
 		if !reflect.DeepEqual(got.labels, want.labels) {
 			t.Errorf("%s: labels differ from the oracle", name)
 		}
@@ -110,7 +110,7 @@ func TestRebuildScalesLinearly(t *testing.T) {
 			o.regVersion.Add(1) // invalidates the current index
 			runtime.GC()
 			start := time.Now()
-			o.idx()
+			o.View()
 			best = min(best, time.Since(start))
 		}
 		return best

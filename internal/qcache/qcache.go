@@ -15,13 +15,14 @@
 //     entities they name.
 //
 //   - Cache is a size-bounded LRU keyed on (shape, backend set,
-//     feedback epoch, data epoch) with single-flight deduplication:
-//     concurrent misses on one key run the underlying computation once,
-//     and everyone waits for it. The epochs are the caller's
-//     invalidation levers — the feedback epoch drops every cached plan
-//     the moment learned feedback could change a translation, and the
-//     data epoch (the store snapshot's publication counter) drops them
-//     the moment the knowledge base itself changes.
+//     feedback epoch) with single-flight deduplication: concurrent
+//     misses on one key run the underlying computation once, and
+//     everyone waits for it. The feedback epoch is the caller's
+//     invalidation lever: it makes every cached plan unreachable the
+//     moment learned feedback could change a translation. Knowledge-base
+//     writes are not in the key. The caller checks an entry against the
+//     data it is served at, and DropStale removes one that no longer
+//     holds, so the next Lookup refills it through the single flight.
 //
 // The cache stores opaque values (any): the core package owns the
 // Result type and would otherwise be a dependency cycle.
@@ -30,7 +31,6 @@ package qcache
 import (
 	"container/list"
 	"context"
-	"fmt"
 	"strconv"
 	"strings"
 	"sync"
@@ -44,7 +44,8 @@ import (
 // "Buffalo"s) or classes ("restaurant") must return false: ambiguous
 // mentions stay literal in the shape key, because their resolution can
 // depend on learned feedback or dialogue, and class words are query
-// structure, not bindable slots. *ontology.Ontology implements it.
+// structure, not bindable slots. *ontology.View implements it, and so
+// does *ontology.Ontology, through its current view.
 type EntityResolver interface {
 	ResolveEntity(phrase string) (rdf.Term, bool)
 }
@@ -145,7 +146,8 @@ func BackendKey(backends []string) string {
 	return strings.Join(uniq, ",")
 }
 
-// Key identifies one cache entry.
+// Key identifies one cache entry. It is comparable and keys the
+// cache's maps as it is, so a probe builds no string.
 type Key struct {
 	// Shape is the canonical question shape (Shape.Key).
 	Shape string
@@ -153,18 +155,10 @@ type Key struct {
 	Backends string
 	// Epoch versions the learned state the entry was computed under;
 	// bumping it (e.g. on a feedback-store change) makes every older
-	// entry unreachable.
+	// entry unreachable. The knowledge-base epoch is deliberately not
+	// part of the key: an entry outlives store writes for as long as
+	// the caller's check at serving time confirms it.
 	Epoch uint64
-	// DataEpoch versions the knowledge-base snapshot the entry was
-	// computed against (rdf.Snapshot.Epoch). A store write batch
-	// publishes a new epoch, so cached plans — including rebind-served
-	// hits — can never resurrect entities deleted in a newer epoch or
-	// miss ones inserted since.
-	DataEpoch uint64
-}
-
-func (k Key) internal() string {
-	return fmt.Sprintf("%d|%d|%s|%s", k.Epoch, k.DataEpoch, k.Backends, k.Shape)
 }
 
 // Outcome classifies one cache access.
@@ -203,6 +197,9 @@ type Stats struct {
 	// Rebinds counts hits served by re-binding entity slots to new
 	// entities (noted by the caller via NoteRebind).
 	Rebinds uint64
+	// Stale counts entries dropped by DropStale: the caller found that a
+	// read the entry rests on changed since it was computed.
+	Stale uint64
 	// Entries is the current entry count (a gauge, not a counter).
 	Entries int
 }
@@ -212,15 +209,15 @@ type Stats struct {
 type Cache struct {
 	mu      sync.Mutex
 	cap     int
-	items   map[string]*list.Element // of *entry
-	lru     *list.List               // front = most recent
-	flights map[string]*Flight
+	items   map[Key]*list.Element // of *entry
+	lru     *list.List            // front = most recent
+	flights map[Key]*Flight
 
-	hits, misses, waits, evictions, rebinds uint64
+	hits, misses, waits, evictions, rebinds, stale uint64
 }
 
 type entry struct {
-	key string
+	key Key
 	val any
 }
 
@@ -235,9 +232,9 @@ func New(capacity int) *Cache {
 	}
 	return &Cache{
 		cap:     capacity,
-		items:   make(map[string]*list.Element),
+		items:   make(map[Key]*list.Element),
 		lru:     list.New(),
-		flights: make(map[string]*Flight),
+		flights: make(map[Key]*Flight),
 	}
 }
 
@@ -246,7 +243,7 @@ func New(capacity int) *Cache {
 // received Wait blocks in Wait until it does.
 type Flight struct {
 	c    *Cache
-	key  string
+	key  Key
 	done chan struct{}
 	val  any
 	err  error
@@ -257,20 +254,19 @@ type Flight struct {
 // and must Fulfill or Fail it (deferring Fail(ctx.Err()) is safe: a
 // fulfilled flight ignores later calls).
 func (c *Cache) Lookup(key Key) (any, *Flight, Outcome) {
-	k := key.internal()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[k]; ok {
+	if el, ok := c.items[key]; ok {
 		c.lru.MoveToFront(el)
 		c.hits++
 		return el.Value.(*entry).val, nil, Hit
 	}
-	if f, ok := c.flights[k]; ok {
+	if f, ok := c.flights[key]; ok {
 		c.waits++
 		return nil, f, Wait
 	}
-	f := &Flight{c: c, key: k, done: make(chan struct{})}
-	c.flights[k] = f
+	f := &Flight{c: c, key: key, done: make(chan struct{})}
+	c.flights[key] = f
 	c.misses++
 	return nil, f, Miss
 }
@@ -316,7 +312,7 @@ func (f *Flight) settle(val any, err error) {
 }
 
 // insertLocked adds an entry, evicting from the LRU tail past capacity.
-func (c *Cache) insertLocked(k string, val any) {
+func (c *Cache) insertLocked(k Key, val any) {
 	if el, ok := c.items[k]; ok {
 		el.Value.(*entry).val = val
 		c.lru.MoveToFront(el)
@@ -352,6 +348,21 @@ func (c *Cache) Do(ctx context.Context, key Key, fill func() (any, error)) (any,
 	return v, Miss, nil
 }
 
+// DropStale removes the entry under key if it still holds val, and
+// counts it as stale. A caller that found val out of date drops it
+// this way, so a newer value that another request stored in the
+// meantime stays. Values are compared with ==, so val must be of a
+// comparable type (a pointer, say).
+func (c *Cache) DropStale(key Key, val any) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok && el.Value.(*entry).val == val {
+		c.lru.Remove(el)
+		delete(c.items, key)
+		c.stale++
+	}
+}
+
 // NoteRebind counts a hit that was served by entity re-binding.
 func (c *Cache) NoteRebind() {
 	c.mu.Lock()
@@ -369,6 +380,7 @@ func (c *Cache) Stats() Stats {
 		Waits:     c.waits,
 		Evictions: c.evictions,
 		Rebinds:   c.rebinds,
+		Stale:     c.stale,
 		Entries:   c.lru.Len(),
 	}
 }

@@ -128,28 +128,54 @@ func TestCacheEpochInvalidates(t *testing.T) {
 	}
 }
 
-func TestCacheDataEpochInvalidates(t *testing.T) {
+// TestHitLookupAllocatesNothing: a probe that hits builds no key string,
+// whatever the epoch, shape or backend set.
+func TestHitLookupAllocatesNothing(t *testing.T) {
+	c := New(8)
+	key := Key{Shape: "where do families eat near ⟨e2⟩ ?", Backends: "cypher,sql", Epoch: 1 << 40}
+	_, f, _ := c.Lookup(key)
+	f.Fulfill("v")
+	if n := testing.AllocsPerRun(100, func() {
+		if _, _, o := c.Lookup(key); o != Hit {
+			t.Fatalf("outcome %v, want hit", o)
+		}
+	}); n != 0 {
+		t.Errorf("a hit Lookup made %v allocations, want 0", n)
+	}
+}
+
+// TestDropStaleRemovesOnlyTheGivenEntry: DropStale removes the entry
+// under its key only while that key still holds the value it was given,
+// counts the drop as stale, and leaves other keys alone; the next
+// Lookup of the dropped key owns a fresh fill.
+func TestDropStaleRemovesOnlyTheGivenEntry(t *testing.T) {
 	c := New(8)
 	ctx := context.Background()
-	fill := func() (any, error) { return "v", nil }
-	if _, o, _ := c.Do(ctx, Key{Shape: "s", Epoch: 1, DataEpoch: 3}, fill); o != Miss {
-		t.Fatal("expected miss at data epoch 3")
+	a, b := Key{Shape: "a"}, Key{Shape: "b"}
+	oldA, newA := new(int), new(int)
+	c.Do(ctx, a, func() (any, error) { return oldA, nil })
+	c.Do(ctx, b, func() (any, error) { return "B", nil })
+
+	c.DropStale(a, newA)                         // a holds another value
+	c.DropStale(Key{Shape: "a", Epoch: 1}, oldA) // nothing under this key
+	if st := c.Stats(); st.Stale != 0 || st.Entries != 2 {
+		t.Fatalf("stats %+v after drops that match no entry, want none stale and 2 entries", st)
 	}
-	if _, o, _ := c.Do(ctx, Key{Shape: "s", Epoch: 1, DataEpoch: 3}, fill); o != Hit {
-		t.Fatal("expected hit at data epoch 3")
+	c.DropStale(a, oldA)
+	c.DropStale(a, oldA) // already gone
+	if v, _, o := c.Lookup(b); o != Hit || v != "B" {
+		t.Fatalf("other key after the drop: %v %v, want hit B", v, o)
 	}
-	// A store write publishes a new data epoch: the cached plan must not
-	// be reachable anymore, independent of the feedback epoch.
-	if _, o, _ := c.Do(ctx, Key{Shape: "s", Epoch: 1, DataEpoch: 4}, fill); o != Miss {
-		t.Fatal("data-epoch bump did not invalidate the entry")
+	_, f, o := c.Lookup(a)
+	if o != Miss {
+		t.Fatalf("dropped key came back as %v, want miss", o)
 	}
-	// The two epoch axes must not collide in the internal key: feedback
-	// epoch 34 with data epoch 0 is distinct from 3 with 40, etc.
-	if _, o, _ := c.Do(ctx, Key{Shape: "s", Epoch: 13, DataEpoch: 4}, fill); o != Miss {
-		t.Fatal("expected miss for unseen (epoch, data-epoch) pair")
+	f.Fulfill(newA)
+	if v, _, o := c.Lookup(a); o != Hit || v != newA {
+		t.Fatalf("refilled key: %v %v, want hit of the new value", v, o)
 	}
-	if _, o, _ := c.Do(ctx, Key{Shape: "s", Epoch: 1, DataEpoch: 34}, fill); o != Miss {
-		t.Fatal("epoch axes collided in the internal key")
+	if st := c.Stats(); st.Stale != 1 || st.Entries != 2 {
+		t.Errorf("stats %+v, want 1 stale drop and 2 entries", st)
 	}
 }
 

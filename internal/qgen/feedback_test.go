@@ -76,7 +76,7 @@ func TestPersistedFeedbackAffectsNewGenerator(t *testing.T) {
 		t.Fatal(err)
 	}
 	g2.Feedback = loaded
-	cands := g2.RankCandidates("Buffalo")
+	cands := g2.RankCandidates(onto.View(), "Buffalo")
 	if len(cands) == 0 || cands[0].Term != il {
 		t.Errorf("persisted preference not applied: top = %v", cands[0].Term)
 	}
@@ -84,7 +84,7 @@ func TestPersistedFeedbackAffectsNewGenerator(t *testing.T) {
 
 func TestRankCandidatesDegreeTieBreak(t *testing.T) {
 	g := New(ontology.NewDemoOntology())
-	cands := g.RankCandidates("Buffalo")
+	cands := g.RankCandidates(g.Onto.View(), "Buffalo")
 	if len(cands) < 3 {
 		t.Fatalf("candidates = %d", len(cands))
 	}
@@ -102,7 +102,7 @@ func TestRankCandidatesDegreeTracksStoreEpoch(t *testing.T) {
 	onto := ontology.NewDemoOntology()
 	g := New(onto)
 	wy := ontology.E("Buffalo,_WY")
-	before := g.RankCandidates("Buffalo")
+	before := g.RankCandidates(onto.View(), "Buffalo")
 	if len(before) < 3 {
 		t.Fatalf("candidates = %d", len(before))
 	}
@@ -119,7 +119,7 @@ func TestRankCandidatesDegreeTracksStoreEpoch(t *testing.T) {
 	if _, _, _, err := onto.Store.Apply(batch); err != nil {
 		t.Fatal(err)
 	}
-	after := g.RankCandidates("Buffalo")
+	after := g.RankCandidates(onto.View(), "Buffalo")
 	if len(after) == 0 || after[0].Term != wy {
 		t.Errorf("top after degree batch = %v, want Buffalo,_WY", after[0].Term)
 	}

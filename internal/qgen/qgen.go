@@ -16,11 +16,13 @@
 package qgen
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -69,10 +71,29 @@ type Result struct {
 	// Aggregate is the detected counting reading of the request, if any
 	// ("how many ...", "the most/fewest <noun>"); nil otherwise.
 	Aggregate *Aggregate
+	// Reads logs every ontology read of the run, in order. The
+	// generator reads the ontology only through them, so the result is
+	// what a run on another view would produce whenever Replay holds
+	// there.
+	Reads []Read
 	// usedVars tracks allocated variable names so later modules
 	// (individual triple creation) can allocate fresh ones.
 	usedVars map[string]bool
 }
+
+// Read is one logged ontology read: a phrase lookup, ranked
+// (Generator.RankCandidates) or not (ontology.View.Lookup), and the
+// candidates it returned.
+type Read struct {
+	Phrase string
+	Ranked bool
+	Cands  []ontology.Candidate
+}
+
+// readLogCap pre-sizes a run's read log: no supported corpus question
+// makes more reads (most make three to five), so the log costs one
+// allocation.
+const readLogCap = 8
 
 // FreshVar allocates a new variable name not used elsewhere in the
 // query. The individual triple creator uses it for answer variables
@@ -233,9 +254,10 @@ func (f *Feedback) Boost(phrase string, entity rdf.Term) float64 {
 
 // Generator holds the ontology and learned state; it is reused across
 // translations so that feedback accumulates. Generate is safe for
-// concurrent use: the ontology and AmbiguityGap are read-only after
-// construction and Feedback locks internally. Replacing the Feedback
-// pointer (administrator reload) must not race with in-flight runs.
+// concurrent use: each run reads one caller-pinned ontology view, the
+// relation table and AmbiguityGap are read-only after construction, and
+// Feedback locks internally. Replacing the Feedback pointer
+// (administrator reload) must not race with in-flight runs.
 type Generator struct {
 	Onto     *ontology.Ontology
 	Feedback *Feedback
@@ -266,15 +288,18 @@ var transparentNouns = map[string]bool{
 
 // Generate translates the general parts of the dependency graph into
 // SPARQL triples, honoring cancellation between noun resolutions (each
-// of which may open a disambiguation dialogue).
-func (g *Generator) Generate(ctx context.Context, dg *nlp.DepGraph, opt Options) (*Result, error) {
+// of which may open a disambiguation dialogue). Every entity lookup and
+// degree count reads the view v, a view of g.Onto the caller pinned, and
+// is logged in Result.Reads.
+func (g *Generator) Generate(ctx context.Context, v *ontology.View, dg *nlp.DepGraph, opt Options) (*Result, error) {
 	res := &Result{
 		NodeTerms: map[int]rdf.Term{},
 		Phrases:   map[int]string{},
+		Reads:     make([]Read, 0, readLogCap),
 	}
 	res.usedVars = map[string]bool{}
 	res.Delegations = map[int]int{}
-	gen := &run{ctx: ctx, g: g, dg: dg, opt: opt, res: res}
+	gen := &run{ctx: ctx, g: g, view: v, dg: dg, opt: opt, res: res}
 	if err := gen.run(); err != nil {
 		return nil, err
 	}
@@ -285,6 +310,7 @@ func (g *Generator) Generate(ctx context.Context, dg *nlp.DepGraph, opt Options)
 type run struct {
 	ctx         context.Context
 	g           *Generator
+	view        *ontology.View
 	dg          *nlp.DepGraph
 	opt         Options
 	res         *Result
@@ -537,50 +563,76 @@ func (r *run) resolveEntity(n int) error {
 // lookup returns candidates for a common-noun phrase, trying the lemma
 // then the surface form.
 func (r *run) lookup(lemma, lower string) []ontology.Candidate {
-	cands := r.g.Onto.Lookup(lemma)
+	cands := r.read(lemma, false)
 	if len(cands) == 0 && lower != lemma {
-		cands = r.g.Onto.Lookup(lower)
+		cands = r.read(lower, false)
 	}
 	return cands
+}
+
+func (r *run) lookupCandidates(phrase string) []ontology.Candidate {
+	return r.read(phrase, true)
+}
+
+// read makes and logs one ontology read on the run's view.
+func (r *run) read(phrase string, ranked bool) []ontology.Candidate {
+	cands := r.g.candidates(r.view, phrase, ranked)
+	r.res.Reads = append(r.res.Reads, Read{Phrase: phrase, Ranked: ranked, Cands: cands})
+	return cands
+}
+
+func (g *Generator) candidates(v *ontology.View, phrase string, ranked bool) []ontology.Candidate {
+	if ranked {
+		return g.RankCandidates(v, phrase)
+	}
+	return v.Lookup(phrase)
+}
+
+// Replay reports whether every read returns on the view v the
+// candidates it returned when it was logged. When it does, a run on v
+// would take the logged run's every decision, so its result equals the
+// logged one; the caller keeps the feedback version fixed, since ranked
+// reads include feedback boosts. Relation lemmas (LookupRelation) are
+// not logged: they are construction-time state, fixed before serving.
+func (g *Generator) Replay(v *ontology.View, reads []Read) bool {
+	for _, rd := range reads {
+		if !slices.Equal(g.candidates(v, rd.Phrase, rd.Ranked), rd.Cands) {
+			return false
+		}
+	}
+	return true
 }
 
 // RankCandidates returns feedback-boosted, re-ranked candidates for a
 // phrase. Score ties break on entity degree (how richly connected the
 // entity is in the ontology), standing in for FREyA's popularity
 // ranking: the default reading of "Buffalo" is the well-known city.
-func (g *Generator) RankCandidates(phrase string) []ontology.Candidate {
-	cands := g.Onto.Lookup(phrase)
-	// Degrees are recomputed per call against one pinned snapshot: the
-	// comparator runs O(n log n) times, every probe sees the same epoch,
-	// and facts inserted a batch ago already count toward popularity.
-	snap := g.Onto.Snapshot()
-	degrees := make([]int, len(cands))
-	for i := range cands {
-		cands[i].Score += g.Feedback.Boost(phrase, cands[i].Term)
-		t := cands[i].Term
-		degrees[i] = snap.CountMatch(rdf.T(t, rdf.NewVar("p"), rdf.NewVar("o"))) +
-			snap.CountMatch(rdf.T(rdf.NewVar("s"), rdf.NewVar("p"), t))
+// Degrees are counted once per candidate on the view's snapshot, so
+// they and the lookup see one epoch, and facts inserted a batch ago
+// already count toward popularity.
+func (g *Generator) RankCandidates(v *ontology.View, phrase string) []ontology.Candidate {
+	cands := v.Lookup(phrase)
+	snap := v.Snapshot()
+	type ranked struct {
+		c      ontology.Candidate
+		degree int
 	}
-	idx := make([]int, len(cands))
-	for i := range idx {
-		idx[i] = i
+	rs := make([]ranked, len(cands))
+	for i, c := range cands {
+		c.Score += g.Feedback.Boost(phrase, c.Term)
+		rs[i] = ranked{c, snap.CountMatch(rdf.T(c.Term, rdf.NewVar("p"), rdf.NewVar("o"))) +
+			snap.CountMatch(rdf.T(rdf.NewVar("s"), rdf.NewVar("p"), c.Term))}
 	}
-	sort.SliceStable(idx, func(i, j int) bool {
-		a, b := idx[i], idx[j]
-		if cands[a].Score != cands[b].Score {
-			return cands[a].Score > cands[b].Score
+	slices.SortStableFunc(rs, func(a, b ranked) int {
+		if a.c.Score != b.c.Score {
+			return cmp.Compare(b.c.Score, a.c.Score)
 		}
-		return degrees[a] > degrees[b]
+		return cmp.Compare(b.degree, a.degree)
 	})
-	out := make([]ontology.Candidate, len(cands))
-	for i, k := range idx {
-		out[i] = cands[k]
+	for i := range rs {
+		cands[i] = rs[i].c
 	}
-	return out
-}
-
-func (r *run) lookupCandidates(phrase string) []ontology.Candidate {
-	return r.g.RankCandidates(phrase)
+	return cands
 }
 
 // varNames is the allocation order; the focus gets "x" as in Figure 1.

@@ -24,7 +24,7 @@ func genWith(t *testing.T, g *Generator, sentence string, opt Options) *Result {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	res, err := g.Generate(context.Background(), dg, opt)
+	res, err := g.Generate(context.Background(), g.Onto.View(), dg, opt)
 	if err != nil {
 		t.Fatalf("Generate(%q): %v", sentence, err)
 	}
@@ -229,7 +229,7 @@ func TestDisambiguationErrorPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := &interact.Scripted{DisambiguationAnswers: []int{99}}
-	_, err = g.Generate(context.Background(), dg, Options{
+	_, err = g.Generate(context.Background(), g.Onto.View(), dg, Options{
 		Interactor: bad,
 		Policy:     interact.Policy{Ask: map[interact.Point]bool{interact.PointDisambiguation: true}},
 	})

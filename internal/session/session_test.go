@@ -136,7 +136,7 @@ func TestFullDialogue(t *testing.T) {
 	}
 	// The disambiguation trained the shared feedback store.
 	boosted := false
-	for _, c := range tr.Generator.RankCandidates("Buffalo") {
+	for _, c := range tr.Generator.RankCandidates(tr.Onto.View(), "Buffalo") {
 		if strings.Contains(c.Description, "Illinois") {
 			boosted = tr.Generator.Feedback.Boost("Buffalo", c.Term) > 0
 		}

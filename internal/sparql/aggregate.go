@@ -56,10 +56,10 @@ func (e *AggRefExpr) String() string {
 	return e.Agg.Func + "(" + arg + ")"
 }
 
-// freshAlias derives an output alias for an aggregate without an
+// FreshAlias derives an output alias for an aggregate without an
 // explicit AS: count, count_x, sum_x, ... suffixed with _2, _3 … until
 // it collides with nothing the taken predicate knows.
-func freshAlias(fn, varName string, taken func(string) bool) string {
+func FreshAlias(fn, varName string, taken func(string) bool) string {
 	base := strings.ToLower(fn)
 	if varName != "" {
 		base += "_" + varName
@@ -84,7 +84,7 @@ func resolveHavingAggs(having []Expr, aggs []Aggregate, patternVars map[string]b
 				return a
 			}
 		}
-		alias := freshAlias(fn, varName, func(name string) bool {
+		alias := FreshAlias(fn, varName, func(name string) bool {
 			if patternVars[name] {
 				return true
 			}

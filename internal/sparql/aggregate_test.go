@@ -93,7 +93,7 @@ func TestEvalOrderNumeric(t *testing.T) {
 
 func TestParseAggregates(t *testing.T) {
 	pp, _ := newPatternParser(t, `COUNT($a) AS $n (COUNT($a) > 2)`)
-	a, ok, err := pp.AggregateCall(func(string) bool { return false })
+	a, ok, err := pp.AggregateCall()
 	if err != nil || !ok {
 		t.Fatalf("AggregateCall = %v, %v", ok, err)
 	}
@@ -126,19 +126,14 @@ func TestParseAggregates(t *testing.T) {
 	}
 }
 
+// TestParseAggregateAutoAliasAndCountStar checks that a call without AS
+// parses with an empty alias, and that FreshAlias, which the host uses
+// to name it, derives count, sum_s, then sum_s_2 once sum_s is taken.
 func TestParseAggregateAutoAliasAndCountStar(t *testing.T) {
 	pp, _ := newPatternParser(t, `COUNT(*) SUM($s) SUM($s)`)
 	var aggs []Aggregate
-	taken := func(name string) bool {
-		for _, a := range aggs {
-			if a.As == name {
-				return true
-			}
-		}
-		return false
-	}
 	for {
-		a, ok, err := pp.AggregateCall(taken)
+		a, ok, err := pp.AggregateCall()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,11 +142,16 @@ func TestParseAggregateAutoAliasAndCountStar(t *testing.T) {
 		}
 		aggs = append(aggs, a)
 	}
-	if len(aggs) != 3 || aggs[0].As != "count" || aggs[1].As != "sum_s" || aggs[2].As != "sum_s_2" {
-		t.Fatalf("auto aliases = %+v", aggs)
+	if len(aggs) != 3 || aggs[0] != (Aggregate{Func: "COUNT"}) || aggs[1] != (Aggregate{Func: "SUM", Var: "s"}) || aggs[2] != aggs[1] {
+		t.Fatalf("calls without AS = %+v, want empty aliases", aggs)
 	}
-	if aggs[0].Var != "" {
-		t.Fatalf("COUNT(*) Var = %q, want empty", aggs[0].Var)
+	taken := map[string]bool{}
+	for i := range aggs {
+		aggs[i].As = FreshAlias(aggs[i].Func, aggs[i].Var, func(name string) bool { return taken[name] })
+		taken[aggs[i].As] = true
+	}
+	if aggs[0].As != "count" || aggs[1].As != "sum_s" || aggs[2].As != "sum_s_2" {
+		t.Fatalf("auto aliases = %+v", aggs)
 	}
 	// An aggregate only HAVING names is hoisted into a hidden one.
 	q := &Query{
@@ -177,7 +177,7 @@ func TestParseAggregateErrors(t *testing.T) {
 	pattern := func(pp *PatternParser) error { _, _, err := pp.GroupPattern(); return err }
 	having := func(pp *PatternParser) error { _, err := pp.HavingExpr(); return err }
 	call := func(pp *PatternParser) error {
-		_, _, err := pp.AggregateCall(func(string) bool { return false })
+		_, _, err := pp.AggregateCall()
 		return err
 	}
 	bad := []struct {

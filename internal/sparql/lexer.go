@@ -72,10 +72,15 @@ func (l *Lexer) at(i int) Tok {
 	return Tok{Kind: TokEOF, Pos: len(l.in)}
 }
 
-// Errf formats a parse error with position context.
+// Errf formats a parse error at the current token.
 func (l *Lexer) Errf(format string, args ...any) error {
+	return l.ErrAt(l.Peek(), format, args...)
+}
+
+// ErrAt formats a parse error at the line of token t, for a host that
+// reports a rule it can only check after reading past t.
+func (l *Lexer) ErrAt(t Tok, format string, args ...any) error {
 	msg := fmt.Sprintf(format, args...)
-	t := l.Peek()
 	line := 1 + strings.Count(l.in[:min(t.Pos, len(l.in))], "\n")
 	return fmt.Errorf("line %d: %s", line, msg)
 }

@@ -90,10 +90,11 @@ func (p *PatternParser) GroupPattern() ([]rdf.Triple, []Expr, error) {
 // AggregateCall parses one aggregate call — FUNC($v) or COUNT(*),
 // optionally followed by AS $alias — when the lexer sits on an aggregate
 // function name followed by "(". It reports ok=false without consuming
-// input otherwise. taken reports alias names already in use, so a
-// derived alias (no explicit AS) stays fresh. Host languages (OASSIS-QL)
-// embed this to accept aggregate outputs in their SELECT clauses.
-func (p *PatternParser) AggregateCall(taken func(string) bool) (Aggregate, bool, error) {
+// input otherwise. A call without AS keeps an empty alias: the host
+// derives one with FreshAlias once it has read the whole query and
+// knows every name in use. Host languages (OASSIS-QL) embed this to
+// accept aggregate outputs in their SELECT clauses.
+func (p *PatternParser) AggregateCall() (Aggregate, bool, error) {
 	t := p.lx.Peek()
 	if t.Kind != TokIdent || !AggFuncs[strings.ToUpper(t.Text)] {
 		return Aggregate{}, false, nil
@@ -115,8 +116,6 @@ func (p *PatternParser) AggregateCall(taken func(string) bool) (Aggregate, bool,
 			return Aggregate{}, true, p.lx.Errf("expected variable after AS")
 		}
 		alias = v.Text
-	} else {
-		alias = freshAlias(fn, varName, taken)
 	}
 	return Aggregate{Func: fn, Var: varName, As: alias}, true, nil
 }

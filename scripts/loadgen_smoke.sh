@@ -45,7 +45,10 @@ echo "loadgen smoke OK: ${throughput%%.*} req/s, hit rate $hitrate"
 
 # Second pass: interleave store writes with the traffic. Every write
 # batch publishes a new epoch, so the run must show epoch churn, no
-# failed mutations, and still zero translation errors.
+# failed mutations, and still zero translation errors. The churn batches
+# touch only Churn_* triples, which no question reads, so the plan cache
+# must keep serving: a cached plan stays valid until one of the ontology
+# reads it rests on changes.
 "$workdir/loadgen" -addr "http://$addr" \
   -sessions "${SESSIONS:-32}" -requests "${MUTATE_REQUESTS:-400}" \
   -mutate-rate "${MUTATE_RATE:-0.05}" \
@@ -61,6 +64,10 @@ jq -e '(.mutation_errors // 0) == 0' "$workdir/mutate.json" >/dev/null || {
 }
 jq -e '.mutations > 0 and .epoch_churn > 0' "$workdir/mutate.json" >/dev/null || {
   echo "no epoch churn recorded under -mutate-rate" >&2
+  exit 1
+}
+jq -e '.cache_hit_rate >= 0.9' "$workdir/mutate.json" >/dev/null || {
+  echo "hit rate $(jq .cache_hit_rate "$workdir/mutate.json") under writes no question reads, want >= 0.9" >&2
   exit 1
 }
 
