@@ -56,10 +56,11 @@ crowd-stress:
 # against a naive oracle, and on top of it the plan cache across writes:
 # the randomized cached-vs-cold differential, concurrent readers against
 # a writer flipping the Buffalo ranking, a write landing mid-translation,
-# and the epoch tests.
+# the epoch tests, and a filler changing its result while exact hits
+# copy the entry.
 store-stress:
 	$(GO) test -race -count=3 -run 'TestShardedSnapshotStableUnderConcurrentPublish|TestShardedOldSnapshotSurvivesDeleteAll|TestShardedDifferentialOracle' ./internal/rdf/
-	$(GO) test -race -run 'TestDataEpochInvalidatesCachedPlans|TestDeletedEntityNeverResurrectedFromCache|TestAliasInvalidatesCachedPlans|TestTranslationReadsOneEpoch|TestCacheServesColdAcrossWrites|TestCacheConcurrentWritesServeTheirEpoch' ./internal/core/
+	$(GO) test -race -run 'TestDataEpochInvalidatesCachedPlans|TestDeletedEntityNeverResurrectedFromCache|TestAliasInvalidatesCachedPlans|TestTranslationReadsOneEpoch|TestCacheServesColdAcrossWrites|TestCacheConcurrentWritesServeTheirEpoch|TestCacheFillRace' ./internal/core/
 
 # perfbench-test vets and tests the benchmark in perfbench/, its own Go
 # module that the root `go test ./...` never builds, so a library change
@@ -138,6 +139,7 @@ agg-golden:
 fuzz-smoke:
 	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=20s ./internal/nlp/
 	$(GO) test -fuzz='^FuzzTokenize$$' -fuzztime=20s ./internal/nlp/
+	$(GO) test -fuzz='^FuzzRebindGuard$$' -fuzztime=20s ./internal/nlp/
 	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=20s ./internal/sparql/
 	$(GO) test -fuzz='^FuzzNTriplesRoundTrip$$' -fuzztime=20s ./internal/rdf/
 	$(GO) test -fuzz='^FuzzNormalize$$' -fuzztime=20s ./internal/ontology/

@@ -517,9 +517,10 @@ func (s *server) reqCtx(r *http.Request) (context.Context, context.CancelFunc) {
 // doTranslate runs one translation under the given context and, on
 // success, snapshots the result for the admin page. The lock covers
 // only that snapshot. Only the requested backends are emitted (the
-// default OASSIS-QL rendering is always available via Result.Query),
+// default OASSIS-QL rendering is always available via Result.Render),
 // and any admission-queue wait the request endured is prepended to the
-// trace as its own stage.
+// trace as its own stage: the Result is this request's own (see
+// Translator.Translate), even when the plan cache served it.
 func (s *server) doTranslate(ctx context.Context, question string, backends []string) (*nl2cm.Result, error) {
 	res, err := s.tr.Translate(ctx, question, nl2cm.Options{Trace: true, Backends: backends})
 	if err != nil {
@@ -583,7 +584,11 @@ func (s *server) buildPage(question string, res *nl2cm.Result) pageData {
 			Uncertain: x.Uncertain,
 		})
 	}
-	d.Query = res.Query.String()
+	// The default rendering is the query text; a plan-cache entry
+	// renders it once for all its exact hits.
+	if rend, err := res.Render(nl2cm.DefaultBackend); err == nil {
+		d.Query = rend.Query
+	}
 	return d
 }
 
@@ -902,20 +907,27 @@ func (s *server) apiTranslate(w http.ResponseWriter, r *http.Request) {
 		resp.Reason = res.Verdict.Reason
 		resp.Tips = res.Verdict.Tips
 	} else {
-		resp.Query = res.Query.String()
+		// One default rendering gives the query text and, unless another
+		// dialect was asked for, the rendering; a plan-cache entry
+		// renders it once for all its exact hits.
+		def, err := res.Render(nl2cm.DefaultBackend)
+		rend := def
+		if err == nil && backend != nl2cm.DefaultBackend {
+			rend, err = res.Render(backend)
+		}
+		if err != nil {
+			// The translation succeeded; only the requested dialect cannot
+			// express it. 422 keeps that distinct from a bad request.
+			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
+			return
+		}
+		resp.Query = def.Query
 		for _, x := range res.IXs {
 			resp.IXs = append(resp.IXs, ixRow{
 				Text:      x.Text(res.Graph),
 				Types:     strings.Join(x.Types, "+"),
 				Uncertain: x.Uncertain,
 			})
-		}
-		rend, err := res.Render(backend)
-		if err != nil {
-			// The translation succeeded; only the requested dialect cannot
-			// express it. 422 keeps that distinct from a bad request.
-			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-			return
 		}
 		resp.Rendering = rend
 	}

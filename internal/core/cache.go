@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -71,13 +71,15 @@ func (t *Translator) holds(e *cacheEntry, v *ontology.View) bool {
 }
 
 // translateCached serves one translation through the plan cache. It
-// pins one ontology view, canonicalizes the question to its shape on it,
-// and probes the cache (single-flight on misses). An entry found by a
-// hit or a completed flight is served only if it holds at the view;
-// otherwise it is dropped and refilled through the single flight, once.
-// A served entry is either reused (exact question) or rehydrated by
-// re-binding entity slots. Cold paths run the full pipeline on the view
-// and leave their result behind for the next same-shape question.
+// pins one ontology view, tokenizes the question once, canonicalizes it
+// to its shape on the view, and probes the cache (single-flight on
+// misses). An entry found by a hit or a completed flight is served only
+// if it holds at the view; otherwise it is dropped and refilled through
+// the single flight, once. A served entry is either reused (exact
+// question) or rehydrated by re-binding entity slots. Cold paths run the
+// full pipeline on the view and leave their result behind for the next
+// same-shape question. Every result returned is the caller's own copy:
+// the entry's result is never handed out.
 func (t *Translator) translateCached(ctx context.Context, question string, opt Options) (*Result, error) {
 	start := time.Now()
 	if opt.Observer != nil {
@@ -90,7 +92,8 @@ func (t *Translator) translateCached(ctx context.Context, question string, opt O
 	}
 
 	view := t.Onto.View()
-	shape := qcache.Canonicalize(question, view)
+	toks := nlp.Tokenize(question)
+	shape := qcache.CanonicalizeTokens(question, toks, view)
 	key := qcache.Key{
 		Shape:    shape.Key,
 		Backends: qcache.BackendKey(opt.Backends),
@@ -137,10 +140,18 @@ func (t *Translator) translateCached(ctx context.Context, question string, opt O
 					Duration: probe,
 				})
 			}
+			if res.Plan != nil {
+				// Exact hits serve this one OASSIS-QL rendering. The
+				// error is nil: OASSIS-QL expresses every plan.
+				res.oassis, _ = res.Render(emit.DefaultBackend)
+			}
 			entry := &cacheEntry{res: res, entities: shape.Entities}
 			entry.confirmed.Store(view.Version())
 			flight.Fulfill(entry)
-			return res, nil
+			// The caller may change its result (the daemon prepends its
+			// queue stage to the trace) while hits copy the entry's.
+			own := *res
+			return &own, nil
 		}
 
 		// Hit (direct, or via a completed flight).
@@ -150,12 +161,12 @@ func (t *Translator) translateCached(ctx context.Context, question string, opt O
 			return t.translate(ctx, view, question, opt)
 		}
 		if t.holds(entry, view) {
-			if res, served := t.serveHit(question, shape, entry, view, opt, start); served {
+			if res, served := t.serveHit(question, toks, shape, entry, view, opt, start); served {
 				endObs(nil)
 				return res, nil
 			}
 			// Same shape but not rebindable (filtered plan, unsupported
-			// verdict, parse hiccup): translate cold. The shape entry
+			// verdict, different parse): translate cold. The shape entry
 			// stays — exact repeats of either question still hit.
 			endObs(nil)
 			return t.translate(ctx, view, question, opt)
@@ -173,23 +184,24 @@ func (t *Translator) translateCached(ctx context.Context, question string, opt O
 }
 
 // serveHit builds a Result for the question from a cached entry. An
-// exact question repeat reuses the cached result wholesale; a same-shape
-// question with different entities gets a cloned, re-bound plan with
-// re-derived renderings and provenance.
-func (t *Translator) serveHit(question string, shape qcache.Shape, entry *cacheEntry, view *ontology.View, opt Options, start time.Time) (*Result, bool) {
+// exact question repeat copies the cached result. A same-shape question
+// with different entities gets a cloned, re-bound plan over its own
+// tokens (toks as Tokenize returns them; serveHit tags them in place),
+// with re-derived renderings and provenance; see Result for the fields
+// it leaves nil.
+func (t *Translator) serveHit(question string, toks []nlp.Token, shape qcache.Shape, entry *cacheEntry, view *ontology.View, opt Options, start time.Time) (*Result, bool) {
 	old := entry.res
 	if old.Question == question {
 		res := *old
 		res.CacheOutcome = "hit"
 		res.DataEpoch = view.Epoch()
+		res.Trace = nil
 		if opt.Trace {
 			res.Trace = []Stage{{
 				Module:   StagePlanCache,
-				Output:   fmt.Sprintf("hit (exact) — shape %q, data epoch %d", shape.Key, res.DataEpoch),
+				Output:   hitTrace(shape.Key, res.DataEpoch, -1, ""),
 				Duration: time.Since(start),
 			}}
-		} else {
-			res.Trace = nil
 		}
 		return &res, true
 	}
@@ -197,7 +209,9 @@ func (t *Translator) serveHit(question string, shape qcache.Shape, entry *cacheE
 	// Re-binding is only sound when every entity mention resolved
 	// unambiguously (guaranteed by shape equality), no filter could
 	// mention a substituted term, and the question parses as the cached
-	// one did (sameParse, below).
+	// one did: its tagged tokens agree with the cached graph's on all the
+	// dependency parser reads (nlp.DepGraph.WithTokens), so the cached
+	// heads and relations are the question's own parse.
 	if old.Plan == nil || !old.Verdict.Supported {
 		return nil, false
 	}
@@ -212,8 +226,9 @@ func (t *Translator) serveHit(question string, shape qcache.Shape, entry *cacheE
 	if len(shape.Entities) != len(entry.entities) {
 		return nil, false
 	}
-	g, err := nlp.Parse(question)
-	if err != nil || !sameParse(old.Graph, g) {
+	nlp.Tag(toks)
+	g, ok := old.Graph.WithTokens(toks, question)
+	if !ok {
 		return nil, false
 	}
 
@@ -225,22 +240,19 @@ func (t *Translator) serveHit(question string, shape qcache.Shape, entry *cacheE
 	plan.Question = question
 	plan.Rebind(sub)
 	// Shape equality guarantees identical token structure, so the cached
-	// token sets index the fresh parse correctly; only the byte-level
-	// views (source excerpts) need recomputing.
+	// token sets index the question's graph correctly; only the
+	// byte-level views (source excerpts) need recomputing.
 	rebindSources(plan, g)
 
 	res := &Result{
-		Question:         question,
-		DataEpoch:        view.Epoch(),
-		Verdict:          old.Verdict,
-		Graph:            g,
-		IXs:              old.IXs,
-		RejectedIXs:      old.RejectedIXs,
-		General:          old.General,
-		Parts:            old.Parts,
-		Plan:             plan,
-		Query:            emit.OassisQuery(plan),
-		ComposeDecisions: old.ComposeDecisions,
+		Question:    question,
+		DataEpoch:   view.Epoch(),
+		Verdict:     old.Verdict,
+		Graph:       g,
+		IXs:         old.IXs,
+		RejectedIXs: old.RejectedIXs,
+		Plan:        plan,
+		Query:       emit.OassisQuery(plan),
 	}
 	res.PureGeneral = len(res.Query.Satisfying) == 0
 	if len(opt.Backends) > 0 {
@@ -253,13 +265,12 @@ func (t *Translator) serveHit(question string, shape qcache.Shape, entry *cacheE
 			res.Renderings[name] = rend
 		}
 	}
-	res.buildProvenance()
+	res.buildProvenance(aggregateOrigin(old.General))
 	res.CacheOutcome = "rebound"
 	if opt.Trace {
 		res.Trace = []Stage{{
-			Module: StagePlanCache,
-			Output: fmt.Sprintf("hit (rebound %d entity slot(s)) — shape %q, data epoch %d, from %q",
-				len(sub), shape.Key, res.DataEpoch, old.Question),
+			Module:   StagePlanCache,
+			Output:   hitTrace(shape.Key, res.DataEpoch, len(sub), old.Question),
 			Duration: time.Since(start),
 		}}
 	}
@@ -267,27 +278,33 @@ func (t *Translator) serveHit(question string, shape qcache.Shape, entry *cacheE
 	return res, true
 }
 
-// sameParse reports whether two dependency graphs have the same
-// structure: equal tags, heads and relations node for node, and equal
-// extra edges. A same-shape question can still parse differently ("Is
-// grilled chicken good for kids?" against "Is chocolate milk good for
-// kids?"), and a plan rebound across different parses would differ
-// from the question's cold translation.
-func sameParse(a, b *nlp.DepGraph) bool {
-	if a == nil || len(a.Nodes) != len(b.Nodes) {
-		return false
+// hitTrace is the Plan Cache trace line of a served entry, built with
+// strconv appends in a stack buffer: `hit (exact) — shape "…", data
+// epoch N` for an exact hit (slots < 0), and for a rebind `hit (rebound
+// N entity slot(s)) — shape "…", data epoch N, from "…"`.
+func hitTrace(shape string, epoch uint64, slots int, from string) string {
+	var buf [512]byte
+	b := buf[:0]
+	if slots < 0 {
+		b = append(b, "hit (exact)"...)
+	} else {
+		b = append(b, "hit (rebound "...)
+		b = strconv.AppendInt(b, int64(slots), 10)
+		b = append(b, " entity slot(s))"...)
 	}
-	for i := range a.Nodes {
-		x, y := &a.Nodes[i], &b.Nodes[i]
-		if x.POS != y.POS || x.Head != y.Head || x.Rel != y.Rel {
-			return false
-		}
+	b = append(b, " — shape "...)
+	b = strconv.AppendQuote(b, shape)
+	b = append(b, ", data epoch "...)
+	b = strconv.AppendUint(b, epoch, 10)
+	if slots >= 0 {
+		b = append(b, ", from "...)
+		b = strconv.AppendQuote(b, from)
 	}
-	return slices.Equal(a.Extra, b.Extra)
+	return string(b)
 }
 
 // rebindSources recomputes every pattern's source excerpt against the
-// new question's parse.
+// new question's graph.
 func rebindSources(p *emit.Plan, g *nlp.DepGraph) {
 	fix := func(pats []emit.Pattern) {
 		for i := range pats {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -12,7 +13,9 @@ import (
 
 	"nl2cm/internal/corpus"
 	"nl2cm/internal/emit"
+	"nl2cm/internal/individual"
 	"nl2cm/internal/interact"
+	"nl2cm/internal/ix"
 	"nl2cm/internal/nlp"
 	"nl2cm/internal/ontology"
 	"nl2cm/internal/qcache"
@@ -22,23 +25,6 @@ import (
 // allBackends is every registered dialect, checked for byte-identity in
 // the differential tests.
 func allBackends() []string { return emit.Names() }
-
-// renderAll renders a result in every backend, failing the test on a
-// capability error only if the cold side rendered it too (capability
-// errors must match as well).
-func renderAll(t *testing.T, res *Result) map[string]string {
-	t.Helper()
-	out := map[string]string{}
-	for _, name := range allBackends() {
-		rend, err := res.Render(name)
-		if err != nil {
-			out[name] = "ERR: " + err.Error()
-			continue
-		}
-		out[name] = rend.Query
-	}
-	return out
-}
 
 // TestCacheDifferentialCorpus asserts that for every corpus question,
 // the translation served through the plan cache — first as the filling
@@ -72,11 +58,20 @@ func TestCacheDifferentialCorpus(t *testing.T) {
 	}
 }
 
+// compareResults compares a served result with the reference
+// translation: the OASSIS-QL query, every backend rendering (which pins
+// the plan), and every other exported field but Trace and CacheOutcome.
+// A rebound result must leave General, Parts, ComposeDecisions and
+// Interactions nil; the other outcomes must match the reference on
+// those too.
 func compareResults(t *testing.T, label string, want, got *Result) {
 	t.Helper()
 	if want.Verdict.Supported != got.Verdict.Supported {
 		t.Errorf("%s: supported %v vs %v", label, want.Verdict.Supported, got.Verdict.Supported)
 		return
+	}
+	if !reflect.DeepEqual(want.Verdict, got.Verdict) {
+		t.Errorf("%s: verdict %+v, cold %+v", label, got.Verdict, want.Verdict)
 	}
 	if !want.Verdict.Supported {
 		return
@@ -85,12 +80,100 @@ func compareResults(t *testing.T, label string, want, got *Result) {
 		t.Errorf("%s: OASSIS-QL differs:\ncold:\n%s\ncached:\n%s", label, w, g)
 		return
 	}
-	wr, gr := renderAll(t, want), renderAll(t, got)
+	// Every backend's rendering, clause provenance and notes included;
+	// a capability error must match as well.
 	for _, name := range allBackends() {
-		if wr[name] != gr[name] {
-			t.Errorf("%s: backend %s differs:\ncold:\n%s\ncached:\n%s", label, name, wr[name], gr[name])
+		wr, werr := want.Render(name)
+		gr, gerr := got.Render(name)
+		switch {
+		case fmt.Sprint(werr) != fmt.Sprint(gerr):
+			t.Errorf("%s: backend %s: error %v, cold %v", label, name, gerr, werr)
+		case werr == nil && !reflect.DeepEqual(wr, gr):
+			t.Errorf("%s: backend %s differs:\ncold:\n%s %+v\ncached:\n%s %+v", label, name, wr.Query, wr.Clauses, gr.Query, gr.Clauses)
 		}
 	}
+	if d := graphDiff(want.Graph, got.Graph); d != "" {
+		t.Errorf("%s: graph differs: %s", label, d)
+	}
+	if w, g := ixSummary(want.IXs), ixSummary(got.IXs); w != g {
+		t.Errorf("%s: IXs differ:\ncold:\n%s\ncached:\n%s", label, w, g)
+	}
+	if w, g := ixSummary(want.RejectedIXs), ixSummary(got.RejectedIXs); w != g {
+		t.Errorf("%s: rejected IXs differ:\ncold:\n%s\ncached:\n%s", label, w, g)
+	}
+	if want.Plan.Question != got.Plan.Question {
+		t.Errorf("%s: plan question %q, cold %q", label, got.Plan.Question, want.Plan.Question)
+	}
+	if !reflect.DeepEqual(want.Renderings, got.Renderings) {
+		t.Errorf("%s: requested renderings differ", label)
+	}
+	if !reflect.DeepEqual(want.Provenance, got.Provenance) {
+		t.Errorf("%s: provenance differs:\ncold:   %+v\ncached: %+v", label, want.ProvenanceRecords(), got.ProvenanceRecords())
+	}
+	if !reflect.DeepEqual(want.Uncovered, got.Uncovered) || !reflect.DeepEqual(want.CoverageTips, got.CoverageTips) {
+		t.Errorf("%s: uncovered %v, tips %q; cold %v, %q", label, got.Uncovered, got.CoverageTips, want.Uncovered, want.CoverageTips)
+	}
+	if want.PureGeneral != got.PureGeneral || want.DataEpoch != got.DataEpoch {
+		t.Errorf("%s: pure general %v at epoch %d; cold %v at %d", label, got.PureGeneral, got.DataEpoch, want.PureGeneral, want.DataEpoch)
+	}
+	if got.CacheOutcome == "rebound" {
+		if got.General != nil || got.Parts != nil || got.ComposeDecisions != nil || got.Interactions != nil {
+			t.Errorf("%s: rebound result carries the cached question's general part, parts, decisions or dialogue", label)
+		}
+		return
+	}
+	if !reflect.DeepEqual(want.General, got.General) || partsSummary(want.Parts) != partsSummary(got.Parts) ||
+		!reflect.DeepEqual(want.ComposeDecisions, got.ComposeDecisions) || !reflect.DeepEqual(want.Interactions, got.Interactions) {
+		t.Errorf("%s: general part, parts, decisions or dialogue differ from cold", label)
+	}
+}
+
+// graphDiff describes the first difference between two dependency
+// graphs: node count, any node (every token field, head, relation),
+// the extra edges, or the source; "" when they are equal.
+func graphDiff(a, b *nlp.DepGraph) string {
+	if a == nil || b == nil {
+		if a != b {
+			return fmt.Sprintf("graph %v vs %v", a, b)
+		}
+		return ""
+	}
+	if len(a.Nodes) != len(b.Nodes) {
+		return fmt.Sprintf("%d nodes vs %d", len(a.Nodes), len(b.Nodes))
+	}
+	for i := range a.Nodes {
+		if a.Nodes[i] != b.Nodes[i] {
+			return fmt.Sprintf("node %d: %+v vs %+v", i, a.Nodes[i], b.Nodes[i])
+		}
+	}
+	if !slices.Equal(a.Extra, b.Extra) {
+		return fmt.Sprintf("extra edges %v vs %v", a.Extra, b.Extra)
+	}
+	if a.Source != b.Source {
+		return fmt.Sprintf("source %q vs %q", a.Source, b.Source)
+	}
+	return ""
+}
+
+// partsSummary renders individual parts field by field, their IXs by
+// ixSummary.
+func partsSummary(parts []individual.Part) string {
+	var b strings.Builder
+	for _, p := range parts {
+		fmt.Fprintf(&b, "%s %v %v %q %v %v %v\n", strings.TrimSpace(ixSummary([]*ix.IX{p.IX})),
+			p.Triples, p.Origins, p.Description, p.Superlative, p.Habit, p.Majority)
+	}
+	return b.String()
+}
+
+// ixSummary renders IXs by what identifies them: anchor, nodes, types,
+// contributing pattern names and uncertainty.
+func ixSummary(ixs []*ix.IX) string {
+	var b strings.Builder
+	for _, x := range ixs {
+		fmt.Fprintf(&b, "%d %v %v %s %v\n", x.Anchor, x.Nodes, x.Types, patternNames(x), x.Uncertain)
+	}
+	return b.String()
 }
 
 // TestCacheRebindDifferential: a same-shape question with different
@@ -186,9 +269,29 @@ func TestCacheRebindDifferential(t *testing.T) {
 	}
 }
 
-// TestSameParse: the rebind guard compares node count, every node's tag,
-// head and relation, and the extra edges; a difference in any one of
-// them refuses the rebind.
+// sameParse reports whether two dependency graphs have the same
+// structure: equal tags, heads and relations node for node, and equal
+// extra edges. A same-shape question can still parse differently ("Is
+// grilled chicken good for kids?" against "Is chocolate milk good for
+// kids?"), and a plan rebound across different parses would differ
+// from the question's cold translation. It is the oracle of the
+// tag-level rebind guard, nlp.DepGraph.WithTokens.
+func sameParse(a, b *nlp.DepGraph) bool {
+	if a == nil || len(a.Nodes) != len(b.Nodes) {
+		return false
+	}
+	for i := range a.Nodes {
+		x, y := &a.Nodes[i], &b.Nodes[i]
+		if x.POS != y.POS || x.Head != y.Head || x.Rel != y.Rel {
+			return false
+		}
+	}
+	return slices.Equal(a.Extra, b.Extra)
+}
+
+// TestSameParse: the oracle compares node count, every node's tag, head
+// and relation, and the extra edges; a difference in any one of them
+// refuses the rebind.
 func TestSameParse(t *testing.T) {
 	base, err := nlp.Parse("Where do families eat near Delaware Park?")
 	if err != nil {
@@ -216,6 +319,85 @@ func TestSameParse(t *testing.T) {
 		if sameParse(base, &g) {
 			t.Errorf("parses differing in %s compared equal", name)
 		}
+	}
+}
+
+// TestRebindGuardAgreesWithParse runs the rebind guard over every
+// ordered pair of corpus questions and variants with equal token counts.
+// Whenever the guard accepts a question's tagged tokens over another's
+// graph, the graph it serves must equal the question's own parse, field
+// for field, and sameParse must hold.
+func TestRebindGuardAgreesWithParse(t *testing.T) {
+	onto := ontology.NewDemoOntology()
+	var texts []string
+	for _, q := range corpus.All() {
+		texts = append(texts, q.Text)
+	}
+	for _, pair := range corpusVariants(onto) {
+		texts = append(texts, pair[1])
+	}
+	graphs := make([]*nlp.DepGraph, len(texts))
+	for i, q := range texts {
+		graphs[i], _ = nlp.Parse(q)
+	}
+	pairs, accepted := 0, 0
+	for i, base := range graphs {
+		for j, want := range graphs {
+			if i == j || base == nil || want == nil || len(base.Nodes) != len(want.Nodes) {
+				continue
+			}
+			pairs++
+			toks := nlp.Tokenize(texts[j])
+			nlp.Tag(toks)
+			got, ok := base.WithTokens(toks, texts[j])
+			if !ok {
+				continue
+			}
+			accepted++
+			if d := graphDiff(want, got); d != "" || !sameParse(base, want) {
+				t.Fatalf("guard served %q over %q: %s", texts[j], texts[i], d)
+			}
+		}
+	}
+	t.Logf("%d same-length pairs, %d accepted", pairs, accepted)
+	if accepted == 0 {
+		t.Error("the guard accepted no pair")
+	}
+}
+
+// TestCacheFillRace: a filler that changes its result after Translate
+// (the daemon prepends its queue stage to the trace) must not race with
+// exact hits of the same entry. Run under -race.
+func TestCacheFillRace(t *testing.T) {
+	onto := ontology.NewDemoOntology()
+	tr := New(onto)
+	tr.Cache = qcache.New(16)
+	ctx := context.Background()
+	const q = "Where do families eat near Delaware Park?"
+	opt := Options{Trace: true}
+	res, err := tr.Translate(ctx, q, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error)
+	go func() {
+		for i := 0; i < 50; i++ {
+			hit, err := tr.Translate(ctx, q, opt)
+			if err == nil && (hit.CacheOutcome != "hit" || len(hit.Trace) != 1) {
+				err = fmt.Errorf("repeat %d: %s with %d trace stages, want a hit with 1", i, hit.CacheOutcome, len(hit.Trace))
+			}
+			if err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for i := 0; i < 50; i++ {
+		res.Trace = append([]Stage{{Module: StageQueue}}, res.Trace...)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }
 

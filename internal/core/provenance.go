@@ -8,6 +8,7 @@ import (
 	"nl2cm/internal/emit"
 	"nl2cm/internal/oassisql"
 	"nl2cm/internal/prov"
+	"nl2cm/internal/qgen"
 	"nl2cm/internal/rdf"
 	"nl2cm/internal/verify"
 )
@@ -15,8 +16,10 @@ import (
 // buildProvenance fills the Result's provenance views from the plan's
 // own pattern token sets: the triple→spans→text map, the
 // uncovered-token report, and its rephrasing tips. Cold and rebound
-// results alike derive them from the plan they return.
-func (r *Result) buildProvenance() {
+// results alike derive them from the plan they return. aggOrigin lists
+// the tokens of the counting quantifier the generator detected, if any
+// (aggregateOrigin).
+func (r *Result) buildProvenance(aggOrigin []int) {
 	r.Provenance = map[string]prov.Record{}
 	covered := prov.TokenSet{}
 	add := func(clause string, sub int, pat emit.Pattern) {
@@ -52,8 +55,8 @@ func (r *Result) buildProvenance() {
 	}
 	// A detected counting quantifier ("how many", "the most") was
 	// understood — it became the plan's analytic step, not a triple.
-	if r.General != nil && r.General.Aggregate != nil && r.Plan.Agg != nil {
-		understood = understood.Union(prov.NewTokenSet(r.General.Aggregate.Origin...))
+	if len(aggOrigin) > 0 && r.Plan.Agg != nil {
+		understood = understood.Union(prov.NewTokenSet(aggOrigin...))
 	}
 	for id := range r.Graph.Nodes {
 		n := &r.Graph.Nodes[id]
@@ -63,6 +66,17 @@ func (r *Result) buildProvenance() {
 		r.Uncovered = append(r.Uncovered, prov.TokenInfo{ID: id, Span: n.Span(), Text: n.Text})
 	}
 	r.CoverageTips = verify.CoverageTips(r.Question, r.Uncovered)
+}
+
+// aggregateOrigin returns the token indices of the counting quantifier
+// the generator detected, nil for none. A rebound result takes them from
+// its cache entry: token indices carry over between same-shape
+// questions.
+func aggregateOrigin(g *qgen.Result) []int {
+	if g == nil || g.Aggregate == nil {
+		return nil
+	}
+	return g.Aggregate.Origin
 }
 
 // isContentPOS reports whether the tag marks a content word whose loss

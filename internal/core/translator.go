@@ -68,9 +68,12 @@ type Result struct {
 	// user declined during verification.
 	IXs         []*ix.IX
 	RejectedIXs []*ix.IX
-	// General is the Query Generator output.
+	// General is the Query Generator output. A rebound result (see
+	// CacheOutcome) leaves it nil, and so Parts, ComposeDecisions and
+	// Interactions: they are the cached question's, and name its
+	// entities and tokens, not this question's.
 	General *qgen.Result
-	// Parts are the individual query parts.
+	// Parts are the individual query parts (nil on a rebound result).
 	Parts []individual.Part
 	// Plan is the backend-neutral logical query IR the composition
 	// assembled; every backend rendering (including Query) derives from
@@ -91,7 +94,8 @@ type Result struct {
 	// the source tokens, byte spans and question text it derives from.
 	Provenance map[string]prov.Record
 	// ComposeDecisions records, per general triple, why composition kept
-	// or dropped it (exact IX-overlap token sets).
+	// or dropped it (exact IX-overlap token sets); nil on a rebound
+	// result.
 	ComposeDecisions []compose.Decision
 	// Uncovered lists the question's content words that no emitted
 	// triple (nor any accepted IX) derives from.
@@ -110,8 +114,14 @@ type Result struct {
 	DataEpoch uint64
 	// Trace holds the admin-mode intermediate outputs.
 	Trace []Stage
-	// Interactions is the recorded dialogue transcript.
+	// Interactions is the recorded dialogue transcript (nil on a rebound
+	// result).
 	Interactions []interact.Exchange
+
+	// oassis is the OASSIS-QL rendering of Plan that a plan-cache entry
+	// memoizes when it is filled, so its exact hits render once; nil
+	// elsewhere.
+	oassis *emit.Rendering
 }
 
 // Translator is the NL2CM pipeline. Reuse one instance across requests so
@@ -216,6 +226,11 @@ func (s *stageRunner) run(name string, body func() (string, error)) error {
 // cache is installed (Translator.Cache) and the request is
 // non-interactive, the pipeline may be skipped entirely in favor of a
 // cached same-shape translation.
+//
+// The returned Result is the caller's to modify: a cached translation
+// is served as a copy, never as the object the cache holds. What its
+// fields point to (the graph, plan, IXs, maps) may be shared with the
+// cache and with other results, and must not be modified.
 func (t *Translator) Translate(ctx context.Context, question string, opt Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -352,7 +367,7 @@ func (t *Translator) translate(ctx context.Context, v *ontology.View, question s
 		res.Plan = out.Plan
 		res.Query = out.Query
 		res.ComposeDecisions = out.Decisions
-		res.buildProvenance()
+		res.buildProvenance(aggregateOrigin(res.General))
 		res.PureGeneral = len(res.Query.Satisfying) == 0
 		return res.Query.String(), nil
 	}); err != nil {
@@ -389,12 +404,16 @@ func (t *Translator) translate(ctx context.Context, v *ontology.View, question s
 }
 
 // Render returns the plan rendered in the named backend dialect,
-// reusing a rendering already produced via Options.Backends when
-// present. It fails with the backend's *emit.CapabilityError when the
-// plan uses a feature the dialect cannot express.
+// reusing a rendering already produced via Options.Backends, or the
+// OASSIS-QL rendering a plan-cache entry memoized, when present. It
+// fails with the backend's *emit.CapabilityError when the plan uses a
+// feature the dialect cannot express.
 func (r *Result) Render(backend string) (*emit.Rendering, error) {
 	if rend, ok := r.Renderings[backend]; ok {
 		return rend, nil
+	}
+	if backend == emit.DefaultBackend && r.oassis != nil {
+		return r.oassis, nil
 	}
 	if r.Plan == nil {
 		return nil, fmt.Errorf("nl2cm: no logical plan to render (unsupported or failed translation)")

@@ -241,13 +241,14 @@ func (e *Engine) Execute(ctx context.Context, q *oassisql.Query) (*Result, error
 }
 
 func (e *Engine) execute(ctx context.Context, q *oassisql.Query, x *crowdscale.Executor) (*Result, error) {
-	// Pin one store snapshot for the whole execution: the WHERE
-	// evaluation and the open-variable expansion below must agree on
-	// one epoch even while the daemon applies write batches.
-	snap := e.Onto.Snapshot()
+	// Pin one ontology view for the whole execution: the WHERE
+	// evaluation, the open-variable expansion and the task texts below
+	// must agree on one epoch even while the daemon applies write
+	// batches.
+	view := e.Onto.View()
 	// 1. WHERE against the ontology.
 	whereQ := &sparql.Query{Where: q.Where.Triples, Filters: q.Where.Filters, Limit: -1}
-	bindings, err := sparql.Eval(ctx, whereQ, snap, nil)
+	bindings, err := sparql.Eval(ctx, whereQ, view.Snapshot(), nil)
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return nil, &core.StageError{Stage: core.StageCrowd, Err: ctxErr}
@@ -277,7 +278,7 @@ func (e *Engine) execute(ctx context.Context, q *oassisql.Query, x *crowdscale.E
 			e.Observer.StageStart(stage)
 		}
 		scStart := time.Now()
-		scRes, kept, err := e.evalSubclause(ctx, i, sc, surviving, x, snap)
+		scRes, kept, err := e.evalSubclause(ctx, i, sc, surviving, x, view)
 		d := time.Since(scStart)
 		if e.Observer != nil {
 			e.Observer.StageEnd(stage, d, err)
@@ -341,9 +342,9 @@ type taskGroup struct {
 // evalSubclause grounds the subclause pattern under each binding, asks
 // the crowd (one task per distinct ground fact-set, answered by the
 // executor x), applies the significance criterion and returns the
-// surviving bindings.
-func (e *Engine) evalSubclause(ctx context.Context, idx int, sc oassisql.Subclause, bindings []sparql.Binding, x *crowdscale.Executor, snap *rdf.Snapshot) (*SubclauseResult, []sparql.Binding, error) {
-	expanded, err := e.expandOpenVars(sc, bindings, snap)
+// surviving bindings. Its ontology reads go to the execution's view.
+func (e *Engine) evalSubclause(ctx context.Context, idx int, sc oassisql.Subclause, bindings []sparql.Binding, x *crowdscale.Executor, view *ontology.View) (*SubclauseResult, []sparql.Binding, error) {
+	expanded, err := e.expandOpenVars(sc, bindings, view)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -364,7 +365,7 @@ func (e *Engine) evalSubclause(ctx context.Context, idx int, sc oassisql.Subclau
 				Binding:  b,
 				Triples:  ground,
 				Key:      key,
-				Question: e.Verbalize(ground),
+				Question: verbalize(view, ground),
 			}}
 			byKey[key] = g
 			groups = append(groups, g)
@@ -478,7 +479,7 @@ var verbDomains = map[string]string{
 // incoming rows expand: no rows (a WHERE that matched nothing, or an
 // earlier subclause that kept nothing) yield no rows, while a WHERE-less
 // query arrives as one empty row and expands fully.
-func (e *Engine) expandOpenVars(sc oassisql.Subclause, bindings []sparql.Binding, snap *rdf.Snapshot) ([]sparql.Binding, error) {
+func (e *Engine) expandOpenVars(sc oassisql.Subclause, bindings []sparql.Binding, view *ontology.View) ([]sparql.Binding, error) {
 	pvars := sc.Pattern.Vars()
 	anyOpen := false
 	for _, b := range bindings {
@@ -499,7 +500,7 @@ func (e *Engine) expandOpenVars(sc oassisql.Subclause, bindings []sparql.Binding
 	if limit <= 0 {
 		limit = 50
 	}
-	entities := e.candidateEntities(sc, limit, snap)
+	entities := e.candidateEntities(sc, limit, view)
 	maxRows := limit * limit
 	var out []sparql.Binding
 	for _, b := range bindings {
@@ -547,8 +548,9 @@ func (e *Engine) expandOpenVars(sc oassisql.Subclause, bindings []sparql.Binding
 // candidateEntities returns the entities an open variable ranges over:
 // the verb's domain class when known, otherwise everything with an
 // instanceOf fact, capped at limit. All reads run against the
-// execution's pinned snapshot.
-func (e *Engine) candidateEntities(sc oassisql.Subclause, limit int, snap *rdf.Snapshot) []rdf.Term {
+// execution's pinned view.
+func (e *Engine) candidateEntities(sc oassisql.Subclause, limit int, view *ontology.View) []rdf.Term {
+	snap := view.Snapshot()
 	var entities []rdf.Term
 	if class, ok := e.patternDomain(sc); ok {
 		entities = e.Onto.InstancesOfAt(snap, class)
@@ -556,7 +558,7 @@ func (e *Engine) candidateEntities(sc oassisql.Subclause, limit int, snap *rdf.S
 	if len(entities) == 0 {
 		seen := map[rdf.Term]bool{}
 		snap.MatchFunc(rdf.T(rdf.NewVar("s"), ontology.PredInstanceOf, rdf.NewVar("c")), func(t rdf.Triple) bool {
-			if !seen[t.S] && !e.Onto.IsClass(t.S) {
+			if !seen[t.S] && !view.IsClass(t.S) {
 				seen[t.S] = true
 				entities = append(entities, t.S)
 			}
@@ -626,9 +628,13 @@ func project(bindings []sparql.Binding, sel oassisql.SelectClause) []sparql.Bind
 }
 
 // Verbalize renders a ground fact-set as the natural-language question
-// posed to crowd members, using ontology labels: habit patterns become
-// frequency questions, label patterns become agreement questions.
-func (e *Engine) Verbalize(ground []rdf.Triple) string {
+// posed to crowd members, using the labels of the ontology's current
+// view: habit patterns become frequency questions, label patterns
+// become agreement questions. An execution verbalizes its tasks with
+// the labels of the view it pinned.
+func (e *Engine) Verbalize(ground []rdf.Triple) string { return verbalize(e.Onto.View(), ground) }
+
+func verbalize(view *ontology.View, ground []rdf.Triple) string {
 	label := func(t rdf.Term) string {
 		if t.IsLiteral() {
 			return t.Value()
@@ -638,7 +644,7 @@ func (e *Engine) Verbalize(ground []rdf.Triple) string {
 			// variable in object position reads as "something".
 			return "something"
 		}
-		return e.Onto.Label(t)
+		return view.Label(t)
 	}
 	// Label (opinion) pattern: {X hasLabel "adj"} (+ extra triples).
 	var opinion *rdf.Triple

@@ -3,6 +3,7 @@ package crowd
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -104,7 +105,7 @@ func TestExpandOpenVarsHeterogeneousBindings(t *testing.T) {
 		{"x": ontology.E("Delaware_Park"), "y": ontology.E("Fall")},
 		{}, // open row
 	}
-	out, err := eng.expandOpenVars(sc, bindings, eng.Onto.Snapshot())
+	out, err := eng.expandOpenVars(sc, bindings, eng.Onto.View())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,5 +504,68 @@ func TestApplySignificance(t *testing.T) {
 	}
 	if _, err := applySignificance(0, oassisql.Subclause{}, []float64{0.1}); err == nil {
 		t.Error("missing criterion accepted")
+	}
+}
+
+// stageStarts adapts a start-of-stage callback to core.Observer.
+type stageStarts func(stage string)
+
+func (f stageStarts) StageStart(stage string)             { f(stage) }
+func (stageStarts) StageEnd(string, time.Duration, error) {}
+
+// TestExecutionReadsOneView lands a store batch while an execution runs,
+// at the start of its first subclause. The batch gives an entity the
+// open variable ranges over a new primary label, and makes another a
+// class. The execution pinned its view before the batch, so its tasks
+// (their texts included) and bindings must be those of an execution
+// over an ontology the batch never touched.
+func TestExecutionReadsOneView(t *testing.T) {
+	th := 0.1
+	q := &oassisql.Query{
+		Select: oassisql.SelectClause{All: true},
+		Satisfying: []oassisql.Subclause{{
+			// "admire" has no domain class, so $x ranges over every
+			// non-class entity.
+			Pattern:   oassisql.Pattern{Triples: []rdf.Triple{rdf.T(rdf.NewVar("_anon1"), rdf.NewIRI("admire"), rdf.NewVar("x"))}},
+			Threshold: &th,
+		}},
+	}
+	run := func(batch bool) string {
+		eng := demoEngine()
+		eng.OpenVarLimit = 1000
+		if batch {
+			eng.Observer = stageStarts(func(stage string) {
+				if stage != "SATISFYING 1" {
+					return
+				}
+				if _, _, _, err := eng.Onto.Store.Apply(rdf.Batch{Insert: []rdf.Triple{
+					rdf.T(ontology.E("Delaware_Park"), ontology.PredLabel, rdf.NewLiteral("AAA Delaware Park")),
+					rdf.T(ontology.E("Canalside"), ontology.PredSubClassOf, ontology.E("Place")),
+				}}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		res, err := eng.Execute(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, sc := range res.Subclauses {
+			for _, task := range sc.Tasks {
+				fmt.Fprintf(&b, "%s %q %v %v\n", task.Key, task.Question, task.Support, task.Significant)
+			}
+		}
+		for _, row := range res.Bindings {
+			fmt.Fprintln(&b, sparql.BindingKey(row))
+		}
+		return b.String()
+	}
+	want, got := run(false), run(true)
+	if !strings.Contains(want, "Delaware Park") || !strings.Contains(want, "Canalside") {
+		t.Fatalf("fixture: the execution reads neither entity:\n%s", want)
+	}
+	if got != want {
+		t.Errorf("a batch landing mid-execution changed it:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }

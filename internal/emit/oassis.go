@@ -57,27 +57,29 @@ func OassisQuery(p *Plan) *oassisql.Query {
 
 // Emit implements Backend.
 func (OassisBackend) Emit(p *Plan) (*Rendering, error) {
-	r := &Rendering{Backend: "oassisql", Query: OassisQuery(p).String()}
-	for _, pat := range p.Where {
+	n := len(p.Where)
+	for _, cc := range p.Crowd {
+		n += len(cc.Patterns)
+	}
+	r := &Rendering{Backend: "oassisql", Query: OassisQuery(p).String(), Clauses: make([]Clause, 0, n)}
+	add := func(pat Pattern, clause string, sub int) {
+		// The fragment is the pattern's neutral form: one text for both.
+		text := oassisql.TripleString(pat.Triple)
 		r.Clauses = append(r.Clauses, Clause{
-			Fragment:  oassisql.TripleString(pat.Triple),
-			Pattern:   oassisql.TripleString(pat.Triple),
-			Clause:    ClauseWhere,
-			Subclause: -1,
+			Fragment:  text,
+			Pattern:   text,
+			Clause:    clause,
+			Subclause: sub,
 			Tokens:    pat.Tokens,
 			Source:    pat.Source,
 		})
 	}
+	for _, pat := range p.Where {
+		add(pat, ClauseWhere, -1)
+	}
 	for si, cc := range p.Crowd {
 		for _, pat := range cc.Patterns {
-			r.Clauses = append(r.Clauses, Clause{
-				Fragment:  oassisql.TripleString(pat.Triple),
-				Pattern:   oassisql.TripleString(pat.Triple),
-				Clause:    ClauseSatisfying,
-				Subclause: si,
-				Tokens:    pat.Tokens,
-				Source:    pat.Source,
-			})
+			add(pat, ClauseSatisfying, si)
 		}
 	}
 	return r, nil

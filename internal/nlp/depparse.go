@@ -2,6 +2,7 @@ package nlp
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -16,6 +17,11 @@ import (
 // graph.go. The tree is rooted at the main predicate; relative-clause
 // verbs additionally assign their gap role to the modified noun through
 // Extra edges, keeping the tree acyclic.
+//
+// The parser reads of each token only what sameParseInput compares, and
+// writes only heads, relations and extra edges; DepGraph.WithTokens
+// relies on both, so a rule that reads another token field must be
+// added there too.
 func ParseDependencies(tokens []Token) (*DepGraph, error) {
 	if len(tokens) == 0 {
 		return nil, fmt.Errorf("nlp: empty sentence")
@@ -31,6 +37,62 @@ func ParseDependencies(tokens []Token) (*DepGraph, error) {
 		return nil, fmt.Errorf("nlp: parse produced invalid graph: %w", err)
 	}
 	return p.g, nil
+}
+
+// WithTokens returns the graph ParseDependencies would build over
+// tokens, made from g without parsing: tokens must be tagged (Tag), and
+// when they agree node for node with g's tokens on everything the
+// parser reads of a token (sameParseInput), the parse is determined, so
+// the result is tokens as they are with g's heads, relations and extra
+// edges, and source as its Source. Otherwise it reports false. The plan
+// cache serves a same-shape question's graph this way.
+func (g *DepGraph) WithTokens(tokens []Token, source string) (*DepGraph, bool) {
+	if len(tokens) == 0 || len(tokens) != len(g.Nodes) {
+		return nil, false
+	}
+	for i := range tokens {
+		if !sameParseInput(&g.Nodes[i].Token, &tokens[i]) {
+			return nil, false
+		}
+	}
+	// The extra edges are shared: clipped, so an append to either graph's
+	// copies them first.
+	out := &DepGraph{Nodes: make([]Node, len(tokens)), Extra: slices.Clip(g.Extra), Source: source}
+	for i := range tokens {
+		out.Nodes[i] = Node{Token: tokens[i], Head: g.Nodes[i].Head, Rel: g.Nodes[i].Rel}
+	}
+	return out, true
+}
+
+// sameParseInput reports whether ParseDependencies reads the same of two
+// tagged tokens: the tag; whether the token is punctuation, a comma or
+// "that"; and which lemma test it passes (not, be, do, have, a temporal
+// noun).
+func sameParseInput(a, b *Token) bool {
+	if a.POS != b.POS {
+		return false
+	}
+	if a.Text == b.Text {
+		// Lower is a function of Text, and Tag's Lemma of Lower and POS.
+		return true
+	}
+	return a.IsPunct() == b.IsPunct() &&
+		(a.Text == ",") == (b.Text == ",") &&
+		(a.Lower == "that") == (b.Lower == "that") &&
+		lemmaTest(a.Lemma) == lemmaTest(b.Lemma)
+}
+
+// lemmaTest names the one lemma test of the parser a lemma passes, ""
+// for none.
+func lemmaTest(lemma string) string {
+	switch lemma {
+	case "not", "be", "do", "have":
+		return lemma
+	}
+	if temporalNouns[lemma] {
+		return "temporal"
+	}
+	return ""
 }
 
 // chunk kinds.

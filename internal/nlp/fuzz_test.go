@@ -87,3 +87,52 @@ func FuzzTokenize(f *testing.F) {
 		}
 	})
 }
+
+// FuzzRebindGuard checks DepGraph.WithTokens against a full parse. The
+// variant is b when it has as many tokens as a, else a with its token
+// k%n replaced by b. Whenever the guard accepts the variant's tagged
+// tokens over a's graph, the graph it serves must equal Parse of the
+// variant: every token field, head, relation and extra edge, and the
+// source.
+func FuzzRebindGuard(f *testing.F) {
+	pairs := [][2]string{
+		{"Where do families eat near Delaware Park?", "Where do families eat near Central Park?"},
+		{"Is chocolate milk good for kids?", "Is grilled chicken good for kids?"},
+		{"What are the most interesting places near Forest Hotel, Buffalo, we should visit in the fall?", "spring"},
+		{"Which restaurants near Woodlawn Beach do locals recommend?", "Niagara"},
+		{"Where do you eat that is not far?", "be"},
+		{"Should my kids swim at Woodlawn Beach in the summer?", "Should my kids swim at Woodlawn Beach in the morning?"},
+		{"Which hotel that has a pool do you like?", "what"},
+	}
+	for i, p := range pairs {
+		f.Add(p[0], p[1], uint8(i))
+	}
+	f.Fuzz(func(t *testing.T, a, b string, k uint8) {
+		base, err := Parse(a)
+		if err != nil {
+			return
+		}
+		n := len(base.Nodes)
+		variant := b
+		if len(Tokenize(b)) != n {
+			tok := base.Nodes[int(k)%n].Token
+			variant = a[:tok.Start] + b + a[tok.End:]
+		}
+		toks := Tokenize(variant)
+		if len(toks) != n {
+			return
+		}
+		Tag(toks)
+		got, ok := base.WithTokens(toks, variant)
+		if !ok {
+			return
+		}
+		want, err := Parse(variant)
+		if err != nil {
+			t.Fatalf("guard accepted %q over %q, but Parse fails: %v", variant, a, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("guard accepted %q over %q:\nserved:\n%s\nparsed:\n%s", variant, a, got, want)
+		}
+	})
+}

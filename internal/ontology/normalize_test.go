@@ -1,21 +1,23 @@
 package ontology
 
 import (
+	"math"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
-// refNormalize is the lookup key as it was computed before
-// appendNormalized: one intermediate string per step.
+// refNormalize is the lookup key as it was computed before KeyBuilder:
+// one intermediate string per step.
 func refNormalize(s string) string {
 	s = strings.ToLower(strings.TrimSpace(s))
 	s = strings.ReplaceAll(s, ",", " ")
 	return strings.Join(strings.Fields(s), " ")
 }
 
-// FuzzNormalize checks normalize against refNormalize, and the byte
-// limit of appendNormalized: it reports true exactly when the key fits,
-// and then appends the same key after whatever dst already holds.
+// FuzzNormalize checks normalize against refNormalize, and KeyBuilder:
+// its byte limit reports true exactly when the key fits, and appending
+// s in two pieces split at a rune boundary builds the key of s.
 func FuzzNormalize(f *testing.F) {
 	for _, s := range []string{"", "Forest Hotel, Buffalo, NY", "İstanbul", "\xff", "\u0085", "\u00a0", ",,"} {
 		f.Add(s, 8)
@@ -28,20 +30,32 @@ func FuzzNormalize(f *testing.F) {
 		if limit < 0 {
 			limit = -(limit + 1) // no overflow at math.MinInt
 		}
-		got, ok := appendNormalized([]byte("prefix"), s, limit)
+		var b KeyBuilder
+		got, ok := b.Append(nil, s, limit)
 		if ok != (len(want) <= limit) {
-			t.Fatalf("appendNormalized(%q, limit %d) ok = %v, key has %d bytes", s, limit, ok, len(want))
+			t.Fatalf("Append(%q, limit %d) ok = %v, key has %d bytes", s, limit, ok, len(want))
 		}
-		if ok && string(got) != "prefix"+want {
-			t.Fatalf("appendNormalized(%q) = %q, want %q", s, got, "prefix"+want)
+		if ok && string(got) != want {
+			t.Fatalf("Append(%q) = %q, want %q", s, got, want)
+		}
+		// Split at a rune boundary chosen by limit.
+		cut := limit % (len(s) + 1)
+		for cut > 0 && cut < len(s) && !utf8.RuneStart(s[cut]) {
+			cut--
+		}
+		b = KeyBuilder{}
+		got, _ = b.Append(nil, s[:cut], math.MaxInt)
+		got, _ = b.Append(got, s[cut:], math.MaxInt)
+		if string(got) != want {
+			t.Fatalf("Append(%q) then Append(%q) = %q, want %q", s[:cut], s[cut:], got, want)
 		}
 	})
 }
 
-// ResolveEntity is the plan cache's per-n-gram probe: it must not
-// allocate, whether the phrase resolves, is ambiguous, misses, or
-// normalizes to a key longer than any label. A phrase whose key is
-// exactly as long as the longest label key must still resolve.
+// ResolveEntity and ResolveKey must not allocate, whether the phrase
+// resolves, is ambiguous, misses, or normalizes to a key longer than
+// any label. A phrase whose key is exactly as long as the longest label
+// key must still resolve.
 func TestResolveEntityAllocs(t *testing.T) {
 	o := NewDemoOntology()
 	if d := o.View(); len(normalize("Forest Hotel, Buffalo, NY")) != d.maxKey {
@@ -63,6 +77,13 @@ func TestResolveEntityAllocs(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(100, func() { o.ResolveEntity(c.phrase) }); n != 0 {
 			t.Errorf("ResolveEntity(%q) made %v allocations, want 0", c.phrase, n)
+		}
+		v, key := o.View(), []byte(normalize(c.phrase))
+		if _, ok := v.ResolveKey(key); ok != c.resolve {
+			t.Fatalf("ResolveKey(%q) ok = %v, want %v", key, ok, c.resolve)
+		}
+		if n := testing.AllocsPerRun(100, func() { v.ResolveKey(key) }); n != 0 {
+			t.Errorf("ResolveKey(%q) made %v allocations, want 0", key, n)
 		}
 	}
 }

@@ -123,7 +123,7 @@ type View struct {
 	// labels maps normalized full labels to entities (exact matches).
 	labels map[string][]rdf.Term
 	// maxKey is the byte length of the longest labels key: a phrase whose
-	// key is longer cannot match, so ResolveEntity stops normalizing it.
+	// key is longer cannot match, so key building stops past it.
 	maxKey int
 	// words maps individual label words to entities (partial matches).
 	words map[string][]rdf.Term
@@ -360,52 +360,64 @@ func (o *Ontology) Alias(term rdf.Term, label string) {
 // normalize returns the lookup key of a label or phrase.
 func normalize(s string) string {
 	var buf [64]byte
-	key, _ := appendNormalized(buf[:0], s, math.MaxInt)
+	var b KeyBuilder
+	key, _ := b.Append(buf[:0], s, math.MaxInt)
 	return string(key)
 }
 
-// appendNormalized appends the lookup key of s to dst: s lower-cased and
-// split into fields at white space and commas, the fields joined by
-// single spaces. ASCII bytes are handled bytewise; other bytes are
-// decoded rune by rune, and an invalid byte becomes U+FFFD, as
-// strings.ToLower writes it. Once the key would exceed limit bytes it
-// stops and reports false.
-func appendNormalized(dst []byte, s string, limit int) ([]byte, bool) {
-	base := len(dst)
-	sep := false // a field has ended and another may follow
+// KeyBuilder grows the lookup key of a phrase from consecutive pieces
+// of its text: appending a and then b builds the key of a+b, so a caller
+// that extends a phrase token by token normalizes each byte once. A key
+// is the text lower-cased and split into fields at white space and
+// commas, the fields joined by single spaces. Pieces must split the
+// text at rune boundaries. The zero value starts an empty key.
+type KeyBuilder struct {
+	sep bool // a field has ended and another may follow
+}
+
+// Append appends the key bytes of s to key, the key this builder has
+// built so far, and returns the longer key. ASCII bytes are handled
+// bytewise; other bytes are decoded rune by rune, and an invalid byte
+// becomes U+FFFD, as strings.ToLower writes it. Once the key would
+// exceed limit bytes it stops and reports false; the key is then
+// unusable. A caller's stack buffer keeps short keys off the heap.
+func (b *KeyBuilder) Append(key []byte, s string, limit int) ([]byte, bool) {
+	sep := b.sep
 	for i := 0; i < len(s); {
 		c := s[i]
 		if c < utf8.RuneSelf {
 			i++
 			if c == ' ' || c == ',' || '\t' <= c && c <= '\r' {
-				sep = len(dst) > base
+				sep = len(key) > 0
 				continue
 			}
 			if 'A' <= c && c <= 'Z' {
 				c += 'a' - 'A'
 			}
 			if sep {
-				dst, sep = append(dst, ' '), false
+				key, sep = append(key, ' '), false
 			}
-			dst = append(dst, c)
+			key = append(key, c)
 		} else {
 			r, size := utf8.DecodeRuneInString(s[i:])
 			i += size
 			r = unicode.ToLower(r)
 			if unicode.IsSpace(r) {
-				sep = len(dst) > base
+				sep = len(key) > 0
 				continue
 			}
 			if sep {
-				dst, sep = append(dst, ' '), false
+				key, sep = append(key, ' '), false
 			}
-			dst = utf8.AppendRune(dst, r)
+			key = utf8.AppendRune(key, r)
 		}
-		if len(dst)-base > limit {
-			return dst, false
+		if len(key) > limit {
+			b.sep = sep
+			return key, false
 		}
 	}
-	return dst, true
+	b.sep = sep
+	return key, true
 }
 
 // Description returns the disambiguation string for an entity.
@@ -426,6 +438,14 @@ func (o *Ontology) Lookup(phrase string) []Candidate { return o.View().Lookup(ph
 func (o *Ontology) ResolveEntity(phrase string) (rdf.Term, bool) {
 	return o.View().ResolveEntity(phrase)
 }
+
+// MaxKey returns the current view's longest label key length (see
+// View.MaxKey).
+func (o *Ontology) MaxKey() int { return o.View().MaxKey() }
+
+// ResolveKey resolves a lookup key in the current view (see
+// View.ResolveKey).
+func (o *Ontology) ResolveKey(key []byte) (rdf.Term, bool) { return o.View().ResolveKey(key) }
 
 // Classes returns all classes of the current view, sorted.
 func (o *Ontology) Classes() []rdf.Term { return o.View().Classes() }
@@ -500,21 +520,34 @@ func (v *View) Lookup(phrase string) []Candidate {
 
 // ResolveEntity resolves a phrase that exactly (after normalization)
 // labels exactly one non-class term — the condition under which the
-// phrase is an unambiguous, feedback-independent entity mention. It is
-// the shape-canonicalization hook of the plan cache (qcache): ambiguous
-// labels like "Buffalo" and class words like "restaurant" return false
-// and stay literal in a question's shape key. A freshly inserted entity
-// resolves in the first view built after its batch.
+// phrase is an unambiguous, feedback-independent entity mention.
+// Ambiguous labels like "Buffalo" and class words like "restaurant"
+// return false. A freshly inserted entity resolves in the first view
+// built after its batch.
 //
-// It is the plan cache's per-n-gram probe, so it allocates nothing: the
-// key is built in a stack buffer, and a phrase whose key outgrows the
-// longest label key is rejected before it is fully normalized.
+// It allocates nothing: the key is built in a stack buffer, and a
+// phrase whose key outgrows the longest label key is rejected before it
+// is fully normalized.
 func (v *View) ResolveEntity(phrase string) (rdf.Term, bool) {
 	var buf [64]byte
-	key, ok := appendNormalized(buf[:0], phrase, v.maxKey)
+	var b KeyBuilder
+	key, ok := b.Append(buf[:0], phrase, v.maxKey)
 	if !ok {
 		return rdf.Term{}, false
 	}
+	return v.ResolveKey(key)
+}
+
+// MaxKey returns the byte length of the view's longest label key: a key
+// that grows past it resolves nothing, and neither does any extension
+// of its phrase.
+func (v *View) MaxKey() int { return v.maxKey }
+
+// ResolveKey is ResolveEntity for a phrase already normalized to its
+// lookup key (KeyBuilder). It is the plan cache's per-n-gram probe
+// (qcache), which grows one key per n-gram start instead of normalizing
+// every n-gram from scratch; it allocates nothing.
+func (v *View) ResolveKey(key []byte) (rdf.Term, bool) {
 	ts := v.labels[string(key)]
 	if len(ts) != 1 || v.classes[ts[0]] {
 		return rdf.Term{}, false

@@ -36,18 +36,23 @@ import (
 	"sync"
 
 	"nl2cm/internal/nlp"
+	"nl2cm/internal/ontology"
 	"nl2cm/internal/rdf"
 )
 
-// EntityResolver resolves a surface phrase to the single entity it
-// unambiguously names. Phrases naming several entities (the three
-// "Buffalo"s) or classes ("restaurant") must return false: ambiguous
-// mentions stay literal in the shape key, because their resolution can
-// depend on learned feedback or dialogue, and class words are query
-// structure, not bindable slots. *ontology.View implements it, and so
-// does *ontology.Ontology, through its current view.
+// EntityResolver resolves lookup keys (phrases normalized by
+// ontology.KeyBuilder) to the single entity each unambiguously names.
+// Keys naming several entities (the three "Buffalo"s) or classes
+// ("restaurant") must return false: ambiguous mentions stay literal in
+// the shape key, because their resolution can depend on learned
+// feedback or dialogue, and class words are query structure, not
+// bindable slots. *ontology.View implements it, and so does
+// *ontology.Ontology, through its current view.
 type EntityResolver interface {
-	ResolveEntity(phrase string) (rdf.Term, bool)
+	// MaxKey is the byte length of the longest key that resolves.
+	MaxKey() int
+	// ResolveKey resolves a key; it must not retain it.
+	ResolveKey(key []byte) (rdf.Term, bool)
 }
 
 // Binding is one entity slot of a shape, in question order.
@@ -81,18 +86,25 @@ const maxMentionTokens = 8
 // Buffalo" binds the aliased hotel rather than "Forest Hotel" plus a
 // dangling ", Buffalo".
 func Canonicalize(question string, res EntityResolver) Shape {
-	toks := nlp.Tokenize(question)
+	return CanonicalizeTokens(question, nlp.Tokenize(question), res)
+}
+
+// CanonicalizeTokens is Canonicalize over the question's tokens, as
+// nlp.Tokenize returns them, for a caller that reads the tokens again.
+// It reads their spans and Lower fields only.
+func CanonicalizeTokens(question string, toks []nlp.Token, res EntityResolver) Shape {
 	var b strings.Builder
 	// The key is about the question's length, plus the spaces that
 	// separate its punctuation tokens.
 	b.Grow(len(question) + len(toks))
 	var ents []Binding
+	m := mentions{question: question, res: res, maxKey: res.MaxKey(), key: make([]byte, 0, 64)}
 	for i := 0; i < len(toks); {
-		n := matchMention(question, toks, i, res, &ents)
 		if b.Len() > 0 {
 			b.WriteByte(' ')
 		}
-		if n > 0 {
+		if n, t := m.longest(toks[i:]); n > 0 {
+			ents = append(ents, Binding{Phrase: question[toks[i].Start:toks[i+n-1].End], Term: t})
 			b.WriteString("⟨e")
 			b.WriteString(strconv.Itoa(n))
 			b.WriteString("⟩")
@@ -105,21 +117,37 @@ func Canonicalize(question string, res EntityResolver) Shape {
 	return Shape{Key: b.String(), Entities: ents}
 }
 
-// matchMention tries the longest entity mention starting at token i,
-// appending its binding and returning the token count (0 when none).
-func matchMention(question string, toks []nlp.Token, i int, res EntityResolver, ents *[]Binding) int {
-	max := maxMentionTokens
-	if rest := len(toks) - i; rest < max {
-		max = rest
-	}
-	for n := max; n >= 1; n-- {
-		phrase := question[toks[i].Start:toks[i+n-1].End]
-		if t, ok := res.ResolveEntity(phrase); ok {
-			*ents = append(*ents, Binding{Phrase: phrase, Term: t})
-			return n
+// mentions finds entity mentions in one question. Its key buffer serves
+// every n-gram start; the resolver does not retain it.
+type mentions struct {
+	question string
+	res      EntityResolver
+	maxKey   int
+	key      []byte
+}
+
+// longest returns the token count of the longest entity mention that
+// starts at toks[0], and the entity it names (0 when none). The
+// mention's key grows one token at a time: each byte is normalized
+// once, and the growth stops once the key is longer than any key that
+// resolves.
+func (m *mentions) longest(toks []nlp.Token) (int, rdf.Term) {
+	var kb ontology.KeyBuilder
+	m.key = m.key[:0]
+	best, term := 0, rdf.Term{}
+	from := toks[0].Start
+	for n := 1; n <= min(len(toks), maxMentionTokens); n++ {
+		var ok bool
+		m.key, ok = kb.Append(m.key, m.question[from:toks[n-1].End], m.maxKey)
+		if !ok {
+			break
+		}
+		from = toks[n-1].End
+		if t, ok := m.res.ResolveKey(m.key); ok {
+			best, term = n, t
 		}
 	}
-	return 0
+	return best, term
 }
 
 // BackendKey canonicalizes a backend list into a key component: sorted,

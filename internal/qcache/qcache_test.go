@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -315,13 +317,43 @@ func TestSingleFlightWaiterCancellation(t *testing.T) {
 	}
 }
 
+// refCanonicalize is canonicalization as it was before n-gram keys grew
+// token by token: at each token, every n-gram up to maxMentionTokens,
+// longest first, normalized from scratch and resolved through
+// View.ResolveEntity. It is the oracle of FuzzCanonicalize.
+func refCanonicalize(question string, v *ontology.View) Shape {
+	toks := nlp.Tokenize(question)
+	var parts []string
+	var ents []Binding
+	for i := 0; i < len(toks); {
+		n := 0
+		for m := min(maxMentionTokens, len(toks)-i); m >= 1; m-- {
+			phrase := question[toks[i].Start:toks[i+m-1].End]
+			if t, ok := v.ResolveEntity(phrase); ok {
+				ents = append(ents, Binding{Phrase: phrase, Term: t})
+				n = m
+				break
+			}
+		}
+		if n > 0 {
+			parts = append(parts, "⟨e"+strconv.Itoa(n)+"⟩")
+			i += n
+			continue
+		}
+		parts = append(parts, toks[i].Lower)
+		i++
+	}
+	return Shape{Key: strings.Join(parts, " "), Entities: ents}
+}
+
 // FuzzCanonicalize checks shape canonicalization over arbitrary input:
-// it never panics, the key holds one ⟨eN⟩ marker per binding (beyond
-// any the question's own tokens spell), each binding's phrase occurs in
-// the question after the previous one, and each phrase resolves to the
-// binding's term.
+// it never panics and returns the shape refCanonicalize computes; the
+// key holds one ⟨eN⟩ marker per binding (beyond any the question's own
+// tokens spell), each binding's phrase occurs in the question after the
+// previous one, and each phrase resolves to the binding's term.
 func FuzzCanonicalize(f *testing.F) {
 	onto := ontology.NewDemoOntology()
+	view := onto.View()
 	for _, s := range []string{
 		"Where do families eat near Delaware Park?",
 		"What is near Forest Hotel, Buffalo?",
@@ -330,12 +362,17 @@ func FuzzCanonicalize(f *testing.F) {
 		"delaware park delaware park, CENTRAL PARK",
 		"near ⟨e1⟩ Canalside",
 		"",
-		"\xff Delaware Park",
+		"\xff Delaware Park",
+		"Forest  HOTEL ,Buffalo,NY",
+		"Anchor Bar's wings can't beat Delaware Park.",
 	} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, q string) {
-		s := Canonicalize(q, onto)
+		s := Canonicalize(q, view)
+		if ref := refCanonicalize(q, view); !reflect.DeepEqual(s, ref) {
+			t.Fatalf("Canonicalize(%q) = %+v, oracle %+v", q, s, ref)
+		}
 		want := len(s.Entities)
 		for _, tok := range nlp.Tokenize(q) {
 			want += strings.Count(tok.Lower, "⟨e")
