@@ -64,7 +64,7 @@ func BenchmarkP9_ScaleLookup(b *testing.B) {
 	for _, triples := range []int{10_000, 100_000} {
 		b.Run(fmt.Sprintf("triples=%d", triples), func(b *testing.B) {
 			onto := synthFor(triples)
-			gen := qgen.New(onto)
+			gen := qgen.New()
 			q := class7NearQuery()
 			ctx := context.Background()
 			b.ReportAllocs()

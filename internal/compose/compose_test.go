@@ -26,8 +26,8 @@ func build(t *testing.T, sentence string) Input {
 	if err != nil {
 		t.Fatalf("Detect: %v", err)
 	}
-	gen := qgen.New(ontology.NewDemoOntology())
-	res, err := gen.Generate(context.Background(), gen.Onto.View(), g, qgen.Options{})
+	gen := qgen.New()
+	res, err := gen.Generate(context.Background(), ontology.NewDemoOntology().View(), g, qgen.Options{})
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}

@@ -48,12 +48,11 @@ func (t *Translator) epoch() uint64 {
 
 // holds reports whether the entry is what a translation of its question
 // would produce at the view v. The General Query Generator is the only
-// stage that reads the ontology. Its label lookups and ranked candidates
-// are logged; its relation lemmas are construction-time state outside
-// the view version (see ontology.Ontology), fixed before serving. So the
-// entry holds when it was confirmed at v, or when every logged read
-// replays on v to the candidates it returned. A replay that holds
-// records v's version, so later requests at v skip it.
+// stage that reads the ontology, and it logs every read it makes: label
+// lookups, ranked candidates and relation lemmas. So the entry holds
+// when it was confirmed at v, or when every logged read replays on v to
+// what it returned. A replay that holds records v's version, so later
+// requests at v skip it.
 func (t *Translator) holds(e *cacheEntry, v *ontology.View) bool {
 	ver := v.Version()
 	if e.confirmed.Load() == ver {
@@ -258,7 +257,7 @@ func (t *Translator) serveHit(question string, toks []nlp.Token, shape qcache.Sh
 	if len(opt.Backends) > 0 {
 		res.Renderings = make(map[string]*emit.Rendering, len(opt.Backends))
 		for _, name := range opt.Backends {
-			rend, err := emit.Emit(name, plan)
+			rend, err := res.Render(name)
 			if err != nil {
 				return nil, false
 			}

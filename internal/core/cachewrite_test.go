@@ -16,8 +16,9 @@ import (
 
 // TestCacheServesColdAcrossWrites is the randomized differential of the
 // plan cache against writes. A seeded loop over the demo ontology
-// interleaves store batches and Alias registrations with cached
-// translations of the corpus questions and their same-shape variants.
+// interleaves store batches and registrations (aliases, relation lemmas
+// and entity descriptions) with cached translations of the corpus
+// questions and their same-shape variants.
 // The batches add and remove labels (some sharing a word with a corpus
 // entity phrase, some taking a corpus entity's label away), a fourth
 // "Buffalo", subClassOf edges, and near triples that flip the degree
@@ -64,6 +65,12 @@ func TestCacheServesColdAcrossWrites(t *testing.T) {
 			continue
 		case r < 3:
 			w.alias(rng)
+			continue
+		case r < 4:
+			w.relation(rng)
+			continue
+		case r < 5:
+			w.describe(rng)
 			continue
 		}
 		q := questions[rng.Intn(len(questions))]
@@ -222,7 +229,7 @@ func compareProvenance(t *testing.T, label string, want, got *Result) {
 	}
 }
 
-// writer draws the randomized differential's store batches and Alias
+// writer draws the randomized differential's store batches and
 // registrations, keeping what it added so later batches can take it
 // away again.
 type writer struct {
@@ -337,4 +344,23 @@ func (w *writer) alias(rng *rand.Rand) {
 		return
 	}
 	w.onto.Alias(w.fresh(), w.words[rng.Intn(len(w.words))]+" Alias")
+}
+
+// relation registers a relation lemma, one corpus questions use or a
+// new one, for one of three predicates: later registrations remap it.
+func (w *writer) relation(rng *rand.Rand) {
+	lemmas := []string{"beside", "by", "in", "near", "at", "with"}
+	preds := []rdf.Term{ontology.PredNear, ontology.PredLocatedIn, ontology.PredMadeBy}
+	w.onto.AddRelation(preds[rng.Intn(len(preds))], lemmas[rng.Intn(len(lemmas))])
+}
+
+// describe registers a new description for an entity corpus questions
+// name, through AddEntity with the entity's current label.
+func (w *writer) describe(rng *rand.Rand) {
+	e := w.slots[rng.Intn(len(w.slots))]
+	labels := w.onto.Snapshot().Objects(e, ontology.PredLabel)
+	if len(labels) == 0 {
+		return // a batch took the label away
+	}
+	w.onto.AddEntity(e.Local(), labels[0].Value(), fmt.Sprintf("Quox description %d", rng.Intn(1000)), rdf.Term{})
 }

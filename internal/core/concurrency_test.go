@@ -48,7 +48,7 @@ func TestTranslateConcurrentShared(t *testing.T) {
 		t.Fatalf("concurrent Translate: %v", err)
 	}
 	recorded := false
-	for _, c := range tr.Onto.Lookup("Buffalo") {
+	for _, c := range tr.Onto.View().Lookup("Buffalo") {
 		if tr.Generator.Feedback.Boost("Buffalo", c.Term) > 0 {
 			recorded = true
 		}

@@ -114,6 +114,121 @@ func TestAliasInvalidatesCachedPlans(t *testing.T) {
 	}
 }
 
+// TestRelationInvalidatesCachedPlans: a relation lemma registered after
+// a question was cached can change its translation ("beside" becomes
+// the near relation), so the generator's relation lookups are replayed
+// like its entity lookups. The next request drops the entry and
+// translates cold.
+func TestRelationInvalidatesCachedPlans(t *testing.T) {
+	onto := ontology.NewDemoOntology()
+	tr := New(onto)
+	tr.Cache = qcache.New(16)
+	ctx := context.Background()
+	const q = "Which hotels are beside Delaware Park?"
+	var before *Result
+	for _, want := range []string{"miss", "hit"} {
+		res, err := tr.Translate(ctx, q, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CacheOutcome != want {
+			t.Fatalf("outcome = %q, want %q", res.CacheOutcome, want)
+		}
+		before = res
+	}
+	onto.AddRelation(ontology.PredNear, "beside")
+	got, err := tr.Translate(ctx, q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := New(onto).Translate(ctx, q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Query.String() == before.Query.String() {
+		t.Fatal("fixture: the lemma does not change the translation")
+	}
+	if got.CacheOutcome != "miss" || got.Query.String() != want.Query.String() {
+		t.Errorf("after the lemma: %s, query\n%s\nwant a miss, query\n%s", got.CacheOutcome, got.Query, want.Query)
+	}
+	if st := tr.Cache.Stats(); st.Stale != 1 {
+		t.Errorf("stats %+v, want 1 stale drop", st)
+	}
+}
+
+// TestRegistrationsRaceCachedTranslations runs one goroutine that
+// registers aliases and relation lemmas, flipping "beside" between two
+// predicates, while eight translate through one plan cache; run it with
+// -race. Each finished translation lets the writer make one more
+// registration, so registrations land among the translations; once the
+// readers are done, every question is served as a cold translation
+// gives it.
+func TestRegistrationsRaceCachedTranslations(t *testing.T) {
+	questions := []string{
+		"Which hotels are beside Delaware Park?",
+		"Where do families eat near Delaware Park?",
+		"Which parks are in Buffalo?",
+		"What are the most interesting places near Forest Hotel, Buffalo, we should visit in the fall?",
+	}
+	onto := ontology.NewDemoOntology()
+	tr := New(onto)
+	tr.Cache = qcache.New(64)
+	ctx := context.Background()
+	const readers, reads = 8, 30
+	tick, stop := make(chan struct{}, 1), make(chan struct{})
+	var writer, wg sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		preds := []rdf.Term{ontology.PredNear, ontology.PredLocatedIn}
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			case <-tick:
+			}
+			if i%2 == 0 {
+				onto.Alias(ontology.E("Delaware_Park"), fmt.Sprintf("Park Alias %d", i))
+			} else {
+				onto.AddRelation(preds[i/2%2], "beside")
+			}
+		}
+	}()
+	wg.Add(readers)
+	for r := 0; r < readers; r++ {
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; i < reads; i++ {
+				if _, err := tr.Translate(ctx, questions[(r+i)%len(questions)], Options{}); err != nil {
+					t.Error(err)
+					return
+				}
+				select {
+				case tick <- struct{}{}:
+				default: // the writer has a registration pending already
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	close(stop)
+	writer.Wait()
+	for _, q := range questions {
+		got, err := tr.Translate(ctx, q, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := New(onto).Translate(ctx, q, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Query.String() != want.Query.String() {
+			t.Errorf("%q served %s:\n%s\nwant:\n%s", q, got.CacheOutcome, got.Query, want.Query)
+		}
+	}
+	t.Logf("cache %+v", tr.Cache.Stats())
+}
+
 // TestTranslationReadsOneEpoch lands a batch while a translation runs,
 // at the start of its generator stage. The batch makes Buffalo,_WY the
 // best-connected Buffalo. The translation must equal the cold

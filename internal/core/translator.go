@@ -9,10 +9,12 @@
 //
 // # Concurrency and cancellation
 //
-// A Translator is safe for concurrent use: the ontology, detector
-// patterns, vocabularies and composition defaults are read-only after
-// construction, and the only cross-request mutable state — the
-// disambiguation feedback store (qgen.Feedback) — locks internally.
+// A Translator is safe for concurrent use: each translation reads one
+// immutable ontology view, which store batches and registrations landing
+// meanwhile leave alone; detector patterns, vocabularies and composition
+// defaults are read-only after construction; and the translator's one
+// cross-request mutable state — the disambiguation feedback store
+// (qgen.Feedback) — locks internally.
 // Administrator reconfiguration (swapping patterns, vocabularies or the
 // feedback store) must be done before serving traffic, not while
 // translations are in flight. Per-request state (Options, the
@@ -153,7 +155,7 @@ func New(onto *ontology.Ontology) *Translator {
 	return &Translator{
 		Onto:      onto,
 		Detector:  ix.NewDetector(),
-		Generator: qgen.New(onto),
+		Generator: qgen.New(),
 		Creator:   &individual.Creator{},
 		Composer:  compose.New(),
 	}
@@ -383,7 +385,7 @@ func (t *Translator) translate(ctx context.Context, v *ontology.View, question s
 			res.Renderings = make(map[string]*emit.Rendering, len(opt.Backends))
 			var b strings.Builder
 			for _, name := range opt.Backends {
-				rend, err := emit.Emit(name, res.Plan)
+				rend, err := res.Render(name)
 				if err != nil {
 					return "", fmt.Errorf("rendering backend %q: %w", name, err)
 				}
@@ -405,18 +407,22 @@ func (t *Translator) translate(ctx context.Context, v *ontology.View, question s
 
 // Render returns the plan rendered in the named backend dialect,
 // reusing a rendering already produced via Options.Backends, or the
-// OASSIS-QL rendering a plan-cache entry memoized, when present. It
-// fails with the backend's *emit.CapabilityError when the plan uses a
-// feature the dialect cannot express.
+// OASSIS-QL rendering a plan-cache entry memoized, when present. The
+// OASSIS-QL rendering prints Query, which is that backend's structure of
+// Plan. It fails with the backend's *emit.CapabilityError when the plan
+// uses a feature the dialect cannot express.
 func (r *Result) Render(backend string) (*emit.Rendering, error) {
 	if rend, ok := r.Renderings[backend]; ok {
 		return rend, nil
 	}
-	if backend == emit.DefaultBackend && r.oassis != nil {
-		return r.oassis, nil
-	}
 	if r.Plan == nil {
 		return nil, fmt.Errorf("nl2cm: no logical plan to render (unsupported or failed translation)")
+	}
+	if backend == emit.DefaultBackend && r.Query != nil {
+		if r.oassis != nil {
+			return r.oassis, nil
+		}
+		return emit.OassisRendering(r.Plan, r.Query), nil
 	}
 	return emit.Emit(backend, r.Plan)
 }

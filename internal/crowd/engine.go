@@ -550,14 +550,13 @@ func (e *Engine) expandOpenVars(sc oassisql.Subclause, bindings []sparql.Binding
 // instanceOf fact, capped at limit. All reads run against the
 // execution's pinned view.
 func (e *Engine) candidateEntities(sc oassisql.Subclause, limit int, view *ontology.View) []rdf.Term {
-	snap := view.Snapshot()
 	var entities []rdf.Term
 	if class, ok := e.patternDomain(sc); ok {
-		entities = e.Onto.InstancesOfAt(snap, class)
+		entities = view.InstancesOf(class)
 	}
 	if len(entities) == 0 {
 		seen := map[rdf.Term]bool{}
-		snap.MatchFunc(rdf.T(rdf.NewVar("s"), ontology.PredInstanceOf, rdf.NewVar("c")), func(t rdf.Triple) bool {
+		view.Snapshot().MatchFunc(rdf.T(rdf.NewVar("s"), ontology.PredInstanceOf, rdf.NewVar("c")), func(t rdf.Triple) bool {
 			if !seen[t.S] && !view.IsClass(t.S) {
 				seen[t.S] = true
 				entities = append(entities, t.S)

@@ -57,11 +57,18 @@ func OassisQuery(p *Plan) *oassisql.Query {
 
 // Emit implements Backend.
 func (OassisBackend) Emit(p *Plan) (*Rendering, error) {
+	return OassisRendering(p, OassisQuery(p)), nil
+}
+
+// OassisRendering is the OASSIS-QL rendering of a plan whose query q
+// (OassisQuery(p)) the caller already holds: q's text, and one clause
+// per pattern.
+func OassisRendering(p *Plan, q *oassisql.Query) *Rendering {
 	n := len(p.Where)
 	for _, cc := range p.Crowd {
 		n += len(cc.Patterns)
 	}
-	r := &Rendering{Backend: "oassisql", Query: OassisQuery(p).String(), Clauses: make([]Clause, 0, n)}
+	r := &Rendering{Backend: "oassisql", Query: q.String(), Clauses: make([]Clause, 0, n)}
 	add := func(pat Pattern, clause string, sub int) {
 		// The fragment is the pattern's neutral form: one text for both.
 		text := oassisql.TripleString(pat.Triple)
@@ -82,5 +89,5 @@ func (OassisBackend) Emit(p *Plan) (*Rendering, error) {
 			add(pat, ClauseSatisfying, si)
 		}
 	}
-	return r, nil
+	return r
 }

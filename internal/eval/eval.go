@@ -11,6 +11,7 @@ package eval
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -253,6 +254,7 @@ func (n *NaiveDetector) Anchors(text string) (map[string]bool, error) {
 	if err != nil {
 		return nil, err
 	}
+	v := n.Onto.View()
 	out := map[string]bool{}
 	for i := range g.Nodes {
 		node := &g.Nodes[i]
@@ -262,20 +264,15 @@ func (n *NaiveDetector) Anchors(text string) (map[string]bool, error) {
 		if node.Lemma == "be" || node.Lemma == "do" || node.Lemma == "have" {
 			continue
 		}
-		if len(n.Onto.Lookup(node.Lemma)) > 0 {
-			continue
+		known := len(v.Lookup(node.Lemma)) > 0
+		// The lemma as a relation, or in a "rich in", "good for" style key.
+		for _, key := range []string{node.Lemma, node.Lemma + " in", node.Lemma + " for"} {
+			_, ok := v.LookupRelation(key)
+			known = known || ok
 		}
-		if _, ok := n.Onto.LookupRelation(node.Lemma); ok {
-			continue
+		if !known {
+			out[node.Lemma] = true
 		}
-		// "rich in", "good for" style keys
-		if _, ok := n.Onto.LookupRelation(node.Lemma + " in"); ok {
-			continue
-		}
-		if _, ok := n.Onto.LookupRelation(node.Lemma + " for"); ok {
-			continue
-		}
-		out[node.Lemma] = true
 	}
 	return out, nil
 }
@@ -363,26 +360,19 @@ type LearningPoint struct {
 // to improve the ranking of optional entities in subsequent user
 // interactions"). A simulated user repeatedly asks a question containing
 // the ambiguous phrase and always corrects the system to the intended
-// entity; after each round the intended entity's rank is recorded.
+// entity; after each round the intended entity's rank is recorded. Each
+// round reads one view.
 func FeedbackLearningCurve(onto *ontology.Ontology, question, phrase string,
 	intended rdf.Term, rounds int) ([]LearningPoint, error) {
-	gen := qgen.New(onto)
-	rank := func() (int, bool, error) {
-		cands := gen.RankCandidates(onto.View(), phrase)
-		for i, c := range cands {
-			if c.Term.Equal(intended) {
-				return i + 1, i == 0, nil
-			}
-		}
-		return 0, false, fmt.Errorf("eval: intended entity %v not a candidate of %q", intended, phrase)
-	}
+	gen := qgen.New()
 	var out []LearningPoint
 	for round := 0; round <= rounds; round++ {
-		r, top, err := rank()
-		if err != nil {
-			return nil, err
+		v := onto.View()
+		i := slices.IndexFunc(gen.RankCandidates(v, phrase), func(c ontology.Candidate) bool { return c.Term.Equal(intended) })
+		if i < 0 {
+			return nil, fmt.Errorf("eval: intended entity %v not a candidate of %q", intended, phrase)
 		}
-		out = append(out, LearningPoint{Round: round, Rank: r, AutoCorrect: top})
+		out = append(out, LearningPoint{Round: round, Rank: i + 1, AutoCorrect: i == 0})
 		if round == rounds {
 			break
 		}
@@ -392,8 +382,8 @@ func FeedbackLearningCurve(onto *ontology.Ontology, question, phrase string,
 		if err != nil {
 			return nil, err
 		}
-		pick := &intendedPicker{intended: intended, onto: onto}
-		_, err = gen.Generate(context.Background(), onto.View(), dg, qgen.Options{
+		pick := &intendedPicker{intended: intended, view: v}
+		_, err = gen.Generate(context.Background(), v, dg, qgen.Options{
 			Interactor: pick,
 			Policy:     interact.Policy{Ask: map[interact.Point]bool{interact.PointDisambiguation: true}},
 		})
@@ -411,11 +401,11 @@ func FeedbackLearningCurve(onto *ontology.Ontology, question, phrase string,
 }
 
 // intendedPicker is an Interactor that always chooses the option whose
-// description matches the intended entity's, and gives every other
-// question its default.
+// description matches the intended entity's in the view the generator
+// reads, and gives every other question its default.
 type intendedPicker struct {
 	intended rdf.Term
-	onto     *ontology.Ontology
+	view     *ontology.View
 	asked    bool
 }
 
@@ -425,7 +415,7 @@ func (p *intendedPicker) Ask(_ context.Context, q *interact.Question) (interact.
 		return q.DefaultAnswer(), nil
 	}
 	p.asked = true
-	want := p.onto.Description(p.intended)
+	want := p.view.Description(p.intended)
 	for i, o := range q.Choices {
 		if o.Description == want {
 			return interact.Answer{Choice: &i}, nil

@@ -25,8 +25,8 @@ func pipeline(t *testing.T, sentence string) (*nlp.DepGraph, []Part) {
 	if err != nil {
 		t.Fatalf("Detect: %v", err)
 	}
-	gen := qgen.New(ontology.NewDemoOntology())
-	res, err := gen.Generate(context.Background(), gen.Onto.View(), g, qgen.Options{})
+	gen := qgen.New()
+	res, err := gen.Generate(context.Background(), ontology.NewDemoOntology().View(), g, qgen.Options{})
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
@@ -215,8 +215,8 @@ func TestVariableAlignmentWithGeneralPart(t *testing.T) {
 	}
 	det := ix.NewDetector()
 	ixs, _ := det.Detect(context.Background(), g)
-	gen := qgen.New(ontology.NewDemoOntology())
-	res, _ := gen.Generate(context.Background(), gen.Onto.View(), g, qgen.Options{})
+	gen := qgen.New()
+	res, _ := gen.Generate(context.Background(), ontology.NewDemoOntology().View(), g, qgen.Options{})
 	parts, err := (&Creator{}).Create(context.Background(), g, ixs, res)
 	if err != nil {
 		t.Fatal(err)
@@ -239,8 +239,8 @@ func TestEmptyIXListYieldsNoParts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := qgen.New(ontology.NewDemoOntology())
-	res, _ := gen.Generate(context.Background(), gen.Onto.View(), g, qgen.Options{})
+	gen := qgen.New()
+	res, _ := gen.Generate(context.Background(), ontology.NewDemoOntology().View(), g, qgen.Options{})
 	parts, err := (&Creator{}).Create(context.Background(), g, nil, res)
 	if err != nil {
 		t.Fatal(err)
@@ -308,8 +308,8 @@ func TestWhObjectBecomesTarget(t *testing.T) {
 	}
 	det := ix.NewDetector()
 	ixs, _ := det.Detect(context.Background(), g)
-	gen := qgen.New(ontology.NewDemoOntology())
-	res, _ := gen.Generate(context.Background(), gen.Onto.View(), g, qgen.Options{})
+	gen := qgen.New()
+	res, _ := gen.Generate(context.Background(), ontology.NewDemoOntology().View(), g, qgen.Options{})
 	if _, err := (&Creator{}).Create(context.Background(), g, ixs, res); err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package nlp
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"nl2cm/internal/prov"
@@ -231,16 +232,47 @@ func (g *DepGraph) SubtreePhrase(i int) string {
 // String renders the graph in a CoNLL-like tabular format (used by the
 // administrator mode to display the NL Parser's intermediate output).
 func (g *DepGraph) String() string {
-	var b strings.Builder
+	// One builder, grown to fit every field plus each row's numbers and
+	// separators.
+	size := 0
 	for i := range g.Nodes {
 		n := &g.Nodes[i]
-		head := n.Head + 1
-		fmt.Fprintf(&b, "%d\t%s\t%s\t%s\t%d\t%s\n",
-			i+1, n.Text, n.Lemma, n.POS, head, n.Rel)
+		size += len(n.Text) + len(n.Lemma) + len(n.POS) + len(n.Rel) + 32
 	}
 	for _, e := range g.Extra {
-		fmt.Fprintf(&b, "#extra\t%s(%s-%d, %s-%d)\n",
-			e.Rel, g.Nodes[e.Head].Text, e.Head+1, g.Nodes[e.Dep].Text, e.Dep+1)
+		size += len(e.Rel) + len(g.Nodes[e.Head].Text) + len(g.Nodes[e.Dep].Text) + 48
+	}
+	var b strings.Builder
+	b.Grow(size)
+	var num [20]byte
+	writeInt := func(i int) { b.Write(strconv.AppendInt(num[:0], int64(i), 10)) }
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
+		writeInt(i + 1)
+		b.WriteByte('\t')
+		b.WriteString(n.Text)
+		b.WriteByte('\t')
+		b.WriteString(n.Lemma)
+		b.WriteByte('\t')
+		b.WriteString(n.POS)
+		b.WriteByte('\t')
+		writeInt(n.Head + 1)
+		b.WriteByte('\t')
+		b.WriteString(n.Rel)
+		b.WriteByte('\n')
+	}
+	for _, e := range g.Extra {
+		b.WriteString("#extra\t")
+		b.WriteString(e.Rel)
+		b.WriteByte('(')
+		b.WriteString(g.Nodes[e.Head].Text)
+		b.WriteByte('-')
+		writeInt(e.Head + 1)
+		b.WriteString(", ")
+		b.WriteString(g.Nodes[e.Dep].Text)
+		b.WriteByte('-')
+		writeInt(e.Dep + 1)
+		b.WriteString(")\n")
 	}
 	return b.String()
 }

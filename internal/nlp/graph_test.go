@@ -1,8 +1,11 @@
 package nlp
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"nl2cm/internal/corpus"
 )
 
 func mustParse(t *testing.T, s string) *DepGraph {
@@ -130,5 +133,47 @@ func TestSubtreeOrdered(t *testing.T) {
 	}
 	if len(sub) != g.Len() {
 		t.Errorf("root subtree covers %d of %d nodes", len(sub), g.Len())
+	}
+}
+
+// fprintfString is DepGraph.String as it was first written, one
+// fmt.Fprintf per row; it is the oracle of TestStringMatchesFprintf.
+func fprintfString(g *DepGraph) string {
+	var b strings.Builder
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
+		fmt.Fprintf(&b, "%d\t%s\t%s\t%s\t%d\t%s\n", i+1, n.Text, n.Lemma, n.POS, n.Head+1, n.Rel)
+	}
+	for _, e := range g.Extra {
+		fmt.Fprintf(&b, "#extra\t%s(%s-%d, %s-%d)\n",
+			e.Rel, g.Nodes[e.Head].Text, e.Head+1, g.Nodes[e.Dep].Text, e.Dep+1)
+	}
+	return b.String()
+}
+
+// TestStringMatchesFprintf: the CoNLL table of every corpus question's
+// graph, and of a hand-made graph with extra edges, non-ASCII text and a
+// two-digit node count, is byte for byte the Fprintf form's, built in
+// one allocation.
+func TestStringMatchesFprintf(t *testing.T) {
+	graphs := []*DepGraph{{}}
+	for _, q := range corpus.All() {
+		graphs = append(graphs, mustParse(t, q.Text))
+	}
+	long := mustParse(t, "Which cafés near the old harbour, the market and the museum do locals and tourists that visit often recommend?")
+	long.Extra = append(long.Extra, Edge{Head: 0, Dep: len(long.Nodes) - 1, Rel: "dobj"}, Edge{Head: 3, Dep: 1, Rel: ""})
+	graphs = append(graphs, long)
+	extras := 0
+	for _, g := range graphs {
+		extras += len(g.Extra)
+		if got, want := g.String(), fprintfString(g); got != want {
+			t.Errorf("String of %q:\n%s\nFprintf form:\n%s", g.Source, got, want)
+		}
+	}
+	if extras < 2 {
+		t.Errorf("only %d extra edges rendered", extras)
+	}
+	if n := testing.AllocsPerRun(50, func() { _ = long.String() }); n != 1 {
+		t.Errorf("String made %v allocations, want 1", n)
 	}
 }

@@ -2,6 +2,25 @@ package ontology
 
 import "nl2cm/internal/rdf"
 
+// addGeoRelations registers the GeoOntology's relation lemmas.
+func addGeoRelations(o *Ontology) {
+	o.AddRelation(PredNear, "near", "nearby", "close to", "around")
+	o.AddRelation(PredLocatedIn, "in", "located in", "within", "inside", "at")
+	o.AddRelation(PredHasFeature, "has", "have", "with", "offer")
+	o.AddRelation(PredServes, "serve", "serves")
+	o.AddRelation(PredInstanceOf, "instanceof", "instance of", "type of", "kind of")
+}
+
+// addEncyclopedicRelations registers the EncyclopedicOntology's relation
+// lemmas.
+func addEncyclopedicRelations(o *Ontology) {
+	o.AddRelation(PredRichIn, "rich in", "high in", "full of")
+	o.AddRelation(PredContains, "contain", "contains", "made of")
+	o.AddRelation(PredMadeBy, "made by", "by", "from")
+	o.AddRelation(PredGoodFor, "good for")
+	o.AddRelation(PredInstanceOf, "instanceof")
+}
+
 // NewGeoOntology builds the LinkedGeoData substitute: places, cities and
 // hotels around the paper's running example (Buffalo, NY), the demo's Las
 // Vegas questions, and deliberately ambiguous "Buffalo" entries that
@@ -28,12 +47,7 @@ func NewGeoOntology() *Ontology {
 	o.Alias(place, "attractions")
 	o.Alias(ride, "thrill ride")
 
-	// Relations.
-	o.AddRelation(PredNear, "near", "nearby", "close to", "around")
-	o.AddRelation(PredLocatedIn, "in", "located in", "within", "inside", "at")
-	o.AddRelation(PredHasFeature, "has", "have", "with", "offer")
-	o.AddRelation(PredServes, "serve", "serves")
-	o.AddRelation(PredInstanceOf, "instanceof", "instance of", "type of", "kind of")
+	addGeoRelations(o)
 
 	// Ambiguous Buffalos (the paper's Figure-4 example names NY and IL).
 	buffaloNY := o.AddEntity("Buffalo,_NY", "Buffalo", "city in New York, USA", city)
@@ -133,12 +147,7 @@ func NewEncyclopedicOntology() *Ontology {
 	o.Alias(food, "foods")
 	o.Alias(person, "people")
 
-	// Relations.
-	o.AddRelation(PredRichIn, "rich in", "high in", "full of")
-	o.AddRelation(PredContains, "contain", "contains", "made of")
-	o.AddRelation(PredMadeBy, "made by", "by", "from")
-	o.AddRelation(PredGoodFor, "good for")
-	o.AddRelation(PredInstanceOf, "instanceof")
+	addEncyclopedicRelations(o)
 
 	// Nutrients.
 	fiber := o.AddEntity("Fiber", "fiber", "dietary fiber", nutrient)

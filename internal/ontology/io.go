@@ -23,9 +23,9 @@ func (o *Ontology) WriteNTriples(w io.Writer) error {
 // ReadNTriples builds an ontology from N-Triples data, reconstructing
 // the lookup indexes: labels come from <label> triples, class membership
 // from subClassOf participation and instanceOf objects. Relation lemma
-// mappings are structural knowledge rather than data, so the standard
-// relation set is registered; descriptions are not representable in
-// plain triples and remain empty.
+// mappings are structural knowledge rather than data, so both source
+// ontologies' relation tables are registered, in the demo's merge order;
+// descriptions are not representable in plain triples and remain empty.
 func ReadNTriples(name string, r io.Reader) (*Ontology, error) {
 	triples, err := rdf.ParseNTriples(r)
 	if err != nil {
@@ -38,22 +38,9 @@ func ReadNTriples(name string, r io.Reader) (*Ontology, error) {
 	// Class membership and the label index derive from the store per
 	// epoch (subClassOf participation, instanceOf objects, <label>
 	// literals); nothing to reconstruct here.
-	registerStandardRelations(o)
+	addGeoRelations(o)
+	addEncyclopedicRelations(o)
 	return o, nil
-}
-
-// registerStandardRelations installs the NL surface lemmas for the
-// well-known predicates; they apply to any ontology in the namespace.
-func registerStandardRelations(o *Ontology) {
-	o.AddRelation(PredNear, "near", "nearby", "close to", "around")
-	o.AddRelation(PredLocatedIn, "in", "located in", "within", "inside", "at")
-	o.AddRelation(PredHasFeature, "has", "have", "with", "offer")
-	o.AddRelation(PredServes, "serve", "serves")
-	o.AddRelation(PredRichIn, "rich in", "high in", "full of")
-	o.AddRelation(PredContains, "contain", "contains", "made of")
-	o.AddRelation(PredMadeBy, "made by", "by", "from")
-	o.AddRelation(PredGoodFor, "good for")
-	o.AddRelation(PredInstanceOf, "instanceof", "instance of", "type of", "kind of")
 }
 
 // Stats summarizes an ontology for admin displays.

@@ -9,6 +9,7 @@ package ontology
 
 import (
 	"cmp"
+	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -60,47 +61,41 @@ type Candidate struct {
 	IsClass bool
 }
 
-// Ontology is a labeled triple store with lookup indexes. The store is
-// mutable (epoch-snapshot sharded, see rdf.ShardedStore); the label,
-// word, primary-label and class indexes are derived from the store per
-// epoch, so a triple batch landed through the daemon is resolvable by
-// Lookup/ResolveEntity on the very next call — nothing answers from a
-// construction-time cache anymore. Every read goes through a View: one
-// derived index together with the snapshot it was built from.
+// Ontology is a mutable labeled triple store (epoch-snapshot sharded,
+// see rdf.ShardedStore) plus a registry of what plain triples cannot
+// carry: entity descriptions, relation lemmas, registered classes and
+// aliases. Every read goes through a View, the lookup index derived from
+// one store snapshot and one registry, so a batch or a registration
+// reaches the next View and no View pinned before it.
 type Ontology struct {
 	// Name identifies the ontology in admin-mode traces ("GeoOntology").
 	Name  string
 	Store *rdf.ShardedStore
 
-	// Registration-time state below is structural knowledge that plain
-	// triples cannot carry; it augments (never replaces) the per-epoch
-	// derived index. Registration is not safe concurrently with reads.
-	// AddClass and Alias bump regVersion, so the next view sees them.
-	// Descriptions and relations are construction-time state outside
-	// the view version: views share them, and no cached-plan replay
-	// covers them, so they are registered before the ontology serves
-	// translations.
+	// mu serializes registrations and view rebuilds; readers of a built
+	// view never take it.
+	mu sync.Mutex
+	// reg is the current registry. A registration changes it in place
+	// while no view holds it, as during construction, and otherwise
+	// changes a copy that replaces it, so a view never changes.
+	reg atomic.Pointer[registry]
+	// view is the latest view built. It is current while its snapshot
+	// epoch is the store's and its registry is reg.
+	view atomic.Pointer[View]
+}
 
+// registry is the registration state of an ontology.
+type registry struct {
 	// descriptions holds per-entity disambiguation strings.
 	descriptions map[rdf.Term]string
 	// relations maps lower-cased relation lemmas ("near", "located in")
 	// to predicates.
 	relations map[string]rdf.Term
-	// regClasses records classes registered via AddClass, which need no
+	// classes records classes registered via AddClass, which need no
 	// subClassOf/instanceOf participation to count as classes.
-	regClasses map[rdf.Term]bool
+	classes map[rdf.Term]bool
 	// aliases are extra lookup labels (Alias) with no store triple.
 	aliases []aliasEntry
-	// regVersion bumps on every registration-state mutation so the
-	// derived index is invalidated by Alias/AddClass as well as by a
-	// store epoch change.
-	regVersion atomic.Uint64
-
-	// view is the View for one (store epoch, regVersion) pair;
-	// rebuildMu serializes rebuilds without blocking readers of the
-	// current view.
-	view      atomic.Pointer[View]
-	rebuildMu sync.Mutex
 }
 
 type aliasEntry struct {
@@ -108,17 +103,40 @@ type aliasEntry struct {
 	term  rdf.Term
 }
 
+func (r *registry) clone() *registry {
+	return &registry{
+		descriptions: maps.Clone(r.descriptions),
+		relations:    maps.Clone(r.relations),
+		classes:      maps.Clone(r.classes),
+		aliases:      slices.Clone(r.aliases),
+	}
+}
+
+// registering returns the registry a registration may change, with o.mu
+// held: the current one unless the latest view, the only one that can,
+// holds it; then a copy that replaces it.
+func (o *Ontology) registering() *registry {
+	r := o.reg.Load()
+	if v := o.view.Load(); v != nil && v.reg == r {
+		r = r.clone()
+		o.reg.Store(r)
+	}
+	return r
+}
+
 // View is one pinned read of the ontology: the lookup index derived
-// from one store snapshot plus the registration state at one version,
-// together with that snapshot. A translation reads through one View, so
-// a batch that lands mid-translation cannot mix epochs into it. A View
-// is immutable and safe for concurrent use.
+// from one store snapshot and one registry, together with both. A
+// translation reads through one View, so neither a batch nor a
+// registration that lands mid-translation can mix into it. A View is
+// immutable and safe for concurrent use.
 type View struct {
-	snap       *rdf.Snapshot
-	regVersion uint64
+	snap *rdf.Snapshot
+	// reg is the registry the view was built from; no registration
+	// changes it afterwards.
+	reg *registry
 	// version numbers the views of one ontology in build order: it
-	// moves with every store epoch and every registration change, so
-	// two views with one version answer every read identically.
+	// moves with every store epoch and every registration, so two views
+	// with one version answer every read identically.
 	version uint64
 	// labels maps normalized full labels to entities (exact matches).
 	labels map[string][]rdf.Term
@@ -135,70 +153,59 @@ type View struct {
 	// term participating in subClassOf or appearing as an instanceOf
 	// object.
 	classes map[rdf.Term]bool
-	// descriptions is the ontology's registration-time map.
-	descriptions map[rdf.Term]string
 }
 
 // New returns an empty ontology with the given name.
 func New(name string) *Ontology {
-	return &Ontology{
-		Name:         name,
-		Store:        rdf.NewShardedStore(0),
+	o := &Ontology{Name: name, Store: rdf.NewShardedStore(0)}
+	o.reg.Store(&registry{
 		descriptions: map[rdf.Term]string{},
 		relations:    map[string]rdf.Term{},
-		regClasses:   map[rdf.Term]bool{},
-	}
+		classes:      map[rdf.Term]bool{},
+	})
+	return o
 }
 
-// Snapshot pins the current store epoch. Consumers that issue several
-// reads per query (the crowd engine, the sparql evaluator) hold one
-// Snapshot so concurrent batches cannot shift the data mid-query.
+// Snapshot pins the current store epoch. A reader of the lookup indexes
+// pins a View instead, which carries the snapshot it was built from.
 func (o *Ontology) Snapshot() *rdf.Snapshot { return o.Store.Snapshot() }
 
 // Epoch returns the store's current published epoch.
 func (o *Ontology) Epoch() uint64 { return o.Store.Epoch() }
 
-// View returns the view of the current (store epoch, registration
-// version), rebuilding the derived index if either moved since the last
-// rebuild.
+// View returns the view of the current store epoch and registry,
+// rebuilding the derived index if either moved since the last rebuild.
 func (o *Ontology) View() *View {
-	snap := o.Store.Snapshot()
-	rv := o.regVersion.Load()
-	if v := o.view.Load(); v != nil && v.snap.Epoch() == snap.Epoch() && v.regVersion == rv {
+	if v := o.view.Load(); v != nil && v.snap.Epoch() == o.Store.Snapshot().Epoch() && v.reg == o.reg.Load() {
 		return v
 	}
 	return o.rebuild()
 }
 
-// rebuild derives a view from the latest snapshot and registration
-// state. Concurrent callers rebuild once; readers keep using the
-// previous view until the new one is published.
+// rebuild derives a view from the latest snapshot and registry.
+// Concurrent callers rebuild once; readers keep using the previous view
+// until the new one is published.
 func (o *Ontology) rebuild() *View {
-	o.rebuildMu.Lock()
-	defer o.rebuildMu.Unlock()
+	o.mu.Lock()
+	defer o.mu.Unlock()
 	// Re-fetch inside the lock: another goroutine may have rebuilt, and
 	// the snapshot may have advanced while we waited.
-	snap := o.Store.Snapshot()
-	rv := o.regVersion.Load()
+	snap, reg := o.Store.Snapshot(), o.reg.Load()
 	prev := o.view.Load()
-	if prev != nil && prev.snap.Epoch() == snap.Epoch() && prev.regVersion == rv {
+	if prev != nil && prev.snap.Epoch() == snap.Epoch() && prev.reg == reg {
 		return prev
 	}
 	d := &View{
-		snap:         snap,
-		regVersion:   rv,
-		version:      1,
-		labels:       map[string][]rdf.Term{},
-		words:        map[string][]rdf.Term{},
-		primary:      map[rdf.Term]string{},
-		classes:      make(map[rdf.Term]bool, len(o.regClasses)),
-		descriptions: o.descriptions,
+		snap:    snap,
+		reg:     reg,
+		version: 1,
+		labels:  map[string][]rdf.Term{},
+		words:   map[string][]rdf.Term{},
+		primary: map[rdf.Term]string{},
+		classes: maps.Clone(reg.classes),
 	}
 	if prev != nil {
 		d.version = prev.version + 1
-	}
-	for c := range o.regClasses {
-		d.classes[c] = true
 	}
 	snap.MatchFunc(rdf.T(rdf.NewVar("s"), PredSubClassOf, rdf.NewVar("c")), func(t rdf.Triple) bool {
 		d.classes[t.S] = true
@@ -236,7 +243,7 @@ func (o *Ontology) rebuild() *View {
 		}
 	}
 	// Aliases are lookup-only: they never set a primary label.
-	for _, a := range o.aliases {
+	for _, a := range reg.aliases {
 		b.index(a.label, a.term)
 	}
 	o.view.Store(d)
@@ -250,9 +257,8 @@ func (v *View) Snapshot() *rdf.Snapshot { return v.snap }
 func (v *View) Epoch() uint64 { return v.snap.Epoch() }
 
 // Version numbers the ontology's views in build order. It moves with
-// every store epoch and with every Alias or AddClass registration, so
-// two views of one ontology with equal versions answer every read
-// identically.
+// every store epoch and with every registration, so two views of one
+// ontology with equal versions answer every read identically.
 func (v *View) Version() uint64 { return v.version }
 
 // indexBuilder fills a view's label and word postings during one
@@ -318,14 +324,16 @@ func (p *postings) add(key string, t rdf.Term) {
 
 // AddEntity registers an entity with its label, description and class.
 // The label lands in the store, so the lookup index derives it on the
-// next epoch rebuild.
+// next epoch rebuild; the description is a registration.
 func (o *Ontology) AddEntity(local, label, description string, class rdf.Term) rdf.Term {
 	e := E(local)
 	o.Store.AddTriple(e, PredLabel, rdf.NewLiteral(label))
 	if class.Value() != "" {
 		o.Store.AddTriple(e, PredInstanceOf, class)
 	}
-	o.descriptions[e] = description
+	o.mu.Lock()
+	o.registering().descriptions[e] = description
+	o.mu.Unlock()
 	return e
 }
 
@@ -336,15 +344,19 @@ func (o *Ontology) AddClass(local, label string, super rdf.Term) rdf.Term {
 	if super.Value() != "" {
 		o.Store.AddTriple(c, PredSubClassOf, super)
 	}
-	o.regClasses[c] = true
-	o.regVersion.Add(1)
+	o.mu.Lock()
+	o.registering().classes[c] = true
+	o.mu.Unlock()
 	return c
 }
 
 // AddRelation registers NL surface lemmas for a predicate.
 func (o *Ontology) AddRelation(pred rdf.Term, lemmas ...string) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	r := o.registering()
 	for _, l := range lemmas {
-		o.relations[strings.ToLower(l)] = pred
+		r.relations[strings.ToLower(l)] = pred
 	}
 }
 
@@ -353,8 +365,10 @@ func (o *Ontology) Add(s, p, oTerm rdf.Term) { o.Store.AddTriple(s, p, oTerm) }
 
 // Alias adds an extra lookup label for an existing term.
 func (o *Ontology) Alias(term rdf.Term, label string) {
-	o.aliases = append(o.aliases, aliasEntry{label, term})
-	o.regVersion.Add(1)
+	o.mu.Lock()
+	r := o.registering()
+	r.aliases = append(r.aliases, aliasEntry{label, term})
+	o.mu.Unlock()
 }
 
 // normalize returns the lookup key of a label or phrase.
@@ -420,35 +434,14 @@ func (b *KeyBuilder) Append(key []byte, s string, limit int) ([]byte, bool) {
 	return key, true
 }
 
-// Description returns the disambiguation string for an entity.
-func (o *Ontology) Description(t rdf.Term) string { return o.descriptions[t] }
-
 // Label returns the primary label of a term in the current view.
 func (o *Ontology) Label(t rdf.Term) string { return o.View().Label(t) }
-
-// IsClass reports whether the term is a class in the current view.
-func (o *Ontology) IsClass(t rdf.Term) bool { return o.View().IsClass(t) }
-
-// Lookup aligns an NL phrase with ontology terms in the current view
-// (see View.Lookup).
-func (o *Ontology) Lookup(phrase string) []Candidate { return o.View().Lookup(phrase) }
 
 // ResolveEntity resolves a phrase in the current view (see
 // View.ResolveEntity).
 func (o *Ontology) ResolveEntity(phrase string) (rdf.Term, bool) {
 	return o.View().ResolveEntity(phrase)
 }
-
-// MaxKey returns the current view's longest label key length (see
-// View.MaxKey).
-func (o *Ontology) MaxKey() int { return o.View().MaxKey() }
-
-// ResolveKey resolves a lookup key in the current view (see
-// View.ResolveKey).
-func (o *Ontology) ResolveKey(key []byte) (rdf.Term, bool) { return o.View().ResolveKey(key) }
-
-// Classes returns all classes of the current view, sorted.
-func (o *Ontology) Classes() []rdf.Term { return o.View().Classes() }
 
 // Label returns the primary label of a term, falling back to the IRI
 // local name. Labels added by any means — registration or a store
@@ -504,7 +497,7 @@ func (v *View) Lookup(phrase string) []Candidate {
 		out = append(out, Candidate{
 			Term:        t,
 			Label:       label,
-			Description: v.descriptions[t],
+			Description: v.reg.descriptions[t],
 			Score:       s,
 			IsClass:     v.classes[t],
 		})
@@ -565,24 +558,21 @@ func (v *View) Classes() []rdf.Term {
 	return out
 }
 
+// Description returns the disambiguation string registered for an
+// entity.
+func (v *View) Description(t rdf.Term) string { return v.reg.descriptions[t] }
+
 // LookupRelation aligns a relation lemma ("near", "in", "visit") with a
 // predicate, if the ontology models it.
-func (o *Ontology) LookupRelation(lemma string) (rdf.Term, bool) {
-	p, ok := o.relations[strings.ToLower(lemma)]
+func (v *View) LookupRelation(lemma string) (rdf.Term, bool) {
+	p, ok := v.reg.relations[strings.ToLower(lemma)]
 	return p, ok
 }
 
 // InstancesOf returns the instances of a class, including instances of
-// its subclasses (one transitive closure over subClassOf), within one
-// pinned snapshot.
-func (o *Ontology) InstancesOf(class rdf.Term) []rdf.Term {
-	return o.InstancesOfAt(o.Snapshot(), class)
-}
-
-// InstancesOfAt is InstancesOf evaluated against a caller-pinned
-// snapshot, for consumers (the crowd engine) that must keep several
-// reads on one epoch.
-func (o *Ontology) InstancesOfAt(snap *rdf.Snapshot, class rdf.Term) []rdf.Term {
+// its subclasses (one transitive closure over subClassOf), in the view's
+// snapshot.
+func (v *View) InstancesOf(class rdf.Term) []rdf.Term {
 	seen := map[rdf.Term]bool{}
 	var out []rdf.Term
 	var visit func(c rdf.Term)
@@ -592,13 +582,13 @@ func (o *Ontology) InstancesOfAt(snap *rdf.Snapshot, class rdf.Term) []rdf.Term 
 			return
 		}
 		visited[c] = true
-		for _, inst := range snap.Subjects(PredInstanceOf, c) {
+		for _, inst := range v.snap.Subjects(PredInstanceOf, c) {
 			if !seen[inst] {
 				seen[inst] = true
 				out = append(out, inst)
 			}
 		}
-		for _, sub := range snap.Subjects(PredSubClassOf, c) {
+		for _, sub := range v.snap.Subjects(PredSubClassOf, c) {
 			visit(sub)
 		}
 	}
@@ -645,27 +635,24 @@ func (o *Ontology) MaterializeInference() {
 	}
 }
 
-// Merge combines several ontologies into one view (the demo uses
+// Merge combines several ontologies into one (the demo uses
 // LinkedGeoData and DBPedia together). Later ontologies win on
-// description conflicts. Label/word/class indexes are not copied — they
-// re-derive from the merged store's first epoch.
+// description and relation conflicts. Label/word/class indexes are not
+// copied — they re-derive from the merged store's first epoch.
 func Merge(name string, parts ...*Ontology) *Ontology {
 	m := New(name)
+	r := m.reg.Load()
 	for _, p := range parts {
 		for _, t := range p.Store.All() {
 			m.Store.MustAdd(t)
 		}
-		for t, desc := range p.descriptions {
-			m.descriptions[t] = desc
-		}
-		for c := range p.regClasses {
-			m.regClasses[c] = true
-		}
-		m.aliases = append(m.aliases, p.aliases...)
-		for k, v := range p.relations {
-			m.relations[k] = v
-		}
+		p.mu.Lock()
+		pr := p.reg.Load()
+		maps.Copy(r.descriptions, pr.descriptions)
+		maps.Copy(r.classes, pr.classes)
+		r.aliases = append(r.aliases, pr.aliases...)
+		maps.Copy(r.relations, pr.relations)
+		p.mu.Unlock()
 	}
-	m.regVersion.Add(1)
 	return m
 }

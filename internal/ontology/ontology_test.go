@@ -9,7 +9,7 @@ import (
 
 func TestLookupExactLabel(t *testing.T) {
 	o := NewGeoOntology()
-	cands := o.Lookup("Delaware Park")
+	cands := o.View().Lookup("Delaware Park")
 	if len(cands) == 0 {
 		t.Fatal("no candidates for Delaware Park")
 	}
@@ -20,7 +20,7 @@ func TestLookupExactLabel(t *testing.T) {
 
 func TestLookupAmbiguousBuffalo(t *testing.T) {
 	o := NewGeoOntology()
-	cands := o.Lookup("Buffalo")
+	cands := o.View().Lookup("Buffalo")
 	// At least the three Buffalo cities must surface, all at top score.
 	top := map[string]bool{}
 	for _, c := range cands {
@@ -47,10 +47,10 @@ func TestLookupAmbiguousBuffalo(t *testing.T) {
 
 func TestLookupCaseAndPluralInsensitive(t *testing.T) {
 	o := NewGeoOntology()
-	if c := o.Lookup("PLACES"); len(c) == 0 || c[0].Term != E("Place") {
+	if c := o.View().Lookup("PLACES"); len(c) == 0 || c[0].Term != E("Place") {
 		t.Errorf("Lookup(PLACES) = %v", c)
 	}
-	if c := o.Lookup("place"); len(c) == 0 || c[0].Term != E("Place") || !c[0].IsClass {
+	if c := o.View().Lookup("place"); len(c) == 0 || c[0].Term != E("Place") || !c[0].IsClass {
 		t.Errorf("Lookup(place) = %v", c)
 	}
 }
@@ -63,7 +63,7 @@ func TestLookupForestHotelVariants(t *testing.T) {
 		"Forest Hotel, Buffalo, NY",
 		"forest hotel buffalo",
 	} {
-		cands := o.Lookup(phrase)
+		cands := o.View().Lookup(phrase)
 		if len(cands) == 0 {
 			t.Errorf("Lookup(%q) empty", phrase)
 			continue
@@ -76,10 +76,10 @@ func TestLookupForestHotelVariants(t *testing.T) {
 
 func TestLookupEmptyAndUnknown(t *testing.T) {
 	o := NewGeoOntology()
-	if c := o.Lookup(""); c != nil {
+	if c := o.View().Lookup(""); c != nil {
 		t.Errorf("Lookup(\"\") = %v", c)
 	}
-	if c := o.Lookup("zzzgarbage"); len(c) != 0 {
+	if c := o.View().Lookup("zzzgarbage"); len(c) != 0 {
 		t.Errorf("Lookup(zzzgarbage) = %v", c)
 	}
 }
@@ -94,19 +94,19 @@ func TestLookupRelation(t *testing.T) {
 		{"at", PredLocatedIn}, {"has", PredHasFeature},
 	}
 	for _, c := range cases {
-		got, ok := o.LookupRelation(c.lemma)
+		got, ok := o.View().LookupRelation(c.lemma)
 		if !ok || got != c.want {
 			t.Errorf("LookupRelation(%q) = %v, %v", c.lemma, got, ok)
 		}
 	}
-	if _, ok := o.LookupRelation("frobnicate"); ok {
+	if _, ok := o.View().LookupRelation("frobnicate"); ok {
 		t.Error("LookupRelation(frobnicate) ok = true")
 	}
 }
 
 func TestInstancesOfIncludesSubclasses(t *testing.T) {
 	o := NewGeoOntology()
-	places := o.InstancesOf(E("Place"))
+	places := o.View().InstancesOf(E("Place"))
 	want := map[string]bool{}
 	for _, p := range places {
 		want[p.Local()] = true
@@ -118,7 +118,7 @@ func TestInstancesOfIncludesSubclasses(t *testing.T) {
 		}
 	}
 	// Parks only.
-	parks := o.InstancesOf(E("Park"))
+	parks := o.View().InstancesOf(E("Park"))
 	for _, p := range parks {
 		if p.Local() == "Buffalo_Zoo" {
 			t.Error("InstancesOf(Park) contains the zoo")
@@ -174,18 +174,18 @@ func TestLabelFallsBackToLocalName(t *testing.T) {
 func TestMergeCombinesEverything(t *testing.T) {
 	m := NewDemoOntology()
 	// geo lookup works
-	if c := m.Lookup("Buffalo"); len(c) < 3 {
+	if c := m.View().Lookup("Buffalo"); len(c) < 3 {
 		t.Errorf("merged Lookup(Buffalo) = %d candidates", len(c))
 	}
 	// encyclopedic lookup works
-	if c := m.Lookup("chocolate milk"); len(c) == 0 || c[0].Term != E("Chocolate_Milk") {
+	if c := m.View().Lookup("chocolate milk"); len(c) == 0 || c[0].Term != E("Chocolate_Milk") {
 		t.Errorf("merged Lookup(chocolate milk) = %v", c)
 	}
 	// relations from both
-	if _, ok := m.LookupRelation("near"); !ok {
+	if _, ok := m.View().LookupRelation("near"); !ok {
 		t.Error("merged ontology lost geo relation")
 	}
-	if _, ok := m.LookupRelation("rich in"); !ok {
+	if _, ok := m.View().LookupRelation("rich in"); !ok {
 		t.Error("merged ontology lost encyclopedic relation")
 	}
 	if m.Store.Len() < NewGeoOntology().Store.Len() {
@@ -195,7 +195,7 @@ func TestMergeCombinesEverything(t *testing.T) {
 
 func TestClassesSortedAndFlagged(t *testing.T) {
 	o := NewGeoOntology()
-	cs := o.Classes()
+	cs := o.View().Classes()
 	if len(cs) < 8 {
 		t.Fatalf("only %d classes", len(cs))
 	}
@@ -204,35 +204,35 @@ func TestClassesSortedAndFlagged(t *testing.T) {
 			t.Fatal("Classes not sorted")
 		}
 	}
-	if !o.IsClass(E("Place")) || o.IsClass(E("Delaware_Park")) {
+	if !o.View().IsClass(E("Place")) || o.View().IsClass(E("Delaware_Park")) {
 		t.Error("IsClass flags wrong")
 	}
 }
 
 func TestDescriptionsPresentForAmbiguous(t *testing.T) {
 	o := NewGeoOntology()
-	if d := o.Description(E("Buffalo,_NY")); !strings.Contains(d, "New York") {
+	if d := o.View().Description(E("Buffalo,_NY")); !strings.Contains(d, "New York") {
 		t.Errorf("description = %q", d)
 	}
 }
 
 func TestAliasLookup(t *testing.T) {
 	o := NewGeoOntology()
-	if c := o.Lookup("Vegas"); len(c) == 0 || c[0].Term != E("Las_Vegas") {
+	if c := o.View().Lookup("Vegas"); len(c) == 0 || c[0].Term != E("Las_Vegas") {
 		t.Errorf("Lookup(Vegas) = %v", c)
 	}
-	if c := o.Lookup("autumn"); len(c) == 0 || c[0].Term != E("Fall") {
+	if c := o.View().Lookup("autumn"); len(c) == 0 || c[0].Term != E("Fall") {
 		t.Errorf("Lookup(autumn) = %v", c)
 	}
 }
 
 func TestSeasonEntities(t *testing.T) {
 	o := NewGeoOntology()
-	seasons := o.InstancesOf(E("Season"))
+	seasons := o.View().InstancesOf(E("Season"))
 	if len(seasons) != 4 {
 		t.Errorf("got %d seasons, want 4", len(seasons))
 	}
-	if c := o.Lookup("fall"); len(c) == 0 || c[0].Term != E("Fall") {
+	if c := o.View().Lookup("fall"); len(c) == 0 || c[0].Term != E("Fall") {
 		t.Errorf("Lookup(fall) = %v", c)
 	}
 }
@@ -251,20 +251,20 @@ func TestOntologyNTriplesRoundTrip(t *testing.T) {
 		t.Errorf("triples = %d, want %d", loaded.Store.Len(), orig.Store.Len())
 	}
 	// Label lookup survives the round trip.
-	cands := loaded.Lookup("Delaware Park")
+	cands := loaded.View().Lookup("Delaware Park")
 	if len(cands) == 0 || cands[0].Term != E("Delaware_Park") {
 		t.Errorf("Lookup after reload = %v", cands)
 	}
 	// Class membership reconstructed.
-	if !loaded.IsClass(E("Place")) || !loaded.IsClass(E("Park")) {
+	if !loaded.View().IsClass(E("Place")) || !loaded.View().IsClass(E("Park")) {
 		t.Error("classes not reconstructed")
 	}
 	// Standard relations usable.
-	if _, ok := loaded.LookupRelation("near"); !ok {
+	if _, ok := loaded.View().LookupRelation("near"); !ok {
 		t.Error("relations not registered")
 	}
 	// Subclass instances still reachable.
-	if n := len(loaded.InstancesOf(E("Place"))); n < 10 {
+	if n := len(loaded.View().InstancesOf(E("Place"))); n < 10 {
 		t.Errorf("InstancesOf(Place) = %d after reload", n)
 	}
 }
@@ -293,7 +293,7 @@ func TestOntologyEntities(t *testing.T) {
 		}
 	}
 	for _, e := range ents {
-		if NewGeoOntology().IsClass(e) {
+		if NewGeoOntology().View().IsClass(e) {
 			t.Errorf("class %v listed as entity", e)
 		}
 	}
@@ -311,7 +311,7 @@ func TestReloadedOntologyDrivesTranslationLookups(t *testing.T) {
 	}
 	// The ambiguity that drives the Figure-4 dialogue survives.
 	top := 0
-	for _, c := range loaded.Lookup("Buffalo") {
+	for _, c := range loaded.View().Lookup("Buffalo") {
 		if c.Score >= 1.0 {
 			top++
 		}

@@ -64,7 +64,7 @@ func refIndex(o *Ontology) *View {
 			d.primary[l.term] = l.label
 		}
 	}
-	for _, a := range o.aliases {
+	for _, a := range o.reg.Load().aliases {
 		index(a.label, a.term)
 	}
 	return d
@@ -107,7 +107,7 @@ func TestRebuildScalesLinearly(t *testing.T) {
 		o := NewSynthetic(n)
 		best := time.Duration(1<<63 - 1)
 		for i := 0; i < 5; i++ {
-			o.regVersion.Add(1) // invalidates the current index
+			o.reg.Store(o.reg.Load().clone()) // a new registry invalidates the current view
 			runtime.GC()
 			start := time.Now()
 			o.View()

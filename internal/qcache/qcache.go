@@ -40,21 +40,6 @@ import (
 	"nl2cm/internal/rdf"
 )
 
-// EntityResolver resolves lookup keys (phrases normalized by
-// ontology.KeyBuilder) to the single entity each unambiguously names.
-// Keys naming several entities (the three "Buffalo"s) or classes
-// ("restaurant") must return false: ambiguous mentions stay literal in
-// the shape key, because their resolution can depend on learned
-// feedback or dialogue, and class words are query structure, not
-// bindable slots. *ontology.View implements it, and so does
-// *ontology.Ontology, through its current view.
-type EntityResolver interface {
-	// MaxKey is the byte length of the longest key that resolves.
-	MaxKey() int
-	// ResolveKey resolves a key; it must not retain it.
-	ResolveKey(key []byte) (rdf.Term, bool)
-}
-
 // Binding is one entity slot of a shape, in question order.
 type Binding struct {
 	// Phrase is the surface mention ("Delaware Park").
@@ -80,25 +65,29 @@ type Shape struct {
 // tokenizes to 6 tokens.
 const maxMentionTokens = 8
 
-// Canonicalize computes the shape of a question: tokens are lowercased,
-// and each maximal phrase the resolver maps to a unique entity becomes
-// a slot marker. Matching is greedy longest-first, so "Forest Hotel,
-// Buffalo" binds the aliased hotel rather than "Forest Hotel" plus a
-// dangling ", Buffalo".
-func Canonicalize(question string, res EntityResolver) Shape {
-	return CanonicalizeTokens(question, nlp.Tokenize(question), res)
+// Canonicalize computes the shape of a question on the ontology's
+// current view (see CanonicalizeTokens).
+func Canonicalize(question string, o *ontology.Ontology) Shape {
+	return CanonicalizeTokens(question, nlp.Tokenize(question), o.View())
 }
 
-// CanonicalizeTokens is Canonicalize over the question's tokens, as
-// nlp.Tokenize returns them, for a caller that reads the tokens again.
-// It reads their spans and Lower fields only.
-func CanonicalizeTokens(question string, toks []nlp.Token, res EntityResolver) Shape {
+// CanonicalizeTokens computes the shape of a question, given its tokens
+// as nlp.Tokenize returns them, on the view v: tokens are lowercased,
+// and each maximal phrase that unambiguously names one entity
+// (View.ResolveKey) becomes a slot marker. Phrases naming several
+// entities (the three "Buffalo"s) or a class ("restaurant") stay literal:
+// an ambiguous mention's resolution can depend on learned feedback or
+// dialogue, and class words are query structure, not bindable slots.
+// Matching is greedy longest-first, so "Forest Hotel, Buffalo" binds the
+// aliased hotel rather than "Forest Hotel" plus a dangling ", Buffalo".
+// It reads the tokens' spans and Lower fields only.
+func CanonicalizeTokens(question string, toks []nlp.Token, v *ontology.View) Shape {
 	var b strings.Builder
 	// The key is about the question's length, plus the spaces that
 	// separate its punctuation tokens.
 	b.Grow(len(question) + len(toks))
 	var ents []Binding
-	m := mentions{question: question, res: res, maxKey: res.MaxKey(), key: make([]byte, 0, 64)}
+	m := mentions{question: question, view: v, maxKey: v.MaxKey(), key: make([]byte, 0, 64)}
 	for i := 0; i < len(toks); {
 		if b.Len() > 0 {
 			b.WriteByte(' ')
@@ -118,10 +107,10 @@ func CanonicalizeTokens(question string, toks []nlp.Token, res EntityResolver) S
 }
 
 // mentions finds entity mentions in one question. Its key buffer serves
-// every n-gram start; the resolver does not retain it.
+// every n-gram start; the view does not retain it.
 type mentions struct {
 	question string
-	res      EntityResolver
+	view     *ontology.View
 	maxKey   int
 	key      []byte
 }
@@ -143,7 +132,7 @@ func (m *mentions) longest(toks []nlp.Token) (int, rdf.Term) {
 			break
 		}
 		from = toks[n-1].End
-		if t, ok := m.res.ResolveKey(m.key); ok {
+		if t, ok := m.view.ResolveKey(m.key); ok {
 			best, term = n, t
 		}
 	}
@@ -353,27 +342,6 @@ func (c *Cache) insertLocked(k Key, val any) {
 		delete(c.items, back.Value.(*entry).key)
 		c.evictions++
 	}
-}
-
-// Do is the convenience form of Lookup: on Miss it runs fill and
-// settles the flight; on Wait it blocks for the filler's value. The
-// returned Outcome tells which path was taken.
-func (c *Cache) Do(ctx context.Context, key Key, fill func() (any, error)) (any, Outcome, error) {
-	v, f, o := c.Lookup(key)
-	switch o {
-	case Hit:
-		return v, Hit, nil
-	case Wait:
-		v, err := f.Wait(ctx)
-		return v, Wait, err
-	}
-	v, err := fill()
-	if err != nil {
-		f.Fail(err)
-		return nil, Miss, err
-	}
-	f.Fulfill(v)
-	return v, Miss, nil
 }
 
 // DropStale removes the entry under key if it still holds val, and

@@ -62,7 +62,7 @@ func TestPersistedFeedbackAffectsNewGenerator(t *testing.T) {
 	onto := ontology.NewDemoOntology()
 	il := ontology.E("Buffalo,_IL")
 
-	g1 := New(onto)
+	g1 := New()
 	for i := 0; i < 3; i++ {
 		g1.Feedback.Record("Buffalo", il)
 	}
@@ -70,7 +70,7 @@ func TestPersistedFeedbackAffectsNewGenerator(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	g2 := New(onto)
+	g2 := New()
 	loaded, err := LoadFeedback(path)
 	if err != nil {
 		t.Fatal(err)
@@ -83,8 +83,8 @@ func TestPersistedFeedbackAffectsNewGenerator(t *testing.T) {
 }
 
 func TestRankCandidatesDegreeTieBreak(t *testing.T) {
-	g := New(ontology.NewDemoOntology())
-	cands := g.RankCandidates(g.Onto.View(), "Buffalo")
+	g := New()
+	cands := g.RankCandidates(ontology.NewDemoOntology().View(), "Buffalo")
 	if len(cands) < 3 {
 		t.Fatalf("candidates = %d", len(cands))
 	}
@@ -100,7 +100,7 @@ func TestRankCandidatesDegreeTieBreak(t *testing.T) {
 // the popularity ranking immediately.
 func TestRankCandidatesDegreeTracksStoreEpoch(t *testing.T) {
 	onto := ontology.NewDemoOntology()
-	g := New(onto)
+	g := New()
 	wy := ontology.E("Buffalo,_WY")
 	before := g.RankCandidates(onto.View(), "Buffalo")
 	if len(before) < 3 {

@@ -83,17 +83,21 @@ type Result struct {
 
 // Read is one logged ontology read: a phrase lookup, ranked
 // (Generator.RankCandidates) or not (ontology.View.Lookup), and the
-// candidates it returned.
+// candidates it returned; or, when Relation is set, a relation lemma
+// lookup (ontology.View.LookupRelation) and the predicate it returned,
+// the zero Term when the view models no relation of that lemma.
 type Read struct {
-	Phrase string
-	Ranked bool
-	Cands  []ontology.Candidate
+	Phrase   string
+	Ranked   bool
+	Relation bool
+	Cands    []ontology.Candidate
+	Pred     rdf.Term
 }
 
 // readLogCap pre-sizes a run's read log: no supported corpus question
-// makes more reads (most make three to five), so the log costs one
-// allocation.
-const readLogCap = 8
+// makes more reads (up to eight lookups and two relation lookups), so
+// the log costs one allocation.
+const readLogCap = 10
 
 // FreshVar allocates a new variable name not used elsewhere in the
 // query. The individual triple creator uses it for answer variables
@@ -252,23 +256,22 @@ func (f *Feedback) Boost(phrase string, entity rdf.Term) float64 {
 	return 0.02 * float64(n)
 }
 
-// Generator holds the ontology and learned state; it is reused across
-// translations so that feedback accumulates. Generate is safe for
-// concurrent use: each run reads one caller-pinned ontology view, the
-// relation table and AmbiguityGap are read-only after construction, and
-// Feedback locks internally. Replacing the Feedback pointer
-// (administrator reload) must not race with in-flight runs.
+// Generator holds the learned state; it is reused across translations
+// so that feedback accumulates. It holds no ontology: each run reads the
+// one ontology view its caller pinned. Generate is safe for concurrent
+// use: views are immutable, AmbiguityGap is read-only after
+// construction, and Feedback locks internally. Replacing the Feedback
+// pointer (administrator reload) must not race with in-flight runs.
 type Generator struct {
-	Onto     *ontology.Ontology
 	Feedback *Feedback
 	// AmbiguityGap is the score distance under which two candidates are
 	// considered ambiguous and the user is consulted.
 	AmbiguityGap float64
 }
 
-// New returns a generator over the ontology with fresh feedback state.
-func New(o *ontology.Ontology) *Generator {
-	return &Generator{Onto: o, Feedback: NewFeedback(), AmbiguityGap: 0.25}
+// New returns a generator with fresh feedback state.
+func New() *Generator {
+	return &Generator{Feedback: NewFeedback(), AmbiguityGap: 0.25}
 }
 
 // Options configure one generation run.
@@ -288,9 +291,9 @@ var transparentNouns = map[string]bool{
 
 // Generate translates the general parts of the dependency graph into
 // SPARQL triples, honoring cancellation between noun resolutions (each
-// of which may open a disambiguation dialogue). Every entity lookup and
-// degree count reads the view v, a view of g.Onto the caller pinned, and
-// is logged in Result.Reads.
+// of which may open a disambiguation dialogue). Every entity lookup,
+// degree count and relation lookup reads the view v the caller pinned,
+// and is logged in Result.Reads.
 func (g *Generator) Generate(ctx context.Context, v *ontology.View, dg *nlp.DepGraph, opt Options) (*Result, error) {
 	res := &Result{
 		NodeTerms: map[int]rdf.Term{},
@@ -473,7 +476,7 @@ func (r *run) resolveNoun(n int, isTarget bool) error {
 	// "thrill ride"), then the bare lemma.
 	compound, compoundNodes := r.compoundPhrase(n)
 	r.res.Phrases[n] = compound
-	cands := r.lookupCandidates(compound)
+	cands := r.read(compound, true)
 	usedCompound := len(compoundNodes) > 1 && len(cands) > 0 && cands[0].Score >= 0.9
 	if !usedCompound {
 		cands = r.lookup(node.Lemma, node.Lower)
@@ -532,7 +535,7 @@ func (r *run) resolveEntity(n int) error {
 		}
 	}
 	r.res.Phrases[n] = phrase
-	cands := r.lookupCandidates(phrase)
+	cands := r.read(phrase, true)
 	if len(cands) == 0 {
 		// Unknown name: keep it as a literal-valued variable so the
 		// query remains executable; record for the mapping dialogue.
@@ -570,15 +573,19 @@ func (r *run) lookup(lemma, lower string) []ontology.Candidate {
 	return cands
 }
 
-func (r *run) lookupCandidates(phrase string) []ontology.Candidate {
-	return r.read(phrase, true)
-}
-
 // read makes and logs one ontology read on the run's view.
 func (r *run) read(phrase string, ranked bool) []ontology.Candidate {
 	cands := r.g.candidates(r.view, phrase, ranked)
 	r.res.Reads = append(r.res.Reads, Read{Phrase: phrase, Ranked: ranked, Cands: cands})
 	return cands
+}
+
+// relation makes and logs one relation lemma lookup on the run's view,
+// whether or not it finds a predicate.
+func (r *run) relation(lemma string) (rdf.Term, bool) {
+	pred, ok := r.view.LookupRelation(lemma)
+	r.res.Reads = append(r.res.Reads, Read{Phrase: lemma, Relation: true, Pred: pred})
+	return pred, ok
 }
 
 func (g *Generator) candidates(v *ontology.View, phrase string, ranked bool) []ontology.Candidate {
@@ -588,15 +595,18 @@ func (g *Generator) candidates(v *ontology.View, phrase string, ranked bool) []o
 	return v.Lookup(phrase)
 }
 
-// Replay reports whether every read returns on the view v the
-// candidates it returned when it was logged. When it does, a run on v
-// would take the logged run's every decision, so its result equals the
-// logged one; the caller keeps the feedback version fixed, since ranked
-// reads include feedback boosts. Relation lemmas (LookupRelation) are
-// not logged: they are construction-time state, fixed before serving.
+// Replay reports whether every read returns on the view v what it
+// returned when it was logged: the same candidates, or the same
+// predicate. When it does, a run on v would take the logged run's every
+// decision, so its result equals the logged one; the caller keeps the
+// feedback version fixed, since ranked reads include feedback boosts.
 func (g *Generator) Replay(v *ontology.View, reads []Read) bool {
 	for _, rd := range reads {
-		if !slices.Equal(g.candidates(v, rd.Phrase, rd.Ranked), rd.Cands) {
+		if rd.Relation {
+			if pred, _ := v.LookupRelation(rd.Phrase); pred != rd.Pred {
+				return false
+			}
+		} else if !slices.Equal(g.candidates(v, rd.Phrase, rd.Ranked), rd.Cands) {
 			return false
 		}
 	}
@@ -684,7 +694,7 @@ func (r *run) relationTriples() {
 			if !ok {
 				continue
 			}
-			pred, ok := r.g.Onto.LookupRelation(n.Lemma)
+			pred, ok := r.relation(n.Lemma)
 			if !ok {
 				continue
 			}
@@ -702,7 +712,7 @@ func (r *run) relationTriples() {
 			if !ok1 || !ok2 {
 				continue
 			}
-			pred, ok := r.g.Onto.LookupRelation(n.Lemma)
+			pred, ok := r.relation(n.Lemma)
 			if !ok {
 				continue
 			}
@@ -720,7 +730,7 @@ func (r *run) relationTriples() {
 					continue
 				}
 				key := n.Lemma + " " + dg.Nodes[prep].Lemma
-				pred, ok := r.g.Onto.LookupRelation(key)
+				pred, ok := r.relation(key)
 				if !ok {
 					continue
 				}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"nl2cm/internal/corpus"
 	"nl2cm/internal/interact"
 	"nl2cm/internal/nlp"
 	"nl2cm/internal/ontology"
@@ -13,7 +14,7 @@ import (
 
 func gen(t *testing.T, sentence string, opt Options) (*Generator, *Result) {
 	t.Helper()
-	g := New(ontology.NewDemoOntology())
+	g := New()
 	res := genWith(t, g, sentence, opt)
 	return g, res
 }
@@ -24,7 +25,7 @@ func genWith(t *testing.T, g *Generator, sentence string, opt Options) *Result {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	res, err := g.Generate(context.Background(), g.Onto.View(), dg, opt)
+	res, err := g.Generate(context.Background(), ontology.NewDemoOntology().View(), dg, opt)
 	if err != nil {
 		t.Fatalf("Generate(%q): %v", sentence, err)
 	}
@@ -136,7 +137,7 @@ func TestAmbiguityAutoDefaultsToMostConnected(t *testing.T) {
 }
 
 func TestAmbiguityInteraction(t *testing.T) {
-	g := New(ontology.NewDemoOntology())
+	g := New()
 	scripted := &interact.Scripted{DisambiguationAnswers: []int{1}}
 	opt := Options{
 		Interactor: scripted,
@@ -161,7 +162,7 @@ func TestAmbiguityInteraction(t *testing.T) {
 }
 
 func TestFeedbackImprovesRanking(t *testing.T) {
-	g := New(ontology.NewDemoOntology())
+	g := New()
 	// The user repeatedly picks Buffalo, IL.
 	il := ontology.E("Buffalo,_IL")
 	for i := 0; i < 5; i++ {
@@ -223,13 +224,13 @@ func TestFreshVarAllocation(t *testing.T) {
 }
 
 func TestDisambiguationErrorPropagates(t *testing.T) {
-	g := New(ontology.NewDemoOntology())
+	g := New()
 	dg, err := nlp.Parse("Where do you visit in Buffalo?")
 	if err != nil {
 		t.Fatal(err)
 	}
 	bad := &interact.Scripted{DisambiguationAnswers: []int{99}}
-	_, err = g.Generate(context.Background(), g.Onto.View(), dg, Options{
+	_, err = g.Generate(context.Background(), ontology.NewDemoOntology().View(), dg, Options{
 		Interactor: bad,
 		Policy:     interact.Policy{Ask: map[interact.Point]bool{interact.PointDisambiguation: true}},
 	})
@@ -258,4 +259,35 @@ func TestPhrasesRecorded(t *testing.T) {
 	if !strings.Contains(joined, "hotel") || !strings.Contains(joined, "Vegas") {
 		t.Errorf("Phrases = %v", res.Phrases)
 	}
+}
+
+// TestReadLogFitsCap: no supported corpus question logs more reads than
+// readLogCap, relation lookups included, so the read log is the one
+// allocation Generate sizes up front.
+func TestReadLogFitsCap(t *testing.T) {
+	g, v := New(), ontology.NewDemoOntology().View()
+	most, relations := 0, 0
+	for _, q := range corpus.Supported() {
+		dg, err := nlp.Parse(q.Text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := g.Generate(context.Background(), v, dg, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Reads) > readLogCap {
+			t.Errorf("%q logs %d reads, over readLogCap %d", q.Text, len(res.Reads), readLogCap)
+		}
+		most = max(most, len(res.Reads))
+		for _, rd := range res.Reads {
+			if rd.Relation {
+				relations++
+			}
+		}
+	}
+	if relations == 0 {
+		t.Error("no relation lookup was logged")
+	}
+	t.Logf("at most %d reads per question, %d relation lookups in all", most, relations)
 }
