@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check vet staticcheck build test race session-stress session-smoke crowd-stress store-stress perfbench-test loadgen-smoke bench bench-smoke bench-ab bench-ab-smoke fuzz-smoke emit-golden emit-golden-update agg-golden fmt
+.PHONY: all check vet staticcheck build test race session-stress session-smoke crowd-stress store-stress perfbench-test bench-trace-smoke loadgen-smoke bench bench-smoke bench-ab bench-ab-smoke fuzz-smoke emit-golden emit-golden-update agg-golden fmt
 
 all: check
 
@@ -8,9 +8,9 @@ all: check
 # tests with the race detector (the concurrency stress tests depend on
 # it), verify the per-backend golden emissions and the analytic path,
 # hammer the dialogue-session subsystem a few extra rounds, vet and test
-# the benchmark module, then smoke the serving layer with a short
-# load-generator run.
-check: vet staticcheck build race emit-golden agg-golden session-stress crowd-stress store-stress perfbench-test loadgen-smoke
+# the benchmark module and run its traced stretches, then smoke the
+# serving layer with a short load-generator run.
+check: vet staticcheck build race emit-golden agg-golden session-stress crowd-stress store-stress perfbench-test bench-trace-smoke loadgen-smoke
 
 vet:
 	$(GO) vet ./...
@@ -71,6 +71,20 @@ store-stress:
 perfbench-test:
 	cd perfbench && GOWORK=off GOFLAGS= $(GO) vet ./...
 	cd perfbench && GOWORK=off GOFLAGS= $(GO) test ./...
+
+# bench-trace-smoke runs a 2-second traced stretch of the two workloads
+# whose traced runs check stage coverage (translate-cold: the stage spans
+# must cover 90% of Translate; execute-crowd: the WHERE and SATISFYING
+# spans 90% of Execute). It fails when a run exits non-zero or its last
+# line, the JSON report, lacks "correct":true.
+bench-trace-smoke:
+	mkdir -p .bench_build/trace-smoke
+	@for w in translate-cold execute-crowd; do \
+		out=.bench_build/trace-smoke/$$w.txt; \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 2 --trace 1 >$$out || { cat $$out; echo "bench-trace-smoke: $$w exited non-zero"; exit 1; }; \
+		tail -n 1 $$out | grep -q '"correct":true' || { cat $$out; echo "bench-trace-smoke: $$w report is not correct"; exit 1; }; \
+		grep '^coverage' $$out | sed "s/^/$$w: /"; \
+	done
 
 # session-smoke curls a live daemon through one scripted dialogue
 # (requires curl and jq).

@@ -38,7 +38,7 @@
 //	POST   /api/translate         JSON API: {"question": "...", "backend": "sql"}
 //	POST   /api/store             apply an N-Triples insert/delete batch to the knowledge store
 //	GET    /api/stats             plan-cache, admission, session, crowd and store counters
-//	GET    /api/backends          the registered backend dialects and their capabilities
+//	GET    /api/backends          the backend dialects and their capabilities
 //	POST   /api/session           start a dialogue session
 //	GET    /api/session/{id}      poll a session
 //	POST   /api/session/{id}/answer  answer its pending question
@@ -429,9 +429,6 @@ Forest Hotel, Buffalo, we should visit in the fall?</em></p>
 <pre>{{.AltQuery}}</pre>
 {{range .AltNotes}}<p class="tip">{{.}}</p>{{end}}
 {{end}}
-{{if .AltError}}
-<p class="tip">{{.AltError}}</p>
-{{end}}
 {{if .Exec}}
 <h2>Execution on the (simulated) crowd</h2>
 <p>{{.Exec.WhereBindings}} ontology bindings, {{.Exec.Tasks}} crowd tasks.</p>
@@ -475,14 +472,12 @@ type pageData struct {
 	Query       string
 	Exec        *execView
 
-	// Backend selection: the registered dialects, the selected one, and —
-	// when it is not the default — its rendering (or the capability error
-	// that prevented one).
+	// Backend selection: the dialects, the selected one, and — when it
+	// is not the default — its rendering with its capability notes.
 	Backends []string
 	Backend  string
 	AltQuery string
 	AltNotes []string
-	AltError string
 }
 
 func (s *server) home(w http.ResponseWriter, r *http.Request) {
@@ -654,13 +649,12 @@ func (s *server) translate(w http.ResponseWriter, r *http.Request) {
 	if backend != "" && backend != nl2cm.DefaultBackend && res.Verdict.Supported {
 		rend, err := res.Render(backend)
 		if err != nil {
-			// A capability error is a property of the question/dialect
-			// pair, not a server fault: show it on the page.
-			d.AltError = err.Error()
-		} else {
-			d.AltQuery = rend.Query
-			d.AltNotes = rend.Notes
+			// The backend is known and a supported result has a plan.
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
 		}
+		d.AltQuery = rend.Query
+		d.AltNotes = rend.Notes
 	}
 	s.render(w, d)
 }
@@ -916,9 +910,8 @@ func (s *server) apiTranslate(w http.ResponseWriter, r *http.Request) {
 			rend, err = res.Render(backend)
 		}
 		if err != nil {
-			// The translation succeeded; only the requested dialect cannot
-			// express it. 422 keeps that distinct from a bad request.
-			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
+			// The backend is known and a supported result has a plan.
+			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
 		resp.Query = def.Query
@@ -1046,8 +1039,8 @@ func (s *server) apiStore(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// apiBackends lists the registered backend dialects with their
-// capability flags, the default backend first.
+// apiBackends lists the backend dialects with their capability flags,
+// the default backend first.
 func (s *server) apiBackends(w http.ResponseWriter, r *http.Request) {
 	var out []backendInfo
 	for _, name := range nl2cm.Backends() {

@@ -18,6 +18,7 @@ package compose
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"nl2cm/internal/emit"
@@ -362,6 +363,22 @@ func (c *Composer) analytic(p *emit.Plan, in Input) {
 		a.Limit = 1
 	}
 	p.Agg = a
+	// A projection the dialogue narrowed lists pattern variables, but a
+	// grouped result has values only for its grouping variables and its
+	// aggregates: keep the kept grouping variables and add every
+	// aggregate, so the query still declares what it orders by.
+	if !p.Select.All {
+		var vars []string
+		for _, v := range p.Select.Vars {
+			if slices.Contains(a.GroupBy, v) {
+				vars = append(vars, v)
+			}
+		}
+		for _, ag := range a.Aggs {
+			vars = append(vars, ag.As)
+		}
+		p.Select.Vars = vars
+	}
 }
 
 // checkAlignment verifies that every named variable of the SATISFYING

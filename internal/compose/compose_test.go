@@ -2,6 +2,7 @@ package compose
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -203,6 +204,33 @@ func TestComposeProjectionInteraction(t *testing.T) {
 	q := out.Query
 	if q.Select.All || len(q.Select.Vars) != 1 {
 		t.Errorf("Select = %+v, want single projected variable", q.Select)
+	}
+}
+
+// A narrowed projection of a grouped plan keeps the kept grouping
+// variables and every aggregate, so the printed query still declares the
+// alias it orders by and parses back.
+func TestComposeNarrowedAggregateKeepsGroupedOutputs(t *testing.T) {
+	for _, tc := range []struct {
+		keep []bool
+		want []string
+	}{
+		{[]bool{true, false}, []string{"x", "count"}}, // the grouping variable
+		{[]bool{false, true}, []string{"count"}},      // the counted one
+	} {
+		in := build(t, "Which city has the most attractions?")
+		in.Interactor = &interact.Scripted{ProjectionAnswers: [][]bool{tc.keep}}
+		in.Policy = interact.Policy{Ask: map[interact.Point]bool{interact.PointProjection: true}}
+		out, err := New().Compose(context.Background(), in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !out.Plan.Aggregated() || !slices.Equal(out.Plan.Select.Vars, tc.want) {
+			t.Errorf("keep %v: Select = %+v, want %v", tc.keep, out.Plan.Select, tc.want)
+		}
+		if _, err := oassisql.Parse(out.Query.String()); err != nil {
+			t.Errorf("keep %v: %v\n%s", tc.keep, err, out.Query)
+		}
 	}
 }
 

@@ -141,7 +141,7 @@ func (t *Translator) translateCached(ctx context.Context, question string, opt O
 			}
 			if res.Plan != nil {
 				// Exact hits serve this one OASSIS-QL rendering. The
-				// error is nil: OASSIS-QL expresses every plan.
+				// error is nil: the plan is present and the backend known.
 				res.oassis, _ = res.Render(emit.DefaultBackend)
 			}
 			entry := &cacheEntry{res: res, entities: shape.Entities}
@@ -164,8 +164,8 @@ func (t *Translator) translateCached(ctx context.Context, question string, opt O
 				endObs(nil)
 				return res, nil
 			}
-			// Same shape but not rebindable (filtered plan, unsupported
-			// verdict, different parse): translate cold. The shape entry
+			// Same shape but not rebindable (unsupported verdict,
+			// different parse): translate cold. The shape entry
 			// stays — exact repeats of either question still hit.
 			endObs(nil)
 			return t.translate(ctx, view, question, opt)
@@ -206,21 +206,13 @@ func (t *Translator) serveHit(question string, toks []nlp.Token, shape qcache.Sh
 	}
 
 	// Re-binding is only sound when every entity mention resolved
-	// unambiguously (guaranteed by shape equality), no filter could
-	// mention a substituted term, and the question parses as the cached
-	// one did: its tagged tokens agree with the cached graph's on all the
-	// dependency parser reads (nlp.DepGraph.WithTokens), so the cached
-	// heads and relations are the question's own parse.
+	// unambiguously (guaranteed by shape equality) and the question
+	// parses as the cached one did: its tagged tokens agree with the
+	// cached graph's on all the dependency parser reads
+	// (nlp.DepGraph.WithTokens), so the cached heads and relations are
+	// the question's own parse.
 	if old.Plan == nil || !old.Verdict.Supported {
 		return nil, false
-	}
-	if len(old.Plan.Filters) > 0 {
-		return nil, false
-	}
-	for _, cc := range old.Plan.Crowd {
-		if len(cc.Filters) > 0 {
-			return nil, false
-		}
 	}
 	if len(shape.Entities) != len(entry.entities) {
 		return nil, false

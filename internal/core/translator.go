@@ -177,9 +177,8 @@ type Options struct {
 	Observer Observer
 	// Backends lists extra backend dialects to render the composed plan
 	// into (e.g. "sql", "mongodb", "cypher"); the results land in
-	// Result.Renderings. An unknown name fails the Backend Emitter stage;
-	// a plan exceeding a backend's capabilities surfaces that backend's
-	// *emit.CapabilityError.
+	// Result.Renderings, each noting the capability fallbacks it applied.
+	// An unknown name fails the Backend Emitter stage.
 	Backends []string
 }
 
@@ -192,10 +191,12 @@ type stageRunner struct {
 	res *Result
 }
 
-// run executes one module. The body returns the module's rendered trace
-// output (empty to omit the trace entry) and its error; run returns the
-// error attributed to the stage.
-func (s *stageRunner) run(name string, body func() (string, error)) error {
+// run executes one module: body does its work, and trace, called only
+// when the translation is traced and body succeeded, renders the
+// module's intermediate output (empty to omit the trace entry). Both run
+// inside the stage's span, so its duration covers the rendering. run
+// returns body's error attributed to the stage.
+func (s *stageRunner) run(name string, body func() error, trace func() string) error {
 	if err := s.ctx.Err(); err != nil {
 		return &StageError{Stage: name, Err: err}
 	}
@@ -203,7 +204,11 @@ func (s *stageRunner) run(name string, body func() (string, error)) error {
 		s.opt.Observer.StageStart(name)
 	}
 	start := time.Now()
-	out, err := body()
+	err := body()
+	var out string
+	if err == nil && s.opt.Trace {
+		out = trace()
+	}
 	d := time.Since(start)
 	if s.opt.Observer != nil {
 		s.opt.Observer.StageEnd(name, d, err)
@@ -215,7 +220,7 @@ func (s *stageRunner) run(name string, body func() (string, error)) error {
 		}
 		return &StageError{Stage: name, Err: err}
 	}
-	if s.opt.Trace && out != "" {
+	if out != "" {
 		s.res.Trace = append(s.res.Trace, Stage{Module: name, Output: out, Duration: d})
 	}
 	return nil
@@ -267,12 +272,14 @@ func (t *Translator) translate(ctx context.Context, v *ontology.View, question s
 	}
 
 	// 1. Verification.
-	if err := st.run(StageVerification, func() (string, error) {
+	if err := st.run(StageVerification, func() error {
 		res.Verdict = verify.Check(question)
+		return nil
+	}, func() string {
 		if !res.Verdict.Supported {
-			return fmt.Sprintf("unsupported (%s): %s", res.Verdict.Category, res.Verdict.Reason), nil
+			return fmt.Sprintf("unsupported (%s): %s", res.Verdict.Category, res.Verdict.Reason)
 		}
-		return "supported", nil
+		return "supported"
 	}); err != nil {
 		return nil, err
 	}
@@ -282,79 +289,78 @@ func (t *Translator) translate(ctx context.Context, v *ontology.View, question s
 	}
 
 	// 2. NL parsing (POS tags + dependency graph).
-	if err := st.run(StageParser, func() (string, error) {
+	if err := st.run(StageParser, func() error {
 		g, err := nlp.Parse(question)
 		if err != nil {
-			return "", fmt.Errorf("parsing question: %w", err)
+			return fmt.Errorf("parsing question: %w", err)
 		}
 		res.Graph = g
-		return g.String(), nil
-	}); err != nil {
+		return nil
+	}, func() string { return res.Graph.String() }); err != nil {
 		return nil, err
 	}
 	g := res.Graph
 
 	// 3. IX detection: IXFinder + IXCreator.
 	var ixs []*ix.IX
-	if err := st.run(StageIXDetector, func() (string, error) {
+	if err := st.run(StageIXDetector, func() error {
 		var err error
 		ixs, err = t.Detector.Detect(ctx, g)
 		if err != nil {
-			return "", fmt.Errorf("detecting IXs: %w", err)
+			return fmt.Errorf("detecting IXs: %w", err)
 		}
-		return renderIXs(g, ixs), nil
-	}); err != nil {
+		return nil
+	}, func() string { return renderIXs(g, ixs) }); err != nil {
 		return nil, err
 	}
 
 	// 3b. Optional user verification of (uncertain) IXs (Figure 4).
-	if err := st.run(StageIXVerify, func() (string, error) {
+	if err := st.run(StageIXVerify, func() error {
 		var err error
 		res.IXs, res.RejectedIXs, err = t.verifyIXs(ctx, question, g, ixs, interactor, opt.Policy)
-		if err != nil {
-			return "", err
-		}
+		return err
+	}, func() string {
 		if len(res.RejectedIXs) == 0 {
-			return "", nil // nothing rejected: no trace entry, as before
+			return "" // nothing rejected: no trace entry, as before
 		}
-		return renderIXs(g, res.IXs) + "rejected:\n" + renderIXs(g, res.RejectedIXs), nil
+		return renderIXs(g, res.IXs) + "rejected:\n" + renderIXs(g, res.RejectedIXs)
 	}); err != nil {
 		collectDialogue()
 		return nil, err
 	}
 
 	// 4. General Query Generator (FREyA role) on the full request.
-	if err := st.run(StageGenerator, func() (string, error) {
+	if err := st.run(StageGenerator, func() error {
 		var err error
 		res.General, err = t.Generator.Generate(ctx, v, g, qgen.Options{
 			Interactor: interactor,
 			Policy:     opt.Policy,
 		})
 		if err != nil {
-			return "", fmt.Errorf("generating general query parts: %w", err)
+			return fmt.Errorf("generating general query parts: %w", err)
 		}
-		return renderGeneral(res.General), nil
-	}); err != nil {
+		return nil
+	}, func() string { return renderGeneral(res.General) }); err != nil {
 		collectDialogue()
 		return nil, err
 	}
 
 	// 5. Individual Triple Creation on the accepted IXs.
-	if err := st.run(StageIndividual, func() (string, error) {
+	if err := st.run(StageIndividual, func() error {
 		var err error
 		res.Parts, err = t.Creator.Create(ctx, g, res.IXs, res.General)
 		if err != nil {
-			return "", fmt.Errorf("creating individual triples: %w", err)
+			return fmt.Errorf("creating individual triples: %w", err)
 		}
-		return renderParts(res.Parts), nil
-	}); err != nil {
+		return nil
+	}, func() string { return renderParts(res.Parts) }); err != nil {
 		collectDialogue()
 		return nil, err
 	}
 
 	// 6. Query Composition (traced: decisions and per-triple origins
 	// become the Result's provenance views).
-	if err := st.run(StageComposer, func() (string, error) {
+	if err := st.run(StageComposer, func() error {
 		out, err := t.Composer.Compose(ctx, compose.Input{
 			Graph:      g,
 			IXs:        res.IXs,
@@ -364,15 +370,15 @@ func (t *Translator) translate(ctx context.Context, v *ontology.View, question s
 			Policy:     opt.Policy,
 		})
 		if err != nil {
-			return "", fmt.Errorf("composing query: %w", err)
+			return fmt.Errorf("composing query: %w", err)
 		}
 		res.Plan = out.Plan
 		res.Query = out.Query
 		res.ComposeDecisions = out.Decisions
 		res.buildProvenance(aggregateOrigin(res.General))
 		res.PureGeneral = len(res.Query.Satisfying) == 0
-		return res.Query.String(), nil
-	}); err != nil {
+		return nil
+	}, func() string { return res.Query.String() }); err != nil {
 		collectDialogue()
 		return nil, err
 	}
@@ -381,21 +387,26 @@ func (t *Translator) translate(ctx context.Context, v *ontology.View, question s
 	// requested dialects. Skipped entirely when none are requested, so
 	// the classic pipeline stays seven stages.
 	if len(opt.Backends) > 0 {
-		if err := st.run(StageEmitter, func() (string, error) {
+		if err := st.run(StageEmitter, func() error {
 			res.Renderings = make(map[string]*emit.Rendering, len(opt.Backends))
-			var b strings.Builder
 			for _, name := range opt.Backends {
 				rend, err := res.Render(name)
 				if err != nil {
-					return "", fmt.Errorf("rendering backend %q: %w", name, err)
+					return fmt.Errorf("rendering backend %q: %w", name, err)
 				}
 				res.Renderings[name] = rend
+			}
+			return nil
+		}, func() string {
+			var b strings.Builder
+			for _, name := range opt.Backends {
+				rend := res.Renderings[name]
 				fmt.Fprintf(&b, "-- %s --\n%s\n", name, rend.Query)
 				for _, n := range rend.Notes {
 					fmt.Fprintf(&b, "note: %s\n", n)
 				}
 			}
-			return b.String(), nil
+			return b.String()
 		}); err != nil {
 			collectDialogue()
 			return nil, err
@@ -409,8 +420,8 @@ func (t *Translator) translate(ctx context.Context, v *ontology.View, question s
 // reusing a rendering already produced via Options.Backends, or the
 // OASSIS-QL rendering a plan-cache entry memoized, when present. The
 // OASSIS-QL rendering prints Query, which is that backend's structure of
-// Plan. It fails with the backend's *emit.CapabilityError when the plan
-// uses a feature the dialect cannot express.
+// Plan. It fails only for an unknown backend or a result without a plan
+// (an unsupported question).
 func (r *Result) Render(backend string) (*emit.Rendering, error) {
 	if rend, ok := r.Renderings[backend]; ok {
 		return rend, nil

@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"nl2cm/internal/corpus"
+	"nl2cm/internal/emit"
 	"nl2cm/internal/interact"
 	"nl2cm/internal/oassisql"
 	"nl2cm/internal/ontology"
@@ -156,6 +159,37 @@ func TestTranslateNoTraceByDefault(t *testing.T) {
 	}
 	if len(res.Trace) != 0 {
 		t.Errorf("trace collected without Trace option: %d stages", len(res.Trace))
+	}
+}
+
+// TestUntracedTranslationSkipsTraceText checks that the stages build
+// their trace text only for a traced translation: over the supported
+// corpus, an untraced translation allocates at least 35 fewer objects
+// per question than a traced one.
+func TestUntracedTranslationSkipsTraceText(t *testing.T) {
+	tr := newTranslator()
+	var questions []string
+	for _, q := range corpus.All() {
+		if q.Supported {
+			questions = append(questions, q.Text)
+		}
+	}
+	ctx := context.Background()
+	perQuestion := func(opt Options) float64 {
+		return testing.AllocsPerRun(2, func() {
+			for _, q := range questions {
+				if _, err := tr.Translate(ctx, q, opt); err != nil {
+					t.Fatalf("Translate(%q): %v", q, err)
+				}
+			}
+		}) / float64(len(questions))
+	}
+	untraced := perQuestion(Options{})
+	traced := perQuestion(Options{Trace: true})
+	t.Logf("allocations per question: untraced %.1f, traced %.1f", untraced, traced)
+	if traced-untraced < 35 {
+		t.Errorf("allocations per question: untraced %.1f, traced %.1f; want the untraced run at least 35 lower",
+			untraced, traced)
 	}
 }
 
@@ -406,6 +440,106 @@ func TestTranslateTourGuideProjection(t *testing.T) {
 	}
 	if !strings.HasPrefix(res2.Query.String(), "SELECT $x\n") {
 		t.Errorf("query:\n%s", res2.Query)
+	}
+}
+
+// keepOnly answers the projection dialogue by keeping only the variable
+// that pick chooses among n, and every other question with its default.
+func keepOnly(pick func(n int) int) answerFunc {
+	return func(q *interact.Question) interact.Answer {
+		a := q.DefaultAnswer()
+		if q.Point == interact.PointProjection {
+			k := pick(len(a.Accept))
+			for i := range a.Accept {
+				a.Accept[i] = i == k
+			}
+		}
+		return a
+	}
+}
+
+// TestProjectionDialogueRenderings renders every supported corpus
+// question in every dialect after the projection dialogue kept only the
+// first variable, then only the last: every rendering succeeds, SQL and
+// Cypher project only kept variables (noting each kept one they cannot
+// select), and the OASSIS-QL text parses back.
+func TestProjectionDialogueRenderings(t *testing.T) {
+	tr := newTranslator()
+	// projected returns the output names of a rendering's projection
+	// line: the first line with the prefix, items split at ", ", each
+	// item's alias after " AS ".
+	projected := func(query, prefix string) []string {
+		for _, line := range strings.Split(query, "\n") {
+			if rest, ok := strings.CutPrefix(line, prefix); ok {
+				var names []string
+				for _, item := range strings.Split(rest, ", ") {
+					if _, alias, ok := strings.Cut(item, " AS "); ok {
+						item = alias
+					}
+					names = append(names, item)
+				}
+				return names
+			}
+		}
+		return nil
+	}
+	narrowed, staged := 0, 0
+	for _, pick := range []func(int) int{
+		func(int) int { return 0 },
+		func(n int) int { return n - 1 },
+	} {
+		opt := Options{
+			Interactor: keepOnly(pick),
+			Policy:     interact.Policy{Ask: map[interact.Point]bool{interact.PointProjection: true}},
+			Backends:   emit.Names(),
+		}
+		for _, q := range corpus.All() {
+			if !q.Supported {
+				continue
+			}
+			res, err := tr.Translate(context.Background(), q.Text, opt)
+			if err != nil {
+				t.Errorf("%s: %v", q.ID, err)
+				continue
+			}
+			for _, name := range opt.Backends {
+				if r := res.Renderings[name]; r == nil || r.Query == "" {
+					t.Errorf("%s: no %s rendering", q.ID, name)
+				}
+			}
+			text := res.Renderings[emit.DefaultBackend].Query
+			if _, err := oassisql.Parse(text); err != nil {
+				t.Errorf("%s: OASSIS-QL rendering does not parse: %v\n%s", q.ID, err, text)
+			}
+			if res.Plan.Select.All {
+				continue
+			}
+			narrowed++
+			if strings.Contains(res.Renderings["cypher"].Query, "\nWITH ") {
+				staged++
+			}
+			kept := res.Plan.Select.Vars
+			for _, check := range []struct{ backend, prefix string }{{"sql", "SELECT "}, {"cypher", "RETURN "}} {
+				r := res.Renderings[check.backend]
+				names := projected(r.Query, check.prefix)
+				for _, n := range names {
+					if n != "1" && !slices.Contains(kept, n) {
+						t.Errorf("%s: %s projects %s, kept only %v:\n%s", q.ID, check.backend, n, kept, r.Query)
+					}
+				}
+				for _, v := range kept {
+					if !slices.Contains(names, v) && !slices.ContainsFunc(r.Notes, func(n string) bool {
+						return strings.Contains(n, "$"+v+" ")
+					}) {
+						t.Errorf("%s: %s neither projects nor notes kept $%s:\n%s\nnotes: %v", q.ID, check.backend, v, r.Query, r.Notes)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d renderings narrowed, %d reached the Cypher WITH staging", narrowed, staged)
+	if narrowed == 0 || staged == 0 {
+		t.Errorf("%d renderings narrowed and %d reached the Cypher WITH staging; want at least one of each", narrowed, staged)
 	}
 }
 

@@ -1,86 +1,17 @@
 package emit
 
-import (
-	"strings"
-
-	"nl2cm/internal/sparql"
-)
+import "nl2cm/internal/sparql"
 
 // Helpers shared by the backends' renderings of a plan's analytic part.
-// A HAVING condition references aggregate values in three equivalent
-// forms — an alias variable, a sparql.AggRefExpr, or a raw aggregate
-// call — and every dialect renderer needs the same resolution from any
-// of them to the plan's Aggregate entry.
 
-// matchAgg finds the aggregate with the given function and argument.
-func matchAgg(aggs []sparql.Aggregate, fn, varName string) (sparql.Aggregate, bool) {
+// aggregateByAlias returns the aggregate whose alias is name.
+func aggregateByAlias(aggs []sparql.Aggregate, name string) (sparql.Aggregate, bool) {
 	for _, a := range aggs {
-		if a.Func == fn && a.Var == varName {
+		if a.As == name {
 			return a, true
 		}
 	}
 	return sparql.Aggregate{}, false
-}
-
-// havingAggregate resolves an expression node denoting an aggregate
-// value: a variable naming an alias, an AggRefExpr, or an aggregate
-// call. It reports ok=false for every other node.
-func havingAggregate(e sparql.Expr, aggs []sparql.Aggregate) (sparql.Aggregate, bool) {
-	switch x := e.(type) {
-	case *sparql.AggRefExpr:
-		if a, ok := matchAgg(aggs, x.Agg.Func, x.Agg.Var); ok {
-			return a, true
-		}
-		return x.Agg, true
-	case *sparql.VarExpr:
-		for _, a := range aggs {
-			if a.As == x.Name {
-				return a, true
-			}
-		}
-	case *sparql.CallExpr:
-		fn := strings.ToUpper(x.Name)
-		if !sparql.AggFuncs[fn] {
-			break
-		}
-		varName := ""
-		if len(x.Args) == 1 {
-			v, ok := x.Args[0].(*sparql.VarExpr)
-			if !ok {
-				break
-			}
-			varName = v.Name
-		}
-		if a, ok := matchAgg(aggs, fn, varName); ok {
-			return a, true
-		}
-		return sparql.Aggregate{Func: fn, Var: varName, As: strings.ToLower(fn)}, true
-	}
-	return sparql.Aggregate{}, false
-}
-
-// litText renders a literal expression as dialect text, using the given
-// string quoter for non-numeric values. ok=false for non-literal nodes.
-func litText(e sparql.Expr, quote func(string) string) (string, bool) {
-	x, ok := e.(*sparql.LitExpr)
-	if !ok {
-		return "", false
-	}
-	switch x.Val.Kind {
-	case sparql.VNum:
-		return x.String(), true
-	case sparql.VBool:
-		return x.String(), true
-	case sparql.VStr:
-		return quote(x.Val.Str), true
-	case sparql.VTerm:
-		t := x.Val.Term
-		if _, isNum := t.Float(); isNum && t.IsLiteral() {
-			return t.Value(), true
-		}
-		return quote(surface(t)), true
-	}
-	return "", false
 }
 
 // aggProjection returns the output order of an aggregated plan: the

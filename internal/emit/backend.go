@@ -2,18 +2,15 @@ package emit
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"nl2cm/internal/prov"
 )
 
-// Caps declares what a backend's dialect can express. Capability
-// negotiation works in two tiers: a plan feature a backend cannot
-// express degrades with a recorded note when dropping it still yields a
-// useful query (crowd clauses on a general-only backend), and fails
-// with a *CapabilityError when dropping it would silently change the
-// general selection's meaning (filters, variable predicates).
+// Caps declares what a backend's dialect can express. A plan feature a
+// backend cannot express degrades with a recorded note (Rendering.Notes):
+// crowd clauses on a general-only backend are dropped, and variables
+// bound only in a dropped clause are left out of the projection. Every
+// backend renders every plan Query Composition builds.
 type Caps struct {
 	// Crowd: the dialect expresses crowd-mining (SATISFYING) clauses with
 	// significance criteria. Backends without it emit the general part
@@ -23,17 +20,13 @@ type Caps struct {
 	// Backends without it emit variable placeholders and note that
 	// cross-document links need application-side resolution.
 	Joins bool `json:"joins"`
-	// Filters: the dialect expresses FILTER expressions over the general
-	// selection. Plans with filters fail on backends without it.
+	// Filters: the dialect has FILTER expressions over the general
+	// selection.
 	Filters bool `json:"filters"`
 	// VarPredicates: the dialect allows a variable in predicate position.
-	// Plans with one fail on backends without it.
 	VarPredicates bool `json:"varPredicates"`
 	// Aggregates: the dialect expresses the plan's analytic part (GROUP
-	// BY, aggregate functions, HAVING, result windows). Aggregated plans
-	// fail with a *CapabilityError on backends without it — dropping a
-	// grouping step would silently turn an analytic answer into a row
-	// listing.
+	// BY, aggregate functions, result windows).
 	Aggregates bool `json:"aggregates"`
 }
 
@@ -80,99 +73,50 @@ type Rendering struct {
 // Backend renders plans into one concrete query dialect. Implementations
 // must be safe for concurrent use; the shipped ones are stateless.
 type Backend interface {
-	// Name is the backend's registry key ("oassisql", "sql", ...).
+	// Name is the backend's table key ("oassisql", "sql", ...).
 	Name() string
 	// Caps declares what the dialect can express.
 	Caps() Caps
-	// Emit renders the plan. It returns a *CapabilityError when the plan
-	// needs a capability the dialect lacks and dropping it would change
-	// the general selection's meaning.
-	Emit(p *Plan) (*Rendering, error)
-}
-
-// CapabilityError reports that a plan exceeds a backend's capabilities
-// and no lossy-but-useful fallback exists. Callers typically fall back
-// to the OASSIS-QL backend, which expresses every plan.
-type CapabilityError struct {
-	// Backend is the refusing backend's name.
-	Backend string
-	// Feature names the unsupported plan feature.
-	Feature string
-}
-
-// Error implements error.
-func (e *CapabilityError) Error() string {
-	return fmt.Sprintf("emit: backend %q cannot express %s", e.Backend, e.Feature)
+	// Emit renders the plan, noting each capability fallback it applies.
+	Emit(p *Plan) *Rendering
 }
 
 // DefaultBackend is the name of the backend every plan can render to.
 const DefaultBackend = "oassisql"
 
-// registry holds the registered backends by name.
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Backend{}
-)
-
-// Register adds a backend under its name, replacing any previous
-// registration. The four shipped backends self-register.
-func Register(b Backend) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	registry[b.Name()] = b
-}
+// backends is the fixed backend table in Names order: the default
+// backend first, the rest sorted by name.
+var backends = [...]Backend{OassisBackend{}, CypherBackend{}, MongoBackend{}, SQLBackend{}}
 
 // Lookup returns the named backend.
 func Lookup(name string) (Backend, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	b, ok := registry[name]
-	return b, ok
-}
-
-// Names returns the registered backend names, the default backend first,
-// the rest sorted.
-func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	var rest []string
-	for name := range registry {
-		if name != DefaultBackend {
-			rest = append(rest, name)
+	for _, b := range backends {
+		if b.Name() == name {
+			return b, true
 		}
 	}
-	sort.Strings(rest)
-	out := make([]string, 0, len(rest)+1)
-	if _, ok := registry[DefaultBackend]; ok {
-		out = append(out, DefaultBackend)
-	}
-	return append(out, rest...)
+	return nil, false
 }
 
-// All returns the registered backends in Names order.
-func All() []Backend {
-	names := Names()
-	out := make([]Backend, 0, len(names))
-	regMu.RLock()
-	defer regMu.RUnlock()
-	for _, name := range names {
-		out = append(out, registry[name])
+// Names returns the backend names, the default backend first, the rest
+// sorted.
+func Names() []string {
+	out := make([]string, len(backends))
+	for i, b := range backends {
+		out[i] = b.Name()
 	}
 	return out
 }
 
-// Emit renders the plan with the named backend.
+// All returns the backends in Names order.
+func All() []Backend { return append([]Backend(nil), backends[:]...) }
+
+// Emit renders the plan with the named backend. It fails only for an
+// unknown backend name.
 func Emit(name string, p *Plan) (*Rendering, error) {
 	b, ok := Lookup(name)
 	if !ok {
 		return nil, fmt.Errorf("emit: unknown backend %q (have %v)", name, Names())
 	}
-	return b.Emit(p)
-}
-
-func init() {
-	Register(OassisBackend{})
-	Register(SQLBackend{})
-	Register(MongoBackend{})
-	Register(CypherBackend{})
+	return b.Emit(p), nil
 }

@@ -22,11 +22,9 @@ import (
 // A variable predicate renders as an untyped relationship binding
 // (`-[p]->`). An aggregated plan uses Cypher's implicit grouping: the
 // grouping keys and aggregate calls share one projection (`RETURN city,
-// count(a) AS cnt ORDER BY cnt DESC LIMIT 1`), and a HAVING condition
-// inserts a WITH … WHERE stage before the final RETURN — Cypher's
-// idiomatic HAVING spelling. Crowd clauses are dropped with a note;
-// FILTER expressions and untranslatable HAVING conditions fail with a
-// *CapabilityError.
+// count(a) AS cnt ORDER BY cnt DESC LIMIT 1`), and a projection narrower
+// than them inserts a WITH stage before the final RETURN. Crowd clauses
+// are dropped with a note.
 type CypherBackend struct{}
 
 // Name implements Backend.
@@ -69,10 +67,7 @@ func cypherRel(t rdf.Term) string {
 }
 
 // Emit implements Backend.
-func (CypherBackend) Emit(p *Plan) (*Rendering, error) {
-	if len(p.Filters) > 0 {
-		return nil, &CapabilityError{Backend: "cypher", Feature: "FILTER expressions"}
-	}
+func (CypherBackend) Emit(p *Plan) *Rendering {
 	r := &Rendering{Backend: "cypher"}
 	if n := len(p.Crowd); n > 0 {
 		r.Notes = append(r.Notes, fmt.Sprintf(
@@ -107,9 +102,7 @@ func (CypherBackend) Emit(p *Plan) (*Rendering, error) {
 		b.WriteString("\n")
 	}
 	if p.Aggregated() {
-		if err := cypherAggTail(&b, p, bound, r); err != nil {
-			return nil, err
-		}
+		cypherAggTail(&b, p, bound, r)
 	} else {
 		sel := varOrder
 		if !p.Select.All {
@@ -150,7 +143,7 @@ func (CypherBackend) Emit(p *Plan) (*Rendering, error) {
 			Source:    pat.Source,
 		})
 	}
-	return r, nil
+	return r
 }
 
 // cypherAgg renders one aggregate call in Cypher's lower-case spelling;
@@ -169,10 +162,9 @@ func cypherAgg(a sparql.Aggregate, bound map[string]bool) (string, bool) {
 // cypherAggTail writes the analytic projection after the MATCH patterns.
 // Cypher groups implicitly — every non-aggregate projection item is a
 // grouping key — so the grouping variables and aggregate calls share one
-// item list. A HAVING condition needs the aggregate computed before it
-// can be tested, which is Cypher's WITH … WHERE … RETURN staging; the
-// same staging reconciles a projection narrower than the grouping keys.
-func cypherAggTail(b *strings.Builder, p *Plan, bound map[string]bool, r *Rendering) error {
+// item list. A projection narrower than that list needs Cypher's WITH …
+// RETURN staging: the WITH stage groups, the RETURN narrows.
+func cypherAggTail(b *strings.Builder, p *Plan, bound map[string]bool, r *Rendering) {
 	var items []string // "city" / "count(a) AS cnt", grouping order
 	emitted := map[string]bool{}
 	for _, v := range p.Agg.GroupBy {
@@ -184,9 +176,7 @@ func cypherAggTail(b *strings.Builder, p *Plan, bound map[string]bool, r *Render
 		items = append(items, ident(v))
 		emitted[v] = true
 	}
-	byAlias := map[string]sparql.Aggregate{}
 	for _, a := range p.Agg.Aggs {
-		byAlias[a.As] = a
 		call, ok := cypherAgg(a, bound)
 		if !ok {
 			r.Notes = append(r.Notes, fmt.Sprintf(
@@ -208,22 +198,8 @@ func cypherAggTail(b *strings.Builder, p *Plan, bound map[string]bool, r *Render
 	// Single-stage RETURN only when the projection covers every grouping
 	// key and aggregate — otherwise the narrower final projection would
 	// silently change the implicit grouping.
-	staged := len(p.Agg.Having) > 0 || len(proj) != len(items)
-	if staged {
-		b.WriteString("WITH " + strings.Join(items, ", "))
-		for i, h := range p.Agg.Having {
-			s, err := cypherHavingExpr(h, p.Agg.Aggs, emitted)
-			if err != nil {
-				return &CapabilityError{Backend: "cypher", Feature: "HAVING expression " + h.String()}
-			}
-			if i == 0 {
-				b.WriteString("\nWHERE ")
-			} else {
-				b.WriteString("\n  AND ")
-			}
-			b.WriteString(s)
-		}
-		b.WriteString("\nRETURN ")
+	if len(proj) != len(items) {
+		b.WriteString("WITH " + strings.Join(items, ", ") + "\nRETURN ")
 		for i, v := range proj {
 			if i > 0 {
 				b.WriteString(", ")
@@ -238,7 +214,7 @@ func cypherAggTail(b *strings.Builder, p *Plan, bound map[string]bool, r *Render
 		// a reordering, not a regrouping.
 		ordered := make([]string, 0, len(items))
 		for _, v := range proj {
-			if a, ok := byAlias[v]; ok {
+			if a, ok := aggregateByAlias(p.Agg.Aggs, v); ok {
 				call, _ := cypherAgg(a, bound)
 				ordered = append(ordered, call+" AS "+ident(a.As))
 			} else {
@@ -269,59 +245,4 @@ func cypherAggTail(b *strings.Builder, p *Plan, bound map[string]bool, r *Render
 	if p.Agg.Limit > 0 {
 		fmt.Fprintf(b, "\nLIMIT %d", p.Agg.Limit)
 	}
-	return nil
-}
-
-// cypherHavingExpr translates a HAVING condition: aggregate references
-// become their computed alias (bound by the WITH stage), grouping
-// variables stay bare identifiers, and operators take their Cypher
-// spellings. Anything else errors.
-func cypherHavingExpr(e sparql.Expr, aggs []sparql.Aggregate, emitted map[string]bool) (string, error) {
-	if a, ok := havingAggregate(e, aggs); ok {
-		if !emitted[a.As] {
-			return "", fmt.Errorf("aggregate %s not computed", a)
-		}
-		return ident(a.As), nil
-	}
-	switch x := e.(type) {
-	case *sparql.VarExpr:
-		if emitted[x.Name] {
-			return ident(x.Name), nil
-		}
-		return "", fmt.Errorf("unbound variable $%s", x.Name)
-	case *sparql.LitExpr:
-		if s, ok := litText(e, cypherString); ok {
-			return s, nil
-		}
-	case *sparql.NotExpr:
-		s, err := cypherHavingExpr(x.X, aggs, emitted)
-		if err != nil {
-			return "", err
-		}
-		return "NOT (" + s + ")", nil
-	case *sparql.BinExpr:
-		op, ok := cypherOps[x.Op]
-		if !ok {
-			return "", fmt.Errorf("operator %q", x.Op)
-		}
-		l, err := cypherHavingExpr(x.L, aggs, emitted)
-		if err != nil {
-			return "", err
-		}
-		r, err := cypherHavingExpr(x.R, aggs, emitted)
-		if err != nil {
-			return "", err
-		}
-		return "(" + l + " " + op + " " + r + ")", nil
-	}
-	return "", fmt.Errorf("untranslatable expression %s", e)
-}
-
-// cypherOps maps the filter grammar's binary operators to Cypher
-// spellings.
-var cypherOps = map[string]string{
-	"&&": "AND", "||": "OR",
-	"=": "=", "==": "=", "!=": "<>",
-	"<": "<", "<=": "<=", ">": ">", ">=": ">=",
-	"+": "+", "-": "-",
 }

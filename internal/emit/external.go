@@ -90,19 +90,18 @@ func LoadMemTable(src sparql.Source) *MemTable {
 	return m
 }
 
-// ExecuteWhere evaluates the plan's general part (WHERE patterns +
-// filters, plus any analytic step: grouping, aggregates, HAVING and the
-// result window) against any source — the in-memory RDF store or an
-// Adapter-wrapped external one — and returns the solution bindings.
+// ExecuteWhere evaluates the plan's general part (WHERE patterns plus
+// any analytic step: grouping, aggregates and the result window) against
+// any source — the in-memory RDF store or an Adapter-wrapped external
+// one — and returns the solution bindings.
 func ExecuteWhere(p *Plan, src sparql.Source) ([]sparql.Binding, error) {
 	if src == nil {
 		return nil, fmt.Errorf("emit: nil source")
 	}
-	q := &sparql.Query{Where: p.WhereTriples(), Filters: p.Filters, Limit: -1}
+	q := &sparql.Query{Where: p.WhereTriples(), Limit: -1}
 	if p.Agg != nil {
 		q.GroupBy = p.Agg.GroupBy
 		q.Aggs = p.Agg.Aggs
-		q.Having = p.Agg.Having
 		q.OrderBy = p.Agg.OrderBy
 		if p.Agg.Limit > 0 {
 			q.Limit = p.Agg.Limit

@@ -24,12 +24,10 @@ import (
 // predicate repeated within one document wraps its values in {"$all":
 // [...]}. An aggregated plan adds an "aggregate" key holding a
 // $group-style pipeline — $group with one accumulator per aggregate,
-// $match for HAVING, $sort and $limit for the result window — which runs
-// over the filter's solution rows materialized as documents (noted,
-// since that materialization is application-side). Crowd clauses are
-// dropped with a note; filters, variable predicates and HAVING
-// conditions beyond alias-vs-constant comparisons fail with a
-// *CapabilityError.
+// $sort and $limit for the result window — which runs over the filter's
+// solution rows materialized as documents (noted, since that
+// materialization is application-side). Crowd clauses are dropped with a
+// note.
 type MongoBackend struct{}
 
 // Name implements Backend.
@@ -46,13 +44,7 @@ type mongoGroup struct {
 }
 
 // Emit implements Backend.
-func (MongoBackend) Emit(p *Plan) (*Rendering, error) {
-	if len(p.Filters) > 0 {
-		return nil, &CapabilityError{Backend: "mongodb", Feature: "FILTER expressions"}
-	}
-	if p.varPredicates() {
-		return nil, &CapabilityError{Backend: "mongodb", Feature: "variable predicates"}
-	}
+func (MongoBackend) Emit(p *Plan) *Rendering {
 	r := &Rendering{Backend: "mongodb"}
 	if n := len(p.Crowd); n > 0 {
 		r.Notes = append(r.Notes, fmt.Sprintf(
@@ -142,11 +134,7 @@ func (MongoBackend) Emit(p *Plan) (*Rendering, error) {
 		b.WriteString("]")
 	}
 	if p.Aggregated() {
-		pipeline, err := mongoPipeline(p)
-		if err != nil {
-			return nil, err
-		}
-		b.WriteString(", \"aggregate\": " + pipeline)
+		b.WriteString(", \"aggregate\": " + mongoPipeline(p))
 		r.Notes = append(r.Notes, "aggregation pipeline runs over the filter's solution rows materialized as documents (application-side join resolution)")
 	}
 	b.WriteString("}")
@@ -162,7 +150,7 @@ func (MongoBackend) Emit(p *Plan) (*Rendering, error) {
 			Source:    c.pat.Source,
 		})
 	}
-	return r, nil
+	return r
 }
 
 // mongoAccumulator renders one aggregate as a $group accumulator. COUNT
@@ -184,9 +172,9 @@ func mongoAccumulator(a sparql.Aggregate) string {
 }
 
 // mongoPipeline renders the analytic part as a $group-style pipeline:
-// one $group stage keyed by the grouping variables, a $match stage per
-// HAVING condition, then $sort and $limit for the result window.
-func mongoPipeline(p *Plan) (string, error) {
+// one $group stage keyed by the grouping variables, then $sort and
+// $limit for the result window.
+func mongoPipeline(p *Plan) string {
 	var b strings.Builder
 	b.WriteString(`[{"$group": {"_id": `)
 	if len(p.Agg.GroupBy) == 0 {
@@ -205,13 +193,6 @@ func mongoPipeline(p *Plan) (string, error) {
 		b.WriteString(", " + jsonString(a.As) + ": " + mongoAccumulator(a))
 	}
 	b.WriteString("}}")
-	for _, h := range p.Agg.Having {
-		m, err := mongoHavingMatch(h, p.Agg.Aggs)
-		if err != nil {
-			return "", &CapabilityError{Backend: "mongodb", Feature: "HAVING expression " + h.String()}
-		}
-		b.WriteString(", " + m)
-	}
 	if len(p.Agg.OrderBy) > 0 {
 		b.WriteString(`, {"$sort": {`)
 		for i, k := range p.Agg.OrderBy {
@@ -230,39 +211,5 @@ func mongoPipeline(p *Plan) (string, error) {
 		fmt.Fprintf(&b, `, {"$limit": %d}`, p.Agg.Limit)
 	}
 	b.WriteString("]")
-	return b.String(), nil
-}
-
-// mongoCmpOps maps comparison operators to their $match spellings.
-var mongoCmpOps = map[string]string{
-	"=": "$eq", "==": "$eq", "!=": "$ne",
-	"<": "$lt", "<=": "$lte", ">": "$gt", ">=": "$gte",
-}
-
-// mongoHavingMatch renders one HAVING condition as a $match stage. The
-// document dialect expresses only comparisons between an aggregate (or
-// grouping key) and a constant; anything else errors, which Emit turns
-// into a *CapabilityError.
-func mongoHavingMatch(e sparql.Expr, aggs []sparql.Aggregate) (string, error) {
-	x, ok := e.(*sparql.BinExpr)
-	if !ok {
-		return "", fmt.Errorf("not a comparison")
-	}
-	op, ok := mongoCmpOps[x.Op]
-	if !ok {
-		return "", fmt.Errorf("operator %q", x.Op)
-	}
-	field := ""
-	if a, aok := havingAggregate(x.L, aggs); aok {
-		field = a.As
-	} else if v, vok := x.L.(*sparql.VarExpr); vok {
-		field = v.Name
-	} else {
-		return "", fmt.Errorf("left side must be an aggregate or grouping key")
-	}
-	lit, ok := litText(x.R, jsonString)
-	if !ok {
-		return "", fmt.Errorf("right side must be a constant")
-	}
-	return `{"$match": {` + jsonString(field) + `: {` + jsonString(op) + `: ` + lit + `}}}`, nil
+	return b.String()
 }

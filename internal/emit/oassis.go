@@ -6,8 +6,8 @@ import (
 
 // OassisBackend renders plans in OASSIS-QL, the paper's crowd-mining
 // language. It is the system's reference dialect: the only backend that
-// expresses every plan (crowd clauses, filters, variable predicates),
-// and the single OASSIS-QL emitter in the codebase — both the pipeline's
+// expresses every part of a plan (crowd clauses included), and the
+// single OASSIS-QL emitter in the codebase — both the pipeline's
 // final query and this backend's rendering go through oassisql.Printer,
 // so they are byte-identical by construction.
 type OassisBackend struct{}
@@ -28,19 +28,18 @@ func (OassisBackend) Caps() Caps {
 func OassisQuery(p *Plan) *oassisql.Query {
 	q := &oassisql.Query{
 		Select: oassisql.SelectClause{All: p.Select.All, Vars: p.Select.Vars},
-		Where:  oassisql.Pattern{Triples: p.WhereTriples(), Filters: p.Filters},
+		Where:  oassisql.Pattern{Triples: p.WhereTriples()},
 	}
 	if p.Agg != nil {
 		q.Agg = &oassisql.Aggregation{
 			GroupBy: p.Agg.GroupBy,
 			Aggs:    p.Agg.Aggs,
-			Having:  p.Agg.Having,
 			OrderBy: p.Agg.OrderBy,
 			Limit:   p.Agg.Limit,
 		}
 	}
 	for _, cc := range p.Crowd {
-		sc := oassisql.Subclause{Pattern: oassisql.Pattern{Filters: cc.Filters}}
+		var sc oassisql.Subclause
 		for _, pat := range cc.Patterns {
 			sc.Pattern.Triples = append(sc.Pattern.Triples, pat.Triple)
 		}
@@ -56,8 +55,8 @@ func OassisQuery(p *Plan) *oassisql.Query {
 }
 
 // Emit implements Backend.
-func (OassisBackend) Emit(p *Plan) (*Rendering, error) {
-	return OassisRendering(p, OassisQuery(p)), nil
+func (OassisBackend) Emit(p *Plan) *Rendering {
+	return OassisRendering(p, OassisQuery(p))
 }
 
 // OassisRendering is the OASSIS-QL rendering of a plan whose query q

@@ -8,10 +8,11 @@
 //
 // The Plan mirrors the structure the Query Composition module assembles
 // (paper §2.6) without committing to any concrete syntax: general triple
-// patterns with filters and projection, plus crowd-mining clauses with
-// their significance criteria. Every pattern carries the provenance of
-// its source tokens, so each backend's rendering can be traced back to
-// the question phrase it derives from, clause by clause.
+// patterns with a projection and an optional grouping step, plus
+// crowd-mining clauses with their significance criteria. Every pattern
+// carries the provenance of its source tokens, so each backend's
+// rendering can be traced back to the question phrase it derives from,
+// clause by clause.
 package emit
 
 import (
@@ -49,15 +50,14 @@ type Significance struct {
 // criterion.
 type CrowdClause struct {
 	Patterns     []Pattern
-	Filters      []sparql.Expr
 	Significance Significance
 }
 
 // Aggregation is the plan's analytic part: grouping and aggregate
-// outputs over the general selection, with optional HAVING conditions
-// and a result window. A superlative question compiles to this shape —
-// "Which city has the most attractions?" becomes GROUP BY city +
-// COUNT(attraction) + ORDER BY count DESC + LIMIT 1. The types are the
+// outputs over the general selection, with an optional result window. A
+// superlative question compiles to this shape — "Which city has the most
+// attractions?" becomes GROUP BY city + COUNT(attraction) + ORDER BY
+// count DESC + LIMIT 1. The types are the
 // sparql package's, so a plan's aggregation drops straight into a
 // sparql.Query for evaluation.
 type Aggregation struct {
@@ -65,8 +65,6 @@ type Aggregation struct {
 	GroupBy []string
 	// Aggs lists the aggregate outputs; aliases act as output variables.
 	Aggs []sparql.Aggregate
-	// Having restricts groups after aggregation.
-	Having []sparql.Expr
 	// OrderBy sorts the grouped results (aliases are sortable).
 	OrderBy []sparql.OrderKey
 	// Limit caps the grouped results; 0 means no limit.
@@ -91,8 +89,6 @@ type Plan struct {
 	Select Select
 	// Where holds the general (ontology) selection patterns.
 	Where []Pattern
-	// Filters restrict the general selection.
-	Filters []sparql.Expr
 	// Crowd holds the crowd-mining clauses; empty for pure-general plans.
 	Crowd []CrowdClause
 	// Agg is the analytic part; nil for plain selections.
@@ -101,17 +97,15 @@ type Plan struct {
 
 // Clone returns a deep-enough copy for re-binding: every slice that
 // Rebind or a Source recomputation mutates is copied; immutable parts
-// (token sets, filter expressions) are shared.
+// (token sets) are shared.
 func (p *Plan) Clone() *Plan {
 	q := *p
 	q.Select.Vars = append([]string(nil), p.Select.Vars...)
 	q.Where = append([]Pattern(nil), p.Where...)
-	q.Filters = append([]sparql.Expr(nil), p.Filters...)
 	q.Crowd = make([]CrowdClause, len(p.Crowd))
 	for i, cc := range p.Crowd {
 		q.Crowd[i] = CrowdClause{
 			Patterns:     append([]Pattern(nil), cc.Patterns...),
-			Filters:      append([]sparql.Expr(nil), cc.Filters...),
 			Significance: cc.Significance,
 		}
 	}
@@ -119,7 +113,6 @@ func (p *Plan) Clone() *Plan {
 		a := *p.Agg
 		a.GroupBy = append([]string(nil), p.Agg.GroupBy...)
 		a.Aggs = append([]sparql.Aggregate(nil), p.Agg.Aggs...)
-		a.Having = append([]sparql.Expr(nil), p.Agg.Having...)
 		a.OrderBy = append([]sparql.OrderKey(nil), p.Agg.OrderBy...)
 		q.Agg = &a
 	}
@@ -128,9 +121,7 @@ func (p *Plan) Clone() *Plan {
 
 // Rebind substitutes terms in every pattern (general and crowd): the
 // entity-slot rehydration step of the plan cache, mapping a cached
-// shape's entities onto a new question's. Filters are not rewritten —
-// callers must not rebind plans whose filters could mention a
-// substituted term.
+// shape's entities onto a new question's.
 func (p *Plan) Rebind(sub map[rdf.Term]rdf.Term) {
 	apply := func(pats []Pattern) {
 		for i := range pats {
@@ -201,26 +192,4 @@ func (p *Plan) WhereTriples() []rdf.Triple {
 		out[i] = pat.Triple
 	}
 	return out
-}
-
-// varPredicates reports whether any pattern (general or crowd) has a
-// variable in predicate position.
-func (p *Plan) varPredicates() bool {
-	check := func(pats []Pattern) bool {
-		for _, pat := range pats {
-			if pat.Triple.P.IsVar() {
-				return true
-			}
-		}
-		return false
-	}
-	if check(p.Where) {
-		return true
-	}
-	for _, cc := range p.Crowd {
-		if check(cc.Patterns) {
-			return true
-		}
-	}
-	return false
 }

@@ -17,25 +17,20 @@ import (
 //
 // An aggregated plan renders its analytic part natively: aggregate
 // functions over the bound column references in the SELECT list, GROUP
-// BY over the grouping variables' columns, HAVING with the aggregate
-// expressions spelled out (portable SQL cannot reference SELECT aliases
-// in HAVING), and ORDER BY/LIMIT for the result window — so a
-// superlative plan becomes GROUP BY … ORDER BY cnt DESC LIMIT 1.
+// BY over the grouping variables' columns, and ORDER BY/LIMIT for the
+// result window — so a superlative plan becomes GROUP BY … ORDER BY cnt
+// DESC LIMIT 1.
 //
 // Capability fallbacks: crowd-mining clauses have no SQL counterpart and
 // are dropped with a note; a projected variable bound only in a crowd
-// clause is likewise noted. FILTER expressions fail with a
-// *CapabilityError (dropping one would silently widen the selection), as
-// does a HAVING condition outside the comparison/boolean grammar the
-// renderer can translate.
+// clause is likewise noted.
 type SQLBackend struct{}
 
 // Name implements Backend.
 func (SQLBackend) Name() string { return "sql" }
 
 // Caps implements Backend. A variable predicate is expressible — the
-// predicate is just the p column — so only crowd clauses and filters are
-// beyond the dialect.
+// predicate is just the p column.
 func (SQLBackend) Caps() Caps {
 	return Caps{Joins: true, VarPredicates: true, Aggregates: true}
 }
@@ -44,10 +39,7 @@ func (SQLBackend) Caps() Caps {
 var sqlCol = [3]string{"s", "p", "o"}
 
 // Emit implements Backend.
-func (SQLBackend) Emit(p *Plan) (*Rendering, error) {
-	if len(p.Filters) > 0 {
-		return nil, &CapabilityError{Backend: "sql", Feature: "FILTER expressions"}
-	}
+func (SQLBackend) Emit(p *Plan) *Rendering {
 	r := &Rendering{Backend: "sql"}
 	if n := len(p.Crowd); n > 0 {
 		r.Notes = append(r.Notes, fmt.Sprintf(
@@ -104,12 +96,8 @@ func (SQLBackend) Emit(p *Plan) (*Rendering, error) {
 	// general part binds.
 	var selParts []string
 	if p.Aggregated() {
-		byAlias := map[string]sparql.Aggregate{}
-		for _, a := range p.Agg.Aggs {
-			byAlias[a.As] = a
-		}
 		for _, v := range aggProjection(p) {
-			if a, ok := byAlias[v]; ok {
+			if a, ok := aggregateByAlias(p.Agg.Aggs, v); ok {
 				expr, ok := aggSQL(a)
 				if !ok {
 					r.Notes = append(r.Notes, fmt.Sprintf(
@@ -180,8 +168,8 @@ func (SQLBackend) Emit(p *Plan) (*Rendering, error) {
 		b.WriteString(g)
 	}
 
-	// Analytic tail: GROUP BY over the grouping columns, HAVING with the
-	// aggregate expressions spelled out, then the result window.
+	// Analytic tail: GROUP BY over the grouping columns, then the result
+	// window.
 	if p.Aggregated() {
 		var groupCols []string
 		for _, v := range p.Agg.GroupBy {
@@ -194,18 +182,6 @@ func (SQLBackend) Emit(p *Plan) (*Rendering, error) {
 		}
 		if len(groupCols) > 0 {
 			b.WriteString("\nGROUP BY " + strings.Join(groupCols, ", "))
-		}
-		for i, h := range p.Agg.Having {
-			s, err := sqlHavingExpr(h, bound, p.Agg.Aggs, aggSQL)
-			if err != nil {
-				return nil, &CapabilityError{Backend: "sql", Feature: "HAVING expression " + h.String()}
-			}
-			if i == 0 {
-				b.WriteString("\nHAVING ")
-			} else {
-				b.WriteString("\n   AND ")
-			}
-			b.WriteString(s)
 		}
 		if keys := sqlOrderKeys(p, bound, aggSQL, r); len(keys) > 0 {
 			b.WriteString("\nORDER BY " + strings.Join(keys, ", "))
@@ -230,7 +206,7 @@ func (SQLBackend) Emit(p *Plan) (*Rendering, error) {
 			Source:    pat.Source,
 		})
 	}
-	return r, nil
+	return r
 }
 
 // sqlOrderKeys renders the analytic ORDER BY keys: an aggregate alias
@@ -241,7 +217,7 @@ func sqlOrderKeys(p *Plan, bound map[string]string, aggSQL func(sparql.Aggregate
 	var keys []string
 	for _, k := range p.Agg.OrderBy {
 		var expr string
-		if a, ok := havingAggregate(&sparql.VarExpr{Name: k.Var}, p.Agg.Aggs); ok {
+		if a, ok := aggregateByAlias(p.Agg.Aggs, k.Var); ok {
 			s, sok := aggSQL(a)
 			if !sok {
 				r.Notes = append(r.Notes, fmt.Sprintf(
@@ -262,58 +238,4 @@ func sqlOrderKeys(p *Plan, bound map[string]string, aggSQL func(sparql.Aggregate
 		keys = append(keys, expr)
 	}
 	return keys
-}
-
-// sqlHavingExpr translates a HAVING condition into SQL: aggregate
-// references become the spelled-out aggregate expression, grouping
-// variables their column reference, and the boolean/comparison operators
-// their SQL forms. Anything else is untranslatable and errors.
-func sqlHavingExpr(e sparql.Expr, bound map[string]string, aggs []sparql.Aggregate, aggSQL func(sparql.Aggregate) (string, bool)) (string, error) {
-	if a, ok := havingAggregate(e, aggs); ok {
-		s, sok := aggSQL(a)
-		if !sok {
-			return "", fmt.Errorf("aggregate over unbound $%s", a.Var)
-		}
-		return s, nil
-	}
-	switch x := e.(type) {
-	case *sparql.VarExpr:
-		if col, ok := bound[x.Name]; ok {
-			return col, nil
-		}
-		return "", fmt.Errorf("unbound variable $%s", x.Name)
-	case *sparql.LitExpr:
-		if s, ok := litText(e, sqlString); ok {
-			return s, nil
-		}
-	case *sparql.NotExpr:
-		s, err := sqlHavingExpr(x.X, bound, aggs, aggSQL)
-		if err != nil {
-			return "", err
-		}
-		return "NOT (" + s + ")", nil
-	case *sparql.BinExpr:
-		op, ok := sqlOps[x.Op]
-		if !ok {
-			return "", fmt.Errorf("operator %q", x.Op)
-		}
-		l, err := sqlHavingExpr(x.L, bound, aggs, aggSQL)
-		if err != nil {
-			return "", err
-		}
-		r, err := sqlHavingExpr(x.R, bound, aggs, aggSQL)
-		if err != nil {
-			return "", err
-		}
-		return "(" + l + " " + op + " " + r + ")", nil
-	}
-	return "", fmt.Errorf("untranslatable expression %s", e)
-}
-
-// sqlOps maps the filter grammar's binary operators to SQL spellings.
-var sqlOps = map[string]string{
-	"&&": "AND", "||": "OR",
-	"=": "=", "==": "=", "!=": "<>",
-	"<": "<", "<=": "<=", ">": ">", ">=": ">=",
-	"+": "+", "-": "-",
 }

@@ -3,7 +3,6 @@ package ontology
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"nl2cm/internal/rdf"
 )
@@ -41,51 +40,4 @@ func ReadNTriples(name string, r io.Reader) (*Ontology, error) {
 	addGeoRelations(o)
 	addEncyclopedicRelations(o)
 	return o, nil
-}
-
-// Stats summarizes an ontology for admin displays.
-type Stats struct {
-	Name     string
-	Triples  int
-	Classes  int
-	Entities int
-	Labels   int
-}
-
-// Summary computes ontology statistics over one pinned epoch.
-func (o *Ontology) Summary() Stats {
-	d := o.View()
-	snap := d.snap
-	entities := map[rdf.Term]bool{}
-	snap.MatchFunc(rdf.T(rdf.NewVar("s"), PredInstanceOf, rdf.NewVar("c")), func(t rdf.Triple) bool {
-		if !d.classes[t.S] {
-			entities[t.S] = true
-		}
-		return true
-	})
-	return Stats{
-		Name:     o.Name,
-		Triples:  snap.Len(),
-		Classes:  len(d.classes),
-		Entities: len(entities),
-		Labels:   len(d.labels),
-	}
-}
-
-// Entities returns all non-class subjects with an instanceOf fact,
-// sorted.
-func (o *Ontology) Entities() []rdf.Term {
-	d := o.View()
-	snap := d.snap
-	seen := map[rdf.Term]bool{}
-	var out []rdf.Term
-	snap.MatchFunc(rdf.T(rdf.NewVar("s"), PredInstanceOf, rdf.NewVar("c")), func(t rdf.Triple) bool {
-		if !d.classes[t.S] && !seen[t.S] {
-			seen[t.S] = true
-			out = append(out, t.S)
-		}
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out
 }

@@ -548,16 +548,6 @@ func (v *View) ResolveKey(key []byte) (rdf.Term, bool) {
 	return ts[0], true
 }
 
-// Classes returns all classes of the view, sorted.
-func (v *View) Classes() []rdf.Term {
-	out := make([]rdf.Term, 0, len(v.classes))
-	for c := range v.classes {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out
-}
-
 // Description returns the disambiguation string registered for an
 // entity.
 func (v *View) Description(t rdf.Term) string { return v.reg.descriptions[t] }

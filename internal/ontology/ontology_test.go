@@ -193,22 +193,6 @@ func TestMergeCombinesEverything(t *testing.T) {
 	}
 }
 
-func TestClassesSortedAndFlagged(t *testing.T) {
-	o := NewGeoOntology()
-	cs := o.View().Classes()
-	if len(cs) < 8 {
-		t.Fatalf("only %d classes", len(cs))
-	}
-	for i := 1; i < len(cs); i++ {
-		if cs[i-1].Compare(cs[i]) >= 0 {
-			t.Fatal("Classes not sorted")
-		}
-	}
-	if !o.View().IsClass(E("Place")) || o.View().IsClass(E("Delaware_Park")) {
-		t.Error("IsClass flags wrong")
-	}
-}
-
 func TestDescriptionsPresentForAmbiguous(t *testing.T) {
 	o := NewGeoOntology()
 	if d := o.View().Description(E("Buffalo,_NY")); !strings.Contains(d, "New York") {
@@ -272,30 +256,6 @@ func TestOntologyNTriplesRoundTrip(t *testing.T) {
 func TestReadNTriplesBadInput(t *testing.T) {
 	if _, err := ReadNTriples("x", strings.NewReader("not triples")); err == nil {
 		t.Error("garbage accepted")
-	}
-}
-
-func TestOntologySummary(t *testing.T) {
-	s := NewGeoOntology().Summary()
-	if s.Name != "GeoOntology" || s.Triples == 0 || s.Classes < 8 || s.Entities < 15 {
-		t.Errorf("Summary = %+v", s)
-	}
-}
-
-func TestOntologyEntities(t *testing.T) {
-	ents := NewGeoOntology().Entities()
-	if len(ents) < 15 {
-		t.Fatalf("entities = %d", len(ents))
-	}
-	for i := 1; i < len(ents); i++ {
-		if ents[i-1].Compare(ents[i]) >= 0 {
-			t.Fatal("entities not sorted")
-		}
-	}
-	for _, e := range ents {
-		if NewGeoOntology().View().IsClass(e) {
-			t.Errorf("class %v listed as entity", e)
-		}
 	}
 }
 

@@ -133,8 +133,9 @@ func ParseQuery(input string) (*Query, error) { return oassisql.Parse(input) }
 // ---- Backend emission ----
 
 // Plan is the backend-neutral logical query IR a translation produces
-// (Result.Plan): general triple patterns, filters and projection plus
-// crowd-mining clauses, each pattern carrying its source provenance.
+// (Result.Plan): general triple patterns, a projection and an optional
+// grouping step plus crowd-mining clauses, each pattern carrying its
+// source provenance.
 type Plan = emit.Plan
 
 // Backend renders a Plan into one concrete query dialect.
@@ -152,20 +153,18 @@ type Rendering = emit.Rendering
 // pattern and question phrase it derives from.
 type RenderedClause = emit.Clause
 
-// CapabilityError reports a plan feature a backend cannot express.
-type CapabilityError = emit.CapabilityError
-
 // DefaultBackend is the backend used when none is named: the paper's
 // OASSIS-QL dialect.
 const DefaultBackend = emit.DefaultBackend
 
-// Backends lists the registered backend names, DefaultBackend first.
+// Backends lists the backend names, DefaultBackend first.
 func Backends() []string { return emit.Names() }
 
 // LookupBackend returns the named backend (false when unknown).
 func LookupBackend(name string) (Backend, bool) { return emit.Lookup(name) }
 
-// EmitBackend renders a plan in the named backend's dialect.
+// EmitBackend renders a plan in the named backend's dialect; it fails
+// only for an unknown backend name.
 func EmitBackend(name string, p *Plan) (*Rendering, error) { return emit.Emit(name, p) }
 
 // ---- Ontologies ----
