@@ -127,7 +127,7 @@ func BenchmarkP10_GroupBy(b *testing.B) {
 			q := &sparql.Query{
 				Where:   []rdf.Triple{rdf.T(rdf.NewVar("x"), ontology.PredNear, rdf.NewVar("y"))},
 				GroupBy: []string{"y"},
-				Aggs:    []sparql.Aggregate{{Func: "COUNT", Var: "x", As: "n"}},
+				Aggs:    []sparql.Aggregate{{Var: "x", As: "n"}},
 				OrderBy: []sparql.OrderKey{{Var: "n", Desc: true}},
 				Limit:   1,
 			}

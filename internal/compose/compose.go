@@ -350,7 +350,7 @@ func (c *Composer) analytic(p *emit.Plan, in Input) {
 		return
 	}
 	a := &emit.Aggregation{
-		Aggs: []sparql.Aggregate{{Func: "COUNT", Var: agg.CountVar, As: agg.Alias}},
+		Aggs: []sparql.Aggregate{{Var: agg.CountVar, As: agg.Alias}},
 	}
 	if agg.GroupVar != "" {
 		if !bound[agg.GroupVar] {

@@ -251,7 +251,7 @@ WHERE
 $x near Forest_Hotel,_Buffalo,_NY}
 SATISFYING
 {$x hasLabel "interesting"}
-WITH SUPPORT THRESHOLD = 1.1
+WITH SUPPORT THRESHOLD = 1.0
 AND
 {[] visit $x.
 [] in Fall}

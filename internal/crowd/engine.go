@@ -258,10 +258,7 @@ func (e *Engine) execute(ctx context.Context, q *oassisql.Query, x *crowdscale.E
 	res := &Result{WhereBindings: len(bindings)}
 	if len(q.Satisfying) == 0 {
 		if q.Agg != nil {
-			bindings, err = applyAggregation(q, bindings)
-			if err != nil {
-				return nil, err
-			}
+			bindings = applyAggregation(q, bindings)
 		}
 		res.Bindings = bindings
 		return res, nil
@@ -297,10 +294,7 @@ func (e *Engine) execute(ctx context.Context, q *oassisql.Query, x *crowdscale.E
 	// crowd let through, so a counting query over crowd-filtered data
 	// counts only significant patterns.
 	if q.Agg != nil {
-		surviving, err = applyAggregation(q, surviving)
-		if err != nil {
-			return nil, err
-		}
+		surviving = applyAggregation(q, surviving)
 	}
 
 	// 4. Projection.
@@ -309,27 +303,18 @@ func (e *Engine) execute(ctx context.Context, q *oassisql.Query, x *crowdscale.E
 }
 
 // applyAggregation applies the query's aggregation extension — grouping,
-// aggregates, HAVING, ordering and the result window — to
-// already-computed rows. The WHERE patterns ride along only so HAVING
-// aggregate aliases resolve against the query's pattern variables; no
-// re-evaluation happens.
-func applyAggregation(q *oassisql.Query, rows []sparql.Binding) ([]sparql.Binding, error) {
+// counts, ordering and the result window — to already-computed rows.
+func applyAggregation(q *oassisql.Query, rows []sparql.Binding) []sparql.Binding {
 	aggQ := &sparql.Query{
-		Where:   q.Where.Triples,
 		GroupBy: q.Agg.GroupBy,
 		Aggs:    q.Agg.Aggs,
-		Having:  q.Agg.Having,
 		OrderBy: q.Agg.OrderBy,
 		Limit:   -1,
 	}
 	if q.Agg.Limit > 0 {
 		aggQ.Limit = q.Agg.Limit
 	}
-	out, err := sparql.AggregateBindings(aggQ, rows, nil)
-	if err != nil {
-		return nil, fmt.Errorf("crowd: aggregating: %w", err)
-	}
-	return out, nil
+	return sparql.AggregateBindings(aggQ, rows)
 }
 
 // taskGroup is one crowd task together with every binding that grounds

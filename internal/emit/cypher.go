@@ -146,17 +146,13 @@ func (CypherBackend) Emit(p *Plan) *Rendering {
 	return r
 }
 
-// cypherAgg renders one aggregate call in Cypher's lower-case spelling;
-// ok=false when its argument is not bound by the general part.
+// cypherAgg renders one count in Cypher's lower-case spelling; ok=false
+// when its argument is not bound by the general part.
 func cypherAgg(a sparql.Aggregate, bound map[string]bool) (string, bool) {
-	fn := strings.ToLower(a.Func)
-	if a.Var == "" {
-		return fn + "(*)", true
-	}
 	if !bound[a.Var] {
 		return "", false
 	}
-	return fn + "(" + ident(a.Var) + ")", true
+	return "count(" + ident(a.Var) + ")", true
 }
 
 // cypherAggTail writes the analytic projection after the MATCH patterns.

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"nl2cm/internal/oassisql"
-	"nl2cm/internal/sparql"
 )
 
 // MongoBackend renders the general part of a plan as a MongoDB-style
@@ -153,27 +152,9 @@ func (MongoBackend) Emit(p *Plan) *Rendering {
 	return r
 }
 
-// mongoAccumulator renders one aggregate as a $group accumulator. COUNT
-// becomes {"$sum": 1}; the value aggregates read the variable's field.
-func mongoAccumulator(a sparql.Aggregate) string {
-	switch a.Func {
-	case "COUNT":
-		return `{"$sum": 1}`
-	case "SUM":
-		return `{"$sum": "$` + a.Var + `"}`
-	case "AVG":
-		return `{"$avg": "$` + a.Var + `"}`
-	case "MIN":
-		return `{"$min": "$` + a.Var + `"}`
-	case "MAX":
-		return `{"$max": "$` + a.Var + `"}`
-	}
-	return "null"
-}
-
 // mongoPipeline renders the analytic part as a $group-style pipeline:
-// one $group stage keyed by the grouping variables, then $sort and
-// $limit for the result window.
+// one $group stage keyed by the grouping variables, each count a
+// {"$sum": 1} accumulator, then $sort and $limit for the result window.
 func mongoPipeline(p *Plan) string {
 	var b strings.Builder
 	b.WriteString(`[{"$group": {"_id": `)
@@ -190,7 +171,7 @@ func mongoPipeline(p *Plan) string {
 		b.WriteString("}")
 	}
 	for _, a := range p.Agg.Aggs {
-		b.WriteString(", " + jsonString(a.As) + ": " + mongoAccumulator(a))
+		b.WriteString(", " + jsonString(a.As) + `: {"$sum": 1}`)
 	}
 	b.WriteString("}}")
 	if len(p.Agg.OrderBy) > 0 {

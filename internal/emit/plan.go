@@ -53,17 +53,16 @@ type CrowdClause struct {
 	Significance Significance
 }
 
-// Aggregation is the plan's analytic part: grouping and aggregate
-// outputs over the general selection, with an optional result window. A
-// superlative question compiles to this shape — "Which city has the most
+// Aggregation is the plan's analytic part: grouping and counts over the
+// general selection, with an optional result window. A superlative
+// question compiles to this shape — "Which city has the most
 // attractions?" becomes GROUP BY city + COUNT(attraction) + ORDER BY
-// count DESC + LIMIT 1. The types are the
-// sparql package's, so a plan's aggregation drops straight into a
-// sparql.Query for evaluation.
+// count DESC + LIMIT 1. The types are the sparql package's, so a plan's
+// aggregation drops straight into a sparql.Query for evaluation.
 type Aggregation struct {
 	// GroupBy lists the grouping variables; empty means one global group.
 	GroupBy []string
-	// Aggs lists the aggregate outputs; aliases act as output variables.
+	// Aggs lists the counts; aliases act as output variables.
 	Aggs []sparql.Aggregate
 	// OrderBy sorts the grouped results (aliases are sortable).
 	OrderBy []sparql.OrderKey

@@ -78,17 +78,14 @@ func (SQLBackend) Emit(p *Plan) *Rendering {
 		pats[i] = ps
 	}
 
-	// aggSQL renders one aggregate call over the bound column refs;
-	// ok=false when its argument is not bound by the general part.
+	// aggSQL renders one count over the bound column refs; ok=false when
+	// its argument is not bound by the general part.
 	aggSQL := func(a sparql.Aggregate) (string, bool) {
-		if a.Var == "" {
-			return a.Func + "(*)", true
-		}
 		col, ok := bound[a.Var]
 		if !ok {
 			return "", false
 		}
-		return a.Func + "(" + col + ")", true
+		return "COUNT(" + col + ")", true
 	}
 
 	// SELECT list. An aggregated plan projects group variables and

@@ -19,31 +19,21 @@ func TestParseAggregateErrors(t *testing.T) {
 		{"aggregate inside FILTER", `SELECT VARIABLES
 WHERE
 {$x size $s.
-FILTER(COUNT($s) > 1)}`, "line 4: aggregate COUNT() is only allowed in SELECT or HAVING"},
-		{"GROUP BY of an unbound variable", `SELECT COUNT(*) AS $n
+FILTER(COUNT($s) > 1)}`, "line 4: aggregate COUNT() is only allowed in SELECT"},
+		{"GROUP BY of an unbound variable", `SELECT COUNT($s) AS $n
 WHERE
 {$x size $s}
 GROUP BY $nope
 LIMIT 1`, "line 5: GROUP BY of undefined variable $nope"},
-		{"empty GROUP BY", `SELECT COUNT(*) AS $n
+		{"empty GROUP BY", `SELECT COUNT($s) AS $n
 WHERE
 {$x size $s}
 GROUP BY
 LIMIT 1`, "line 5: expected variables after GROUP BY"},
-		{"SUM(*)", `SELECT SUM(*) AS $n
-WHERE
-{$x size $s}`, "line 1: SUM(*) is not valid; only COUNT takes *"},
-		{"HAVING without grouping", `SELECT VARIABLES
-WHERE
-{$x size $s}
-HAVING($s > 1)
-SATISFYING
-{[] visit $x}
-WITH SUPPORT THRESHOLD = 0.1`, "line 5: HAVING requires GROUP BY or an aggregate"},
 		{"alias colliding with a pattern variable", `SELECT COUNT($s) AS $x
 WHERE
 {$x size $s}`, "line 3: aggregate alias $x collides with a query variable"},
-		{"duplicate alias", `SELECT COUNT($s) AS $n SUM($s) AS $n
+		{"duplicate alias", `SELECT COUNT($s) AS $n COUNT($x) AS $n
 WHERE
 {$x size $s}
 GROUP BY $x`, "line 4: duplicate aggregate alias $n"},
@@ -60,22 +50,21 @@ GROUP BY $x`, "line 4: duplicate aggregate alias $n"},
 	}
 }
 
-// TestParseAggregateAliases covers the aliases Parse derives for
-// aggregate calls without AS: the lower-case function name, then the
-// argument, then a _2, _3 … suffix until the alias is fresh.
+// TestParseAggregateAliases covers the aliases Parse derives for counts
+// without AS: count_ and the argument, then a _2, _3 … suffix until the
+// alias is fresh.
 func TestParseAggregateAliases(t *testing.T) {
-	q, err := Parse(`SELECT COUNT(*) SUM($s) SUM($s) COUNT($x) AS $count_2 COUNT(*)
+	q, err := Parse(`SELECT COUNT($s) COUNT($s) COUNT($x) AS $count_s_2 COUNT($x)
 WHERE
 {$x size $s}`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []sparql.Aggregate{
-		{Func: "COUNT", As: "count"},
-		{Func: "SUM", Var: "s", As: "sum_s"},
-		{Func: "SUM", Var: "s", As: "sum_s_2"},
-		{Func: "COUNT", Var: "x", As: "count_2"},
-		{Func: "COUNT", As: "count_3"},
+		{Var: "s", As: "count_s"},
+		{Var: "s", As: "count_s_3"},
+		{Var: "x", As: "count_s_2"},
+		{Var: "x", As: "count_x"},
 	}
 	if len(q.Agg.Aggs) != len(want) {
 		t.Fatalf("aggregates = %+v, want %+v", q.Agg.Aggs, want)
@@ -85,10 +74,10 @@ WHERE
 			t.Errorf("aggregate %d = %+v, want %+v", i, q.Agg.Aggs[i], w)
 		}
 	}
-	if got := strings.Join(q.Select.Vars, " "); got != "count sum_s sum_s_2 count_2 count_3" {
+	if got := strings.Join(q.Select.Vars, " "); got != "count_s count_s_3 count_s_2 count_x" {
 		t.Errorf("projection = %s", got)
 	}
-	// SELECT VARIABLES keeps its aggregates out of the variable list.
+	// SELECT VARIABLES keeps its counts out of the variable list.
 	q, err = Parse(`SELECT VARIABLES COUNT($x)
 WHERE
 {$x size $s}`)
@@ -100,16 +89,15 @@ WHERE
 	}
 }
 
-// TestAggregateRoundTrip prints an aggregated query with HAVING, ORDER BY
-// and LIMIT, and a plain ontology query with no SATISFYING clause; both
-// read back and print identically.
+// TestAggregateRoundTrip prints a grouped count with ORDER BY and LIMIT,
+// a global count with no SATISFYING clause, and a plain ontology query
+// with ORDER BY and LIMIT; each reads back and prints identically.
 func TestAggregateRoundTrip(t *testing.T) {
 	for _, text := range []string{`SELECT $city COUNT($a) AS $n
 WHERE
 {$a instanceOf Place.
 $a locatedIn $city}
 GROUP BY $city
-HAVING((COUNT($a) > 2))
 ORDER BY DESC($n) ASC($city)
 LIMIT 3
 SATISFYING
@@ -158,10 +146,10 @@ GROUP BY $x
 SATISFYING
 {[] visit $y}
 WITH SUPPORT THRESHOLD = 0.1`},
-		{`SELECT VARIABLES COUNT(*) WHERE {$count instanceOf Place}`,
-			`SELECT VARIABLES COUNT(*) AS $count_2
+		{`SELECT VARIABLES COUNT($x) WHERE {$x near $count_x}`,
+			`SELECT VARIABLES COUNT($x) AS $count_x_2
 WHERE
-{$count instanceOf Place}`},
+{$x near $count_x}`},
 	} {
 		q, err := Parse(c.in)
 		if err != nil {
@@ -196,7 +184,7 @@ func TestAggregateValidate(t *testing.T) {
 			}},
 			Agg: &Aggregation{
 				GroupBy: []string{"city"},
-				Aggs:    []sparql.Aggregate{{Func: "COUNT", Var: "a", As: "n"}},
+				Aggs:    []sparql.Aggregate{{Var: "a", As: "n"}},
 			},
 		}
 	}
@@ -208,27 +196,29 @@ func TestAggregateValidate(t *testing.T) {
 		mut  func(*Query)
 		want string
 	}{
-		{"unknown func", func(q *Query) { q.Agg.Aggs[0].Func = "MEDIAN" }, "unknown aggregate function"},
 		{"missing alias", func(q *Query) { q.Agg.Aggs[0].As = "" }, "no output alias"},
-		{"star non-count", func(q *Query) { q.Agg.Aggs[0].Func, q.Agg.Aggs[0].Var = "SUM", "" }, "only COUNT takes *"},
 		{"undefined argument", func(q *Query) { q.Agg.Aggs[0].Var = "ghost" }, "aggregate over undefined variable"},
 		{"alias collision", func(q *Query) { q.Agg.Aggs[0].As = "city" }, "collides with a query variable"},
 		{"alias projected twice", func(q *Query) { q.Select.Vars = []string{"n", "n"} }, "collides with a projected variable"},
 		{"dup alias", func(q *Query) {
-			q.Agg.Aggs = append(q.Agg.Aggs, sparql.Aggregate{Func: "SUM", Var: "a", As: "n"})
+			q.Agg.Aggs = append(q.Agg.Aggs, sparql.Aggregate{Var: "a", As: "n"})
 		}, "duplicate aggregate alias"},
 		{"undefined group var", func(q *Query) { q.Agg.GroupBy = []string{"ghost"} }, "GROUP BY of undefined variable"},
-		{"having without grouping", func(q *Query) {
-			q.Agg.GroupBy, q.Agg.Aggs = nil, nil
-			q.Agg.Having = []sparql.Expr{&sparql.LitExpr{Val: sparql.BoolVal(true)}}
-			q.Select = SelectClause{All: true}
-		}, "HAVING requires GROUP BY"},
 		{"undefined sort key", func(q *Query) { q.Agg.OrderBy = []sparql.OrderKey{{Var: "ghost"}} }, "ORDER BY of undefined variable"},
 		{"negative limit", func(q *Query) { q.Agg.Limit = -1 }, "negative LIMIT"},
 		{"empty extension", func(q *Query) {
 			q.Agg = &Aggregation{}
 			q.Select = SelectClause{All: true}
 		}, "empty aggregation extension"},
+		// A grouped row holds only the grouping variables and the counts,
+		// so an explicit projection names all counts and nothing else, and
+		// the sort keys name nothing else either.
+		{"count not projected", func(q *Query) {
+			q.Select.Vars = []string{"city"}
+			q.Agg.OrderBy = []sparql.OrderKey{{Var: "n", Desc: true}}
+		}, "COUNT($a) AS $n is not projected"},
+		{"ungrouped projection", func(q *Query) { q.Select.Vars = []string{"a", "n"} }, "projected variable $a is neither grouped nor a count"},
+		{"ungrouped sort key", func(q *Query) { q.Agg.OrderBy = []sparql.OrderKey{{Var: "a"}} }, "ORDER BY $a, which is neither grouped nor a count"},
 	}
 	for _, c := range cases {
 		q := base()

@@ -11,17 +11,27 @@
 //     subclauses, each holding one semantic event/property and carrying
 //     either a support threshold or a top/bottom-k selection. A query
 //     without it is a plain ontology query.
+//
+// The paper's language has no aggregates. This package adds one analytic
+// extension, the one Query Composition builds for counting questions:
+// COUNT($v) [AS $a] in the SELECT clause, and GROUP BY, ORDER BY and
+// LIMIT between the WHERE pattern and SATISFYING. Parse refuses every
+// other aggregate form (HAVING, SUM, AVG, MIN, MAX, COUNT(*)) and every
+// query Validate refuses, with the line it found the fault at.
 package oassisql
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"nl2cm/internal/rdf"
 	"nl2cm/internal/sparql"
 )
 
-// Pattern is a basic graph pattern with optional filters.
+// Pattern is a basic graph pattern with optional filters. Only the WHERE
+// clause takes filters: a SATISFYING subclause is a data pattern posed
+// to the crowd.
 type Pattern struct {
 	Triples []rdf.Triple
 	Filters []sparql.Expr
@@ -82,22 +92,19 @@ type SelectClause struct {
 }
 
 // Aggregation is the analytic extension to the paper's language:
-// grouping and aggregate outputs over the WHERE selection, with optional
-// HAVING conditions and a result window. The printer renders aggregates
-// SPARQL-style inside the SELECT clause (`SELECT $city COUNT($a) AS
-// $cnt`) and the grouping modifiers between the WHERE pattern and
-// SATISFYING, so a superlative question prints as GROUP BY + ORDER BY
-// DESC + LIMIT 1.
+// grouping and counts over the query's rows, with a result window. The
+// printer renders counts SPARQL-style inside the SELECT clause (`SELECT
+// $city COUNT($a) AS $cnt`) and the grouping modifiers between the WHERE
+// pattern and SATISFYING, so a superlative question prints as GROUP BY
+// + ORDER BY DESC + LIMIT 1.
 type Aggregation struct {
 	// GroupBy lists the grouping variables; empty means one global group.
 	GroupBy []string
-	// Aggs lists the aggregate outputs; aliases act as output variables.
+	// Aggs lists the counts; aliases act as output variables.
 	Aggs []sparql.Aggregate
-	// Having restricts groups after aggregation.
-	Having []sparql.Expr
-	// OrderBy sorts the grouped results (aliases are sortable).
+	// OrderBy sorts the results (aliases are sortable).
 	OrderBy []sparql.OrderKey
-	// Limit caps the grouped results; 0 means no limit.
+	// Limit caps the results; 0 means no limit.
 	Limit int
 }
 
@@ -106,8 +113,8 @@ type Query struct {
 	Select     SelectClause
 	Where      Pattern
 	Satisfying []Subclause
-	// Agg is the analytic (GROUP BY / aggregate) extension; nil for
-	// queries in the paper's core language.
+	// Agg is the analytic (GROUP BY / COUNT) extension; nil for queries
+	// in the paper's core language.
 	Agg *Aggregation
 }
 
@@ -132,23 +139,14 @@ func (q *Query) Vars() []string {
 }
 
 // Validate checks structural well-formedness: every SATISFYING
-// subclause has triples and exactly one significance criterion,
-// thresholds lie within [0,1], k is positive, and projected variables
-// occur in the query. An empty SATISFYING clause is valid: the query is
-// a plain ontology query.
+// subclause is valid (Subclause.validate), projected variables occur in
+// the query, and the analytic extension keeps its rules
+// (validateAggregation). An empty SATISFYING clause is valid: the query
+// is a plain ontology query. Parse ends with Validate.
 func (q *Query) Validate() error {
 	for i, sc := range q.Satisfying {
-		switch {
-		case sc.TopK == nil && sc.Threshold == nil:
-			return fmt.Errorf("oassisql: subclause %d has neither LIMIT nor THRESHOLD", i+1)
-		case sc.TopK != nil && sc.Threshold != nil:
-			return fmt.Errorf("oassisql: subclause %d has both LIMIT and THRESHOLD", i+1)
-		case sc.TopK != nil && sc.TopK.K <= 0:
-			return fmt.Errorf("oassisql: subclause %d has non-positive k %d", i+1, sc.TopK.K)
-		case sc.Threshold != nil && (*sc.Threshold < 0 || *sc.Threshold > 1):
-			return fmt.Errorf("oassisql: subclause %d threshold %g outside [0,1]", i+1, *sc.Threshold)
-		case len(sc.Pattern.Triples) == 0:
-			return fmt.Errorf("oassisql: subclause %d has no triples", i+1)
+		if err := sc.validate(i + 1); err != nil {
+			return err
 		}
 	}
 	if err := q.validateAggregation(); err != nil {
@@ -176,9 +174,33 @@ func (q *Query) Validate() error {
 	return nil
 }
 
-// validateAggregation checks the analytic extension: known aggregate
-// functions over variables the query binds, fresh non-colliding aliases,
-// and grouping variables that occur in a pattern.
+// validate checks the ith subclause (1-based): triples and no FILTER,
+// since it is a data pattern posed to the crowd, and exactly one
+// significance criterion, a threshold within [0,1] or a positive k.
+func (sc Subclause) validate(i int) error {
+	switch {
+	case sc.TopK == nil && sc.Threshold == nil:
+		return fmt.Errorf("oassisql: subclause %d has neither LIMIT nor THRESHOLD", i)
+	case sc.TopK != nil && sc.Threshold != nil:
+		return fmt.Errorf("oassisql: subclause %d has both LIMIT and THRESHOLD", i)
+	case sc.TopK != nil && sc.TopK.K <= 0:
+		return fmt.Errorf("oassisql: subclause %d has non-positive k %d", i, sc.TopK.K)
+	case sc.Threshold != nil && (*sc.Threshold < 0 || *sc.Threshold > 1):
+		return fmt.Errorf("oassisql: subclause %d threshold %g outside [0,1]", i, *sc.Threshold)
+	case len(sc.Pattern.Triples) == 0:
+		return fmt.Errorf("oassisql: subclause %d has no triples", i)
+	case len(sc.Pattern.Filters) > 0:
+		return fmt.Errorf("oassisql: subclause %d has a FILTER; only WHERE takes filters", i)
+	}
+	return nil
+}
+
+// validateAggregation checks the analytic extension: counts over
+// variables the query binds, fresh non-colliding aliases, and grouping
+// variables and sort keys that occur in the query. A grouped query's
+// rows hold only its grouping variables and count aliases, so an
+// explicit projection lists every count alias and nothing else beside
+// grouping variables, and it sorts by nothing else either.
 func (q *Query) validateAggregation() error {
 	if q.Agg == nil {
 		return nil
@@ -187,8 +209,7 @@ func (q *Query) validateAggregation() error {
 	for _, v := range q.Vars() {
 		pv[v] = true
 	}
-	if len(q.Agg.GroupBy) == 0 && len(q.Agg.Aggs) == 0 && len(q.Agg.Having) == 0 &&
-		len(q.Agg.OrderBy) == 0 && q.Agg.Limit == 0 {
+	if len(q.Agg.GroupBy) == 0 && len(q.Agg.Aggs) == 0 && len(q.Agg.OrderBy) == 0 && q.Agg.Limit == 0 {
 		return fmt.Errorf("oassisql: empty aggregation extension (use Agg = nil)")
 	}
 	for _, v := range q.Agg.GroupBy {
@@ -198,24 +219,23 @@ func (q *Query) validateAggregation() error {
 	}
 	aliases := map[string]bool{}
 	for _, a := range q.Agg.Aggs {
-		if !sparql.AggFuncs[a.Func] {
-			return fmt.Errorf("oassisql: unknown aggregate function %s()", a.Func)
-		}
-		if a.Var == "" && a.Func != "COUNT" {
-			return fmt.Errorf("oassisql: %s(*) is not valid; only COUNT takes *", a.Func)
-		}
-		if a.Var != "" && !pv[a.Var] {
+		if !pv[a.Var] {
 			return fmt.Errorf("oassisql: aggregate over undefined variable $%s", a.Var)
 		}
 		switch {
 		case a.As == "":
-			return fmt.Errorf("oassisql: aggregate %s() has no output alias", a.Func)
+			return fmt.Errorf("oassisql: COUNT($%s) has no output alias", a.Var)
 		case pv[a.As]:
 			return fmt.Errorf("oassisql: aggregate alias $%s collides with a query variable", a.As)
 		case aliases[a.As]:
 			return fmt.Errorf("oassisql: duplicate aggregate alias $%s", a.As)
 		}
 		aliases[a.As] = true
+	}
+	grouped := len(q.Agg.GroupBy) > 0 || len(q.Agg.Aggs) > 0
+	// ungrouped reports a name a grouped query's rows do not bind.
+	ungrouped := func(v string) bool {
+		return grouped && !aliases[v] && !slices.Contains(q.Agg.GroupBy, v)
 	}
 	// A projected name is a variable or an alias, not both: SELECT $n
 	// COUNT($x) AS $n would print as two aggregate calls.
@@ -224,14 +244,24 @@ func (q *Query) validateAggregation() error {
 		if aliases[v] && projected[v] {
 			return fmt.Errorf("oassisql: aggregate alias $%s collides with a projected variable", v)
 		}
+		if ungrouped(v) {
+			return fmt.Errorf("oassisql: projected variable $%s is neither grouped nor a count", v)
+		}
 		projected[v] = true
 	}
-	if len(q.Agg.Having) > 0 && len(q.Agg.GroupBy) == 0 && len(q.Agg.Aggs) == 0 {
-		return fmt.Errorf("oassisql: HAVING requires GROUP BY or an aggregate")
+	if !q.Select.All {
+		for _, a := range q.Agg.Aggs {
+			if !projected[a.As] {
+				return fmt.Errorf("oassisql: COUNT($%s) AS $%s is not projected", a.Var, a.As)
+			}
+		}
 	}
 	for _, k := range q.Agg.OrderBy {
-		if !pv[k.Var] && !aliases[k.Var] {
+		switch {
+		case !pv[k.Var] && !aliases[k.Var]:
 			return fmt.Errorf("oassisql: ORDER BY of undefined variable $%s", k.Var)
+		case ungrouped(k.Var):
+			return fmt.Errorf("oassisql: ORDER BY $%s, which is neither grouped nor a count", k.Var)
 		}
 	}
 	if q.Agg.Limit < 0 {

@@ -276,14 +276,16 @@ func TestMustParsePanics(t *testing.T) {
 	MustParse("not a query")
 }
 
+// TestParseFilterInsidePatterns: a FILTER in WHERE parses and survives
+// the print/parse round trip; one in a SATISFYING subclause, a data
+// pattern posed to the crowd, is refused at the subclause's line.
 func TestParseFilterInsidePatterns(t *testing.T) {
 	q, err := Parse(`SELECT VARIABLES
 WHERE
 {$x instanceOf Place.
 FILTER($x != Forest_Hotel)}
 SATISFYING
-{[] visit $x
-FILTER(POS($x) = "noun")}
+{[] visit $x}
 WITH SUPPORT THRESHOLD = 0.2`)
 	if err != nil {
 		t.Fatal(err)
@@ -291,15 +293,96 @@ WITH SUPPORT THRESHOLD = 0.2`)
 	if len(q.Where.Filters) != 1 {
 		t.Errorf("WHERE filters = %d", len(q.Where.Filters))
 	}
-	if len(q.Satisfying[0].Pattern.Filters) != 1 {
-		t.Errorf("subclause filters = %d", len(q.Satisfying[0].Pattern.Filters))
-	}
-	// Filters survive the print/parse round trip.
 	q2, err := Parse(q.String())
 	if err != nil {
 		t.Fatalf("reparse:\n%s\n%v", q.String(), err)
 	}
 	if q2.String() != q.String() {
 		t.Errorf("filter round trip:\n%s\nvs\n%s", q.String(), q2.String())
+	}
+	_, err = Parse(`SELECT VARIABLES
+WHERE
+{$x instanceOf Place}
+SATISFYING
+{[] visit $x
+FILTER(POS($x) = "noun")}
+WITH SUPPORT THRESHOLD = 0.2`)
+	if want := "line 5: subclause 1 has a FILTER"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("subclause FILTER: Parse error = %v, want containing %q", err, want)
+	}
+}
+
+// TestParseRefusals: Parse refuses, each at a line, the aggregate forms
+// outside the analytic extension (HAVING, SUM, AVG, MIN, MAX, COUNT(*)),
+// a FILTER in a subclause, and every query Validate refuses: a
+// threshold outside [0,1], k = 0, a projected variable the query never
+// uses, and a grouped query projecting an ungrouped variable.
+func TestParseRefusals(t *testing.T) {
+	cases := []struct{ name, in, want string }{
+		{"HAVING", `SELECT $city COUNT($a) AS $n
+WHERE
+{$a locatedIn $city}
+GROUP BY $city
+HAVING(COUNT($a) > 2)`, `line 5: expected SATISFYING, found "HAVING"`},
+		{"SUM", `SELECT $x SUM($s) AS $total
+WHERE
+{$x size $s}
+GROUP BY $x`, `line 1: expected WHERE, found "SUM"`},
+		{"AVG", `SELECT VARIABLES
+AVG($s)
+WHERE
+{$x size $s}`, `line 2: expected WHERE, found "AVG"`},
+		{"MIN", `SELECT MIN($s) AS $least
+WHERE
+{$x size $s}`, "line 1: expected VARIABLES or variable list after SELECT"},
+		{"MAX", `SELECT $x
+MAX($s) AS $most
+WHERE
+{$x size $s}
+GROUP BY $x`, `line 2: expected WHERE, found "MAX"`},
+		{"COUNT(*)", `SELECT VARIABLES
+COUNT(*) AS $n
+WHERE
+{$x size $s}`, "line 2: expected variable in COUNT()"},
+		{"FILTER in a subclause", `SELECT VARIABLES
+WHERE
+{$x instanceOf Place}
+SATISFYING
+{$x hasLabel "interesting"}
+ORDER BY DESC(SUPPORT)
+LIMIT 5
+AND
+{[] visit $x.
+FILTER($x != $x)}
+WITH SUPPORT THRESHOLD = 0.1`, "line 9: subclause 2 has a FILTER; only WHERE takes filters"},
+		{"threshold outside [0,1]", `SELECT VARIABLES
+WHERE
+{$x instanceOf Place}
+SATISFYING
+{[] visit $x}
+WITH SUPPORT THRESHOLD = 7`, "line 5: subclause 1 threshold 7 outside [0,1]"},
+		{"LIMIT 0", `SELECT VARIABLES
+WHERE
+{$x instanceOf Place}
+SATISFYING
+{[] visit $x}
+ORDER BY DESC(SUPPORT) LIMIT 0`, "line 5: subclause 1 has non-positive k 0"},
+		{"projected variable used nowhere", `SELECT $zz
+WHERE
+{$x instanceOf Place}
+SATISFYING
+{[] visit $x}
+WITH SUPPORT THRESHOLD = 0.1`, "line 4: SELECT variable $zz not used in query"},
+		{"ungrouped projection", `SELECT $y COUNT($y) AS $count
+WHERE
+{$x instanceOf City.
+$y locatedIn $x}
+GROUP BY $x`, "line 5: projected variable $y is neither grouped nor a count"},
+	}
+	for _, c := range cases {
+		_, err := Parse(c.in)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Parse error = %v, want containing %q", c.name, err, c.want)
+		}
 	}
 }

@@ -7,10 +7,11 @@ import (
 	"nl2cm/internal/sparql"
 )
 
-// Parse parses an OASSIS-QL query in the paper's concrete syntax. A
-// query may end after its WHERE clause and analytic modifiers: with no
-// SATISFYING clause it is a plain ontology query, as the pipeline prints
-// for a question with no individual part.
+// Parse parses an OASSIS-QL query in the paper's concrete syntax and
+// validates it (Query.Validate). A query may end after its WHERE clause
+// and analytic modifiers: with no SATISFYING clause it is a plain
+// ontology query, as the pipeline prints for a question with no
+// individual part. Every error names the line it was found at.
 func Parse(input string) (*Query, error) {
 	lx, err := sparql.NewLexer(input)
 	if err != nil {
@@ -92,18 +93,19 @@ func (p *parser) query() (*Query, error) {
 	if err := p.aggregation(q); err != nil {
 		return nil, err
 	}
-	// The analytic rules need the whole query: an aggregate, GROUP BY or
-	// ORDER BY may name a variable only a SATISFYING subclause binds, and
-	// a derived alias must avoid every query variable. They are checked
-	// once it is read, and a violation is reported where the analytic
-	// modifiers end.
+	// Most rules need the whole query: a count, GROUP BY or ORDER BY may
+	// name a variable only a SATISFYING subclause binds, and a derived
+	// alias must avoid every query variable. Validate checks them once it
+	// is read, and a violation is reported where the analytic modifiers
+	// end; a subclause's own rules are checked, and reported, at the
+	// subclause.
 	aggEnd := p.lx.Peek()
 	if aggEnd.Kind != sparql.TokEOF {
 		if err := p.expectKeyword("SATISFYING"); err != nil {
 			return nil, err
 		}
 		for {
-			sc, err := p.subclause()
+			sc, err := p.subclause(len(q.Satisfying) + 1)
 			if err != nil {
 				return nil, err
 			}
@@ -115,17 +117,17 @@ func (p *parser) query() (*Query, error) {
 	}
 	if q.Agg != nil {
 		deriveAliases(q)
-		if err := q.validateAggregation(); err != nil {
-			return nil, p.lx.ErrAt(aggEnd, "%s", strings.TrimPrefix(err.Error(), "oassisql: "))
-		}
+	}
+	if err := q.Validate(); err != nil {
+		return nil, p.lx.ErrAt(aggEnd, "%s", strings.TrimPrefix(err.Error(), "oassisql: "))
 	}
 	return q, nil
 }
 
-// deriveAliases names, in order, the aggregate calls written without
-// AS: each takes the first name FreshAlias derives that no query
-// variable, projected variable or other alias uses. A projected call's
-// empty SELECT slot gets its alias.
+// deriveAliases names, in order, the counts written without AS: each
+// takes the first name FreshAlias derives that no query variable,
+// projected variable or other alias uses. A projected count's empty
+// SELECT slot gets its alias.
 func deriveAliases(q *Query) {
 	taken := map[string]bool{}
 	for _, v := range q.Vars() {
@@ -141,7 +143,7 @@ func deriveAliases(q *Query) {
 	for i := range q.Agg.Aggs {
 		a := &q.Agg.Aggs[i]
 		if a.As == "" {
-			a.As = sparql.FreshAlias(a.Func, a.Var, func(name string) bool { return taken[name] })
+			a.As = sparql.FreshAlias(a.Var, func(name string) bool { return taken[name] })
 			taken[a.As] = true
 			derived = append(derived, a.As)
 		}
@@ -161,10 +163,10 @@ func (p *parser) ensureAgg(q *Query) *Aggregation {
 	return q.Agg
 }
 
-// selectAggregates consumes the SELECT list: aggregate calls (which join
-// both the projection and the aggregation extension), and — when vars is
-// set — plain projected variables interleaved with them. A call without
-// AS keeps an empty alias, and an empty projection slot, until
+// selectAggregates consumes the SELECT list: counts (which join both
+// the projection and the aggregation extension), and — when vars is set
+// — plain projected variables interleaved with them. A count without AS
+// keeps an empty alias, and an empty projection slot, until
 // deriveAliases names it.
 func (p *parser) selectAggregates(q *Query, vars bool) error {
 	for {
@@ -187,8 +189,8 @@ func (p *parser) selectAggregates(q *Query, vars bool) error {
 }
 
 // aggregation consumes the analytic modifiers between the WHERE pattern
-// and SATISFYING: GROUP BY, HAVING(expr), query-level ORDER BY and LIMIT.
-// Their rules are checked once the whole query is read (query).
+// and SATISFYING: GROUP BY, query-level ORDER BY and LIMIT. Their rules
+// are checked once the whole query is read (query).
 func (p *parser) aggregation(q *Query) error {
 	for {
 		switch {
@@ -203,12 +205,6 @@ func (p *parser) aggregation(q *Query) error {
 			if len(agg.GroupBy) == 0 {
 				return p.lx.Errf("expected variables after GROUP BY")
 			}
-		case p.keyword("HAVING"):
-			e, err := p.pat.HavingExpr()
-			if err != nil {
-				return err
-			}
-			p.ensureAgg(q).Having = append(q.Agg.Having, e)
 		case p.keyword("ORDER"):
 			if err := p.expectKeyword("BY"); err != nil {
 				return err
@@ -230,7 +226,10 @@ func (p *parser) aggregation(q *Query) error {
 	}
 }
 
-func (p *parser) subclause() (Subclause, error) {
+// subclause reads the ith subclause (1-based) and checks its rules,
+// reporting a violation at the line the subclause starts on.
+func (p *parser) subclause(i int) (Subclause, error) {
+	start := p.lx.Peek()
 	triples, filters, err := p.pat.GroupPattern()
 	if err != nil {
 		return Subclause{}, err
@@ -284,6 +283,9 @@ func (p *parser) subclause() (Subclause, error) {
 		sc.Threshold = &v
 	default:
 		return Subclause{}, p.lx.Errf("subclause needs ORDER BY ...(SUPPORT) LIMIT k or WITH SUPPORT THRESHOLD = t")
+	}
+	if err := sc.validate(i); err != nil {
+		return Subclause{}, p.lx.ErrAt(start, "%s", strings.TrimPrefix(err.Error(), "oassisql: "))
 	}
 	return sc, nil
 }

@@ -79,7 +79,7 @@ func (p Printer) Print(q *Query) string {
 		}
 	}
 	b.WriteString("\nWHERE\n")
-	p.writePattern(&b, q.Where, ClauseWhere, -1)
+	p.writePattern(&b, q.Where.Triples, q.Where.Filters, ClauseWhere, -1)
 	writeAggregation(&b, q.Agg)
 	if len(q.Satisfying) == 0 {
 		return b.String()
@@ -90,7 +90,7 @@ func (p Printer) Print(q *Query) string {
 			b.WriteString("\nAND")
 		}
 		b.WriteByte('\n')
-		p.writePattern(&b, sc.Pattern, ClauseSatisfying, i)
+		p.writePattern(&b, sc.Pattern.Triples, nil, ClauseSatisfying, i)
 		switch {
 		case sc.TopK != nil:
 			dir := "DESC"
@@ -105,10 +105,9 @@ func (p Printer) Print(q *Query) string {
 	return b.String()
 }
 
-// writeAggregation renders the analytic extension's grouping modifiers
-// between the WHERE pattern and SATISFYING: GROUP BY, HAVING, query-level
-// ORDER BY and LIMIT. Aggregate outputs themselves render in the SELECT
-// clause.
+// writeAggregation renders the analytic extension's modifiers between
+// the WHERE pattern and SATISFYING: GROUP BY, query-level ORDER BY and
+// LIMIT. Counts themselves render in the SELECT clause.
 func writeAggregation(b *strings.Builder, agg *Aggregation) {
 	if agg == nil {
 		return
@@ -118,11 +117,6 @@ func writeAggregation(b *strings.Builder, agg *Aggregation) {
 		for _, v := range agg.GroupBy {
 			b.WriteString(" $" + v)
 		}
-	}
-	for _, h := range agg.Having {
-		b.WriteString("\nHAVING(")
-		b.WriteString(h.String())
-		b.WriteByte(')')
 	}
 	if len(agg.OrderBy) > 0 {
 		b.WriteString("\nORDER BY")
@@ -148,15 +142,17 @@ func formatThreshold(f float64) string {
 	return s
 }
 
-func (p Printer) writePattern(b *strings.Builder, pat Pattern, clause string, sub int) {
+// writePattern renders a braced pattern. Only WHERE passes filters: a
+// subclause takes none (Subclause.validate).
+func (p Printer) writePattern(b *strings.Builder, triples []rdf.Triple, filters []sparql.Expr, clause string, sub int) {
 	b.WriteByte('{')
 	lastComment := false
-	for i, t := range pat.Triples {
+	for i, t := range triples {
 		if i > 0 {
 			b.WriteByte('\n')
 		}
 		b.WriteString(TripleString(t))
-		if i < len(pat.Triples)-1 {
+		if i < len(triples)-1 {
 			b.WriteByte('.')
 		}
 		lastComment = false
@@ -168,7 +164,7 @@ func (p Printer) writePattern(b *strings.Builder, pat Pattern, clause string, su
 			}
 		}
 	}
-	for _, f := range pat.Filters {
+	for _, f := range filters {
 		b.WriteString("\nFILTER(")
 		b.WriteString(f.String())
 		b.WriteByte(')')

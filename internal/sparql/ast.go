@@ -2,25 +2,21 @@
 // OASSIS-QL (package oassisql, paper §2.1) and the IX detection pattern
 // language (package ix, §2.3). Both embed the same SPARQL-like syntax,
 // which this package reads through a shared Lexer and a PatternParser:
-// group patterns of triples and FILTERs, aggregate calls, HAVING
-// conditions and ORDER BY keys. Neither host has optional or union groups.
+// group patterns of triples and FILTERs, COUNT calls and ORDER BY keys.
+// Neither host has optional or union groups.
 //
 // Eval evaluates an OASSIS-QL WHERE clause against the general-knowledge
 // ontology: a basic graph pattern with filters, streamed through a
-// planned join, then grouping, aggregates, HAVING, ORDER BY and LIMIT.
-// AggregateBindings runs that grouping step over rows computed elsewhere
-// (the crowd engine's crowd-filtered bindings). Package ix compiles the
-// parsed detection patterns into a matcher over the dependency graph
-// that keeps the semantics of Expr.Eval, with functions and vocabulary
-// membership tests like those an Env provides; Eval over a graph view
-// is that matcher's test oracle.
+// planned join, then the analytic extension's grouping and counts,
+// ORDER BY and LIMIT. AggregateBindings runs that grouping step over
+// rows computed elsewhere (the crowd engine's crowd-filtered bindings).
+// Package ix compiles the parsed detection patterns into a matcher over
+// the dependency graph that keeps the semantics of Expr.Eval, with
+// functions and vocabulary membership tests like those an Env provides;
+// Eval over a graph view is that matcher's test oracle.
 package sparql
 
-import (
-	"fmt"
-
-	"nl2cm/internal/rdf"
-)
+import "nl2cm/internal/rdf"
 
 // Query is what Eval evaluates: a basic graph pattern with filters and
 // the solution modifiers of OASSIS-QL's analytic extension. Hosts build
@@ -34,14 +30,10 @@ type Query struct {
 	// GroupBy lists the grouping variable names. Empty with non-empty
 	// Aggs means one global group over all solutions.
 	GroupBy []string
-	// Aggs are the aggregate computations evaluated per group. Their
-	// aliases become ordinary output variables, usable in ORDER BY like
-	// pattern variables.
+	// Aggs are the counts evaluated per group. Their aliases become
+	// ordinary output variables, usable in ORDER BY like pattern
+	// variables.
 	Aggs []Aggregate
-	// Having are post-grouping constraints over group variables and
-	// aggregate aliases; rows of groups failing any constraint are
-	// dropped (an erroring constraint drops the group, like FILTER).
-	Having []Expr
 	// OrderBy lists sort keys applied in order.
 	OrderBy []OrderKey
 	// Limit caps the number of rows; negative means unlimited.
@@ -54,30 +46,19 @@ type OrderKey struct {
 	Desc bool
 }
 
-// Aggregate is one aggregate computation: Func applied to Var within each
-// group, bound to the alias As in the output rows. An empty Var means "*"
-// and is only valid for COUNT.
+// Aggregate is one count, COUNT($Var): the number of a group's rows that
+// bind Var, bound to the alias As in the output rows. It is the one
+// aggregate of OASSIS-QL's analytic extension, the one Query Composition
+// builds.
 type Aggregate struct {
-	Func string // COUNT, SUM, AVG, MIN or MAX (upper-case)
-	Var  string // argument variable; empty means * (COUNT only)
-	As   string // output alias, bound in every group row
-}
-
-// AggFuncs names the supported aggregate functions.
-var AggFuncs = map[string]bool{
-	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
+	Var string // the counted variable
+	As  string // output alias, bound in every group row
 }
 
 // Aggregated reports whether the query has a grouping/aggregation step.
 func (q *Query) Aggregated() bool { return len(q.GroupBy) > 0 || len(q.Aggs) > 0 }
 
-func (a Aggregate) String() string {
-	arg := "*"
-	if a.Var != "" {
-		arg = "$" + a.Var
-	}
-	return fmt.Sprintf("%s(%s) AS $%s", a.Func, arg, a.As)
-}
+func (a Aggregate) String() string { return "COUNT($" + a.Var + ") AS $" + a.As }
 
 // Binding is one solution row: variable name to bound term.
 type Binding map[string]rdf.Term

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -12,10 +13,10 @@ import (
 
 // The differential property test pins the evaluator's semantics to the
 // naive reference evaluator: for randomized stores and randomized
-// queries mixing BGPs, FILTER, grouping, aggregates, HAVING, ORDER BY
-// and LIMIT, Eval and EvalReference must produce the same solution
-// multiset, and so must AggregateBindings applied to the reference
-// evaluator's unmodified rows.
+// queries mixing BGPs, FILTER, grouping, counts, ORDER BY and LIMIT,
+// Eval and EvalReference must produce the same solution multiset, and
+// so must AggregateBindings applied to the reference evaluator's
+// unmodified rows.
 
 var diffVarPool = []string{"a", "b", "c", "d", "e"}
 
@@ -28,15 +29,13 @@ const (
 )
 
 // diffNumPred is a dedicated predicate whose objects are numeric
-// literals of mixed widths (and the occasional exactly-representable
-// float), exercising the typed comparator in ORDER BY and aggregates.
-// It sits outside the 0..diffPreds-1 pool used for random positions.
+// literals of mixed widths (and the occasional float), exercising the
+// typed comparator in ORDER BY. It sits outside the 0..diffPreds-1 pool
+// used for random positions.
 func diffNumPred() rdf.Term { return diffPred(diffPreds) }
 
 func diffNumLiteral(r *rand.Rand) rdf.Term {
 	if r.Intn(4) == 0 {
-		// Quarters are exact in float64, so SUM/AVG accumulation is
-		// order-independent and both evaluators agree bit-for-bit.
 		return rdf.NewFloatLiteral(float64(r.Intn(600)) / 4)
 	}
 	return rdf.NewIntLiteral(int64(r.Intn(150))) // 1-3 digit widths
@@ -102,8 +101,8 @@ func randomQuery(r *rand.Rand) *Query {
 	q := &Query{Limit: -1}
 	q.Where = randomPatterns(r, 1+r.Intn(3))
 	if r.Intn(3) == 0 {
-		// Bind one variable to the numeric literals so ORDER BY keys and
-		// aggregate arguments see numbers of mixed widths.
+		// Bind one variable to the numeric literals so ORDER BY keys see
+		// numbers of mixed widths.
 		q.Where = append(q.Where, rdf.T(
 			randomPosition(r, false),
 			diffNumPred(),
@@ -132,9 +131,11 @@ func randomQuery(r *rand.Rand) *Query {
 	return q
 }
 
-// finishAggregateQuery turns a random pattern skeleton into a GROUP BY /
-// aggregate query. Output rows carry exactly the group variables plus
-// the aggregate aliases, so sorting by all of them is a total order and
+// finishAggregateQuery turns a random pattern skeleton into a count
+// query, with or without GROUP BY. A grouping or counted variable drawn
+// from the whole pool may be one the pattern never binds: it groups as
+// unbound, or counts 0. Output rows carry exactly the group variables
+// plus the count aliases, so sorting by all of them is a total order and
 // LIMIT windows stay comparable across evaluators.
 func finishAggregateQuery(r *rand.Rand, q *Query) *Query {
 	var used []string
@@ -150,34 +151,25 @@ func finishAggregateQuery(r *rand.Rand, q *Query) *Query {
 	if len(used) == 0 {
 		return q
 	}
+	pick := func() string {
+		if r.Intn(5) == 0 {
+			return diffVarPool[r.Intn(len(diffVarPool))]
+		}
+		return used[r.Intn(len(used))]
+	}
 	var groupBy []string
-	for _, v := range used {
-		if r.Intn(3) == 0 {
-			groupBy = append(groupBy, v)
+	if r.Intn(3) > 0 {
+		for i := 1 + r.Intn(2); i > 0; i-- {
+			if v := pick(); !slices.Contains(groupBy, v) {
+				groupBy = append(groupBy, v)
+			}
 		}
 	}
-	pick := used[r.Intn(len(used))]
-	aggs := []Aggregate{{Func: "COUNT", As: "cnt"}}
-	switch r.Intn(5) {
-	case 0:
-		aggs = append(aggs, Aggregate{Func: "MIN", Var: pick, As: "agg"})
-	case 1:
-		aggs = append(aggs, Aggregate{Func: "MAX", Var: pick, As: "agg"})
-	case 2:
-		aggs = append(aggs, Aggregate{Func: "SUM", Var: pick, As: "agg"})
-	case 3:
-		aggs = append(aggs, Aggregate{Func: "AVG", Var: pick, As: "agg"})
-	default:
-		aggs[0].Var = pick // COUNT($v) instead of COUNT(*)
+	aggs := []Aggregate{{Var: pick(), As: "cnt"}}
+	if r.Intn(3) == 0 {
+		aggs = append(aggs, Aggregate{Var: pick(), As: "cnt2"})
 	}
 	q.GroupBy, q.Aggs = groupBy, aggs
-	if r.Intn(3) == 0 {
-		q.Having = append(q.Having, &BinExpr{
-			Op: ">",
-			L:  &VarExpr{Name: "cnt"},
-			R:  &LitExpr{Val: NumVal(float64(r.Intn(4)))},
-		})
-	}
 	if r.Intn(2) == 0 {
 		for _, v := range groupBy {
 			q.OrderBy = append(q.OrderBy, OrderKey{Var: v, Desc: r.Intn(2) == 0})
@@ -240,7 +232,7 @@ func unmodified(q *Query) *Query {
 }
 
 func TestDifferentialEvalMatchesReference(t *testing.T) {
-	ordered := 0
+	ordered, grouped := 0, 0
 	for seed := int64(0); seed < 400; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		st := randomStore(r)
@@ -261,16 +253,16 @@ func TestDifferentialEvalMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: unmodified EvalReference: %v", seed, err)
 		}
-		agg, err := AggregateBindings(q, rows, nil)
-		if err != nil {
-			t.Fatalf("seed %d: AggregateBindings: %v", seed, err)
-		}
+		agg := AggregateBindings(q, rows)
 		sameSolutions(t, fmt.Sprintf("seed %d AggregateBindings", seed), q, agg, want)
 		if len(q.OrderBy) > 0 {
 			ordered++
 		}
+		if q.Aggregated() {
+			grouped++
+		}
 	}
-	t.Logf("%d of 400 queries have ORDER BY", ordered)
+	t.Logf("of 400 queries, %d have ORDER BY and %d count", ordered, grouped)
 }
 
 // TestEvalWideQueryMatchesReference: a row is as wide as the query's
@@ -287,7 +279,7 @@ func TestEvalWideQueryMatchesReference(t *testing.T) {
 		q.Where = append(q.Where, rdf.T(
 			rdf.NewVar(fmt.Sprintf("v%d", i)), diffPred(0), rdf.NewVar(fmt.Sprintf("v%d", i+1))))
 	}
-	if n := len(compileQuery(q, nil).names); n != width {
+	if n := len(compileQuery(q).names); n != width {
 		t.Fatalf("query has %d slots, want %d", n, width)
 	}
 	got := eval(t, q, st, nil)

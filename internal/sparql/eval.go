@@ -53,11 +53,7 @@ func Eval(ctx context.Context, q *Query, src Source, env *Env) ([]Binding, error
 		return nil, err
 	}
 	src = pin(src)
-	spec, err := aggregationSpec(q)
-	if err != nil {
-		return nil, err
-	}
-	c := compileQuery(q, spec)
+	c := compileQuery(q)
 	e := &exec{c: c, src: src, env: env, view: rowView{c: c}, ctx: ctx}
 
 	// Plan once, attach every filter whose variables the pattern binds,
@@ -83,19 +79,19 @@ func Eval(ctx context.Context, q *Query, src Source, env *Env) ([]Binding, error
 		}
 		rows = kept
 	}
-	return e.finish(q, spec, rows), nil
+	return e.finish(q, rows), nil
 }
 
 // finish applies the query's solution modifiers to the rows, in SPARQL
-// order: grouping, aggregates and HAVING; ORDER BY; LIMIT. It
-// materializes the surviving rows as Bindings. It rewrites rows in
-// place, so the caller must not reuse them.
-func (e *exec) finish(q *Query, spec *aggSpec, rows [][]rdf.Term) []Binding {
+// order: grouping and counts; ORDER BY; LIMIT. It materializes the
+// surviving rows as Bindings. It rewrites rows in place, so the caller
+// must not reuse them.
+func (e *exec) finish(q *Query, rows [][]rdf.Term) []Binding {
 	c := e.c
-	// Grouping and aggregation: collapse rows into per-group rows binding
-	// the GROUP BY variables and aggregate aliases, then apply HAVING.
-	if spec != nil {
-		rows = e.aggregateRows(spec, rows)
+	// Grouping: collapse rows into per-group rows binding the GROUP BY
+	// variables and count aliases.
+	if q.Aggregated() {
+		rows = e.aggregateRows(q, rows)
 	}
 
 	// Order. Per SPARQL ordering semantics, an unbound sort variable

@@ -341,8 +341,8 @@ func equalValues(l, r Value) bool {
 
 // compareValues orders two values, numerically when possible. Two bound
 // terms are ordered by rdf.Term.Compare — the same typed comparator ORDER
-// BY uses — so FILTER and HAVING comparisons over aggregate outputs (which
-// are numeric literals) never fall back to string comparison.
+// BY uses — so FILTER comparisons over numeric literals never fall back
+// to string comparison.
 func compareValues(l, r Value) (int, error) {
 	if ln, lok := l.num(); lok {
 		if rn, rok := r.num(); rok {

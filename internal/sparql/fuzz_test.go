@@ -7,12 +7,14 @@ import (
 )
 
 // FuzzParse fuzzes what the host languages parse with this package: a
-// group pattern through PatternParser.GroupPattern, and a HAVING
-// condition through PatternParser.HavingExpr, each over the whole input.
-// Neither may panic, and every accepted pattern keeps the structural
+// group pattern through PatternParser.GroupPattern, and the analytic
+// grammar — COUNT calls through PatternParser.AggregateCall, then ORDER
+// BY keys through PatternParser.OrderKeys — each over the whole input.
+// Neither may panic. Every accepted pattern keeps the structural
 // invariants the evaluator relies on: an IRI or variable as subject and
 // predicate (literals only bind in object position), named variables,
-// and non-nil filters.
+// and non-nil filters. Every accepted count and sort key names a
+// variable.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"{ $x <near> $y . }",
@@ -22,8 +24,8 @@ func FuzzParse(f *testing.F) {
 		"{ ?s ?p 42 . FILTER(?s = ?p || !(?p < 3)) }",
 		"{ $x <p> $y . } # trailing comment",
 		"{ $x nsubj $y . FILTER(POS($y) IN (\"NN\", \"NNS\") && $y IN V_participant) }",
-		"(COUNT($x) > 2 && SUM($y) <= 10.5)",
-		"(COUNT(*) >= 1)",
+		"COUNT($x) AS $n count($y) DESC($n) $x ASC($y)",
+		"COUNT(*) SUM($y) AS $s",
 		"",
 		"{ $x",
 		"{ \"subject\" <p> $y }",
@@ -40,11 +42,23 @@ func FuzzParse(f *testing.F) {
 			checkPattern(t, input, triples, filters)
 		}
 		lx, _ = NewLexer(input)
-		if e, err := NewPatternParser(lx, nil).HavingExpr(); err == nil {
-			if e == nil {
-				t.Fatalf("HavingExpr returned nil with nil error\ninput: %q", input)
+		pp := NewPatternParser(lx, nil)
+		for {
+			a, ok, err := pp.AggregateCall()
+			if err != nil || !ok {
+				break
 			}
-			_ = e.String() // printing must not panic either
+			if a.Var == "" {
+				t.Fatalf("count of no variable: %+v\ninput: %q", a, input)
+			}
+			_ = a.String() // printing must not panic either
+		}
+		if keys, err := pp.OrderKeys(); err == nil {
+			for _, k := range keys {
+				if k.Var == "" {
+					t.Fatalf("sort key of no variable: %+v\ninput: %q", k, input)
+				}
+			}
 		}
 	})
 }

@@ -10,17 +10,13 @@ import (
 // PatternParser reads the pattern grammar over a lexer it shares with a
 // host language (OASSIS-QL, the IX detection pattern language), so that
 // the host can interleave its own keywords with pattern parsing: group
-// patterns of triples and FILTERs, aggregate calls, HAVING conditions
-// and ORDER BY keys.
+// patterns of triples and FILTERs, COUNT calls and ORDER BY keys.
 type PatternParser struct {
 	lx *Lexer
 	// resolve maps a bare identifier to its term; nil makes it an IRI
 	// whose value is the identifier, the OASSIS-QL surface syntax.
 	resolve func(ident string) rdf.Term
 	anon    int
-	// inHaving is set while parsing a HAVING expression, the only
-	// expression position where aggregate calls are legal.
-	inHaving bool
 }
 
 // NewPatternParser wraps a lexer for embedded pattern parsing. resolve
@@ -87,77 +83,42 @@ func (p *PatternParser) GroupPattern() ([]rdf.Triple, []Expr, error) {
 	}
 }
 
-// AggregateCall parses one aggregate call — FUNC($v) or COUNT(*),
-// optionally followed by AS $alias — when the lexer sits on an aggregate
-// function name followed by "(". It reports ok=false without consuming
-// input otherwise. A call without AS keeps an empty alias: the host
-// derives one with FreshAlias once it has read the whole query and
-// knows every name in use. Host languages (OASSIS-QL) embed this to
-// accept aggregate outputs in their SELECT clauses.
+// AggregateCall parses one count, COUNT($v) optionally followed by AS
+// $alias, when the lexer sits on COUNT followed by "(". It reports
+// ok=false without consuming input otherwise. A call without AS keeps an
+// empty alias: the host derives one with FreshAlias once it has read the
+// whole query and knows every name in use. Host languages (OASSIS-QL)
+// embed this to accept counts in their SELECT clauses.
 func (p *PatternParser) AggregateCall() (Aggregate, bool, error) {
-	t := p.lx.Peek()
-	if t.Kind != TokIdent || !AggFuncs[strings.ToUpper(t.Text)] {
+	if !p.atCount() {
 		return Aggregate{}, false, nil
 	}
-	if n := p.lx.PeekAhead(1); n.Kind != TokPunct || n.Text != "(" {
-		return Aggregate{}, false, nil
-	}
-	fn := strings.ToUpper(p.lx.Next().Text)
+	p.lx.Next() // COUNT
 	p.lx.Next() // "("
-	varName, err := p.aggArg(fn)
-	if err != nil {
+	v := p.lx.Peek()
+	if v.Kind != TokVar {
+		return Aggregate{}, true, p.lx.Errf("expected variable in COUNT(), found %q", v.Text)
+	}
+	p.lx.Next()
+	if err := p.expectPunct(")"); err != nil {
 		return Aggregate{}, true, err
 	}
-	var alias string
+	a := Aggregate{Var: v.Text}
 	if n := p.lx.Peek(); n.Kind == TokIdent && strings.EqualFold(n.Text, "AS") {
 		p.lx.Next()
 		v := p.lx.Next()
 		if v.Kind != TokVar {
 			return Aggregate{}, true, p.lx.Errf("expected variable after AS")
 		}
-		alias = v.Text
+		a.As = v.Text
 	}
-	return Aggregate{Func: fn, Var: varName, As: alias}, true, nil
+	return a, true, nil
 }
 
-// aggArg parses the argument of an aggregate call after its opening
-// parenthesis: a variable, or * (COUNT only), consuming the closing ")".
-func (p *PatternParser) aggArg(fn string) (string, error) {
-	varName := ""
-	switch a := p.lx.Peek(); {
-	case a.Kind == TokOp && a.Text == "*":
-		p.lx.Next()
-		if fn != "COUNT" {
-			return "", p.lx.Errf("%s(*) is not valid; only COUNT takes *", fn)
-		}
-	case a.Kind == TokVar:
-		p.lx.Next()
-		varName = a.Text
-	default:
-		return "", p.lx.Errf("expected variable or * in %s()", fn)
-	}
-	if err := p.expectPunct(")"); err != nil {
-		return "", err
-	}
-	return varName, nil
-}
-
-// HavingExpr parses a parenthesised HAVING condition "( expr )" at the
-// current position, with aggregate calls allowed inside the expression.
-func (p *PatternParser) HavingExpr() (Expr, error) {
-	if err := p.expectPunct("("); err != nil {
-		return nil, err
-	}
-	p.inHaving = true
-	e, err := p.expr()
-	p.inHaving = false
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectPunct(")"); err != nil {
-		return nil, err
-	}
-	return e, nil
+// atCount reports whether the lexer sits on a COUNT call.
+func (p *PatternParser) atCount() bool {
+	t, n := p.lx.Peek(), p.lx.PeekAhead(1)
+	return t.Kind == TokIdent && strings.EqualFold(t.Text, "COUNT") && n.Kind == TokPunct && n.Text == "("
 }
 
 // OrderKeys parses ORDER BY sort keys — "$v", "ASC($v)", "DESC($v)" — at
@@ -418,28 +379,13 @@ func (p *PatternParser) primary() (Expr, error) {
 		case strings.EqualFold(t.Text, "false"):
 			p.lx.Next()
 			return &LitExpr{Val: BoolVal(false)}, nil
+		case p.atCount():
+			// A count belongs to the SELECT list; a FILTER runs before
+			// grouping, where no count exists yet.
+			return nil, p.lx.Errf("aggregate COUNT() is only allowed in SELECT")
 		}
 		// function call?
 		if n := p.lx.PeekAhead(1); n.Kind == TokPunct && n.Text == "(" {
-			if fn := strings.ToUpper(t.Text); AggFuncs[fn] {
-				// Aggregate calls are only legal in the SELECT list and
-				// inside HAVING; a FILTER runs before grouping, where no
-				// aggregate value exists yet.
-				if !p.inHaving {
-					return nil, p.lx.Errf("aggregate %s() is only allowed in SELECT or HAVING", fn)
-				}
-				p.lx.Next()
-				p.lx.Next()
-				varName, err := p.aggArg(fn)
-				if err != nil {
-					return nil, err
-				}
-				var args []Expr
-				if varName != "" {
-					args = []Expr{&VarExpr{Name: varName}}
-				}
-				return &CallExpr{Name: fn, Args: args}, nil
-			}
 			p.lx.Next()
 			p.lx.Next()
 			var args []Expr

@@ -82,9 +82,8 @@ func estimateCost(p rdf.Triple, bound map[string]bool, src Source) float64 {
 }
 
 // compiled is the per-query slot table: a dense slot for every variable
-// that the query's triple patterns can bind, then for every aggregate
-// alias (and, in AggregateBindings, for every variable the
-// input rows bind).
+// that the query's triple patterns can bind, then for every count alias
+// (and, in AggregateBindings, for every variable the input rows bind).
 type compiled struct {
 	slots map[string]int
 	names []string
@@ -102,18 +101,16 @@ func (c *compiled) slot(name string) int {
 	return s
 }
 
-// compileQuery assigns slots in first-appearance order. Aggregate
-// aliases get slots of their own so that HAVING and ORDER BY address
-// them like pattern variables.
-func compileQuery(q *Query, spec *aggSpec) *compiled {
+// compileQuery assigns slots in first-appearance order. Count aliases
+// get slots of their own so that ORDER BY addresses them like pattern
+// variables.
+func compileQuery(q *Query) *compiled {
 	c := &compiled{slots: map[string]int{}}
 	for _, p := range q.Where {
 		p.EachVar(func(v string) { c.slot(v) })
 	}
-	if spec != nil {
-		for _, a := range spec.aggs {
-			c.slot(a.As)
-		}
+	for _, a := range q.Aggs {
+		c.slot(a.As)
 	}
 	return c
 }

@@ -16,10 +16,6 @@ import (
 // semantics.
 func EvalReference(q *Query, src Source, env *Env) ([]Binding, error) {
 	src = pin(src)
-	spec, err := aggregationSpec(q)
-	if err != nil {
-		return nil, err
-	}
 	rows, err := refEvalBGP(q.Where, src)
 	if err != nil {
 		return nil, err
@@ -48,9 +44,9 @@ func EvalReference(q *Query, src Source, env *Env) ([]Binding, error) {
 		}
 		rows = kept
 	}
-	// Grouping and aggregation, then HAVING, before ordering.
-	if spec != nil {
-		rows = refAggregate(spec, rows, env)
+	// Grouping and counts before ordering.
+	if q.Aggregated() {
+		rows = refAggregate(q, rows)
 	}
 	// Order. Per SPARQL ordering semantics, an unbound sort variable
 	// sorts before any bound value (so under DESC it sorts last); two
@@ -150,64 +146,45 @@ func unify(p rdf.Triple, t rdf.Triple, b Binding) (Binding, bool) {
 }
 
 // refAggregate is the reference evaluator's grouping step over map-form
-// bindings. Groups emit in first-appearance order of their keys.
-//
-// The group key is assembled in a reused byte buffer and looked up via
-// groups[string(key)] — the compiler elides that conversion's
-// allocation — so only the first row of each group materializes a key
-// string. At 100k rows this removes one allocation per row.
-func refAggregate(spec *aggSpec, rows []Binding, env *Env) []Binding {
-	type group struct {
-		rep    Binding
-		states []aggState
+// bindings, sharing no code with aggregateRows: a group is keyed by the
+// BindingKey of its GROUP BY variables' terms, and each count tallies
+// the group's rows that bind the counted variable. Groups emit in
+// first-appearance order; with no GROUP BY there is one group, even over
+// no rows.
+func refAggregate(q *Query, rows []Binding) []Binding {
+	var order []string
+	reps := map[string]Binding{}
+	counts := map[string][]int64{}
+	group := func(b Binding) string {
+		rep := Binding{}
+		for _, v := range q.GroupBy {
+			if t, ok := b[v]; ok {
+				rep[v] = t
+			}
+		}
+		key := BindingKey(rep)
+		if _, ok := reps[key]; !ok {
+			order = append(order, key)
+			reps[key], counts[key] = rep, make([]int64, len(q.Aggs))
+		}
+		return key
 	}
-	hint := groupSizeHint(len(rows))
-	// Groups live in a slice in first-appearance order; the map holds
-	// indexes into it, so no per-group pointer allocation and no separate
-	// emission-order slice are needed.
-	arr := make([]group, 0, hint)
-	groups := make(map[string]int32, hint)
-	states := newAggArena(len(spec.aggs))
-	var keyBuf []byte
 	for _, b := range rows {
-		keyBuf = keyBuf[:0]
-		for _, v := range spec.groupBy {
-			t, ok := b[v]
-			keyBuf = appendGroupKeyPart(keyBuf, t, ok)
-		}
-		idx, ok := groups[string(keyBuf)]
-		if !ok {
-			rep := make(Binding, len(spec.groupBy)+len(spec.aggs))
-			for _, v := range spec.groupBy {
-				if t, ok := b[v]; ok {
-					rep[v] = t
-				}
-			}
-			idx = int32(len(arr))
-			arr = append(arr, group{rep: rep, states: states.take()})
-			groups[string(keyBuf)] = idx
-		}
-		g := &arr[idx]
-		for i, a := range spec.aggs {
-			t, ok := b[a.Var]
-			g.states[i].add(a, t, ok)
-		}
-	}
-	if len(arr) == 0 && len(spec.groupBy) == 0 {
-		// A global aggregate over zero rows still produces one group.
-		arr = append(arr, group{rep: Binding{}, states: states.take()})
-	}
-	out := make([]Binding, 0, len(arr))
-	for gi := range arr {
-		g := &arr[gi]
-		b := g.rep
-		for i, a := range spec.aggs {
-			if t, ok := g.states[i].result(a); ok {
-				b[a.As] = t
+		key := group(b)
+		for i, a := range q.Aggs {
+			if _, ok := b[a.Var]; ok {
+				counts[key][i]++
 			}
 		}
-		if havingPass(spec.having, b, env) {
-			out = append(out, b)
+	}
+	if len(q.GroupBy) == 0 && len(order) == 0 {
+		group(Binding{})
+	}
+	out := make([]Binding, len(order))
+	for i, key := range order {
+		out[i] = reps[key]
+		for j, a := range q.Aggs {
+			out[i][a.As] = rdf.NewIntLiteral(counts[key][j])
 		}
 	}
 	return out

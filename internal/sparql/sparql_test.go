@@ -422,10 +422,7 @@ func TestOrderByUnboundSortsFirst(t *testing.T) {
 		{"x": iri("a3")},
 	}
 	q := &Query{OrderBy: []OrderKey{{Var: "z"}}, Limit: -1}
-	got, err := AggregateBindings(q, rows, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := AggregateBindings(q, rows)
 	if len(got) != 3 {
 		t.Fatalf("rows = %d, want 3", len(got))
 	}
@@ -440,9 +437,7 @@ func TestOrderByUnboundSortsFirst(t *testing.T) {
 	}
 	// Descending: the bound row must come first.
 	q.OrderBy = []OrderKey{{Var: "z", Desc: true}}
-	if got, err = AggregateBindings(q, rows, nil); err != nil {
-		t.Fatal(err)
-	}
+	got = AggregateBindings(q, rows)
 	if _, ok := got[0]["z"]; !ok || !got[0]["x"].Equal(iri("a2")) {
 		t.Errorf("descending: bound row not first: %v", got)
 	}
