@@ -129,14 +129,19 @@ bench-ab-smoke:
 	if [ "$$got" != "$$want" ]; then echo "bench-ab-smoke: $$got verdict rows, want $$want"; exit 1; fi
 
 # emit-golden checks every supported corpus question against the
-# per-backend golden emission files (testdata/golden_*.txt) and runs the
-# SQL-vs-RDF differential; emit-golden-update regenerates the files
-# after an intentional emitter change.
+# per-backend golden emission files (testdata/golden_*.txt), runs the
+# SQL-vs-RDF differential, and compares the output of cmd/experiments
+# (cmd/experiments/testdata/experiments.txt) and the GET /api/backends
+# body (cmd/nl2cmd/testdata/api_backends.json) with their golden files;
+# emit-golden-update regenerates the golden files after an intentional
+# change. The package list precedes -update, a flag go test passes to
+# the test binaries.
 emit-golden:
 	$(GO) test -run 'TestBackendGolden|TestCorpusSQLDifferential' .
+	$(GO) test -run 'TestExperimentsGolden|TestAPIBackendsGolden' ./cmd/experiments/ ./cmd/nl2cmd/
 
 emit-golden-update:
-	$(GO) test -run TestBackendGolden -update .
+	$(GO) test -run 'TestBackendGolden|TestExperimentsGolden|TestAPIBackendsGolden' . ./cmd/experiments/ ./cmd/nl2cmd/ -update
 
 # agg-golden pins the analytic path, which is COUNT only: the
 # evaluator's grouping tests (GROUP BY, COUNT($v) over bound rows, the
@@ -144,9 +149,11 @@ emit-golden-update:
 # reference evaluator's own grouping, and the pattern grammar's COUNT
 # calls; the OASSIS-QL analytic grammar (rejections with line positions,
 # derived aliases, the print and parse round trip, Validate, and Parse's
-# refusal of HAVING, SUM/AVG/MIN/MAX, COUNT(*), a subclause FILTER and
-# every query Validate refuses); plus the public end-to-end superlative
-# question.
+# refusal of HAVING, SUM/AVG/MIN/MAX, COUNT(*), a subclause FILTER, the
+# WHERE filters the evaluator cannot run (a function call such as
+# STRLEN, POS or SUM, IN or NOT IN a named vocabulary, a variable no
+# WHERE triple binds) and every query Validate refuses); plus the public
+# end-to-end superlative question.
 agg-golden:
 	$(GO) test -run 'TestParseAggregate|TestEvalOrderNumeric|TestEvalGroupBy|TestEvalSuperlative|TestEvalAggregate|TestDifferentialEvalMatchesReference' ./internal/sparql/
 	$(GO) test -run 'TestParseAggregate|TestAggregateRoundTrip|TestAggregateValidate|TestParseRefusals' ./internal/oassisql/

@@ -149,7 +149,7 @@ func TestBackendGolden(t *testing.T) {
 func TestCorpusSQLDifferential(t *testing.T) {
 	onto := DemoOntology()
 	tr := NewTranslator(onto)
-	mem := emit.LoadMemTable(onto.Store)
+	mem := emit.LoadMemTable(onto.Store.Snapshot())
 	ext := &emit.Adapter{Ext: mem}
 	ctx := context.Background()
 	checked, aggregated := 0, 0
@@ -165,7 +165,7 @@ func TestCorpusSQLDifferential(t *testing.T) {
 			t.Errorf("%s: sql emission: %v", q.ID, err)
 			continue
 		}
-		native, err := emit.ExecuteWhere(res.Plan, onto.Store)
+		native, err := emit.ExecuteWhere(res.Plan, onto.Store.Snapshot())
 		if err != nil {
 			t.Errorf("%s: rdf evaluation: %v", q.ID, err)
 			continue

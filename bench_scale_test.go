@@ -48,7 +48,7 @@ func BenchmarkP8_JoinPlan(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rows, err := sparql.Eval(ctx, q, onto.Store, nil)
+				rows, err := sparql.Eval(ctx, q, onto.Store.Snapshot())
 				if err != nil || len(rows) == 0 {
 					b.Fatalf("join failed: %v (%d rows)", err, len(rows))
 				}
@@ -74,7 +74,7 @@ func BenchmarkP9_ScaleLookup(b *testing.B) {
 				if len(cands) == 0 {
 					b.Fatal("lookup found nothing")
 				}
-				rows, err := sparql.Eval(ctx, q, onto.Store, nil)
+				rows, err := sparql.Eval(ctx, q, onto.Store.Snapshot())
 				if err != nil || len(rows) == 0 {
 					b.Fatalf("eval failed: %v (%d rows)", err, len(rows))
 				}
@@ -106,7 +106,7 @@ func BenchmarkP12_SnapshotRead(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/triples=%d", src.name, triples), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					rows, err := sparql.Eval(ctx, q, src.s, nil)
+					rows, err := sparql.Eval(ctx, q, src.s)
 					if err != nil || len(rows) == 0 {
 						b.Fatalf("eval failed: %v (%d rows)", err, len(rows))
 					}
@@ -135,7 +135,7 @@ func BenchmarkP10_GroupBy(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rows, err := sparql.Eval(ctx, q, onto.Store, nil)
+				rows, err := sparql.Eval(ctx, q, onto.Store.Snapshot())
 				if err != nil || len(rows) != 1 {
 					b.Fatalf("group-by failed: %v (%d rows)", err, len(rows))
 				}

@@ -314,7 +314,7 @@ func BenchmarkP4_SPARQLStore(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := sparql.Eval(ctx, q, s, nil); err != nil {
+				if _, err := sparql.Eval(ctx, q, s.Snapshot()); err != nil {
 					b.Fatal(err)
 				}
 			}

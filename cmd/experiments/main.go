@@ -13,6 +13,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"sort"
@@ -70,14 +71,20 @@ func main() {
 			os.Exit(1)
 		}
 	}
+	run(os.Stdout, re)
+}
+
+// run writes the experiments whose id re matches (all when re is nil)
+// to w, each under its heading.
+func run(w io.Writer, re *regexp.Regexp) {
 	onto := ontology.NewDemoOntology()
 	e := &env{onto: onto, tr: core.New(onto), eng: nl2cm.NewDemoEngine(onto)}
 	for _, ex := range experiments {
 		if re != nil && !re.MatchString(ex.ID) {
 			continue
 		}
-		fmt.Printf("## %s — %s\n\n", ex.ID, ex.Title)
-		fmt.Println(ex.Run(e))
+		fmt.Fprintf(w, "## %s — %s\n\n", ex.ID, ex.Title)
+		fmt.Fprintln(w, ex.Run(e))
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 	"nl2cm/internal/crowd"
 	"nl2cm/internal/ontology"
 	"nl2cm/internal/rdf"
+	"nl2cm/internal/sparql"
 )
 
 func main() {
@@ -106,8 +107,9 @@ func main() {
 
 // rebase resolves bare identifiers of a hand-written query against the
 // ontology namespace: known general predicates and entities move into
-// the namespace; crowd-facing predicates (hasLabel, habit verbs,
-// prepositions) stay bare.
+// the namespace, in the triples and in the WHERE filters' constants;
+// crowd-facing predicates (hasLabel, habit verbs, prepositions) stay
+// bare.
 func rebase(q *nl2cm.Query) {
 	generalPreds := map[string]bool{
 		"instanceOf": true, "subClassOf": true, "label": true,
@@ -129,6 +131,13 @@ func rebase(q *nl2cm.Query) {
 	}
 	for i, tr := range q.Where.Triples {
 		q.Where.Triples[i] = rdf.T(fix(tr.S, false), fix(tr.P, true), fix(tr.O, false))
+	}
+	for _, f := range q.Where.Filters {
+		sparql.Walk(f, func(e sparql.Expr) {
+			if c, ok := e.(*sparql.LitExpr); ok && c.Val.Kind == sparql.VTerm {
+				c.Val.Term = fix(c.Val.Term, false)
+			}
+		})
 	}
 	for s := range q.Satisfying {
 		for i, tr := range q.Satisfying[s].Pattern.Triples {

@@ -2,6 +2,9 @@ package main
 
 import (
 	"context"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"nl2cm"
@@ -96,6 +99,57 @@ func TestCorpusQueriesExecute(t *testing.T) {
 		if got.WhereBindings != want.WhereBindings || len(got.Bindings) != len(want.Bindings) {
 			t.Errorf("%s: printed query read %d WHERE rows and returned %d, translated query %d and %d\n%s",
 				cq.ID, got.WhereBindings, len(got.Bindings), want.WhereBindings, len(want.Bindings), res.Query)
+		}
+	}
+}
+
+// A WHERE filter runs over the rebased query: its bare entity names move
+// into the ontology namespace as the triples' do, so it keeps the parks
+// it names, and a filter the evaluator cannot run is refused with a line
+// instead of matching nothing.
+func TestWhereFilters(t *testing.T) {
+	const parks = `SELECT VARIABLES
+WHERE
+{$x instanceOf Park.
+$x locatedIn Buffalo,_NY.
+FILTER(%s)}`
+	cases := []struct {
+		filter string
+		want   []string // the parks kept
+		err    string   // Parse's refusal, when it refuses
+	}{
+		{filter: `$x = Delaware_Park`, want: []string{"Delaware_Park"}},
+		{filter: `$x != Delaware_Park`, want: []string{"Botanical_Gardens"}},
+		{filter: `$x IN (Delaware_Park)`, want: []string{"Delaware_Park"}},
+		{filter: `!($x IN (Delaware_Park, Buffalo_Zoo))`, want: []string{"Botanical_Gardens"}},
+		{filter: `$x = Delaware_Park || 1 + 1 = 3`, want: []string{"Delaware_Park"}},
+		{filter: `$x != Delaware_Park && $x != Botanical_Gardens`, want: nil},
+		{filter: `STRLEN($x) > 1`, err: "line 3: FILTER calls STRLEN()"},
+	}
+	onto := nl2cm.DemoOntology()
+	for _, c := range cases {
+		q, err := nl2cm.ParseQuery(fmt.Sprintf(parks, c.filter))
+		if c.err != "" {
+			if err == nil || !strings.Contains(err.Error(), c.err) {
+				t.Errorf("FILTER(%s): Parse error = %v, want containing %q", c.filter, err, c.err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("FILTER(%s): %v", c.filter, err)
+		}
+		rebase(q)
+		out, err := nl2cm.NewDemoEngine(onto).Execute(context.Background(), q)
+		if err != nil {
+			t.Fatalf("FILTER(%s): Execute: %v", c.filter, err)
+		}
+		var got []string
+		for _, b := range out.Bindings {
+			got = append(got, b["x"].Local())
+		}
+		slices.Sort(got)
+		if !slices.Equal(got, c.want) {
+			t.Errorf("FILTER(%s) kept %v, want %v", c.filter, got, c.want)
 		}
 	}
 }

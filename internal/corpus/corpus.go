@@ -355,39 +355,5 @@ func Unsupported() []Question {
 	return out
 }
 
-// ByDomain returns the questions of one domain.
-func ByDomain(domain string) []Question {
-	var out []Question
-	for _, q := range questions {
-		if q.Domain == domain {
-			out = append(out, q)
-		}
-	}
-	return out
-}
-
-// Domains returns the distinct domains in corpus order.
-func Domains() []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, q := range questions {
-		if !seen[q.Domain] {
-			seen[q.Domain] = true
-			out = append(out, q.Domain)
-		}
-	}
-	return out
-}
-
-// ByID returns the question with the given ID.
-func ByID(id string) (Question, bool) {
-	for _, q := range questions {
-		if q.ID == id {
-			return q, true
-		}
-	}
-	return Question{}, false
-}
-
 // RunningExample is the paper's running example question (Figure 1).
 const RunningExampleID = "travel-01"

@@ -1,6 +1,7 @@
 package corpus
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -49,26 +50,21 @@ func TestCorpusSize(t *testing.T) {
 }
 
 func TestCorpusDomains(t *testing.T) {
-	domains := Domains()
 	want := map[string]bool{"travel": true, "shopping": true, "health": true, "food": true, "general": true}
-	for _, d := range domains {
-		delete(want, d)
+	for _, q := range All() {
+		delete(want, q.Domain)
 	}
 	if len(want) > 0 {
 		t.Errorf("missing domains: %v", want)
 	}
-	for _, d := range domains {
-		if len(ByDomain(d)) == 0 {
-			t.Errorf("domain %s empty", d)
-		}
-	}
 }
 
 func TestRunningExamplePresent(t *testing.T) {
-	q, ok := ByID(RunningExampleID)
-	if !ok {
+	i := slices.IndexFunc(All(), func(q Question) bool { return q.ID == RunningExampleID })
+	if i < 0 {
 		t.Fatal("running example missing")
 	}
+	q := All()[i]
 	if !strings.Contains(q.Text, "Forest Hotel") {
 		t.Errorf("running example text = %q", q.Text)
 	}
@@ -77,12 +73,6 @@ func TestRunningExamplePresent(t *testing.T) {
 	}
 	if q.HasGoldAnchor("nope") {
 		t.Error("HasGoldAnchor(nope) = true")
-	}
-}
-
-func TestByIDUnknown(t *testing.T) {
-	if _, ok := ByID("missing-99"); ok {
-		t.Error("ByID(missing) ok = true")
 	}
 }
 

@@ -206,17 +206,23 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// Execute evaluates the query. The context bounds the whole execution:
-// cancellation or deadline expiry aborts the WHERE evaluation (which
-// looks at ctx at a fixed stride of candidate matches), and aborts
-// between subclauses and between crowd-task batches, returning a
-// *core.StageError (stage core.StageCrowd) that wraps ctx.Err().
+// Execute evaluates the query. A query Validate refuses fails first,
+// before any WHERE row or crowd task, with a *core.StageError (stage
+// core.StageCrowd) that wraps the Validate error. The context bounds the
+// whole execution: cancellation or deadline expiry aborts the WHERE
+// evaluation (which looks at ctx at a fixed stride of candidate
+// matches), and aborts between subclauses and between crowd-task
+// batches, returning a *core.StageError (stage core.StageCrowd) that
+// wraps ctx.Err().
 func (e *Engine) Execute(ctx context.Context, q *oassisql.Query) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if q == nil {
 		return nil, fmt.Errorf("crowd: nil query")
+	}
+	if err := q.Validate(); err != nil {
+		return nil, &core.StageError{Stage: core.StageCrowd, Err: err}
 	}
 	start := time.Now()
 	e.execs.Add(1)
@@ -248,7 +254,7 @@ func (e *Engine) execute(ctx context.Context, q *oassisql.Query, x *crowdscale.E
 	view := e.Onto.View()
 	// 1. WHERE against the ontology.
 	whereQ := &sparql.Query{Where: q.Where.Triples, Filters: q.Where.Filters, Limit: -1}
-	bindings, err := sparql.Eval(ctx, whereQ, view.Snapshot(), nil)
+	bindings, err := sparql.Eval(ctx, whereQ, view.Snapshot())
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return nil, &core.StageError{Stage: core.StageCrowd, Err: ctxErr}

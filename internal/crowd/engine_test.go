@@ -181,6 +181,36 @@ func TestExecutePreCancelled(t *testing.T) {
 	}
 }
 
+// Execute validates first: a query built in code that Validate refuses
+// fails with a StageError before any WHERE row or crowd task. Run
+// unchecked, the subclause FILTER would be ignored and the STRLEN call
+// would match no WHERE row, both without an error.
+func TestExecuteRefusesInvalidQuery(t *testing.T) {
+	x := &sparql.VarExpr{Name: "x"}
+	subclauseFilter := runningExampleQuery(t)
+	subclauseFilter.Satisfying[1].Pattern.Filters = []sparql.Expr{&sparql.BinExpr{Op: "!=", L: x, R: x}}
+	strlen := runningExampleQuery(t)
+	strlen.Where.Filters = []sparql.Expr{&sparql.BinExpr{
+		Op: ">", L: &sparql.CallExpr{Name: "STRLEN", Args: []sparql.Expr{x}}, R: &sparql.LitExpr{Val: sparql.NumVal(1)},
+	}}
+	for name, q := range map[string]*oassisql.Query{"subclause FILTER": subclauseFilter, "STRLEN in WHERE": strlen} {
+		want := q.Validate()
+		if want == nil {
+			t.Fatalf("%s: Validate accepts the query", name)
+		}
+		eng := demoEngine()
+		res, err := eng.Execute(context.Background(), q)
+		var se *core.StageError
+		if res != nil || !errors.As(err, &se) || se.Stage != core.StageCrowd || se.Err.Error() != want.Error() {
+			t.Errorf("%s: Execute returned a result: %t, error %v; want no result and a %s StageError wrapping %q",
+				name, res != nil, err, core.StageCrowd, want)
+		}
+		if st := eng.Stats(); st.Executions != 0 || st.TasksIssued != 0 {
+			t.Errorf("%s: refused query ran: %d executions, %d tasks", name, st.Executions, st.TasksIssued)
+		}
+	}
+}
+
 // The WHERE phase honours the deadline too. This WHERE is a cartesian
 // product of near-edges that keeps only the pairs closing a 2-cycle: over
 // 3,000 synthetic entities (about 10k triples) its join walks 9 M

@@ -107,5 +107,5 @@ func ExecuteWhere(p *Plan, src sparql.Source) ([]sparql.Binding, error) {
 			q.Limit = p.Agg.Limit
 		}
 	}
-	return sparql.Eval(context.TODO(), q, src, nil)
+	return sparql.Eval(context.TODO(), q, src)
 }

@@ -67,7 +67,7 @@ func synthPlans() []*Plan {
 // cross-backend differential of the SQL emitter's plan, SQLite-free.
 func TestExternalSourceMatchesRDFStore(t *testing.T) {
 	onto := ontology.NewSynthetic(500)
-	table := LoadMemTable(onto.Store)
+	table := LoadMemTable(onto.Store.Snapshot())
 	if table.Len() == 0 {
 		t.Fatal("empty export")
 	}
@@ -79,7 +79,7 @@ func TestExternalSourceMatchesRDFStore(t *testing.T) {
 			t.Errorf("plan %d: sql emit: %v", i, err)
 			continue
 		}
-		rdfBindings, err := ExecuteWhere(p, onto.Store)
+		rdfBindings, err := ExecuteWhere(p, onto.Store.Snapshot())
 		if err != nil {
 			t.Errorf("plan %d: rdf eval: %v", i, err)
 			continue

@@ -23,14 +23,16 @@ const maxPatternVars = 64
 // over nlp.Node fields. A matcher is immutable; all match-time state
 // lives in the frame of one Find call.
 //
-// Matches are exactly those of evaluating the pattern as a SPARQL basic
-// graph pattern over the graph's edges with sparql.Eval, rows in the
-// same order: a graph's triples are joined in the order the sparql
-// planner picks (exact edge counts, ÷16 per bound variable, the
-// disconnected-pattern penalty, ties by declaration position) and edges
-// are walked in DepGraph.Edges order. Filter semantics are those of
-// sparql.Expr.Eval over nodes as blank terms "n<i>" and relations as
-// IRIs; an erroring filter drops the row.
+// Matches are exactly those of joining the pattern's triples as a SPARQL
+// basic graph pattern over the graph's edges with sparql.Eval, rows in
+// the same order, and keeping the rows its filters accept: a graph's
+// triples are joined in the order the sparql planner picks (exact edge
+// counts, ÷16 per bound variable, the disconnected-pattern penalty, ties
+// by declaration position) and edges are walked in DepGraph.Edges order.
+// Filter operators follow sparql.Expr.Eval over nodes as blank terms
+// "n<i>" and relations as IRIs. The node functions and vocabulary tests
+// belong to the matcher alone (sparql evaluates neither); the tests'
+// oracle interprets them the same way. An erroring filter drops the row.
 type matcher struct {
 	triples []mtriple // declaration order
 	filters []mfilter
@@ -56,7 +58,8 @@ type mfilter struct {
 }
 
 // evalFn evaluates a filter (sub)expression against the frame's current
-// row; ok is false when sparql.Expr.Eval would return an error.
+// row; ok is false where sparql.Expr.Eval would return an error, or a
+// node function or vocabulary test cannot apply.
 type evalFn func(f *frame) (v value, ok bool)
 
 // What a slot binds; whether it is bound at all is the bound mask's

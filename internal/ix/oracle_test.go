@@ -1,15 +1,17 @@
 package ix
 
 // The oracle for the compiled matcher: the dependency graph exposed as
-// RDF triples (blank node "n<i>" per token, one IRI per relation) and
-// every pattern evaluated as a SPARQL basic graph pattern by sparql.Eval,
-// which is how Find matched patterns before they were compiled.
+// RDF triples (blank node "n<i>" per token, one IRI per relation), every
+// pattern's triples joined as a SPARQL basic graph pattern by
+// sparql.Eval, which is how Find matched patterns before they were
+// compiled, and its filters run by a small interpreter over each row.
 
 import (
 	"context"
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 
 	"nl2cm/internal/nlp"
@@ -17,7 +19,10 @@ import (
 	"nl2cm/internal/sparql"
 )
 
-// findOracle is Find evaluated through sparql.Eval over a GraphSource.
+// findOracle is Find evaluated through sparql.Eval over a GraphSource:
+// Eval joins a pattern's triples, and the rows whose filters the graph's
+// interpreter accepts are kept. Filtering after the join keeps Eval's
+// row order, because its planner never looks at filters.
 func (d *Detector) findOracle(ctx context.Context, g *nlp.DepGraph) ([]Match, error) {
 	src := NewGraphSource(g)
 	env := src.Env(d.Vocabs)
@@ -26,13 +31,16 @@ func (d *Detector) findOracle(ctx context.Context, g *nlp.DepGraph) ([]Match, er
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		q := &sparql.Query{Where: p.Triples, Filters: p.Filters, Limit: -1}
-		rows, err := sparql.Eval(ctx, q, src, env)
+		q := &sparql.Query{Where: p.Triples, Limit: -1}
+		rows, err := sparql.Eval(ctx, q, src)
 		if err != nil {
 			return nil, fmt.Errorf("ix: matching pattern %s: %w", p.Name, err)
 		}
 		seen := map[int]bool{}
 		for _, b := range rows {
+			if !env.accepts(p.Filters, b) {
+				continue
+			}
 			at, ok := b[p.Anchor]
 			if !ok {
 				continue
@@ -144,71 +152,127 @@ func (s *GraphSource) CountMatch(pattern rdf.Triple) int {
 	return n
 }
 
-// Env builds the sparql evaluation environment for IX patterns over the
-// graph: node functions and vocabulary membership sets.
-//
-// Functions: POS($x) coarse category, TAG($x) Penn tag, LEMMA($x),
-// WORD($x) lower-cased surface form, INDEX($x) token position.
-//
-// Vocabulary sets test a node's lemma and surface form against the word
-// list, so "V_participant" matches both "we" and "us".
-func (s *GraphSource) Env(vocabs *Vocabularies) *sparql.Env {
-	node := func(v sparql.Value) (*nlp.Node, error) {
-		if v.Kind != sparql.VTerm {
-			return nil, fmt.Errorf("ix: expected a graph node, got %+v", v)
-		}
-		i, ok := NodeIndex(v.Term)
-		if !ok || i < 0 || i >= len(s.G.Nodes) {
-			return nil, fmt.Errorf("ix: term %v is not a graph node", v.Term)
-		}
-		return &s.G.Nodes[i], nil
-	}
-	unary := func(get func(*nlp.Node) string) func([]sparql.Value) (sparql.Value, error) {
-		return func(args []sparql.Value) (sparql.Value, error) {
-			if len(args) != 1 {
-				return sparql.Value{}, fmt.Errorf("ix: node function wants 1 argument, got %d", len(args))
-			}
-			n, err := node(args[0])
-			if err != nil {
-				return sparql.Value{}, err
-			}
-			return sparql.StrVal(get(n)), nil
+// graphEnv interprets IX filters over the rows of one graph. It
+// evaluates what only the matcher knows itself: the node functions
+// POS($x) coarse category, TAG($x) Penn tag, LEMMA($x), WORD($x)
+// lower-cased surface form and INDEX($x) token position, and vocabulary
+// tests, which match a node's lemma or surface form, so "V_participant"
+// matches both "we" and "us". Every operator goes to sparql's own
+// Expr.Eval, so the oracle holds the matcher to sparql's value
+// semantics.
+type graphEnv struct {
+	g      *nlp.DepGraph
+	vocabs *Vocabularies
+}
+
+// Env returns the filter interpreter over the graph.
+func (s *GraphSource) Env(vocabs *Vocabularies) *graphEnv {
+	return &graphEnv{g: s.G, vocabs: vocabs}
+}
+
+// accepts reports whether every filter holds on the row; an erroring
+// filter drops the row, as it does in Eval.
+func (e *graphEnv) accepts(filters []sparql.Expr, row sparql.Binding) bool {
+	for _, f := range filters {
+		if v, err := e.eval(f, row); err != nil || !v.Truthy() {
+			return false
 		}
 	}
-	env := &sparql.Env{
-		Funcs: map[string]func([]sparql.Value) (sparql.Value, error){
-			"POS":   unary(func(n *nlp.Node) string { return coarsePOS(n.POS) }),
-			"TAG":   unary(func(n *nlp.Node) string { return n.POS }),
-			"LEMMA": unary(func(n *nlp.Node) string { return n.Lemma }),
-			"WORD":  unary(func(n *nlp.Node) string { return n.Lower }),
-			"INDEX": func(args []sparql.Value) (sparql.Value, error) {
-				if len(args) != 1 {
-					return sparql.Value{}, fmt.Errorf("ix: INDEX wants 1 argument")
-				}
-				n, err := node(args[0])
-				if err != nil {
-					return sparql.Value{}, err
-				}
-				return sparql.NumVal(float64(n.Index)), nil
-			},
-		},
-		Sets: map[string]func(sparql.Value) bool{},
-	}
-	if vocabs != nil {
-		for _, name := range vocabs.Names() {
-			v, _ := vocabs.Get(name)
-			voc := v
-			env.Sets[name] = func(val sparql.Value) bool {
-				n, err := node(val)
-				if err != nil {
-					// Non-node values test their text form.
-					return voc.Contains(valText(val))
-				}
-				return voc.Contains(n.Lemma) || voc.Contains(n.Lower)
-			}
+	return true
+}
+
+func (e *graphEnv) eval(x sparql.Expr, row sparql.Vars) (sparql.Value, error) {
+	switch x := x.(type) {
+	case *sparql.CallExpr:
+		return e.call(x, row)
+	case *sparql.InExpr:
+		if x.SetName != "" {
+			return e.inVocab(x, row)
 		}
+		list := make([]sparql.Expr, len(x.List))
+		for i, it := range x.List {
+			list[i] = operand{e, it}
+		}
+		return (&sparql.InExpr{X: operand{e, x.X}, List: list, Negated: x.Negated}).Eval(row)
+	case *sparql.NotExpr:
+		return (&sparql.NotExpr{X: operand{e, x.X}}).Eval(row)
+	case *sparql.BinExpr:
+		return (&sparql.BinExpr{Op: x.Op, L: operand{e, x.L}, R: operand{e, x.R}}).Eval(row)
 	}
-	return env
+	return x.Eval(row) // a variable or a constant
+}
+
+// operand hands a subexpression to sparql's operators while the
+// interpreter evaluates it, when and if the operator does: && and ||
+// short-circuit as they do in Eval.
+type operand struct {
+	e *graphEnv
+	x sparql.Expr
+}
+
+func (o operand) Eval(row sparql.Vars) (sparql.Value, error) { return o.e.eval(o.x, row) }
+func (o operand) String() string                             { return o.x.String() }
+
+func (e *graphEnv) call(x *sparql.CallExpr, row sparql.Vars) (sparql.Value, error) {
+	if len(x.Args) != 1 {
+		return sparql.Value{}, fmt.Errorf("ix: %s() wants 1 argument, got %d", x.Name, len(x.Args))
+	}
+	v, err := e.eval(x.Args[0], row)
+	if err != nil {
+		return sparql.Value{}, err
+	}
+	n, err := e.node(v)
+	if err != nil {
+		return sparql.Value{}, err
+	}
+	switch strings.ToUpper(x.Name) {
+	case "POS":
+		return sparql.StrVal(coarsePOS(n.POS)), nil
+	case "TAG":
+		return sparql.StrVal(n.POS), nil
+	case "LEMMA":
+		return sparql.StrVal(n.Lemma), nil
+	case "WORD":
+		return sparql.StrVal(n.Lower), nil
+	case "INDEX":
+		return sparql.NumVal(float64(n.Index)), nil
+	}
+	return sparql.Value{}, fmt.Errorf("ix: unknown function %s()", x.Name)
+}
+
+// inVocab tests a node's lemma and surface form; any other value tests
+// its text.
+func (e *graphEnv) inVocab(x *sparql.InExpr, row sparql.Vars) (sparql.Value, error) {
+	v, err := e.eval(x.X, row)
+	if err != nil {
+		return sparql.Value{}, err
+	}
+	if e.vocabs == nil {
+		return sparql.Value{}, fmt.Errorf("ix: no vocabularies for %s", x.SetName)
+	}
+	voc, ok := e.vocabs.Get(x.SetName)
+	if !ok {
+		return sparql.Value{}, fmt.Errorf("ix: unknown vocabulary %s", x.SetName)
+	}
+	var in bool
+	if n, err := e.node(v); err == nil {
+		in = voc.Contains(n.Lemma) || voc.Contains(n.Lower)
+	} else {
+		in = voc.Contains(valText(v))
+	}
+	return sparql.BoolVal(in != x.Negated), nil
+}
+
+// node resolves a value to the graph node whose term it is.
+func (e *graphEnv) node(v sparql.Value) (*nlp.Node, error) {
+	if v.Kind != sparql.VTerm {
+		return nil, fmt.Errorf("ix: expected a graph node, got %+v", v)
+	}
+	i, ok := NodeIndex(v.Term)
+	if !ok || i < 0 || i >= len(e.g.Nodes) {
+		return nil, fmt.Errorf("ix: term %v is not a graph node", v.Term)
+	}
+	return &e.g.Nodes[i], nil
 }
 
 func valText(v sparql.Value) string {
@@ -254,15 +318,18 @@ func TestGraphSourceMatch(t *testing.T) {
 
 func TestGraphSourceEnvFunctions(t *testing.T) {
 	g := parse(t, "We visit parks.")
-	src := NewGraphSource(g)
-	env := src.Env(DefaultVocabularies())
+	env := NewGraphSource(g).Env(DefaultVocabularies())
 	visitIdx := -1
 	for i := range g.Nodes {
 		if g.Nodes[i].Text == "visit" {
 			visitIdx = i
 		}
 	}
-	val := sparql.TermVal(NodeTerm(visitIdx))
+	row := sparql.Binding{"x": NodeTerm(visitIdx)}
+	call := func(fn string, args ...sparql.Expr) (sparql.Value, error) {
+		return env.eval(&sparql.CallExpr{Name: fn, Args: args}, row)
+	}
+	x := &sparql.VarExpr{Name: "x"}
 	cases := []struct{ fn, want string }{
 		{"POS", "verb"},
 		{"TAG", "VBP"},
@@ -270,7 +337,7 @@ func TestGraphSourceEnvFunctions(t *testing.T) {
 		{"WORD", "visit"},
 	}
 	for _, c := range cases {
-		got, err := env.Funcs[c.fn]([]sparql.Value{val})
+		got, err := call(c.fn, x)
 		if err != nil {
 			t.Fatalf("%s: %v", c.fn, err)
 		}
@@ -279,15 +346,38 @@ func TestGraphSourceEnvFunctions(t *testing.T) {
 		}
 	}
 	// INDEX returns the position.
-	idx, err := env.Funcs["INDEX"]([]sparql.Value{val})
+	idx, err := call("INDEX", x)
 	if err != nil || idx.Num != float64(visitIdx) {
 		t.Errorf("INDEX = %v, %v", idx, err)
 	}
 	// Errors: wrong arity and non-node argument.
-	if _, err := env.Funcs["POS"](nil); err == nil {
+	if _, err := call("POS"); err == nil {
 		t.Error("POS() with no args succeeded")
 	}
-	if _, err := env.Funcs["POS"]([]sparql.Value{sparql.StrVal("x")}); err == nil {
+	if _, err := call("POS", &sparql.LitExpr{Val: sparql.StrVal("x")}); err == nil {
 		t.Error("POS(non-node) succeeded")
+	}
+	// The operators around a call are sparql's, short-circuit included.
+	for _, c := range []struct {
+		filter string
+		want   bool
+	}{
+		{`POS($x) = "verb" && $x IN V_participant`, false},
+		{`POS($x) = "verb" && $x NOT IN V_participant`, true},
+		{`POS($x) IN ("noun", "verb")`, true},
+		{`INDEX($x) + 1 > 1`, true},
+		{`true || NOPE($x)`, true},
+	} {
+		lx, err := sparql.NewLexer("{ FILTER(" + c.filter + ") }")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, filters, err := sparql.NewPatternParser(lx, nil).GroupPattern()
+		if err != nil {
+			t.Fatalf("%s: %v", c.filter, err)
+		}
+		if got := env.accepts(filters, row); got != c.want {
+			t.Errorf("FILTER(%s) = %v, want %v", c.filter, got, c.want)
+		}
 	}
 }

@@ -285,15 +285,6 @@ func TestSubtreeAndPhrase(t *testing.T) {
 	}
 }
 
-func TestPathToRoot(t *testing.T) {
-	g := parseOK(t, "We visit parks in the fall.")
-	fall := findTok(t, g, "fall")
-	path := g.Path(fall)
-	if len(path) < 3 || g.Nodes[path[len(path)-1]].Rel != RelRoot {
-		t.Errorf("Path(fall) = %v", path)
-	}
-}
-
 func TestDependentsFiltering(t *testing.T) {
 	g := parseOK(t, "We visit parks in the fall.")
 	visit := findTok(t, g, "visit")

@@ -204,16 +204,6 @@ func (g *DepGraph) markSubtree(i int, marked []bool) {
 	}
 }
 
-// Path returns the indices from node i to the root, starting with i.
-func (g *DepGraph) Path(i int) []int {
-	var out []int
-	for i >= 0 {
-		out = append(out, i)
-		i = g.Nodes[i].Head
-	}
-	return out
-}
-
 // Phrase renders the tokens at the given indices (sorted ascending by the
 // caller) as a space-joined string.
 func (g *DepGraph) Phrase(indices []int) string {

@@ -208,32 +208,3 @@ func (t Token) IsPunct() bool {
 	}
 	return true
 }
-
-// SplitSentences performs a light-weight sentence split on terminal
-// punctuation followed by whitespace and an upper-case letter.
-func SplitSentences(text string) []string {
-	var out []string
-	start := 0
-	runes := []rune(text)
-	for i := 0; i < len(runes); i++ {
-		r := runes[i]
-		if r == '.' || r == '?' || r == '!' {
-			j := i + 1
-			for j < len(runes) && unicode.IsSpace(runes[j]) {
-				j++
-			}
-			if j >= len(runes) || unicode.IsUpper(runes[j]) {
-				s := strings.TrimSpace(string(runes[start : i+1]))
-				if s != "" {
-					out = append(out, s)
-				}
-				start = j
-				i = j - 1
-			}
-		}
-	}
-	if tail := strings.TrimSpace(string(runes[start:])); tail != "" {
-		out = append(out, tail)
-	}
-	return out
-}

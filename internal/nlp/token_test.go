@@ -107,26 +107,6 @@ func TestTokenPredicates(t *testing.T) {
 	}
 }
 
-func TestSplitSentences(t *testing.T) {
-	cases := []struct {
-		in   string
-		want []string
-	}{
-		{"One sentence.", []string{"One sentence."}},
-		{"First one. Second one?", []string{"First one.", "Second one?"}},
-		{"Is it good? Yes! Fine.", []string{"Is it good?", "Yes!", "Fine."}},
-		{"We visited Buffalo. it was cold", []string{"We visited Buffalo. it was cold"}},
-		{"no terminal punctuation", []string{"no terminal punctuation"}},
-		{"", nil},
-	}
-	for _, c := range cases {
-		got := SplitSentences(c.in)
-		if !reflect.DeepEqual(got, c.want) {
-			t.Errorf("SplitSentences(%q) = %v, want %v", c.in, got, c.want)
-		}
-	}
-}
-
 // Property: tokenization never loses non-space characters for plain
 // alphanumeric input.
 func TestTokenizePreservesLetters(t *testing.T) {

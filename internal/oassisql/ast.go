@@ -15,9 +15,12 @@
 // The paper's language has no aggregates. This package adds one analytic
 // extension, the one Query Composition builds for counting questions:
 // COUNT($v) [AS $a] in the SELECT clause, and GROUP BY, ORDER BY and
-// LIMIT between the WHERE pattern and SATISFYING. Parse refuses every
-// other aggregate form (HAVING, SUM, AVG, MIN, MAX, COUNT(*)) and every
-// query Validate refuses, with the line it found the fault at.
+// LIMIT between the WHERE pattern and SATISFYING. WHERE filters are the
+// ones the ontology's evaluator runs. Parse refuses every other
+// aggregate form (HAVING, SUM, AVG, MIN, MAX, COUNT(*)), a filter
+// function call, a named vocabulary (IN V_name) and a filter variable no
+// WHERE triple binds, and every other query Validate refuses, with the
+// line it found the fault at.
 package oassisql
 
 import (
@@ -31,7 +34,9 @@ import (
 
 // Pattern is a basic graph pattern with optional filters. Only the WHERE
 // clause takes filters: a SATISFYING subclause is a data pattern posed
-// to the crowd.
+// to the crowd. A filter is what the ontology's evaluator runs
+// (sparql.Eval): comparisons, &&, ||, !, + and -, and IN (…) lists over
+// constants and variables the pattern's triples bind.
 type Pattern struct {
 	Triples []rdf.Triple
 	Filters []sparql.Expr
@@ -138,12 +143,16 @@ func (q *Query) Vars() []string {
 	return out
 }
 
-// Validate checks structural well-formedness: every SATISFYING
+// Validate checks structural well-formedness: the WHERE filters are ones
+// the evaluator runs (Pattern.validateFilters), every SATISFYING
 // subclause is valid (Subclause.validate), projected variables occur in
 // the query, and the analytic extension keeps its rules
 // (validateAggregation). An empty SATISFYING clause is valid: the query
 // is a plain ontology query. Parse ends with Validate.
 func (q *Query) Validate() error {
+	if err := q.Where.validateFilters(); err != nil {
+		return err
+	}
 	for i, sc := range q.Satisfying {
 		if err := sc.validate(i + 1); err != nil {
 			return err
@@ -169,6 +178,44 @@ func (q *Query) Validate() error {
 			if !known[v] {
 				return fmt.Errorf("oassisql: SELECT variable $%s not used in query", v)
 			}
+		}
+	}
+	return nil
+}
+
+// validateFilters refuses the WHERE filters the evaluator cannot run,
+// which would fail on every row and so match nothing: a function call
+// and a named vocabulary (IN V_name), both of which only IX detection
+// patterns know, and a variable no triple of the pattern binds.
+func (p Pattern) validateFilters() error {
+	if len(p.Filters) == 0 {
+		return nil
+	}
+	bound := map[string]bool{}
+	for _, t := range p.Triples {
+		t.EachVar(func(v string) { bound[v] = true })
+	}
+	var err error
+	for _, f := range p.Filters {
+		sparql.Walk(f, func(e sparql.Expr) {
+			if err != nil {
+				return
+			}
+			switch x := e.(type) {
+			case *sparql.CallExpr:
+				err = fmt.Errorf("oassisql: FILTER calls %s(); OASSIS-QL filters take no functions", x.Name)
+			case *sparql.InExpr:
+				if x.SetName != "" {
+					err = fmt.Errorf("oassisql: FILTER tests vocabulary %s; OASSIS-QL filters take IN (…) lists only", x.SetName)
+				}
+			case *sparql.VarExpr:
+				if !bound[x.Name] {
+					err = fmt.Errorf("oassisql: FILTER variable $%s is not bound by any WHERE triple", x.Name)
+				}
+			}
+		})
+		if err != nil {
+			return err
 		}
 	}
 	return nil
@@ -268,10 +315,4 @@ func (q *Query) validateAggregation() error {
 		return fmt.Errorf("oassisql: negative LIMIT %d", q.Agg.Limit)
 	}
 	return nil
-}
-
-// Equal reports whether two queries are structurally identical up to
-// filter-expression rendering.
-func (q *Query) Equal(o *Query) bool {
-	return q.String() == o.String()
 }

@@ -8,8 +8,10 @@ import (
 
 // FuzzParse checks the parser against the printer: any input Parse
 // accepts must print, re-parse, and print to the same text again. It is
-// seeded with Figure 1, every golden corpus query, and the forms Parse
-// refuses: HAVING, SUM, COUNT(*) and a FILTER in a subclause.
+// seeded with Figure 1, every golden corpus query, a WHERE filter using
+// IN (…), ! and ||, and the forms Parse refuses: HAVING, SUM, COUNT(*), a
+// FILTER in a subclause, and WHERE filters calling STRLEN, POS or SUM,
+// testing IN or NOT IN V_participant, or reading an unbound $y.
 func FuzzParse(f *testing.F) {
 	f.Add(figure1)
 	golden, err := os.ReadFile("../../testdata/golden_oassisql.txt")
@@ -20,11 +22,18 @@ func FuzzParse(f *testing.F) {
 		_, query, _ := strings.Cut(entry, "\n") // drop the entry's id line
 		f.Add(strings.TrimSuffix(query, "\n"))
 	}
+	f.Add("SELECT VARIABLES WHERE {$x instanceOf Place. $x near $y FILTER(!($x IN (Delaware_Park, Buffalo_Zoo)) || $y = Forest_Hotel)}")
 	for _, refused := range []string{
 		"SELECT $x COUNT($a) AS $n WHERE {$a locatedIn $x} GROUP BY $x HAVING(COUNT($a) > 2)",
 		"SELECT $x SUM($s) AS $total WHERE {$x size $s} GROUP BY $x",
 		"SELECT VARIABLES COUNT(*) AS $n WHERE {$x instanceOf Place}",
 		"SELECT VARIABLES WHERE {$x instanceOf Place} SATISFYING {[] visit $x FILTER($x != $x)} WITH SUPPORT THRESHOLD = 0.1",
+		"SELECT VARIABLES WHERE {$x instanceOf Place FILTER(STRLEN($x) > 1)}",
+		`SELECT VARIABLES WHERE {$x instanceOf Place FILTER(POS($x) = "noun")}`,
+		"SELECT VARIABLES WHERE {$x size $s FILTER(SUM($s) > 2)}",
+		"SELECT VARIABLES WHERE {$x instanceOf Place FILTER($x IN V_participant)}",
+		"SELECT VARIABLES WHERE {$x instanceOf Place FILTER($x NOT IN V_participant)}",
+		"SELECT VARIABLES WHERE {$x instanceOf Place FILTER($y != $x)}",
 	} {
 		f.Add(refused)
 	}

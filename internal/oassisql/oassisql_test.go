@@ -314,9 +314,11 @@ WITH SUPPORT THRESHOLD = 0.2`)
 
 // TestParseRefusals: Parse refuses, each at a line, the aggregate forms
 // outside the analytic extension (HAVING, SUM, AVG, MIN, MAX, COUNT(*)),
-// a FILTER in a subclause, and every query Validate refuses: a
-// threshold outside [0,1], k = 0, a projected variable the query never
-// uses, and a grouped query projecting an ungrouped variable.
+// a FILTER in a subclause, the WHERE filters the evaluator cannot run (a
+// function call, IN or NOT IN a named vocabulary, a variable no WHERE
+// triple binds), and every query Validate refuses: a threshold outside
+// [0,1], k = 0, a projected variable the query never uses, and a grouped
+// query projecting an ungrouped variable.
 func TestParseRefusals(t *testing.T) {
 	cases := []struct{ name, in, want string }{
 		{"HAVING", `SELECT $city COUNT($a) AS $n
@@ -355,6 +357,33 @@ AND
 {[] visit $x.
 FILTER($x != $x)}
 WITH SUPPORT THRESHOLD = 0.1`, "line 9: subclause 2 has a FILTER; only WHERE takes filters"},
+		{"STRLEN in a WHERE filter", `SELECT VARIABLES
+WHERE
+{$x instanceOf Place.
+FILTER(STRLEN($x) > 1)}`, "line 3: FILTER calls STRLEN(); OASSIS-QL filters take no functions"},
+		{"POS in a WHERE filter", `SELECT VARIABLES
+WHERE
+{$x instanceOf Place.
+FILTER(POS($x) = "noun")}
+SATISFYING
+{[] visit $x}
+WITH SUPPORT THRESHOLD = 0.1`, "line 3: FILTER calls POS()"},
+		{"SUM in a WHERE filter", `SELECT VARIABLES
+WHERE
+{$x size $s.
+FILTER(SUM($s) > 2)}`, "line 3: FILTER calls SUM()"},
+		{"IN V_participant", `SELECT VARIABLES
+WHERE
+{$x instanceOf Place.
+FILTER($x IN V_participant)}`, "line 3: FILTER tests vocabulary V_participant; OASSIS-QL filters take IN (…) lists only"},
+		{"NOT IN V_participant", `SELECT VARIABLES
+WHERE
+{$x instanceOf Place.
+FILTER($x NOT IN V_participant)}`, "line 3: FILTER tests vocabulary V_participant"},
+		{"unbound filter variable", `SELECT VARIABLES
+WHERE
+{$x instanceOf Place.
+FILTER($y != $x)}`, "line 3: FILTER variable $y is not bound by any WHERE triple"},
 		{"threshold outside [0,1]", `SELECT VARIABLES
 WHERE
 {$x instanceOf Place}

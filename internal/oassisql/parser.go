@@ -11,7 +11,9 @@ import (
 // validates it (Query.Validate). A query may end after its WHERE clause
 // and analytic modifiers: with no SATISFYING clause it is a plain
 // ontology query, as the pipeline prints for a question with no
-// individual part. Every error names the line it was found at.
+// individual part. Every error names the line it was found at; a WHERE
+// filter the evaluator cannot run is reported at the line its pattern
+// starts on.
 func Parse(input string) (*Query, error) {
 	lx, err := sparql.NewLexer(input)
 	if err != nil {
@@ -85,11 +87,15 @@ func (p *parser) query() (*Query, error) {
 	if err := p.expectKeyword("WHERE"); err != nil {
 		return nil, err
 	}
+	whereStart := p.lx.Peek()
 	triples, filters, err := p.pat.GroupPattern()
 	if err != nil {
 		return nil, err
 	}
 	q.Where = Pattern{Triples: triples, Filters: filters}
+	if err := q.Where.validateFilters(); err != nil {
+		return nil, p.lx.ErrAt(whereStart, "%s", strings.TrimPrefix(err.Error(), "oassisql: "))
+	}
 	if err := p.aggregation(q); err != nil {
 		return nil, err
 	}

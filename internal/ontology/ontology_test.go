@@ -129,12 +129,12 @@ func TestInstancesOfIncludesSubclasses(t *testing.T) {
 func TestNearRelationSymmetric(t *testing.T) {
 	o := NewGeoOntology()
 	forest := E("Forest_Hotel,_Buffalo,_NY")
-	near := o.Store.Subjects(PredNear, forest)
+	near := o.Store.Snapshot().Subjects(PredNear, forest)
 	if len(near) < 3 {
 		t.Errorf("only %d places near Forest Hotel", len(near))
 	}
 	// the reverse direction exists too
-	back := o.Store.Objects(E("Delaware_Park"), PredNear)
+	back := o.Store.Snapshot().Objects(E("Delaware_Park"), PredNear)
 	found := false
 	for _, b := range back {
 		if b == forest {
@@ -148,7 +148,7 @@ func TestNearRelationSymmetric(t *testing.T) {
 
 func TestEncyclopedicFiberDishes(t *testing.T) {
 	o := NewEncyclopedicOntology()
-	rich := o.Store.Subjects(PredRichIn, E("Fiber"))
+	rich := o.Store.Snapshot().Subjects(PredRichIn, E("Fiber"))
 	if len(rich) < 4 {
 		t.Errorf("only %d fiber-rich dishes", len(rich))
 	}
@@ -188,7 +188,7 @@ func TestMergeCombinesEverything(t *testing.T) {
 	if _, ok := m.View().LookupRelation("rich in"); !ok {
 		t.Error("merged ontology lost encyclopedic relation")
 	}
-	if m.Store.Len() < NewGeoOntology().Store.Len() {
+	if m.Store.Snapshot().Len() < NewGeoOntology().Store.Snapshot().Len() {
 		t.Error("merged store smaller than a part")
 	}
 }
@@ -231,8 +231,8 @@ func TestOntologyNTriplesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Store.Len() != orig.Store.Len() {
-		t.Errorf("triples = %d, want %d", loaded.Store.Len(), orig.Store.Len())
+	if loaded.Store.Snapshot().Len() != orig.Store.Snapshot().Len() {
+		t.Errorf("triples = %d, want %d", loaded.Store.Snapshot().Len(), orig.Store.Snapshot().Len())
 	}
 	// Label lookup survives the round trip.
 	cands := loaded.View().Lookup("Delaware Park")

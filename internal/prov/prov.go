@@ -120,22 +120,6 @@ func (s TokenSet) Intersect(o TokenSet) TokenSet {
 	return out
 }
 
-// Intersects reports whether the sets share a member.
-func (s TokenSet) Intersects(o TokenSet) bool {
-	i, j := 0, 0
-	for i < len(s) && j < len(o) {
-		switch {
-		case s[i] == o[j]:
-			return true
-		case s[i] < o[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return false
-}
-
 // Record traces one emitted query triple back to its source. Triple is
 // the rendered OASSIS-QL form ("$x instanceOf Place"); Clause and
 // Subclause locate it in the final query (Subclause is -1 for WHERE

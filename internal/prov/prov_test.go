@@ -18,12 +18,6 @@ func TestTokenSetOps(t *testing.T) {
 	if got := s.Intersect(o); !reflect.DeepEqual(got, TokenSet{3}) {
 		t.Errorf("Intersect = %v, want [3]", got)
 	}
-	if !s.Intersects(o) {
-		t.Error("Intersects(s, o) = false, want true")
-	}
-	if s.Intersects(NewTokenSet(0, 2, 4)) {
-		t.Error("Intersects with disjoint set = true")
-	}
 	if got := s.Union(o); !reflect.DeepEqual(got, TokenSet{1, 2, 3, 5}) {
 		t.Errorf("Union = %v", got)
 	}

@@ -103,8 +103,8 @@ func TestLoadNTriples(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("added %d, want 2 (one duplicate)", n)
 	}
-	if s.Len() != 2 {
-		t.Fatalf("store Len = %d, want 2", s.Len())
+	if s.Snapshot().Len() != 2 {
+		t.Fatalf("store Len = %d, want 2", s.Snapshot().Len())
 	}
 }
 

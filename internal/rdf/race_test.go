@@ -75,14 +75,14 @@ func TestConcurrentStoreWritesAndMatches(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				n := 0
-				s.MatchFunc(T(NewVar("s"), pred, NewIRI(fmt.Sprintf("o%d", i%10))), func(Triple) bool {
+				s.Snapshot().MatchFunc(T(NewVar("s"), pred, NewIRI(fmt.Sprintf("o%d", i%10))), func(Triple) bool {
 					n++
 					return true
 				})
-				if c := s.CountMatch(T(NewVar("s"), pred, NewVar("o"))); c < 0 {
+				if c := s.Snapshot().CountMatch(T(NewVar("s"), pred, NewVar("o"))); c < 0 {
 					t.Errorf("negative count %d", c)
 				}
-				_ = s.Len()
+				_ = s.Snapshot().Len()
 			}
 		}()
 	}

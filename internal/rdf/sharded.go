@@ -16,9 +16,8 @@ const DefaultShards = 16
 // whose readers never observe a half-applied write. Writes buffer into
 // per-shard copy-on-write builders and become visible only when a new
 // immutable Snapshot is published under a monotonically increasing
-// epoch; every read path (including the ShardedStore's own convenience
-// read methods) runs against one published Snapshot, so a query that
-// pins a snapshot sees a single consistent epoch for its whole
+// epoch; every read runs against one published Snapshot, so a query
+// that pins a snapshot sees a single consistent epoch for its whole
 // lifetime no matter how many batches land meanwhile.
 //
 // Publication is read-triggered: mutators only mark the store dirty,
@@ -40,10 +39,10 @@ type ShardedStore struct {
 }
 
 // Snapshot is an immutable point-in-time view of a ShardedStore. It
-// implements the store's read API (Match, MatchFunc, CountMatch,
-// Subjects, Objects, Contains, Len, All) and therefore satisfies the
-// sparql Source interface; a consumer that holds a Snapshot across an
-// entire query is isolated from concurrent writes.
+// holds the store's read API (Match, MatchFunc, CountMatch, Subjects,
+// Objects, Contains, Len, All) and therefore satisfies the sparql Source
+// interface; a consumer that holds a Snapshot across an entire query is
+// isolated from concurrent writes.
 type Snapshot struct {
 	epoch  uint64
 	dict   *Dict
@@ -302,36 +301,8 @@ func (st *ShardedStore) ShardSizes() []int { return st.Snapshot().ShardSizes() }
 // NumShards returns the shard count.
 func (st *ShardedStore) NumShards() int { return int(st.mask) + 1 }
 
-// The ShardedStore read methods below delegate to the current
-// snapshot. Two calls may observe different epochs; consumers that
-// need one consistent view for several reads must pin a Snapshot.
-
-// Match returns all ground triples matching the pattern.
-func (st *ShardedStore) Match(pattern Triple) []Triple { return st.Snapshot().Match(pattern) }
-
-// MatchFunc streams all triples matching the pattern to fn.
-func (st *ShardedStore) MatchFunc(pattern Triple, fn func(Triple) bool) {
-	st.Snapshot().MatchFunc(pattern, fn)
-}
-
-// CountMatch returns the number of triples matching the pattern.
-func (st *ShardedStore) CountMatch(pattern Triple) int { return st.Snapshot().CountMatch(pattern) }
-
-// Contains reports whether the ground triple is in the store.
-func (st *ShardedStore) Contains(t Triple) bool { return st.Snapshot().Contains(t) }
-
-// Len returns the number of stored triples.
-func (st *ShardedStore) Len() int { return st.Snapshot().Len() }
-
-// Subjects returns the subjects of triples with the given predicate
-// and object.
-func (st *ShardedStore) Subjects(pred, obj Term) []Term { return st.Snapshot().Subjects(pred, obj) }
-
-// Objects returns the objects of triples with the given subject and
-// predicate.
-func (st *ShardedStore) Objects(sub, pred Term) []Term { return st.Snapshot().Objects(sub, pred) }
-
-// All returns every stored triple in unspecified order.
+// All returns every triple of the current snapshot in unspecified
+// order. Every other read goes through a Snapshot the reader pins.
 func (st *ShardedStore) All() []Triple { return st.Snapshot().All() }
 
 // Epoch returns the snapshot's publication epoch; 0 is the empty

@@ -98,8 +98,8 @@ func TestShardedSnapshotStableUnderConcurrentPublish(t *testing.T) {
 	for _, n := range sizes {
 		sum += n
 	}
-	if sum != st.Len() {
-		t.Fatalf("shard sizes sum %d != Len %d", sum, st.Len())
+	if sum != st.Snapshot().Len() {
+		t.Fatalf("shard sizes sum %d != Len %d", sum, st.Snapshot().Len())
 	}
 }
 
@@ -127,8 +127,8 @@ func TestShardedOldSnapshotSurvivesDeleteAll(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st.Len() != 0 {
-		t.Fatalf("store not emptied: Len=%d", st.Len())
+	if st.Snapshot().Len() != 0 {
+		t.Fatalf("store not emptied: Len=%d", st.Snapshot().Len())
 	}
 	if got := renderAll(snap); got != want {
 		t.Fatal("held snapshot changed after delete-all epochs")

@@ -16,15 +16,15 @@ func shardedTriples(n int) []Triple {
 func TestShardedAddSnapshotReadYourWrites(t *testing.T) {
 	st := NewShardedStore(4)
 	tr := T(iri("a"), iri("p"), iri("b"))
-	if st.Len() != 0 || st.Epoch() != 0 {
-		t.Fatalf("empty store: Len=%d Epoch=%d, want 0,0", st.Len(), st.Epoch())
+	if st.Snapshot().Len() != 0 || st.Epoch() != 0 {
+		t.Fatalf("empty store: Len=%d Epoch=%d, want 0,0", st.Snapshot().Len(), st.Epoch())
 	}
 	ok, err := st.Add(tr)
 	if err != nil || !ok {
 		t.Fatalf("Add = %v, %v", ok, err)
 	}
 	// Read methods publish pending writes: read-your-writes.
-	if !st.Contains(tr) {
+	if !st.Snapshot().Contains(tr) {
 		t.Fatal("Contains after Add = false")
 	}
 	if st.Epoch() != 1 {
@@ -36,7 +36,7 @@ func TestShardedAddSnapshotReadYourWrites(t *testing.T) {
 	}
 	// A no-op re-add marks the shard dirty but publishing it must not
 	// change contents.
-	if got := st.Len(); got != 1 {
+	if got := st.Snapshot().Len(); got != 1 {
 		t.Fatalf("Len = %d, want 1", got)
 	}
 }
@@ -108,7 +108,7 @@ func TestShardedApplyRejectsNonGroundBatchWhole(t *testing.T) {
 		if added != 0 || removed != 0 || epoch != before {
 			t.Fatalf("rejected batch leaked state: added=%d removed=%d epoch=%d (before %d)", added, removed, epoch, before)
 		}
-		if st.Contains(good) {
+		if st.Snapshot().Contains(good) {
 			t.Fatal("rejected batch inserted a triple")
 		}
 	}
@@ -130,8 +130,8 @@ func TestShardedShardSizesSumToLen(t *testing.T) {
 			populated++
 		}
 	}
-	if sum != st.Len() {
-		t.Fatalf("shard sizes sum %d != Len %d", sum, st.Len())
+	if sum != st.Snapshot().Len() {
+		t.Fatalf("shard sizes sum %d != Len %d", sum, st.Snapshot().Len())
 	}
 	// 97 distinct subjects over 8 shards: the hash should populate
 	// more than one shard or sharding is broken.
@@ -166,17 +166,17 @@ func TestShardedMatchPatterns(t *testing.T) {
 		{T(iri("nobody"), NewVar("p"), NewVar("o")), 0},
 	}
 	for _, c := range cases {
-		if got := len(st.Match(c.pat)); got != c.want {
+		if got := len(st.Snapshot().Match(c.pat)); got != c.want {
 			t.Errorf("Match(%v) = %d results, want %d", c.pat, got, c.want)
 		}
-		if got := st.CountMatch(c.pat); got != c.want {
+		if got := st.Snapshot().CountMatch(c.pat); got != c.want {
 			t.Errorf("CountMatch(%v) = %d, want %d", c.pat, got, c.want)
 		}
 	}
-	if got := len(st.Subjects(iri("knows"), iri("carol"))); got != 2 {
+	if got := len(st.Snapshot().Subjects(iri("knows"), iri("carol"))); got != 2 {
 		t.Errorf("Subjects = %d, want 2", got)
 	}
-	if got := len(st.Objects(iri("alice"), iri("knows"))); got != 2 {
+	if got := len(st.Snapshot().Objects(iri("alice"), iri("knows"))); got != 2 {
 		t.Errorf("Objects = %d, want 2", got)
 	}
 }
@@ -187,7 +187,7 @@ func TestShardedMatchFuncEarlyStop(t *testing.T) {
 		st.MustAdd(tr)
 	}
 	n := 0
-	st.MatchFunc(T(NewVar("s"), NewVar("p"), NewVar("o")), func(Triple) bool {
+	st.Snapshot().MatchFunc(T(NewVar("s"), NewVar("p"), NewVar("o")), func(Triple) bool {
 		n++
 		return n < 5
 	})
@@ -212,26 +212,26 @@ func TestShardedRemoveHeavyAndDictRetention(t *testing.T) {
 	if added, _, _, err := st.Apply(Batch{Insert: trips[:100]}); err != nil || added != 100 {
 		t.Fatalf("Apply re-insert = %d, %v", added, err)
 	}
-	if got, want := st.Len(), 300-150+100; got != want {
+	if got, want := st.Snapshot().Len(), 300-150+100; got != want {
 		t.Fatalf("Len after churn = %d, want %d", got, want)
 	}
 	for _, tr := range trips[:100] {
-		if !st.Contains(tr) {
+		if !st.Snapshot().Contains(tr) {
 			t.Fatalf("re-inserted triple missing: %v", tr)
 		}
 	}
 	for _, tr := range trips[100:150] {
-		if st.Contains(tr) {
+		if st.Snapshot().Contains(tr) {
 			t.Fatalf("deleted triple still present: %v", tr)
 		}
 	}
 	if _, removed, _, err := st.Apply(Batch{Delete: trips}); err != nil || removed != 250 {
 		t.Fatalf("Apply delete-all = %d, %v", removed, err)
 	}
-	if st.Len() != 0 {
-		t.Fatalf("Len after delete-all = %d, want 0", st.Len())
+	if st.Snapshot().Len() != 0 {
+		t.Fatalf("Len after delete-all = %d, want 0", st.Snapshot().Len())
 	}
-	if got := st.CountMatch(T(NewVar("s"), NewVar("p"), NewVar("o"))); got != 0 {
+	if got := st.Snapshot().CountMatch(T(NewVar("s"), NewVar("p"), NewVar("o"))); got != 0 {
 		t.Fatalf("CountMatch all after delete-all = %d, want 0", got)
 	}
 	// Interned IDs are intentionally retained: every live snapshot

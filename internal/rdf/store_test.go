@@ -23,24 +23,24 @@ func TestStoreAddContainsRemove(t *testing.T) {
 		if err != nil || !added {
 			t.Fatalf("shards=%d: Add = %v, %v; want true, nil", shards, added, err)
 		}
-		if !s.Contains(tr) {
+		if !s.Snapshot().Contains(tr) {
 			t.Fatalf("shards=%d: Contains after Add = false", shards)
 		}
-		if s.Len() != 1 {
-			t.Fatalf("shards=%d: Len = %d, want 1", shards, s.Len())
+		if s.Snapshot().Len() != 1 {
+			t.Fatalf("shards=%d: Len = %d, want 1", shards, s.Snapshot().Len())
 		}
 		// Duplicate insert is a no-op.
 		added, err = s.Add(tr)
 		if err != nil || added {
 			t.Fatalf("shards=%d: duplicate Add = %v, %v; want false, nil", shards, added, err)
 		}
-		if s.Len() != 1 {
-			t.Fatalf("shards=%d: Len after dup = %d, want 1", shards, s.Len())
+		if s.Snapshot().Len() != 1 {
+			t.Fatalf("shards=%d: Len after dup = %d, want 1", shards, s.Snapshot().Len())
 		}
 		if !s.Remove(tr) {
 			t.Fatalf("shards=%d: Remove = false, want true", shards)
 		}
-		if s.Contains(tr) || s.Len() != 0 {
+		if s.Snapshot().Contains(tr) || s.Snapshot().Len() != 0 {
 			t.Fatalf("shards=%d: triple still present after Remove", shards)
 		}
 		if s.Remove(tr) {
@@ -65,8 +65,8 @@ func TestStoreRejectsNonGround(t *testing.T) {
 			t.Errorf("Add(%v) succeeded, want error", tr)
 		}
 	}
-	if s.Len() != 0 || s.Epoch() != 0 {
-		t.Fatalf("rejected adds leaked state: Len=%d Epoch=%d", s.Len(), s.Epoch())
+	if s.Snapshot().Len() != 0 || s.Epoch() != 0 {
+		t.Fatalf("rejected adds leaked state: Len=%d Epoch=%d", s.Snapshot().Len(), s.Epoch())
 	}
 }
 
@@ -108,16 +108,16 @@ func TestStoreMatchPatterns(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			for _, shards := range storeShardCounts {
 				s := stores[shards]
-				got := s.Match(c.pattern)
+				got := s.Snapshot().Match(c.pattern)
 				if len(got) != c.want {
 					t.Errorf("shards=%d: Match(%v) returned %d triples, want %d", shards, c.pattern, len(got), c.want)
 				}
 				for _, tr := range got {
-					if !s.Contains(tr) {
+					if !s.Snapshot().Contains(tr) {
 						t.Errorf("shards=%d: Match returned triple not in store: %v", shards, tr)
 					}
 				}
-				if n := s.CountMatch(c.pattern); n != c.want {
+				if n := s.Snapshot().CountMatch(c.pattern); n != c.want {
 					t.Errorf("shards=%d: CountMatch = %d, want %d", shards, n, c.want)
 				}
 			}
@@ -129,7 +129,7 @@ func TestStoreMatchFuncEarlyStop(t *testing.T) {
 	for _, shards := range storeShardCounts {
 		s := buildTestStore(shards)
 		n := 0
-		s.MatchFunc(T(NewVar("s"), NewVar("p"), NewVar("o")), func(Triple) bool {
+		s.Snapshot().MatchFunc(T(NewVar("s"), NewVar("p"), NewVar("o")), func(Triple) bool {
 			n++
 			return n < 2
 		})
@@ -142,11 +142,11 @@ func TestStoreMatchFuncEarlyStop(t *testing.T) {
 func TestStoreSubjectsObjects(t *testing.T) {
 	for _, shards := range storeShardCounts {
 		s := buildTestStore(shards)
-		subs := s.Subjects(iri("instanceOf"), iri("Place"))
+		subs := s.Snapshot().Subjects(iri("instanceOf"), iri("Place"))
 		if len(subs) != 2 {
 			t.Fatalf("shards=%d: Subjects = %v, want 2 results", shards, subs)
 		}
-		objs := s.Objects(iri("park"), iri("near"))
+		objs := s.Snapshot().Objects(iri("park"), iri("near"))
 		if len(objs) != 1 || objs[0] != iri("hotel") {
 			t.Fatalf("shards=%d: Objects = %v, want [hotel]", shards, objs)
 		}
@@ -162,13 +162,13 @@ func TestStoreConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				s.AddTriple(iri(fmt.Sprintf("s%d_%d", w, i)), iri("p"), iri("o"))
-				s.Match(T(NewVar("s"), iri("p"), NewVar("o")))
+				s.Snapshot().Match(T(NewVar("s"), iri("p"), NewVar("o")))
 			}
 		}(w)
 	}
 	wg.Wait()
-	if s.Len() != 800 {
-		t.Fatalf("Len = %d, want 800", s.Len())
+	if s.Snapshot().Len() != 800 {
+		t.Fatalf("Len = %d, want 800", s.Snapshot().Len())
 	}
 }
 
@@ -197,7 +197,7 @@ func TestStoreMatchAllEqualsInserted(t *testing.T) {
 				return false
 			}
 		}
-		return s.Len() == len(want)
+		return s.Snapshot().Len() == len(want)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -221,11 +221,11 @@ func TestStoreRemovePreservesOthers(t *testing.T) {
 		}
 		victim := all[r.Intn(len(all))]
 		s.Remove(victim)
-		if s.Contains(victim) {
+		if s.Snapshot().Contains(victim) {
 			return false
 		}
 		for _, tr := range all {
-			if tr != victim && !s.Contains(tr) {
+			if tr != victim && !s.Snapshot().Contains(tr) {
 				return false
 			}
 		}
@@ -265,20 +265,20 @@ func TestStoreRemoveHeavyLenAndDictRetention(t *testing.T) {
 		if s.Remove(victim) {
 			t.Fatalf("double Remove(%v) = true", victim)
 		}
-		if s.Len() != len(live) {
-			t.Fatalf("Len = %d, want %d", s.Len(), len(live))
+		if s.Snapshot().Len() != len(live) {
+			t.Fatalf("Len = %d, want %d", s.Snapshot().Len(), len(live))
 		}
 	}
 	// The survivors are fully queryable through every index shape.
 	for _, tr := range live {
-		if !s.Contains(tr) {
+		if !s.Snapshot().Contains(tr) {
 			t.Fatalf("survivor missing: %v", tr)
 		}
-		if got := s.CountMatch(T(tr.S, tr.P, NewVar("o"))); got < 1 {
+		if got := s.Snapshot().CountMatch(T(tr.S, tr.P, NewVar("o"))); got < 1 {
 			t.Fatalf("CountMatch SP for %v = %d", tr, got)
 		}
 	}
-	if got := s.CountMatch(T(NewVar("s"), NewVar("p"), NewVar("o"))); got != len(live) {
+	if got := s.Snapshot().CountMatch(T(NewVar("s"), NewVar("p"), NewVar("o"))); got != len(live) {
 		t.Fatalf("CountMatch all = %d, want %d", got, len(live))
 	}
 	// Drain to empty, then rebuild: IDs are reused from the dict, not
@@ -286,8 +286,8 @@ func TestStoreRemoveHeavyLenAndDictRetention(t *testing.T) {
 	for _, tr := range live {
 		s.Remove(tr)
 	}
-	if s.Len() != 0 {
-		t.Fatalf("Len after drain = %d, want 0", s.Len())
+	if s.Snapshot().Len() != 0 {
+		t.Fatalf("Len after drain = %d, want 0", s.Snapshot().Len())
 	}
 	if got := len(s.All()); got != 0 {
 		t.Fatalf("All after drain = %d triples", got)
@@ -298,8 +298,8 @@ func TestStoreRemoveHeavyLenAndDictRetention(t *testing.T) {
 	for _, tr := range all {
 		s.MustAdd(tr)
 	}
-	if s.Len() != len(all) || s.Dict().Len() != dictLen {
-		t.Fatalf("rebuild: Len=%d dict=%d, want %d, %d", s.Len(), s.Dict().Len(), len(all), dictLen)
+	if s.Snapshot().Len() != len(all) || s.Dict().Len() != dictLen {
+		t.Fatalf("rebuild: Len=%d dict=%d, want %d, %d", s.Snapshot().Len(), s.Dict().Len(), len(all), dictLen)
 	}
 }
 

@@ -9,9 +9,9 @@ import (
 )
 
 // evalFuncs are the streaming evaluator and the reference oracle.
-var evalFuncs = map[string]func(*Query, Source, *Env) ([]Binding, error){
-	"Eval": func(q *Query, src Source, env *Env) ([]Binding, error) {
-		return Eval(context.Background(), q, src, env)
+var evalFuncs = map[string]func(*Query, Source) ([]Binding, error){
+	"Eval": func(q *Query, src Source) ([]Binding, error) {
+		return Eval(context.Background(), q, src)
 	},
 	"EvalReference": EvalReference,
 }
@@ -22,7 +22,7 @@ func bothEvals(t *testing.T, q *Query, src Source) map[string][]Binding {
 	t.Helper()
 	out := map[string][]Binding{}
 	for name, eval := range evalFuncs {
-		rows, err := eval(q, src, nil)
+		rows, err := eval(q, src)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -34,7 +34,7 @@ func bothEvals(t *testing.T, q *Query, src Source) map[string][]Binding {
 // aggStore holds cities with attractions and sizes: buffalo has 3
 // attractions, vegas 12, nyc 1 — counts with 1 and 2 digits so that
 // numeric ordering over COUNT results is observable.
-func aggStore() *rdf.ShardedStore {
+func aggStore() *rdf.Snapshot {
 	s := rdf.NewShardedStore(0)
 	addAttraction := func(city string, n int) {
 		for i := 0; i < n; i++ {
@@ -46,7 +46,7 @@ func aggStore() *rdf.ShardedStore {
 	addAttraction("Buffalo", 3)
 	addAttraction("Vegas", 12)
 	addAttraction("NYC", 1)
-	return s
+	return s.Snapshot()
 }
 
 func TestEvalOrderNumeric(t *testing.T) {
@@ -60,7 +60,7 @@ func TestEvalOrderNumeric(t *testing.T) {
 	}
 	q := patternQuery(t, `{ $x size $s }`)
 	q.OrderBy = []OrderKey{{Var: "s"}}
-	for name, rows := range bothEvals(t, q, s) {
+	for name, rows := range bothEvals(t, q, s.Snapshot()) {
 		got := make([]string, len(rows))
 		for i, b := range rows {
 			got[i] = b["x"].Value()
@@ -72,7 +72,7 @@ func TestEvalOrderNumeric(t *testing.T) {
 	// Mixed-width keys descending: 400 must beat 9 even though "9" > "4".
 	s.MustAdd(rdf.T(iri("d"), iri("size"), rdf.NewIntLiteral(400)))
 	q.OrderBy = []OrderKey{{Var: "s", Desc: true}}
-	for name, rows := range bothEvals(t, q, s) {
+	for name, rows := range bothEvals(t, q, s.Snapshot()) {
 		if rows[0]["x"].Value() != "d" || rows[len(rows)-1]["x"].Value() != "c" {
 			t.Errorf("%s: descending mixed-width order wrong: first=%v last=%v",
 				name, rows[0]["x"], rows[len(rows)-1]["x"])
@@ -255,7 +255,7 @@ func TestEvalAggregateEmptyInput(t *testing.T) {
 	// Global group over zero matching rows: COUNT is 0.
 	q := patternQuery(t, `{ $x size $s }`)
 	q.Aggs = []Aggregate{{Var: "s", As: "n"}}
-	for name, rows := range bothEvals(t, q, s) {
+	for name, rows := range bothEvals(t, q, s.Snapshot()) {
 		if len(rows) != 1 {
 			t.Fatalf("%s: got %d rows, want 1", name, len(rows))
 		}
@@ -267,7 +267,7 @@ func TestEvalAggregateEmptyInput(t *testing.T) {
 	q2 := patternQuery(t, `{ $x size $s }`)
 	q2.GroupBy = []string{"x"}
 	q2.Aggs = []Aggregate{{Var: "s", As: "n"}}
-	for name, rows := range bothEvals(t, q2, s) {
+	for name, rows := range bothEvals(t, q2, s.Snapshot()) {
 		if len(rows) != 0 {
 			t.Errorf("%s: grouped empty input gave %d rows, want 0", name, len(rows))
 		}

@@ -5,15 +5,16 @@
 // group patterns of triples and FILTERs, COUNT calls and ORDER BY keys.
 // Neither host has optional or union groups.
 //
-// Eval evaluates an OASSIS-QL WHERE clause against the general-knowledge
-// ontology: a basic graph pattern with filters, streamed through a
-// planned join, then the analytic extension's grouping and counts,
-// ORDER BY and LIMIT. AggregateBindings runs that grouping step over
-// rows computed elsewhere (the crowd engine's crowd-filtered bindings).
-// Package ix compiles the parsed detection patterns into a matcher over
-// the dependency graph that keeps the semantics of Expr.Eval, with
-// functions and vocabulary membership tests like those an Env provides;
-// Eval over a graph view is that matcher's test oracle.
+// Eval evaluates an OASSIS-QL WHERE clause against one snapshot of the
+// general-knowledge ontology: a basic graph pattern with filters,
+// streamed through a planned join, then the analytic extension's
+// grouping and counts, ORDER BY and LIMIT. Its filters are comparisons,
+// &&, ||, !, + and -, and IN lists. AggregateBindings runs the grouping
+// step over rows computed elsewhere (the crowd engine's crowd-filtered
+// bindings). Package ix compiles the parsed detection patterns into a
+// matcher over the dependency graph that keeps the semantics of
+// Expr.Eval's operators and adds node functions (POS, LEMMA …) and
+// vocabulary membership, which only the matcher evaluates.
 package sparql
 
 import "nl2cm/internal/rdf"

@@ -41,7 +41,7 @@ func diffNumLiteral(r *rand.Rand) rdf.Term {
 	return rdf.NewIntLiteral(int64(r.Intn(150))) // 1-3 digit widths
 }
 
-func randomStore(r *rand.Rand) *rdf.ShardedStore {
+func randomStore(r *rand.Rand) *rdf.Snapshot {
 	st := rdf.NewShardedStore(0)
 	n := 20 + r.Intn(30)
 	for i := 0; i < n; i++ {
@@ -58,7 +58,7 @@ func randomStore(r *rand.Rand) *rdf.ShardedStore {
 			diffNumLiteral(r),
 		))
 	}
-	return st
+	return st.Snapshot()
 }
 
 // randomPosition yields a variable (biased) or a concrete term for one
@@ -237,8 +237,8 @@ func TestDifferentialEvalMatchesReference(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		st := randomStore(r)
 		q := randomQuery(r)
-		got, gerr := Eval(context.Background(), q, st, nil)
-		want, werr := EvalReference(q, st, nil)
+		got, gerr := Eval(context.Background(), q, st)
+		want, werr := EvalReference(q, st)
 		if (gerr == nil) != (werr == nil) {
 			t.Fatalf("seed %d: error mismatch: Eval=%v EvalReference=%v\nquery: %+v", seed, gerr, werr, q)
 		}
@@ -249,7 +249,7 @@ func TestDifferentialEvalMatchesReference(t *testing.T) {
 
 		// The modifier step alone: AggregateBindings over the reference
 		// evaluator's rows before any modifier must reproduce them all.
-		rows, err := EvalReference(unmodified(q), st, nil)
+		rows, err := EvalReference(unmodified(q), st)
 		if err != nil {
 			t.Fatalf("seed %d: unmodified EvalReference: %v", seed, err)
 		}
@@ -282,8 +282,8 @@ func TestEvalWideQueryMatchesReference(t *testing.T) {
 	if n := len(compileQuery(q).names); n != width {
 		t.Fatalf("query has %d slots, want %d", n, width)
 	}
-	got := eval(t, q, st, nil)
-	want, err := EvalReference(q, st, nil)
+	got := eval(t, q, st.Snapshot())
+	want, err := EvalReference(q, st.Snapshot())
 	if err != nil {
 		t.Fatalf("EvalReference: %v", err)
 	}
@@ -328,7 +328,7 @@ func TestLimitWindowIsCopied(t *testing.T) {
 		Limit:   2,
 	}
 	for name, eval := range evalFuncs {
-		rows, err := eval(q, st, nil)
+		rows, err := eval(q, st.Snapshot())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

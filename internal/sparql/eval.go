@@ -11,29 +11,22 @@ import (
 )
 
 // Source is any triple collection that can enumerate and count the
-// matches of a pattern (variables act as wildcards). *rdf.ShardedStore
-// and its Snapshots implement it. CountMatch is the join planner's
-// cardinality estimate, which the store answers from posting-list
-// lengths.
+// matches of a pattern (variables act as wildcards). *rdf.Snapshot
+// implements it, so one Eval reads one epoch of a store. CountMatch is
+// the join planner's cardinality estimate, which a snapshot answers from
+// posting-list lengths.
 type Source interface {
 	MatchFunc(pattern rdf.Triple, fn func(rdf.Triple) bool)
 	CountMatch(pattern rdf.Triple) int
 }
 
-// pin resolves a mutable source to an immutable point-in-time view when
-// the source supports it (*rdf.ShardedStore does). Eval pins once at
-// query start, so planning and every join step of one query see a
-// single epoch even while write batches publish concurrently; mid-query
-// reads never mix epochs.
-func pin(src Source) Source {
-	if s, ok := src.(interface{ Snapshot() *rdf.Snapshot }); ok {
-		return s.Snapshot()
-	}
-	return src
-}
-
 // Eval evaluates the query against the source and returns the solution
-// bindings, filtered, grouped, ordered and limited per the query.
+// bindings, filtered, grouped, ordered and limited per the query. The
+// caller pins the source: a store's reader passes one rdf.Snapshot, so
+// planning and every join step see a single epoch even while write
+// batches publish. The query is one its host validated: a filter that
+// errors on a row (a function call, a named vocabulary, an unbound
+// variable) drops the row, per SPARQL semantics for type errors.
 //
 // Internally rows are slot-indexed term slices that share storage with
 // their parent row until a join step binds a new variable; the map-form
@@ -45,16 +38,15 @@ func pin(src Source) Source {
 //
 // The join looks at ctx once every cancelStride candidate matches; once
 // ctx is done, Eval stops and returns ctx.Err().
-func Eval(ctx context.Context, q *Query, src Source, env *Env) ([]Binding, error) {
+func Eval(ctx context.Context, q *Query, src Source) ([]Binding, error) {
 	if src == nil {
 		return nil, fmt.Errorf("sparql: nil source")
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	src = pin(src)
 	c := compileQuery(q)
-	e := &exec{c: c, src: src, env: env, view: rowView{c: c}, ctx: ctx}
+	e := &exec{c: c, src: src, view: rowView{c: c}, ctx: ctx}
 
 	// Plan once, attach every filter whose variables the pattern binds,
 	// and stream the join from the nil row, which binds nothing; a row is
@@ -191,10 +183,9 @@ type planStep struct {
 
 // attachFilters assigns each filter to the earliest step of the plan at
 // which all its variables are bound. Filters referencing variables
-// outside the plan (or expression types the variable walker does not
-// know) are returned for post-join evaluation. Pushing a filter into the
-// join is sound because variables bind exactly once and Env functions
-// and sets are assumed pure.
+// outside the plan are returned for post-join evaluation. Pushing a
+// filter into the join is sound because variables bind exactly once and
+// every operator is pure.
 func attachFilters(plan []rdf.Triple, filters []Expr, c *compiled) ([]planStep, []Expr) {
 	steps := make([]planStep, len(plan))
 	for i, p := range plan {
@@ -203,10 +194,11 @@ func attachFilters(plan []rdf.Triple, filters []Expr, c *compiled) ([]planStep, 
 	var post []Expr
 	for _, f := range filters {
 		vars := map[string]bool{}
-		if !exprVars(f, vars) {
-			post = append(post, f)
-			continue
-		}
+		Walk(f, func(x Expr) {
+			if v, ok := x.(*VarExpr); ok {
+				vars[v.Name] = true
+			}
+		})
 		at := -1
 		if len(steps) > 0 {
 			need := len(vars)
@@ -242,7 +234,6 @@ const cancelStride = 1024
 type exec struct {
 	c    *compiled
 	src  Source
-	env  *Env
 	view rowView
 	// ctx is looked at once every cancelStride candidate matches, which
 	// candidates counts; err is ctx's error once the join stopped for it.
@@ -334,7 +325,7 @@ func (e *exec) unifyRow(p rdf.Triple, t rdf.Triple, r []rdf.Term) ([]rdf.Term, b
 func (e *exec) filtersPass(filters []Expr, r []rdf.Term) bool {
 	e.view.r = r
 	for _, f := range filters {
-		v, err := f.Eval(&e.view, e.env)
+		v, err := f.Eval(&e.view)
 		if err != nil || !v.Truthy() {
 			return false
 		}

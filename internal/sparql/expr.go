@@ -78,16 +78,6 @@ func (v Value) num() (float64, bool) {
 	return 0, false
 }
 
-// Env provides the evaluation context for filter expressions: functions
-// (e.g. POS, LEMMA over dependency nodes) and named vocabularies for the
-// IN operator (e.g. V_participant in the paper's example pattern).
-type Env struct {
-	// Funcs maps upper-cased function names to implementations.
-	Funcs map[string]func(args []Value) (Value, error)
-	// Sets maps vocabulary names to membership predicates.
-	Sets map[string]func(Value) bool
-}
-
 // Vars is the read-only variable environment a filter expression
 // evaluates against. Binding satisfies it through its Get method, and
 // the optimized evaluator passes a view over its slot-indexed rows
@@ -99,7 +89,7 @@ type Vars interface {
 // Expr is a filter expression.
 type Expr interface {
 	// Eval evaluates the expression under a variable environment.
-	Eval(b Vars, env *Env) (Value, error)
+	Eval(b Vars) (Value, error)
 	fmt.Stringer
 }
 
@@ -107,7 +97,7 @@ type Expr interface {
 type VarExpr struct{ Name string }
 
 // Eval implements Expr.
-func (e *VarExpr) Eval(b Vars, _ *Env) (Value, error) {
+func (e *VarExpr) Eval(b Vars) (Value, error) {
 	t, ok := b.Get(e.Name)
 	if !ok {
 		return Value{}, fmt.Errorf("sparql: unbound variable $%s in filter", e.Name)
@@ -121,7 +111,7 @@ func (e *VarExpr) String() string { return "$" + e.Name }
 type LitExpr struct{ Val Value }
 
 // Eval implements Expr.
-func (e *LitExpr) Eval(Vars, *Env) (Value, error) { return e.Val, nil }
+func (e *LitExpr) Eval(Vars) (Value, error) { return e.Val, nil }
 
 func (e *LitExpr) String() string {
 	switch e.Val.Kind {
@@ -136,30 +126,18 @@ func (e *LitExpr) String() string {
 	}
 }
 
-// CallExpr invokes a registered function.
+// CallExpr is a function call. OASSIS-QL refuses it; package ix
+// compiles the node functions of its detection patterns (POS, LEMMA …)
+// into its own matcher, so Eval has no function to run and errors, which
+// drops the row.
 type CallExpr struct {
 	Name string
 	Args []Expr
 }
 
 // Eval implements Expr.
-func (e *CallExpr) Eval(b Vars, env *Env) (Value, error) {
-	if env == nil || env.Funcs == nil {
-		return Value{}, fmt.Errorf("sparql: no function environment for %s()", e.Name)
-	}
-	fn, ok := env.Funcs[strings.ToUpper(e.Name)]
-	if !ok {
-		return Value{}, fmt.Errorf("sparql: unknown function %s()", e.Name)
-	}
-	args := make([]Value, len(e.Args))
-	for i, a := range e.Args {
-		v, err := a.Eval(b, env)
-		if err != nil {
-			return Value{}, err
-		}
-		args[i] = v
-	}
-	return fn(args)
+func (e *CallExpr) Eval(Vars) (Value, error) {
+	return Value{}, fmt.Errorf("sparql: function %s() is not evaluated here", e.Name)
 }
 
 func (e *CallExpr) String() string {
@@ -174,8 +152,8 @@ func (e *CallExpr) String() string {
 type NotExpr struct{ X Expr }
 
 // Eval implements Expr.
-func (e *NotExpr) Eval(b Vars, env *Env) (Value, error) {
-	v, err := e.X.Eval(b, env)
+func (e *NotExpr) Eval(b Vars) (Value, error) {
+	v, err := e.X.Eval(b)
 	if err != nil {
 		return Value{}, err
 	}
@@ -191,40 +169,40 @@ type BinExpr struct {
 }
 
 // Eval implements Expr.
-func (e *BinExpr) Eval(b Vars, env *Env) (Value, error) {
+func (e *BinExpr) Eval(b Vars) (Value, error) {
 	switch e.Op {
 	case "&&":
-		l, err := e.L.Eval(b, env)
+		l, err := e.L.Eval(b)
 		if err != nil {
 			return Value{}, err
 		}
 		if !l.Truthy() {
 			return BoolVal(false), nil
 		}
-		r, err := e.R.Eval(b, env)
+		r, err := e.R.Eval(b)
 		if err != nil {
 			return Value{}, err
 		}
 		return BoolVal(r.Truthy()), nil
 	case "||":
-		l, err := e.L.Eval(b, env)
+		l, err := e.L.Eval(b)
 		if err != nil {
 			return Value{}, err
 		}
 		if l.Truthy() {
 			return BoolVal(true), nil
 		}
-		r, err := e.R.Eval(b, env)
+		r, err := e.R.Eval(b)
 		if err != nil {
 			return Value{}, err
 		}
 		return BoolVal(r.Truthy()), nil
 	}
-	l, err := e.L.Eval(b, env)
+	l, err := e.L.Eval(b)
 	if err != nil {
 		return Value{}, err
 	}
-	r, err := e.R.Eval(b, env)
+	r, err := e.R.Eval(b)
 	if err != nil {
 		return Value{}, err
 	}
@@ -266,42 +244,37 @@ func (e *BinExpr) String() string {
 	return "(" + e.L.String() + " " + e.Op + " " + e.R.String() + ")"
 }
 
-// InExpr tests membership of a value in a named vocabulary or an explicit
-// list, e.g. `$y IN V_participant` or `POS($x) IN ("VB", "VBP")`.
+// InExpr tests membership of a value in an explicit list, e.g.
+// `$x IN (Delaware_Park, Buffalo_Zoo)`, or in a named vocabulary, e.g.
+// `$y IN V_participant`. Only package ix knows vocabularies: it compiles
+// the named form into its matcher, OASSIS-QL refuses it, and Eval
+// errors on it, which drops the row.
 type InExpr struct {
 	X Expr
-	// SetName is the registered vocabulary name; empty when List is used.
+	// SetName is the vocabulary name; empty when List is used.
 	SetName string
 	List    []Expr
 	Negated bool
 }
 
 // Eval implements Expr.
-func (e *InExpr) Eval(b Vars, env *Env) (Value, error) {
-	v, err := e.X.Eval(b, env)
+func (e *InExpr) Eval(b Vars) (Value, error) {
+	if e.SetName != "" {
+		return Value{}, fmt.Errorf("sparql: vocabulary %s is not evaluated here", e.SetName)
+	}
+	v, err := e.X.Eval(b)
 	if err != nil {
 		return Value{}, err
 	}
 	in := false
-	if e.SetName != "" {
-		if env == nil || env.Sets == nil {
-			return Value{}, fmt.Errorf("sparql: no vocabulary environment for %s", e.SetName)
+	for _, item := range e.List {
+		iv, err := item.Eval(b)
+		if err != nil {
+			return Value{}, err
 		}
-		pred, ok := env.Sets[e.SetName]
-		if !ok {
-			return Value{}, fmt.Errorf("sparql: unknown vocabulary %s", e.SetName)
-		}
-		in = pred(v)
-	} else {
-		for _, item := range e.List {
-			iv, err := item.Eval(b, env)
-			if err != nil {
-				return Value{}, err
-			}
-			if equalValues(v, iv) {
-				in = true
-				break
-			}
+		if equalValues(v, iv) {
+			in = true
+			break
 		}
 	}
 	if e.Negated {

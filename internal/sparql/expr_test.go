@@ -18,9 +18,9 @@ func filterExpr(t *testing.T, src string) Expr {
 	return filters[0]
 }
 
-func evalExpr(t *testing.T, src string, b Binding, env *Env) Value {
+func evalExpr(t *testing.T, src string, b Binding) Value {
 	t.Helper()
-	v, err := filterExpr(t, src).Eval(b, env)
+	v, err := filterExpr(t, src).Eval(b)
 	if err != nil {
 		t.Fatalf("Eval(%s): %v", src, err)
 	}
@@ -29,28 +29,28 @@ func evalExpr(t *testing.T, src string, b Binding, env *Env) Value {
 
 func TestExprArithmetic(t *testing.T) {
 	b := Binding{}
-	if v := evalExpr(t, "1 + 2 = 3", b, nil); !v.Bool {
+	if v := evalExpr(t, "1 + 2 = 3", b); !v.Bool {
 		t.Error("1+2=3 false")
 	}
-	if v := evalExpr(t, "5 - 2 > 2", b, nil); !v.Bool {
+	if v := evalExpr(t, "5 - 2 > 2", b); !v.Bool {
 		t.Error("5-2>2 false")
 	}
-	if v := evalExpr(t, `1 + 2 - 1 = 2`, b, nil); !v.Bool {
+	if v := evalExpr(t, `1 + 2 - 1 = 2`, b); !v.Bool {
 		t.Error("chained arithmetic failed")
 	}
 }
 
 func TestExprArithmeticTypeError(t *testing.T) {
-	if _, err := filterExpr(t, `"abc" + 1 = 2`).Eval(Binding{}, nil); err == nil {
+	if _, err := filterExpr(t, `"abc" + 1 = 2`).Eval(Binding{}); err == nil {
 		t.Error("string arithmetic succeeded")
 	}
 }
 
 func TestExprNot(t *testing.T) {
-	if v := evalExpr(t, "!false", Binding{}, nil); !v.Bool {
+	if v := evalExpr(t, "!false", Binding{}); !v.Bool {
 		t.Error("!false = false")
 	}
-	if v := evalExpr(t, "!(1 = 1)", Binding{}, nil); v.Bool {
+	if v := evalExpr(t, "!(1 = 1)", Binding{}); v.Bool {
 		t.Error("!(1=1) = true")
 	}
 }
@@ -58,38 +58,38 @@ func TestExprNot(t *testing.T) {
 func TestExprBooleanShortCircuit(t *testing.T) {
 	// The right operand of && is not evaluated when the left is false:
 	// an unbound variable there must not error.
-	v, err := filterExpr(t, `false && $nope = 1`).Eval(Binding{}, nil)
+	v, err := filterExpr(t, `false && $nope = 1`).Eval(Binding{})
 	if err != nil || v.Bool {
 		t.Errorf("short circuit failed: %v %v", v, err)
 	}
-	v2, err := filterExpr(t, `true || $nope = 1`).Eval(Binding{}, nil)
+	v2, err := filterExpr(t, `true || $nope = 1`).Eval(Binding{})
 	if err != nil || !v2.Bool {
 		t.Errorf("or short circuit failed: %v %v", v2, err)
 	}
 }
 
 func TestExprUnboundVariableErrors(t *testing.T) {
-	if _, err := filterExpr(t, `$zzz = 1`).Eval(Binding{}, nil); err == nil {
+	if _, err := filterExpr(t, `$zzz = 1`).Eval(Binding{}); err == nil {
 		t.Error("unbound variable evaluated")
 	}
 }
 
 func TestExprStringComparisons(t *testing.T) {
 	b := Binding{"x": rdf.NewLiteral("apple"), "y": rdf.NewLiteral("banana")}
-	if v := evalExpr(t, "$x < $y", b, nil); !v.Bool {
+	if v := evalExpr(t, "$x < $y", b); !v.Bool {
 		t.Error("apple < banana false")
 	}
-	if v := evalExpr(t, `$x >= "apple"`, b, nil); !v.Bool {
+	if v := evalExpr(t, `$x >= "apple"`, b); !v.Bool {
 		t.Error("apple >= apple false")
 	}
-	if v := evalExpr(t, `$x != $y`, b, nil); !v.Bool {
+	if v := evalExpr(t, `$x != $y`, b); !v.Bool {
 		t.Error("apple != banana false")
 	}
 }
 
 func TestExprTermEquality(t *testing.T) {
 	b := Binding{"x": rdf.NewIRI("a"), "y": rdf.NewIRI("a")}
-	if v := evalExpr(t, "$x = $y", b, nil); !v.Bool {
+	if v := evalExpr(t, "$x = $y", b); !v.Bool {
 		t.Error("same IRIs unequal")
 	}
 }

@@ -115,35 +115,25 @@ func compileQuery(q *Query) *compiled {
 	return c
 }
 
-// exprVars collects the variable names referenced by a filter
-// expression. ok is false for expression types the walker does not know,
-// in which case the caller must not push the filter into the join.
-func exprVars(e Expr, out map[string]bool) bool {
+// Walk calls fn for e and then for each of its operands, depth first
+// and left to right: the walk that Eval's filter placement, OASSIS-QL's
+// filter rules and a host's rewriting of constants share.
+func Walk(e Expr, fn func(Expr)) {
+	fn(e)
 	switch x := e.(type) {
-	case *VarExpr:
-		out[x.Name] = true
-	case *LitExpr:
 	case *NotExpr:
-		return exprVars(x.X, out)
+		Walk(x.X, fn)
 	case *BinExpr:
-		return exprVars(x.L, out) && exprVars(x.R, out)
+		Walk(x.L, fn)
+		Walk(x.R, fn)
 	case *CallExpr:
 		for _, a := range x.Args {
-			if !exprVars(a, out) {
-				return false
-			}
+			Walk(a, fn)
 		}
 	case *InExpr:
-		if !exprVars(x.X, out) {
-			return false
-		}
+		Walk(x.X, fn)
 		for _, it := range x.List {
-			if !exprVars(it, out) {
-				return false
-			}
+			Walk(it, fn)
 		}
-	default:
-		return false
 	}
-	return true
 }

@@ -14,8 +14,7 @@ import (
 // the same solution multiset as Eval and is the oracle of the
 // differential property tests that pin Eval's and AggregateBindings'
 // semantics.
-func EvalReference(q *Query, src Source, env *Env) ([]Binding, error) {
-	src = pin(src)
+func EvalReference(q *Query, src Source) ([]Binding, error) {
 	rows, err := refEvalBGP(q.Where, src)
 	if err != nil {
 		return nil, err
@@ -26,7 +25,7 @@ func EvalReference(q *Query, src Source, env *Env) ([]Binding, error) {
 		for _, b := range rows {
 			ok := true
 			for _, f := range q.Filters {
-				v, err := f.Eval(b, env)
+				v, err := f.Eval(b)
 				if err != nil {
 					// An erroring filter removes the row, per SPARQL
 					// semantics for type errors.
