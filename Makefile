@@ -54,16 +54,17 @@ crowd-stress:
 # detector: concurrent writers publishing epochs while readers hold and
 # render old snapshots, the randomized differential of 1-8 shards
 # against a naive oracle, views pinned across registrations, and on top
-# of it the plan cache across writes and registrations: the randomized
-# cached-vs-cold differential, concurrent readers against a writer
-# flipping the Buffalo ranking and against one registering aliases and
-# relation lemmas, a write landing mid-translation, the epoch, alias and
-# relation tests, and a filler changing its result while exact hits copy
-# the entry.
+# of it the plan cache across writes, registrations and recorded
+# disambiguation feedback: the randomized cached-vs-cold differential,
+# concurrent readers against a writer flipping the Buffalo ranking by
+# store batches, against one recording Buffalo choices and against one
+# registering aliases and relation lemmas, a write and a choice landing
+# mid-translation, the epoch, feedback, alias and relation tests, and a
+# filler changing its result while exact hits copy the entry.
 store-stress:
 	$(GO) test -race -count=3 -run 'TestShardedSnapshotStableUnderConcurrentPublish|TestShardedOldSnapshotSurvivesDeleteAll|TestShardedDifferentialOracle' ./internal/rdf/
 	$(GO) test -race -run 'TestPinnedViewIgnoresLaterRegistrations' ./internal/ontology/
-	$(GO) test -race -run 'TestDataEpochInvalidatesCachedPlans|TestDeletedEntityNeverResurrectedFromCache|TestAliasInvalidatesCachedPlans|TestRelationInvalidatesCachedPlans|TestRegistrationsRaceCachedTranslations|TestTranslationReadsOneEpoch|TestCacheServesColdAcrossWrites|TestCacheConcurrentWritesServeTheirEpoch|TestCacheFillRace' ./internal/core/
+	$(GO) test -race -run 'TestDataEpochInvalidatesCachedPlans|TestFeedbackDropsOnlyThePlansItChanges|TestDeletedEntityNeverResurrectedFromCache|TestAliasInvalidatesCachedPlans|TestRelationInvalidatesCachedPlans|TestRegistrationsRaceCachedTranslations|TestTranslationReadsOneEpoch|TestFeedbackRecordedMidFillReplaysNextRequest|TestCacheServesColdAcrossWrites|TestCacheConcurrentWritesServeTheirEpoch|TestCacheConcurrentChoicesServeAReading|TestCacheFillRace' ./internal/core/
 
 # perfbench-test vets and tests the benchmark in perfbench/, its own Go
 # module that the root `go test ./...` never builds, so a library change

@@ -223,11 +223,7 @@ func handle(ctx context.Context, tr *nl2cm.Translator, eng *nl2cm.Engine, questi
 		fmt.Println("  (none)")
 	}
 	for _, b := range out.Bindings {
-		var parts []string
-		for v, t := range b {
-			parts = append(parts, "$"+v+" = "+t.Local())
-		}
-		fmt.Println("  " + strings.Join(parts, ", "))
+		fmt.Println("  " + b.String())
 	}
 	return nil
 }

@@ -76,6 +76,28 @@ func TestHandleWithExecution(t *testing.T) {
 	}
 }
 
+// TestHandlePrintsBindingsInVariableOrder: a binding of two variables
+// prints them in name order on every run, although a binding is a map
+// and Go randomizes map iteration order.
+func TestHandlePrintsBindingsInVariableOrder(t *testing.T) {
+	onto := nl2cm.DemoOntology()
+	tr := nl2cm.NewTranslator(onto)
+	eng := nl2cm.NewDemoEngine(onto)
+	const want = "  $count = 8, $x = Buffalo,_NY\n"
+	for i := 0; i < 50; i++ {
+		out, err := captureStdout(t, func() error {
+			return handle(context.Background(), tr, eng, "Which city has the most attractions?", nl2cm.Options{})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, rows, ok := strings.Cut(out, "significant bindings:\n")
+		if !ok || rows != want {
+			t.Fatalf("run %d: binding lines %q, want %q\n%s", i, rows, want, out)
+		}
+	}
+}
+
 func TestHandleWithTrace(t *testing.T) {
 	onto := nl2cm.DemoOntology()
 	tr := nl2cm.NewTranslator(onto)

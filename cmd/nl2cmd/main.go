@@ -63,6 +63,7 @@ import (
 	"time"
 
 	"nl2cm"
+	"nl2cm/internal/interact"
 	"nl2cm/internal/ix"
 	"nl2cm/internal/qgen"
 	"nl2cm/internal/session"
@@ -571,49 +572,27 @@ func (s *server) buildPage(question string, res *nl2cm.Result) pageData {
 		d.Tips = res.Verdict.Tips
 		return d
 	}
-	d.Highlight = highlight(res)
+	var spans []interact.IXSpan
 	for _, x := range res.IXs {
+		types := strings.Join(x.Types, "+")
+		for _, sp := range x.Spans(res.Graph) {
+			spans = append(spans, interact.IXSpan{ByteStart: sp.Start, ByteEnd: sp.End, Type: types})
+		}
 		d.IXs = append(d.IXs, ixRow{
 			Text:      x.Text(res.Graph),
-			Types:     strings.Join(x.Types, "+"),
+			Types:     types,
 			Uncertain: x.Uncertain,
 		})
 	}
+	// The Figure 4 display: the question as typed, each IX's tokens
+	// marked.
+	d.Highlight = highlightSpans(res.Question, spans)
 	// The default rendering is the query text; a plan-cache entry
 	// renders it once for all its exact hits.
 	if rend, err := res.Render(nl2cm.DefaultBackend); err == nil {
 		d.Query = rend.Query
 	}
 	return d
-}
-
-// highlight renders the question with IX spans wrapped in colored marks
-// (the Figure 4 display).
-func highlight(res *nl2cm.Result) template.HTML {
-	g := res.Graph
-	class := make([]string, g.Len())
-	for _, x := range res.IXs {
-		c := "ix-mixed"
-		if len(x.Types) == 1 {
-			c = "ix-" + x.Types[0]
-		}
-		for _, n := range x.Nodes {
-			class[n] = c
-		}
-	}
-	var b strings.Builder
-	for i := range g.Nodes {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		word := template.HTMLEscapeString(g.Nodes[i].Text)
-		if class[i] != "" {
-			fmt.Fprintf(&b, `<span class=%q>%s</span>`, class[i], word)
-		} else {
-			b.WriteString(word)
-		}
-	}
-	return template.HTML(b.String())
 }
 
 func (s *server) translate(w http.ResponseWriter, r *http.Request) {
@@ -703,11 +682,7 @@ func (s *server) execute(w http.ResponseWriter, r *http.Request) {
 			ev.Subclauses = append(ev.Subclauses, subclauseView{Index: sc.Index + 1, Tasks: sc.Tasks})
 		}
 		for _, b := range out.Bindings {
-			var parts []string
-			for v, t := range b {
-				parts = append(parts, "$"+v+" = "+t.Local())
-			}
-			ev.Bindings = append(ev.Bindings, strings.Join(parts, ", "))
+			ev.Bindings = append(ev.Bindings, b.String())
 		}
 		d.Exec = ev
 	}

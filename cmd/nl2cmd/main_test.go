@@ -4,12 +4,16 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"html"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
+
+	"nl2cm"
 )
 
 func testServer(t *testing.T) *server {
@@ -73,6 +77,24 @@ func TestTranslateEndpoint(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("translate page missing %q", want)
 		}
+	}
+}
+
+// TestHighlightKeepsTheQuestionAsTyped: the translate page marks the
+// IXs in the question as it was typed, so with the marks stripped the
+// highlight is the question again, its punctuation spacing included.
+func TestHighlightKeepsTheQuestionAsTyped(t *testing.T) {
+	s := testServer(t)
+	res, err := s.tr.Translate(context.Background(), question, nl2cm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	marked := string(s.buildPage(question, res).Highlight)
+	if !strings.Contains(marked, `<mark class="ix-`) {
+		t.Errorf("no IX marked:\n%s", marked)
+	}
+	if text := html.UnescapeString(regexp.MustCompile(`<[^>]*>`).ReplaceAllString(marked, "")); text != question {
+		t.Errorf("highlight without its tags reads\n%q\nwant the question\n%q", text, question)
 	}
 }
 

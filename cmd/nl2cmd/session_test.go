@@ -157,6 +157,45 @@ func TestSessionDialogueOverHTTP(t *testing.T) {
 	}
 }
 
+// TestSessionChoiceKeepsOtherCachedPlans: a dialogue answer records
+// feedback in the translator the JSON API serves from, and the plan
+// cache refills only the plans the choice changes. The Delaware Park
+// plan is still a hit; the Buffalo question misses and names the
+// chosen Buffalo.
+func TestSessionChoiceKeepsOtherCachedPlans(t *testing.T) {
+	_, ts := sessionServer(t, serverConfig{planCache: 16})
+	const parkQ, eatQ = "Where do families eat near Delaware Park?", "Where should we eat in Buffalo?"
+	translate := func(q string) (string, apiResponse) {
+		t.Helper()
+		resp, body := doJSON(t, "POST", ts.URL+"/api/translate", apiRequest{Question: q})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%q: status %d: %s", q, resp.StatusCode, body)
+		}
+		var out apiResponse
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatal(err)
+		}
+		return resp.Header.Get("X-Plan-Cache"), out
+	}
+	for _, q := range []string{parkQ, eatQ} {
+		for _, want := range []string{"miss", "hit"} {
+			if got, _ := translate(q); got != want {
+				t.Fatalf("%q before the dialogue: X-Plan-Cache %q, want %q", q, got, want)
+			}
+		}
+	}
+	snap := driveHTTP(t, ts, eatQ, "Illinois")
+	if snap.State != session.StateDone || !strings.Contains(snap.Query, "Buffalo,_IL") {
+		t.Fatalf("dialogue: state %s (error %q), query\n%s", snap.State, snap.Error, snap.Query)
+	}
+	if got, _ := translate(parkQ); got != "hit" {
+		t.Errorf("%q after the choice: X-Plan-Cache %q, want hit", parkQ, got)
+	}
+	if got, out := translate(eatQ); got != "miss" || !strings.Contains(out.Query, "Buffalo,_IL") {
+		t.Errorf("%q after the choice: X-Plan-Cache %q, query\n%s\nwant a miss naming Buffalo,_IL", eatQ, got, out.Query)
+	}
+}
+
 // TestSessionFeedbackPersistsAcrossRestart checks the ISSUE acceptance
 // path: an accepted disambiguation lands in the feedback store, survives
 // an atomic save + daemon restart, and is loaded by the next server.

@@ -97,11 +97,7 @@ func main() {
 	}
 	fmt.Println("significant bindings:")
 	for _, b := range out.Bindings {
-		var parts []string
-		for v, t := range b {
-			parts = append(parts, "$"+v+"="+t.Local())
-		}
-		fmt.Println("  " + strings.Join(parts, " "))
+		fmt.Println("  " + b.String())
 	}
 }
 

@@ -39,7 +39,8 @@ func main() {
 	}
 	fmt.Printf("\n%d ontology bindings, %d crowd tasks issued\n", out.WhereBindings, out.TasksIssued)
 	fmt.Println("significant answers:")
+	view := onto.View() // label every answer in one view of the ontology
 	for _, b := range out.Bindings {
-		fmt.Println("  -", onto.Label(b["x"]))
+		fmt.Println("  -", view.Label(b["x"]))
 	}
 }

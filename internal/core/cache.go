@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"nl2cm/internal/emit"
@@ -21,11 +21,17 @@ import (
 type cacheEntry struct {
 	res      *Result
 	entities []qcache.Binding
-	// confirmed is the version of the latest ontology view at which the
-	// generator's reads (res.General.Reads) were made or replayed and
-	// returned what they return in res.
-	confirmed atomic.Uint64
+	// confirmed is the latest stamp at which the generator's reads
+	// (res.General.Reads) were made or replayed and returned what they
+	// return in res. mu guards it, so no reader sees a torn pair.
+	mu        sync.Mutex
+	confirmed stamp
 }
+
+// stamp names the state a translation reads: the version of the
+// ontology view it pinned and the version of the feedback store, which
+// the generator's ranked lookups read through Feedback.Boost.
+type stamp struct{ view, feedback uint64 }
 
 // cacheable reports whether this request may be served from (and fill)
 // the plan cache: only non-interactive translations qualify, because a
@@ -35,47 +41,43 @@ func (t *Translator) cacheable(opt Options) bool {
 	return t.Cache != nil && opt.Interactor == nil && len(opt.Policy.Ask) == 0
 }
 
-// epoch returns the feedback cache epoch: the feedback store's version,
-// so any recorded disambiguation feedback (which can re-rank entity
-// candidates and change a translation) makes every previously cached
-// plan unreachable.
-func (t *Translator) epoch() uint64 {
-	if t.Generator == nil || t.Generator.Feedback == nil {
-		return 0
-	}
-	return t.Generator.Feedback.Version()
-}
-
 // holds reports whether the entry is what a translation of its question
-// would produce at the view v. The General Query Generator is the only
-// stage that reads the ontology, and it logs every read it makes: label
-// lookups, ranked candidates and relation lemmas. So the entry holds
-// when it was confirmed at v, or when every logged read replays on v to
-// what it returned. A replay that holds records v's version, so later
-// requests at v skip it.
-func (t *Translator) holds(e *cacheEntry, v *ontology.View) bool {
-	ver := v.Version()
-	if e.confirmed.Load() == ver {
+// would produce at the request's stamp, whose view is v. The General
+// Query Generator is the only stage that reads the ontology or the
+// feedback, and it logs every read it makes: label lookups, ranked
+// candidates (feedback boosts included) and relation lemmas. So the
+// entry holds when it was confirmed at the stamp, or when every logged
+// read replays on v to what it returned. A replay that holds records
+// the stamp, unless the entry holds a newer one, so later requests at
+// it skip the replay.
+func (t *Translator) holds(e *cacheEntry, v *ontology.View, at stamp) bool {
+	e.mu.Lock()
+	c := e.confirmed
+	e.mu.Unlock()
+	if c == at {
 		return true
 	}
 	if g := e.res.General; g != nil && !t.Generator.Replay(v, g.Reads) {
 		return false
 	}
-	for {
-		c := e.confirmed.Load()
-		if c >= ver || e.confirmed.CompareAndSwap(c, ver) {
-			return true
-		}
+	e.mu.Lock()
+	if c := e.confirmed; c.view <= at.view && c.feedback <= at.feedback {
+		e.confirmed = at
 	}
+	e.mu.Unlock()
+	return true
 }
 
 // translateCached serves one translation through the plan cache. It
-// pins one ontology view, tokenizes the question once, canonicalizes it
-// to its shape on the view, and probes the cache (single-flight on
-// misses). An entry found by a hit or a completed flight is served only
-// if it holds at the view; otherwise it is dropped and refilled through
-// the single flight, once. A served entry is either reused (exact
-// question) or rehydrated by re-binding entity slots. Cold paths run the
+// pins one ontology view and reads the feedback version (so a choice
+// recorded during a replay or a fill leaves the entry stamped with the
+// older version, and the next request replays it), tokenizes the
+// question once, canonicalizes it to its shape on the view, and probes
+// the cache (single-flight on misses). An entry found by a hit or a
+// completed flight is served only if it holds at that stamp; otherwise
+// it is dropped and refilled through the single flight, once. A served
+// entry is either reused (exact question) or rehydrated by re-binding
+// entity slots. Cold paths run the
 // full pipeline on the view and leave their result behind for the next
 // same-shape question. Every result returned is the caller's own copy:
 // the entry's result is never handed out.
@@ -91,13 +93,10 @@ func (t *Translator) translateCached(ctx context.Context, question string, opt O
 	}
 
 	view := t.Onto.View()
+	at := stamp{view.Version(), t.Generator.Feedback.Version()}
 	toks := nlp.Tokenize(question)
 	shape := qcache.CanonicalizeTokens(question, toks, view)
-	key := qcache.Key{
-		Shape:    shape.Key,
-		Backends: qcache.BackendKey(opt.Backends),
-		Epoch:    t.epoch(),
-	}
+	key := qcache.Key{Shape: shape.Key, Backends: qcache.BackendKey(opt.Backends)}
 	for dropped := false; ; dropped = true {
 		v, flight, outcome := t.Cache.Lookup(key)
 		switch outcome {
@@ -144,9 +143,7 @@ func (t *Translator) translateCached(ctx context.Context, question string, opt O
 				// error is nil: the plan is present and the backend known.
 				res.oassis, _ = res.Render(emit.DefaultBackend)
 			}
-			entry := &cacheEntry{res: res, entities: shape.Entities}
-			entry.confirmed.Store(view.Version())
-			flight.Fulfill(entry)
+			flight.Fulfill(&cacheEntry{res: res, entities: shape.Entities, confirmed: at})
 			// The caller may change its result (the daemon prepends its
 			// queue stage to the trace) while hits copy the entry's.
 			own := *res
@@ -159,7 +156,7 @@ func (t *Translator) translateCached(ctx context.Context, question string, opt O
 			endObs(nil)
 			return t.translate(ctx, view, question, opt)
 		}
-		if t.holds(entry, view) {
+		if t.holds(entry, view, at) {
 			if res, served := t.serveHit(question, toks, shape, entry, view, opt, start); served {
 				endObs(nil)
 				return res, nil
@@ -172,8 +169,9 @@ func (t *Translator) translateCached(ctx context.Context, question string, opt O
 		}
 		// A read changed since the entry was made: drop it and refill
 		// through the single flight. A refill that does not hold either
-		// (it was made at another view) is not retried: this request
-		// translates cold and leaves the cache alone.
+		// (it was made at another view or feedback version) is not
+		// retried: this request translates cold and leaves the cache
+		// alone.
 		if dropped {
 			endObs(nil)
 			return t.translate(ctx, view, question, opt)

@@ -11,20 +11,23 @@ import (
 	"nl2cm/internal/corpus"
 	"nl2cm/internal/ontology"
 	"nl2cm/internal/qcache"
+	"nl2cm/internal/qgen"
 	"nl2cm/internal/rdf"
 )
 
 // TestCacheServesColdAcrossWrites is the randomized differential of the
 // plan cache against writes. A seeded loop over the demo ontology
-// interleaves store batches and registrations (aliases, relation lemmas
-// and entity descriptions) with cached translations of the corpus
-// questions and their same-shape variants.
+// interleaves store batches, registrations (aliases, relation lemmas
+// and entity descriptions) and recorded disambiguation choices with
+// cached translations of the corpus questions and their same-shape
+// variants. The three translators share one feedback store.
 // The batches add and remove labels (some sharing a word with a corpus
 // entity phrase, some taking a corpus entity's label away), a fourth
 // "Buffalo", subClassOf edges, and near triples that flip the degree
-// order of the three Buffalos. Every served result is compared, at the
-// epoch it was served, on the OASSIS-QL query, all four backends,
-// provenance and DataEpoch:
+// order of the three Buffalos. The choices pick a Buffalo for "Buffalo",
+// or any lookup candidate for a corpus entity phrase. Every served
+// result is compared, at the epoch it was served, on the OASSIS-QL
+// query, all four backends, provenance and DataEpoch:
 //
 //   - a miss or an exact hit with a cold translation;
 //   - a rebound with what an empty-cache translator serves after being
@@ -38,6 +41,9 @@ func TestCacheServesColdAcrossWrites(t *testing.T) {
 	cached.Cache = qcache.New(1024)
 	cold := New(onto)
 	ref := New(onto)
+	feedback := cached.Generator.Feedback
+	cold.Generator.Feedback = feedback
+	ref.Generator.Feedback = feedback
 	ctx := context.Background()
 	opt := Options{Backends: allBackends()}
 
@@ -54,10 +60,11 @@ func TestCacheServesColdAcrossWrites(t *testing.T) {
 	type fill struct {
 		question string
 		epoch    uint64
+		feedback uint64
 	}
 	fills := map[string]fill{} // shape key -> the question that filled it
 	outcomes := map[string]int{}
-	acrossWrites := 0
+	acrossWrites, acrossChoices := 0, 0
 	for step := 0; step < 600; step++ {
 		switch r := rng.Intn(20); {
 		case r < 2:
@@ -72,6 +79,9 @@ func TestCacheServesColdAcrossWrites(t *testing.T) {
 		case r < 5:
 			w.describe(rng)
 			continue
+		case r < 6:
+			w.choose(rng, feedback)
+			continue
 		}
 		q := questions[rng.Intn(len(questions))]
 		label := fmt.Sprintf("step %d (%q)", step, q)
@@ -84,7 +94,7 @@ func TestCacheServesColdAcrossWrites(t *testing.T) {
 		var want *Result
 		switch got.CacheOutcome {
 		case "miss":
-			fills[shape] = fill{q, got.DataEpoch}
+			fills[shape] = fill{q, got.DataEpoch, feedback.Version()}
 			fallthrough
 		case "", "hit":
 			want, err = cold.Translate(ctx, q, opt)
@@ -97,8 +107,13 @@ func TestCacheServesColdAcrossWrites(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reference translation: %v", label, err)
 		}
-		if (got.CacheOutcome == "hit" || got.CacheOutcome == "rebound") && fills[shape].epoch < got.DataEpoch {
-			acrossWrites++
+		if got.CacheOutcome == "hit" || got.CacheOutcome == "rebound" {
+			if fills[shape].epoch < got.DataEpoch {
+				acrossWrites++
+			}
+			if fills[shape].feedback < feedback.Version() {
+				acrossChoices++
+			}
 		}
 		label += " served " + got.CacheOutcome
 		if got.DataEpoch != want.DataEpoch || got.DataEpoch != onto.Epoch() {
@@ -108,9 +123,13 @@ func TestCacheServesColdAcrossWrites(t *testing.T) {
 		compareProvenance(t, label, want, got)
 	}
 	st := cached.Cache.Stats()
-	t.Logf("outcomes %v, %d served across a write, %d batches, cache %+v", outcomes, acrossWrites, w.batches, st)
+	t.Logf("outcomes %v, %d served across a write, %d across a choice, %d batches, %d choices, cache %+v",
+		outcomes, acrossWrites, acrossChoices, w.batches, w.choices, st)
 	if acrossWrites == 0 {
 		t.Error("no cached plan was served across a write")
+	}
+	if acrossChoices == 0 {
+		t.Error("no cached plan was served across a recorded choice")
 	}
 	if st.Stale == 0 {
 		t.Error("no write made a cached plan stale")
@@ -215,6 +234,108 @@ func TestCacheConcurrentWritesServeTheirEpoch(t *testing.T) {
 	t.Logf("%d writes, results at %d epochs, cache %+v", writes, len(epochs), tr.Cache.Stats())
 }
 
+// TestCacheConcurrentChoicesServeAReading runs one writer that records
+// Buffalo choices, cycling through the three readings, against eight
+// readers translating Buffalo questions through one cached translator;
+// run it with -race. Each finished translation lets the writer record
+// one more choice, so choices land among the translations and keep
+// changing which Buffalo ranks first until every count reaches the
+// boost cap. Every served result must equal the cold translation of one
+// of the three readings; once the writer stops, every question must be
+// served as a cold translation under the final feedback gives it.
+func TestCacheConcurrentChoicesServeAReading(t *testing.T) {
+	questions := []string{
+		"Where should we eat in Buffalo?",
+		"Where do you visit in Buffalo?",
+		"Which parks are in Buffalo?",
+	}
+	readings := []string{"Buffalo,_IL", "Buffalo,_WY", "Buffalo,_NY"}
+	onto := ontology.NewDemoOntology()
+	ctx := context.Background()
+	// isReading[question][query]: the query is one reading's cold
+	// translation of the question.
+	isReading := map[string]map[string]bool{}
+	for _, r := range readings {
+		tr := New(onto)
+		tr.Generator.Feedback.Record("Buffalo", ontology.E(r))
+		for _, q := range questions {
+			res, err := tr.Translate(ctx, q, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if isReading[q] == nil {
+				isReading[q] = map[string]bool{}
+			}
+			isReading[q][res.Query.String()] = true
+		}
+	}
+	for _, q := range questions {
+		if len(isReading[q]) != len(readings) {
+			t.Fatalf("fixture: %q has %d distinct readings, want %d", q, len(isReading[q]), len(readings))
+		}
+	}
+
+	tr := New(onto)
+	tr.Cache = qcache.New(64)
+	const readers, reads = 8, 30
+	tick, stop := make(chan struct{}, 1), make(chan struct{})
+	var writer, wg sync.WaitGroup
+	choices := 0
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		for ; ; choices++ {
+			select {
+			case <-stop:
+				return
+			case <-tick:
+			}
+			tr.Generator.Feedback.Record("Buffalo", ontology.E(readings[choices%len(readings)]))
+		}
+	}()
+	wg.Add(readers)
+	for r := 0; r < readers; r++ {
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; i < reads; i++ {
+				q := questions[(r+i)%len(questions)]
+				res, err := tr.Translate(ctx, q, Options{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !isReading[q][res.Query.String()] {
+					t.Errorf("%q served %s as no reading's translation:\n%s", q, res.CacheOutcome, res.Query)
+					return
+				}
+				select {
+				case tick <- struct{}{}:
+				default: // the writer has a choice pending already
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	close(stop)
+	writer.Wait()
+	cold := New(onto)
+	cold.Generator.Feedback = tr.Generator.Feedback
+	for _, q := range questions {
+		got, err := tr.Translate(ctx, q, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := cold.Translate(ctx, q, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Query.String() != want.Query.String() {
+			t.Errorf("%q served %s after the writer stopped:\n%s\nwant:\n%s", q, got.CacheOutcome, got.Query, want.Query)
+		}
+	}
+	t.Logf("%d choices, cache %+v", choices, tr.Cache.Stats())
+}
+
 // compareProvenance checks that two results trace the same triples to
 // the same question text.
 func compareProvenance(t *testing.T, label string, want, got *Result) {
@@ -235,6 +356,7 @@ func compareProvenance(t *testing.T, label string, want, got *Result) {
 type writer struct {
 	onto    *ontology.Ontology
 	words   []string   // words of corpus entity phrases
+	phrases []string   // corpus entity phrases
 	slots   []rdf.Term // entities corpus questions name
 	labels  []rdf.Triple
 	taken   []rdf.Triple // corpus entity labels currently removed
@@ -243,6 +365,7 @@ type writer struct {
 	flip    []rdf.Triple // near triples raising a Buffalo's degree
 	next    int
 	batches int
+	choices int
 }
 
 func newWriter(onto *ontology.Ontology, questions []string) *writer {
@@ -252,6 +375,7 @@ func newWriter(onto *ontology.Ontology, questions []string) *writer {
 		for _, b := range qcache.Canonicalize(q, onto).Entities {
 			if !seen[b.Phrase] {
 				seen[b.Phrase] = true
+				w.phrases = append(w.phrases, b.Phrase)
 				w.slots = append(w.slots, b.Term)
 				for _, word := range strings.Fields(strings.NewReplacer(",", " ").Replace(b.Phrase)) {
 					if len(word) > 2 {
@@ -363,4 +487,19 @@ func (w *writer) describe(rng *rand.Rand) {
 		return // a batch took the label away
 	}
 	w.onto.AddEntity(e.Local(), labels[0].Value(), fmt.Sprintf("Quox description %d", rng.Intn(1000)), rdf.Term{})
+}
+
+// choose records one disambiguation choice: a Buffalo for "Buffalo",
+// or one of a corpus entity phrase's lookup candidates for that phrase.
+func (w *writer) choose(rng *rand.Rand, f *qgen.Feedback) {
+	if rng.Intn(2) == 0 {
+		f.Record("Buffalo", ontology.E([]string{"Buffalo,_NY", "Buffalo,_IL", "Buffalo,_WY"}[rng.Intn(3)]))
+		w.choices++
+		return
+	}
+	phrase := w.phrases[rng.Intn(len(w.phrases))]
+	if cands := w.onto.View().Lookup(phrase); len(cands) > 0 {
+		f.Record(phrase, cands[rng.Intn(len(cands))].Term)
+		w.choices++
+	}
 }

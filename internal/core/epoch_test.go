@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"nl2cm/internal/corpus"
 	"nl2cm/internal/ontology"
 	"nl2cm/internal/qcache"
 	"nl2cm/internal/rdf"
@@ -82,6 +84,75 @@ func TestDataEpochInvalidatesCachedPlans(t *testing.T) {
 	if st := tr.Cache.Stats(); st.Stale != 1 {
 		t.Errorf("stats %+v, want 1 stale drop", st)
 	}
+}
+
+// TestFeedbackDropsOnlyThePlansItChanges is the feedback half of the
+// cache contract: a recorded disambiguation choice is checked as a write
+// is, by replaying each entry's logged reads, and no version is part of
+// the key. With the corpus cached, "Buffalo" is answered with
+// Buffalo,_IL. Exactly the questions whose cold translation now reads
+// differently are dropped and refilled; every other one is served as a
+// hit. Every result equals a cold translation under the new feedback,
+// and the cache holds one entry per question, none of them unreachable.
+func TestFeedbackDropsOnlyThePlansItChanges(t *testing.T) {
+	onto := ontology.NewDemoOntology()
+	tr := New(onto)
+	tr.Cache = qcache.New(1024)
+	cold := New(onto)
+	cold.Generator.Feedback = tr.Generator.Feedback
+	ctx := context.Background()
+	questions := corpus.All()
+
+	reads := map[string]any{} // question -> its generator reads before the choice
+	for _, q := range questions {
+		res, err := tr.Translate(ctx, q.Text, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CacheOutcome != "miss" {
+			t.Fatalf("%s: first translation %q, want miss", q.ID, res.CacheOutcome)
+		}
+		reads[q.Text] = generatorReads(res)
+	}
+	tr.Generator.Feedback.Record("Buffalo", ontology.E("Buffalo,_IL"))
+
+	changed := 0
+	for _, q := range questions {
+		want, err := cold.Translate(ctx, q.Text, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := tr.Translate(ctx, q.Text, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		outcome := "hit"
+		if !reflect.DeepEqual(reads[q.Text], generatorReads(want)) {
+			outcome = "miss"
+			changed++
+		}
+		if got.CacheOutcome != outcome {
+			t.Errorf("%s: served %q after the choice, want %q", q.ID, got.CacheOutcome, outcome)
+		}
+		compareResults(t, q.ID+"/"+got.CacheOutcome, want, got)
+	}
+	st := tr.Cache.Stats()
+	t.Logf("%d of %d questions read differently after the choice; cache %+v", changed, len(questions), st)
+	if changed == 0 || changed == len(questions) {
+		t.Fatalf("fixture: the choice changes %d of %d translations' reads", changed, len(questions))
+	}
+	if st.Stale != uint64(changed) || st.Entries != len(questions) {
+		t.Errorf("stats %+v, want %d stale drops and %d entries", st, changed, len(questions))
+	}
+}
+
+// generatorReads is a result's logged ontology and feedback reads (nil
+// for an unsupported question).
+func generatorReads(res *Result) any {
+	if res.General == nil {
+		return nil
+	}
+	return res.General.Reads
 }
 
 // TestAliasInvalidatesCachedPlans: an Alias registration publishes no
@@ -283,6 +354,61 @@ func TestTranslationReadsOneEpoch(t *testing.T) {
 	if next.CacheOutcome != "miss" || next.DataEpoch != after.DataEpoch || next.Query.String() != after.Query.String() {
 		t.Errorf("next request: %s at epoch %d, query\n%s\nwant a miss at epoch %d, query\n%s",
 			next.CacheOutcome, next.DataEpoch, next.Query, after.DataEpoch, after.Query)
+	}
+	if st := tr.Cache.Stats(); st.Stale != 1 {
+		t.Errorf("stats %+v, want 1 stale drop", st)
+	}
+}
+
+// TestFeedbackRecordedMidFillReplaysNextRequest records a Buffalo
+// choice while a fill runs, at the start of its Individual Triple
+// Creation stage, after the generator has ranked the Buffalos under the
+// old feedback. The fill must equal the cold translation before the
+// choice. The entry carries the feedback version read before the fill,
+// not after it, so the next request replays it, drops it and equals the
+// cold translation after the choice.
+func TestFeedbackRecordedMidFillReplaysNextRequest(t *testing.T) {
+	ctx := context.Background()
+	const q = "Where should we eat in Buffalo?"
+	onto := ontology.NewDemoOntology()
+	choose := func(tr *Translator) { tr.Generator.Feedback.Record("Buffalo", ontology.E("Buffalo,_IL")) }
+	cold := func(chosen bool) *Result {
+		tr := New(onto)
+		if chosen {
+			choose(tr)
+		}
+		res, err := tr.Translate(ctx, q, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	before, after := cold(false), cold(true)
+	if before.Query.String() == after.Query.String() {
+		t.Fatal("fixture: the choice does not change the translation")
+	}
+
+	tr := New(onto)
+	tr.Cache = qcache.New(16)
+	var once sync.Once
+	obs := stageStarts(func(stage string) {
+		if stage == StageIndividual {
+			once.Do(func() { choose(tr) })
+		}
+	})
+	got, err := tr.Translate(ctx, q, Options{Observer: obs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.CacheOutcome != "miss" || got.Query.String() != before.Query.String() {
+		t.Errorf("mid-fill choice: %s, query\n%s\nwant a miss, query\n%s", got.CacheOutcome, got.Query, before.Query)
+	}
+	next, err := tr.Translate(ctx, q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.CacheOutcome != "miss" || next.Query.String() != after.Query.String() {
+		t.Errorf("next request: %s, query\n%s\nwant a miss, query\n%s", next.CacheOutcome, next.Query, after.Query)
 	}
 	if st := tr.Cache.Stats(); st.Stale != 1 {
 		t.Errorf("stats %+v, want 1 stale drop", st)

@@ -140,12 +140,12 @@ type Translator struct {
 	// the shape-keyed plan cache (see the qcache package): questions
 	// sharing a canonical shape reuse one cold translation, re-binding
 	// entity slots where they differ. Interactive requests (a non-nil
-	// Options.Interactor or an asking Policy) always bypass it. Entries
-	// are keyed on the feedback store's version, so learned
-	// disambiguation feedback invalidates stale plans; store writes do
-	// not, because an entry is served at a newer ontology view only after
-	// the generator's logged reads replay there unchanged. Set it before
-	// serving traffic; nil keeps the classic always-cold behavior.
+	// Options.Interactor or an asking Policy) always bypass it. Neither
+	// store writes, registrations nor recorded disambiguation feedback
+	// empty it: an entry is served at another ontology view or feedback
+	// version only after the generator's logged reads replay there
+	// unchanged. Set it before serving traffic; nil keeps the classic
+	// always-cold behavior.
 	Cache *qcache.Cache
 }
 

@@ -14,15 +14,14 @@
 //     slots. Two questions with equal shape keys differ only in which
 //     entities they name.
 //
-//   - Cache is a size-bounded LRU keyed on (shape, backend set,
-//     feedback epoch) with single-flight deduplication: concurrent
-//     misses on one key run the underlying computation once, and
-//     everyone waits for it. The feedback epoch is the caller's
-//     invalidation lever: it makes every cached plan unreachable the
-//     moment learned feedback could change a translation. Knowledge-base
-//     writes are not in the key. The caller checks an entry against the
-//     data it is served at, and DropStale removes one that no longer
-//     holds, so the next Lookup refills it through the single flight.
+//   - Cache is a size-bounded LRU keyed on (shape, backend set) with
+//     single-flight deduplication: concurrent misses on one key run the
+//     underlying computation once, and everyone waits for it. The cache
+//     knows nothing of what a value was computed from. The caller
+//     checks an entry against the state it is served at (knowledge-base
+//     data, registrations, learned feedback), and DropStale removes one
+//     that no longer holds, so the next Lookup refills it through the
+//     single flight.
 //
 // The cache stores opaque values (any): the core package owns the
 // Result type and would otherwise be a dependency cycle.
@@ -164,18 +163,15 @@ func BackendKey(backends []string) string {
 }
 
 // Key identifies one cache entry. It is comparable and keys the
-// cache's maps as it is, so a probe builds no string.
+// cache's maps as it is, so a probe builds no string. It names what was
+// asked, not the state the answer was computed from: no version is part
+// of it, so an entry outlives store writes and recorded feedback for as
+// long as the caller's check at serving time confirms it.
 type Key struct {
 	// Shape is the canonical question shape (Shape.Key).
 	Shape string
 	// Backends is the requested backend set (BackendKey).
 	Backends string
-	// Epoch versions the learned state the entry was computed under;
-	// bumping it (e.g. on a feedback-store change) makes every older
-	// entry unreachable. The knowledge-base epoch is deliberately not
-	// part of the key: an entry outlives store writes for as long as
-	// the caller's check at serving time confirms it.
-	Epoch uint64
 }
 
 // Outcome classifies one cache access.

@@ -137,26 +137,38 @@ func TestCacheHitMissEvict(t *testing.T) {
 	}
 }
 
-func TestCacheEpochInvalidates(t *testing.T) {
+// TestCacheBackendSetsAreSeparateEntries: one shape asked for two
+// backend sets fills two entries, each hit only by its own set; the key
+// holds nothing else, so an equal shape and set always reaches the
+// entry.
+func TestCacheBackendSetsAreSeparateEntries(t *testing.T) {
 	c := New(8)
 	ctx := context.Background()
-	fill := func() (any, error) { return "v", nil }
-	if _, o, _ := do(ctx, c, Key{Shape: "s", Epoch: 0}, fill); o != Miss {
-		t.Fatal("expected miss at epoch 0")
+	plain, sql := Key{Shape: "s"}, Key{Shape: "s", Backends: "sql"}
+	fill := func(v string) func() (any, error) {
+		return func() (any, error) { return v, nil }
 	}
-	if _, o, _ := do(ctx, c, Key{Shape: "s", Epoch: 0}, fill); o != Hit {
-		t.Fatal("expected hit at epoch 0")
+	if _, o, _ := do(ctx, c, plain, fill("plain")); o != Miss {
+		t.Fatalf("first access = %v, want miss", o)
 	}
-	if _, o, _ := do(ctx, c, Key{Shape: "s", Epoch: 1}, fill); o != Miss {
-		t.Fatal("epoch bump did not invalidate the entry")
+	if _, o, _ := do(ctx, c, sql, fill("sql")); o != Miss {
+		t.Fatalf("another backend set = %v, want miss", o)
+	}
+	for key, want := range map[Key]string{plain: "plain", sql: "sql"} {
+		if v, o, _ := do(ctx, c, key, fill("wrong")); o != Hit || v != want {
+			t.Errorf("%+v: %v %v, want hit %s", key, v, o, want)
+		}
+	}
+	if st := c.Stats(); st.Entries != 2 || st.Misses != 2 || st.Hits != 2 {
+		t.Errorf("stats %+v, want 2 entries, 2 misses and 2 hits", st)
 	}
 }
 
 // TestHitLookupAllocatesNothing: a probe that hits builds no key string,
-// whatever the epoch, shape or backend set.
+// whatever the shape or backend set.
 func TestHitLookupAllocatesNothing(t *testing.T) {
 	c := New(8)
-	key := Key{Shape: "where do families eat near ⟨e2⟩ ?", Backends: "cypher,sql", Epoch: 1 << 40}
+	key := Key{Shape: "where do families eat near ⟨e2⟩ ?", Backends: "cypher,sql"}
 	_, f, _ := c.Lookup(key)
 	f.Fulfill("v")
 	if n := testing.AllocsPerRun(100, func() {
@@ -180,8 +192,8 @@ func TestDropStaleRemovesOnlyTheGivenEntry(t *testing.T) {
 	do(ctx, c, a, func() (any, error) { return oldA, nil })
 	do(ctx, c, b, func() (any, error) { return "B", nil })
 
-	c.DropStale(a, newA)                         // a holds another value
-	c.DropStale(Key{Shape: "a", Epoch: 1}, oldA) // nothing under this key
+	c.DropStale(a, newA)                                // a holds another value
+	c.DropStale(Key{Shape: "a", Backends: "sql"}, oldA) // nothing under this key
 	if st := c.Stats(); st.Stale != 0 || st.Entries != 2 {
 		t.Fatalf("stats %+v after drops that match no entry, want none stale and 2 entries", st)
 	}

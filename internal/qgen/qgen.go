@@ -143,9 +143,10 @@ func (r *Result) VarTerm(node int) (rdf.Term, bool) {
 type Feedback struct {
 	mu     sync.RWMutex
 	counts map[string]map[string]int
-	// version counts mutations. The plan cache keys entries on it, so a
+	// version counts mutations. The plan cache stamps each entry with
+	// the version its reads were confirmed at, and replays them when a
 	// recorded answer (which can re-rank candidates in later lookups)
-	// implicitly invalidates every translation cached before it.
+	// has moved it.
 	version uint64
 }
 
@@ -169,8 +170,8 @@ func (f *Feedback) Record(phrase string, entity rdf.Term) {
 }
 
 // Version returns the mutation count: it changes whenever recorded
-// feedback could change a translation, which makes it the cache-epoch
-// source for translation caching.
+// feedback could change a translation. A cached translation confirmed
+// at another version is replayed (Generator.Replay) before it is served.
 func (f *Feedback) Version() uint64 {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
@@ -595,11 +596,13 @@ func (g *Generator) candidates(v *ontology.View, phrase string, ranked bool) []o
 	return v.Lookup(phrase)
 }
 
-// Replay reports whether every read returns on the view v what it
-// returned when it was logged: the same candidates, or the same
+// Replay reports whether every read returns on the view v, under the
+// feedback as it is now, what it returned when it was logged: the same
+// candidates, scores and so feedback boosts included, or the same
 // predicate. When it does, a run on v would take the logged run's every
-// decision, so its result equals the logged one; the caller keeps the
-// feedback version fixed, since ranked reads include feedback boosts.
+// decision, so its result equals the logged one. Feedback is read only
+// by ranked lookups, so a recorded choice that changes any boost a
+// logged read saw fails the replay.
 func (g *Generator) Replay(v *ontology.View, reads []Read) bool {
 	for _, rd := range reads {
 		if rd.Relation {

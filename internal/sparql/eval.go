@@ -338,19 +338,38 @@ func (e *exec) filtersPass(filters []Expr, r []rdf.Term) bool {
 // variable-length component is length-prefixed, so no choice of variable
 // names or term contents can make two distinct bindings collide.
 func BindingKey(b Binding) string {
-	keys := make([]string, 0, len(b))
-	for k := range b {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	var sb strings.Builder
-	for _, k := range keys {
+	for _, k := range b.vars() {
 		sb.WriteString(strconv.Itoa(len(k)))
 		sb.WriteByte(':')
 		sb.WriteString(k)
 		writeTermKey(&sb, b[k])
 	}
 	return sb.String()
+}
+
+// String prints the binding as the command-line tools and the daemon
+// show it: "$v = Local" for each variable in name order, as BindingKey
+// orders them, joined by ", ", so a row prints the same on every run.
+func (b Binding) String() string {
+	var sb strings.Builder
+	for i, k := range b.vars() {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		sb.WriteString("$" + k + " = " + b[k].Local())
+	}
+	return sb.String()
+}
+
+// vars returns the binding's variable names, sorted.
+func (b Binding) vars() []string {
+	keys := make([]string, 0, len(b))
+	for k := range b {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // writeTermKey writes a length-prefixed encoding of every term field.
