@@ -172,6 +172,7 @@ fuzz-smoke:
 	$(GO) test -fuzz='^FuzzNTriplesRoundTrip$$' -fuzztime=20s ./internal/rdf/
 	$(GO) test -fuzz='^FuzzNormalize$$' -fuzztime=20s ./internal/ontology/
 	$(GO) test -fuzz='^FuzzCanonicalize$$' -fuzztime=20s ./internal/qcache/
+	$(GO) test -fuzz='^FuzzRebind$$' -fuzztime=20s ./internal/core/
 	$(GO) test -fuzz='^FuzzFind$$' -fuzztime=20s ./internal/ix/
 	$(GO) test -fuzz='^FuzzParsePatterns$$' -fuzztime=20s ./internal/ix/
 	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=20s ./internal/oassisql/

@@ -536,8 +536,9 @@ func (s *server) doTranslate(ctx context.Context, question string, backends []st
 }
 
 // setCacheHeader exposes how the plan cache served this translation —
-// miss (filled), hit (exact), rebound (entity slots substituted), or
-// bypass (cache disabled or request not cacheable) — plus the
+// miss (translated cold: filled, or the cached entry could not serve
+// it), hit (exact), rebound (entity slots substituted), or bypass
+// (cache disabled or request not cacheable) — plus the
 // server-side translation wall-clock, so load generators can separate
 // translation latency from transport overhead.
 func setCacheHeader(w http.ResponseWriter, res *nl2cm.Result, elapsed time.Duration) {

@@ -11,16 +11,15 @@ import (
 	"nl2cm/internal/nlp"
 	"nl2cm/internal/ontology"
 	"nl2cm/internal/qcache"
-	"nl2cm/internal/rdf"
 )
 
 // cacheEntry is what one translation leaves in the plan cache: the full
-// cold result plus the entity bindings its question's shape slots held,
-// so a later same-shape question can be served by substituting its own
-// entities into a clone of the cached plan.
+// cold result and, when it can serve a same-shape question, its texts
+// cut at the entity slots of its question's shape (splice), so a later
+// same-shape question is served by writing its own entities into them.
 type cacheEntry struct {
-	res      *Result
-	entities []qcache.Binding
+	res    *Result
+	splice *splice
 	// confirmed is the latest stamp at which the generator's reads
 	// (res.General.Reads) were made or replayed and returned what they
 	// return in res. mu guards it, so no reader sees a torn pair.
@@ -76,11 +75,12 @@ func (t *Translator) holds(e *cacheEntry, v *ontology.View, at stamp) bool {
 // the cache (single-flight on misses). An entry found by a hit or a
 // completed flight is served only if it holds at that stamp; otherwise
 // it is dropped and refilled through the single flight, once. A served
-// entry is either reused (exact question) or rehydrated by re-binding
-// entity slots. Cold paths run the
-// full pipeline on the view and leave their result behind for the next
-// same-shape question. Every result returned is the caller's own copy:
-// the entry's result is never handed out.
+// entry is either reused (exact question) or rebound by splicing the
+// question's entities into its texts, and counts as a hit. Cold paths
+// run the full pipeline on the view, report "miss" and count as one;
+// a fill leaves its result behind for the next same-shape question.
+// Every result returned is the caller's own copy: the entry's result is
+// never handed out.
 func (t *Translator) translateCached(ctx context.Context, question string, opt Options) (*Result, error) {
 	start := time.Now()
 	if opt.Observer != nil {
@@ -115,7 +115,7 @@ func (t *Translator) translateCached(ctx context.Context, question string, opt O
 				return nil, &StageError{Stage: StagePlanCache, Err: ctx.Err()}
 			}
 			endObs(nil)
-			return t.translate(ctx, view, question, opt)
+			return t.translateMiss(ctx, view, question, opt)
 
 		case qcache.Miss:
 			// We own the fill. Close the cache stage first so the
@@ -143,7 +143,7 @@ func (t *Translator) translateCached(ctx context.Context, question string, opt O
 				// error is nil: the plan is present and the backend known.
 				res.oassis, _ = res.Render(emit.DefaultBackend)
 			}
-			flight.Fulfill(&cacheEntry{res: res, entities: shape.Entities, confirmed: at})
+			flight.Fulfill(&cacheEntry{res: res, splice: newSplice(res, shape.Entities), confirmed: at})
 			// The caller may change its result (the daemon prepends its
 			// queue stage to the trace) while hits copy the entry's.
 			own := *res
@@ -154,18 +154,20 @@ func (t *Translator) translateCached(ctx context.Context, question string, opt O
 		entry, ok := v.(*cacheEntry)
 		if !ok {
 			endObs(nil)
-			return t.translate(ctx, view, question, opt)
+			return t.translateMiss(ctx, view, question, opt)
 		}
 		if t.holds(entry, view, at) {
 			if res, served := t.serveHit(question, toks, shape, entry, view, opt, start); served {
+				t.Cache.NoteHit(res.CacheOutcome == "rebound")
 				endObs(nil)
 				return res, nil
 			}
 			// Same shape but not rebindable (unsupported verdict,
-			// different parse): translate cold. The shape entry
-			// stays — exact repeats of either question still hit.
+			// different parse, entities the splice refuses): translate
+			// cold. The shape entry stays — exact repeats of either
+			// question still hit.
 			endObs(nil)
-			return t.translate(ctx, view, question, opt)
+			return t.translateMiss(ctx, view, question, opt)
 		}
 		// A read changed since the entry was made: drop it and refill
 		// through the single flight. A refill that does not hold either
@@ -174,18 +176,30 @@ func (t *Translator) translateCached(ctx context.Context, question string, opt O
 		// alone.
 		if dropped {
 			endObs(nil)
-			return t.translate(ctx, view, question, opt)
+			return t.translateMiss(ctx, view, question, opt)
 		}
 		t.Cache.DropStale(key, entry)
 	}
 }
 
+// translateMiss translates a request that reached the cache cold without
+// filling it: it reports "miss" and counts as one.
+func (t *Translator) translateMiss(ctx context.Context, v *ontology.View, question string, opt Options) (*Result, error) {
+	res, err := t.translate(ctx, v, question, opt)
+	if err != nil {
+		return nil, err
+	}
+	res.CacheOutcome = "miss"
+	t.Cache.NoteMiss()
+	return res, nil
+}
+
 // serveHit builds a Result for the question from a cached entry. An
 // exact question repeat copies the cached result. A same-shape question
-// with different entities gets a cloned, re-bound plan over its own
-// tokens (toks as Tokenize returns them; serveHit tags them in place),
-// with re-derived renderings and provenance; see Result for the fields
-// it leaves nil.
+// with different entities gets the entry's texts with its own entities
+// spliced in, over its own tokens (toks as Tokenize returns them;
+// serveHit tags them in place); see Result for the fields it leaves
+// nil.
 func (t *Translator) serveHit(question string, toks []nlp.Token, shape qcache.Shape, entry *cacheEntry, view *ontology.View, opt Options, start time.Time) (*Result, bool) {
 	old := entry.res
 	if old.Question == question {
@@ -208,11 +222,10 @@ func (t *Translator) serveHit(question string, toks []nlp.Token, shape qcache.Sh
 	// parses as the cached one did: its tagged tokens agree with the
 	// cached graph's on all the dependency parser reads
 	// (nlp.DepGraph.WithTokens), so the cached heads and relations are
-	// the question's own parse.
-	if old.Plan == nil || !old.Verdict.Supported {
-		return nil, false
-	}
-	if len(shape.Entities) != len(entry.entities) {
+	// the question's own parse. Shape equality guarantees identical
+	// token structure, so the cached token sets index the question's
+	// graph correctly; the splice reads byte spans from it.
+	if entry.splice == nil {
 		return nil, false
 	}
 	nlp.Tag(toks)
@@ -220,50 +233,19 @@ func (t *Translator) serveHit(question string, toks []nlp.Token, shape qcache.Sh
 	if !ok {
 		return nil, false
 	}
-
-	sub := make(map[rdf.Term]rdf.Term, len(shape.Entities))
-	for i := range shape.Entities {
-		sub[entry.entities[i].Term] = shape.Entities[i].Term
+	res, ok := entry.splice.rebind(old, question, g, shape.Entities)
+	if !ok {
+		return nil, false
 	}
-	plan := old.Plan.Clone()
-	plan.Question = question
-	plan.Rebind(sub)
-	// Shape equality guarantees identical token structure, so the cached
-	// token sets index the question's graph correctly; only the
-	// byte-level views (source excerpts) need recomputing.
-	rebindSources(plan, g)
-
-	res := &Result{
-		Question:    question,
-		DataEpoch:   view.Epoch(),
-		Verdict:     old.Verdict,
-		Graph:       g,
-		IXs:         old.IXs,
-		RejectedIXs: old.RejectedIXs,
-		Plan:        plan,
-		Query:       emit.OassisQuery(plan),
-	}
-	res.PureGeneral = len(res.Query.Satisfying) == 0
-	if len(opt.Backends) > 0 {
-		res.Renderings = make(map[string]*emit.Rendering, len(opt.Backends))
-		for _, name := range opt.Backends {
-			rend, err := res.Render(name)
-			if err != nil {
-				return nil, false
-			}
-			res.Renderings[name] = rend
-		}
-	}
-	res.buildProvenance(aggregateOrigin(old.General))
+	res.DataEpoch = view.Epoch()
 	res.CacheOutcome = "rebound"
 	if opt.Trace {
 		res.Trace = []Stage{{
 			Module:   StagePlanCache,
-			Output:   hitTrace(shape.Key, res.DataEpoch, len(sub), old.Question),
+			Output:   hitTrace(shape.Key, res.DataEpoch, len(entry.splice.slots), old.Question),
 			Duration: time.Since(start),
 		}}
 	}
-	t.Cache.NoteRebind()
 	return res, true
 }
 
@@ -290,20 +272,4 @@ func hitTrace(shape string, epoch uint64, slots int, from string) string {
 		b = strconv.AppendQuote(b, from)
 	}
 	return string(b)
-}
-
-// rebindSources recomputes every pattern's source excerpt against the
-// new question's graph.
-func rebindSources(p *emit.Plan, g *nlp.DepGraph) {
-	fix := func(pats []emit.Pattern) {
-		for i := range pats {
-			if len(pats[i].Tokens) > 0 {
-				pats[i].Source = g.Excerpt(pats[i].Tokens)
-			}
-		}
-	}
-	fix(p.Where)
-	for i := range p.Crowd {
-		fix(p.Crowd[i].Patterns)
-	}
 }

@@ -134,6 +134,14 @@ func TestCacheServesColdAcrossWrites(t *testing.T) {
 	if st.Stale == 0 {
 		t.Error("no write made a cached plan stale")
 	}
+	// A request on the cache path that is translated cold reports a
+	// miss: "" is for requests that bypass the cache.
+	if n := outcomes[""]; n > 0 {
+		t.Errorf("%d cached translations report outcome \"\"", n)
+	}
+	if st.Hits != uint64(outcomes["hit"]+outcomes["rebound"]) || st.Rebinds != uint64(outcomes["rebound"]) {
+		t.Errorf("cache %+v counts other hits or rebinds than the outcomes %v", st, outcomes)
+	}
 }
 
 // TestCacheConcurrentWritesServeTheirEpoch runs one writer that toggles

@@ -144,6 +144,11 @@ func TestFeedbackDropsOnlyThePlansItChanges(t *testing.T) {
 	if st.Stale != uint64(changed) || st.Entries != len(questions) {
 		t.Errorf("stats %+v, want %d stale drops and %d entries", st, changed, len(questions))
 	}
+	// Hits count what was served: the re-requests that hold, not the
+	// lookups that found an entry.
+	if st.Hits != uint64(len(questions)-changed) {
+		t.Errorf("stats %+v, want %d hits", st, len(questions)-changed)
+	}
 }
 
 // generatorReads is a result's logged ontology and feedback reads (nil

@@ -13,10 +13,10 @@ import (
 	"nl2cm/internal/verify"
 )
 
-// buildProvenance fills the Result's provenance views from the plan's
-// own pattern token sets: the triple→spans→text map, the
-// uncovered-token report, and its rephrasing tips. Cold and rebound
-// results alike derive them from the plan they return. aggOrigin lists
+// buildProvenance fills a cold Result's provenance views from the
+// plan's own pattern token sets: the triple→spans→text map, the
+// uncovered-token report, and its rephrasing tips. A rebound writes
+// them from its cache entry's instead (splice.rebind). aggOrigin lists
 // the tokens of the counting quantifier the generator detected, if any
 // (aggregateOrigin).
 func (r *Result) buildProvenance(aggOrigin []int) {
@@ -33,9 +33,8 @@ func (r *Result) buildProvenance(aggOrigin []int) {
 		} else {
 			rec = prov.Record{Triple: key, Clause: clause, Subclause: sub, Tokens: pat.Tokens}
 		}
-		spans := r.Graph.Spans(rec.Tokens)
-		rec.Spans = prov.MergeSpans(r.Question, spans)
-		rec.Text = prov.Excerpt(r.Question, spans)
+		rec.Spans = prov.MergeSpans(r.Question, r.Graph.Spans(rec.Tokens))
+		rec.Text = prov.ExcerptMerged(r.Question, rec.Spans)
 		r.Provenance[key] = rec
 	}
 	for _, pat := range r.Plan.Where {
@@ -69,9 +68,7 @@ func (r *Result) buildProvenance(aggOrigin []int) {
 }
 
 // aggregateOrigin returns the token indices of the counting quantifier
-// the generator detected, nil for none. A rebound result takes them from
-// its cache entry: token indices carry over between same-shape
-// questions.
+// the generator detected, nil for none.
 func aggregateOrigin(g *qgen.Result) []int {
 	if g == nil || g.Aggregate == nil {
 		return nil

@@ -105,9 +105,11 @@ type Result struct {
 	// CoverageTips are rephrasing hints generated from Uncovered.
 	CoverageTips []string
 	// CacheOutcome reports how the plan cache served this translation:
-	// "miss" (cold, now cached), "hit" (exact reuse), "rebound" (cached
-	// plan with re-bound entity slots), or "" when the request bypassed
-	// the cache (no cache installed, or an interactive request).
+	// "miss" (translated cold: the request filled the entry, or the entry
+	// it found or waited for could not serve it), "hit" (exact reuse),
+	// "rebound" (the cached entry with this question's entities spliced
+	// into its entity slots), or "" when the request bypassed the cache
+	// (no cache installed, or an interactive request).
 	CacheOutcome string
 	// DataEpoch is the knowledge-base epoch this translation was served
 	// against: the store epoch of the one ontology view the translation
@@ -121,8 +123,9 @@ type Result struct {
 	Interactions []interact.Exchange
 
 	// oassis is the OASSIS-QL rendering of Plan that a plan-cache entry
-	// memoizes when it is filled, so its exact hits render once; nil
-	// elsewhere.
+	// memoizes when it is filled, so its exact hits render once, and that
+	// a rebound writes from the entry's template; nil on results that
+	// bypass the cache or are translated cold without filling it.
 	oassis *emit.Rendering
 }
 
@@ -418,7 +421,8 @@ func (t *Translator) translate(ctx context.Context, v *ontology.View, question s
 
 // Render returns the plan rendered in the named backend dialect,
 // reusing a rendering already produced via Options.Backends, or the
-// OASSIS-QL rendering a plan-cache entry memoized, when present. The
+// OASSIS-QL rendering a plan-cache entry memoized or a rebound spliced,
+// when present. The
 // OASSIS-QL rendering prints Query, which is that backend's structure of
 // Plan. It fails only for an unknown backend or a result without a plan
 // (an unsupported question).

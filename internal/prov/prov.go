@@ -191,14 +191,19 @@ func gap(source string, from, to int) string {
 	return source[from:to]
 }
 
-// Excerpt renders merged spans as a source quotation, eliding gaps with
-// "..." — the annotated printer's `# from: "reach ... from Forest
-// Hills"` form.
+// Excerpt renders spans as a source quotation, merged by MergeSpans and
+// with gaps elided as "..." — the annotated printer's `# from: "reach
+// ... from Forest Hills"` form.
+func Excerpt(source string, spans []Span) string {
+	return ExcerptMerged(source, MergeSpans(source, spans))
+}
+
+// ExcerptMerged is Excerpt of spans that MergeSpans returned: a caller
+// that keeps the merged spans too quotes them without merging again.
 //
 // A single merged span is returned as a substring of source; several are
 // written through one strings.Builder, sized up front.
-func Excerpt(source string, spans []Span) string {
-	merged := MergeSpans(source, spans)
+func ExcerptMerged(source string, merged []Span) string {
 	if len(merged) == 1 {
 		return merged[0].Text(source)
 	}

@@ -197,18 +197,24 @@ func (o Outcome) String() string {
 	}
 }
 
-// Stats are the cache's monotonic counters.
+// Stats are the cache's monotonic counters. Hits and Misses count what
+// was served: every request answered through the cache counts once, as
+// a hit or as a miss.
 type Stats struct {
-	// Hits counts lookups served from a cached entry.
+	// Hits counts requests served from a cached entry (noted by the
+	// caller via NoteHit, once it has checked and served the entry).
 	Hits uint64
-	// Misses counts lookups that started a fill.
+	// Misses counts requests translated cold: lookups that started a
+	// fill, and requests the caller translated without filling (NoteMiss)
+	// because the entry it found could not serve them.
 	Misses uint64
-	// Waits counts lookups coalesced onto another goroutine's fill.
+	// Waits counts lookups coalesced onto another goroutine's fill; each
+	// such request then counts as a hit or a miss too.
 	Waits uint64
 	// Evictions counts entries dropped by the LRU bound.
 	Evictions uint64
-	// Rebinds counts hits served by re-binding entity slots to new
-	// entities (noted by the caller via NoteRebind).
+	// Rebinds counts the hits served by re-binding entity slots to new
+	// entities.
 	Rebinds uint64
 	// Stale counts entries dropped by DropStale: the caller found that a
 	// read the entry rests on changed since it was computed.
@@ -262,16 +268,17 @@ type Flight struct {
 	err  error
 }
 
-// Lookup probes the cache. On Hit the value is returned; on Wait the
-// caller should Wait on the flight; on Miss the caller owns the flight
-// and must Fulfill or Fail it (deferring Fail(ctx.Err()) is safe: a
-// fulfilled flight ignores later calls).
+// Lookup probes the cache. On Hit the value is returned, and the caller
+// counts the request with NoteHit if it serves the value and NoteMiss if
+// it does not; on Wait the caller should Wait on the flight, and count
+// the same way; on Miss the caller owns the flight and must Fulfill or
+// Fail it (deferring Fail(ctx.Err()) is safe: a fulfilled flight ignores
+// later calls), and the miss is counted.
 func (c *Cache) Lookup(key Key) (any, *Flight, Outcome) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		c.lru.MoveToFront(el)
-		c.hits++
 		return el.Value.(*entry).val, nil, Hit
 	}
 	if f, ok := c.flights[key]; ok {
@@ -355,10 +362,22 @@ func (c *Cache) DropStale(key Key, val any) {
 	}
 }
 
-// NoteRebind counts a hit that was served by entity re-binding.
-func (c *Cache) NoteRebind() {
+// NoteHit counts a request served from a cached entry; rebound marks
+// one served by re-binding entity slots.
+func (c *Cache) NoteHit(rebound bool) {
 	c.mu.Lock()
-	c.rebinds++
+	c.hits++
+	if rebound {
+		c.rebinds++
+	}
+	c.mu.Unlock()
+}
+
+// NoteMiss counts a request that found an entry, or waited on a fill,
+// and was translated cold without filling.
+func (c *Cache) NoteMiss() {
+	c.mu.Lock()
+	c.misses++
 	c.mu.Unlock()
 }
 

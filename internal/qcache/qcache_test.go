@@ -90,7 +90,7 @@ func TestBackendKeyCanonicalizes(t *testing.T) {
 // do reads or fills one key through the flight protocol the
 // translator's cached path follows: a Miss owns the flight and settles
 // it with fill's value or error, a Wait blocks on the owner's flight,
-// and a Hit returns the entry.
+// and a Hit returns the entry and counts it as served (NoteHit).
 func do(ctx context.Context, c *Cache, key Key, fill func() (any, error)) (any, Outcome, error) {
 	v, f, o := c.Lookup(key)
 	switch o {
@@ -106,6 +106,7 @@ func do(ctx context.Context, c *Cache, key Key, fill func() (any, error)) (any, 
 		f.Fulfill(v)
 		return v, Miss, nil
 	}
+	c.NoteHit(false)
 	return v, Hit, nil
 }
 
@@ -309,9 +310,6 @@ func TestCacheStress(t *testing.T) {
 				if v.(string) != want {
 					t.Errorf("worker %d iter %d: got %v, want %v", w, i, v, want)
 					return
-				}
-				if i%7 == 0 {
-					c.NoteRebind()
 				}
 			}
 		}(w)

@@ -11,6 +11,7 @@ package verify
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode"
 
@@ -180,18 +181,26 @@ func causalVerdict(what string, c citation) Verdict {
 
 // CoverageTips turns the uncovered-token report — content words no
 // emitted triple derives from — into rephrasing tips quoting each word
-// with its byte span.
+// with its byte span. The one tip is written into one buffer.
 func CoverageTips(question string, uncovered []prov.TokenInfo) []string {
 	if len(uncovered) == 0 {
 		return nil
 	}
-	parts := make([]string, 0, len(uncovered))
-	for _, u := range uncovered {
-		parts = append(parts, fmt.Sprintf("%q (bytes %d–%d)", u.Text, u.Span.Start, u.Span.End))
+	var buf [256]byte
+	b := append(buf[:0], "The translation did not use "...)
+	for i, u := range uncovered {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = strconv.AppendQuote(b, u.Text)
+		b = append(b, " (bytes "...)
+		b = strconv.AppendInt(b, int64(u.Span.Start), 10)
+		b = append(b, "–"...)
+		b = strconv.AppendInt(b, int64(u.Span.End), 10)
+		b = append(b, ')')
 	}
-	return []string{
-		fmt.Sprintf("The translation did not use %s; rephrase or drop those words if they matter to your question.", strings.Join(parts, ", ")),
-	}
+	b = append(b, "; rephrase or drop those words if they matter to your question."...)
+	return []string{string(b)}
 }
 
 func hasLetters(s string) bool {

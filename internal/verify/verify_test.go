@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -158,6 +159,24 @@ func TestCoverageTips(t *testing.T) {
 	}
 	if got := CoverageTips(q, nil); got != nil {
 		t.Errorf("CoverageTips(no uncovered) = %v, want nil", got)
+	}
+
+	// Three uncovered words, one needing escaping, one non-ASCII and one
+	// plain: the tip equals the text fmt builds, written here as the
+	// reference.
+	q = `Is "Zoë's" café near the park?`
+	uncovered := []prov.TokenInfo{
+		{ID: 1, Span: prov.Span{Start: 3, End: 10}, Text: `"Zoë`},
+		{ID: 2, Span: prov.Span{Start: 13, End: 18}, Text: "café"},
+		{ID: 6, Span: prov.Span{Start: 28, End: 32}, Text: "park"},
+	}
+	parts := make([]string, len(uncovered))
+	for i, u := range uncovered {
+		parts[i] = fmt.Sprintf("%q (bytes %d–%d)", u.Text, u.Span.Start, u.Span.End)
+	}
+	want := fmt.Sprintf("The translation did not use %s; rephrase or drop those words if they matter to your question.", strings.Join(parts, ", "))
+	if got := CoverageTips(q, uncovered); len(got) != 1 || got[0] != want {
+		t.Errorf("CoverageTips = %q\nwant [%q]", got, want)
 	}
 }
 
