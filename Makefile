@@ -132,17 +132,18 @@ bench-ab-smoke:
 # emit-golden checks every supported corpus question against the
 # per-backend golden emission files (testdata/golden_*.txt), runs the
 # SQL-vs-RDF differential, and compares the output of cmd/experiments
-# (cmd/experiments/testdata/experiments.txt) and the GET /api/backends
-# body (cmd/nl2cmd/testdata/api_backends.json) with their golden files;
-# emit-golden-update regenerates the golden files after an intentional
-# change. The package list precedes -update, a flag go test passes to
+# (cmd/experiments/testdata/experiments.txt), the GET /api/backends
+# body (cmd/nl2cmd/testdata/api_backends.json) and two sessions' GET
+# /api/session/{id}/explain bodies (cmd/nl2cmd/testdata/explain.json)
+# with their golden files; emit-golden-update regenerates the golden
+# files after an intentional change. The package list precedes -update, a flag go test passes to
 # the test binaries.
 emit-golden:
 	$(GO) test -run 'TestBackendGolden|TestCorpusSQLDifferential' .
-	$(GO) test -run 'TestExperimentsGolden|TestAPIBackendsGolden' ./cmd/experiments/ ./cmd/nl2cmd/
+	$(GO) test -run 'TestExperimentsGolden|TestAPIBackendsGolden|TestSessionExplainGolden' ./cmd/experiments/ ./cmd/nl2cmd/
 
 emit-golden-update:
-	$(GO) test -run 'TestBackendGolden|TestExperimentsGolden|TestAPIBackendsGolden' . ./cmd/experiments/ ./cmd/nl2cmd/ -update
+	$(GO) test -run 'TestBackendGolden|TestExperimentsGolden|TestAPIBackendsGolden|TestSessionExplainGolden' . ./cmd/experiments/ ./cmd/nl2cmd/ -update
 
 # agg-golden pins the analytic path, which is COUNT only: the
 # evaluator's grouping tests (GROUP BY, COUNT($v) over bound rows, the

@@ -112,9 +112,8 @@ func main() {
 	var eng *nl2cm.Engine
 	if *execute {
 		c := nl2cm.NewCrowd(*crowdSize, *seed)
+		c.Truth = nl2cm.DemoTruth()
 		eng = nl2cm.NewEngine(onto, c)
-		demo := nl2cm.NewDemoEngine(onto)
-		eng.Crowd.Truth = demo.Crowd.Truth
 	}
 
 	opt := nl2cm.Options{Trace: *trace}

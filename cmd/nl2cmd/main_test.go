@@ -132,7 +132,8 @@ func TestAdminPage(t *testing.T) {
 	if !strings.Contains(rec.Body.String(), "No translation yet") {
 		t.Error("empty admin page wrong")
 	}
-	// After a translation: module trace visible.
+	// After a translation: module trace visible, and the uncovered words
+	// with their tip, which the template reads from Result's methods.
 	postForm(t, s, s.translate, question)
 	rec = httptest.NewRecorder()
 	s.admin(rec, httptest.NewRequest("GET", "/admin", nil))
@@ -140,6 +141,11 @@ func TestAdminPage(t *testing.T) {
 	for _, want := range []string{"NL Parser", "IX Detector", "Query Composition"} {
 		if !strings.Contains(body, want) {
 			t.Errorf("admin page missing module %q", want)
+		}
+	}
+	for _, want := range []string{"Uncovered words", "<b>Forest</b> (bytes 42–48)", "The translation did not use"} {
+		if !strings.Contains(body, want) {
+			t.Errorf("admin page missing %q", want)
 		}
 	}
 }

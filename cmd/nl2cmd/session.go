@@ -149,8 +149,8 @@ func (s *server) apiSessionExplain(w http.ResponseWriter, r *http.Request) {
 		resp.Annotated = res.AnnotatedQuery()
 		resp.Provenance = res.ProvenanceRecords()
 		resp.Decisions = res.ComposeDecisions
-		resp.Uncovered = res.Uncovered
-		resp.CoverageTips = res.CoverageTips
+		resp.Uncovered = res.Uncovered()
+		resp.CoverageTips = res.CoverageTips()
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(resp); err != nil {

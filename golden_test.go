@@ -10,7 +10,7 @@ import (
 )
 
 // Every triple of every emitted query must resolve to at least one
-// source token span through Result.Provenance — corpus-wide.
+// source token span through Result.Provenance() — corpus-wide.
 func TestProvenanceCoversEveryTriple(t *testing.T) {
 	tr := NewTranslator(DemoOntology())
 	ctx := context.Background()
@@ -32,8 +32,9 @@ func TestProvenanceCoversEveryTriple(t *testing.T) {
 				all = append(all, oassisql.TripleString(t3))
 			}
 		}
+		records := res.Provenance()
 		for _, key := range all {
-			rec, seen := res.Provenance[key]
+			rec, seen := records[key]
 			if !seen {
 				t.Errorf("%s: triple %q has no provenance record", q.ID, key)
 				continue

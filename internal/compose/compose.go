@@ -350,7 +350,8 @@ func (c *Composer) analytic(p *emit.Plan, in Input) {
 		return
 	}
 	a := &emit.Aggregation{
-		Aggs: []sparql.Aggregate{{Var: agg.CountVar, As: agg.Alias}},
+		Aggs:   []sparql.Aggregate{{Var: agg.CountVar, As: agg.Alias}},
+		Tokens: prov.NewTokenSet(agg.Origin...),
 	}
 	if agg.GroupVar != "" {
 		if !bound[agg.GroupVar] {

@@ -11,6 +11,7 @@ import (
 	"nl2cm/internal/nlp"
 	"nl2cm/internal/ontology"
 	"nl2cm/internal/qcache"
+	"nl2cm/internal/verify"
 )
 
 // cacheEntry is what one translation leaves in the plan cache: the full
@@ -226,6 +227,12 @@ func (t *Translator) serveHit(question string, toks []nlp.Token, shape qcache.Sh
 	// token structure, so the cached token sets index the question's
 	// graph correctly; the splice reads byte spans from it.
 	if entry.splice == nil {
+		return nil, false
+	}
+	// The entry's verdict is its own question's, and an entity's text
+	// can change what verification reads: a label holding a question
+	// mark makes the request two questions.
+	if !verify.Check(question).Supported {
 		return nil, false
 	}
 	nlp.Tag(toks)

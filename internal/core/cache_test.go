@@ -107,14 +107,20 @@ func compareResults(t *testing.T, label string, want, got *Result) {
 	if !reflect.DeepEqual(want.Renderings, got.Renderings) {
 		t.Errorf("%s: requested renderings differ", label)
 	}
-	if !reflect.DeepEqual(want.Provenance, got.Provenance) {
+	if !reflect.DeepEqual(want.Provenance(), got.Provenance()) {
 		t.Errorf("%s: provenance differs:\ncold:   %+v\ncached: %+v", label, want.ProvenanceRecords(), got.ProvenanceRecords())
 	}
-	if !reflect.DeepEqual(want.Uncovered, got.Uncovered) || !reflect.DeepEqual(want.CoverageTips, got.CoverageTips) {
-		t.Errorf("%s: uncovered %v, tips %q; cold %v, %q", label, got.Uncovered, got.CoverageTips, want.Uncovered, want.CoverageTips)
+	if w, g := want.AnnotatedQuery(), got.AnnotatedQuery(); w != g {
+		t.Errorf("%s: annotated query differs:\ncold:\n%s\ncached:\n%s", label, w, g)
 	}
-	if want.PureGeneral != got.PureGeneral || want.DataEpoch != got.DataEpoch {
-		t.Errorf("%s: pure general %v at epoch %d; cold %v at %d", label, got.PureGeneral, got.DataEpoch, want.PureGeneral, want.DataEpoch)
+	if w, g := want.Uncovered(), got.Uncovered(); !reflect.DeepEqual(w, g) {
+		t.Errorf("%s: uncovered %v; cold %v", label, g, w)
+	}
+	if w, g := want.CoverageTips(), got.CoverageTips(); !reflect.DeepEqual(w, g) {
+		t.Errorf("%s: tips %q; cold %q", label, g, w)
+	}
+	if want.Plan.PureGeneral() != got.Plan.PureGeneral() || want.DataEpoch != got.DataEpoch {
+		t.Errorf("%s: pure general %v at epoch %d; cold %v at %d", label, got.Plan.PureGeneral(), got.DataEpoch, want.Plan.PureGeneral(), want.DataEpoch)
 	}
 	if got.CacheOutcome == "rebound" {
 		if got.General != nil || got.Parts != nil || got.ComposeDecisions != nil || got.Interactions != nil {
@@ -247,11 +253,12 @@ func TestCacheRebindDifferential(t *testing.T) {
 		compareResults(t, label, want, got)
 
 		// Provenance excerpts must re-derive from the *new* question.
-		if len(got.Provenance) != len(want.Provenance) {
-			t.Errorf("%s: %d provenance records, cold has %d", label, len(got.Provenance), len(want.Provenance))
+		wantRecs, gotRecs := want.Provenance(), got.Provenance()
+		if len(gotRecs) != len(wantRecs) {
+			t.Errorf("%s: %d provenance records, cold has %d", label, len(gotRecs), len(wantRecs))
 		}
-		for key, rec := range want.Provenance {
-			gotRec, ok := got.Provenance[key]
+		for key, rec := range wantRecs {
+			gotRec, ok := gotRecs[key]
 			if !ok {
 				t.Errorf("%s: rebind lost provenance for %s", label, key)
 				continue

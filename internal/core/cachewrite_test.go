@@ -64,7 +64,7 @@ func TestCacheServesColdAcrossWrites(t *testing.T) {
 	}
 	fills := map[string]fill{} // shape key -> the question that filled it
 	outcomes := map[string]int{}
-	acrossWrites, acrossChoices := 0, 0
+	acrossWrites, acrossChoices, refused := 0, 0, 0
 	for step := 0; step < 600; step++ {
 		switch r := rng.Intn(20); {
 		case r < 2:
@@ -94,7 +94,20 @@ func TestCacheServesColdAcrossWrites(t *testing.T) {
 		var want *Result
 		switch got.CacheOutcome {
 		case "miss":
-			fills[shape] = fill{q, got.DataEpoch, feedback.Version()}
+			// A miss fills the entry, or is refused by the one it found
+			// and leaves it as it was: only the entry's own question is
+			// its filler. A probe that finds no entry owns a flight,
+			// which it releases.
+			key := qcache.Key{Shape: shape, Backends: qcache.BackendKey(opt.Backends)}
+			v, flight, o := cached.Cache.Lookup(key)
+			if o == qcache.Miss {
+				flight.Fail(nil)
+			}
+			if o == qcache.Hit && v.(*cacheEntry).res.Question == q {
+				fills[shape] = fill{q, got.DataEpoch, feedback.Version()}
+			} else {
+				refused++
+			}
 			fallthrough
 		case "", "hit":
 			want, err = cold.Translate(ctx, q, opt)
@@ -123,8 +136,8 @@ func TestCacheServesColdAcrossWrites(t *testing.T) {
 		compareProvenance(t, label, want, got)
 	}
 	st := cached.Cache.Stats()
-	t.Logf("outcomes %v, %d served across a write, %d across a choice, %d batches, %d choices, cache %+v",
-		outcomes, acrossWrites, acrossChoices, w.batches, w.choices, st)
+	t.Logf("outcomes %v (%d misses refused by the entry), %d served across a write, %d across a choice, %d batches, %d choices, cache %+v",
+		outcomes, refused, acrossWrites, acrossChoices, w.batches, w.choices, st)
 	if acrossWrites == 0 {
 		t.Error("no cached plan was served across a write")
 	}
@@ -348,11 +361,12 @@ func TestCacheConcurrentChoicesServeAReading(t *testing.T) {
 // the same question text.
 func compareProvenance(t *testing.T, label string, want, got *Result) {
 	t.Helper()
-	if len(got.Provenance) != len(want.Provenance) {
-		t.Errorf("%s: %d provenance records, want %d", label, len(got.Provenance), len(want.Provenance))
+	wantRecs, gotRecs := want.Provenance(), got.Provenance()
+	if len(gotRecs) != len(wantRecs) {
+		t.Errorf("%s: %d provenance records, want %d", label, len(gotRecs), len(wantRecs))
 	}
-	for key, rec := range want.Provenance {
-		if g, ok := got.Provenance[key]; !ok || g.Text != rec.Text {
+	for key, rec := range wantRecs {
+		if g, ok := gotRecs[key]; !ok || g.Text != rec.Text {
 			t.Errorf("%s: provenance of %s is %q (present %v), want %q", label, key, g.Text, ok, rec.Text)
 		}
 	}

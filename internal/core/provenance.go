@@ -8,72 +8,85 @@ import (
 	"nl2cm/internal/emit"
 	"nl2cm/internal/oassisql"
 	"nl2cm/internal/prov"
-	"nl2cm/internal/qgen"
 	"nl2cm/internal/rdf"
 	"nl2cm/internal/verify"
 )
 
-// buildProvenance fills a cold Result's provenance views from the
-// plan's own pattern token sets: the triple→spans→text map, the
-// uncovered-token report, and its rephrasing tips. A rebound writes
-// them from its cache entry's instead (splice.rebind). aggOrigin lists
-// the tokens of the counting quantifier the generator detected, if any
-// (aggregateOrigin).
-func (r *Result) buildProvenance(aggOrigin []int) {
-	r.Provenance = map[string]prov.Record{}
-	covered := prov.TokenSet{}
-	add := func(clause string, sub int, pat emit.Pattern) {
-		covered = covered.Union(pat.Tokens)
+// Provenance maps every emitted triple (rendered OASSIS-QL form) to the
+// source tokens, byte spans and question text it derives from; nil for
+// a result without a plan. It is derived on each call (views).
+func (r *Result) Provenance() map[string]prov.Record {
+	if r.Plan == nil {
+		return nil
+	}
+	records := map[string]prov.Record{}
+	r.views(records)
+	return records
+}
+
+// Uncovered lists the question's content words that no emitted triple,
+// no accepted IX and no counting quantifier of the plan derives from. It
+// is derived on each call (views).
+func (r *Result) Uncovered() []prov.TokenInfo {
+	return r.views(nil)
+}
+
+// CoverageTips are rephrasing hints generated from Uncovered.
+func (r *Result) CoverageTips() []string {
+	return verify.CoverageTips(r.Question, r.Uncovered())
+}
+
+// views derives the provenance views of r from what every result with a
+// plan holds, whether translated cold, served as an exact hit or
+// rebound: the question, its graph, the accepted IXs and the plan's
+// token sets. It fills records, unless nil, with the triple→record map,
+// and returns the uncovered-word report, nil for a result without a
+// plan.
+func (r *Result) views(records map[string]prov.Record) []prov.TokenInfo {
+	if r.Plan == nil {
+		return nil
+	}
+	var understood prov.TokenSet
+	eachPattern(r.Plan, func(clause string, sub int, pat *emit.Pattern) {
+		understood = understood.Union(pat.Tokens)
+		if records == nil {
+			return
+		}
 		key := oassisql.TripleString(pat.Triple)
-		rec, seen := r.Provenance[key]
-		if seen {
+		if rec, seen := records[key]; seen {
 			// The same rendered triple in several places (e.g. two
 			// subclauses): merge the token sets, keep the first location.
 			rec.Tokens = rec.Tokens.Union(pat.Tokens)
-		} else {
-			rec = prov.Record{Triple: key, Clause: clause, Subclause: sub, Tokens: pat.Tokens}
+			records[key] = rec
+			return
 		}
+		records[key] = prov.Record{Triple: key, Clause: clause, Subclause: sub, Tokens: pat.Tokens}
+	})
+	for key, rec := range records {
 		rec.Spans = prov.MergeSpans(r.Question, r.Graph.Spans(rec.Tokens))
 		rec.Text = prov.ExcerptMerged(r.Question, rec.Spans)
-		r.Provenance[key] = rec
-	}
-	for _, pat := range r.Plan.Where {
-		add(oassisql.ClauseWhere, -1, pat)
-	}
-	for si, cc := range r.Plan.Crowd {
-		for _, pat := range cc.Patterns {
-			add(oassisql.ClauseSatisfying, si, pat)
-		}
+		records[key] = rec
 	}
 
 	// Tokens inside an accepted IX were understood even when no single
 	// triple lists them (auxiliaries, particles).
-	understood := covered
 	for _, x := range r.IXs {
 		understood = understood.Union(x.TokenSet())
 	}
 	// A detected counting quantifier ("how many", "the most") was
 	// understood — it became the plan's analytic step, not a triple.
-	if len(aggOrigin) > 0 && r.Plan.Agg != nil {
-		understood = understood.Union(prov.NewTokenSet(aggOrigin...))
+	if r.Plan.Agg != nil {
+		understood = understood.Union(r.Plan.Agg.Tokens)
 	}
+	var uncovered []prov.TokenInfo
 	for id := range r.Graph.Nodes {
 		n := &r.Graph.Nodes[id]
 		if !isContentPOS(n.POS) || understood.Contains(id) {
 			continue
 		}
-		r.Uncovered = append(r.Uncovered, prov.TokenInfo{ID: id, Span: n.Span(), Text: n.Text})
+		uncovered = append(uncovered, prov.TokenInfo{ID: id, Span: n.Span(), Text: n.Text})
 	}
-	r.CoverageTips = verify.CoverageTips(r.Question, r.Uncovered)
-}
-
-// aggregateOrigin returns the token indices of the counting quantifier
-// the generator detected, nil for none.
-func aggregateOrigin(g *qgen.Result) []int {
-	if g == nil || g.Aggregate == nil {
-		return nil
-	}
-	return g.Aggregate.Origin
+	return uncovered
 }
 
 // isContentPOS reports whether the tag marks a content word whose loss
@@ -100,8 +113,9 @@ func (r *Result) AnnotatedQuery() string {
 	if r.Query == nil {
 		return ""
 	}
+	records := r.Provenance()
 	p := oassisql.Printer{Annotate: func(clause string, sub, i int, t rdf.Triple) string {
-		rec, seen := r.Provenance[oassisql.TripleString(t)]
+		rec, seen := records[oassisql.TripleString(t)]
 		if !seen || rec.Text == "" {
 			return ""
 		}
@@ -114,8 +128,9 @@ func (r *Result) AnnotatedQuery() string {
 // query position (WHERE first, then subclauses in order), for stable
 // display and JSON output.
 func (r *Result) ProvenanceRecords() []prov.Record {
-	out := make([]prov.Record, 0, len(r.Provenance))
-	for _, rec := range r.Provenance {
+	records := r.Provenance()
+	out := make([]prov.Record, 0, len(records))
+	for _, rec := range records {
 		out = append(out, rec)
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -9,15 +9,14 @@ import (
 	"nl2cm/internal/prov"
 	"nl2cm/internal/qcache"
 	"nl2cm/internal/rdf"
-	"nl2cm/internal/verify"
 )
 
 // splice is what a plan-cache entry keeps to serve a same-shape
 // question without deriving anything downstream of the plan again:
 // every text the entry serves, cut at its entity slots into templates
-// (emit.Template), and the token sets its provenance views are read
-// from. A rebound writes its own entities' texts into the templates and
-// reads byte spans and excerpts from its own graph (rebind).
+// (emit.Template), and each pattern's token set. A rebound writes its
+// own entities' texts into the templates and quotes each pattern's
+// source from its own graph (rebind).
 type splice struct {
 	// slotOf maps each shape entity, in question order, to its slot: an
 	// entity the question names twice fills one slot.
@@ -29,18 +28,13 @@ type splice struct {
 	fixed []string
 	// patterns are the plan's patterns, WHERE first and then each crowd
 	// clause's: each one's OASSIS-QL triple, which is its clause's Pattern
-	// in every rendering, its Fragment in OASSIS-QL and its provenance
-	// key, and its token set.
+	// in every rendering and its Fragment in OASSIS-QL, and its token set.
 	patterns []patternTemplate
 	// oassis is the OASSIS-QL rendering; renderings are those of the
 	// backends the entry's key requests (oassis itself among them when
 	// the key names OASSIS-QL).
 	oassis     *renderingTemplate
 	renderings []*renderingTemplate
-	// records are the provenance records, one per distinct triple.
-	records []recordTemplate
-	// uncovered are the token IDs of the entry's Uncovered report.
-	uncovered []int
 }
 
 type patternTemplate struct {
@@ -63,23 +57,10 @@ type renderingTemplate struct {
 	notes []emit.Template
 }
 
-// recordTemplate is one provenance record: the first pattern of its
-// triple names it and its location; a triple several patterns print
-// (merged) takes the union of their token sets.
-type recordTemplate struct {
-	pattern   int
-	clause    string
-	subclause int
-	tokens    prov.TokenSet
-	merged    bool
-}
-
 // splicedPattern is one pattern of a rebound: its OASSIS-QL triple with
-// the request's entities, its merged spans in the request and their
-// excerpt.
+// the request's entities, and its excerpt of the request.
 type splicedPattern struct {
 	triple string
-	spans  []prov.Span
 	source string
 }
 
@@ -92,7 +73,7 @@ type splicedPattern struct {
 // (Cypher writes a relationship type bare or in backticks depending on
 // its text), its own entities break the rules rebind holds a request
 // to, or splicing them into the templates does not give back every
-// rendering and every provenance key byte for byte.
+// rendering byte for byte.
 func newSplice(res *Result, ents []qcache.Binding) *splice {
 	if res.Plan == nil || !res.Verdict.Supported {
 		return nil
@@ -133,17 +114,8 @@ func newSplice(res *Result, ents []qcache.Binding) *splice {
 	// order, whose Pattern is the pattern's triple.
 	oassis := emit.OassisRendering(tp, emit.OassisQuery(tp))
 	sp.patterns = make([]patternTemplate, len(oassis.Clauses))
-	records := make(map[string]int, len(oassis.Clauses))
 	for i, c := range oassis.Clauses {
 		sp.patterns[i] = patternTemplate{triple: emit.NewTemplate(c.Pattern, n), tokens: c.Tokens}
-		if r, seen := records[c.Pattern]; seen {
-			rec := &sp.records[r]
-			rec.tokens = rec.tokens.Union(c.Tokens)
-			rec.merged = true
-			continue
-		}
-		records[c.Pattern] = len(sp.records)
-		sp.records = append(sp.records, recordTemplate{pattern: i, clause: c.Clause, subclause: c.Subclause, tokens: c.Tokens})
 	}
 	sp.oassis = newRenderingTemplate(oassis, n)
 	for name := range res.Renderings {
@@ -157,9 +129,6 @@ func newSplice(res *Result, ents []qcache.Binding) *splice {
 		}
 		sp.renderings = append(sp.renderings, newRenderingTemplate(r, n))
 	}
-	for _, u := range res.Uncovered {
-		sp.uncovered = append(sp.uncovered, u.ID)
-	}
 
 	if terms, ok := sp.terms(ents); !ok || !sp.gives(res, terms) {
 		return nil
@@ -168,8 +137,8 @@ func newSplice(res *Result, ents []qcache.Binding) *splice {
 }
 
 // gives reports whether splicing the slot entities terms into the
-// templates gives every rendering of res and every key of its
-// provenance map, with the clauses and records where res has them.
+// templates gives every rendering of res, with the clauses where res
+// has them.
 func (sp *splice) gives(res *Result, terms []rdf.Term) bool {
 	oassis := slotTexts(emit.DefaultBackend, terms)
 	if !sp.oassis.gives(res.oassis, oassis, oassis, sp.patterns) || len(sp.renderings) != len(res.Renderings) {
@@ -177,24 +146,6 @@ func (sp *splice) gives(res *Result, terms []rdf.Term) bool {
 	}
 	for _, rt := range sp.renderings {
 		if !rt.gives(res.Renderings[rt.sentinel.Backend], slotTexts(rt.sentinel.Backend, terms), oassis, sp.patterns) {
-			return false
-		}
-	}
-	if len(sp.records) != len(res.Provenance) {
-		return false
-	}
-	for key, rec := range res.Provenance {
-		var match *recordTemplate
-		for i := range sp.records {
-			rt := &sp.records[i]
-			if sp.patterns[rt.pattern].triple.Matches(oassis, key) {
-				if match != nil {
-					return false
-				}
-				match = rt
-			}
-		}
-		if match == nil || rec.Clause != match.clause || rec.Subclause != match.subclause || !slices.Equal(rec.Tokens, match.tokens) {
 			return false
 		}
 	}
@@ -268,10 +219,8 @@ func eachPattern(p *emit.Plan, f func(clause string, sub int, pat *emit.Pattern)
 // the question must be translated cold instead: it does not name the
 // same entity in two slots exactly where the entry does, it names two
 // entities of one text, or it names one whose text is a term the plan
-// holds outside its slots. Mongo's subject grouping and the provenance
-// map's merging of equal triples would then differ from a cold
-// translation; so would an entity text that makes two triples print
-// alike, which the provenance map's keys show.
+// holds outside its slots. Mongo's subject grouping would then differ
+// from a cold translation.
 func (sp *splice) rebind(old *Result, question string, g *nlp.DepGraph, ents []qcache.Binding) (*Result, bool) {
 	terms, ok := sp.terms(ents)
 	if !ok {
@@ -283,12 +232,8 @@ func (sp *splice) rebind(old *Result, question string, g *nlp.DepGraph, ents []q
 		Graph:       g,
 		IXs:         old.IXs,
 		RejectedIXs: old.RejectedIXs,
-		PureGeneral: old.PureGeneral,
 	}
-	pats, ok := sp.write(res, terms)
-	if !ok {
-		return nil, false
-	}
+	pats := sp.write(res, terms)
 	sub := make(map[rdf.Term]rdf.Term, len(terms))
 	for i, t := range terms {
 		sub[sp.slots[i]] = t
@@ -305,19 +250,16 @@ func (sp *splice) rebind(old *Result, question string, g *nlp.DepGraph, ents []q
 	return res, true
 }
 
-// write fills the texts of res, whose Question and Graph are set, from
-// the templates with the slot entities terms: the OASSIS-QL rendering,
-// the key's renderings, the provenance map, Uncovered and CoverageTips.
-// It returns the patterns it spliced, and false when two records of the
-// provenance map print alike.
-func (sp *splice) write(res *Result, terms []rdf.Term) ([]splicedPattern, bool) {
-	question, g := res.Question, res.Graph
+// write fills the renderings of res, whose Graph is set, from the
+// templates with the slot entities terms: the OASSIS-QL rendering and
+// the key's renderings. It returns the patterns it spliced, each quoting
+// its source from the graph as composition does (nlp.DepGraph.Excerpt).
+func (sp *splice) write(res *Result, terms []rdf.Term) []splicedPattern {
 	oassis := slotTexts(emit.DefaultBackend, terms)
 	pats := make([]splicedPattern, len(sp.patterns))
 	for i := range sp.patterns {
 		pt := &sp.patterns[i]
-		spans := prov.MergeSpans(question, g.Spans(pt.tokens))
-		pats[i] = splicedPattern{triple: pt.triple.Splice(oassis), spans: spans, source: prov.ExcerptMerged(question, spans)}
+		pats[i] = splicedPattern{triple: pt.triple.Splice(oassis), source: res.Graph.Excerpt(pt.tokens)}
 	}
 	res.oassis = sp.oassis.splice(oassis, pats)
 	if len(sp.renderings) > 0 {
@@ -330,29 +272,7 @@ func (sp *splice) write(res *Result, terms []rdf.Term) ([]splicedPattern, bool) 
 			res.Renderings[rend.Backend] = rend
 		}
 	}
-
-	res.Provenance = make(map[string]prov.Record, len(sp.records))
-	for _, rt := range sp.records {
-		p := &pats[rt.pattern]
-		rec := prov.Record{Triple: p.triple, Clause: rt.clause, Subclause: rt.subclause, Tokens: rt.tokens, Spans: p.spans, Text: p.source}
-		if rt.merged {
-			rec.Spans = prov.MergeSpans(question, g.Spans(rt.tokens))
-			rec.Text = prov.ExcerptMerged(question, rec.Spans)
-		}
-		if _, dup := res.Provenance[rec.Triple]; dup {
-			return nil, false
-		}
-		res.Provenance[rec.Triple] = rec
-	}
-	if len(sp.uncovered) > 0 {
-		res.Uncovered = make([]prov.TokenInfo, len(sp.uncovered))
-		for i, id := range sp.uncovered {
-			n := &g.Nodes[id]
-			res.Uncovered[i] = prov.TokenInfo{ID: id, Span: n.Span(), Text: n.Text}
-		}
-		res.CoverageTips = verify.CoverageTips(question, res.Uncovered)
-	}
-	return pats, true
+	return pats
 }
 
 // terms returns the request's entity of each slot, and false unless the

@@ -40,7 +40,6 @@ import (
 	"nl2cm/internal/nlp"
 	"nl2cm/internal/oassisql"
 	"nl2cm/internal/ontology"
-	"nl2cm/internal/prov"
 	"nl2cm/internal/qcache"
 	"nl2cm/internal/qgen"
 	"nl2cm/internal/verify"
@@ -57,7 +56,11 @@ type Stage struct {
 	Duration time.Duration
 }
 
-// Result is the outcome of one translation.
+// Result is the outcome of one translation. Its provenance views
+// (Provenance, ProvenanceRecords, AnnotatedQuery, Uncovered and
+// CoverageTips) are methods that derive them on each call from
+// Question, Graph, IXs and Plan, so a cold, an exact-hit and a rebound
+// result all read them one way.
 type Result struct {
 	// Question is the original NL request.
 	Question string
@@ -88,22 +91,10 @@ type Result struct {
 	// Options.Backends, keyed by backend name, each with per-clause
 	// provenance. Use Render for on-demand rendering of other backends.
 	Renderings map[string]*emit.Rendering
-	// PureGeneral marks requests with no individual parts: Query then
-	// has an empty SATISFYING clause and is effectively a plain
-	// ontology (SPARQL) query.
-	PureGeneral bool
-	// Provenance maps every emitted triple (rendered OASSIS-QL form) to
-	// the source tokens, byte spans and question text it derives from.
-	Provenance map[string]prov.Record
 	// ComposeDecisions records, per general triple, why composition kept
 	// or dropped it (exact IX-overlap token sets); nil on a rebound
 	// result.
 	ComposeDecisions []compose.Decision
-	// Uncovered lists the question's content words that no emitted
-	// triple (nor any accepted IX) derives from.
-	Uncovered []prov.TokenInfo
-	// CoverageTips are rephrasing hints generated from Uncovered.
-	CoverageTips []string
 	// CacheOutcome reports how the plan cache served this translation:
 	// "miss" (translated cold: the request filled the entry, or the entry
 	// it found or waited for could not serve it), "hit" (exact reuse),
@@ -361,8 +352,8 @@ func (t *Translator) translate(ctx context.Context, v *ontology.View, question s
 		return nil, err
 	}
 
-	// 6. Query Composition (traced: decisions and per-triple origins
-	// become the Result's provenance views).
+	// 6. Query Composition: the plan, whose pattern token sets the
+	// Result's provenance views derive from, and the decisions.
 	if err := st.run(StageComposer, func() error {
 		out, err := t.Composer.Compose(ctx, compose.Input{
 			Graph:      g,
@@ -378,8 +369,6 @@ func (t *Translator) translate(ctx context.Context, v *ontology.View, question s
 		res.Plan = out.Plan
 		res.Query = out.Query
 		res.ComposeDecisions = out.Decisions
-		res.buildProvenance(aggregateOrigin(res.General))
-		res.PureGeneral = len(res.Query.Satisfying) == 0
 		return nil
 	}, func() string { return res.Query.String() }); err != nil {
 		collectDialogue()

@@ -117,8 +117,8 @@ func TestTranslatePureGeneral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.PureGeneral {
-		t.Errorf("PureGeneral = false; query:\n%s", res.Query)
+	if !res.Plan.PureGeneral() {
+		t.Errorf("PureGeneral() = false; query:\n%s", res.Query)
 	}
 	if len(res.Query.Where.Triples) == 0 {
 		t.Error("pure general query has empty WHERE")

@@ -71,9 +71,6 @@ func (x *Executor) Reset() {
 	x.mu.Unlock()
 }
 
-// Population returns the source's population size.
-func (x *Executor) Population() int { return x.src.Size() }
-
 // Stats snapshots the executor's counters.
 func (x *Executor) Stats() Stats {
 	x.mu.Lock()

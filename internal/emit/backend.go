@@ -38,7 +38,7 @@ type Clause struct {
 	// conjunct, one JSON field, one MATCH pattern, one triple line).
 	Fragment string `json:"fragment"`
 	// Pattern is the logical pattern in neutral (OASSIS-QL surface)
-	// syntax, the key into core.Result.Provenance.
+	// syntax, the key into core.Result.Provenance().
 	Pattern string `json:"pattern"`
 	// Clause locates the pattern: "where" or "satisfying".
 	Clause string `json:"clause"`

@@ -68,6 +68,11 @@ type Aggregation struct {
 	OrderBy []sparql.OrderKey
 	// Limit caps the grouped results; 0 means no limit.
 	Limit int
+	// Tokens is the source-token set of the counting quantifier ("how
+	// many", "the most") the aggregation derives from. The emitters
+	// ignore it; the uncovered-word report counts these tokens as
+	// understood.
+	Tokens prov.TokenSet
 }
 
 // Select is the plan's projection.

@@ -146,17 +146,28 @@ type TokenInfo struct {
 // whitespace in the source, so per-token spans collapse into phrase
 // spans ("Forest" + "Hills" → "Forest Hills").
 //
-// The result is a new slice, nil when no span is non-empty: the
-// non-empty spans are copied into it, sorted, and merged in place.
+// The result is a new slice, nil when no span is non-empty; the input is
+// left as it is.
 func MergeSpans(source string, spans []Span) []Span {
-	out := make([]Span, 0, len(spans))
+	out := mergeSpans(make([]Span, 0, len(spans)), source, spans)
+	if len(out) == 0 {
+		return nil
+	}
+	return out
+}
+
+// mergeSpans is the merge of MergeSpans and Excerpt: it copies the
+// non-empty spans into dst[:0], sorts them, merges them in place and
+// returns the merged prefix.
+func mergeSpans(dst []Span, source string, spans []Span) []Span {
+	out := dst[:0]
 	for _, s := range spans {
 		if !s.Empty() {
 			out = append(out, s)
 		}
 	}
 	if len(out) == 0 {
-		return nil
+		return out
 	}
 	slices.SortFunc(out, func(a, b Span) int {
 		if c := cmp.Compare(a.Start, b.Start); c != 0 {
@@ -191,11 +202,13 @@ func gap(source string, from, to int) string {
 	return source[from:to]
 }
 
-// Excerpt renders spans as a source quotation, merged by MergeSpans and
-// with gaps elided as "..." — the annotated printer's `# from: "reach
-// ... from Forest Hills"` form.
+// Excerpt renders spans as a source quotation, merged as MergeSpans
+// merges them and with gaps elided as "..." — the annotated printer's
+// `# from: "reach ... from Forest Hills"` form. Up to 16 spans merge in
+// a stack buffer, so only a quotation of several merged spans allocates.
 func Excerpt(source string, spans []Span) string {
-	return ExcerptMerged(source, MergeSpans(source, spans))
+	var buf [16]Span
+	return ExcerptMerged(source, mergeSpans(buf[:0], source, spans))
 }
 
 // ExcerptMerged is Excerpt of spans that MergeSpans returned: a caller

@@ -54,6 +54,24 @@ func TestMergeSpansAndExcerpt(t *testing.T) {
 	}
 }
 
+// TestExcerptAllocations: Excerpt merges in a stack buffer, so a
+// quotation that merges to one span allocates nothing, and one of
+// several merged spans allocates only its text.
+func TestExcerptAllocations(t *testing.T) {
+	src := "reach the falls from Forest Hills today"
+	for _, c := range []struct {
+		spans []Span
+		want  float64
+	}{
+		{[]Span{{Start: 28, End: 33}, {Start: 21, End: 27}}, 0},                     // "Forest Hills"
+		{[]Span{{Start: 21, End: 27}, {Start: 0, End: 5}, {Start: 28, End: 33}}, 1}, // "reach ... Forest Hills"
+	} {
+		if got := testing.AllocsPerRun(10, func() { Excerpt(src, c.spans) }); got != c.want {
+			t.Errorf("Excerpt(%q) allocates %.0f times, want %.0f", Excerpt(src, c.spans), got, c.want)
+		}
+	}
+}
+
 func TestSpanText(t *testing.T) {
 	if got := (Span{Start: -3, End: 100}).Text("abc"); got != "abc" {
 		t.Errorf("clamped Text = %q", got)

@@ -395,10 +395,3 @@ func (c *Cache) Stats() Stats {
 		Entries:   c.lru.Len(),
 	}
 }
-
-// Len returns the current entry count.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
-}

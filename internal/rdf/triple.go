@@ -48,9 +48,6 @@ func (t Triple) EachVar(fn func(string)) {
 	}
 }
 
-// Equal reports componentwise equality.
-func (t Triple) Equal(o Triple) bool { return t == o }
-
 // Compare orders triples lexicographically by S, P, O.
 func (t Triple) Compare(o Triple) int {
 	if c := t.S.Compare(o.S); c != 0 {

@@ -58,7 +58,12 @@ type word struct {
 	start, end int
 }
 
-// Check verifies one NL question or request.
+// maxWords is the number of leading words Check reads: its longest
+// rejected phrase, "what is the reason", has four.
+const maxWords = 4
+
+// Check verifies one NL question or request. It reads the question
+// marks and the first maxWords words, which it splits in a stack buffer.
 func Check(question string) Verdict {
 	trimmed := strings.TrimSpace(question)
 	if !hasLetters(trimmed) {
@@ -68,15 +73,16 @@ func Check(question string) Verdict {
 			Tips:     []string{"Type a question or request, e.g. \"What are the best places to visit in Buffalo?\""},
 		}
 	}
-	// Multiple sentences that are each questions.
-	if countQuestions(trimmed) > 1 {
+	// Two question marks or more: several questions at once.
+	if strings.Count(trimmed, "?") > 1 {
 		return Verdict{
 			Category: CatMultiple,
 			Reason:   "the request contains several questions",
 			Tips:     []string{"Ask one question at a time; you can submit the next question afterwards."},
 		}
 	}
-	words := fields(question)
+	var buf [maxWords]word
+	words := fields(buf[:0], question)
 	if len(words) == 0 {
 		return Verdict{Category: CatEmpty, Reason: "the request contains no words"}
 	}
@@ -121,16 +127,13 @@ func Check(question string) Verdict {
 			return causalVerdict("\"For what purpose...\" questions ask for explanations", cite(question, words[:3]))
 		}
 	case "what":
-		// "What is the reason/way/purpose ..."
-		var lowered []string
-		for _, w := range words {
-			lowered = append(lowered, w.text)
-		}
-		rest := strings.Join(lowered, " ")
-		for _, bad := range []string{"what is the reason", "what is the purpose", "what is the way", "what's the reason", "what's the way"} {
-			if strings.HasPrefix(rest, bad) {
-				n := len(strings.Fields(bad))
-				return causalVerdict("questions about reasons, purposes or ways ask for explanations", cite(question, words[:n]))
+		// "What is the reason/way/purpose ...", the last word as a
+		// prefix ("What is the wayside ..." too).
+		if len(words) == maxWords && second == "is" && words[2].text == "the" {
+			for _, bad := range []string{"reason", "purpose", "way"} {
+				if strings.HasPrefix(words[3].text, bad) {
+					return causalVerdict("questions about reasons, purposes or ways ask for explanations", cite(question, words))
+				}
 			}
 		}
 	case "explain", "describe":
@@ -212,23 +215,13 @@ func hasLetters(s string) bool {
 	return false
 }
 
-// countQuestions counts sentence-final question marks followed by more
-// content.
-func countQuestions(s string) int {
-	n := strings.Count(s, "?")
-	if n <= 1 {
-		return n
-	}
-	return n
-}
-
-// fields lower-cases and splits the question into words, dropping
-// punctuation but keeping each word's byte span in the original input.
-func fields(s string) []word {
+// fields lower-cases and splits the question into its first cap(dst)
+// words, appended to dst, dropping punctuation but keeping each word's
+// byte span in the original input.
+func fields(dst []word, s string) []word {
 	keep := func(r rune) bool {
 		return unicode.IsLetter(r) || unicode.IsNumber(r) || r == '\''
 	}
-	var out []word
 	start := -1
 	for i, r := range s {
 		if keep(r) {
@@ -238,12 +231,15 @@ func fields(s string) []word {
 			continue
 		}
 		if start >= 0 {
-			out = append(out, word{text: strings.ToLower(s[start:i]), start: start, end: i})
+			dst = append(dst, word{text: strings.ToLower(s[start:i]), start: start, end: i})
+			if len(dst) == cap(dst) {
+				return dst
+			}
 			start = -1
 		}
 	}
 	if start >= 0 {
-		out = append(out, word{text: strings.ToLower(s[start:]), start: start, end: len(s)})
+		dst = append(dst, word{text: strings.ToLower(s[start:]), start: start, end: len(s)})
 	}
-	return out
+	return dst
 }

@@ -188,3 +188,20 @@ func TestCaseInsensitive(t *testing.T) {
 		t.Error("lower-case why question accepted")
 	}
 }
+
+// TestCheckAllocations: Check splits only the leading words, in a stack
+// buffer, so a supported question allocates only the lower-cased copies
+// of those words that hold capitals, whatever its length.
+func TestCheckAllocations(t *testing.T) {
+	for _, c := range []struct {
+		q    string
+		want float64
+	}{
+		{"What shows should we watch in Las Vegas with the kids this winter?", 1},
+		{"which parks are near Delaware Park?", 0},
+	} {
+		if got := testing.AllocsPerRun(10, func() { Check(c.q) }); got != c.want {
+			t.Errorf("Check(%q) allocates %.0f times, want %.0f", c.q, got, c.want)
+		}
+	}
+}
